@@ -22,10 +22,13 @@
 //! Memory operands are written `[reg+disp]`, `[reg-disp]` or `[reg]`,
 //! matching the disassembler's output so that listings re-assemble.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
-use swsec_vm::isa::{AluOp, Cond, Instr, Reg};
+use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS};
 
 /// The result of assembling a source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,28 +133,24 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-/// An operand as written in the source, before label resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Operand {
+/// An operand as written in the source, before label resolution. It
+/// borrows from the source; a string literal is owned only when it holds
+/// an escape. The derived `Debug` form is the payload of
+/// [`AsmErrorKind::BadOperand`] for an operand of the wrong kind.
+#[derive(Debug)]
+enum Operand<'a> {
     Reg(Reg),
     Imm(i64),
-    Label(String),
+    Label(&'a str),
     Mem { base: Reg, disp: i64 },
-    Str(String),
+    Str(Cow<'a, str>),
 }
 
 fn parse_reg(s: &str) -> Option<Reg> {
-    Some(match s {
-        "r0" => Reg::R0,
-        "r1" => Reg::R1,
-        "r2" => Reg::R2,
-        "r3" => Reg::R3,
-        "r4" => Reg::R4,
-        "r5" => Reg::R5,
-        "r6" => Reg::R6,
-        "r7" => Reg::R7,
-        "sp" => Reg::Sp,
-        "bp" => Reg::Bp,
+    Some(match s.as_bytes() {
+        [b'r', d @ b'0'..=b'7'] => ALL_REGS[usize::from(d - b'0')],
+        b"sp" => Reg::Sp,
+        b"bp" => Reg::Bp,
         _ => return None,
     })
 }
@@ -161,7 +160,17 @@ fn parse_int(s: &str) -> Option<i64> {
         Some(rest) => (true, rest),
         None => (false, s),
     };
-    let value = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+    // Fast path: plain decimal (a `+` sign included, as in `[bp+8]`)
+    // or `0x` hex digits, which is all the compiler and the
+    // disassembler ever print.
+    let (digits, radix) = match body.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (body.strip_prefix('+').unwrap_or(body), 10),
+    };
+    let plain = !digits.is_empty() && digits.bytes().all(|b| (b as char).is_digit(radix));
+    let value = if plain {
+        i64::from_str_radix(digits, radix).ok()?
+    } else if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
         i64::from_str_radix(&hex.replace('_', ""), 16).ok()?
     } else if let Some(ch) = body.strip_prefix('\'') {
         let ch = ch.strip_suffix('\'')?;
@@ -171,14 +180,49 @@ fn parse_int(s: &str) -> Option<i64> {
             return None;
         }
         c as i64
-    } else {
+    } else if body.bytes().all(|b| b.is_ascii_digit() || matches!(b, b'_' | b'+' | b'-')) {
         body.replace('_', "").parse::<i64>().ok()?
+    } else {
+        // Any other byte survives the `_` removal and fails the parse;
+        // this is every label operand, so skip the allocation.
+        return None;
     };
     Some(if neg { -value } else { value })
 }
 
-fn parse_operand(s: &str) -> Result<Operand, AsmErrorKind> {
-    let s = s.trim();
+/// `str::trim`, skipping the Unicode scan when both ends are visible
+/// ASCII, as they are on nearly every line.
+fn trim(s: &str) -> &str {
+    match s.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => s,
+        [only] if only.is_ascii_graphic() => s,
+        _ => s.trim(),
+    }
+}
+
+/// `s.find(char::is_whitespace)`, scanning bytes while they are ASCII.
+fn find_space(s: &str) -> Option<usize> {
+    for (i, b) in s.bytes().enumerate() {
+        if !b.is_ascii() {
+            return s[i..].find(char::is_whitespace).map(|j| i + j);
+        }
+        if matches!(b, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r') {
+            return Some(i);
+        }
+    }
+    None
+}
+
+fn is_label_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+}
+
+fn is_label(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(is_label_byte)
+}
+
+/// Parses one operand, already trimmed.
+fn parse_operand(s: &str) -> Result<Operand<'_>, AsmErrorKind> {
     if let Some(inner) = s.strip_prefix('[') {
         let inner = inner
             .strip_suffix(']')
@@ -208,13 +252,16 @@ fn parse_operand(s: &str) -> Result<Operand, AsmErrorKind> {
     if let Some(imm) = parse_int(s) {
         return Ok(Operand::Imm(imm));
     }
-    if s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.') && !s.is_empty() {
-        return Ok(Operand::Label(s.to_string()));
+    if is_label(s) {
+        return Ok(Operand::Label(s));
     }
     Err(AsmErrorKind::BadOperand(s.to_string()))
 }
 
-fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<Cow<'_, str>> {
+    if !s.contains('\\') {
+        return Some(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -231,216 +278,295 @@ fn unescape(s: &str) -> Option<String> {
             out.push(c);
         }
     }
-    Some(out)
+    Some(Cow::Owned(out))
 }
 
 /// Splits the operand field on commas that are not inside quotes or
-/// brackets.
-fn split_operands(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut cur = String::new();
-    let mut prev_escape = false;
-    for c in s.chars() {
-        match c {
-            '"' if !prev_escape => in_str = !in_str,
-            '[' if !in_str => depth += 1,
-            ']' if !in_str => depth = depth.saturating_sub(1),
-            ',' if !in_str && depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-                prev_escape = false;
-                continue;
-            }
-            _ => {}
-        }
-        prev_escape = c == '\\' && !prev_escape;
-        cur.push(c);
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
-    }
-    out
+/// brackets, yielding each operand trimmed. Every operand before a comma
+/// is yielded, even an empty one; an empty last operand is dropped.
+struct SplitOperands<'a> {
+    rest: Option<&'a str>,
 }
 
-#[derive(Debug)]
-enum Stmt {
-    Label(String),
-    Instr { mnemonic: String, operands: Vec<Operand> },
+impl<'a> Iterator for SplitOperands<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        let mut depth = 0usize;
+        let mut in_str = false;
+        let mut escaped = false;
+        // Every delimiter is ASCII, so a byte scan never splits a char.
+        for (i, b) in s.bytes().enumerate() {
+            match b {
+                b'"' if !escaped => in_str = !in_str,
+                b'[' if !in_str => depth += 1,
+                b']' if !in_str => depth = depth.saturating_sub(1),
+                b',' if !in_str && depth == 0 => {
+                    self.rest = Some(&s[i + 1..]);
+                    return Some(trim(&s[..i]));
+                }
+                _ => {}
+            }
+            escaped = b == b'\\' && !escaped;
+        }
+        self.rest = None;
+        Some(trim(s)).filter(|last| !last.is_empty())
+    }
+}
+
+/// An instruction mnemonic, decoded once at parse time so that neither
+/// pass matches the mnemonic text again.
+#[derive(Clone, Copy)]
+enum Mnemonic {
+    Nop,
+    Halt,
+    Ret,
+    Leave,
+    MovI,
+    AddI,
+    CmpI,
+    Mov,
+    Cmp,
+    Alu(AluOp),
+    Load,
+    LoadB,
+    Lea,
+    Store,
+    StoreB,
+    Push,
+    Pop,
+    CallR,
+    JmpR,
+    PushI,
+    Jmp,
+    JCond(Cond),
+    Call,
+    Enter,
+    Sys,
+    Trap,
+}
+
+impl Mnemonic {
+    /// Decodes a lowercase mnemonic.
+    fn decode(m: &str) -> Option<Mnemonic> {
+        Some(match m.as_bytes() {
+            b"nop" => Mnemonic::Nop,
+            b"halt" => Mnemonic::Halt,
+            b"ret" => Mnemonic::Ret,
+            b"leave" => Mnemonic::Leave,
+            b"movi" => Mnemonic::MovI,
+            b"addi" => Mnemonic::AddI,
+            b"cmpi" => Mnemonic::CmpI,
+            b"mov" => Mnemonic::Mov,
+            b"cmp" => Mnemonic::Cmp,
+            b"add" => Mnemonic::Alu(AluOp::Add),
+            b"sub" => Mnemonic::Alu(AluOp::Sub),
+            b"mul" => Mnemonic::Alu(AluOp::Mul),
+            b"divu" => Mnemonic::Alu(AluOp::DivU),
+            b"divs" => Mnemonic::Alu(AluOp::DivS),
+            b"modu" => Mnemonic::Alu(AluOp::ModU),
+            b"mods" => Mnemonic::Alu(AluOp::ModS),
+            b"and" => Mnemonic::Alu(AluOp::And),
+            b"or" => Mnemonic::Alu(AluOp::Or),
+            b"xor" => Mnemonic::Alu(AluOp::Xor),
+            b"shl" => Mnemonic::Alu(AluOp::Shl),
+            b"shr" => Mnemonic::Alu(AluOp::Shr),
+            b"sar" => Mnemonic::Alu(AluOp::Sar),
+            b"load" => Mnemonic::Load,
+            b"loadb" => Mnemonic::LoadB,
+            b"lea" => Mnemonic::Lea,
+            b"store" => Mnemonic::Store,
+            b"storeb" => Mnemonic::StoreB,
+            b"push" => Mnemonic::Push,
+            b"pop" => Mnemonic::Pop,
+            b"callr" => Mnemonic::CallR,
+            b"jmpr" => Mnemonic::JmpR,
+            b"pushi" => Mnemonic::PushI,
+            b"jmp" => Mnemonic::Jmp,
+            b"jz" => Mnemonic::JCond(Cond::Z),
+            b"jnz" => Mnemonic::JCond(Cond::Nz),
+            b"jlt" => Mnemonic::JCond(Cond::Lt),
+            b"jge" => Mnemonic::JCond(Cond::Ge),
+            b"jle" => Mnemonic::JCond(Cond::Le),
+            b"jgt" => Mnemonic::JCond(Cond::Gt),
+            b"jb" => Mnemonic::JCond(Cond::B),
+            b"jae" => Mnemonic::JCond(Cond::Ae),
+            b"call" => Mnemonic::Call,
+            b"enter" => Mnemonic::Enter,
+            b"sys" => Mnemonic::Sys,
+            b"trap" => Mnemonic::Trap,
+            _ => return None,
+        })
+    }
+
+    /// Encoded length in bytes, for the label-address pass.
+    fn len(self) -> u32 {
+        match self {
+            Mnemonic::Nop | Mnemonic::Halt | Mnemonic::Ret | Mnemonic::Leave => 1,
+            Mnemonic::Mov
+            | Mnemonic::Cmp
+            | Mnemonic::Alu(_)
+            | Mnemonic::Push
+            | Mnemonic::Pop
+            | Mnemonic::CallR
+            | Mnemonic::JmpR
+            | Mnemonic::Sys
+            | Mnemonic::Trap => 2,
+            Mnemonic::Load | Mnemonic::LoadB | Mnemonic::Lea | Mnemonic::Store | Mnemonic::StoreB => 4,
+            Mnemonic::PushI | Mnemonic::Jmp | Mnemonic::JCond(_) | Mnemonic::Call | Mnemonic::Enter => 5,
+            Mnemonic::MovI | Mnemonic::AddI | Mnemonic::CmpI => 6,
+        }
+    }
+
+    /// Number of operands.
+    fn arity(self) -> usize {
+        match self {
+            Mnemonic::Nop | Mnemonic::Halt | Mnemonic::Ret | Mnemonic::Leave => 0,
+            Mnemonic::Push
+            | Mnemonic::Pop
+            | Mnemonic::CallR
+            | Mnemonic::JmpR
+            | Mnemonic::PushI
+            | Mnemonic::Jmp
+            | Mnemonic::JCond(_)
+            | Mnemonic::Call
+            | Mnemonic::Enter
+            | Mnemonic::Sys
+            | Mnemonic::Trap => 1,
+            _ => 2,
+        }
+    }
+}
+
+/// One statement. Operand lists are index ranges into the assembler's
+/// flat operand arena.
+enum Stmt<'a> {
+    Label(&'a str),
+    /// An instruction; `mnemonic` is the source text, kept for errors.
+    Instr { op: Mnemonic, mnemonic: &'a str, operands: Range<usize> },
+    /// A mnemonic outside the ISA and directive set, rejected in pass 1.
+    Unknown(&'a str),
     Org(u32),
-    Byte(Vec<Operand>),
-    Word(Vec<Operand>),
-    Ascii(String),
+    Byte(Range<usize>),
+    Word(Range<usize>),
+    Ascii(Cow<'a, str>),
     Space(u32),
 }
 
-fn parse_line(line: &str, lineno: usize) -> Result<Vec<Stmt>, AsmError> {
+/// Parses one source line, appending its statements to `stmts` and its
+/// operands to `arena`.
+fn parse_line<'a>(
+    line: &'a str,
+    lineno: usize,
+    stmts: &mut Vec<(usize, Stmt<'a>)>,
+    arena: &mut Vec<Operand<'a>>,
+) -> Result<(), AsmError> {
     let code = match line.find(';') {
         Some(idx) => &line[..idx],
         None => line,
     };
-    let code = code.trim();
-    if code.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut stmts = Vec::new();
-    let mut rest = code;
-    // Leading labels (possibly several on one line).
-    while let Some(idx) = rest.find(':') {
-        let candidate = rest[..idx].trim();
-        if !candidate.is_empty()
-            && candidate
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-            && !rest[..idx].contains(char::is_whitespace)
-        {
-            stmts.push(Stmt::Label(candidate.to_string()));
-            rest = rest[idx + 1..].trim_start();
-        } else {
+    let mut rest = trim(code);
+    // Leading labels (possibly several on one line): a run of label
+    // characters directly followed by `:`.
+    loop {
+        let len = rest.bytes().position(|b| !is_label_byte(b)).unwrap_or(rest.len());
+        if len == 0 || rest.as_bytes().get(len) != Some(&b':') {
             break;
         }
+        stmts.push((lineno, Stmt::Label(&rest[..len])));
+        rest = rest[len + 1..].trim_start();
     }
     if rest.is_empty() {
-        return Ok(stmts);
+        return Ok(());
     }
-    let (mnemonic, args) = match rest.find(char::is_whitespace) {
-        Some(idx) => (&rest[..idx], rest[idx..].trim()),
+    let (mnemonic, args) = match find_space(rest) {
+        Some(idx) => (&rest[..idx], trim(&rest[idx..])),
         None => (rest, ""),
     };
-    let mnemonic = mnemonic.to_ascii_lowercase();
-    let raw_ops = if args.is_empty() {
-        Vec::new()
+    let lower = if mnemonic.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(mnemonic.to_ascii_lowercase())
     } else {
-        split_operands(args)
+        Cow::Borrowed(mnemonic)
     };
-    let mut operands = Vec::with_capacity(raw_ops.len());
-    for raw in &raw_ops {
-        operands.push(parse_operand(raw).map_err(|kind| AsmError { line: lineno, kind })?);
+    let start = arena.len();
+    for raw in (SplitOperands { rest: Some(args) }) {
+        arena.push(parse_operand(raw).map_err(|kind| AsmError { line: lineno, kind })?);
     }
-    let stmt = match mnemonic.as_str() {
-        ".org" => match operands.as_slice() {
-            [Operand::Imm(v)] => Stmt::Org(*v as u32),
-            _ => {
-                return Err(AsmError {
-                    line: lineno,
-                    kind: AsmErrorKind::BadOperand(args.to_string()),
-                })
-            }
+    let operands = start..arena.len();
+    let bad = |kind: fn(String) -> AsmErrorKind| AsmError { line: lineno, kind: kind(args.to_string()) };
+    // `.org`, `.ascii` and `.space` take their one operand out of the arena.
+    let single = |arena: &mut Vec<Operand<'a>>| if operands.len() == 1 { arena.pop() } else { None };
+    let stmt = match &*lower {
+        ".org" => match single(arena) {
+            Some(Operand::Imm(v)) => Stmt::Org(v as u32),
+            _ => return Err(bad(AsmErrorKind::BadOperand)),
         },
         ".byte" => Stmt::Byte(operands),
         ".word" => Stmt::Word(operands),
-        ".ascii" => match operands.as_slice() {
-            [Operand::Str(s)] => Stmt::Ascii(s.clone()),
-            _ => {
-                return Err(AsmError {
-                    line: lineno,
-                    kind: AsmErrorKind::BadString(args.to_string()),
-                })
-            }
+        ".ascii" => match single(arena) {
+            Some(Operand::Str(s)) => Stmt::Ascii(s),
+            _ => return Err(bad(AsmErrorKind::BadString)),
         },
-        ".space" => match operands.as_slice() {
-            [Operand::Imm(v)] if *v >= 0 => Stmt::Space(*v as u32),
-            _ => {
-                return Err(AsmError {
-                    line: lineno,
-                    kind: AsmErrorKind::BadOperand(args.to_string()),
-                })
-            }
+        ".space" => match single(arena) {
+            Some(Operand::Imm(v)) if v >= 0 => Stmt::Space(v as u32),
+            _ => return Err(bad(AsmErrorKind::BadOperand)),
         },
-        _ => Stmt::Instr { mnemonic, operands },
+        m => match Mnemonic::decode(m) {
+            Some(op) => Stmt::Instr { op, mnemonic, operands },
+            None => Stmt::Unknown(mnemonic),
+        },
     };
-    stmts.push(stmt);
-    Ok(stmts)
+    stmts.push((lineno, stmt));
+    Ok(())
 }
 
-/// Size of a statement in bytes, for the label-address pass.
-fn stmt_len(stmt: &Stmt, lineno: usize) -> Result<u32, AsmError> {
-    Ok(match stmt {
-        Stmt::Label(_) | Stmt::Org(_) => 0,
-        Stmt::Byte(ops) => ops.len() as u32,
-        Stmt::Word(ops) => 4 * ops.len() as u32,
-        Stmt::Ascii(s) => s.len() as u32,
-        Stmt::Space(n) => *n,
-        Stmt::Instr { mnemonic, .. } => mnemonic_len(mnemonic).ok_or_else(|| AsmError {
-            line: lineno,
-            kind: AsmErrorKind::UnknownMnemonic(mnemonic.clone()),
-        })? as u32,
-    })
+/// Label addresses keyed by source slices.
+type LabelMap<'a> = HashMap<&'a str, u32, BuildHasherDefault<LabelHasher>>;
+
+/// A multiply-rotate byte hash: labels are short and come from the
+/// assembler's own callers, so SipHash's flooding resistance buys
+/// nothing here, and it measured at about a tenth of assembly time.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
 }
 
-fn mnemonic_len(m: &str) -> Option<usize> {
-    Some(match m {
-        "nop" | "halt" | "ret" | "leave" => 1,
-        "mov" | "push" | "pop" | "callr" | "jmpr" | "sys" | "trap" | "cmp" | "add" | "sub"
-        | "mul" | "divu" | "divs" | "modu" | "mods" | "and" | "or" | "xor" | "shl" | "shr"
-        | "sar" => 2,
-        "load" | "store" | "loadb" | "storeb" | "lea" => 4,
-        "pushi" | "jmp" | "jz" | "jnz" | "jlt" | "jge" | "jle" | "jgt" | "jb" | "jae" | "call"
-        | "enter" => 5,
-        "movi" | "addi" | "cmpi" => 6,
-        _ => return None,
-    })
-}
-
-fn alu_op(m: &str) -> Option<AluOp> {
-    Some(match m {
-        "add" => AluOp::Add,
-        "sub" => AluOp::Sub,
-        "mul" => AluOp::Mul,
-        "divu" => AluOp::DivU,
-        "divs" => AluOp::DivS,
-        "modu" => AluOp::ModU,
-        "mods" => AluOp::ModS,
-        "and" => AluOp::And,
-        "or" => AluOp::Or,
-        "xor" => AluOp::Xor,
-        "shl" => AluOp::Shl,
-        "shr" => AluOp::Shr,
-        "sar" => AluOp::Sar,
-        _ => return None,
-    })
-}
-
-fn cond(m: &str) -> Option<Cond> {
-    Some(match m {
-        "jz" => Cond::Z,
-        "jnz" => Cond::Nz,
-        "jlt" => Cond::Lt,
-        "jge" => Cond::Ge,
-        "jle" => Cond::Le,
-        "jgt" => Cond::Gt,
-        "jb" => Cond::B,
-        "jae" => Cond::Ae,
-        _ => return None,
-    })
-}
-
-struct Resolver<'a> {
-    labels: &'a BTreeMap<String, u32>,
+struct Resolver<'a, 'src> {
+    labels: &'a LabelMap<'src>,
     line: usize,
 }
 
-impl Resolver<'_> {
-    fn imm(&self, op: &Operand) -> Result<u32, AsmError> {
+impl Resolver<'_, '_> {
+    fn imm(&self, op: &Operand<'_>) -> Result<u32, AsmError> {
         match op {
             Operand::Imm(v) => Ok(*v as u32),
-            Operand::Label(name) => self.labels.get(name).copied().ok_or_else(|| AsmError {
+            Operand::Label(name) => self.labels.get(*name).copied().ok_or_else(|| AsmError {
                 line: self.line,
-                kind: AsmErrorKind::UnknownLabel(name.clone()),
+                kind: AsmErrorKind::UnknownLabel(name.to_string()),
             }),
             other => Err(self.bad(other)),
         }
     }
 
-    fn reg(&self, op: &Operand) -> Result<Reg, AsmError> {
+    fn reg(&self, op: &Operand<'_>) -> Result<Reg, AsmError> {
         match op {
             Operand::Reg(r) => Ok(*r),
             other => Err(self.bad(other)),
         }
     }
 
-    fn mem(&self, op: &Operand) -> Result<(Reg, i16), AsmError> {
+    fn mem(&self, op: &Operand<'_>) -> Result<(Reg, i16), AsmError> {
         match op {
             Operand::Mem { base, disp } => {
                 let disp16 = i16::try_from(*disp).map_err(|_| AsmError {
@@ -453,7 +579,7 @@ impl Resolver<'_> {
         }
     }
 
-    fn bad(&self, op: &Operand) -> AsmError {
+    fn bad(&self, op: &Operand<'_>) -> AsmError {
         AsmError {
             line: self.line,
             kind: AsmErrorKind::BadOperand(format!("{op:?}")),
@@ -461,151 +587,80 @@ impl Resolver<'_> {
     }
 }
 
+/// Encodes one instruction. Checks the operand count first, then each
+/// operand left to right.
 fn encode_instr(
+    op: Mnemonic,
     mnemonic: &str,
-    operands: &[Operand],
-    resolver: &Resolver<'_>,
+    ops: &[Operand<'_>],
+    r: &Resolver<'_, '_>,
 ) -> Result<Instr, AsmError> {
-    let arity_err = |expected: usize| AsmError {
-        line: resolver.line,
-        kind: AsmErrorKind::WrongArity {
-            mnemonic: mnemonic.to_string(),
-            expected,
-            got: operands.len(),
-        },
-    };
-    let need = |n: usize| -> Result<(), AsmError> {
-        if operands.len() == n {
-            Ok(())
-        } else {
-            Err(arity_err(n))
-        }
-    };
-    let instr = match mnemonic {
-        "nop" => {
-            need(0)?;
-            Instr::Nop
-        }
-        "halt" => {
-            need(0)?;
-            Instr::Halt
-        }
-        "ret" => {
-            need(0)?;
-            Instr::Ret
-        }
-        "leave" => {
-            need(0)?;
-            Instr::Leave
-        }
-        "movi" => {
-            need(2)?;
-            Instr::MovI { dst: resolver.reg(&operands[0])?, imm: resolver.imm(&operands[1])? }
-        }
-        "mov" => {
-            need(2)?;
-            Instr::Mov { dst: resolver.reg(&operands[0])?, src: resolver.reg(&operands[1])? }
-        }
-        "load" | "loadb" | "lea" => {
-            need(2)?;
-            let dst = resolver.reg(&operands[0])?;
-            let (base, disp) = resolver.mem(&operands[1])?;
-            match mnemonic {
-                "load" => Instr::Load { dst, base, disp },
-                "loadb" => Instr::LoadB { dst, base, disp },
+    if ops.len() != op.arity() {
+        return Err(AsmError {
+            line: r.line,
+            kind: AsmErrorKind::WrongArity {
+                mnemonic: mnemonic.to_ascii_lowercase(),
+                expected: op.arity(),
+                got: ops.len(),
+            },
+        });
+    }
+    Ok(match op {
+        Mnemonic::Nop => Instr::Nop,
+        Mnemonic::Halt => Instr::Halt,
+        Mnemonic::Ret => Instr::Ret,
+        Mnemonic::Leave => Instr::Leave,
+        Mnemonic::MovI => Instr::MovI { dst: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
+        Mnemonic::AddI => Instr::AddI { dst: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
+        Mnemonic::CmpI => Instr::CmpI { a: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
+        Mnemonic::Mov => Instr::Mov { dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
+        Mnemonic::Cmp => Instr::Cmp { a: r.reg(&ops[0])?, b: r.reg(&ops[1])? },
+        Mnemonic::Alu(alu) => Instr::Alu { op: alu, dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
+        Mnemonic::Load | Mnemonic::LoadB | Mnemonic::Lea => {
+            let dst = r.reg(&ops[0])?;
+            let (base, disp) = r.mem(&ops[1])?;
+            match op {
+                Mnemonic::Load => Instr::Load { dst, base, disp },
+                Mnemonic::LoadB => Instr::LoadB { dst, base, disp },
                 _ => Instr::Lea { dst, base, disp },
             }
         }
-        "store" | "storeb" => {
-            need(2)?;
-            let (base, disp) = resolver.mem(&operands[0])?;
-            let src = resolver.reg(&operands[1])?;
-            if mnemonic == "store" {
-                Instr::Store { base, disp, src }
-            } else {
-                Instr::StoreB { base, disp, src }
+        Mnemonic::Store | Mnemonic::StoreB => {
+            let (base, disp) = r.mem(&ops[0])?;
+            let src = r.reg(&ops[1])?;
+            match op {
+                Mnemonic::Store => Instr::Store { base, disp, src },
+                _ => Instr::StoreB { base, disp, src },
             }
         }
-        "push" => {
-            need(1)?;
-            Instr::Push(resolver.reg(&operands[0])?)
-        }
-        "pop" => {
-            need(1)?;
-            Instr::Pop(resolver.reg(&operands[0])?)
-        }
-        "pushi" => {
-            need(1)?;
-            Instr::PushI(resolver.imm(&operands[0])?)
-        }
-        "addi" => {
-            need(2)?;
-            Instr::AddI { dst: resolver.reg(&operands[0])?, imm: resolver.imm(&operands[1])? }
-        }
-        "cmp" => {
-            need(2)?;
-            Instr::Cmp { a: resolver.reg(&operands[0])?, b: resolver.reg(&operands[1])? }
-        }
-        "cmpi" => {
-            need(2)?;
-            Instr::CmpI { a: resolver.reg(&operands[0])?, imm: resolver.imm(&operands[1])? }
-        }
-        "jmp" => {
-            need(1)?;
-            Instr::Jmp(resolver.imm(&operands[0])?)
-        }
-        "call" => {
-            need(1)?;
-            Instr::Call(resolver.imm(&operands[0])?)
-        }
-        "callr" => {
-            need(1)?;
-            Instr::CallR(resolver.reg(&operands[0])?)
-        }
-        "jmpr" => {
-            need(1)?;
-            Instr::JmpR(resolver.reg(&operands[0])?)
-        }
-        "enter" => {
-            need(1)?;
-            Instr::Enter(resolver.imm(&operands[0])?)
-        }
-        "sys" => {
-            need(1)?;
-            Instr::Sys(resolver.imm(&operands[0])? as u8)
-        }
-        "trap" => {
-            need(1)?;
-            Instr::Trap(resolver.imm(&operands[0])? as u8)
-        }
-        _ => {
-            if let Some(op) = alu_op(mnemonic) {
-                need(2)?;
-                Instr::Alu {
-                    op,
-                    dst: resolver.reg(&operands[0])?,
-                    src: resolver.reg(&operands[1])?,
-                }
-            } else if let Some(c) = cond(mnemonic) {
-                need(1)?;
-                Instr::JCond { cond: c, target: resolver.imm(&operands[0])? }
-            } else {
-                return Err(AsmError {
-                    line: resolver.line,
-                    kind: AsmErrorKind::UnknownMnemonic(mnemonic.to_string()),
-                });
-            }
-        }
-    };
-    Ok(instr)
+        Mnemonic::Push => Instr::Push(r.reg(&ops[0])?),
+        Mnemonic::Pop => Instr::Pop(r.reg(&ops[0])?),
+        Mnemonic::CallR => Instr::CallR(r.reg(&ops[0])?),
+        Mnemonic::JmpR => Instr::JmpR(r.reg(&ops[0])?),
+        Mnemonic::PushI => Instr::PushI(r.imm(&ops[0])?),
+        Mnemonic::Jmp => Instr::Jmp(r.imm(&ops[0])?),
+        Mnemonic::JCond(cond) => Instr::JCond { cond, target: r.imm(&ops[0])? },
+        Mnemonic::Call => Instr::Call(r.imm(&ops[0])?),
+        Mnemonic::Enter => Instr::Enter(r.imm(&ops[0])?),
+        Mnemonic::Sys => Instr::Sys(r.imm(&ops[0])? as u8),
+        Mnemonic::Trap => Instr::Trap(r.imm(&ops[0])? as u8),
+    })
 }
 
 /// Assembles a complete source file into a loadable image.
 ///
+/// Parsing borrows every token from `source`, so the only allocations
+/// are the statement and operand vectors, the label tables and the
+/// image itself.
+///
 /// # Errors
 ///
-/// Returns the first [`AsmError`] encountered: unknown mnemonics, bad
-/// operands, undefined or duplicate labels, late `.org`.
+/// Returns the first [`AsmError`] in this order: a parse error on any
+/// line (bad operand or string literal, malformed directive); then, in
+/// statement order, an unknown mnemonic, a duplicate label or a late
+/// `.org`; then, in statement order, a wrong operand count, an operand
+/// of the wrong kind, an undefined label or an out-of-range
+/// displacement.
 ///
 /// # Examples
 ///
@@ -621,43 +676,44 @@ fn encode_instr(
 /// ```
 pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
     let mut stmts = Vec::new();
+    let mut arena = Vec::new();
     for (idx, line) in source.lines().enumerate() {
-        let lineno = idx + 1;
-        for stmt in parse_line(line, lineno)? {
-            stmts.push((lineno, stmt));
-        }
+        parse_line(line, idx + 1, &mut stmts, &mut arena)?;
     }
 
     // Pass 1: label addresses.
-    let mut labels = BTreeMap::new();
+    let mut labels = LabelMap::default();
     let mut base = 0u32;
     let mut pc = 0u32;
     let mut emitted = false;
     for (lineno, stmt) in &stmts {
-        match stmt {
+        let err = |kind| AsmError { line: *lineno, kind };
+        let len = match stmt {
             Stmt::Org(addr) => {
                 if emitted {
-                    return Err(AsmError { line: *lineno, kind: AsmErrorKind::LateOrg });
+                    return Err(err(AsmErrorKind::LateOrg));
                 }
                 base = *addr;
                 pc = *addr;
+                0
             }
             Stmt::Label(name) => {
-                if labels.insert(name.clone(), pc).is_some() {
-                    return Err(AsmError {
-                        line: *lineno,
-                        kind: AsmErrorKind::DuplicateLabel(name.clone()),
-                    });
+                if labels.insert(*name, pc).is_some() {
+                    return Err(err(AsmErrorKind::DuplicateLabel(name.to_string())));
                 }
+                0
             }
-            other => {
-                let len = stmt_len(other, *lineno)?;
-                if len > 0 {
-                    emitted = true;
-                }
-                pc = pc.wrapping_add(len);
+            Stmt::Unknown(mnemonic) => {
+                return Err(err(AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase())))
             }
-        }
+            Stmt::Instr { op, .. } => op.len(),
+            Stmt::Byte(ops) => ops.len() as u32,
+            Stmt::Word(ops) => 4 * ops.len() as u32,
+            Stmt::Ascii(s) => s.len() as u32,
+            Stmt::Space(n) => *n,
+        };
+        emitted |= len > 0;
+        pc = pc.wrapping_add(len);
     }
 
     // Pass 2: encoding.
@@ -666,24 +722,25 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
         let resolver = Resolver { labels: &labels, line: *lineno };
         match stmt {
             Stmt::Org(_) | Stmt::Label(_) => {}
+            Stmt::Unknown(_) => unreachable!("pass 1 rejects unknown mnemonics"),
             Stmt::Byte(ops) => {
-                for op in ops {
+                for op in &arena[ops.clone()] {
                     bytes.push(resolver.imm(op)? as u8);
                 }
             }
             Stmt::Word(ops) => {
-                for op in ops {
+                for op in &arena[ops.clone()] {
                     bytes.extend_from_slice(&resolver.imm(op)?.to_le_bytes());
                 }
             }
             Stmt::Ascii(s) => bytes.extend_from_slice(s.as_bytes()),
             Stmt::Space(n) => bytes.extend(std::iter::repeat_n(0u8, *n as usize)),
-            Stmt::Instr { mnemonic, operands } => {
-                let instr = encode_instr(mnemonic, operands, &resolver)?;
-                instr.encode(&mut bytes);
+            Stmt::Instr { op, mnemonic, operands } => {
+                encode_instr(*op, mnemonic, &arena[operands.clone()], &resolver)?.encode(&mut bytes);
             }
         }
     }
+    let labels = labels.into_iter().map(|(name, addr)| (name.to_string(), addr)).collect();
     Ok(AsmOutput { base, bytes, labels })
 }
 
@@ -850,5 +907,94 @@ mod tests {
         assert_eq!(b, Instr::Alu { op: AluOp::Sar, dst: Reg::R2, src: Reg::R3 });
         let (c, _) = Instr::decode(&out.bytes[n + n2..]).unwrap();
         assert_eq!(c, Instr::JCond { cond: Cond::Ae, target: 0x10 });
+    }
+
+    fn err(src: &str) -> (usize, AsmErrorKind) {
+        let e = assemble(src).unwrap_err();
+        (e.line, e.kind)
+    }
+
+    fn bad(payload: &str) -> AsmErrorKind {
+        AsmErrorKind::BadOperand(payload.to_string())
+    }
+
+    #[test]
+    fn parse_errors_on_any_line_come_before_pass_one_errors() {
+        // Line 1 has an unknown mnemonic and line 3 a duplicate label, but
+        // the malformed operand on line 4 is reported first.
+        let src = "frob r0\na: nop\na: nop\nmovi r0, [bp\n";
+        assert_eq!(err(src), (4, bad("[bp")));
+        assert_eq!(err("jmp nowhere\n.ascii 5\n"), (2, AsmErrorKind::BadString("5".into())));
+    }
+
+    #[test]
+    fn pass_one_errors_come_in_statement_order() {
+        assert_eq!(err("a: nop\nfrob\na: nop\n"), (2, AsmErrorKind::UnknownMnemonic("frob".into())));
+        assert_eq!(err("a: nop\na: frob\n"), (2, AsmErrorKind::DuplicateLabel("a".into())));
+        assert_eq!(err("nop\n.org 0x10\nfrob\n"), (2, AsmErrorKind::LateOrg));
+    }
+
+    #[test]
+    fn pass_two_errors_come_after_every_pass_one_error() {
+        assert_eq!(err("jmp nowhere\nmov r0\nfrob\n"), (3, AsmErrorKind::UnknownMnemonic("frob".into())));
+        assert_eq!(err("jmp nowhere\nmov r0\n"), (1, AsmErrorKind::UnknownLabel("nowhere".into())));
+        // Within one instruction: operand count, then operands left to right.
+        assert_eq!(
+            err("mov 5\n"),
+            (1, AsmErrorKind::WrongArity { mnemonic: "mov".into(), expected: 2, got: 1 })
+        );
+        assert_eq!(err("store r0, 5\n"), (1, bad("Reg(R0)")));
+        assert_eq!(err("load r0, [bp+40000]\nmov r0, 5\n"), (1, AsmErrorKind::DispOutOfRange(40000)));
+    }
+
+    #[test]
+    fn bad_operand_payloads_use_the_operand_debug_form() {
+        assert_eq!(err("mov r0, 5\n"), (1, bad("Imm(5)")));
+        assert_eq!(err("movi r0, r1\n"), (1, bad("Reg(R1)")));
+        assert_eq!(err("push loop\n"), (1, bad("Label(\"loop\")")));
+        assert_eq!(err("mov r0, [bp-4]\n"), (1, bad("Mem { base: Bp, disp: -4 }")));
+        assert_eq!(err("load r0, r1\n"), (1, bad("Reg(R1)")));
+        assert_eq!(err(".word r2\n"), (1, bad("Reg(R2)")));
+        assert_eq!(err(".byte \"x\"\n"), (1, bad("Str(\"x\")")));
+        // An escaped literal is reported in its unescaped form.
+        assert_eq!(err("movi r0, \"a\\nb\"\n"), (1, bad("Str(\"a\\nb\")")));
+    }
+
+    #[test]
+    fn parse_error_payloads_quote_the_source() {
+        assert_eq!(err(".org r0\n"), (1, bad("r0")));
+        assert_eq!(err(".space -1\n"), (1, bad("-1")));
+        assert_eq!(err("movi r0, @\n"), (1, bad("@")));
+        assert_eq!(err("movi r0, ,\n"), (1, bad("")));
+        assert_eq!(err(".ascii \"a\\q\"\n"), (1, AsmErrorKind::BadString("\"a\\q\"".into())));
+    }
+
+    #[test]
+    fn mnemonics_are_case_insensitive_and_errors_report_them_lowercase() {
+        let upper = assemble("MOVI r0, 1\n.BYTE 2\n").unwrap();
+        assert_eq!(upper.bytes, assemble("movi r0, 1\n.byte 2\n").unwrap().bytes);
+        assert_eq!(err("FROB\n"), (1, AsmErrorKind::UnknownMnemonic("frob".into())));
+        assert_eq!(
+            err("Mov r0\n"),
+            (1, AsmErrorKind::WrongArity { mnemonic: "mov".into(), expected: 2, got: 1 })
+        );
+    }
+
+    #[test]
+    fn integer_forms_beyond_the_fast_path() {
+        let imm = |src: &str| match Instr::decode(&assemble(src).unwrap().bytes).unwrap().0 {
+            Instr::MovI { imm, .. } => imm,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(imm("movi r0, 0x1_0\n"), 0x10);
+        assert_eq!(imm("movi r0, 0XfF\n"), 0xff);
+        assert_eq!(imm("movi r0, 1_000\n"), 1000);
+        assert_eq!(imm("movi r0, -0x10\n"), (-16i32) as u32);
+        assert_eq!(imm("movi r0, +7\n"), 7);
+        assert_eq!(imm("movi r0, --5\n"), 5);
+        assert_eq!(imm("movi r0, '''\n"), 39);
+        // Out of i64 range is not a number, so it parses as a label.
+        let huge = "99999999999999999999";
+        assert_eq!(err(&format!("movi r0, {huge}\n")), (1, AsmErrorKind::UnknownLabel(huge.into())));
     }
 }

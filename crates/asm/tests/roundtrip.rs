@@ -2,97 +2,172 @@
 //! syntax that re-assembles to the identical encoding — so disassembly
 //! listings are always round-trippable, and the two syntax definitions
 //! (printer and parser) can never drift apart.
-//
-// Gated behind the non-default `proptest-tests` feature: the default
-// workspace must build with zero network access, and `proptest` is a
-// registry dependency. Enable with `--features proptest-tests` after
-// restoring `proptest` to [dev-dependencies].
-#![cfg(feature = "proptest-tests")]
+//!
+//! Cases are drawn from a seeded `swsec-rng` stream: every `Instr`
+//! variant, displacements biased toward the `i16` boundaries, full-range
+//! `u32` immediates, 1–24 instructions per case.
 
-use proptest::prelude::*;
-
+use swsec_rng::{stream, Rng};
 use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS};
 
-fn reg_strategy() -> impl Strategy<Value = Reg> {
-    prop::sample::select(ALL_REGS.to_vec())
+const CASES: u64 = 2_000;
+
+const ALU_OPS: [AluOp; 13] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::Mul,
+    AluOp::DivU,
+    AluOp::DivS,
+    AluOp::ModU,
+    AluOp::ModS,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Shl,
+    AluOp::Shr,
+    AluOp::Sar,
+];
+
+const CONDS: [Cond; 8] = [
+    Cond::Z,
+    Cond::Nz,
+    Cond::Lt,
+    Cond::Ge,
+    Cond::Le,
+    Cond::Gt,
+    Cond::B,
+    Cond::Ae,
+];
+
+/// Number of `Instr` variants [`instr`] draws from.
+const VARIANTS: u64 = 26;
+
+fn pick<T: Copy>(rng: &mut impl Rng, items: &[T]) -> T {
+    items[rng.gen_range(items.len() as u64) as usize]
 }
 
-fn instr_strategy() -> impl Strategy<Value = Instr> {
-    let alu = prop::sample::select(vec![
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::DivU,
-        AluOp::DivS,
-        AluOp::ModU,
-        AluOp::ModS,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Shl,
-        AluOp::Shr,
-        AluOp::Sar,
-    ]);
-    let cond = prop::sample::select(vec![
-        Cond::Z,
-        Cond::Nz,
-        Cond::Lt,
-        Cond::Ge,
-        Cond::Le,
-        Cond::Gt,
-        Cond::B,
-        Cond::Ae,
-    ]);
-    prop_oneof![
-        Just(Instr::Nop),
-        Just(Instr::Halt),
-        Just(Instr::Ret),
-        Just(Instr::Leave),
-        (reg_strategy(), any::<u32>()).prop_map(|(dst, imm)| Instr::MovI { dst, imm }),
-        (reg_strategy(), reg_strategy()).prop_map(|(dst, src)| Instr::Mov { dst, src }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::Load { dst, base, disp }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(base, src, disp)| Instr::Store { base, disp, src }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::LoadB { dst, base, disp }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(base, src, disp)| Instr::StoreB { base, disp, src }),
-        reg_strategy().prop_map(Instr::Push),
-        reg_strategy().prop_map(Instr::Pop),
-        any::<u32>().prop_map(Instr::PushI),
-        (alu, reg_strategy(), reg_strategy())
-            .prop_map(|(op, dst, src)| Instr::Alu { op, dst, src }),
-        (reg_strategy(), any::<u32>()).prop_map(|(dst, imm)| Instr::AddI { dst, imm }),
-        (reg_strategy(), reg_strategy()).prop_map(|(a, b)| Instr::Cmp { a, b }),
-        (reg_strategy(), any::<u32>()).prop_map(|(a, imm)| Instr::CmpI { a, imm }),
-        any::<u32>().prop_map(Instr::Jmp),
-        (cond, any::<u32>()).prop_map(|(cond, target)| Instr::JCond { cond, target }),
-        any::<u32>().prop_map(Instr::Call),
-        reg_strategy().prop_map(Instr::CallR),
-        reg_strategy().prop_map(Instr::JmpR),
-        any::<u32>().prop_map(Instr::Enter),
-        any::<u8>().prop_map(Instr::Sys),
-        any::<u8>().prop_map(Instr::Trap),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::Lea { dst, base, disp }),
-    ]
+fn reg(rng: &mut impl Rng) -> Reg {
+    pick(rng, &ALL_REGS)
 }
 
-proptest! {
-    #[test]
-    fn display_form_reassembles_to_identical_bytes(
-        instrs in prop::collection::vec(instr_strategy(), 1..24),
-    ) {
+/// A displacement: half the time one of the `i16` edges, otherwise any.
+fn disp(rng: &mut impl Rng) -> i16 {
+    if rng.gen_bool() {
+        pick(
+            rng,
+            &[i16::MIN, i16::MIN + 1, -1, 0, 1, i16::MAX - 1, i16::MAX],
+        )
+    } else {
+        rng.next_u32() as i16
+    }
+}
+
+/// An immediate: the `u32` edges or any value.
+fn imm(rng: &mut impl Rng) -> u32 {
+    if rng.gen_range(4) == 0 {
+        pick(rng, &[0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX])
+    } else {
+        rng.next_u32()
+    }
+}
+
+fn instr(rng: &mut impl Rng, variant: u64) -> Instr {
+    match variant {
+        0 => Instr::Nop,
+        1 => Instr::Halt,
+        2 => Instr::Ret,
+        3 => Instr::Leave,
+        4 => Instr::MovI {
+            dst: reg(rng),
+            imm: imm(rng),
+        },
+        5 => Instr::Mov {
+            dst: reg(rng),
+            src: reg(rng),
+        },
+        6 => Instr::Load {
+            dst: reg(rng),
+            base: reg(rng),
+            disp: disp(rng),
+        },
+        7 => Instr::Store {
+            base: reg(rng),
+            disp: disp(rng),
+            src: reg(rng),
+        },
+        8 => Instr::LoadB {
+            dst: reg(rng),
+            base: reg(rng),
+            disp: disp(rng),
+        },
+        9 => Instr::StoreB {
+            base: reg(rng),
+            disp: disp(rng),
+            src: reg(rng),
+        },
+        10 => Instr::Push(reg(rng)),
+        11 => Instr::Pop(reg(rng)),
+        12 => Instr::PushI(imm(rng)),
+        13 => Instr::Alu {
+            op: pick(rng, &ALU_OPS),
+            dst: reg(rng),
+            src: reg(rng),
+        },
+        14 => Instr::AddI {
+            dst: reg(rng),
+            imm: imm(rng),
+        },
+        15 => Instr::Cmp {
+            a: reg(rng),
+            b: reg(rng),
+        },
+        16 => Instr::CmpI {
+            a: reg(rng),
+            imm: imm(rng),
+        },
+        17 => Instr::Jmp(imm(rng)),
+        18 => Instr::JCond {
+            cond: pick(rng, &CONDS),
+            target: imm(rng),
+        },
+        19 => Instr::Call(imm(rng)),
+        20 => Instr::CallR(reg(rng)),
+        21 => Instr::JmpR(reg(rng)),
+        22 => Instr::Enter(imm(rng)),
+        23 => Instr::Sys(rng.next_u32() as u8),
+        24 => Instr::Trap(rng.next_u32() as u8),
+        25 => Instr::Lea {
+            dst: reg(rng),
+            base: reg(rng),
+            disp: disp(rng),
+        },
+        _ => unreachable!("variant out of range"),
+    }
+}
+
+#[test]
+fn display_form_reassembles_to_identical_bytes() {
+    let mut rng = stream(0xA55E_4B1E, &[1]);
+    let mut drawn = 0u64;
+    for case in 0..CASES {
         let mut expected = Vec::new();
         let mut source = String::new();
-        for i in &instrs {
+        for _ in 0..1 + rng.gen_range(24) {
+            // The first draws walk every variant once; the rest are free.
+            let variant = if drawn < VARIANTS {
+                drawn
+            } else {
+                rng.gen_range(VARIANTS)
+            };
+            drawn += 1;
+            let i = instr(&mut rng, variant);
             i.encode(&mut expected);
             source.push_str(&i.to_string());
             source.push('\n');
         }
-        let assembled = swsec_asm::assemble(&source)
-            .unwrap_or_else(|e| panic!("display form failed to assemble:\n{source}\n{e}"));
-        prop_assert_eq!(assembled.bytes, expected, "source:\n{}", source);
+        let assembled = swsec_asm::assemble(&source).unwrap_or_else(|e| {
+            panic!("case {case}: display form failed to assemble:\n{source}\n{e}")
+        });
+        assert_eq!(assembled.bytes, expected, "case {case}, source:\n{source}");
     }
 }

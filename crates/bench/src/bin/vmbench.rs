@@ -1,7 +1,7 @@
 //! vmbench — the offline VM hot-path benchmark.
 //!
-//! Criterion stays opt-in (network), so this harness is plain
-//! `std::time::Instant`: five hand-assembled machine-code workloads
+//! A plain `std::time::Instant` harness with no registry
+//! dependencies: five hand-assembled machine-code workloads
 //! run in three tiers — tier 2 (superinstruction block engine over
 //! the hot path), tier 1 (decoded-instruction cache + two-entry TLBs,
 //! blocks off) and the per-byte baseline — reporting instructions per

@@ -76,6 +76,20 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The next task for worker `me` of a work-stealing pool: the front of
+/// its own deque, else the back of the first other deque that has one
+/// (stealing from the back keeps stolen work coarse).
+///
+/// At most one deque is locked at a time. Holding the own-deque guard
+/// while locking a victim's would let two workers that run dry together
+/// each wait on the other's deque forever.
+pub(crate) fn next_task<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
+    let own = lock_unpoisoned(&queues[me]).pop_front();
+    own.or_else(|| {
+        (1..queues.len()).find_map(|d| lock_unpoisoned(&queues[(me + d) % queues.len()]).pop_back())
+    })
+}
+
 /// Serializes the VM-counter snapshot windows of concurrent campaigns.
 ///
 /// `swsec_vm::counters` is process-global and delta-based: a campaign
@@ -822,13 +836,7 @@ pub fn run_campaign_on(
             let shared_cfg = &shared_cfg;
             let ctx = &ctx;
             let collector = &collector;
-            scope.spawn(move || loop {
-                // Own deque first (front), then steal (back) — the
-                // classic discipline keeps stolen work coarse.
-                let task = lock_unpoisoned(&queues[me]).pop_front().or_else(|| {
-                    (1..workers).find_map(|d| lock_unpoisoned(&queues[(me + d) % workers]).pop_back())
-                });
-                let Some(task) = task else { break };
+            scope.spawn(move || while let Some(task) = next_task(queues, me) {
                 let exp = exps[task.exp];
                 // The track index comes from the slot, not the worker:
                 // stealing moves *who* runs a cell, never where its

@@ -62,7 +62,7 @@ use swsec_vm::cpu::RunOutcome;
 use swsec_vm::profile::Profiler;
 
 use crate::cache::{CacheStats, ProgramCache};
-use crate::campaign::{lock_unpoisoned, panic_message, VM_STAT_GUARD};
+use crate::campaign::{lock_unpoisoned, next_task, panic_message, VM_STAT_GUARD};
 use crate::harness::{AttackTarget, ForkServer, ServeMode, DEFAULT_FUEL};
 use crate::loader::plan_options;
 use crate::report::Table;
@@ -782,12 +782,7 @@ impl CampaignService {
                 let micros = &micros;
                 let ctx = &ctx;
                 let collector = &collector;
-                scope.spawn(move || loop {
-                    let task = lock_unpoisoned(&queues[me]).pop_front().or_else(|| {
-                        (1..workers)
-                            .find_map(|d| lock_unpoisoned(&queues[(me + d) % workers]).pop_back())
-                    });
-                    let Some((order, job)) = task else { break };
+                scope.spawn(move || while let Some((order, job)) = next_task(queues, me) {
                     // Track from the round order, not the worker:
                     // stealing moves *who* runs a job, never where its
                     // spans land.

@@ -771,6 +771,36 @@ impl Machine {
         }
     }
 
+    /// Reads `buf.len()` bytes at `addr` as the program would: one bulk
+    /// copy, or byte by byte when a PMA policy must check each access.
+    fn load_bytes(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), Fault> {
+        if self.pma.is_none() {
+            return self.copy_out(addr, buf);
+        }
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.load_u8(addr.wrapping_add(i as u32))?;
+        }
+        Ok(())
+    }
+
+    /// Stages a long WRITE page by page, so a smashed length register
+    /// costs at most one page beyond the mapped extent from `buf`.
+    /// Page-aligned pieces fault at the same byte, with the same stats,
+    /// as one whole copy. Out of line: only writes longer than the
+    /// stack buffer, rare in every workload, come here.
+    #[cold]
+    #[inline(never)]
+    fn stage_paged(&mut self, buf: u32, len: usize, heap: &mut Vec<u8>) -> Result<(), Fault> {
+        while heap.len() < len {
+            let done = heap.len();
+            let at = buf.wrapping_add(done as u32);
+            let piece = ((PAGE_SIZE - at % PAGE_SIZE) as usize).min(len - done);
+            heap.resize(done + piece, 0);
+            self.load_bytes(at, &mut heap[done..])?;
+        }
+        Ok(())
+    }
+
     /// Delivers one event to the attached sink. Callers check
     /// `sink_mask` first, so unwanted events are never constructed.
     #[inline]
@@ -1087,15 +1117,18 @@ impl Machine {
                 if self.blocking_reads && len > 0 && self.io.pending_input(fd) == 0 {
                     return Ok(SysEffect::Block(fd));
                 }
-                // Small transfers (every harness payload) stage through
-                // the stack: per-attempt heap allocations are measurable
+                // Only the pending input can arrive, so a smashed length
+                // register never sizes the staging buffer. Small
+                // transfers (every harness payload) stage through the
+                // stack: per-attempt heap allocations are measurable
                 // against the fork server's sub-microsecond budget.
+                let want = (len as usize).min(self.io.pending_input(fd));
                 let mut stack = [0u8; Self::SYS_STACK_BUF_LEN];
                 let mut heap = Vec::new();
-                let tmp: &mut [u8] = if len as usize <= Self::SYS_STACK_BUF_LEN {
-                    &mut stack[..len as usize]
+                let tmp: &mut [u8] = if want <= Self::SYS_STACK_BUF_LEN {
+                    &mut stack[..want]
                 } else {
-                    heap.resize(len as usize, 0);
+                    heap.resize(want, 0);
                     &mut heap
                 };
                 let n = self.io.read(fd, tmp);
@@ -1117,19 +1150,14 @@ impl Machine {
                 let len = self.reg(Reg::R2);
                 let mut stack = [0u8; Self::SYS_STACK_BUF_LEN];
                 let mut heap = Vec::new();
-                let out: &mut [u8] = if len as usize <= Self::SYS_STACK_BUF_LEN {
-                    &mut stack[..len as usize]
+                let out: &[u8] = if len as usize <= Self::SYS_STACK_BUF_LEN {
+                    let out = &mut stack[..len as usize];
+                    self.load_bytes(buf, out)?;
+                    out
                 } else {
-                    heap.resize(len as usize, 0);
-                    &mut heap
+                    self.stage_paged(buf, len as usize, &mut heap)?;
+                    &heap
                 };
-                if self.pma.is_none() {
-                    self.copy_out(buf, out)?;
-                } else {
-                    for (i, b) in out.iter_mut().enumerate() {
-                        *b = self.load_u8(buf.wrapping_add(i as u32))?;
-                    }
-                }
                 self.io.write(fd, out);
                 self.set_reg(Reg::R0, len);
                 Ok(SysEffect::Continue)
@@ -2703,6 +2731,96 @@ mod tests {
         let mut m = machine_with(&prog);
         m.set_shadow_stack(true);
         assert_eq!(m.run(100), RunOutcome::Halted(5));
+    }
+
+    /// Runs one `sys` READ (fd 0) or WRITE (fd 1) of `len` bytes at
+    /// `buf` over a data area of `pages` pages at `DATA` filled with a
+    /// pattern, then exits with the call's result. Returns everything a
+    /// syscall may affect: the outcome, the data area, the I/O and the
+    /// stats.
+    fn sys_transfer(number: u8, buf: u32, len: u32, input: &[u8], pma: bool, fast: bool) -> SysRun {
+        const DATA: u32 = 0x0070_0000;
+        const PAGES: u32 = 3;
+        let fd = if number == sys::READ { 0 } else { 1 };
+        let mut m = machine_with(&[
+            Instr::MovI { dst: Reg::R0, imm: fd },
+            Instr::MovI { dst: Reg::R1, imm: buf },
+            Instr::MovI { dst: Reg::R2, imm: len },
+            Instr::Sys(number),
+            Instr::Sys(sys::EXIT),
+        ]);
+        m.set_fast_path(fast);
+        m.mem_mut().map(DATA, PAGES * 0x1000, Perm::RW).unwrap();
+        let pattern: Vec<u8> = (0..PAGES * 0x1000).map(|i| (i * 7 + 3) as u8).collect();
+        m.mem_mut().poke_bytes(DATA, &pattern).unwrap();
+        if pma {
+            // An unrelated module: its only effect is that every data
+            // access now runs through the per-access policy check.
+            m.mem_mut().map(0x0050_0000, 0x2000, Perm::RW).unwrap();
+            m.set_protection(Some(ProtectionMap::new(vec![ProtectedRegion::new(
+                0x0050_0000..0x0050_1000,
+                0x0050_1000..0x0050_2000,
+                vec![0x0050_0000],
+            )])));
+        }
+        m.io_mut().feed_input(0, input);
+        let outcome = m.run(100);
+        SysRun {
+            outcome,
+            data: m.mem().peek_bytes(DATA, PAGES * 0x1000).unwrap(),
+            output: m.io().observable(),
+            pending: m.io().pending_input(0),
+            stats: m.stats(),
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct SysRun {
+        outcome: RunOutcome,
+        data: Vec<u8>,
+        output: Vec<(u32, Vec<u8>)>,
+        pending: usize,
+        stats: ExecStats,
+    }
+
+    #[test]
+    fn smashed_syscall_lengths_act_like_the_smallest_equivalent_length() {
+        const DATA: u32 = 0x0070_0000;
+        const END: u32 = DATA + 3 * 0x1000;
+        const SMASHED: u32 = 0x4141_4141;
+        let input: Vec<u8> = (0..300u32).map(|i| i as u8 ^ 0x5a).collect();
+        let unmapped = |access| {
+            RunOutcome::Fault(Fault::Mem(MemError { addr: END, access, kind: MemErrorKind::Unmapped }))
+        };
+        for pma in [false, true] {
+            for fast in [true, false] {
+                let ctx = format!("pma {pma}, fast path {fast}");
+                // READ past the mapped end: the 300 pending bytes are all
+                // consumed, the first 100 land, the 101st store faults.
+                let read = sys_transfer(sys::READ, END - 100, SMASHED, &input, pma, fast);
+                assert_eq!(read, sys_transfer(sys::READ, END - 100, 300, &input, pma, fast), "{ctx}");
+                assert_eq!(read.outcome, unmapped(Access::Write), "{ctx}");
+                assert_eq!(read.data[0x3000 - 100..], input[..100], "{ctx}");
+                assert_eq!((read.pending, read.stats.mem_writes), (0, 101), "{ctx}");
+                // READ that fits: only the pending input moves.
+                let short = sys_transfer(sys::READ, DATA, SMASHED, &input[..50], pma, fast);
+                assert_eq!(short, sys_transfer(sys::READ, DATA, 50, &input[..50], pma, fast), "{ctx}");
+                assert_eq!(short.outcome, RunOutcome::Halted(50), "{ctx}");
+                assert_eq!(short.data[..50], input[..50], "{ctx}");
+                // WRITE past the mapped end: the 101st load faults and
+                // nothing reaches the channel.
+                let write = sys_transfer(sys::WRITE, END - 100, SMASHED, &[], pma, fast);
+                assert_eq!(write, sys_transfer(sys::WRITE, END - 100, 101, &[], pma, fast), "{ctx}");
+                assert_eq!(write.outcome, unmapped(Access::Read), "{ctx}");
+                assert_eq!((write.output.len(), write.stats.mem_reads), (0, 101), "{ctx}");
+                // A long unaligned WRITE across pages is staged in pieces
+                // and still emits exactly the bytes in memory.
+                let long = sys_transfer(sys::WRITE, DATA + 100, 0x2000 + 50, &[], pma, fast);
+                assert_eq!(long.outcome, RunOutcome::Halted(0x2000 + 50), "{ctx}");
+                assert_eq!(long.output, vec![(1, long.data[100..100 + 0x2000 + 50].to_vec())], "{ctx}");
+                assert_eq!(long.stats.mem_reads, 0x2000 + 50, "{ctx}");
+            }
+        }
     }
 
     #[test]
