@@ -50,16 +50,17 @@ use swsec_defenses::DefenseConfig;
 use swsec_fuzz::targets::{FuzzTarget, VictimTarget};
 use swsec_obs::jsonl::meta_line;
 use swsec_obs::{
-    clear_default_sink, set_default_sink, CountingSink, CoverageSink, EventMask, EventSink,
-    JsonlSink, MetricsRegistry, SecurityEvent,
+    CountingSink, CoverageSink, EventMask, EventSink, JsonlSink, MetricsRegistry, SecurityEvent,
 };
 use swsec_rng::derive;
+use swsec_vm::context::scope;
 use swsec_vm::cpu::{Machine, RunOutcome};
 use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
 use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::Perm;
 use swsec_vm::policy::{ProtectedRegion, ProtectionMap};
 use swsec_vm::trace::ExecStats;
+use swsec_vm::VmConfig;
 
 const TEXT: u32 = 0x1000;
 const DATA: u32 = 0x0020_0000;
@@ -847,16 +848,17 @@ fn main() {
         // one leg collect all its samples in a fast window. (The tier
         // table above deliberately does NOT interleave — alternating
         // execution engines would trash the host's branch predictors.)
-        let before = swsec_vm::counters::snapshot();
-        let mut fork = measure_attempts(&cache, case, ServeMode::Fork, attempts, 1);
-        let mut rebuild = measure_rebuild(&cache, case, attempts, 1);
-        for _ in 1..reps {
-            fork = fork.min(measure_attempts(&cache, case, ServeMode::Fork, attempts, 1));
-            rebuild = rebuild.min(measure_rebuild(&cache, case, attempts, 1));
-        }
-        // Rebuild legs never restore, so the restore-counter delta
-        // still reflects the fork legs alone.
-        let delta = swsec_vm::counters::snapshot().since(before);
+        let ((fork, rebuild), delta) = scope(&VmConfig::default(), None, || {
+            let mut fork = measure_attempts(&cache, case, ServeMode::Fork, attempts, 1);
+            let mut rebuild = measure_rebuild(&cache, case, attempts, 1);
+            for _ in 1..reps {
+                fork = fork.min(measure_attempts(&cache, case, ServeMode::Fork, attempts, 1));
+                rebuild = rebuild.min(measure_rebuild(&cache, case, attempts, 1));
+            }
+            (fork, rebuild)
+        });
+        // Rebuild legs never restore, so the restore counters in the
+        // tally still reflect the fork legs alone.
         let r = HarnessResult {
             name: case.name,
             attempts,
@@ -883,14 +885,15 @@ fn main() {
     let corpus = fuzz_replay_corpus(&cache, attempts);
     {
         // Interleaved for the same drift-correlation reason as above.
-        let before = swsec_vm::counters::snapshot();
-        let mut fork = measure_fuzz_replay(&cache, ServeMode::Fork, &corpus, 1);
-        let mut rebuild = measure_fuzz_replay(&cache, ServeMode::Rebuild, &corpus, 1);
-        for _ in 1..reps {
-            fork = fork.min(measure_fuzz_replay(&cache, ServeMode::Fork, &corpus, 1));
-            rebuild = rebuild.min(measure_fuzz_replay(&cache, ServeMode::Rebuild, &corpus, 1));
-        }
-        let delta = swsec_vm::counters::snapshot().since(before);
+        let ((fork, rebuild), delta) = scope(&VmConfig::default(), None, || {
+            let mut fork = measure_fuzz_replay(&cache, ServeMode::Fork, &corpus, 1);
+            let mut rebuild = measure_fuzz_replay(&cache, ServeMode::Rebuild, &corpus, 1);
+            for _ in 1..reps {
+                fork = fork.min(measure_fuzz_replay(&cache, ServeMode::Fork, &corpus, 1));
+                rebuild = rebuild.min(measure_fuzz_replay(&cache, ServeMode::Rebuild, &corpus, 1));
+            }
+            (fork, rebuild)
+        });
         let r = HarnessResult {
             name: "fuzz-replay",
             attempts,
@@ -1132,7 +1135,7 @@ fn main() {
     );
 
     // Campaign wall time: the end-to-end consumer of the hot path.
-    let cfg = if smoke {
+    let mut cfg = if smoke {
         CampaignConfig {
             experiments: vec![ExperimentId::new(10), ExperimentId::new(12)],
             ..CampaignConfig::quick()
@@ -1154,14 +1157,13 @@ fn main() {
             security,
         ));
         sink.write_line(&meta_line("source", "vmbench"));
-        set_default_sink(sink.clone());
+        cfg.vm.sink = Some(sink.clone());
         let registry = Arc::new(MetricsRegistry::new());
         telemetry.metrics = Some(registry.clone());
         jsonl = Some((sink, registry));
     }
     let campaign = run_campaign_with(&cfg, &telemetry);
     if let Some((sink, registry)) = jsonl {
-        clear_default_sink();
         for line in registry.export_jsonl() {
             sink.write_line(&line);
         }

@@ -313,7 +313,9 @@ fn run_single_shot(
 /// Runs one technique against its canonical victim under `config`.
 ///
 /// `seed` drives the victim's launch randomness (ASLR slide, canary
-/// value); the attacker never sees it.
+/// value); the attacker never sees it. Compiles through a call-local
+/// [`ProgramCache`]; use [`run_technique_cached`] to share compiles
+/// across calls.
 ///
 /// # Errors
 ///
@@ -324,7 +326,7 @@ pub fn run_technique(
     config: DefenseConfig,
     seed: u64,
 ) -> Result<AttackResult, CompileError> {
-    run_technique_cached(technique, config, seed, crate::cache::global())
+    run_technique_cached(technique, config, seed, &ProgramCache::new())
 }
 
 /// Like [`run_technique`], compiling victim and local copy through

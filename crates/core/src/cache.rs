@@ -259,16 +259,6 @@ impl ProgramCache {
     }
 }
 
-/// The process-wide cache behind the seed-free convenience entry
-/// points ([`crate::attacker::run_technique`] and the examples).
-/// Compilation is pure, so sharing across callers is safe; campaign
-/// runs use their own per-campaign cache instead so the hit counters
-/// stay attributable.
-pub fn global() -> &'static ProgramCache {
-    static GLOBAL: std::sync::OnceLock<ProgramCache> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(ProgramCache::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,8 +43,8 @@
 //! Outcomes surface three ways: typed [`CellRecord`]s on the report
 //! (with a rendered "failed cells" table — present only when something
 //! failed, so healthy renders are unchanged), a
-//! [`SecurityEvent::CellFailed`] event per failed cell on the process
-//! default sink, and `campaign.cells_failed` / `campaign.cells_retried`
+//! [`SecurityEvent::CellFailed`] event per failed cell on the run's
+//! sink ([`CampaignConfig::vm`]), and `campaign.cells_failed` / `campaign.cells_retried`
 //! counters via [`CampaignReport::absorb_into`]. Experiments with
 //! failed cells get a deterministic placeholder report instead of
 //! feeding partial data to `assemble`.
@@ -52,15 +52,16 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use swsec_obs::span::{self, SpanCollector, SpanRecord, SpanRecorder};
-use swsec_obs::{default_sink, Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
+use swsec_obs::{Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
 use swsec_rng::derive;
-use swsec_vm::counters::{self, VmCounters};
+use swsec_vm::counters::VmCounters;
 use swsec_vm::profile::Profiler;
+use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
 use crate::experiments::{registry, Experiment};
@@ -89,23 +90,6 @@ pub(crate) fn next_task<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T
         (1..queues.len()).find_map(|d| lock_unpoisoned(&queues[(me + d) % queues.len()]).pop_back())
     })
 }
-
-/// Serializes the VM-counter snapshot windows of concurrent campaigns.
-///
-/// `swsec_vm::counters` is process-global and delta-based: a campaign
-/// reads a snapshot, runs, reads again and reports the difference. Two
-/// campaigns with *overlapping* windows would each absorb the other's
-/// instructions — every shared instruction counted twice across their
-/// reports. Holding this lock across the window makes the windows
-/// disjoint, so the sum of concurrent campaigns' deltas never exceeds
-/// the true process total. Cells leaked by the deadline watchdog are
-/// kept out of later windows by quarantine: the watchdog flips the
-/// attempt's shared flag when it abandons it, and from then on the
-/// leaked thread's counter updates divert to the leaked bank
-/// ([`counters::leaked_snapshot`]) instead of the live totals.
-/// Poison-tolerant like every runner lock. Shared with the campaign
-/// service (`crate::serve`), whose rounds window the same globals.
-pub(crate) static VM_STAT_GUARD: Mutex<()> = Mutex::new(());
 
 /// Everything a campaign run depends on. One master seed drives every
 /// stochastic driver in the suite.
@@ -137,6 +121,12 @@ pub struct CampaignConfig {
     /// rebuilding the machine per attempt. A pure speedup: renders are
     /// byte-identical either way.
     pub fork_server: bool,
+    /// How the campaign's machines execute and where their security
+    /// events go: installed on every cell attempt thread (see
+    /// [`swsec_vm::context`]). The engine never changes a rendered
+    /// byte; the sink also receives a [`SecurityEvent::CellFailed`]
+    /// per failed cell.
+    pub vm: VmConfig,
 }
 
 impl Default for CampaignConfig {
@@ -151,6 +141,7 @@ impl Default for CampaignConfig {
             cell_deadline: Duration::from_secs(120),
             cell_retries: 1,
             fork_server: true,
+            vm: VmConfig::default(),
         }
     }
 }
@@ -301,12 +292,11 @@ pub struct CampaignTelemetry {
     /// [`CampaignReport::span_tree`] is byte-identical at any worker
     /// count.
     pub spans: Option<SpanMask>,
-    /// When set, scoped onto every cell's attempt thread (via
-    /// [`swsec_vm::profile::with_thread_profiler`]): every machine a
-    /// cell builds samples into it, concurrent VM activity on other
-    /// threads never does, and the aggregated profile is deterministic
-    /// (sampling is keyed to retired instructions, and counts merge
-    /// associatively).
+    /// When set, part of every cell attempt's VM context (see
+    /// [`swsec_vm::context`]): every machine a cell builds samples into
+    /// it, concurrent VM activity on other threads never does, and the
+    /// aggregated profile is deterministic (sampling is keyed to
+    /// retired instructions, and counts merge associatively).
     pub profiler: Option<Arc<Profiler>>,
 }
 
@@ -402,12 +392,13 @@ pub struct CampaignReport {
     pub cell_timings: Vec<CellTiming>,
     /// Compile-cache counters at the end of the run.
     pub cache: CacheStats,
-    /// VM hot-path counters (instructions, icache, TLB) accumulated by
-    /// every machine the campaign's cells dropped. Process-global
-    /// deltas: concurrent VM activity outside the campaign leaks in,
-    /// so this is run metadata, never part of [`render`](Self::render).
-    /// Concurrent *campaigns* are serialized (see `VM_STAT_GUARD`) so
-    /// their deltas never double-count each other.
+    /// VM counters (instructions, icache, TLB, tier 2, snapshots,
+    /// profiler samples): the sum of the tallies of every cell attempt
+    /// the runner joined. Exactly the campaign's own machines — no
+    /// other VM activity in the process, and no attempt abandoned at
+    /// its deadline. Run metadata, never part of
+    /// [`render`](Self::render): the cache counters vary with the
+    /// engine.
     pub vm: VmCounters,
     /// Recorded spans per track, sorted by track then open sequence —
     /// empty unless [`CampaignTelemetry::spans`] was set. Sequence
@@ -608,13 +599,8 @@ struct SlotResult {
     /// The cell's tables when it (eventually) succeeded.
     tables: Option<Vec<Table>>,
     outcome: CellOutcome,
-}
-
-/// One attempt's resolution, as seen by the watchdog.
-enum Attempt {
-    Ok(Vec<Table>),
-    Panicked(String),
-    TimedOut,
+    /// The summed tallies of the cell's joined attempts.
+    vm: VmCounters,
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -627,86 +613,103 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell attempt on a dedicated thread, under a deadline.
+/// How a [`contain`]ed task resolved.
+#[derive(Debug)]
+pub(crate) enum Resolved<T> {
+    /// The first attempt succeeded.
+    Ok(T),
+    /// An attempt succeeded after this many failed ones.
+    Retried(u32, T),
+    /// The last attempt failed (a panic or an error); its message.
+    Failed(String),
+    /// The last attempt outlived the deadline and was abandoned.
+    TimedOut,
+}
+
+/// Runs `body` on a dedicated attempt thread named `name` under
+/// `deadline`, retrying a failed attempt (same inputs) up to `retries`
+/// times; the last attempt decides the outcome. The one containment
+/// primitive of the campaign runner and the service.
 ///
-/// The attempt thread is detached: on success or panic it is joined
-/// (it has already sent its result); on deadline it is *leaked* — the
-/// runner cannot cancel arbitrary code, only stop waiting for it. A
-/// scoped thread would force the opposite choice: the scope's implicit
-/// join would block on the diverging cell forever.
-///
-/// Abandoning a thread is not the end of its side effects, so every
-/// attempt runs under a shared quarantine flag
-/// ([`counters::with_quarantine`]). The watchdog flips the flag the
-/// moment it gives up: from then on the leaked thread's machine drops,
-/// restores and profiler samples divert to the leaked counter bank
-/// instead of the live totals, and machines it builds afterwards skip
-/// the process-default sink and profiler — a timed-out cell cannot
-/// skew the `vm.*` deltas or telemetry of any later run.
-fn run_attempt(
-    cfg: &Arc<CampaignConfig>,
-    ctx: &Arc<CampaignCtx>,
-    exp: &'static dyn Experiment,
-    cell: usize,
-    recorder: Option<Arc<SpanRecorder>>,
-    profiler: Option<Arc<Profiler>>,
-) -> Attempt {
-    let (tx, rx) = channel();
-    let cfg2 = Arc::clone(cfg);
-    let ctx2 = Arc::clone(ctx);
-    let abandoned = Arc::new(AtomicBool::new(false));
-    let quarantine = Arc::clone(&abandoned);
-    let spawned = std::thread::Builder::new()
-        .name(format!("cell-{}-{cell}", exp.id()))
-        .spawn(move || {
-            // The cell's span recorder and profiler ride on the attempt
-            // thread so everything the cell does — boots, restores,
-            // executes — lands on the cell's own track and samples into
-            // the campaign's profile, wrapped in a cell span.
-            let id = exp.id();
-            let body = || {
-                let _cell = span::enter_with(SpanKind::Cell, || format!("{id} cell {cell}"));
-                exp.run_cell(&cfg2, &ctx2, cell)
-            };
-            let profiled = || match profiler {
-                Some(prof) => swsec_vm::profile::with_thread_profiler(prof, body),
-                None => body(),
-            };
-            let result = counters::with_quarantine(quarantine, || {
-                catch_unwind(AssertUnwindSafe(|| match recorder {
-                    Some(rec) => span::with_recorder(rec, profiled),
-                    None => profiled(),
-                }))
+/// Each attempt thread installs `vm` and `profiler` as its VM context
+/// ([`swsec_vm::context`]) and `recorder` as its span recorder, and
+/// catches the body's panics. A finished attempt — succeeded, failed
+/// or panicked — is joined and its VM tally summed into the returned
+/// counters. An attempt past the deadline is abandoned: the runner
+/// cannot cancel arbitrary code, only stop waiting for it, so its
+/// thread is left to finish alone (a scoped thread would force the
+/// opposite choice — the scope's implicit join would block on a
+/// diverging body forever). Its tally is never summed, and the flag
+/// passed to `body` turns `true` so a body that polls it can stop
+/// early.
+pub(crate) fn contain<T, F>(
+    name: &str,
+    deadline: Duration,
+    retries: u32,
+    vm: &VmConfig,
+    profiler: Option<&Arc<Profiler>>,
+    recorder: Option<&Arc<SpanRecorder>>,
+    body: F,
+) -> (Resolved<T>, VmCounters)
+where
+    T: Send + 'static,
+    F: Fn(&AtomicBool) -> Result<T, String> + Send + Sync + 'static,
+{
+    let body = Arc::new(body);
+    let mut total = VmCounters::default();
+    let mut failed_attempts = 0u32;
+    loop {
+        let (tx, rx) = channel();
+        let abandoned = Arc::new(AtomicBool::new(false));
+        let (flag, body) = (Arc::clone(&abandoned), Arc::clone(&body));
+        let (cfg, profiler, recorder) = (vm.clone(), profiler.cloned(), recorder.cloned());
+        let spawned = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                let attempt = || {
+                    catch_unwind(AssertUnwindSafe(|| body(&flag)))
+                        .unwrap_or_else(|payload| Err(panic_message(payload)))
+                };
+                let result = swsec_vm::context::scope(&cfg, profiler, || match recorder {
+                    Some(rec) => span::with_recorder(rec, attempt),
+                    None => attempt(),
+                });
+                // The receiver may have given up on us (deadline): a
+                // failed send is then the expected way for this thread
+                // to retire.
+                let _ = tx.send(result);
             });
-            // The receiver may have given up on us (deadline): a failed
-            // send is then the expected way for this thread to retire.
-            let _ = tx.send(result.map_err(panic_message));
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => return Attempt::Panicked(format!("could not spawn cell thread: {e}")),
-    };
-    match rx.recv_timeout(cfg.cell_deadline) {
-        Ok(Ok(tables)) => {
-            let _ = handle.join();
-            Attempt::Ok(tables)
-        }
-        Ok(Err(msg)) => {
-            let _ = handle.join();
-            Attempt::Panicked(msg)
-        }
-        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-            // Quarantine the thread we are about to leak *before*
-            // declaring the attempt dead, so no later window ever
-            // overlaps its remaining counter traffic.
-            abandoned.store(true, Ordering::Release);
-            Attempt::TimedOut
-        }
+        let result = match spawned {
+            Ok(handle) => match rx.recv_timeout(deadline) {
+                Ok((result, tally)) => {
+                    let _ = handle.join();
+                    total += tally;
+                    Some(result)
+                }
+                Err(_) => {
+                    abandoned.store(true, Ordering::Release);
+                    None
+                }
+            },
+            Err(e) => Some(Err(format!("could not spawn thread {name}: {e}"))),
+        };
+        let give_up = failed_attempts >= retries;
+        let resolved = match result {
+            Some(Ok(value)) if failed_attempts == 0 => Resolved::Ok(value),
+            Some(Ok(value)) => Resolved::Retried(failed_attempts, value),
+            Some(Err(msg)) if give_up => Resolved::Failed(msg),
+            None if give_up => Resolved::TimedOut,
+            Some(Err(_)) | None => {
+                failed_attempts += 1;
+                continue;
+            }
+        };
+        return (resolved, total);
     }
 }
 
-/// Resolves one cell: bounded retry around [`run_attempt`].
-fn run_cell_resolved(
+/// Resolves one cell under [`contain`].
+fn run_cell(
     cfg: &Arc<CampaignConfig>,
     ctx: &Arc<CampaignCtx>,
     exp: &'static dyn Experiment,
@@ -714,35 +717,33 @@ fn run_cell_resolved(
     recorder: Option<&Arc<SpanRecorder>>,
     profiler: Option<&Arc<Profiler>>,
 ) -> SlotResult {
-    let mut failed_attempts = 0u32;
-    loop {
-        let give_up = failed_attempts >= cfg.cell_retries;
-        match run_attempt(cfg, ctx, exp, cell, recorder.cloned(), profiler.cloned()) {
-            Attempt::Ok(tables) => {
-                let outcome = if failed_attempts == 0 {
-                    CellOutcome::Ok
-                } else {
-                    CellOutcome::Retried { n: failed_attempts }
-                };
-                return SlotResult {
-                    tables: Some(tables),
-                    outcome,
-                };
-            }
-            Attempt::Panicked(msg) if give_up => {
-                return SlotResult {
-                    tables: None,
-                    outcome: CellOutcome::Panicked { msg },
-                };
-            }
-            Attempt::TimedOut if give_up => {
-                return SlotResult {
-                    tables: None,
-                    outcome: CellOutcome::TimedOut,
-                };
-            }
-            Attempt::Panicked(_) | Attempt::TimedOut => failed_attempts += 1,
+    let id = exp.id();
+    let body = {
+        let (cfg, ctx) = (Arc::clone(cfg), Arc::clone(ctx));
+        move |_: &AtomicBool| {
+            let _cell = span::enter_with(SpanKind::Cell, || format!("{id} cell {cell}"));
+            Ok(exp.run_cell(&cfg, &ctx, cell))
         }
+    };
+    let (resolved, vm) = contain(
+        &format!("cell-{id}-{cell}"),
+        cfg.cell_deadline,
+        cfg.cell_retries,
+        &cfg.vm,
+        profiler,
+        recorder,
+        body,
+    );
+    let (tables, outcome) = match resolved {
+        Resolved::Ok(tables) => (Some(tables), CellOutcome::Ok),
+        Resolved::Retried(n, tables) => (Some(tables), CellOutcome::Retried { n }),
+        Resolved::Failed(msg) => (None, CellOutcome::Panicked { msg }),
+        Resolved::TimedOut => (None, CellOutcome::TimedOut),
+    };
+    SlotResult {
+        tables,
+        outcome,
+        vm,
     }
 }
 
@@ -777,11 +778,6 @@ pub fn run_campaign_on(
     telemetry: &CampaignTelemetry,
 ) -> CampaignReport {
     let started = Instant::now();
-    // Serialize concurrent campaigns' snapshot windows (see
-    // VM_STAT_GUARD): delta-based process-global counters double-count
-    // under overlapping windows.
-    let _vm_window = lock_unpoisoned(&VM_STAT_GUARD);
-    let vm_before = counters::snapshot();
     let collector = telemetry.spans.map(|mask| Arc::new(SpanCollector::new(mask)));
     let shared_cfg = Arc::new(cfg.clone());
     let ctx = Arc::new(CampaignCtx::new());
@@ -845,7 +841,7 @@ pub fn run_campaign_on(
                     .as_ref()
                     .map(|c| c.recorder(task.slot as u32 + 1));
                 let cell_started = Instant::now();
-                let result = run_cell_resolved(
+                let result = run_cell(
                     shared_cfg,
                     ctx,
                     exp,
@@ -859,10 +855,10 @@ pub fn run_campaign_on(
                 cell_nanos[task.slot].store(nanos, Ordering::Relaxed);
                 let ok = result.outcome.is_ok();
                 if !ok {
-                    // Surface the failure on the process default sink,
-                    // like any other security-relevant event: the
-                    // harness observing its own failure model.
-                    if let Some(sink) = default_sink() {
+                    // Surface the failure on the run's sink, like any
+                    // other security-relevant event: the harness
+                    // observing its own failure model.
+                    if let Some(sink) = &shared_cfg.vm.sink {
                         let ev = SecurityEvent::CellFailed {
                             experiment: exp.id().number(),
                             cell: task.cell as u32,
@@ -898,6 +894,7 @@ pub fn run_campaign_on(
     let mut assemble_panics = Vec::new();
     let mut timings = Vec::with_capacity(exps.len());
     let mut cell_timings = Vec::with_capacity(total_slots);
+    let mut vm = VmCounters::default();
     let mut base = 0usize;
     for (exp, &cells) in cell_counts.iter().enumerate() {
         let id = exps[exp].id();
@@ -914,7 +911,9 @@ pub fn run_campaign_on(
                     outcome: CellOutcome::Panicked {
                         msg: "cell result missing (worker lost)".to_string(),
                     },
+                    vm: VmCounters::default(),
                 });
+            vm += result.vm;
             let record = CellRecord {
                 experiment: id,
                 cell,
@@ -963,7 +962,7 @@ pub fn run_campaign_on(
         timings,
         cell_timings,
         cache: ctx.cache.stats(),
-        vm: counters::snapshot().since(vm_before),
+        vm,
         spans,
         workers,
         elapsed: started.elapsed(),
@@ -1187,22 +1186,21 @@ mod tests {
     }
 
     #[test]
-    fn cell_failures_reach_the_default_event_sink() {
-        use swsec_obs::{clear_default_sink, set_default_sink, CountingSink};
+    fn cell_failures_reach_the_run_event_sink() {
+        use swsec_obs::CountingSink;
 
         let sink = Arc::new(CountingSink::new());
         let before = sink.counts().cell_failed;
-        set_default_sink(sink.clone());
+        let mut cfg = faulty_cfg(2);
+        cfg.vm.sink = Some(sink.clone());
         let report = run_campaign_on(
-            &faulty_cfg(2),
+            &cfg,
             &[FaultyExperiment::fresh()],
             &CampaignTelemetry::none(),
         );
-        clear_default_sink();
-        // Panic + timeout cells each emitted one CellFailed event.
-        // (`>=`: concurrent tests may run their own failing campaigns
-        // while our sink is installed.)
-        assert!(sink.counts().cell_failed >= before + 2);
+        // Panic + timeout cells each emitted one CellFailed event, and
+        // no other run reaches this run's sink.
+        assert_eq!(sink.counts().cell_failed, before + 2);
         assert_eq!(report.failed_cells().len(), 2);
     }
 
@@ -1230,20 +1228,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_campaigns_do_not_double_count_vm_deltas() {
-        // The snapshot windows serialize on VM_STAT_GUARD, so the two
-        // campaigns' deltas are disjoint: their sum can never exceed
-        // the true process-wide delta over the enclosing block.
-        let before = counters::snapshot();
+    fn concurrent_campaigns_each_report_exactly_their_own_vm_counts() {
+        // Each campaign sums its own cell attempts' tallies, so two
+        // campaigns running side by side each report exactly what one
+        // campaign reports alone.
+        let solo = run_campaign(&tiny()).vm.instructions;
+        assert!(solo > 0, "tiny campaigns execute VM instructions");
         let a = std::thread::spawn(|| run_campaign(&tiny()).vm.instructions);
         let b = std::thread::spawn(|| run_campaign(&tiny()).vm.instructions);
-        let a = a.join().expect("campaign a");
-        let b = b.join().expect("campaign b");
-        let total = counters::snapshot().since(before).instructions;
-        assert!(a > 0 && b > 0, "tiny campaigns execute VM instructions");
-        assert!(
-            a + b <= total,
-            "overlapping snapshot windows double-counted: {a} + {b} > {total}"
-        );
+        assert_eq!(a.join().expect("campaign a"), solo);
+        assert_eq!(b.join().expect("campaign b"), solo);
     }
 }

@@ -340,17 +340,6 @@ impl ForkServer {
         self.profiler = prof;
     }
 
-    /// Folds the resident machine's pending stats into the
-    /// process-wide VM counters (see
-    /// [`Machine::flush_counters`](swsec_vm::cpu::Machine::flush_counters)).
-    /// A server parked in a warm pool between service rounds is
-    /// flushed first, so every attempt it served is accounted inside
-    /// the round that ran it — not in whichever measurement window is
-    /// open when the server is finally dropped.
-    pub fn flush_counters(&mut self) {
-        self.machine.flush_counters();
-    }
-
     /// The attached profiler, if any.
     pub fn profiler(&self) -> Option<&Arc<Profiler>> {
         self.profiler.as_ref()

@@ -29,13 +29,13 @@
 //!   over-quota tenants are rejected at submission. Every dropped job
 //!   gets a *typed* outcome ([`JobOutcome::Shed`],
 //!   [`JobOutcome::Rejected`]) in the tenant's report and a
-//!   [`SecurityEvent::JobShed`] on the default sink — degradation is
-//!   observable, never silent;
-//! * **containment** — each job runs on a watchdog-guarded thread with
-//!   the campaign runner's machinery: deadline, bounded same-seed
-//!   retry, poison-tolerant locks, and the counter quarantine
-//!   ([`counters::with_quarantine`]) that detaches an abandoned job's
-//!   VM-counter and telemetry traffic from every later round.
+//!   [`SecurityEvent::JobShed`] on the service's sink
+//!   ([`ServeConfig::vm`]) — degradation is observable, never silent;
+//! * **containment** — each job runs on a watchdog-guarded thread
+//!   through the campaign runner's containment primitive: deadline,
+//!   bounded same-seed retry, poison-tolerant locks, and a per-attempt
+//!   VM tally that the round sums only for the attempts it joined, so
+//!   an abandoned job never counts in any round.
 //!
 //! Determinism contract: a job's result is a pure function of its
 //! `(tenant seed, job index, spec)`. [`CampaignService::render`] is
@@ -46,23 +46,22 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use swsec_defenses::DefenseConfig;
 use swsec_minc::{CompileError, CompileOptions};
 use swsec_obs::span::{self, SpanCollector, SpanRecord, SpanRecorder};
-use swsec_obs::{default_sink, Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
+use swsec_obs::{Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
 use swsec_rng::derive;
-use swsec_vm::counters::{self, VmCounters};
+use swsec_vm::counters::VmCounters;
 use swsec_vm::cpu::RunOutcome;
 use swsec_vm::profile::Profiler;
+use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
-use crate::campaign::{lock_unpoisoned, next_task, panic_message, VM_STAT_GUARD};
+use crate::campaign::{contain, lock_unpoisoned, next_task, Resolved};
 use crate::harness::{AttackTarget, ForkServer, ServeMode, DEFAULT_FUEL};
 use crate::loader::plan_options;
 use crate::report::Table;
@@ -76,7 +75,7 @@ pub struct ServeConfig {
     /// lower-priority queued work or are rejected (typed, observable).
     pub queue_capacity: usize,
     /// Wall-clock budget for one job attempt; past it the job's thread
-    /// is abandoned (and quarantined) and the job retried or recorded
+    /// is abandoned and the job retried or recorded
     /// [`JobOutcome::TimedOut`].
     pub job_deadline: Duration,
     /// How many times a failed job is re-attempted (same seed) before
@@ -94,6 +93,11 @@ pub struct ServeConfig {
     /// Compile-cache capacity ([`ProgramCache::bounded`]); `None` is
     /// unbounded — only sensible for short-lived test services.
     pub cache_capacity: Option<usize>,
+    /// How the service's machines execute and where their security
+    /// events go: installed on every job attempt thread and re-armed
+    /// on every leased server. The sink also receives a
+    /// [`SecurityEvent::JobShed`] per shed or rejected job.
+    pub vm: VmConfig,
 }
 
 impl Default for ServeConfig {
@@ -107,6 +111,7 @@ impl Default for ServeConfig {
             fuel: DEFAULT_FUEL,
             pool_keep: 2,
             cache_capacity: Some(256),
+            vm: VmConfig::default(),
         }
     }
 }
@@ -243,7 +248,7 @@ pub enum JobOutcome {
         msg: String,
     },
     /// Exceeded the job deadline past the retry budget; its last
-    /// attempt thread was abandoned and quarantined.
+    /// attempt thread was abandoned.
     TimedOut,
     /// Admitted, then dropped from a full queue to make room for
     /// higher-priority work.
@@ -471,7 +476,7 @@ pub struct ServeTelemetry {
     /// track `order + 1` — tracks follow the deterministic round
     /// order, never the worker that ran the job.
     pub spans: Option<SpanMask>,
-    /// When set, scoped onto every job's attempt thread; leased
+    /// When set, part of every job attempt's VM context; leased
     /// servers are re-armed with it per job.
     pub profiler: Option<Arc<Profiler>>,
 }
@@ -487,9 +492,8 @@ impl std::fmt::Debug for ServeTelemetry {
 }
 
 /// What one [`CampaignService::run`] round observed. Everything here
-/// is run *metadata* (wall-clock, windowed global counters); the
-/// deterministic per-tenant results live in
-/// [`CampaignService::render`].
+/// is run *metadata* (wall-clock, counters); the deterministic
+/// per-tenant results live in [`CampaignService::render`].
 #[derive(Debug)]
 pub struct ServiceRound {
     /// Jobs drained and executed this round.
@@ -501,7 +505,8 @@ pub struct ServiceRound {
     /// Service-counter increments since the previous round (includes
     /// submissions/sheds that happened between rounds).
     pub totals: ServeTotals,
-    /// VM-counter increments over the round's (guarded) window.
+    /// VM counters summed over the round's joined job attempts:
+    /// exactly the round's own machines, never an abandoned job's.
     pub vm: VmCounters,
     /// Recorded spans per track — empty unless
     /// [`ServeTelemetry::spans`] was set.
@@ -605,7 +610,7 @@ impl CampaignService {
     /// so job identities are stable). A full queue sheds the oldest
     /// queued job of strictly lower priority to admit a more important
     /// arrival; the shed job's outcome becomes [`JobOutcome::Shed`]
-    /// and a [`SecurityEvent::JobShed`] goes to the default sink.
+    /// and a [`SecurityEvent::JobShed`] goes to the service's sink.
     ///
     /// # Errors
     ///
@@ -651,7 +656,7 @@ impl CampaignService {
                     self.tenants[shed.tenant].queued -= 1;
                     *lock_unpoisoned(&self.records[shed.record].outcome) = JobOutcome::Shed;
                     self.counters.jobs_shed.fetch_add(1, Ordering::Relaxed);
-                    emit_shed(shed.tenant, shed.job);
+                    emit_shed(&self.cfg.vm, shed.tenant, shed.job);
                 }
                 None => {
                     let capacity = self.cfg.queue_capacity;
@@ -688,7 +693,7 @@ impl CampaignService {
     }
 
     fn record_drop(&mut self, tenant: usize, job: u32, seed: u64, outcome: JobOutcome) {
-        emit_shed(tenant, job);
+        emit_shed(&self.cfg.vm, tenant, job);
         self.records.push(JobSlot {
             tenant,
             job,
@@ -706,15 +711,12 @@ impl CampaignService {
     /// Drains the backlog on a work-stealing worker pool and returns
     /// the round's metadata. Jobs are interleaved fairly across
     /// tenants (round-robin over per-tenant FIFO order) and each runs
-    /// contained: watchdog deadline, bounded same-seed retry, counter
-    /// quarantine on abandonment. The service survives the round with
-    /// its tenants, records and warm pools intact.
+    /// contained: watchdog deadline, bounded same-seed retry, and an
+    /// abandoned job's VM tally left out of the round. The service
+    /// survives the round with its tenants, records and warm pools
+    /// intact.
     pub fn run_with(&mut self, telemetry: &ServeTelemetry) -> ServiceRound {
         let started = Instant::now();
-        // Window the process-global VM counters, serialized against
-        // concurrent campaigns/rounds (see VM_STAT_GUARD).
-        let _vm_window = lock_unpoisoned(&VM_STAT_GUARD);
-        let vm_before = counters::snapshot();
         self.rounds += 1;
 
         // Fair order: round-robin across tenants, preserving each
@@ -774,12 +776,14 @@ impl CampaignService {
             lock_unpoisoned(&queues[order % workers]).push_back((order, job));
         }
         let micros: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+        let vm = Mutex::new(VmCounters::default());
 
         let records = &self.records;
         std::thread::scope(|scope| {
             for me in 0..workers {
                 let queues = &queues;
                 let micros = &micros;
+                let vm = &vm;
                 let ctx = &ctx;
                 let collector = &collector;
                 scope.spawn(move || while let Some((order, job)) = next_task(queues, me) {
@@ -788,7 +792,8 @@ impl CampaignService {
                     // spans land.
                     let recorder = collector.as_ref().map(|c| c.recorder(order as u32 + 1));
                     let job_started = Instant::now();
-                    let outcome = run_job_resolved(ctx, &job, recorder.as_ref());
+                    let (outcome, job_vm) = run_job(ctx, &job, recorder.as_ref());
+                    *lock_unpoisoned(vm) += job_vm;
                     micros[order].store(
                         job_started.elapsed().as_micros() as u64,
                         Ordering::Relaxed,
@@ -814,7 +819,7 @@ impl CampaignService {
 
         drop(round_span);
         let spans = collector.as_ref().map(|c| c.take()).unwrap_or_default();
-        let vm = counters::snapshot().since(vm_before);
+        let vm = vm.into_inner().unwrap_or_else(|e| e.into_inner());
 
         let now = self.counters.snapshot();
         let totals = now.since(self.exported);
@@ -1022,8 +1027,8 @@ fn note_stats(counters: &ServeCounters, stats: &JobStats) {
         .fetch_add(stats.secret_leaks, Ordering::Relaxed);
 }
 
-fn emit_shed(tenant: usize, job: u32) {
-    if let Some(sink) = default_sink() {
+fn emit_shed(vm: &VmConfig, tenant: usize, job: u32) {
+    if let Some(sink) = &vm.sink {
         let ev = SecurityEvent::JobShed {
             tenant: tenant as u32,
             job,
@@ -1034,110 +1039,51 @@ fn emit_shed(tenant: usize, job: u32) {
     }
 }
 
-/// One watchdog-guarded attempt at a job.
-enum JobAttempt {
-    Ok(JobStats),
-    Failed(String),
-    TimedOut,
-}
-
-/// Resolves one job: bounded same-seed retry around
-/// [`run_job_attempt`], mirroring the campaign runner's cell
-/// containment.
-fn run_job_resolved(
+/// Resolves one job under the campaign runner's containment
+/// primitive ([`contain`]); returns its outcome and the VM tally of its
+/// joined attempts.
+fn run_job(
     ctx: &Arc<JobCtx>,
     job: &QueuedJob,
     recorder: Option<&Arc<SpanRecorder>>,
-) -> JobOutcome {
-    let mut failed_attempts = 0u32;
-    loop {
-        let give_up = failed_attempts >= ctx.cfg.job_retries;
-        match run_job_attempt(ctx, job, recorder.cloned()) {
-            JobAttempt::Ok(stats) => {
-                return if failed_attempts == 0 {
-                    JobOutcome::Done(stats)
-                } else {
-                    JobOutcome::Retried {
-                        n: failed_attempts,
-                        stats,
-                    }
-                };
-            }
-            JobAttempt::Failed(msg) if give_up => return JobOutcome::Failed { msg },
-            JobAttempt::TimedOut if give_up => return JobOutcome::TimedOut,
-            JobAttempt::Failed(_) | JobAttempt::TimedOut => failed_attempts += 1,
-        }
-    }
-}
-
-/// Runs one job attempt on a dedicated thread under the job deadline,
-/// with the quarantine flag installed (see
-/// [`crate::campaign`] — this is the same containment pattern the
-/// batch runner uses for cells). On deadline the thread is abandoned
-/// *and quarantined*: its remaining counter traffic diverts to the
-/// leaked bank and it unleases itself at the next attempt boundary.
-fn run_job_attempt(
-    ctx: &Arc<JobCtx>,
-    job: &QueuedJob,
-    recorder: Option<Arc<SpanRecorder>>,
-) -> JobAttempt {
-    let (tx, rx) = channel();
-    let abandoned = Arc::new(AtomicBool::new(false));
-    let quarantine = Arc::clone(&abandoned);
-    let ctx2 = Arc::clone(ctx);
-    let spec = Arc::clone(&job.spec);
+) -> (JobOutcome, VmCounters) {
     let (tenant, jobno, seed) = (job.tenant, job.job, job.seed);
-    let spawned = std::thread::Builder::new()
-        .name(format!("job-{tenant}-{jobno}"))
-        .spawn(move || {
-            let body = || {
-                let _job = span::enter_with(SpanKind::Job, || {
-                    format!("tenant {tenant} job {jobno} seed {seed:#x}")
-                });
-                serve_job(&ctx2, seed, &spec)
-            };
-            let profiled = || match ctx2.profiler.clone() {
-                Some(prof) => swsec_vm::profile::with_thread_profiler(prof, body),
-                None => body(),
-            };
-            let result = counters::with_quarantine(quarantine, || {
-                catch_unwind(AssertUnwindSafe(|| match recorder {
-                    Some(rec) => span::with_recorder(rec, profiled),
-                    None => profiled(),
-                }))
+    let body = {
+        let (ctx, spec) = (Arc::clone(ctx), Arc::clone(&job.spec));
+        move |abandoned: &AtomicBool| {
+            let _job = span::enter_with(SpanKind::Job, || {
+                format!("tenant {tenant} job {jobno} seed {seed:#x}")
             });
-            let attempt = match result {
-                Ok(Ok(stats)) => JobAttempt::Ok(stats),
-                Ok(Err(e)) => JobAttempt::Failed(e.message),
-                Err(payload) => JobAttempt::Failed(panic_message(payload)),
-            };
-            // The receiver may have given up on us (deadline): a
-            // failed send is the expected way for this thread to
-            // retire.
-            let _ = tx.send(attempt);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => return JobAttempt::Failed(format!("could not spawn job thread: {e}")),
+            serve_job(&ctx, seed, &spec, abandoned).map_err(|e| e.message)
+        }
     };
-    match rx.recv_timeout(ctx.cfg.job_deadline) {
-        Ok(attempt) => {
-            let _ = handle.join();
-            attempt
-        }
-        Err(_) => {
-            // Quarantine the thread we are about to leak *before*
-            // declaring the job dead, so no later window ever overlaps
-            // its remaining counter traffic.
-            abandoned.store(true, Ordering::Release);
-            JobAttempt::TimedOut
-        }
-    }
+    let (resolved, vm) = contain(
+        &format!("job-{tenant}-{jobno}"),
+        ctx.cfg.job_deadline,
+        ctx.cfg.job_retries,
+        &ctx.cfg.vm,
+        ctx.profiler.as_ref(),
+        recorder,
+        body,
+    );
+    let outcome = match resolved {
+        Resolved::Ok(stats) => JobOutcome::Done(stats),
+        Resolved::Retried(n, stats) => JobOutcome::Retried { n, stats },
+        Resolved::Failed(msg) => JobOutcome::Failed { msg },
+        Resolved::TimedOut => JobOutcome::TimedOut,
+    };
+    (outcome, vm)
 }
 
 /// The job body: lease (or boot) a warm server, re-arm it in full,
-/// serve the spec's attempts, park the server again.
-fn serve_job(ctx: &JobCtx, seed: u64, spec: &JobSpec) -> Result<JobStats, CompileError> {
+/// serve the spec's attempts, park the server again. Stops at the next
+/// attempt boundary once the watchdog has `abandoned` the job.
+fn serve_job(
+    ctx: &JobCtx,
+    seed: u64,
+    spec: &JobSpec,
+    abandoned: &AtomicBool,
+) -> Result<JobStats, CompileError> {
     let opts = plan_options(&spec.config, seed);
     let key: PoolKey = (spec.source.clone(), opts, spec.config);
     let mut server = match ctx.pool.checkout(&key) {
@@ -1150,25 +1096,21 @@ fn serve_job(ctx: &JobCtx, seed: u64, spec: &JobSpec) -> Result<JobStats, Compil
             ForkServer::boot(&ctx.cache, &spec.source, spec.config, seed)?
         }
     };
-    // Re-arm the lease in full: serve mode, fuel, event sink (the
-    // *current* process default, not whatever was installed when this
-    // server was booted), and the round's profiler. Nothing of the
-    // previous lease survives — the satellite guarantee the
+    // Re-arm the lease in full: serve mode, fuel, event sink, and the
+    // round's profiler (not whatever the round that booted this server
+    // had). Nothing of the previous lease survives — the guarantee the
     // interleaved-tenant differential test pins down.
     server.set_mode(ServeMode::from_fork_flag(ctx.cfg.fork_server));
     server.set_fuel(ctx.cfg.fuel);
-    server.set_event_sink(default_sink());
-    server.set_profiler(swsec_vm::profile::default_profiler());
+    server.set_event_sink(ctx.cfg.vm.sink.clone());
+    server.set_profiler(ctx.profiler.clone());
 
     let mut stats = JobStats::default();
     for i in 0..spec.attempts {
-        if counters::thread_quarantined() {
-            // The watchdog abandoned this job mid-flight. Detach from
-            // telemetry and bail at the attempt boundary — the leased
-            // server dies with this thread rather than rejoining the
-            // pool in unknown shape.
-            server.set_event_sink(None);
-            server.set_profiler(None);
+        if abandoned.load(Ordering::Acquire) {
+            // The watchdog abandoned this job mid-flight: bail at the
+            // attempt boundary — the leased server dies with this
+            // thread rather than rejoining the pool in unknown shape.
             return Err(CompileError {
                 message: format!("job abandoned by deadline watchdog after {i} attempts"),
             });
@@ -1188,10 +1130,6 @@ fn serve_job(ctx: &JobCtx, seed: u64, spec: &JobSpec) -> Result<JobStats, Compil
             stats.secret_leaks += 1;
         }
     }
-    // Flush pending machine stats before parking, so the whole job is
-    // accounted inside this round's guarded window — a parked server
-    // carries zero unabsorbed counters across rounds.
-    server.flush_counters();
     if !ctx.pool.checkin(key, server) {
         ctx.counters.pool_drops.fetch_add(1, Ordering::Relaxed);
     }

@@ -88,7 +88,6 @@ pub fn check_with_tests(
     opts.harden.bounds_checks = true;
     opts.harden.stack_canary = true;
     let mut runs = Vec::with_capacity(tests.len());
-    let metrics = swsec_obs::metrics::global();
     for input in tests {
         let (outcome, _) = run_one(unit, &opts, input, fuel)?;
         let run = match outcome {
@@ -101,15 +100,6 @@ pub fn check_with_tests(
             RunOutcome::Fault(_) => CheckedRun::Fault,
             RunOutcome::OutOfFuel | RunOutcome::Blocked { .. } => CheckedRun::Timeout,
         };
-        metrics.counter(
-            match run {
-                CheckedRun::Clean { .. } => "defenses.checked_runs.clean",
-                CheckedRun::Violation { .. } => "defenses.checked_runs.violation",
-                CheckedRun::Fault => "defenses.checked_runs.fault",
-                CheckedRun::Timeout => "defenses.checked_runs.timeout",
-            },
-            1,
-        );
         runs.push(run);
     }
     Ok(CheckReport { runs })
@@ -162,16 +152,10 @@ pub fn measure_overhead(
             ),
         });
     }
-    let overhead = Overhead {
+    Ok(Overhead {
         baseline,
         instrumented,
-    };
-    // Per-mille keeps sub-2x overheads in distinct histogram buckets.
-    swsec_obs::metrics::global().observe(
-        "defenses.overhead_permille",
-        (overhead.relative() * 1000.0).max(0.0) as u64,
-    );
-    Ok(overhead)
+    })
 }
 
 #[cfg(test)]

@@ -35,8 +35,9 @@ use swsec::harness::{AttackTarget, ForkServer};
 use swsec_defenses::DefenseConfig;
 use swsec_fuzz::FuzzExperiment;
 use swsec_obs::jsonl::meta_line;
-use swsec_obs::{clear_default_sink, set_default_sink, EventMask, JsonlSink, MetricsRegistry};
+use swsec_obs::{EventMask, JsonlSink, MetricsRegistry};
 use swsec_vm::profile::Profiler;
+use swsec_vm::Engine;
 
 /// Deterministic profiling pass: serve a fixed batch of attempts
 /// against the undefended smash victim from a boot-time snapshot and
@@ -69,7 +70,6 @@ fn main() {
     let mut profile_path: Option<String> = None;
     let mut progress = false;
     let mut render_only = false;
-    let mut no_tier2 = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -103,7 +103,11 @@ fn main() {
             "--progress" => progress = true,
             "--render-only" => render_only = true,
             "--no-fork-server" => cfg.fork_server = false,
-            "--no-tier2" => no_tier2 = true,
+            // Pins every machine the campaign boots to the tier-1 fast
+            // path. verify.sh diffs this render against a tiered run:
+            // the reports (and the coverage feedback that steers the
+            // campaign) must be byte-identical either way.
+            "--no-tier2" => cfg.vm.engine = Engine::Fast,
             "--profile" => {
                 profile_path = Some(args.next().expect("--profile takes a path"));
             }
@@ -129,14 +133,6 @@ fn main() {
         .union(EventMask::GUARD)
         .union(EventMask::CELL);
 
-    // `--no-tier2` pins every machine the campaign boots to the tier-1
-    // fast path. verify.sh diffs this render against a tiered run: the
-    // reports (and the coverage feedback that steers the campaign) must
-    // be byte-identical either way.
-    if no_tier2 {
-        swsec_vm::cpu::set_default_tier2(false);
-    }
-
     let mut telemetry = CampaignTelemetry::none();
     let mut sink = None;
     if let Some(path) = telemetry_path.as_deref() {
@@ -148,7 +144,7 @@ fn main() {
         ));
         jsonl.write_line(&meta_line("source", "swsec-fuzz/bin/fuzz"));
         jsonl.write_line(&meta_line("master_seed", &cfg.master_seed.to_string()));
-        set_default_sink(jsonl.clone());
+        cfg.vm.sink = Some(jsonl.clone());
         let registry = Arc::new(MetricsRegistry::new());
         telemetry.metrics = Some(registry.clone());
         sink = Some((jsonl, registry));
@@ -176,7 +172,6 @@ fn main() {
     let report = run_campaign_on(&cfg, &[exp.leaked()], &telemetry);
 
     if let Some((sink, registry)) = sink {
-        clear_default_sink();
         for line in registry.export_jsonl() {
             sink.write_line(&line);
         }

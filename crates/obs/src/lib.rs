@@ -8,8 +8,7 @@
 //!   vocabulary and the [`EventMask`] interest bitmask.
 //! - [`sink`] — the pluggable [`EventSink`] trait plus stock sinks
 //!   (bounded ring buffer, per-kind counters, hot-address profile,
-//!   fanout) and the process-wide default sink the VM attaches to new
-//!   machines.
+//!   fanout).
 //! - [`coverage`] — an AFL-style edge/event coverage map over the
 //!   event stream: the novelty signal behind the `swsec-fuzz`
 //!   coverage-guided fuzzer.
@@ -55,7 +54,4 @@ pub use jsonl::{JsonlSink, LineError, Record, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use span::{ChromeInstant, Span, SpanCollector, SpanKind, SpanMask, SpanRecord, SpanRecorder};
 pub use sym::SymbolTable;
-pub use sink::{
-    clear_default_sink, default_sink, set_default_sink, CountingSink, EventCounts, EventSink,
-    FanoutSink, HotAddressSink, RingBufferSink,
-};
+pub use sink::{CountingSink, EventCounts, EventSink, FanoutSink, HotAddressSink, RingBufferSink};

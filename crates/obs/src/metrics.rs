@@ -1,18 +1,17 @@
-//! A process-wide metrics registry: named counters and fixed-bucket
-//! histograms.
+//! A metrics registry: named counters and fixed-bucket histograms.
 //!
 //! The registry is deliberately boring: integer counters and
 //! power-of-two-bucket histograms behind one mutex, with a
 //! deterministic text render — names sort lexicographically and no
 //! wall-clock is consulted anywhere on the render path, so two runs
-//! that did the same work render the same report. Components record
-//! into it opportunistically ([`MetricsRegistry::counter`] is a single
-//! lock + add); campaign and benchmark frontends snapshot or export it
-//! at the end of a run.
+//! that did the same work render the same report. A run's frontend
+//! owns the registry and hands it to the runner
+//! ([`MetricsRegistry::counter`] is a single lock + add), then exports
+//! it at the end of the run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::jsonl;
 
@@ -139,8 +138,8 @@ struct RegistryInner {
 
 /// A named collection of counters and histograms.
 ///
-/// Construct locally for an isolated scope, or use the process-wide
-/// [`global`] registry. Dotted names (`"vm.instructions"`,
+/// Construct one per run and pass it where it is recorded into.
+/// Dotted names (`"vm.instructions"`,
 /// `"campaign.cell_nanos"`) keep the render grouped.
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -201,14 +200,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Resets every counter and histogram. Tests use this to isolate
-    /// assertions against the [`global`] registry.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.clear();
-        inner.histograms.clear();
-    }
-
     /// Renders the registry as deterministic, diff-friendly text:
     /// counters first, then histogram summaries, both sorted by name.
     /// No timestamps, no wall-clock reads.
@@ -257,12 +248,6 @@ impl MetricsRegistry {
         }
         lines
     }
-}
-
-/// The process-wide registry most instrumentation records into.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 #[cfg(test)]
@@ -330,7 +315,5 @@ mod tests {
                 other => panic!("expected metric record, got {other:?}"),
             }
         }
-        reg.reset();
-        assert!(reg.export_jsonl().is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Pluggable event sinks and the process-wide default sink.
+//! Pluggable event sinks.
 //!
 //! A sink is any `Send + Sync` object implementing [`EventSink`]; the
 //! emitter (the VM) holds an `Arc<dyn EventSink>` and calls
@@ -9,14 +9,13 @@
 //! time and never constructs an unwanted event.
 //!
 //! Machines are frequently created deep inside experiment code that has
-//! no telemetry parameters. For those, a process-wide *default* sink
-//! can be installed with [`set_default_sink`]; every machine created
-//! afterwards attaches it automatically (mirroring the VM's
-//! `set_default_fast_path` switch).
+//! no telemetry parameters. For those, a run carries its sink in its VM
+//! configuration (`swsec_vm::VmConfig::sink`), and every machine built
+//! on the run's attempt threads attaches it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::event::{EventMask, SecurityEvent};
 
@@ -334,37 +333,6 @@ impl EventSink for HotAddressSink {
     fn interests(&self) -> EventMask {
         EventMask::STEP
     }
-}
-
-fn default_sink_slot() -> &'static RwLock<Option<Arc<dyn EventSink>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn EventSink>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs `sink` as the process-wide default event sink. Machines
-/// created *after* this call attach it automatically; machines already
-/// running are unaffected. Returns the previously installed sink.
-pub fn set_default_sink(sink: Arc<dyn EventSink>) -> Option<Arc<dyn EventSink>> {
-    default_sink_slot()
-        .write()
-        .expect("default sink lock poisoned")
-        .replace(sink)
-}
-
-/// Removes the process-wide default sink, returning it if one was set.
-pub fn clear_default_sink() -> Option<Arc<dyn EventSink>> {
-    default_sink_slot()
-        .write()
-        .expect("default sink lock poisoned")
-        .take()
-}
-
-/// The current process-wide default sink, if any.
-pub fn default_sink() -> Option<Arc<dyn EventSink>> {
-    default_sink_slot()
-        .read()
-        .expect("default sink lock poisoned")
-        .clone()
 }
 
 #[cfg(test)]

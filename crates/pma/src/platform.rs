@@ -178,10 +178,6 @@ impl Platform {
         regions.push(image.region());
         machine.set_protection(Some(ProtectionMap::new(regions).with_reentry(reentry)));
 
-        let metrics = swsec_obs::metrics::global();
-        metrics.counter("pma.modules_loaded", 1);
-        metrics.observe("pma.module_code_bytes", image.code().len() as u64);
-
         let measurement = Measurement::of(image);
         let key = self.derive_key(measurement);
         Ok(LoadedModule {

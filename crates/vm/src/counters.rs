@@ -1,181 +1,23 @@
-//! Process-wide VM counters, for fleet-level observability.
+//! Per-run VM counters.
 //!
-//! Every [`Machine`](crate::cpu::Machine) folds its final
-//! [`ExecStats`](crate::trace::ExecStats) into these atomics when it is
-//! dropped. Callers that drive many machines — the campaign runner,
-//! the benchmark harness — take a [`snapshot`] before and after a run
-//! and report the difference, e.g. aggregate icache and TLB hit rates
-//! across every machine any experiment launched.
-//!
-//! The totals are monotone and process-global (tests running in
-//! parallel all contribute), so only *deltas* between snapshots are
-//! meaningful, and they belong in run *metadata* (the campaign
-//! summary), never in deterministic report bodies.
-//!
-//! ## Quarantine: detaching watchdog-abandoned threads
-//!
-//! The campaign runner contains misbehaving cells with a deadline
-//! watchdog; a timed-out attempt's thread cannot be killed, only
-//! *abandoned* — it keeps running (and keeps dropping machines) after
-//! its campaign has resolved. Without intervention those zombie drops
-//! would land in the live totals and skew the `vm.*` deltas of every
-//! *later* campaign or service job sharing the process.
-//!
-//! The fix is a per-thread quarantine flag: the watchdog hands each
-//! attempt thread a shared [`AtomicBool`] via [`with_quarantine`], and
-//! flips it when it gives up on the attempt. From that moment every
-//! counter update made by the abandoned thread is diverted into a
-//! separate **leaked** bank, visible through [`leaked_snapshot`] but
-//! excluded from [`snapshot`] — the live totals a healthy run windows
-//! over. The flag is checked with one relaxed load per *machine event*
-//! (drop/snapshot/restore/sample), not per instruction, so the hot
-//! path is untouched.
+//! Every [`Machine`](crate::cpu::Machine) adds its executed
+//! instructions, cache counters, snapshots, restores and profiler
+//! samples to the tally of the [`scope`](crate::context::scope) it runs
+//! in. Runners sum the tallies of the attempts they joined — the
+//! campaign into `CampaignReport::vm`, the service into
+//! `ServiceRound::vm` — so the totals count exactly the run's own
+//! machines, whatever else the process runs concurrently. They belong
+//! in run *metadata* (the campaign summary), never in deterministic
+//! report bodies: the cache counters vary with the engine.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::AddAssign;
 
 use crate::trace::ExecStats;
 
-/// One full set of the twenty VM counters. Two instances exist: the
-/// live bank (healthy threads) and the leaked bank (threads abandoned
-/// by a deadline watchdog).
-struct Bank {
-    instructions: AtomicU64,
-    icache_hits: AtomicU64,
-    icache_misses: AtomicU64,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
-    tier2_compiled: AtomicU64,
-    tier2_hits: AtomicU64,
-    tier2_instructions: AtomicU64,
-    tier2_side_exits: AtomicU64,
-    tier2_invalidations: AtomicU64,
-    tier2_ic_hits: AtomicU64,
-    tier2_ic_misses: AtomicU64,
-    tier2_ic_installs: AtomicU64,
-    tier2_ic_megamorphic: AtomicU64,
-    snapshots: AtomicU64,
-    restores: AtomicU64,
-    restore_dirty_pages: AtomicU64,
-    restore_bytes: AtomicU64,
-    prof_samples: AtomicU64,
-    prof_frames: AtomicU64,
-}
-
-impl Bank {
-    const fn new() -> Bank {
-        Bank {
-            instructions: AtomicU64::new(0),
-            icache_hits: AtomicU64::new(0),
-            icache_misses: AtomicU64::new(0),
-            tlb_hits: AtomicU64::new(0),
-            tlb_misses: AtomicU64::new(0),
-            tier2_compiled: AtomicU64::new(0),
-            tier2_hits: AtomicU64::new(0),
-            tier2_instructions: AtomicU64::new(0),
-            tier2_side_exits: AtomicU64::new(0),
-            tier2_invalidations: AtomicU64::new(0),
-            tier2_ic_hits: AtomicU64::new(0),
-            tier2_ic_misses: AtomicU64::new(0),
-            tier2_ic_installs: AtomicU64::new(0),
-            tier2_ic_megamorphic: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
-            restore_dirty_pages: AtomicU64::new(0),
-            restore_bytes: AtomicU64::new(0),
-            prof_samples: AtomicU64::new(0),
-            prof_frames: AtomicU64::new(0),
-        }
-    }
-
-    fn read(&self) -> VmCounters {
-        VmCounters {
-            instructions: self.instructions.load(Ordering::Relaxed),
-            icache_hits: self.icache_hits.load(Ordering::Relaxed),
-            icache_misses: self.icache_misses.load(Ordering::Relaxed),
-            tlb_hits: self.tlb_hits.load(Ordering::Relaxed),
-            tlb_misses: self.tlb_misses.load(Ordering::Relaxed),
-            tier2_compiled: self.tier2_compiled.load(Ordering::Relaxed),
-            tier2_hits: self.tier2_hits.load(Ordering::Relaxed),
-            tier2_instructions: self.tier2_instructions.load(Ordering::Relaxed),
-            tier2_side_exits: self.tier2_side_exits.load(Ordering::Relaxed),
-            tier2_invalidations: self.tier2_invalidations.load(Ordering::Relaxed),
-            tier2_ic_hits: self.tier2_ic_hits.load(Ordering::Relaxed),
-            tier2_ic_misses: self.tier2_ic_misses.load(Ordering::Relaxed),
-            tier2_ic_installs: self.tier2_ic_installs.load(Ordering::Relaxed),
-            tier2_ic_megamorphic: self.tier2_ic_megamorphic.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            restores: self.restores.load(Ordering::Relaxed),
-            restore_dirty_pages: self.restore_dirty_pages.load(Ordering::Relaxed),
-            restore_bytes: self.restore_bytes.load(Ordering::Relaxed),
-            prof_samples: self.prof_samples.load(Ordering::Relaxed),
-            prof_frames: self.prof_frames.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Healthy-thread totals: what [`snapshot`] reads.
-static LIVE: Bank = Bank::new();
-/// Contributions diverted from watchdog-abandoned threads.
-static LEAKED: Bank = Bank::new();
-
-thread_local! {
-    /// The quarantine flag the current thread's containment harness
-    /// installed, if any. Shared with the watchdog that may abandon
-    /// this thread.
-    static QUARANTINE: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `flag` installed as this thread's quarantine flag,
-/// restoring the previous flag afterwards (unwind-safe: the guard
-/// restores on panic too, so `catch_unwind` harnesses compose).
-///
-/// While the flag reads `true`, every VM counter update made by this
-/// thread — machine drops, snapshots, restores, profiler samples — is
-/// diverted to the leaked bank instead of the live totals. Containment
-/// harnesses (the campaign watchdog, the serve job runner) install the
-/// flag before running untrusted cell code and flip it when they give
-/// the attempt up for dead.
-pub fn with_quarantine<R>(flag: Arc<AtomicBool>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<AtomicBool>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            QUARANTINE.with(|q| *q.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = QUARANTINE.with(|q| q.borrow_mut().replace(flag));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Whether the current thread has been abandoned by its watchdog (its
-/// installed quarantine flag reads `true`). Threads with no installed
-/// flag are never quarantined.
-pub fn thread_quarantined() -> bool {
-    QUARANTINE.with(|q| {
-        q.borrow()
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Acquire))
-    })
-}
-
-/// The bank the current thread's updates belong in.
-fn bank() -> &'static Bank {
-    if thread_quarantined() {
-        &LEAKED
-    } else {
-        &LIVE
-    }
-}
-
-/// A point-in-time reading of the process-wide VM counters.
-///
-/// Subtract two snapshots (see [`VmCounters::since`]) to measure one
-/// run's contribution.
+/// VM counters summed over the machines of one scope or run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmCounters {
-    /// Instructions executed by machines dropped so far.
+    /// Instructions executed.
     pub instructions: u64,
     /// Decoded-instruction-cache hits.
     pub icache_hits: u64,
@@ -220,39 +62,31 @@ pub struct VmCounters {
 }
 
 impl VmCounters {
-    /// The counter increments between `earlier` and `self` (saturating,
-    /// so a stale snapshot never underflows).
-    pub fn since(self, earlier: VmCounters) -> VmCounters {
-        VmCounters {
-            instructions: self.instructions.saturating_sub(earlier.instructions),
-            icache_hits: self.icache_hits.saturating_sub(earlier.icache_hits),
-            icache_misses: self.icache_misses.saturating_sub(earlier.icache_misses),
-            tlb_hits: self.tlb_hits.saturating_sub(earlier.tlb_hits),
-            tlb_misses: self.tlb_misses.saturating_sub(earlier.tlb_misses),
-            tier2_compiled: self.tier2_compiled.saturating_sub(earlier.tier2_compiled),
-            tier2_hits: self.tier2_hits.saturating_sub(earlier.tier2_hits),
-            tier2_instructions: self
-                .tier2_instructions
-                .saturating_sub(earlier.tier2_instructions),
-            tier2_side_exits: self.tier2_side_exits.saturating_sub(earlier.tier2_side_exits),
-            tier2_invalidations: self
-                .tier2_invalidations
-                .saturating_sub(earlier.tier2_invalidations),
-            tier2_ic_hits: self.tier2_ic_hits.saturating_sub(earlier.tier2_ic_hits),
-            tier2_ic_misses: self.tier2_ic_misses.saturating_sub(earlier.tier2_ic_misses),
-            tier2_ic_installs: self.tier2_ic_installs.saturating_sub(earlier.tier2_ic_installs),
-            tier2_ic_megamorphic: self
-                .tier2_ic_megamorphic
-                .saturating_sub(earlier.tier2_ic_megamorphic),
-            snapshots: self.snapshots.saturating_sub(earlier.snapshots),
-            restores: self.restores.saturating_sub(earlier.restores),
-            restore_dirty_pages: self
-                .restore_dirty_pages
-                .saturating_sub(earlier.restore_dirty_pages),
-            restore_bytes: self.restore_bytes.saturating_sub(earlier.restore_bytes),
-            prof_samples: self.prof_samples.saturating_sub(earlier.prof_samples),
-            prof_frames: self.prof_frames.saturating_sub(earlier.prof_frames),
-        }
+    /// Adds what a machine's stats gained from `since` to `now` (the
+    /// cache and tier-2 counters with them).
+    pub(crate) fn add_stats(&mut self, now: &ExecStats, since: &ExecStats) {
+        self.instructions += now.instructions.saturating_sub(since.instructions);
+        self.icache_hits += now.icache_hits.saturating_sub(since.icache_hits);
+        self.icache_misses += now.icache_misses.saturating_sub(since.icache_misses);
+        self.tlb_hits += now.tlb_hits.saturating_sub(since.tlb_hits);
+        self.tlb_misses += now.tlb_misses.saturating_sub(since.tlb_misses);
+        self.tier2_compiled += now.tier2_compiled.saturating_sub(since.tier2_compiled);
+        self.tier2_hits += now.tier2_hits.saturating_sub(since.tier2_hits);
+        self.tier2_instructions += now
+            .tier2_instructions
+            .saturating_sub(since.tier2_instructions);
+        self.tier2_side_exits += now.tier2_side_exits.saturating_sub(since.tier2_side_exits);
+        self.tier2_invalidations += now
+            .tier2_invalidations
+            .saturating_sub(since.tier2_invalidations);
+        self.tier2_ic_hits += now.tier2_ic_hits.saturating_sub(since.tier2_ic_hits);
+        self.tier2_ic_misses += now.tier2_ic_misses.saturating_sub(since.tier2_ic_misses);
+        self.tier2_ic_installs += now
+            .tier2_ic_installs
+            .saturating_sub(since.tier2_ic_installs);
+        self.tier2_ic_megamorphic += now
+            .tier2_ic_megamorphic
+            .saturating_sub(since.tier2_ic_megamorphic);
     }
 
     /// Mean dirty pages copied per restore; `None` when no restore was
@@ -274,81 +108,43 @@ impl VmCounters {
     }
 }
 
+impl AddAssign for VmCounters {
+    fn add_assign(&mut self, other: VmCounters) {
+        self.instructions += other.instructions;
+        self.icache_hits += other.icache_hits;
+        self.icache_misses += other.icache_misses;
+        self.tlb_hits += other.tlb_hits;
+        self.tlb_misses += other.tlb_misses;
+        self.tier2_compiled += other.tier2_compiled;
+        self.tier2_hits += other.tier2_hits;
+        self.tier2_instructions += other.tier2_instructions;
+        self.tier2_side_exits += other.tier2_side_exits;
+        self.tier2_invalidations += other.tier2_invalidations;
+        self.tier2_ic_hits += other.tier2_ic_hits;
+        self.tier2_ic_misses += other.tier2_ic_misses;
+        self.tier2_ic_installs += other.tier2_ic_installs;
+        self.tier2_ic_megamorphic += other.tier2_ic_megamorphic;
+        self.snapshots += other.snapshots;
+        self.restores += other.restores;
+        self.restore_dirty_pages += other.restore_dirty_pages;
+        self.restore_bytes += other.restore_bytes;
+        self.prof_samples += other.prof_samples;
+        self.prof_frames += other.prof_frames;
+    }
+}
+
 fn rate(hits: u64, misses: u64) -> Option<f64> {
     let total = hits + misses;
     (total > 0).then(|| hits as f64 / total as f64)
 }
 
-/// Reads the current process-wide totals from healthy threads.
-/// Contributions diverted from quarantined (watchdog-abandoned)
-/// threads are excluded; see [`leaked_snapshot`].
-pub fn snapshot() -> VmCounters {
-    LIVE.read()
-}
-
-/// Reads the totals diverted from quarantined threads — machines still
-/// being driven by attempts a deadline watchdog gave up on. Monotone,
-/// like [`snapshot`]; a growing delta here is proof a leaked cell is
-/// still burning cycles, and the live totals staying clean is the
-/// detachment contract.
-pub fn leaked_snapshot() -> VmCounters {
-    LEAKED.read()
-}
-
-/// Counts one machine snapshot. Called from `Machine::snapshot`.
-pub(crate) fn note_snapshot() {
-    bank().snapshots.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts one profiler sample and its recorded stack depth. Called
-/// from the machine's (cold) sample path.
-pub(crate) fn note_prof_sample(frames: u64) {
-    let bank = bank();
-    bank.prof_samples.fetch_add(1, Ordering::Relaxed);
-    bank.prof_frames.fetch_add(frames, Ordering::Relaxed);
-}
-
-/// Counts one machine restore and what it copied. Called from
-/// `Machine::restore_from`.
-pub(crate) fn note_restore(dirty_pages: u64, bytes: u64) {
-    let bank = bank();
-    bank.restores.fetch_add(1, Ordering::Relaxed);
-    bank.restore_dirty_pages.fetch_add(dirty_pages, Ordering::Relaxed);
-    bank.restore_bytes.fetch_add(bytes, Ordering::Relaxed);
-}
-
-/// Folds one machine's lifetime stats into the global totals. Called
-/// from `Machine::drop`; cheap (a handful of relaxed adds per machine,
-/// not per instruction).
-pub(crate) fn absorb(stats: &ExecStats) {
-    let bank = bank();
-    bank.instructions.fetch_add(stats.instructions, Ordering::Relaxed);
-    bank.icache_hits.fetch_add(stats.icache_hits, Ordering::Relaxed);
-    bank.icache_misses.fetch_add(stats.icache_misses, Ordering::Relaxed);
-    bank.tlb_hits.fetch_add(stats.tlb_hits, Ordering::Relaxed);
-    bank.tlb_misses.fetch_add(stats.tlb_misses, Ordering::Relaxed);
-    bank.tier2_compiled.fetch_add(stats.tier2_compiled, Ordering::Relaxed);
-    bank.tier2_hits.fetch_add(stats.tier2_hits, Ordering::Relaxed);
-    bank.tier2_instructions
-        .fetch_add(stats.tier2_instructions, Ordering::Relaxed);
-    bank.tier2_side_exits
-        .fetch_add(stats.tier2_side_exits, Ordering::Relaxed);
-    bank.tier2_invalidations
-        .fetch_add(stats.tier2_invalidations, Ordering::Relaxed);
-    bank.tier2_ic_hits.fetch_add(stats.tier2_ic_hits, Ordering::Relaxed);
-    bank.tier2_ic_misses.fetch_add(stats.tier2_ic_misses, Ordering::Relaxed);
-    bank.tier2_ic_installs
-        .fetch_add(stats.tier2_ic_installs, Ordering::Relaxed);
-    bank.tier2_ic_megamorphic
-        .fetch_add(stats.tier2_ic_megamorphic, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{scope, VmConfig};
 
     #[test]
-    fn deltas_and_rates() {
+    fn sums_and_rates() {
         let a = VmCounters {
             instructions: 100,
             icache_hits: 90,
@@ -357,129 +153,53 @@ mod tests {
             restore_dirty_pages: 6,
             ..VmCounters::default()
         };
-        let d = a.since(VmCounters::default());
+        let mut d = VmCounters::default();
+        d += a;
         assert_eq!(d, a);
         assert_eq!(d.icache_hit_rate(), Some(0.9));
         assert_eq!(d.tlb_hit_rate(), None);
         assert_eq!(d.mean_dirty_pages(), Some(1.5));
         assert_eq!(VmCounters::default().mean_dirty_pages(), None);
-        // Stale (larger) snapshots saturate instead of underflowing.
-        assert_eq!(VmCounters::default().since(a).instructions, 0);
+        d += a;
+        assert_eq!(d.instructions, 200);
+        assert_eq!(d.restore_dirty_pages, 12);
     }
 
     #[test]
-    fn concurrent_machine_drops_absorb_without_loss() {
+    fn concurrent_scopes_count_exactly_their_own_machines() {
         use crate::cpu::{Machine, RunOutcome};
         use crate::isa::{sys, Instr, Reg};
         use crate::mem::Perm;
 
-        // Two machines run and drop on separate threads; every
-        // instruction both executed must land in the process totals
-        // (relaxed atomics, but no lost updates).
+        // Two machines run and drop on separate threads, each inside
+        // its own scope: each tally holds exactly its own machine's
+        // instructions, never the other's.
         let run_one = |loops: u32| {
-            let mut code = Vec::new();
-            for _ in 0..loops {
-                Instr::Nop.encode(&mut code);
-            }
-            Instr::MovI { dst: Reg::R0, imm: 0 }.encode(&mut code);
-            Instr::Sys(sys::EXIT).encode(&mut code);
-            let mut m = Machine::new();
-            m.mem_mut().map(0x1000, 0x1000, Perm::RX).unwrap();
-            m.mem_mut().poke_bytes(0x1000, &code).unwrap();
-            m.set_ip(0x1000);
-            assert_eq!(m.run(10_000), RunOutcome::Halted(0));
-            let executed = m.stats().instructions;
-            drop(m); // absorb happens here
-            executed
+            scope(&VmConfig::default(), None, || {
+                let mut code = Vec::new();
+                for _ in 0..loops {
+                    Instr::Nop.encode(&mut code);
+                }
+                Instr::MovI {
+                    dst: Reg::R0,
+                    imm: 0,
+                }
+                .encode(&mut code);
+                Instr::Sys(sys::EXIT).encode(&mut code);
+                let mut m = Machine::new();
+                m.mem_mut().map(0x1000, 0x1000, Perm::RX).unwrap();
+                m.mem_mut().poke_bytes(0x1000, &code).unwrap();
+                m.set_ip(0x1000);
+                assert_eq!(m.run(10_000), RunOutcome::Halted(0));
+                m.stats().instructions
+            })
         };
-        let before = snapshot();
         let t1 = std::thread::spawn(move || run_one(300));
         let t2 = std::thread::spawn(move || run_one(500));
-        let a = t1.join().expect("thread 1");
-        let b = t2.join().expect("thread 2");
-        assert_eq!(a, 302);
-        assert_eq!(b, 502);
-        let delta = snapshot().since(before);
-        // Other tests may add more concurrently, never less.
-        assert!(
-            delta.instructions >= a + b,
-            "absorbed {} < executed {}",
-            delta.instructions,
-            a + b
-        );
-    }
-
-    #[test]
-    fn absorb_moves_the_snapshot() {
-        let before = snapshot();
-        absorb(&ExecStats {
-            instructions: 5,
-            icache_hits: 3,
-            tlb_misses: 2,
-            ..ExecStats::default()
-        });
-        let delta = snapshot().since(before);
-        // Parallel tests may add more, never less.
-        assert!(delta.instructions >= 5);
-        assert!(delta.icache_hits >= 3);
-        assert!(delta.tlb_misses >= 2);
-    }
-
-    #[test]
-    fn quarantined_updates_divert_to_the_leaked_bank() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let live_before = snapshot();
-        let leaked_before = leaked_snapshot();
-        with_quarantine(Arc::clone(&flag), || {
-            // Flag clear: the thread is contained but healthy, so its
-            // updates stay live.
-            assert!(!thread_quarantined());
-            absorb(&ExecStats {
-                instructions: 7,
-                ..ExecStats::default()
-            });
-            // The watchdog gives this attempt up: from here on, every
-            // update is diverted.
-            flag.store(true, Ordering::Release);
-            assert!(thread_quarantined());
-            absorb(&ExecStats {
-                instructions: 1_000_000_011,
-                ..ExecStats::default()
-            });
-            note_snapshot();
-            note_restore(3, 4096);
-            note_prof_sample(5);
-        });
-        // The scope is over: the flag no longer applies to this thread.
-        assert!(!thread_quarantined());
-        let live = snapshot().since(live_before);
-        let leaked = leaked_snapshot().since(leaked_before);
-        // The healthy prefix landed live (parallel tests may add more).
-        assert!(live.instructions >= 7);
-        // The post-abandonment burst landed leaked, not live: the live
-        // delta stays below the diverted amount even with every other
-        // test in the process contributing.
-        assert!(live.instructions < 1_000_000_011);
-        assert!(leaked.instructions >= 1_000_000_011);
-        assert!(leaked.snapshots >= 1);
-        assert!(leaked.restores >= 1);
-        assert!(leaked.restore_dirty_pages >= 3);
-        assert!(leaked.prof_samples >= 1);
-        assert!(leaked.prof_frames >= 5);
-    }
-
-    #[test]
-    fn quarantine_scopes_nest_and_restore() {
-        let outer = Arc::new(AtomicBool::new(true));
-        let inner = Arc::new(AtomicBool::new(false));
-        with_quarantine(Arc::clone(&outer), || {
-            assert!(thread_quarantined());
-            with_quarantine(Arc::clone(&inner), || {
-                // The innermost flag wins while installed.
-                assert!(!thread_quarantined());
-            });
-            assert!(thread_quarantined());
-        });
-        assert!(!thread_quarantined());
+        let (a, tally_a) = t1.join().expect("thread 1");
+        let (b, tally_b) = t2.join().expect("thread 2");
+        assert_eq!((a, b), (302, 502));
+        assert_eq!(tally_a.instructions, a);
+        assert_eq!(tally_b.instructions, b);
     }
 }

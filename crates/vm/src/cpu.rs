@@ -21,15 +21,15 @@
 //! validated against the memory's code generation (see
 //! [`mem`](crate::mem) and `DESIGN.md` §"VM performance model"); it is
 //! semantically invisible and can be switched off per machine
-//! ([`Machine::set_fast_path`]) or process-wide
-//! ([`set_default_fast_path`]) for baseline measurements.
+//! ([`Machine::set_fast_path`]) or per run ([`Engine`](crate::Engine))
+//! for baseline measurements.
 //!
 //! Above it sits an optional second tier ([`tier`](crate::tier)):
 //! hot straight-line regions are fused into superinstruction blocks
 //! that execute as a tight micro-op loop with the per-instruction
 //! dispatch ceremony hoisted out. Tier 2 is also semantically
 //! invisible and has its own switches ([`Machine::set_tier2`],
-//! [`set_default_tier2`]).
+//! [`Engine::Tier2`](crate::Engine::Tier2)).
 //!
 //! # Examples
 //!
@@ -51,7 +51,6 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use swsec_obs::{ControlKind, CoverageSink, EventMask, EventSink, FaultKind, PmaRule, SecurityEvent};
@@ -120,39 +119,6 @@ const ICACHE_EMPTY: ICacheEntry = ICacheEntry {
     len: 1,
     straddles: false,
 };
-
-static DEFAULT_FAST_PATH: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for the interpreter fast path
-/// (decoded-instruction cache + memory TLBs) that every subsequently
-/// created [`Machine`] inherits. The fast path is semantically
-/// invisible; this switch exists so benchmark baselines and
-/// determinism tests can run whole campaigns with the caches off.
-pub fn set_default_fast_path(on: bool) {
-    DEFAULT_FAST_PATH.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide fast-path default (see
-/// [`set_default_fast_path`]).
-pub fn default_fast_path() -> bool {
-    DEFAULT_FAST_PATH.load(Ordering::Relaxed)
-}
-
-static DEFAULT_TIER2: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for the tier-2 block engine (see
-/// [`tier`](crate::tier)) that every subsequently created [`Machine`]
-/// inherits. Tier 2 is semantically invisible; this switch exists so
-/// benchmark baselines and determinism audits can compare whole
-/// campaigns with and without it.
-pub fn set_default_tier2(on: bool) {
-    DEFAULT_TIER2.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide tier-2 default (see [`set_default_tier2`]).
-pub fn default_tier2() -> bool {
-    DEFAULT_TIER2.load(Ordering::Relaxed)
-}
 
 /// Comparison flags set by `cmp`/`cmpi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -343,6 +309,8 @@ pub struct Machine {
     shadow_stack: Option<Vec<u32>>,
     halted: Option<u32>,
     stats: ExecStats,
+    /// The part of `stats` already added to a scope's tally.
+    counted: ExecStats,
     rng_state: u64,
     prev_ip: u32,
     pending_transfer: TransferKind,
@@ -399,35 +367,20 @@ impl Machine {
     /// Creates a machine with empty memory, zeroed registers, permission
     /// enforcement on and no platform protections.
     ///
-    /// If a process-wide default event sink is installed
-    /// ([`swsec_obs::set_default_sink`]), the new machine attaches it
-    /// automatically, so telemetry captures events from machines
-    /// created deep inside experiment code. Likewise a process-wide
-    /// default profiler ([`crate::profile::set_default_profiler`]).
-    ///
-    /// Exception: on a quarantined thread — one a containment watchdog
-    /// has abandoned, [`crate::counters::thread_quarantined`] — neither
-    /// default is attached. A leaked attempt must not stream events or
-    /// samples into whatever sink a *later* run has installed.
+    /// Inside a [`scope`](crate::context::scope) the machine starts on
+    /// the scope's engine and attaches its event sink and profiler, so
+    /// telemetry captures machines created deep inside experiment
+    /// code; it also counts into the scope's tally. Outside any scope
+    /// it runs on [`Engine::Tier2`](crate::Engine::Tier2) with neither.
     pub fn new() -> Machine {
-        let fast_path = default_fast_path();
+        let (engine, sink, prof) = crate::context::machine_defaults();
+        let fast_path = engine.fast_path();
         let mut mem = Memory::new();
         mem.set_fast_path(fast_path);
-        let quarantined = crate::counters::thread_quarantined();
-        let sink = if quarantined {
-            None
-        } else {
-            swsec_obs::default_sink()
-        };
         let sink_mask = sink
             .as_ref()
             .map(|s| s.interests())
             .unwrap_or(EventMask::NONE);
-        let prof = if quarantined {
-            None
-        } else {
-            crate::profile::default_profiler()
-        };
         let prof_countdown = prof.as_ref().map_or(u64::MAX, |p| p.countdown_init());
         Machine {
             regs: [0; NUM_REGS],
@@ -439,6 +392,7 @@ impl Machine {
             shadow_stack: None,
             halted: None,
             stats: ExecStats::default(),
+            counted: ExecStats::default(),
             rng_state: 0x9E37_79B9_7F4A_7C15,
             prev_ip: 0,
             pending_transfer: TransferKind::Jump,
@@ -446,7 +400,7 @@ impl Machine {
             blocking_reads: false,
             icache: vec![ICACHE_EMPTY; ICACHE_SLOTS].into_boxed_slice(),
             fast_path,
-            tier2: default_tier2(),
+            tier2: engine.tier2(),
             tier: None,
             sink,
             sink_mask,
@@ -460,7 +414,7 @@ impl Machine {
     /// Attaches (or with `None`, detaches) a security-event sink. The
     /// sink's [`interests`](EventSink::interests) mask is captured here,
     /// once; events outside it are never even constructed. Replaces any
-    /// sink inherited from [`swsec_obs::set_default_sink`].
+    /// sink inherited from the [`scope`](crate::context::scope).
     pub fn set_event_sink(&mut self, sink: Option<Arc<dyn EventSink>>) {
         self.sink_mask = sink
             .as_ref()
@@ -499,7 +453,7 @@ impl Machine {
 
     /// Attaches (or with `None`, detaches) a sampling profiler (see
     /// [`profile`](crate::profile)), replacing any profiler inherited
-    /// from [`crate::profile::set_default_profiler`], and re-arms the
+    /// from the [`scope`](crate::context::scope), and re-arms the
     /// sample countdown — the next sample fires exactly `interval`
     /// retired instructions from here.
     pub fn set_profiler(&mut self, prof: Option<Arc<Profiler>>) {
@@ -514,9 +468,9 @@ impl Machine {
 
     /// Enables or disables the interpreter fast path for this machine:
     /// the decoded-instruction cache and the memory TLBs. On by
-    /// default (subject to [`set_default_fast_path`]); switching it
-    /// off forces every fetch to decode from memory and every access
-    /// through the page-table lookup. Program-visible behaviour is
+    /// default (subject to the scope's [`Engine`](crate::Engine));
+    /// switching it off forces every fetch to decode from memory and
+    /// every access through the page-table lookup. Program-visible behaviour is
     /// bit-for-bit identical either way — the switch exists for
     /// benchmark baselines and determinism audits.
     pub fn set_fast_path(&mut self, on: bool) {
@@ -531,10 +485,10 @@ impl Machine {
     }
 
     /// Enables or disables the tier-2 block engine for this machine
-    /// (see [`tier`](crate::tier)). On by default (subject to
-    /// [`set_default_tier2`]); it only ever engages on top of the fast
-    /// path, and machines with a PMA policy, tracing, or a per-step
-    /// event sink never enter it. Program-visible behaviour is
+    /// (see [`tier`](crate::tier)). On by default (subject to the
+    /// scope's [`Engine`](crate::Engine)); it only ever engages on top
+    /// of the fast path, and machines with a PMA policy, tracing, or a
+    /// per-step event sink never enter it. Program-visible behaviour is
     /// bit-for-bit identical either way — the switch exists for
     /// benchmark baselines and determinism audits. Switching it off
     /// discards all compiled blocks.
@@ -1292,7 +1246,10 @@ impl Machine {
             None => self.walk_bp_chain(),
         };
         stack.push(self.ip);
-        crate::counters::note_prof_sample(stack.len() as u64);
+        crate::context::count(|t| {
+            t.prof_samples += 1;
+            t.prof_frames += stack.len() as u64;
+        });
         prof.record(&stack);
     }
 
@@ -1535,7 +1492,18 @@ impl Machine {
     /// dispatch. Everything observable — outcomes, registers, memory,
     /// I/O, events, architectural stats, fuel accounting — is
     /// bit-for-bit identical to stepping.
+    ///
+    /// When the run ends, what it executed is added to the current
+    /// [`scope`](crate::context::scope)'s tally — the tally of the
+    /// attempt the machine runs in, even for a pooled machine built by
+    /// an earlier attempt.
     pub fn run(&mut self, fuel: u64) -> RunOutcome {
+        let outcome = self.run_fuel(fuel);
+        self.count_stats();
+        outcome
+    }
+
+    fn run_fuel(&mut self, fuel: u64) -> RunOutcome {
         let mut remaining = fuel;
         while remaining > 0 {
             // Blocks begin at control-transfer targets, so tier 2 is
@@ -2340,7 +2308,7 @@ impl Machine {
     /// rendered reports precisely so accelerator state can never leak
     /// into experiment output.)
     pub fn snapshot(&mut self) -> MachineSnapshot {
-        crate::counters::note_snapshot();
+        crate::context::count(|t| t.snapshots += 1);
         MachineSnapshot {
             regs: self.regs,
             ip: self.ip,
@@ -2361,24 +2329,27 @@ impl Machine {
     /// back only the memory pages dirtied since that snapshot (see
     /// [`Memory::restore_from`]). Returns what the restore copied.
     ///
-    /// Stats discipline: the stats accumulated since the last restore
-    /// (or since construction) are folded into the process-wide
-    /// [`counters`](crate::counters) first — exactly what `Drop` does —
-    /// and then zeroed, so a restored attempt's architectural stats
+    /// Stats discipline: any stats not yet counted are added to the
+    /// scope's tally first (see [`run`](Machine::run)), and then the
+    /// stats are zeroed, so a restored attempt's architectural stats
     /// match a fresh build's bit-for-bit and nothing is counted twice
-    /// or lost when the machine is eventually dropped. Cache counters
-    /// start from zero too but may count fewer misses than a fresh
-    /// build, because decodes and translations survive the restore
-    /// (see [`snapshot`](Machine::snapshot)).
+    /// or lost. Cache counters start from zero too but may count fewer
+    /// misses than a fresh build, because decodes and translations
+    /// survive the restore (see [`snapshot`](Machine::snapshot)).
     pub fn restore_from(&mut self, snap: &MachineSnapshot) -> crate::mem::RestoreStats {
-        // Absorb the finished attempt's stats, then start from zero
-        // like a fresh machine.
-        crate::counters::absorb(&self.stats());
+        // Count the finished attempt, then start from zero like a
+        // fresh machine.
+        self.count_stats();
         self.stats = ExecStats::default();
+        self.counted = ExecStats::default();
         self.mem.reset_tlb_counts();
 
         let restore = self.mem.restore_from(&snap.mem);
-        crate::counters::note_restore(restore.dirty_pages, restore.bytes_copied);
+        crate::context::count(|t| {
+            t.restores += 1;
+            t.restore_dirty_pages += restore.dirty_pages;
+            t.restore_bytes += restore.bytes_copied;
+        });
 
         self.regs = snap.regs;
         self.ip = snap.ip;
@@ -2407,19 +2378,12 @@ impl Machine {
         restore
     }
 
-    /// Folds the stats accumulated since the last restore (or flush,
-    /// or construction) into the process-wide
-    /// [`counters`](crate::counters) and zeroes them — the same
-    /// discipline [`restore_from`](Machine::restore_from) and `Drop`
-    /// apply, available at an explicit boundary. Long-lived machines
-    /// (a parked fork server between service rounds) call this so
-    /// their final attempt's counters land inside the round's
-    /// measurement window instead of escaping into whichever window is
-    /// open when the machine is eventually dropped.
-    pub fn flush_counters(&mut self) {
-        crate::counters::absorb(&self.stats());
-        self.stats = ExecStats::default();
-        self.mem.reset_tlb_counts();
+    /// Adds the stats accumulated since they were last counted to the
+    /// current scope's tally.
+    fn count_stats(&mut self) {
+        let now = self.stats();
+        let last = std::mem::replace(&mut self.counted, now);
+        crate::context::count(|t| t.add_stats(&now, &last));
     }
 }
 
@@ -2464,11 +2428,10 @@ impl MachineSnapshot {
 }
 
 impl Drop for Machine {
-    /// Folds this machine's lifetime stats into the process-wide
-    /// [`counters`](crate::counters), so campaign-scale drivers can
-    /// report aggregate icache/TLB hit rates across every machine.
+    /// Counts whatever the machine executed since its last run (for
+    /// callers that [`step`](Machine::step) by hand).
     fn drop(&mut self) {
-        crate::counters::absorb(&self.stats());
+        self.count_stats();
     }
 }
 

@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod context;
 pub mod counters;
 pub mod cpu;
 pub mod io;
@@ -50,6 +51,8 @@ pub mod policy;
 pub mod profile;
 pub mod tier;
 pub mod trace;
+
+pub use context::{Engine, VmConfig};
 
 /// The names almost every user of this crate needs.
 pub mod prelude {

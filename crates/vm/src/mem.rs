@@ -1120,8 +1120,8 @@ impl Memory {
         stats
     }
 
-    /// Zeroes the TLB hit/miss counters (the per-machine [`TlbStats`],
-    /// not the process-wide totals). Used by the machine-level restore
+    /// Zeroes the TLB hit/miss counters (the per-machine [`TlbStats`]).
+    /// Used by the machine-level restore
     /// so a restored run's stats start from zero like a fresh build's.
     pub(crate) fn reset_tlb_counts(&self) {
         self.tlb_hits.set(0);

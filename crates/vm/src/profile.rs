@@ -29,9 +29,8 @@
 //! floor (design target ≤1%; the measured cost is ~0%) and 1/4096
 //! sampling at ≤10%.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::Mutex;
 
 use swsec_obs::SymbolTable;
 
@@ -40,9 +39,10 @@ use swsec_obs::SymbolTable;
 /// attempt, coarse enough to stay within the ≤10% overhead gate).
 pub const DEFAULT_INTERVAL: u64 = 4096;
 
-/// A shared, deterministic sampling profile. Clone the [`Arc`] onto as
-/// many machines as you like; sample counts merge associatively, so
-/// aggregation order (worker scheduling) cannot change the totals.
+/// A shared, deterministic sampling profile. Clone the
+/// [`Arc`](std::sync::Arc) onto as many machines as you like; sample
+/// counts merge associatively, so aggregation order (worker
+/// scheduling) cannot change the totals.
 #[derive(Debug)]
 pub struct Profiler {
     interval: u64,
@@ -143,62 +143,6 @@ impl Profiler {
     }
 }
 
-static DEFAULT_PROFILER: OnceLock<RwLock<Option<Arc<Profiler>>>> = OnceLock::new();
-
-fn default_cell() -> &'static RwLock<Option<Arc<Profiler>>> {
-    DEFAULT_PROFILER.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs a process-wide default profiler; every subsequently created
-/// [`Machine`](crate::cpu::Machine) attaches it (mirroring
-/// [`set_default_sink`](swsec_obs::set_default_sink) for event sinks).
-pub fn set_default_profiler(profiler: Arc<Profiler>) {
-    *default_cell().write().unwrap_or_else(|p| p.into_inner()) = Some(profiler);
-}
-
-/// Removes the process-wide default profiler.
-pub fn clear_default_profiler() {
-    *default_cell().write().unwrap_or_else(|p| p.into_inner()) = None;
-}
-
-thread_local! {
-    static THREAD_PROFILER: RefCell<Option<Arc<Profiler>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `profiler` scoped to the current thread: machines the
-/// closure creates attach it in preference to the process-wide
-/// default. The previous scope is restored on exit, panic included.
-///
-/// This is how the campaign runner confines profiling to its own cell
-/// threads — concurrent VM activity on *other* threads (another test,
-/// another campaign) never samples into the profile, which keeps the
-/// aggregated `.folded` output a pure function of the campaign's seed.
-pub fn with_thread_profiler<R>(profiler: Arc<Profiler>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<Profiler>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_PROFILER.with(|p| *p.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = THREAD_PROFILER.with(|p| p.borrow_mut().replace(profiler));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The profiler a freshly built machine attaches: the thread-scoped
-/// one when inside [`with_thread_profiler`], otherwise the
-/// process-wide default (if any).
-#[must_use]
-pub fn default_profiler() -> Option<Arc<Profiler>> {
-    if let Some(prof) = THREAD_PROFILER.with(|p| p.borrow().clone()) {
-        return Some(prof);
-    }
-    default_cell()
-        .read()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,26 +178,6 @@ mod tests {
         let prof = Profiler::new(0);
         assert_eq!(prof.countdown_init(), u64::MAX);
         assert_eq!(Profiler::new(4096).countdown_init(), 4096);
-    }
-
-    #[test]
-    fn thread_profiler_scopes_and_restores() {
-        let prof = Arc::new(Profiler::new(1));
-        assert!(default_profiler().is_none() || default_profiler().is_some());
-        let seen = with_thread_profiler(prof.clone(), || {
-            default_profiler().expect("scoped profiler visible")
-        });
-        assert!(Arc::ptr_eq(&seen, &prof));
-        // Scope ended: the thread-local override is gone.
-        assert!(THREAD_PROFILER.with(|p| p.borrow().is_none()));
-        // And other threads never see a scoped profiler.
-        let handle = {
-            let prof = prof.clone();
-            with_thread_profiler(prof, || {
-                std::thread::spawn(|| THREAD_PROFILER.with(|p| p.borrow().is_none()))
-            })
-        };
-        assert!(handle.join().unwrap());
     }
 
     #[test]

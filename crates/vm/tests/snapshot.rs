@@ -10,10 +10,10 @@
 //! These tests drive that contract through the public `Machine` API,
 //! plus the cost side of the bargain: a restore copies exactly the
 //! pages dirtied since the snapshot, observable both in the returned
-//! `RestoreStats` and in the process-wide `vm.snapshot.*` counters.
+//! `RestoreStats` and in the scope tally behind the `vm.snapshot.*`
+//! counters.
 
-use std::sync::Mutex;
-
+use swsec_vm::context::scope;
 use swsec_vm::cpu::{Machine, RunOutcome};
 use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg, ALL_REGS};
 use swsec_vm::mem::{Perm, RestoreStats, PAGE_SIZE};
@@ -25,16 +25,6 @@ const DATA: u32 = 0x0020_0000;
 const MODULE: u32 = 0x0040_0000;
 const MDATA: u32 = 0x0041_0000;
 const STACK_TOP: u32 = 0xbfff_f000;
-
-/// The `vm.snapshot.*` counters are process-wide; tests in this binary
-/// run on sibling threads and every restore bumps them. Counter-delta
-/// assertions hold this lock, and so does every other test that
-/// restores, so the deltas observe only their own machine.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Resolves an instruction index to its address during assembly.
 type AddrOf<'a> = &'a dyn Fn(usize) -> u32;
@@ -139,7 +129,6 @@ fn busy_program() -> Vec<u8> {
 
 #[test]
 fn restored_run_matches_fresh_run_bit_for_bit() {
-    let _g = lock();
     const INPUT: &[u8] = b"\x01\x02\x03\x04\x05\x06\x07\x08";
     for fast in [true, false] {
         // Reference: a freshly built machine, run once.
@@ -171,7 +160,6 @@ fn restored_run_matches_fresh_run_bit_for_bit() {
 
 #[test]
 fn self_modifying_code_replays_identically_after_restore() {
-    let _g = lock();
     // The program overwrites its own upcoming instruction (a nop at
     // index 3) with `halt`, so it never reaches the `exit 42` behind
     // it. The snapshot is taken *mid-run*, after the fetch pipeline
@@ -238,7 +226,6 @@ fn self_modifying_code_replays_identically_after_restore() {
 
 #[test]
 fn dep_fault_reproduces_identically_after_restore() {
-    let _g = lock();
     // A store into the RX text segment: the DEP check faults the
     // machine. Restored attempts must produce the identical fault at
     // the identical point with identical stats.
@@ -268,7 +255,6 @@ fn dep_fault_reproduces_identically_after_restore() {
 
 #[test]
 fn pma_crossing_program_restores_cleanly() {
-    let _g = lock();
     // Round trips into a protected module: PMA fetch checks on every
     // step, boundary crossings through the entry point, module-private
     // data traffic. The protection map is part of the snapshot, so a
@@ -319,7 +305,6 @@ fn pma_crossing_program_restores_cleanly() {
 
 #[test]
 fn restore_copies_exactly_the_touched_pages() {
-    let _g = lock();
     let mut m = Machine::new();
     m.mem_mut()
         .map(DATA, 8 * PAGE_SIZE, Perm::RW)
@@ -332,9 +317,7 @@ fn restore_copies_exactly_the_touched_pages() {
             .poke_bytes(DATA + page * PAGE_SIZE, &[0xAB])
             .expect("poke");
     }
-    let before = swsec_vm::counters::snapshot();
-    let restore = m.restore_from(&snap);
-    let delta = swsec_vm::counters::snapshot().since(before);
+    let (restore, delta) = scope(&Default::default(), None, || m.restore_from(&snap));
 
     assert_eq!(
         restore,
@@ -358,7 +341,6 @@ fn restore_copies_exactly_the_touched_pages() {
 
 #[test]
 fn restore_never_executes_stale_tier2_blocks() {
-    let _g = lock();
     // A countdown hot enough for tier 2 to compile its loop into a
     // block (32 trips ≫ threshold), exiting with the trip count. The
     // sequence snapshot → run → patch the loop's step → run → restore
@@ -427,7 +409,6 @@ fn restore_never_executes_stale_tier2_blocks() {
 
 #[test]
 fn layout_change_falls_back_to_a_wholesale_rebuild() {
-    let _g = lock();
     // Unmapping a region after the snapshot invalidates the dirty-page
     // fast path; the restore must still reproduce the captured memory
     // exactly, paying full price (every snapshot page copied).

@@ -65,11 +65,9 @@ use swsec::campaign::{
 use swsec::faults::FaultyExperiment;
 use swsec::report::ExperimentId;
 use swsec_obs::jsonl::{meta_line, span_line};
-use swsec_obs::{
-    clear_default_sink, set_default_sink, EventMask, JsonlSink, MetricsRegistry, SpanMask,
-    SymbolTable,
-};
+use swsec_obs::{EventMask, JsonlSink, MetricsRegistry, SpanMask, SymbolTable};
 use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
+use swsec_vm::Engine;
 
 fn main() {
     let mut cfg = CampaignConfig::default();
@@ -101,11 +99,13 @@ fn main() {
                 let master_seed = cfg.master_seed;
                 let fork_server = cfg.fork_server;
                 let experiments = std::mem::take(&mut cfg.experiments);
+                let vm = std::mem::take(&mut cfg.vm);
                 cfg = CampaignConfig {
                     workers,
                     master_seed,
                     experiments,
                     fork_server,
+                    vm,
                     ..CampaignConfig::quick()
                 };
             }
@@ -123,7 +123,7 @@ fn main() {
             "--render-only" => render_only = true,
             "--fault-demo" => fault_demo = true,
             "--no-fork-server" => cfg.fork_server = false,
-            "--no-tier2" => swsec_vm::cpu::set_default_tier2(false),
+            "--no-tier2" => cfg.vm.engine = Engine::Fast,
             "--spans" => spans = true,
             "--chrome" => {
                 chrome_path = Some(args.next().expect("--chrome takes a path"));
@@ -182,7 +182,7 @@ fn main() {
         ));
         jsonl.write_line(&meta_line("source", "examples/campaign"));
         jsonl.write_line(&meta_line("master_seed", &cfg.master_seed.to_string()));
-        set_default_sink(jsonl.clone());
+        cfg.vm.sink = Some(jsonl.clone());
         let registry = Arc::new(MetricsRegistry::new());
         telemetry.metrics = Some(registry.clone());
         sink = Some((jsonl, registry));
@@ -211,7 +211,6 @@ fn main() {
     };
 
     if let Some((sink, registry)) = sink {
-        clear_default_sink();
         for (_, records) in &report.spans {
             for record in records {
                 sink.write_line(&span_line(record));

@@ -6,14 +6,14 @@
 //! cargo run --release --example defense_matrix
 //! ```
 
-use swsec::cache;
+use swsec::cache::ProgramCache;
 use swsec::experiments::{analysis, aslr, canary_oracle, catalogue, matrix, overhead};
 use swsec::harness::ServeMode;
 
 fn main() {
-    // One process-wide compile cache: every victim/options pair below
-    // compiles exactly once across all five experiments.
-    let cache = cache::global();
+    // One compile cache: every victim/options pair below compiles
+    // exactly once across all five experiments.
+    let cache = &ProgramCache::new();
 
     for table in catalogue::compute(42, cache).tables() {
         println!("{table}");

@@ -31,9 +31,7 @@ use std::sync::Arc;
 use swsec::serve::{CampaignService, JobSpec, ServeConfig, ServeTelemetry, TenantConfig};
 use swsec_defenses::DefenseConfig;
 use swsec_obs::jsonl::{meta_line, span_line};
-use swsec_obs::{
-    clear_default_sink, set_default_sink, EventMask, JsonlSink, MetricsRegistry, SpanMask,
-};
+use swsec_obs::{EventMask, JsonlSink, MetricsRegistry, SpanMask};
 use swsec_rng::derive;
 
 fn main() {
@@ -132,7 +130,7 @@ fn main() {
         ));
         jsonl.write_line(&meta_line("source", "examples/serve"));
         jsonl.write_line(&meta_line("master_seed", &master_seed.to_string()));
-        set_default_sink(jsonl.clone());
+        cfg.vm.sink = Some(jsonl.clone());
         let registry = Arc::new(MetricsRegistry::new());
         telemetry.metrics = Some(registry.clone());
         sink = Some((jsonl, registry));
@@ -181,7 +179,6 @@ fn main() {
     let round = svc.run_with(&telemetry);
 
     if let Some((sink, registry)) = sink {
-        clear_default_sink();
         for (_, records) in &round.spans {
             for record in records {
                 sink.write_line(&span_line(record));

@@ -12,7 +12,7 @@ use swsec_minc::parse;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 1 first: the anatomy the attack exploits.
-    let fig1 = fig1::compute(swsec::cache::global(), 1);
+    let fig1 = fig1::compute(&swsec::cache::ProgramCache::new(), 1);
     println!("=== Figure 1(b): machine code of process() ===");
     println!("{}", fig1.listing);
     println!("{}", fig1.snapshot);

@@ -41,7 +41,13 @@
 #      stream serve.* metrics and job spans into its telemetry dump,
 #      never shed when the queue has room, and exit non-zero under
 #      --saturate with typed shed/rejected outcomes in the report and
-#      job_shed events in the telemetry (DESIGN.md §14).
+#      job_shed events in the telemetry (DESIGN.md §14);
+#  12. global-state guard: no crate source may bring back process-wide
+#      execution state — no `set_default_*` fn, no `thread_local!`
+#      besides the VM context (crates/vm/src/context.rs) and the span
+#      recorder (crates/obs/src/span.rs), and no `static` holding an
+#      atomic, lock or lazy cell. Runs carry their configuration
+#      explicitly (swsec_vm::VmConfig, DESIGN.md §7).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -253,5 +259,22 @@ grep -Eq "shed|rejected" "$SERVEDIR/render_saturate.txt" || {
     exit 1
 }
 target/release/telcheck "$SERVEDIR/saturate.jsonl" --require job_shed
+
+echo "==> global-state guard"
+if grep -rnE 'fn set_default_' crates/*/src; then
+    echo "verify: a set_default_* fn is back; pass configuration explicitly" >&2
+    exit 1
+fi
+TLS=$(grep -rlE 'thread_local!' crates/*/src | sort | tr '\n' ' ')
+if [ "$TLS" != "crates/obs/src/span.rs crates/vm/src/context.rs " ] \
+    || [ "$(grep -rE 'thread_local!' crates/*/src | wc -l)" -ne 2 ]; then
+    echo "verify: thread_local! outside the VM context and span recorder: $TLS" >&2
+    exit 1
+fi
+if grep -rnE '(^|[^a-z_])static +[A-Za-z_0-9]+ *:[^=]*(Atomic|Mutex|RwLock|OnceLock|LazyLock)' \
+    crates/*/src; then
+    echo "verify: a static holds mutable process-wide state" >&2
+    exit 1
+fi
 
 echo "verify: all checks passed"

@@ -12,9 +12,8 @@ use swsec::experiments::registry;
 use swsec::faults::FaultyExperiment;
 use swsec::report::ExperimentId;
 use swsec_obs::jsonl::parse_line;
-use swsec_obs::{
-    clear_default_sink, set_default_sink, EventMask, JsonlSink, Record, SecurityEvent,
-};
+use swsec_obs::{EventMask, JsonlSink, Record, SecurityEvent};
+use swsec_vm::Engine;
 
 /// A small-but-real slice of the suite: two grids (E3, E14) plus two
 /// single-shot experiments, so the determinism check exercises the
@@ -119,20 +118,16 @@ fn vm_caches_do_not_change_a_single_render_byte() {
     // The decoded-instruction cache and the memory TLBs are pure
     // speedups: with them disabled, every experiment report — and
     // hence the whole campaign render — must be byte-identical.
-    let cfg = determinism_config();
+    let mut cfg = determinism_config();
     let cached = run_campaign(&cfg).render();
 
-    swsec_vm::cpu::set_default_fast_path(false);
+    cfg.vm.engine = Engine::Baseline;
     let uncached = run_campaign(&cfg).render();
-    swsec_vm::cpu::set_default_fast_path(true);
-
     assert_eq!(cached, uncached, "caches must be semantically invisible");
 
     // Same bar for the tier-2 block engine: fast path on, blocks off.
-    swsec_vm::cpu::set_default_tier2(false);
+    cfg.vm.engine = Engine::Fast;
     let untiered = run_campaign(&cfg).render();
-    swsec_vm::cpu::set_default_tier2(true);
-
     assert_eq!(cached, untiered, "tier 2 must be semantically invisible");
 }
 
@@ -154,11 +149,11 @@ impl Write for SharedBuf {
 fn event_sinks_change_no_render_byte_and_jsonl_captures_attacks() {
     // The observability acceptance test, in one process pass: run the
     // full quick suite with no sink, then again with a JSONL event
-    // sink installed as the process default. The rendered reports must
+    // sink in the run's VM configuration. The rendered reports must
     // be byte-identical, and the telemetry dump must parse line by
     // line and contain the attack experiments' canary trips and PMA
     // violations.
-    let cfg = CampaignConfig::quick();
+    let mut cfg = CampaignConfig::quick();
     let baseline = run_campaign(&cfg).render();
 
     let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
@@ -170,9 +165,8 @@ fn event_sinks_change_no_render_byte_and_jsonl_captures_attacks() {
         Box::new(SharedBuf(buf.clone())),
         security,
     ));
-    set_default_sink(sink.clone());
+    cfg.vm.sink = Some(sink.clone());
     let observed = run_campaign(&cfg).render();
-    clear_default_sink();
     sink.flush();
 
     assert_eq!(
@@ -306,19 +300,17 @@ fn crash_matrix_is_deterministic_across_worker_counts() {
 #[test]
 fn failed_cells_reach_the_jsonl_telemetry() {
     let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    // CELL-only interests: other tests' campaigns running concurrently
-    // contribute no security events to this buffer.
     let sink = Arc::new(JsonlSink::with_interests(
         Box::new(SharedBuf(buf.clone())),
         EventMask::CELL,
     ));
-    set_default_sink(sink.clone());
+    let mut cfg = fault_config(2);
+    cfg.vm.sink = Some(sink.clone());
     let report = run_campaign_on(
-        &fault_config(2),
+        &cfg,
         &[FaultyExperiment::fresh()],
         &CampaignTelemetry::none(),
     );
-    clear_default_sink();
     sink.flush();
     assert_eq!(report.failed_cells().len(), 2);
 
@@ -334,8 +326,8 @@ fn failed_cells_reach_the_jsonl_telemetry() {
             )
         })
         .count();
-    assert!(
-        cell_failed >= 2,
-        "expected CellFailed events for the panic and timeout cells, saw {cell_failed}"
+    assert_eq!(
+        cell_failed, 2,
+        "expected CellFailed events for the panic and timeout cells only"
     );
 }

@@ -2,8 +2,7 @@
 //! at any worker count and in either serve mode, admission control is
 //! typed and observable, quota slots free as the queue drains, the
 //! round's telemetry window carries `serve.*` metrics and Job spans,
-//! and a watchdog-abandoned job's counter traffic diverts to the
-//! leaked bank instead of skewing later rounds' VM windows.
+//! and a watchdog-abandoned job's VM counts never reach any round.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,9 +12,8 @@ use swsec::serve::{
     CampaignService, JobOutcome, JobSpec, RejectReason, ServeConfig, ServeTelemetry, TenantConfig,
 };
 use swsec_defenses::DefenseConfig;
-use swsec_obs::{
-    clear_default_sink, set_default_sink, CountingSink, MetricsRegistry, SpanKind, SpanMask,
-};
+use swsec_obs::{CountingSink, MetricsRegistry, SpanKind, SpanMask};
+use swsec_vm::VmConfig;
 
 fn tenant(name: &str, seed: u64, priority: u8, quota: usize) -> TenantConfig {
     TenantConfig {
@@ -96,14 +94,14 @@ fn quota_slots_free_as_the_queue_drains() {
 }
 
 #[test]
-fn shed_and_rejected_jobs_reach_the_default_sink() {
-    // The only test in this binary that sheds while a default sink is
-    // installed, so the counts are unambiguous even though the sink is
-    // process-global.
+fn shed_and_rejected_jobs_reach_the_service_sink() {
     let sink = Arc::new(CountingSink::new());
-    set_default_sink(sink.clone());
     let mut svc = CampaignService::new(ServeConfig {
         queue_capacity: 1,
+        vm: VmConfig {
+            sink: Some(sink.clone()),
+            ..VmConfig::default()
+        },
         ..ServeConfig::default()
     });
     let low = svc.register_tenant(tenant("low", 1, 0, 8));
@@ -111,7 +109,6 @@ fn shed_and_rejected_jobs_reach_the_default_sink() {
     let victim = svc.submit(low, spec(DefenseConfig::none())).unwrap();
     let kept = svc.submit(high, spec(DefenseConfig::none())).unwrap();
     let refused = svc.submit(high, spec(DefenseConfig::none()));
-    clear_default_sink();
     assert_eq!(svc.outcome(victim), Some(JobOutcome::Shed));
     assert_eq!(svc.outcome(kept), Some(JobOutcome::Pending));
     assert_eq!(
@@ -184,14 +181,12 @@ fn measured_round_instructions() -> u64 {
 #[test]
 fn watchdog_abandoned_jobs_divert_counters_away_from_later_windows() {
     let clean = measured_round_instructions();
-    let leaked_before = swsec_vm::counters::leaked_snapshot();
 
     // A job whose attempt budget dwarfs its deadline: the watchdog
-    // abandons its thread mid-churn. The thread notices the quarantine
-    // at its next attempt boundary and retires, dropping its leased
-    // server — and every counter it flushes from that point on lands
-    // in the leaked bank, not in whichever round happens to have a
-    // window open.
+    // abandons its thread mid-churn. The thread notices at its next
+    // attempt boundary and retires, dropping its leased server; what
+    // it ran counts only in its own attempt tally, which no round
+    // ever sums.
     let mut svc = CampaignService::new(ServeConfig {
         workers: 1,
         job_deadline: Duration::from_millis(40),
@@ -214,25 +209,7 @@ fn watchdog_abandoned_jobs_divert_counters_away_from_later_windows() {
     assert_eq!(svc.outcome(hog), Some(JobOutcome::TimedOut));
     assert_eq!(round.totals.jobs_failed, 1);
 
-    // Later rounds see exactly the clean instruction count — before
-    // the quarantine, the leaked thread's flush skewed whatever window
-    // was open when it finally died.
+    // Later rounds see exactly the clean instruction count.
     let during = measured_round_instructions();
     assert_eq!(during, clean, "leaked job skewed a later VM window");
-
-    // And the leaked traffic is not lost: it is accounted in the
-    // leaked bank. The thread retires at an attempt boundary, so poll
-    // briefly.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let leaked = swsec_vm::counters::leaked_snapshot().since(leaked_before);
-        if leaked.instructions > 0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "leaked bank never received the abandoned job's counters"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
