@@ -30,6 +30,8 @@ use std::ops::Range;
 
 use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS};
 
+use crate::items::{Assembly, Insn, Item, Label, Value};
+
 /// The result of assembling a source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmOutput {
@@ -521,8 +523,8 @@ fn parse_line<'a>(
     Ok(())
 }
 
-/// Label addresses keyed by source slices.
-type LabelMap<'a> = HashMap<&'a str, u32, BuildHasherDefault<LabelHasher>>;
+/// Label ids keyed by source slices.
+type LabelMap<'a> = HashMap<&'a str, Label, BuildHasherDefault<LabelHasher>>;
 
 /// A multiply-rotate byte hash: labels are short and come from the
 /// assembler's own callers, so SipHash's flooding resistance buys
@@ -548,10 +550,10 @@ struct Resolver<'a, 'src> {
 }
 
 impl Resolver<'_, '_> {
-    fn imm(&self, op: &Operand<'_>) -> Result<u32, AsmError> {
+    fn imm(&self, op: &Operand<'_>) -> Result<Value, AsmError> {
         match op {
-            Operand::Imm(v) => Ok(*v as u32),
-            Operand::Label(name) => self.labels.get(*name).copied().ok_or_else(|| AsmError {
+            Operand::Imm(v) => Ok(Value::Const(*v as u32)),
+            Operand::Label(name) => self.labels.get(*name).map(|&l| Value::Label(l)).ok_or_else(|| AsmError {
                 line: self.line,
                 kind: AsmErrorKind::UnknownLabel(name.to_string()),
             }),
@@ -587,14 +589,14 @@ impl Resolver<'_, '_> {
     }
 }
 
-/// Encodes one instruction. Checks the operand count first, then each
-/// operand left to right.
-fn encode_instr(
+/// Types one instruction's operands into an [`Insn`]. Checks the
+/// operand count first, then each operand left to right.
+fn lower_instr(
     op: Mnemonic,
     mnemonic: &str,
     ops: &[Operand<'_>],
     r: &Resolver<'_, '_>,
-) -> Result<Instr, AsmError> {
+) -> Result<Insn, AsmError> {
     if ops.len() != op.arity() {
         return Err(AsmError {
             line: r.line,
@@ -605,14 +607,25 @@ fn encode_instr(
             },
         });
     }
-    Ok(match op {
+    // A label immediate is encoded as 0 here and patched by the back end.
+    let mut target = None;
+    let mut imm = |op: &Operand<'_>| -> Result<u32, AsmError> {
+        Ok(match r.imm(op)? {
+            Value::Const(v) => v,
+            Value::Label(l) => {
+                target = Some(l);
+                0
+            }
+        })
+    };
+    let instr = match op {
         Mnemonic::Nop => Instr::Nop,
         Mnemonic::Halt => Instr::Halt,
         Mnemonic::Ret => Instr::Ret,
         Mnemonic::Leave => Instr::Leave,
-        Mnemonic::MovI => Instr::MovI { dst: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
-        Mnemonic::AddI => Instr::AddI { dst: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
-        Mnemonic::CmpI => Instr::CmpI { a: r.reg(&ops[0])?, imm: r.imm(&ops[1])? },
+        Mnemonic::MovI => Instr::MovI { dst: r.reg(&ops[0])?, imm: imm(&ops[1])? },
+        Mnemonic::AddI => Instr::AddI { dst: r.reg(&ops[0])?, imm: imm(&ops[1])? },
+        Mnemonic::CmpI => Instr::CmpI { a: r.reg(&ops[0])?, imm: imm(&ops[1])? },
         Mnemonic::Mov => Instr::Mov { dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
         Mnemonic::Cmp => Instr::Cmp { a: r.reg(&ops[0])?, b: r.reg(&ops[1])? },
         Mnemonic::Alu(alu) => Instr::Alu { op: alu, dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
@@ -637,21 +650,27 @@ fn encode_instr(
         Mnemonic::Pop => Instr::Pop(r.reg(&ops[0])?),
         Mnemonic::CallR => Instr::CallR(r.reg(&ops[0])?),
         Mnemonic::JmpR => Instr::JmpR(r.reg(&ops[0])?),
-        Mnemonic::PushI => Instr::PushI(r.imm(&ops[0])?),
-        Mnemonic::Jmp => Instr::Jmp(r.imm(&ops[0])?),
-        Mnemonic::JCond(cond) => Instr::JCond { cond, target: r.imm(&ops[0])? },
-        Mnemonic::Call => Instr::Call(r.imm(&ops[0])?),
-        Mnemonic::Enter => Instr::Enter(r.imm(&ops[0])?),
-        Mnemonic::Sys => Instr::Sys(r.imm(&ops[0])? as u8),
-        Mnemonic::Trap => Instr::Trap(r.imm(&ops[0])? as u8),
+        Mnemonic::PushI => Instr::PushI(imm(&ops[0])?),
+        Mnemonic::Jmp => Instr::Jmp(imm(&ops[0])?),
+        Mnemonic::JCond(cond) => Instr::JCond { cond, target: imm(&ops[0])? },
+        Mnemonic::Call => Instr::Call(imm(&ops[0])?),
+        Mnemonic::Enter => Instr::Enter(imm(&ops[0])?),
+        Mnemonic::Sys => Instr::Sys(imm(&ops[0])? as u8),
+        Mnemonic::Trap => Instr::Trap(imm(&ops[0])? as u8),
+    };
+    Ok(match target {
+        Some(l) => Insn::to(instr, l),
+        None => Insn::new(instr),
     })
 }
 
 /// Assembles a complete source file into a loadable image.
 ///
-/// Parsing borrows every token from `source`, so the only allocations
-/// are the statement and operand vectors, the label tables and the
-/// image itself.
+/// This is the text front end: it parses the source into the
+/// [`Assembly`] IR and encodes it with the shared back end,
+/// [`Assembly::link`]. Parsing borrows every token from `source`, so
+/// the only allocations are the statement, operand and item vectors,
+/// the label tables and the image itself.
 ///
 /// # Errors
 ///
@@ -681,67 +700,73 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
         parse_line(line, idx + 1, &mut stmts, &mut arena)?;
     }
 
-    // Pass 1: label addresses.
+    // One label id per defined name; a redefinition reuses the id,
+    // which the back end reports as a duplicate.
+    let mut asm = Assembly::new();
     let mut labels = LabelMap::default();
-    let mut base = 0u32;
-    let mut pc = 0u32;
-    let mut emitted = false;
-    for (lineno, stmt) in &stmts {
-        let err = |kind| AsmError { line: *lineno, kind };
-        let len = match stmt {
-            Stmt::Org(addr) => {
-                if emitted {
-                    return Err(err(AsmErrorKind::LateOrg));
-                }
-                base = *addr;
-                pc = *addr;
-                0
-            }
-            Stmt::Label(name) => {
-                if labels.insert(*name, pc).is_some() {
-                    return Err(err(AsmErrorKind::DuplicateLabel(name.to_string())));
-                }
-                0
-            }
-            Stmt::Unknown(mnemonic) => {
-                return Err(err(AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase())))
-            }
-            Stmt::Instr { op, .. } => op.len(),
-            Stmt::Byte(ops) => ops.len() as u32,
-            Stmt::Word(ops) => 4 * ops.len() as u32,
-            Stmt::Ascii(s) => s.len() as u32,
-            Stmt::Space(n) => *n,
-        };
-        emitted |= len > 0;
-        pc = pc.wrapping_add(len);
-    }
-
-    // Pass 2: encoding.
-    let mut bytes = Vec::new();
-    for (lineno, stmt) in &stmts {
-        let resolver = Resolver { labels: &labels, line: *lineno };
-        match stmt {
-            Stmt::Org(_) | Stmt::Label(_) => {}
-            Stmt::Unknown(_) => unreachable!("pass 1 rejects unknown mnemonics"),
-            Stmt::Byte(ops) => {
-                for op in &arena[ops.clone()] {
-                    bytes.push(resolver.imm(op)? as u8);
-                }
-            }
-            Stmt::Word(ops) => {
-                for op in &arena[ops.clone()] {
-                    bytes.extend_from_slice(&resolver.imm(op)?.to_le_bytes());
-                }
-            }
-            Stmt::Ascii(s) => bytes.extend_from_slice(s.as_bytes()),
-            Stmt::Space(n) => bytes.extend(std::iter::repeat_n(0u8, *n as usize)),
-            Stmt::Instr { op, mnemonic, operands } => {
-                encode_instr(*op, mnemonic, &arena[operands.clone()], &resolver)?.encode(&mut bytes);
-            }
+    let mut names = Vec::new();
+    for (_, stmt) in &stmts {
+        if let Stmt::Label(name) = stmt {
+            labels.entry(*name).or_insert_with(|| {
+                names.push(*name);
+                asm.label()
+            });
         }
     }
-    let labels = labels.into_iter().map(|(name, addr)| (name.to_string(), addr)).collect();
-    Ok(AsmOutput { base, bytes, labels })
+
+    // Lower every statement. The first operand error is held back, as
+    // are unknown mnemonics, so that errors keep the precedence above:
+    // an item that fails to lower becomes zero bytes of its length, so
+    // the back end's pass 1 still sees every address.
+    let mut lines = Vec::with_capacity(stmts.len());
+    let mut unknown = None;
+    let mut invalid = None;
+    for (lineno, stmt) in &stmts {
+        let r = Resolver { labels: &labels, line: *lineno };
+        let mut value = |op, len, item: fn(Value) -> Item| match r.imm(op) {
+            Ok(v) => asm.push(item(v)),
+            Err(e) => {
+                invalid.get_or_insert(e);
+                asm.push(Item::Space(len));
+            }
+        };
+        match stmt {
+            Stmt::Label(name) => asm.push(Item::Label(labels[name])),
+            Stmt::Org(addr) => asm.push(Item::Org(*addr)),
+            Stmt::Unknown(mnemonic) => {
+                let kind = AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase());
+                unknown.get_or_insert((asm.len(), AsmError { line: *lineno, kind }));
+            }
+            Stmt::Byte(ops) => arena[ops.clone()].iter().for_each(|op| value(op, 1, Item::Byte)),
+            Stmt::Word(ops) => arena[ops.clone()].iter().for_each(|op| value(op, 4, Item::Word)),
+            Stmt::Ascii(s) => asm.ascii(s.as_bytes()),
+            Stmt::Space(n) => asm.push(Item::Space(*n)),
+            Stmt::Instr { op, mnemonic, operands } => {
+                match lower_instr(*op, mnemonic, &arena[operands.clone()], &r) {
+                    Ok(insn) => asm.insn(insn),
+                    Err(e) => {
+                        invalid.get_or_insert(e);
+                        asm.push(Item::Space(op.len()));
+                    }
+                }
+            }
+        }
+        lines.resize(asm.len(), *lineno);
+    }
+
+    let linked = asm.link();
+    let pass1_error_at = linked.as_ref().err().map_or(usize::MAX, |e| e.item);
+    if let Some((at, err)) = unknown {
+        if at <= pass1_error_at {
+            return Err(err);
+        }
+    }
+    let linked = linked.map_err(|e| e.to_asm_error(lines[e.item], |l| names[l.0 as usize].to_string()))?;
+    if let Some(err) = invalid {
+        return Err(err);
+    }
+    let labels = labels.into_iter().map(|(name, l)| (name.to_string(), linked.addr(l))).collect();
+    Ok(AsmOutput { base: linked.base, bytes: linked.bytes, labels })
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! # swsec-asm — assembler and disassembler for the swsec VM
 //!
-//! Turns textual assembly into loadable images ([`assemble`]) and byte
-//! images back into listings ([`disassemble`], [`format_listing`]).
-//! Shellcode in `swsec-attacks`, the runtime stubs emitted by
-//! `swsec-minc`, and many tests are written in this assembly dialect.
+//! Turns assembly into loadable images and byte images back into
+//! listings ([`disassemble`], [`format_listing`]). Two front ends share
+//! one back end, [`Assembly::link`]: [`assemble`] parses hand-written
+//! text (shellcode in `swsec-attacks`, PMA hosts, tests), while
+//! `swsec-minc` builds the [`Assembly`] IR directly and renders its
+//! listing from the same items with [`Assembly::render`].
 //!
 //! ```
 //! use swsec_vm::prelude::*;
@@ -27,6 +29,8 @@
 
 mod asm;
 mod disasm;
+mod items;
 
 pub use asm::{assemble, AsmError, AsmErrorKind, AsmOutput};
 pub use disasm::{disassemble, format_listing, DisasmItem, DisasmLine};
+pub use items::{Assembly, Insn, Item, Label, LinkError, LinkErrorKind, Linked, Value};

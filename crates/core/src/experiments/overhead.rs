@@ -6,7 +6,7 @@
 //! that make testing effective "impose a performance overhead that is
 //! unacceptable in production" (work per memory access).
 
-use swsec_defenses::runtime_check::measure_overhead;
+use swsec_defenses::runtime_check::measure_overheads;
 use swsec_minc::{parse, HardenOptions};
 
 use crate::campaign::{CampaignConfig, CampaignCtx};
@@ -105,7 +105,8 @@ impl OverheadReport {
     }
 }
 
-/// Measures one workload under all three hardening mixes.
+/// Measures one workload under all three hardening mixes, against one
+/// baseline run.
 fn measure_workload(name: &'static str, src: &str) -> OverheadRow {
     let mut canary_only = HardenOptions::none();
     canary_only.stack_canary = true;
@@ -116,15 +117,14 @@ fn measure_workload(name: &'static str, src: &str) -> OverheadRow {
     both.bounds_checks = true;
 
     let unit = parse(src).expect("workload parses");
-    let c = measure_overhead(&unit, canary_only, &[], 50_000_000).expect("clean runs");
-    let b = measure_overhead(&unit, bounds_only, &[], 50_000_000).expect("clean runs");
-    let cb = measure_overhead(&unit, both, &[], 50_000_000).expect("clean runs");
+    let oh = measure_overheads(&unit, &[canary_only, bounds_only, both], &[], 50_000_000)
+        .expect("clean runs");
     OverheadRow {
         workload: name,
-        baseline: c.baseline,
-        canary: c.relative(),
-        bounds: b.relative(),
-        both: cb.relative(),
+        baseline: oh[0].baseline,
+        canary: oh[0].relative(),
+        bounds: oh[1].relative(),
+        both: oh[2].relative(),
     }
 }
 

@@ -29,4 +29,6 @@ pub mod runtime_check;
 pub use analyzer::{analyze, Finding, FindingKind, Precision};
 pub use aslr::AslrConfig;
 pub use config::DefenseConfig;
-pub use runtime_check::{check_with_tests, measure_overhead, CheckReport, CheckedRun, Overhead};
+pub use runtime_check::{
+    check_with_tests, measure_overhead, measure_overheads, CheckReport, CheckedRun, Overhead,
+};

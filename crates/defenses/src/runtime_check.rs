@@ -138,24 +138,42 @@ pub fn measure_overhead(
     input: &[u8],
     fuel: u64,
 ) -> Result<Overhead, CompileError> {
-    let plain_opts = CompileOptions::default();
-    let hard_opts = CompileOptions {
-        harden,
-        ..CompileOptions::default()
-    };
-    let (plain_outcome, baseline) = run_one(unit, &plain_opts, input, fuel)?;
-    let (hard_outcome, instrumented) = run_one(unit, &hard_opts, input, fuel)?;
-    if !plain_outcome.is_halted() || !hard_outcome.is_halted() {
-        return Err(CompileError {
-            message: format!(
-                "overhead measurement needs clean runs (plain: {plain_outcome}, hardened: {hard_outcome})"
-            ),
+    Ok(measure_overheads(unit, &[harden], input, fuel)?[0])
+}
+
+/// [`measure_overhead`] for several hardening configurations against
+/// one shared baseline: the plain build is compiled and run once.
+///
+/// # Errors
+///
+/// As [`measure_overhead`], for the first configuration that fails.
+pub fn measure_overheads(
+    unit: &Unit,
+    hardens: &[swsec_minc::HardenOptions],
+    input: &[u8],
+    fuel: u64,
+) -> Result<Vec<Overhead>, CompileError> {
+    let (plain_outcome, baseline) = run_one(unit, &CompileOptions::default(), input, fuel)?;
+    let mut out = Vec::with_capacity(hardens.len());
+    for &harden in hardens {
+        let hard_opts = CompileOptions {
+            harden,
+            ..CompileOptions::default()
+        };
+        let (hard_outcome, instrumented) = run_one(unit, &hard_opts, input, fuel)?;
+        if !plain_outcome.is_halted() || !hard_outcome.is_halted() {
+            return Err(CompileError {
+                message: format!(
+                    "overhead measurement needs clean runs (plain: {plain_outcome}, hardened: {hard_outcome})"
+                ),
+            });
+        }
+        out.push(Overhead {
+            baseline,
+            instrumented,
         });
     }
-    Ok(Overhead {
-        baseline,
-        instrumented,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -249,6 +267,9 @@ mod tests {
             canary_oh.relative(),
             bounds_oh.relative()
         );
+        // One shared baseline gives the same figures as separate runs.
+        let shared = measure_overheads(&unit, &[canary, bounds], &[], 10_000_000).unwrap();
+        assert_eq!(shared, vec![canary_oh, bounds_oh]);
     }
 
     #[test]

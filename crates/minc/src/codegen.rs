@@ -1,4 +1,8 @@
-//! Code generation: MinC → swsec assembly → machine code.
+//! Code generation: MinC → assembler items → machine code.
+//!
+//! Code is built as [`swsec_asm::Assembly`] items and encoded by the
+//! assembler's shared back end; the listing is rendered from the same
+//! items, so no assembly text is parsed on the way.
 //!
 //! The generated code follows the frame layout of the paper's Figure 1
 //! exactly:
@@ -33,8 +37,11 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+use swsec_asm::{AsmError, AsmErrorKind, Assembly, Insn, Item, Label};
 use swsec_vm::cpu::Machine;
-use swsec_vm::isa::trap;
+use swsec_vm::isa::Instr::{self, *};
+use swsec_vm::isa::Reg::*;
+use swsec_vm::isa::{sys, trap, AluOp, Cond};
 use swsec_vm::mem::Perm;
 
 use crate::ast::{BinOp, Expr, Function, GlobalInit, Stmt, Type, UnaryOp, Unit};
@@ -345,20 +352,61 @@ fn align4(n: u32) -> u32 {
 }
 
 #[derive(Debug, Clone)]
-enum Place {
+enum Place<'a> {
     Local(FrameSlot),
     Param { offset: i32, ty: Type },
     Global(GlobalSlot),
-    Function(u32Holder),
+    Function(Callee<'a>),
 }
 
-/// Function addresses are not known until assembly, so code references
+/// Function addresses are not known until link time, so code references
 /// them by label; externs are absolute.
-#[derive(Debug, Clone)]
-#[allow(non_camel_case_types)]
-enum u32Holder {
-    Label(String),
+#[derive(Debug, Clone, Copy)]
+enum Callee<'a> {
+    Label(&'a str),
     Absolute(u32),
+}
+
+/// How a label is spelled in the listing.
+#[derive(Debug, Clone, Copy)]
+enum LabelName<'a> {
+    /// A function or runtime symbol, verbatim.
+    Symbol(&'a str),
+    /// A function's shared return path: `.L{fn}_epilogue`.
+    Epilogue(&'a str),
+    /// A compiler-made local label: `.L{fn}_{hint}_{n}`.
+    Local {
+        func: &'a str,
+        hint: &'static str,
+        n: u32,
+    },
+}
+
+impl LabelName<'_> {
+    fn write(self, out: &mut String) {
+        match self {
+            LabelName::Symbol(name) => out.push_str(name),
+            LabelName::Epilogue(func) => {
+                out.push_str(".L");
+                out.push_str(func);
+                out.push_str("_epilogue");
+            }
+            LabelName::Local { func, hint, n } => {
+                use fmt::Write;
+                write!(out, ".L{func}_{hint}_{n}").expect("writing to a String");
+            }
+        }
+    }
+}
+
+/// `instr` with its immediate listed in hex.
+fn hex(instr: Instr) -> Insn {
+    Insn::new(instr).hex()
+}
+
+/// `instr` with its memory operand listed as `[reg]`.
+fn at(instr: Instr) -> Insn {
+    Insn::new(instr).bare()
 }
 
 struct DataBuilder {
@@ -388,7 +436,15 @@ impl DataBuilder {
 struct Codegen<'a> {
     unit: &'a Unit,
     opts: &'a CompileOptions,
-    asm: String,
+    asm: Assembly,
+    /// Listing spelling of each label, by id.
+    names: Vec<LabelName<'a>>,
+    /// Labels of functions and runtime symbols, by name.
+    symbols: HashMap<&'a str, Label>,
+    /// List emitted instructions without indentation (the heap runtime).
+    flush: bool,
+    /// The first load/store displacement outside the i16 encoding.
+    disp_error: Option<AsmError>,
     data: DataBuilder,
     globals: BTreeMap<String, GlobalSlot>,
     functions_sigs: HashMap<String, sema::FnSig>,
@@ -399,31 +455,72 @@ struct Codegen<'a> {
     heap_next_cell: u32,
     free_list_cell: u32,
     strings: HashMap<String, u32>,
-    label_counter: usize,
+    label_counter: u32,
     // Per-function state.
     scopes: Vec<HashMap<String, FrameSlot>>,
     params: HashMap<String, (i32, Type)>,
-    current_fn: String,
-    epilogue: String,
-    break_stack: Vec<String>,
-    continue_stack: Vec<String>,
+    current_fn: &'a str,
+    epilogue: Option<Label>,
+    break_stack: Vec<Label>,
+    continue_stack: Vec<Label>,
 }
 
 impl<'a> Codegen<'a> {
-    fn emit(&mut self, line: &str) {
-        self.asm.push_str("    ");
-        self.asm.push_str(line);
-        self.asm.push('\n');
+    fn emit(&mut self, insn: impl Into<Insn>) {
+        let insn = insn.into();
+        self.asm.insn(if self.flush { insn.flush() } else { insn });
     }
 
-    fn emit_label(&mut self, label: &str) {
-        self.asm.push_str(label);
-        self.asm.push_str(":\n");
+    /// Emits `instr` with the address of `label` as its immediate.
+    fn emit_to(&mut self, instr: Instr, label: Label) {
+        self.emit(Insn::to(instr, label));
     }
 
-    fn fresh_label(&mut self, hint: &str) -> String {
+    fn jmp(&mut self, label: Label) {
+        self.emit_to(Jmp(0), label);
+    }
+
+    fn jcc(&mut self, cond: Cond, label: Label) {
+        self.emit_to(JCond { cond, target: 0 }, label);
+    }
+
+    fn emit_label(&mut self, label: Label) {
+        self.asm.push(Item::Label(label));
+    }
+
+    fn new_label(&mut self, name: LabelName<'a>) -> Label {
+        self.names.push(name);
+        self.asm.label()
+    }
+
+    /// The label of a function or runtime symbol, shared by every
+    /// reference to and the definition of that name.
+    fn symbol(&mut self, name: &'a str) -> Label {
+        if let Some(&label) = self.symbols.get(name) {
+            return label;
+        }
+        let label = self.new_label(LabelName::Symbol(name));
+        self.symbols.insert(name, label);
+        label
+    }
+
+    fn fresh_label(&mut self, hint: &'static str) -> Label {
         self.label_counter += 1;
-        format!(".L{}_{}_{}", self.current_fn, hint, self.label_counter)
+        let func = self.current_fn;
+        self.new_label(LabelName::Local { func, hint, n: self.label_counter })
+    }
+
+    /// `offset` as the displacement of the instruction emitted next.
+    /// One outside the i16 encoding fails the compile once code
+    /// generation is done (as an assembler error would), and encodes
+    /// as 0 meanwhile.
+    fn disp(&mut self, offset: i32) -> i16 {
+        i16::try_from(offset).unwrap_or_else(|_| {
+            let line = self.asm.len() + 1;
+            let kind = AsmErrorKind::DispOutOfRange(offset.into());
+            self.disp_error.get_or_insert(AsmError { line, kind });
+            0
+        })
     }
 
     fn string_addr(&mut self, s: &str) -> u32 {
@@ -438,7 +535,7 @@ impl<'a> Codegen<'a> {
         addr
     }
 
-    fn resolve(&self, name: &str) -> Result<Place, CompileError> {
+    fn resolve(&self, name: &str) -> Result<Place<'a>, CompileError> {
         for scope in self.scopes.iter().rev() {
             if let Some(slot) = scope.get(name) {
                 return Ok(Place::Local(slot.clone()));
@@ -453,13 +550,13 @@ impl<'a> Codegen<'a> {
         if let Some(slot) = self.globals.get(name) {
             return Ok(Place::Global(slot.clone()));
         }
-        if self.unit.function(name).map(|f| f.body.is_some()) == Some(true)
-            || self.unit.function(name).is_some() && !self.opts.externs.contains_key(name)
-        {
-            return Ok(Place::Function(u32Holder::Label(name.to_string())));
+        if let Some(f) = self.unit.function(name) {
+            if f.body.is_some() || !self.opts.externs.contains_key(name) {
+                return Ok(Place::Function(Callee::Label(&f.name)));
+            }
         }
         if let Some(&addr) = self.opts.externs.get(name) {
-            return Ok(Place::Function(u32Holder::Absolute(addr)));
+            return Ok(Place::Function(Callee::Absolute(addr)));
         }
         Err(cerr(format!("unresolved symbol `{name}`")))
     }
@@ -527,9 +624,11 @@ impl<'a> Codegen<'a> {
     fn gen_addr(&mut self, e: &Expr) -> Result<(), CompileError> {
         match e {
             Expr::Var(name) => match self.resolve(name)? {
-                Place::Local(slot) => self.emit(&format!("lea r0, [bp{:+}]", slot.offset)),
-                Place::Param { offset, .. } => self.emit(&format!("lea r0, [bp{offset:+}]")),
-                Place::Global(slot) => self.emit(&format!("movi r0, {:#x}", slot.addr)),
+                Place::Local(FrameSlot { offset, .. }) | Place::Param { offset, .. } => {
+                    let disp = self.disp(offset);
+                    self.emit(Lea { dst: R0, base: Bp, disp });
+                }
+                Place::Global(slot) => self.emit(hex(MovI { dst: R0, imm: slot.addr })),
                 Place::Function(_) => {
                     return Err(cerr(format!("cannot take the address of function `{name}`")))
                 }
@@ -541,25 +640,25 @@ impl<'a> Codegen<'a> {
                 };
                 // Base address (the decayed pointer value).
                 self.gen_expr(base)?;
-                self.emit("push r0");
+                self.emit(Push(R0));
                 self.gen_expr(index)?;
                 if self.opts.harden.bounds_checks {
                     if let Some(n) = self.static_array_len(base) {
                         let ok = self.fresh_label("bounds_ok");
-                        self.emit(&format!("cmpi r0, {n}"));
-                        self.emit(&format!("jb {ok}"));
-                        self.emit(&format!("trap {}", trap::BOUNDS));
-                        self.emit_label(&ok);
+                        self.emit(CmpI { a: R0, imm: n });
+                        self.jcc(Cond::B, ok);
+                        self.emit(Trap(trap::BOUNDS));
+                        self.emit_label(ok);
                     }
                 }
                 let size = elem.size();
                 if size > 1 {
-                    self.emit(&format!("movi r1, {size}"));
-                    self.emit("mul r0, r1");
+                    self.emit(MovI { dst: R1, imm: size });
+                    self.emit(Alu { op: AluOp::Mul, dst: R0, src: R1 });
                 }
-                self.emit("mov r1, r0");
-                self.emit("pop r0");
-                self.emit("add r0, r1");
+                self.emit(Mov { dst: R1, src: R0 });
+                self.emit(Pop(R0));
+                self.emit(Alu { op: AluOp::Add, dst: R0, src: R1 });
             }
             Expr::Unary {
                 op: UnaryOp::Deref,
@@ -604,82 +703,90 @@ impl<'a> Codegen<'a> {
     }
 
     fn load_from_addr_in_r0(&mut self, ty: &Type) {
-        if ty.is_byte() {
-            self.emit("mov r1, r0");
-            self.emit("loadb r0, [r1]");
-        } else {
-            self.emit("mov r1, r0");
-            self.emit("load r0, [r1]");
-        }
+        self.emit(Mov { dst: R1, src: R0 });
+        self.load_r0_from_r1(ty.is_byte());
+    }
+
+    /// `loadb`/`load r0, [r1]`.
+    fn load_r0_from_r1(&mut self, byte: bool) {
+        let (dst, base, disp) = (R0, R1, 0);
+        self.emit(at(if byte { LoadB { dst, base, disp } } else { Load { dst, base, disp } }));
+    }
+
+    /// `mov r1, r0; pop r0`: the right operand to `r1`, the left one
+    /// (pushed before evaluating the right) back to `r0`.
+    fn pop_operands(&mut self) {
+        self.emit(Mov { dst: R1, src: R0 });
+        self.emit(Pop(R0));
+    }
+
+    /// `movi r0, 1; j<cond> yes; movi r0, 0; yes:` — `r0` becomes
+    /// whether `cond` held.
+    fn set_r0_if(&mut self, cond: Cond, hint: &'static str) {
+        let yes = self.fresh_label(hint);
+        self.emit(MovI { dst: R0, imm: 1 });
+        self.jcc(cond, yes);
+        self.emit(MovI { dst: R0, imm: 0 });
+        self.emit_label(yes);
     }
 
     /// Emits code leaving the expression's value in `r0`.
     fn gen_expr(&mut self, e: &Expr) -> Result<(), CompileError> {
         match e {
             Expr::IntLit(v) => {
-                self.emit(&format!("movi r0, {:#x}", *v as u32));
+                self.emit(hex(MovI { dst: R0, imm: *v as u32 }));
             }
             Expr::StrLit(s) => {
                 let addr = self.string_addr(s);
-                self.emit(&format!("movi r0, {addr:#x}"));
+                self.emit(hex(MovI { dst: R0, imm: addr }));
             }
             Expr::Var(name) => match self.resolve(name)? {
-                Place::Local(slot) => match &slot.ty {
-                    Type::Array(..) => self.emit(&format!("lea r0, [bp{:+}]", slot.offset)),
-                    Type::Char => self.emit(&format!("loadb r0, [bp{:+}]", slot.offset)),
-                    _ => self.emit(&format!("load r0, [bp{:+}]", slot.offset)),
-                },
+                Place::Local(slot) => {
+                    let (dst, base, disp) = (R0, Bp, self.disp(slot.offset));
+                    self.emit(match &slot.ty {
+                        Type::Array(..) => Lea { dst, base, disp },
+                        Type::Char => LoadB { dst, base, disp },
+                        _ => Load { dst, base, disp },
+                    });
+                }
                 Place::Param { offset, ty } => {
-                    if ty.is_byte() {
-                        self.emit(&format!("loadb r0, [bp{offset:+}]"));
-                    } else {
-                        self.emit(&format!("load r0, [bp{offset:+}]"));
-                    }
+                    let (dst, base, disp) = (R0, Bp, self.disp(offset));
+                    self.emit(if ty.is_byte() { LoadB { dst, base, disp } } else { Load { dst, base, disp } });
                 }
                 Place::Global(slot) => match &slot.ty {
-                    Type::Array(..) => self.emit(&format!("movi r0, {:#x}", slot.addr)),
-                    Type::Char => {
-                        self.emit(&format!("movi r1, {:#x}", slot.addr));
-                        self.emit("loadb r0, [r1]");
-                    }
-                    _ => {
-                        self.emit(&format!("movi r1, {:#x}", slot.addr));
-                        self.emit("load r0, [r1]");
+                    Type::Array(..) => self.emit(hex(MovI { dst: R0, imm: slot.addr })),
+                    ty => {
+                        self.emit(hex(MovI { dst: R1, imm: slot.addr }));
+                        self.load_r0_from_r1(*ty == Type::Char);
                     }
                 },
-                Place::Function(holder) => match holder {
-                    u32Holder::Label(l) => self.emit(&format!("movi r0, {l}")),
-                    u32Holder::Absolute(a) => self.emit(&format!("movi r0, {a:#x}")),
-                },
+                Place::Function(Callee::Label(name)) => {
+                    let label = self.symbol(name);
+                    self.emit_to(MovI { dst: R0, imm: 0 }, label);
+                }
+                Place::Function(Callee::Absolute(addr)) => self.emit(hex(MovI { dst: R0, imm: addr })),
             },
             Expr::Assign { target, value } => {
                 let ty = self.type_of(target)?;
                 self.gen_expr(value)?;
-                self.emit("push r0");
+                self.emit(Push(R0));
                 self.gen_addr(target)?;
-                self.emit("mov r1, r0");
-                self.emit("pop r0");
-                if ty.is_byte() {
-                    self.emit("storeb [r1], r0");
-                } else {
-                    self.emit("store [r1], r0");
-                }
+                self.emit(Mov { dst: R1, src: R0 });
+                self.emit(Pop(R0));
+                let (base, disp, src) = (R1, 0, R0);
+                self.emit(at(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } }));
             }
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Neg => {
                     self.gen_expr(expr)?;
-                    self.emit("mov r1, r0");
-                    self.emit("movi r0, 0");
-                    self.emit("sub r0, r1");
+                    self.emit(Mov { dst: R1, src: R0 });
+                    self.emit(MovI { dst: R0, imm: 0 });
+                    self.emit(Alu { op: AluOp::Sub, dst: R0, src: R1 });
                 }
                 UnaryOp::Not => {
                     self.gen_expr(expr)?;
-                    let set = self.fresh_label("not");
-                    self.emit("cmpi r0, 0");
-                    self.emit("movi r0, 1");
-                    self.emit(&format!("jz {set}"));
-                    self.emit("movi r0, 0");
-                    self.emit_label(&set);
+                    self.emit(CmpI { a: R0, imm: 0 });
+                    self.set_r0_if(Cond::Z, "not");
                 }
                 UnaryOp::Deref => {
                     let ty = self.type_of(e)?;
@@ -691,57 +798,44 @@ impl<'a> Codegen<'a> {
                 }
             },
             Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::And => {
-                    let falsy = self.fresh_label("and_false");
-                    let end = self.fresh_label("and_end");
-                    self.gen_expr(lhs)?;
-                    self.emit("cmpi r0, 0");
-                    self.emit(&format!("jz {falsy}"));
-                    self.gen_expr(rhs)?;
-                    self.emit("cmpi r0, 0");
-                    self.emit(&format!("jz {falsy}"));
-                    self.emit("movi r0, 1");
-                    self.emit(&format!("jmp {end}"));
-                    self.emit_label(&falsy);
-                    self.emit("movi r0, 0");
-                    self.emit_label(&end);
-                }
-                BinOp::Or => {
-                    let truthy = self.fresh_label("or_true");
-                    let end = self.fresh_label("or_end");
-                    self.gen_expr(lhs)?;
-                    self.emit("cmpi r0, 0");
-                    self.emit(&format!("jnz {truthy}"));
-                    self.gen_expr(rhs)?;
-                    self.emit("cmpi r0, 0");
-                    self.emit(&format!("jnz {truthy}"));
-                    self.emit("movi r0, 0");
-                    self.emit(&format!("jmp {end}"));
-                    self.emit_label(&truthy);
-                    self.emit("movi r0, 1");
-                    self.emit_label(&end);
+                BinOp::And | BinOp::Or => {
+                    // `&&` jumps out on the first zero, `||` on the first
+                    // non-zero; falling through both tests yields the other
+                    // answer.
+                    let and = *op == BinOp::And;
+                    let (exit, end) = if and {
+                        (self.fresh_label("and_false"), self.fresh_label("and_end"))
+                    } else {
+                        (self.fresh_label("or_true"), self.fresh_label("or_end"))
+                    };
+                    let exit_cond = if and { Cond::Z } else { Cond::Nz };
+                    for side in [lhs, rhs] {
+                        self.gen_expr(side)?;
+                        self.emit(CmpI { a: R0, imm: 0 });
+                        self.jcc(exit_cond, exit);
+                    }
+                    self.emit(MovI { dst: R0, imm: u32::from(and) });
+                    self.jmp(end);
+                    self.emit_label(exit);
+                    self.emit(MovI { dst: R0, imm: u32::from(!and) });
+                    self.emit_label(end);
                 }
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
                     self.gen_expr(lhs)?;
-                    self.emit("push r0");
+                    self.emit(Push(R0));
                     self.gen_expr(rhs)?;
-                    self.emit("mov r1, r0");
-                    self.emit("pop r0");
-                    self.emit("cmp r0, r1");
-                    let jcc = match op {
-                        BinOp::Eq => "jz",
-                        BinOp::Ne => "jnz",
-                        BinOp::Lt => "jlt",
-                        BinOp::Gt => "jgt",
-                        BinOp::Le => "jle",
-                        BinOp::Ge => "jge",
+                    self.pop_operands();
+                    self.emit(Cmp { a: R0, b: R1 });
+                    let cond = match op {
+                        BinOp::Eq => Cond::Z,
+                        BinOp::Ne => Cond::Nz,
+                        BinOp::Lt => Cond::Lt,
+                        BinOp::Gt => Cond::Gt,
+                        BinOp::Le => Cond::Le,
+                        BinOp::Ge => Cond::Ge,
                         _ => unreachable!("comparison ops only"),
                     };
-                    let yes = self.fresh_label("cmp");
-                    self.emit("movi r0, 1");
-                    self.emit(&format!("{jcc} {yes}"));
-                    self.emit("movi r0, 0");
-                    self.emit_label(&yes);
+                    self.set_r0_if(cond, "cmp");
                 }
                 BinOp::Add | BinOp::Sub => {
                     // C pointer arithmetic: the integer operand is scaled
@@ -756,49 +850,48 @@ impl<'a> Codegen<'a> {
                         }
                     };
                     self.gen_expr(lhs)?;
-                    self.emit("push r0");
+                    self.emit(Push(R0));
                     self.gen_expr(rhs)?;
                     let l_ptr = matches!(lt, Type::Ptr(_));
                     let r_ptr = matches!(rt, Type::Ptr(_));
                     if l_ptr && !r_ptr && elem_size(&lt) > 1 {
-                        self.emit(&format!("movi r1, {}", elem_size(&lt)));
-                        self.emit("mul r0, r1");
+                        self.emit(MovI { dst: R1, imm: elem_size(&lt) });
+                        self.emit(Alu { op: AluOp::Mul, dst: R0, src: R1 });
                     }
-                    self.emit("mov r1, r0");
-                    self.emit("pop r0");
+                    self.pop_operands();
                     if r_ptr && !l_ptr {
                         if *op == BinOp::Sub {
                             return Err(cerr("cannot subtract a pointer from an integer"));
                         }
                         if elem_size(&rt) > 1 {
-                            self.emit(&format!("movi r2, {}", elem_size(&rt)));
-                            self.emit("mul r0, r2");
+                            self.emit(MovI { dst: R2, imm: elem_size(&rt) });
+                            self.emit(Alu { op: AluOp::Mul, dst: R0, src: R2 });
                         }
                     }
-                    self.emit(if *op == BinOp::Add { "add r0, r1" } else { "sub r0, r1" });
+                    let alu = if *op == BinOp::Add { AluOp::Add } else { AluOp::Sub };
+                    self.emit(Alu { op: alu, dst: R0, src: R1 });
                     if l_ptr && r_ptr && *op == BinOp::Sub && elem_size(&lt) > 1 {
-                        self.emit(&format!("movi r1, {}", elem_size(&lt)));
-                        self.emit("divs r0, r1");
+                        self.emit(MovI { dst: R1, imm: elem_size(&lt) });
+                        self.emit(Alu { op: AluOp::DivS, dst: R0, src: R1 });
                     }
                 }
                 _ => {
                     self.gen_expr(lhs)?;
-                    self.emit("push r0");
+                    self.emit(Push(R0));
                     self.gen_expr(rhs)?;
-                    self.emit("mov r1, r0");
-                    self.emit("pop r0");
-                    let mnem = match op {
-                        BinOp::Mul => "mul",
-                        BinOp::Div => "divs",
-                        BinOp::Mod => "mods",
-                        BinOp::Shl => "shl",
-                        BinOp::Shr => "sar",
-                        BinOp::BitAnd => "and",
-                        BinOp::BitOr => "or",
-                        BinOp::BitXor => "xor",
+                    self.pop_operands();
+                    let op = match op {
+                        BinOp::Mul => AluOp::Mul,
+                        BinOp::Div => AluOp::DivS,
+                        BinOp::Mod => AluOp::ModS,
+                        BinOp::Shl => AluOp::Shl,
+                        BinOp::Shr => AluOp::Sar,
+                        BinOp::BitAnd => AluOp::And,
+                        BinOp::BitOr => AluOp::Or,
+                        BinOp::BitXor => AluOp::Xor,
                         _ => unreachable!("handled above"),
                     };
-                    self.emit(&format!("{mnem} r0, r1"));
+                    self.emit(Alu { op, dst: R0, src: R1 });
                 }
             },
             Expr::Call { callee, args } => {
@@ -820,22 +913,13 @@ impl<'a> Codegen<'a> {
                     _ => 1,
                 };
                 self.gen_addr(target)?;
-                self.emit("mov r1, r0");
-                if ty.is_byte() {
-                    self.emit("loadb r0, [r1]");
-                } else {
-                    self.emit("load r0, [r1]");
-                }
-                self.emit("mov r2, r0");
-                self.emit(&format!(
-                    "addi r2, {:#x}",
-                    if *inc { step } else { step.wrapping_neg() }
-                ));
-                if ty.is_byte() {
-                    self.emit("storeb [r1], r2");
-                } else {
-                    self.emit("store [r1], r2");
-                }
+                self.emit(Mov { dst: R1, src: R0 });
+                self.load_r0_from_r1(ty.is_byte());
+                self.emit(Mov { dst: R2, src: R0 });
+                let imm = if *inc { step } else { step.wrapping_neg() };
+                self.emit(hex(AddI { dst: R2, imm }));
+                let (base, disp, src) = (R1, 0, R2);
+                self.emit(at(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } }));
             }
         }
         Ok(())
@@ -848,44 +932,38 @@ impl<'a> Codegen<'a> {
                     // Evaluate fd, buf, len left to right onto the stack.
                     for a in args {
                         self.gen_expr(a)?;
-                        self.emit("push r0");
+                        self.emit(Push(R0));
                     }
-                    self.emit("pop r2");
-                    self.emit("pop r1");
-                    self.emit("pop r0");
+                    self.emit(Pop(R2));
+                    self.emit(Pop(R1));
+                    self.emit(Pop(R0));
                     if name == "read" && self.opts.harden.bounds_checks {
                         if let Some(bytes) = self.static_array_bytes(&args[1]) {
                             let ok = self.fresh_label("readlen_ok");
-                            self.emit(&format!("cmpi r2, {}", bytes + 1));
-                            self.emit(&format!("jb {ok}"));
-                            self.emit(&format!("trap {}", trap::BOUNDS));
-                            self.emit_label(&ok);
+                            self.emit(CmpI { a: R2, imm: bytes + 1 });
+                            self.jcc(Cond::B, ok);
+                            self.emit(Trap(trap::BOUNDS));
+                            self.emit_label(ok);
                         }
                     }
-                    self.emit(&format!(
-                        "sys {}",
-                        if name == "read" {
-                            swsec_vm::isa::sys::READ
-                        } else {
-                            swsec_vm::isa::sys::WRITE
-                        }
-                    ));
+                    self.emit(Sys(if name == "read" { sys::READ } else { sys::WRITE }));
                     return Ok(());
                 }
                 "exit" => {
                     self.gen_expr(&args[0])?;
-                    self.emit(&format!("sys {}", swsec_vm::isa::sys::EXIT));
+                    self.emit(Sys(sys::EXIT));
                     return Ok(());
                 }
                 "rand" => {
-                    self.emit(&format!("sys {}", swsec_vm::isa::sys::RAND));
+                    self.emit(Sys(sys::RAND));
                     return Ok(());
                 }
                 "alloc" | "free" => {
                     self.gen_expr(&args[0])?;
-                    self.emit("push r0");
-                    self.emit(&format!("call __{name}"));
-                    self.emit("addi sp, 4");
+                    self.emit(Push(R0));
+                    let runtime = self.symbol(if name == "alloc" { "__alloc" } else { "__free" });
+                    self.emit_to(Call(0), runtime);
+                    self.emit(AddI { dst: Sp, imm: 4 });
                     return Ok(());
                 }
                 _ => {}
@@ -895,23 +973,26 @@ impl<'a> Codegen<'a> {
         // argument ends up at [bp+8] in the callee.
         for a in args.iter().rev() {
             self.gen_expr(a)?;
-            self.emit("push r0");
+            self.emit(Push(R0));
         }
-        let direct: Option<u32Holder> = match callee {
+        let direct = match callee {
             Expr::Var(name) => match self.resolve(name)? {
-                Place::Function(holder) => Some(holder),
+                Place::Function(callee) => Some(callee),
                 _ => None,
             },
             _ => None,
         };
         match direct {
-            Some(u32Holder::Label(label)) => self.emit(&format!("call {label}")),
-            Some(u32Holder::Absolute(addr)) => {
+            Some(Callee::Label(name)) => {
+                let label = self.symbol(name);
+                self.emit_to(Call(0), label);
+            }
+            Some(Callee::Absolute(addr)) => {
                 if self.opts.harden.strict_reentry {
-                    self.emit(&format!("movi r0, {addr:#x}"));
+                    self.emit(hex(MovI { dst: R0, imm: addr }));
                     self.emit_strict_outcall();
                 } else {
-                    self.emit(&format!("call {addr:#x}"));
+                    self.emit(hex(Call(addr)));
                 }
             }
             None => {
@@ -923,25 +1004,27 @@ impl<'a> Codegen<'a> {
                     // instruction (the Figure 4 exploit).
                     let bad = self.fresh_label("fnptr_bad");
                     let ok = self.fresh_label("fnptr_ok");
-                    self.emit("movi r1, __text_start");
-                    self.emit("cmp r0, r1");
-                    self.emit(&format!("jb {ok}"));
-                    self.emit("movi r1, __text_end");
-                    self.emit("cmp r0, r1");
-                    self.emit(&format!("jae {ok}"));
-                    self.emit_label(&bad);
-                    self.emit(&format!("trap {}", trap::FNPTR));
-                    self.emit_label(&ok);
+                    let text_start = self.symbol("__text_start");
+                    let text_end = self.symbol("__text_end");
+                    self.emit_to(MovI { dst: R1, imm: 0 }, text_start);
+                    self.emit(Cmp { a: R0, b: R1 });
+                    self.jcc(Cond::B, ok);
+                    self.emit_to(MovI { dst: R1, imm: 0 }, text_end);
+                    self.emit(Cmp { a: R0, b: R1 });
+                    self.jcc(Cond::Ae, ok);
+                    self.emit_label(bad);
+                    self.emit(Trap(trap::FNPTR));
+                    self.emit_label(ok);
                 }
                 if self.opts.harden.strict_reentry {
                     self.emit_strict_outcall();
                 } else {
-                    self.emit("callr r0");
+                    self.emit(CallR(R0));
                 }
             }
         }
         if !args.is_empty() {
-            self.emit(&format!("addi sp, {:#x}", WORD * args.len() as u32));
+            self.emit(hex(AddI { dst: Sp, imm: WORD * args.len() as u32 }));
         }
         Ok(())
     }
@@ -961,22 +1044,23 @@ impl<'a> Codegen<'a> {
         // Push the continuation onto the internal stack (with overflow
         // check: a module driven into unbounded out-call recursion must
         // fail closed, not overwrite its own data).
-        self.emit(&format!("movi r1, {cont_sp:#x}"));
-        self.emit("load r2, [r1]");
-        self.emit(&format!("cmpi r2, {stack_end:#x}"));
-        self.emit(&format!("jb {ok}"));
-        self.emit(&format!("trap {}", trap::ASSERT));
-        self.emit_label(&ok);
-        self.emit(&format!("movi r3, {cont}"));
-        self.emit("store [r2], r3");
-        self.emit("addi r2, 4");
-        self.emit("store [r1], r2");
+        self.emit(hex(MovI { dst: R1, imm: cont_sp }));
+        self.emit(at(Load { dst: R2, base: R1, disp: 0 }));
+        self.emit(hex(CmpI { a: R2, imm: stack_end }));
+        self.jcc(Cond::B, ok);
+        self.emit(Trap(trap::ASSERT));
+        self.emit_label(ok);
+        self.emit_to(MovI { dst: R3, imm: 0 }, cont);
+        self.emit(at(Store { base: R2, disp: 0, src: R3 }));
+        self.emit(AddI { dst: R2, imm: 4 });
+        self.emit(at(Store { base: R1, disp: 0, src: R2 }));
         // Hand the external code our return entry point as its return
         // address, then leave the module.
-        self.emit("movi r1, __reentry");
-        self.emit("push r1");
-        self.emit("jmpr r0");
-        self.emit_label(&cont);
+        let reentry = self.symbol("__reentry");
+        self.emit_to(MovI { dst: R1, imm: 0 }, reentry);
+        self.emit(Push(R1));
+        self.emit(JmpR(R0));
+        self.emit_label(cont);
     }
 
     /// Emits the module's single return-entry stub: pops the topmost
@@ -987,18 +1071,19 @@ impl<'a> Codegen<'a> {
         let cont_sp = self.cont_sp_addr.expect("strict mode allocates cells");
         let (stack_start, _) = self.cont_stack_range.expect("strict mode allocates cells");
         let ok = self.fresh_label("reentry_ok");
-        self.emit_label("__reentry");
+        let reentry = self.symbol("__reentry");
+        self.emit_label(reentry);
         // r0 carries the external call's return value; r1-r3 are scratch.
-        self.emit(&format!("movi r1, {cont_sp:#x}"));
-        self.emit("load r2, [r1]");
-        self.emit(&format!("cmpi r2, {:#x}", stack_start + 1));
-        self.emit(&format!("jae {ok}"));
-        self.emit(&format!("trap {}", trap::ASSERT));
-        self.emit_label(&ok);
-        self.emit(&format!("addi r2, {:#x}", (-4i32) as u32));
-        self.emit("store [r1], r2");
-        self.emit("load r3, [r2]");
-        self.emit("jmpr r3");
+        self.emit(hex(MovI { dst: R1, imm: cont_sp }));
+        self.emit(at(Load { dst: R2, base: R1, disp: 0 }));
+        self.emit(hex(CmpI { a: R2, imm: stack_start + 1 }));
+        self.jcc(Cond::Ae, ok);
+        self.emit(Trap(trap::ASSERT));
+        self.emit_label(ok);
+        self.emit(hex(AddI { dst: R2, imm: (-4i32) as u32 }));
+        self.emit(at(Store { base: R1, disp: 0, src: R2 }));
+        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(JmpR(R3));
     }
 
     /// Emits the heap runtime: `__alloc` (first-fit over a LIFO free
@@ -1006,84 +1091,79 @@ impl<'a> Codegen<'a> {
     /// exhaustion) and `__free` (pushes the chunk onto the free list,
     /// **without** any validity checking — dangling and double frees
     /// are the caller's undefined behaviour, exactly as in classic C
-    /// allocators).
+    /// allocators). Its lines are listed without indentation.
     ///
     /// Chunk layout: `[total_size:u32][payload …]`; when free, the
     /// first payload word holds the next-free link.
     fn emit_heap_runtime(&mut self, layout: LayoutConfig) {
-        self.current_fn = "__heap".to_string();
         let heap_next = self.heap_next_cell;
         let free_list = self.free_list_cell;
         let heap_end = layout.heap_base + layout.heap_size;
-        let asm = format!(
-            "__alloc:\n\
-             enter 0\n\
-             load r1, [bp+8]\n\
-             addi r1, 11\n\
-             movi r2, 0xfffffff8\n\
-             and r1, r2\n\
-             movi r2, {free_list:#x}\n\
-             .L__alloc_find:\n\
-             load r3, [r2]\n\
-             cmpi r3, 0\n\
-             jz .L__alloc_new\n\
-             load r4, [r3]\n\
-             cmp r4, r1\n\
-             jae .L__alloc_take\n\
-             lea r2, [r3+4]\n\
-             jmp .L__alloc_find\n\
-             .L__alloc_take:\n\
-             load r4, [r3+4]\n\
-             store [r2], r4\n\
-             lea r0, [r3+4]\n\
-             leave\n\
-             ret\n\
-             .L__alloc_new:\n\
-             movi r2, {heap_next:#x}\n\
-             load r3, [r2]\n\
-             mov r4, r3\n\
-             add r4, r1\n\
-             cmpi r4, {heap_end:#x}\n\
-             jb .L__alloc_ok\n\
-             movi r0, 0\n\
-             leave\n\
-             ret\n\
-             .L__alloc_ok:\n\
-             store [r2], r4\n\
-             store [r3], r1\n\
-             lea r0, [r3+4]\n\
-             leave\n\
-             ret\n\
-             __free:\n\
-             enter 0\n\
-             load r1, [bp+8]\n\
-             cmpi r1, 0\n\
-             jz .L__free_done\n\
-             lea r1, [r1-4]\n\
-             movi r2, {free_list:#x}\n\
-             load r3, [r2]\n\
-             store [r1+4], r3\n\
-             store [r2], r1\n\
-             .L__free_done:\n\
-             leave\n\
-             ret\n"
-        );
-        let quarantine_asm = "\
-__free:\n\
-    enter 0\n\
-    leave\n\
-    ret\n";
-        if self.opts.harden.heap_quarantine {
-            // Replace __free with the quarantine variant: the chunk is
-            // never recycled (and the free-list link is never written,
-            // so freed payloads keep their stale contents without ever
-            // being handed out again).
-            let start = asm.find("__free:").expect("stub present");
-            self.asm.push_str(&asm[..start]);
-            self.asm.push_str(quarantine_asm);
-        } else {
-            self.asm.push_str(&asm);
+        let alloc = self.symbol("__alloc");
+        let find = self.symbol(".L__alloc_find");
+        let take = self.symbol(".L__alloc_take");
+        let new = self.symbol(".L__alloc_new");
+        let ok = self.symbol(".L__alloc_ok");
+        let free = self.symbol("__free");
+        let ret = |cg: &mut Self| {
+            cg.emit(Leave);
+            cg.emit(Ret);
+        };
+        self.flush = true;
+        self.emit_label(alloc);
+        self.emit(Enter(0));
+        self.emit(Load { dst: R1, base: Bp, disp: 8 });
+        self.emit(AddI { dst: R1, imm: 11 });
+        self.emit(hex(MovI { dst: R2, imm: 0xffff_fff8 }));
+        self.emit(Alu { op: AluOp::And, dst: R1, src: R2 });
+        self.emit(hex(MovI { dst: R2, imm: free_list }));
+        self.emit_label(find);
+        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(CmpI { a: R3, imm: 0 });
+        self.jcc(Cond::Z, new);
+        self.emit(at(Load { dst: R4, base: R3, disp: 0 }));
+        self.emit(Cmp { a: R4, b: R1 });
+        self.jcc(Cond::Ae, take);
+        self.emit(Lea { dst: R2, base: R3, disp: 4 });
+        self.jmp(find);
+        self.emit_label(take);
+        self.emit(Load { dst: R4, base: R3, disp: 4 });
+        self.emit(at(Store { base: R2, disp: 0, src: R4 }));
+        self.emit(Lea { dst: R0, base: R3, disp: 4 });
+        ret(self);
+        self.emit_label(new);
+        self.emit(hex(MovI { dst: R2, imm: heap_next }));
+        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(Mov { dst: R4, src: R3 });
+        self.emit(Alu { op: AluOp::Add, dst: R4, src: R1 });
+        self.emit(hex(CmpI { a: R4, imm: heap_end }));
+        self.jcc(Cond::B, ok);
+        self.emit(MovI { dst: R0, imm: 0 });
+        ret(self);
+        self.emit_label(ok);
+        self.emit(at(Store { base: R2, disp: 0, src: R4 }));
+        self.emit(at(Store { base: R3, disp: 0, src: R1 }));
+        self.emit(Lea { dst: R0, base: R3, disp: 4 });
+        ret(self);
+        self.emit_label(free);
+        self.emit(Enter(0));
+        // The quarantine variant never recycles a chunk (and never
+        // writes the free-list link, so freed payloads keep their stale
+        // contents without ever being handed out again).
+        if !self.opts.harden.heap_quarantine {
+            let done = self.symbol(".L__free_done");
+            self.emit(Load { dst: R1, base: Bp, disp: 8 });
+            self.emit(CmpI { a: R1, imm: 0 });
+            self.jcc(Cond::Z, done);
+            self.emit(Lea { dst: R1, base: R1, disp: -4 });
+            self.emit(hex(MovI { dst: R2, imm: free_list }));
+            self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+            self.emit(Store { base: R1, disp: 4, src: R3 });
+            self.emit(at(Store { base: R2, disp: 0, src: R1 }));
+            self.emit_label(done);
         }
+        ret(self);
+        self.flush = false;
     }
 
     fn gen_stmt(&mut self, s: &Stmt, alloc: &mut FrameAlloc) -> Result<(), CompileError> {
@@ -1096,11 +1176,8 @@ __free:\n\
                     .insert(name.clone(), slot.clone());
                 if let Some(init) = init {
                     self.gen_expr(init)?;
-                    if ty.is_byte() {
-                        self.emit(&format!("storeb [bp{:+}], r0", slot.offset));
-                    } else {
-                        self.emit(&format!("store [bp{:+}], r0", slot.offset));
-                    }
+                    let (base, disp, src) = (Bp, self.disp(slot.offset), R0);
+                    self.emit(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } });
                 }
             }
             Stmt::Expr(e) => {
@@ -1114,30 +1191,30 @@ __free:\n\
                 let else_label = self.fresh_label("else");
                 let end = self.fresh_label("endif");
                 self.gen_expr(cond)?;
-                self.emit("cmpi r0, 0");
-                self.emit(&format!("jz {else_label}"));
+                self.emit(CmpI { a: R0, imm: 0 });
+                self.jcc(Cond::Z, else_label);
                 self.gen_stmt(then_branch, alloc)?;
-                self.emit(&format!("jmp {end}"));
-                self.emit_label(&else_label);
+                self.jmp(end);
+                self.emit_label(else_label);
                 if let Some(e) = else_branch {
                     self.gen_stmt(e, alloc)?;
                 }
-                self.emit_label(&end);
+                self.emit_label(end);
             }
             Stmt::While { cond, body } => {
                 let head = self.fresh_label("while");
                 let end = self.fresh_label("endwhile");
-                self.emit_label(&head);
+                self.emit_label(head);
                 self.gen_expr(cond)?;
-                self.emit("cmpi r0, 0");
-                self.emit(&format!("jz {end}"));
-                self.break_stack.push(end.clone());
-                self.continue_stack.push(head.clone());
+                self.emit(CmpI { a: R0, imm: 0 });
+                self.jcc(Cond::Z, end);
+                self.break_stack.push(end);
+                self.continue_stack.push(head);
                 self.gen_stmt(body, alloc)?;
                 self.break_stack.pop();
                 self.continue_stack.pop();
-                self.emit(&format!("jmp {head}"));
-                self.emit_label(&end);
+                self.jmp(head);
+                self.emit_label(end);
             }
             Stmt::For {
                 init,
@@ -1152,47 +1229,41 @@ __free:\n\
                 let head = self.fresh_label("for");
                 let step_label = self.fresh_label("forstep");
                 let end = self.fresh_label("endfor");
-                self.emit_label(&head);
+                self.emit_label(head);
                 if let Some(cond) = cond {
                     self.gen_expr(cond)?;
-                    self.emit("cmpi r0, 0");
-                    self.emit(&format!("jz {end}"));
+                    self.emit(CmpI { a: R0, imm: 0 });
+                    self.jcc(Cond::Z, end);
                 }
-                self.break_stack.push(end.clone());
-                self.continue_stack.push(step_label.clone());
+                self.break_stack.push(end);
+                self.continue_stack.push(step_label);
                 self.gen_stmt(body, alloc)?;
                 self.break_stack.pop();
                 self.continue_stack.pop();
-                self.emit_label(&step_label);
+                self.emit_label(step_label);
                 if let Some(step) = step {
                     self.gen_expr(step)?;
                 }
-                self.emit(&format!("jmp {head}"));
-                self.emit_label(&end);
+                self.jmp(head);
+                self.emit_label(end);
                 self.scopes.pop();
             }
             Stmt::Return(value) => {
                 if let Some(v) = value {
                     self.gen_expr(v)?;
                 }
-                let label = self.epilogue.clone();
-                self.emit(&format!("jmp {label}"));
+                self.jmp(self.epilogue.expect("inside a function"));
             }
             Stmt::Break => {
-                let label = self
-                    .break_stack
-                    .last()
-                    .ok_or_else(|| cerr("break outside loop"))?
-                    .clone();
-                self.emit(&format!("jmp {label}"));
+                let label = *self.break_stack.last().ok_or_else(|| cerr("break outside loop"))?;
+                self.jmp(label);
             }
             Stmt::Continue => {
-                let label = self
+                let label = *self
                     .continue_stack
                     .last()
-                    .ok_or_else(|| cerr("continue outside loop"))?
-                    .clone();
-                self.emit(&format!("jmp {label}"));
+                    .ok_or_else(|| cerr("continue outside loop"))?;
+                self.jmp(label);
             }
             Stmt::Block(stmts) => {
                 self.scopes.push(HashMap::new());
@@ -1205,13 +1276,14 @@ __free:\n\
         Ok(())
     }
 
-    fn gen_function(&mut self, f: &Function) -> Result<(), CompileError> {
+    fn gen_function(&mut self, f: &'a Function) -> Result<(), CompileError> {
         let body = match &f.body {
             Some(b) => b,
             None => return Ok(()),
         };
-        self.current_fn = f.name.clone();
-        self.epilogue = format!(".L{}_epilogue", f.name);
+        self.current_fn = &f.name;
+        let epilogue = self.new_label(LabelName::Epilogue(&f.name));
+        self.epilogue = Some(epilogue);
         self.scopes = vec![HashMap::new()];
         self.params = HashMap::new();
         let mut layout = FrameLayout::default();
@@ -1225,38 +1297,38 @@ __free:\n\
         layout.frame_size = alloc.frame_size;
         layout.canary_offset = canary.then_some(-4);
 
-        self.emit_label(&f.name);
-        self.emit(&format!("enter {:#x}", alloc.frame_size));
+        let entry = self.symbol(&f.name);
+        self.emit_label(entry);
+        self.emit(hex(Enter(alloc.frame_size)));
         if canary {
             let addr = self.canary_addr.expect("canary cell allocated");
-            self.emit(&format!("movi r1, {addr:#x}"));
-            self.emit("load r1, [r1]");
-            self.emit("store [bp-4], r1");
+            self.emit(hex(MovI { dst: R1, imm: addr }));
+            self.emit(at(Load { dst: R1, base: R1, disp: 0 }));
+            self.emit(Store { base: Bp, disp: -4, src: R1 });
         }
         for s in body {
             self.gen_stmt(s, &mut alloc)?;
         }
         // Fall-through return (no value): land on the epilogue.
-        let epi = self.epilogue.clone();
-        self.emit_label(&epi);
+        self.emit_label(epilogue);
         if canary {
             let addr = self.canary_addr.expect("canary cell allocated");
             let ok = self.fresh_label("canary_ok");
-            self.emit(&format!("movi r1, {addr:#x}"));
-            self.emit("load r1, [r1]");
-            self.emit("load r2, [bp-4]");
-            self.emit("cmp r1, r2");
-            self.emit(&format!("jz {ok}"));
-            self.emit(&format!("trap {}", trap::CANARY));
-            self.emit_label(&ok);
+            self.emit(hex(MovI { dst: R1, imm: addr }));
+            self.emit(at(Load { dst: R1, base: R1, disp: 0 }));
+            self.emit(Load { dst: R2, base: Bp, disp: -4 });
+            self.emit(Cmp { a: R1, b: R2 });
+            self.jcc(Cond::Z, ok);
+            self.emit(Trap(trap::CANARY));
+            self.emit_label(ok);
         }
         if self.opts.harden.scrub_registers {
-            for r in ["r1", "r2", "r3", "r4", "r5", "r6", "r7"] {
-                self.emit(&format!("movi {r}, 0"));
+            for dst in [R1, R2, R3, R4, R5, R6, R7] {
+                self.emit(MovI { dst, imm: 0 });
             }
         }
-        self.emit("leave");
-        self.emit("ret");
+        self.emit(Leave);
+        self.emit(Ret);
         layout.locals = alloc.recorded;
         self.frames.insert(f.name.clone(), layout);
         Ok(())
@@ -1411,7 +1483,11 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
     let mut cg = Codegen {
         unit,
         opts,
-        asm: format!(".org {:#x}\n__text_start:\n", layout.text_base),
+        asm: Assembly::new(),
+        names: Vec::new(),
+        symbols: HashMap::new(),
+        flush: false,
+        disp_error: None,
         data,
         globals,
         functions_sigs,
@@ -1425,26 +1501,31 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         label_counter: 0,
         scopes: Vec::new(),
         params: HashMap::new(),
-        current_fn: String::new(),
-        epilogue: String::new(),
+        current_fn: "",
+        epilogue: None,
         break_stack: Vec::new(),
         continue_stack: Vec::new(),
     };
 
+    cg.asm.push(Item::Org(layout.text_base));
+    let text_start = cg.symbol("__text_start");
+    cg.emit_label(text_start);
     if !opts.no_start {
         let main = unit
             .function("main")
             .ok_or_else(|| cerr("program has no `main` function"))?;
-        cg.emit_label("_start");
-        cg.emit("call main");
+        let start = cg.symbol("_start");
+        cg.emit_label(start);
+        let main_label = cg.symbol("main");
+        cg.emit_to(Call(0), main_label);
         if main.ret == Type::Void {
-            cg.emit("movi r0, 0");
+            cg.emit(MovI { dst: R0, imm: 0 });
         }
-        cg.emit(&format!("sys {}", swsec_vm::isa::sys::EXIT));
+        cg.emit(Sys(sys::EXIT));
     }
 
     if opts.harden.strict_reentry {
-        cg.current_fn = "__module".to_string();
+        cg.current_fn = "__module";
         cg.emit_reentry_stub();
     }
     cg.emit_heap_runtime(layout);
@@ -1466,18 +1547,29 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         }
         cg.gen_function(f)?;
     }
-    cg.asm.push_str("__text_end:\n");
+    let text_end = cg.symbol("__text_end");
+    cg.emit_label(text_end);
 
-    let assembled = swsec_asm::assemble(&cg.asm)
-        .map_err(|e| cerr(format!("internal: generated assembly failed: {e}")))?;
+    let name = |label: Label| {
+        let mut name = String::new();
+        cg.names[label.0 as usize].write(&mut name);
+        name
+    };
+    let linked = cg.asm.link().map_err(|e| e.to_asm_error(e.item + 1, name));
+    let linked = match (linked, cg.disp_error) {
+        (Ok(linked), None) => linked,
+        (Err(e), _) | (Ok(_), Some(e)) => {
+            return Err(cerr(format!("internal: generated assembly failed: {e}")))
+        }
+    };
+    // One line per item, as the assembler reads it back.
+    let mut listing = String::with_capacity(24 * cg.asm.len());
+    cg.asm.render(&mut listing, |out, label| cg.names[label.0 as usize].write(out));
     let functions = unit
         .functions
         .iter()
         .filter(|f| f.body.is_some())
-        .map(|f| {
-            let addr = assembled.labels[&f.name];
-            (f.name.clone(), addr)
-        })
+        .map(|f| (f.name.clone(), linked.addr(cg.symbols[f.name.as_str()])))
         .collect();
     let exports = unit
         .functions
@@ -1485,26 +1577,24 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         .filter(|f| f.body.is_some() && !f.is_static)
         .map(|f| f.name.clone())
         .collect();
+    let entry = (!opts.no_start).then(|| linked.addr(cg.symbols["_start"]));
+    let reentry_addr = opts
+        .harden
+        .strict_reentry
+        .then(|| linked.addr(cg.symbols["__reentry"]));
     Ok(CompiledProgram {
         text_base: layout.text_base,
-        text: assembled.bytes,
+        text: linked.bytes,
         data_base: layout.data_base,
         data: cg.data.bytes,
-        entry: if opts.no_start {
-            None
-        } else {
-            Some(assembled.labels["_start"])
-        },
+        entry,
         functions,
         exports,
         globals: cg.globals,
         frames: cg.frames,
         canary_addr,
-        reentry_addr: opts
-            .harden
-            .strict_reentry
-            .then(|| assembled.labels["__reentry"]),
-        listing: cg.asm,
+        reentry_addr,
+        listing,
         layout,
     })
 }
@@ -1977,6 +2067,28 @@ mod tests {
         assert_eq!(
             run_src("int main() { int x = 1; { int x = 2; x = 3; } return x; }"),
             RunOutcome::Halted(1)
+        );
+    }
+
+    #[test]
+    fn generated_code_errors_name_the_listing_line() {
+        let message = |src: &str| {
+            compile(&parse(src).unwrap(), &CompileOptions::default())
+                .unwrap_err()
+                .message
+        };
+        assert_eq!(
+            message("int main() { char big[40000]; int x; x = 2; return big[3]; }"),
+            "internal: generated assembly failed: line 61: displacement -40004 outside the \
+             ±32767 encoding range"
+        );
+        assert_eq!(
+            message("int __alloc() { return 1; }\nint main() { return __alloc(); }"),
+            "internal: generated assembly failed: line 57: label `__alloc` defined twice"
+        );
+        assert_eq!(
+            message("int __text_end() { return 1; }\nint main() { return 0; }"),
+            "internal: generated assembly failed: line 71: label `__text_end` defined twice"
         );
     }
 

@@ -54,12 +54,24 @@ impl Parser {
             .unwrap_or(0)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
-        if t.is_some() {
+    /// Steps past the next token (if any) without looking at it.
+    fn advance(&mut self) {
+        if self.pos < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Consumes the next token and returns it. The parser never steps
+    /// back, so an identifier's or literal's string is moved out of the
+    /// buffer rather than cloned.
+    fn bump(&mut self) -> Option<Token> {
+        let spanned = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(match &mut spanned.token {
+            Token::Ident(s) => Token::Ident(std::mem::take(s)),
+            Token::Str(s) => Token::Str(std::mem::take(s)),
+            t => t.clone(),
+        })
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -72,7 +84,7 @@ impl Parser {
     fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == expected => {
-                self.bump();
+                self.advance();
                 Ok(())
             }
             Some(t) => Err(self.error(format!("expected `{expected}`, found `{t}`"))),
@@ -82,7 +94,7 @@ impl Parser {
 
     fn eat(&mut self, token: &Token) -> bool {
         if self.peek() == Some(token) {
-            self.bump();
+            self.advance();
             true
         } else {
             false
@@ -131,8 +143,8 @@ impl Parser {
         let ty = self.parse_pointer_suffix(base);
         if self.peek() == Some(&Token::LParen) && self.peek2() == Some(&Token::Star) {
             // Function-pointer declarator: ( * name ) ( params )
-            self.bump(); // (
-            self.bump(); // *
+            self.advance(); // (
+            self.advance(); // *
             let name = self.expect_ident()?;
             self.expect(&Token::RParen)?;
             self.expect(&Token::LParen)?;
@@ -186,12 +198,12 @@ impl Parser {
             let (name, ty) = self.parse_declarator(base)?;
             if self.peek() == Some(&Token::LParen) {
                 // Function definition or declaration.
-                self.bump();
+                self.advance();
                 let mut params = Vec::new();
                 if self.peek() != Some(&Token::RParen) {
                     if self.peek() == Some(&Token::KwVoid) && self.peek2() == Some(&Token::RParen)
                     {
-                        self.bump(); // f(void)
+                        self.advance(); // f(void)
                     } else {
                         loop {
                             params.push(self.parse_param()?);
@@ -250,7 +262,7 @@ impl Parser {
                 }
             }
             Some(Token::Minus) => {
-                self.bump();
+                self.advance();
                 match self.bump() {
                     Some(Token::Int(n)) => Ok(GlobalInit::Int(-n)),
                     _ => Err(self.error("expected integer after `-`")),
@@ -275,18 +287,18 @@ impl Parser {
             }
             stmts.push(self.parse_stmt()?);
         }
-        self.bump(); // consume }
+        self.advance(); // consume }
         Ok(stmts)
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
             Some(Token::LBrace) => {
-                self.bump();
+                self.advance();
                 Ok(Stmt::Block(self.parse_block_body()?))
             }
             Some(Token::KwIf) => {
-                self.bump();
+                self.advance();
                 self.expect(&Token::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(&Token::RParen)?;
@@ -303,7 +315,7 @@ impl Parser {
                 })
             }
             Some(Token::KwWhile) => {
-                self.bump();
+                self.advance();
                 self.expect(&Token::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(&Token::RParen)?;
@@ -311,7 +323,7 @@ impl Parser {
                 Ok(Stmt::While { cond, body })
             }
             Some(Token::KwFor) => {
-                self.bump();
+                self.advance();
                 self.expect(&Token::LParen)?;
                 let init = if self.eat(&Token::Semi) {
                     None
@@ -344,7 +356,7 @@ impl Parser {
                 })
             }
             Some(Token::KwReturn) => {
-                self.bump();
+                self.advance();
                 let value = if self.peek() == Some(&Token::Semi) {
                     None
                 } else {
@@ -354,18 +366,18 @@ impl Parser {
                 Ok(Stmt::Return(value))
             }
             Some(Token::KwBreak) => {
-                self.bump();
+                self.advance();
                 self.expect(&Token::Semi)?;
                 Ok(Stmt::Break)
             }
             Some(Token::KwContinue) => {
-                self.bump();
+                self.advance();
                 self.expect(&Token::Semi)?;
                 Ok(Stmt::Continue)
             }
             Some(Token::KwInt | Token::KwChar | Token::KwVoid) => self.parse_decl_stmt(),
             Some(Token::Semi) => {
-                self.bump();
+                self.advance();
                 Ok(Stmt::Block(Vec::new()))
             }
             _ => {
@@ -459,7 +471,7 @@ impl Parser {
     fn parse_bitand(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_equality()?;
         while self.peek() == Some(&Token::Amp) && self.peek2() != Some(&Token::Amp) {
-            self.bump();
+            self.advance();
             let rhs = self.parse_equality()?;
             lhs = Expr::Binary {
                 op: BinOp::BitAnd,
@@ -478,7 +490,7 @@ impl Parser {
                 Some(Token::Ne) => BinOp::Ne,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let rhs = self.parse_relational()?;
             lhs = Expr::Binary {
                 op,
@@ -499,7 +511,7 @@ impl Parser {
                 Some(Token::Ge) => BinOp::Ge,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let rhs = self.parse_shift()?;
             lhs = Expr::Binary {
                 op,
@@ -518,7 +530,7 @@ impl Parser {
                 Some(Token::Shr) => BinOp::Shr,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let rhs = self.parse_additive()?;
             lhs = Expr::Binary {
                 op,
@@ -537,7 +549,7 @@ impl Parser {
                 Some(Token::Minus) => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let rhs = self.parse_multiplicative()?;
             lhs = Expr::Binary {
                 op,
@@ -557,7 +569,7 @@ impl Parser {
                 Some(Token::Percent) => BinOp::Mod,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let rhs = self.parse_unary()?;
             lhs = Expr::Binary {
                 op,
@@ -577,7 +589,7 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
-            self.bump();
+            self.advance();
             let expr = self.parse_unary()?;
             return Ok(Expr::Unary {
                 op,
@@ -592,7 +604,7 @@ impl Parser {
         loop {
             match self.peek() {
                 Some(Token::LParen) => {
-                    self.bump();
+                    self.advance();
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {
                         loop {
@@ -609,7 +621,7 @@ impl Parser {
                     };
                 }
                 Some(Token::LBracket) => {
-                    self.bump();
+                    self.advance();
                     let index = self.parse_expr()?;
                     self.expect(&Token::RBracket)?;
                     expr = Expr::Index {
@@ -618,14 +630,14 @@ impl Parser {
                     };
                 }
                 Some(Token::PlusPlus) => {
-                    self.bump();
+                    self.advance();
                     expr = Expr::PostIncDec {
                         target: Box::new(expr),
                         inc: true,
                     };
                 }
                 Some(Token::MinusMinus) => {
-                    self.bump();
+                    self.advance();
                     expr = Expr::PostIncDec {
                         target: Box::new(expr),
                         inc: false,

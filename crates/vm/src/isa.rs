@@ -590,9 +590,29 @@ impl Instr {
 
     /// The encoded length of this instruction in bytes.
     pub fn len(&self) -> usize {
-        let mut buf = Vec::with_capacity(MAX_INSTR_LEN);
-        self.encode(&mut buf);
-        buf.len()
+        match self {
+            Instr::Nop | Instr::Halt | Instr::Ret | Instr::Leave => 1,
+            Instr::Mov { .. }
+            | Instr::Push(_)
+            | Instr::Pop(_)
+            | Instr::Alu { .. }
+            | Instr::Cmp { .. }
+            | Instr::CallR(_)
+            | Instr::JmpR(_)
+            | Instr::Sys(_)
+            | Instr::Trap(_) => 2,
+            Instr::Load { .. }
+            | Instr::Store { .. }
+            | Instr::LoadB { .. }
+            | Instr::StoreB { .. }
+            | Instr::Lea { .. } => 4,
+            Instr::PushI(_)
+            | Instr::Jmp(_)
+            | Instr::JCond { .. }
+            | Instr::Call(_)
+            | Instr::Enter(_) => 5,
+            Instr::MovI { .. } | Instr::AddI { .. } | Instr::CmpI { .. } => 6,
+        }
     }
 
     /// Returns `true` iff the encoding is zero bytes long (never; present

@@ -206,9 +206,13 @@ struct Page {
     /// Whether the page's bytes may differ from the most recent
     /// [`Memory::snapshot`]. Cleared when a snapshot is taken (the page
     /// then provably matches its captured image) and set by every write
-    /// path, so [`Memory::restore_from`] copies back exactly the pages
-    /// written since.
+    /// path, which also queues the page on [`Memory`]'s dirty list, so
+    /// [`Memory::restore_from`] copies back exactly the pages written
+    /// since.
     dirty: bool,
+    /// Index of this page's image in the most recent snapshot (the
+    /// page's rank in the page table when it was taken).
+    snap_index: u32,
     /// Write generation: bumped by every mutation of this page's bytes
     /// (program stores, loader pokes, snapshot restores). Decoded
     /// instructions cache the generation of the page(s) they were read
@@ -225,15 +229,9 @@ impl Page {
             perm,
             // A fresh page has no snapshot to match.
             dirty: true,
+            snap_index: 0,
             gen: 0,
         }
-    }
-
-    /// Marks the page's bytes as mutated: snapshot-dirty and decode-stale.
-    #[inline]
-    fn touch(&mut self) {
-        self.dirty = true;
-        self.gen = self.gen.wrapping_add(1);
     }
 }
 
@@ -433,6 +431,9 @@ pub struct Memory {
     /// cannot prove layout equality, so `restore_from` falls back to a
     /// wholesale rebuild. A fresh memory has no snapshot: starts true.
     layout_dirty: bool,
+    /// Slots of the pages dirtied since the last snapshot or restore,
+    /// each once: what a clean-layout restore copies back.
+    dirty: Vec<u32>,
     tlb_data: TlbPair,
     tlb_fetch: TlbPair,
     tlb_hits: Cell<u64>,
@@ -467,6 +468,7 @@ impl Memory {
             layout_gen: 1,
             code_gen: 1,
             layout_dirty: true,
+            dirty: Vec::new(),
             tlb_data: TlbPair::new(),
             tlb_fetch: TlbPair::new(),
             tlb_hits: Cell::new(0),
@@ -593,8 +595,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_write_u32(&mut self, line: DataLine, addr: u32, value: u32) {
         let off = (addr % PAGE_SIZE) as usize;
-        let page = &mut self.slots[line.slot as usize];
-        page.touch();
+        let page = self.touch(line.slot as usize);
         page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
     }
 
@@ -611,8 +612,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_write_u8(&mut self, line: DataLine, addr: u32, value: u8) {
         let off = (addr % PAGE_SIZE) as usize;
-        let page = &mut self.slots[line.slot as usize];
-        page.touch();
+        let page = self.touch(line.slot as usize);
         page.bytes[off] = value;
     }
 
@@ -627,6 +627,20 @@ impl Memory {
     #[inline]
     fn page_base(addr: u32) -> u32 {
         addr & !(PAGE_SIZE - 1)
+    }
+
+    /// Marks a page's bytes as mutated and returns it: decode-stale
+    /// (its write generation is bumped) and snapshot-dirty, queued on
+    /// the dirty list the first time since the last snapshot or restore.
+    #[inline]
+    fn touch(&mut self, slot: usize) -> &mut Page {
+        let page = &mut self.slots[slot];
+        if !page.dirty {
+            page.dirty = true;
+            self.dirty.push(slot as u32);
+        }
+        page.gen = page.gen.wrapping_add(1);
+        page
     }
 
     fn invalidate_layout(&mut self) {
@@ -739,10 +753,9 @@ impl Memory {
             let slot = match self.free.pop() {
                 Some(slot) => {
                     // Recycled slots must look freshly mapped.
-                    let p = &mut self.slots[slot as usize];
+                    let p = self.touch(slot as usize);
                     p.bytes.fill(0);
                     p.perm = perm;
-                    p.touch();
                     slot
                 }
                 None => {
@@ -852,8 +865,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8, access: Access) -> Result<(), MemError> {
         let slot = self.resolve(addr, access)?;
-        let page = &mut self.slots[slot];
-        page.touch();
+        let page = self.touch(slot);
         page.bytes[(addr % PAGE_SIZE) as usize] = value;
         Ok(())
     }
@@ -894,8 +906,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if self.fast_path && off + 4 <= PAGE_SIZE as usize {
             let slot = self.resolve(addr, access)?;
-            let page = &mut self.slots[slot];
-            page.touch();
+            let page = self.touch(slot);
             page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
             Ok(())
         } else {
@@ -955,8 +966,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let chunk = (PAGE_SIZE as usize - off).min(bytes.len() - pos);
             let slot = self.resolve(a, access)?;
-            let page = &mut self.slots[slot];
-            page.touch();
+            let page = self.touch(slot);
             page.bytes[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
             pos += chunk;
         }
@@ -981,10 +991,9 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let chunk = (PAGE_SIZE as usize - off).min(bytes.len() - pos);
             let slot = self.resolve_raw(a, Access::Write)?;
-            let page = &mut self.slots[slot];
             // Pokes bypass permissions, so they can always plant code;
             // touching the page stales any decode read from it.
-            page.touch();
+            let page = self.touch(slot);
             page.bytes[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
             pos += chunk;
         }
@@ -1037,8 +1046,10 @@ impl Memory {
         for (&base, &slot) in &self.table {
             let page = &mut slots[slot as usize];
             page.dirty = false;
+            page.snap_index = pages.len() as u32;
             pages.push((base, Arc::new(*page.bytes), page.perm));
         }
+        self.dirty.clear();
         self.layout_dirty = false;
         MemorySnapshot {
             pages,
@@ -1075,10 +1086,12 @@ impl Memory {
             self.table.clear();
             self.slots.clear();
             self.free.clear();
+            self.dirty.clear();
             for (base, image, perm) in &snap.pages {
                 let mut page = Page::new(*perm);
                 page.bytes.copy_from_slice(&image[..]);
                 page.dirty = false;
+                page.snap_index = self.slots.len() as u32;
                 self.slots.push(page);
                 self.table.insert(*base, (self.slots.len() - 1) as u32);
                 stats.dirty_pages += 1;
@@ -1094,25 +1107,21 @@ impl Memory {
                 "clean-layout restore requires the snapshot's page set"
             );
             debug_assert_eq!(self.enforce, snap.enforce);
-            let slots = &mut self.slots;
-            for ((&base, &slot), (sbase, image, sperm)) in self.table.iter().zip(&snap.pages) {
-                debug_assert_eq!(base, *sbase, "page layout diverged without layout_dirty");
-                let page = &mut slots[slot as usize];
-                debug_assert_eq!(page.perm, *sperm);
-                if page.dirty {
-                    page.bytes.copy_from_slice(&image[..]);
-                    // The copy-back is a byte mutation like any other:
-                    // bump the page's write generation so decodes read
-                    // from the pre-restore bytes go stale. Untouched
-                    // pages keep their generation — and their cached
-                    // decodes — which is what makes serving attempts
-                    // from a snapshot cheaper than a fresh build, not
-                    // just cheaper than a recompile.
-                    page.gen = page.gen.wrapping_add(1);
-                    page.dirty = false;
-                    stats.dirty_pages += 1;
-                    stats.bytes_copied += u64::from(PAGE_SIZE);
-                }
+            for slot in self.dirty.drain(..) {
+                let page = &mut self.slots[slot as usize];
+                let (_, image, sperm) = &snap.pages[page.snap_index as usize];
+                debug_assert_eq!(page.perm, *sperm, "page layout diverged without layout_dirty");
+                page.bytes.copy_from_slice(&image[..]);
+                // The copy-back is a byte mutation like any other: bump
+                // the page's write generation so decodes read from the
+                // pre-restore bytes go stale. Untouched pages keep their
+                // generation — and their cached decodes — which is what
+                // makes serving attempts from a snapshot cheaper than a
+                // fresh build, not just cheaper than a recompile.
+                page.gen = page.gen.wrapping_add(1);
+                page.dirty = false;
+                stats.dirty_pages += 1;
+                stats.bytes_copied += u64::from(PAGE_SIZE);
             }
             // The page layout is unchanged, so TLB translations remain
             // valid and are deliberately kept warm across the restore.
@@ -1458,6 +1467,31 @@ mod tests {
         let stats = mem.restore_from(&snap);
         assert_eq!(stats.dirty_pages, 0);
         assert_eq!(stats.bytes_copied, 0);
+    }
+
+    #[test]
+    fn restore_of_a_large_mapping_copies_only_the_dirty_page() {
+        const PAGES: u32 = 512;
+        let mut mem = Memory::new();
+        mem.map(0x10_0000, PAGES * PAGE_SIZE, Perm::RW).unwrap();
+        for i in 0..PAGES {
+            mem.write_u32(0x10_0000 + i * PAGE_SIZE, i ^ 0x5a5a, Access::Write).unwrap();
+        }
+        let snap = mem.snapshot();
+        let before = mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap();
+        // Many writes, one page.
+        let victim = 0x10_0000 + 300 * PAGE_SIZE;
+        for off in 0..64 {
+            mem.write_u8(victim + off, 0xff, Access::Write).unwrap();
+        }
+        let expected = RestoreStats { dirty_pages: 1, bytes_copied: u64::from(PAGE_SIZE) };
+        assert_eq!(mem.restore_from(&snap), expected);
+        assert_eq!(mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(), before);
+        assert_eq!(mem.restore_from(&snap), RestoreStats::default());
+        // The dirty list starts over after each restore.
+        mem.write_u32(victim - 2, 0xdead_beef, Access::Write).unwrap(); // straddles two pages
+        assert_eq!(mem.restore_from(&snap).dirty_pages, 2);
+        assert_eq!(mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(), before);
     }
 
     #[test]

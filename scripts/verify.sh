@@ -48,6 +48,10 @@
 #      recorder (crates/obs/src/span.rs), and no `static` holding an
 #      atomic, lock or lazy cell. Runs carry their configuration
 #      explicitly (swsec_vm::VmConfig, DESIGN.md §7).
+#  13. compiler round-trip guard: crates/minc/src may not call the text
+#      assembler (`assemble`); the compiler builds swsec_asm::Assembly
+#      items, encodes them with the shared back end and renders its
+#      listing from the same items (DESIGN.md §7 "Assembler cost").
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -274,6 +278,12 @@ fi
 if grep -rnE '(^|[^a-z_])static +[A-Za-z_0-9]+ *:[^=]*(Atomic|Mutex|RwLock|OnceLock|LazyLock)' \
     crates/*/src; then
     echo "verify: a static holds mutable process-wide state" >&2
+    exit 1
+fi
+
+echo "==> compiler round-trip guard"
+if grep -rnE '(^|[^A-Za-z0-9_])assemble([^A-Za-z0-9_]|$)' crates/minc/src; then
+    echo "verify: crates/minc/src calls the text assembler; build swsec_asm::Assembly items" >&2
     exit 1
 fi
 
