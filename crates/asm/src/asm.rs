@@ -664,6 +664,22 @@ fn lower_instr(
     })
 }
 
+/// The source line of the `item`th item that lowering `stmts` yields.
+fn item_line(stmts: &[(usize, Stmt<'_>)], item: usize) -> usize {
+    let mut items = 0;
+    for (line, stmt) in stmts {
+        items += match stmt {
+            Stmt::Unknown(_) => 0,
+            Stmt::Byte(ops) | Stmt::Word(ops) => ops.len(),
+            _ => 1,
+        };
+        if items > item {
+            return *line;
+        }
+    }
+    unreachable!("item {item} was lowered from a statement")
+}
+
 /// Assembles a complete source file into a loadable image.
 ///
 /// This is the text front end: it parses the source into the
@@ -702,23 +718,24 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
 
     // One label id per defined name; a redefinition reuses the id,
     // which the back end reports as a duplicate.
-    let mut asm = Assembly::new();
+    let mut asm = Assembly::with_capacity(stmts.len());
     let mut labels = LabelMap::default();
     let mut names = Vec::new();
+    let mut defs = Vec::new();
     for (_, stmt) in &stmts {
         if let Stmt::Label(name) = stmt {
-            labels.entry(*name).or_insert_with(|| {
+            defs.push(*labels.entry(*name).or_insert_with(|| {
                 names.push(*name);
                 asm.label()
-            });
+            }));
         }
     }
+    let mut defs = defs.into_iter();
 
     // Lower every statement. The first operand error is held back, as
     // are unknown mnemonics, so that errors keep the precedence above:
     // an item that fails to lower becomes zero bytes of its length, so
     // the back end's pass 1 still sees every address.
-    let mut lines = Vec::with_capacity(stmts.len());
     let mut unknown = None;
     let mut invalid = None;
     for (lineno, stmt) in &stmts {
@@ -731,7 +748,7 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
             }
         };
         match stmt {
-            Stmt::Label(name) => asm.push(Item::Label(labels[name])),
+            Stmt::Label(_) => asm.push(Item::Label(defs.next().expect("one id per definition"))),
             Stmt::Org(addr) => asm.push(Item::Org(*addr)),
             Stmt::Unknown(mnemonic) => {
                 let kind = AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase());
@@ -751,7 +768,6 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
                 }
             }
         }
-        lines.resize(asm.len(), *lineno);
     }
 
     let linked = asm.link();
@@ -761,7 +777,7 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
             return Err(err);
         }
     }
-    let linked = linked.map_err(|e| e.to_asm_error(lines[e.item], |l| names[l.0 as usize].to_string()))?;
+    let linked = linked.map_err(|e| e.to_asm_error(item_line(&stmts, e.item), |l| names[l.0 as usize].to_string()))?;
     if let Some(err) = invalid {
         return Err(err);
     }

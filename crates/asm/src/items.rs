@@ -230,6 +230,12 @@ impl Assembly {
         Assembly::default()
     }
 
+    /// An empty assembly with room for `items` items.
+    #[must_use]
+    pub fn with_capacity(items: usize) -> Assembly {
+        Assembly { items: Vec::with_capacity(items), ..Assembly::default() }
+    }
+
     /// Allocates a new label id; define it by pushing [`Item::Label`].
     pub fn label(&mut self) -> Label {
         self.labels += 1;
