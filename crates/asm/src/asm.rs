@@ -777,7 +777,8 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
             return Err(err);
         }
     }
-    let linked = linked.map_err(|e| e.to_asm_error(item_line(&stmts, e.item), |l| names[l.0 as usize].to_string()))?;
+    let name = |l: Label| names[l.0 as usize].to_string();
+    let linked = linked.map_err(|e| e.to_asm_error(item_line(&stmts, e.item), name))?;
     if let Some(err) = invalid {
         return Err(err);
     }

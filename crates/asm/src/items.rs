@@ -62,7 +62,7 @@ impl Insn {
     /// Panics if `instr` has no immediate operand.
     #[must_use]
     pub fn to(instr: Instr, label: Label) -> Insn {
-        assert!(imm_of(&instr).is_some(), "{instr} has no immediate operand");
+        assert!(with_imm(instr, 0).is_some(), "{instr} has no immediate operand");
         Insn { target: Some(label), ..Insn::new(instr) }
     }
 
@@ -182,21 +182,10 @@ impl LinkError {
     }
 }
 
-/// The immediate operand of `instr`, if it has one.
-fn imm_of(instr: &Instr) -> Option<u32> {
-    match *instr {
-        Instr::MovI { imm, .. } | Instr::AddI { imm, .. } | Instr::CmpI { imm, .. } => Some(imm),
-        Instr::PushI(v) | Instr::Jmp(v) | Instr::Call(v) | Instr::Enter(v) => Some(v),
-        Instr::JCond { target, .. } => Some(target),
-        Instr::Sys(n) | Instr::Trap(n) => Some(u32::from(n)),
-        _ => None,
-    }
-}
-
 /// `instr` with its immediate operand replaced by `value` (truncated
-/// to a byte for `sys` and `trap`).
-fn with_imm(instr: Instr, value: u32) -> Instr {
-    match instr {
+/// to a byte for `sys` and `trap`); `None` if it has no immediate.
+fn with_imm(instr: Instr, value: u32) -> Option<Instr> {
+    Some(match instr {
         Instr::MovI { dst, .. } => Instr::MovI { dst, imm: value },
         Instr::AddI { dst, .. } => Instr::AddI { dst, imm: value },
         Instr::CmpI { a, .. } => Instr::CmpI { a, imm: value },
@@ -207,8 +196,8 @@ fn with_imm(instr: Instr, value: u32) -> Instr {
         Instr::JCond { cond, .. } => Instr::JCond { cond, target: value },
         Instr::Sys(_) => Instr::Sys(value as u8),
         Instr::Trap(_) => Instr::Trap(value as u8),
-        other => other,
-    }
+        _ => return None,
+    })
 }
 
 /// The memory operand of `instr`, if it has one.
@@ -322,7 +311,8 @@ impl Assembly {
         let mut bytes = Vec::with_capacity(pc.wrapping_sub(base) as usize);
         for (item, it) in self.items.iter().enumerate() {
             let resolve = |l: Label| {
-                labels[l.0 as usize].ok_or(LinkError { item, kind: LinkErrorKind::UndefinedLabel(l) })
+                let kind = LinkErrorKind::UndefinedLabel(l);
+                labels[l.0 as usize].ok_or(LinkError { item, kind })
             };
             let value = |v: Value| match v {
                 Value::Const(c) => Ok(c),
@@ -331,7 +321,9 @@ impl Assembly {
             match *it {
                 Item::Org(_) | Item::Label(_) => {}
                 Item::Insn(insn) => match insn.target {
-                    Some(l) => with_imm(insn.instr, resolve(l)?).encode(&mut bytes),
+                    Some(l) => with_imm(insn.instr, resolve(l)?)
+                        .expect("Insn::to checked the immediate")
+                        .encode(&mut bytes),
                     None => insn.instr.encode(&mut bytes),
                 },
                 Item::Byte(v) => bytes.push(value(v)? as u8),
@@ -359,7 +351,8 @@ impl Assembly {
                 }
                 Item::Insn(insn) => render_insn(out, &insn, &mut name),
                 Item::Byte(v) | Item::Word(v) => {
-                    out.push_str(if matches!(it, Item::Byte(_)) { "    .byte " } else { "    .word " });
+                    let byte = matches!(it, Item::Byte(_));
+                    out.push_str(if byte { "    .byte " } else { "    .word " });
                     match v {
                         Value::Const(c) => push_hex(out, c),
                         Value::Label(l) => name(out, l),
@@ -559,6 +552,12 @@ mod tests {
         let out = crate::assemble(&text).unwrap();
         assert_eq!((out.base, &out.bytes), (linked.base, &linked.bytes));
         assert_eq!(out.labels["l1"], linked.addr(data));
+    }
+
+    #[test]
+    fn items_stay_compact() {
+        // A compile holds one item per listing line; no item owns heap.
+        assert!(std::mem::size_of::<Item>() <= 24, "{}", std::mem::size_of::<Item>());
     }
 
     #[test]

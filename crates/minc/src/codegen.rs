@@ -41,7 +41,7 @@ use swsec_asm::{AsmError, AsmErrorKind, Assembly, Insn, Item, Label};
 use swsec_vm::cpu::Machine;
 use swsec_vm::isa::Instr::{self, *};
 use swsec_vm::isa::Reg::*;
-use swsec_vm::isa::{sys, trap, AluOp, Cond};
+use swsec_vm::isa::{sys, trap, AluOp, Cond, Reg};
 use swsec_vm::mem::Perm;
 
 use crate::ast::{BinOp, Expr, Function, GlobalInit, Stmt, Type, UnaryOp, Unit};
@@ -409,6 +409,24 @@ fn at(instr: Instr) -> Insn {
     Insn::new(instr).bare()
 }
 
+/// `loadb` for a byte-sized value, else `load`.
+fn load(byte: bool, dst: Reg, base: Reg, disp: i16) -> Instr {
+    if byte {
+        LoadB { dst, base, disp }
+    } else {
+        Load { dst, base, disp }
+    }
+}
+
+/// `storeb` for a byte-sized value, else `store`.
+fn store(byte: bool, base: Reg, disp: i16, src: Reg) -> Instr {
+    if byte {
+        StoreB { base, disp, src }
+    } else {
+        Store { base, disp, src }
+    }
+}
+
 struct DataBuilder {
     base: u32,
     bytes: Vec<u8>,
@@ -656,8 +674,7 @@ impl<'a> Codegen<'a> {
                     self.emit(MovI { dst: R1, imm: size });
                     self.emit(Alu { op: AluOp::Mul, dst: R0, src: R1 });
                 }
-                self.emit(Mov { dst: R1, src: R0 });
-                self.emit(Pop(R0));
+                self.pop_operands();
                 self.emit(Alu { op: AluOp::Add, dst: R0, src: R1 });
             }
             Expr::Unary {
@@ -704,13 +721,7 @@ impl<'a> Codegen<'a> {
 
     fn load_from_addr_in_r0(&mut self, ty: &Type) {
         self.emit(Mov { dst: R1, src: R0 });
-        self.load_r0_from_r1(ty.is_byte());
-    }
-
-    /// `loadb`/`load r0, [r1]`.
-    fn load_r0_from_r1(&mut self, byte: bool) {
-        let (dst, base, disp) = (R0, R1, 0);
-        self.emit(at(if byte { LoadB { dst, base, disp } } else { Load { dst, base, disp } }));
+        self.emit(at(load(ty.is_byte(), R0, R1, 0)));
     }
 
     /// `mov r1, r0; pop r0`: the right operand to `r1`, the left one
@@ -750,31 +761,31 @@ impl<'a> Codegen<'a> {
                     });
                 }
                 Place::Param { offset, ty } => {
-                    let (dst, base, disp) = (R0, Bp, self.disp(offset));
-                    self.emit(if ty.is_byte() { LoadB { dst, base, disp } } else { Load { dst, base, disp } });
+                    let disp = self.disp(offset);
+                    self.emit(load(ty.is_byte(), R0, Bp, disp));
                 }
                 Place::Global(slot) => match &slot.ty {
                     Type::Array(..) => self.emit(hex(MovI { dst: R0, imm: slot.addr })),
                     ty => {
                         self.emit(hex(MovI { dst: R1, imm: slot.addr }));
-                        self.load_r0_from_r1(*ty == Type::Char);
+                        self.emit(at(load(*ty == Type::Char, R0, R1, 0)));
                     }
                 },
                 Place::Function(Callee::Label(name)) => {
                     let label = self.symbol(name);
                     self.emit_to(MovI { dst: R0, imm: 0 }, label);
                 }
-                Place::Function(Callee::Absolute(addr)) => self.emit(hex(MovI { dst: R0, imm: addr })),
+                Place::Function(Callee::Absolute(addr)) => {
+                    self.emit(hex(MovI { dst: R0, imm: addr }));
+                }
             },
             Expr::Assign { target, value } => {
                 let ty = self.type_of(target)?;
                 self.gen_expr(value)?;
                 self.emit(Push(R0));
                 self.gen_addr(target)?;
-                self.emit(Mov { dst: R1, src: R0 });
-                self.emit(Pop(R0));
-                let (base, disp, src) = (R1, 0, R0);
-                self.emit(at(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } }));
+                self.pop_operands();
+                self.emit(at(store(ty.is_byte(), R1, 0, R0)));
             }
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Neg => {
@@ -913,13 +924,11 @@ impl<'a> Codegen<'a> {
                     _ => 1,
                 };
                 self.gen_addr(target)?;
-                self.emit(Mov { dst: R1, src: R0 });
-                self.load_r0_from_r1(ty.is_byte());
+                self.load_from_addr_in_r0(&ty);
                 self.emit(Mov { dst: R2, src: R0 });
                 let imm = if *inc { step } else { step.wrapping_neg() };
                 self.emit(hex(AddI { dst: R2, imm }));
-                let (base, disp, src) = (R1, 0, R2);
-                self.emit(at(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } }));
+                self.emit(at(store(ty.is_byte(), R1, 0, R2)));
             }
         }
         Ok(())
@@ -1176,8 +1185,8 @@ impl<'a> Codegen<'a> {
                     .insert(name.clone(), slot.clone());
                 if let Some(init) = init {
                     self.gen_expr(init)?;
-                    let (base, disp, src) = (Bp, self.disp(slot.offset), R0);
-                    self.emit(if ty.is_byte() { StoreB { base, disp, src } } else { Store { base, disp, src } });
+                    let disp = self.disp(slot.offset);
+                    self.emit(store(ty.is_byte(), Bp, disp, R0));
                 }
             }
             Stmt::Expr(e) => {
