@@ -659,7 +659,7 @@ fn lower_instr(
         Mnemonic::Trap => Instr::Trap(imm(&ops[0])? as u8),
     };
     Ok(match target {
-        Some(l) => Insn::to(instr, l),
+        Some(l) => Insn::with_target(instr, l),
         None => Insn::new(instr),
     })
 }
@@ -974,6 +974,8 @@ mod tests {
         assert_eq!(err("a: nop\nfrob\na: nop\n"), (2, AsmErrorKind::UnknownMnemonic("frob".into())));
         assert_eq!(err("a: nop\na: frob\n"), (2, AsmErrorKind::DuplicateLabel("a".into())));
         assert_eq!(err("nop\n.org 0x10\nfrob\n"), (2, AsmErrorKind::LateOrg));
+        // Lines stay right after statements that yield several items.
+        assert_eq!(err(".byte 1, 2, 3\na: nop\na: nop\n"), (3, AsmErrorKind::DuplicateLabel("a".into())));
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Insn {
     ///
     /// Panics if `instr` has no immediate operand.
     #[must_use]
-    pub fn to(instr: Instr, label: Label) -> Insn {
+    pub fn with_target(instr: Instr, label: Label) -> Insn {
         assert!(with_imm(instr, 0).is_some(), "{instr} has no immediate operand");
         Insn { target: Some(label), ..Insn::new(instr) }
     }
@@ -248,12 +248,6 @@ impl Assembly {
         self.items.push(Item::Ascii { start, len: bytes.len() as u32 });
     }
 
-    /// The items, in order.
-    #[must_use]
-    pub fn items(&self) -> &[Item] {
-        &self.items
-    }
-
     /// Number of items.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -322,7 +316,7 @@ impl Assembly {
                 Item::Org(_) | Item::Label(_) => {}
                 Item::Insn(insn) => match insn.target {
                     Some(l) => with_imm(insn.instr, resolve(l)?)
-                        .expect("Insn::to checked the immediate")
+                        .expect("Insn::with_target checked the immediate")
                         .encode(&mut bytes),
                     None => insn.instr.encode(&mut bytes),
                 },
@@ -386,12 +380,11 @@ fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String,
     if !insn.flush {
         out.push_str("    ");
     }
-    let imm = |out: &mut String, name: &mut dyn FnMut(&mut String, Label), value: u32| {
-        match insn.target {
-            Some(l) => name(out, l),
-            None if insn.hex => push_hex(out, value),
-            None => push_dec(out, value),
-        }
+    out.push_str(insn.instr.mnemonic());
+    let mut imm = |out: &mut String, value: u32| match insn.target {
+        Some(l) => name(out, l),
+        None if insn.hex => push_hex(out, value),
+        None => push_dec(out, value),
     };
     let mem = |out: &mut String, base: Reg, disp: i16| {
         out.push('[');
@@ -402,76 +395,43 @@ fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String,
         }
         out.push(']');
     };
-    let regs = |out: &mut String, mnemonic: &str, a: Reg, b: Reg| {
-        out.push_str(mnemonic);
-        out.push(' ');
-        out.push_str(a.name());
-        out.push_str(", ");
-        out.push_str(b.name());
-    };
-    let op = |out: &mut String, mnemonic: &str| {
-        out.push_str(mnemonic);
-        out.push(' ');
-    };
     match insn.instr {
-        Instr::Nop => out.push_str("nop"),
-        Instr::Halt => out.push_str("halt"),
-        Instr::Ret => out.push_str("ret"),
-        Instr::Leave => out.push_str("leave"),
+        Instr::Nop | Instr::Halt | Instr::Ret | Instr::Leave => {}
         Instr::MovI { dst: r, imm: v } | Instr::AddI { dst: r, imm: v } | Instr::CmpI { a: r, imm: v } => {
-            op(out, match insn.instr {
-                Instr::MovI { .. } => "movi",
-                Instr::AddI { .. } => "addi",
-                _ => "cmpi",
-            });
+            out.push(' ');
             out.push_str(r.name());
             out.push_str(", ");
-            imm(out, name, v);
+            imm(out, v);
         }
-        Instr::Mov { dst, src } => regs(out, "mov", dst, src),
-        Instr::Cmp { a, b } => regs(out, "cmp", a, b),
-        Instr::Alu { op, dst, src } => regs(out, op.mnemonic(), dst, src),
+        Instr::Mov { dst: a, src: b } | Instr::Cmp { a, b } | Instr::Alu { dst: a, src: b, .. } => {
+            out.push(' ');
+            out.push_str(a.name());
+            out.push_str(", ");
+            out.push_str(b.name());
+        }
         Instr::Load { dst, base, disp } | Instr::LoadB { dst, base, disp } | Instr::Lea { dst, base, disp } => {
-            op(out, match insn.instr {
-                Instr::Load { .. } => "load",
-                Instr::LoadB { .. } => "loadb",
-                _ => "lea",
-            });
+            out.push(' ');
             out.push_str(dst.name());
             out.push_str(", ");
             mem(out, base, disp);
         }
         Instr::Store { base, disp, src } | Instr::StoreB { base, disp, src } => {
-            op(out, if matches!(insn.instr, Instr::Store { .. }) { "store" } else { "storeb" });
+            out.push(' ');
             mem(out, base, disp);
             out.push_str(", ");
             out.push_str(src.name());
         }
         Instr::Push(r) | Instr::Pop(r) | Instr::CallR(r) | Instr::JmpR(r) => {
-            op(out, match insn.instr {
-                Instr::Push(_) => "push",
-                Instr::Pop(_) => "pop",
-                Instr::CallR(_) => "callr",
-                _ => "jmpr",
-            });
+            out.push(' ');
             out.push_str(r.name());
         }
-        Instr::PushI(v) | Instr::Jmp(v) | Instr::Call(v) | Instr::Enter(v) => {
-            op(out, match insn.instr {
-                Instr::PushI(_) => "pushi",
-                Instr::Jmp(_) => "jmp",
-                Instr::Call(_) => "call",
-                _ => "enter",
-            });
-            imm(out, name, v);
-        }
-        Instr::JCond { cond, target } => {
-            op(out, cond.mnemonic());
-            imm(out, name, target);
+        Instr::PushI(v) | Instr::Jmp(v) | Instr::Call(v) | Instr::Enter(v) | Instr::JCond { target: v, .. } => {
+            out.push(' ');
+            imm(out, v);
         }
         Instr::Sys(n) | Instr::Trap(n) => {
-            op(out, if matches!(insn.instr, Instr::Sys(_)) { "sys" } else { "trap" });
-            imm(out, name, u32::from(n));
+            out.push(' ');
+            imm(out, u32::from(n));
         }
     }
 }
@@ -537,8 +497,8 @@ mod tests {
         asm.insn(Instr::Load { dst: Reg::R0, base: Reg::Bp, disp: 0 });
         asm.insn(Insn::new(Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 }).bare());
         asm.insn(Insn::new(Instr::Lea { dst: Reg::R3, base: Reg::R4, disp: -4 }).flush());
-        asm.insn(Insn::to(Instr::MovI { dst: Reg::R1, imm: 0 }, data));
-        asm.insn(Insn::to(Instr::JCond { cond: Cond::Ae, target: 0 }, top));
+        asm.insn(Insn::with_target(Instr::MovI { dst: Reg::R1, imm: 0 }, data));
+        asm.insn(Insn::with_target(Instr::JCond { cond: Cond::Ae, target: 0 }, top));
         asm.insn(Instr::Trap(3));
         asm.push(Item::Label(data));
         asm.push(Item::Word(Value::Label(top)));
@@ -564,7 +524,7 @@ mod tests {
     fn link_errors_name_the_item() {
         let mut asm = Assembly::new();
         let l = asm.label();
-        asm.insn(Insn::to(Instr::Jmp(0), l));
+        asm.insn(Insn::with_target(Instr::Jmp(0), l));
         assert_eq!(
             asm.link(),
             Err(LinkError { item: 0, kind: LinkErrorKind::UndefinedLabel(l) })

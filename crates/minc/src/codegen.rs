@@ -491,7 +491,7 @@ impl<'a> Codegen<'a> {
 
     /// Emits `instr` with the address of `label` as its immediate.
     fn emit_to(&mut self, instr: Instr, label: Label) {
-        self.emit(Insn::to(instr, label));
+        self.emit(Insn::with_target(instr, label));
     }
 
     fn jmp(&mut self, label: Label) {

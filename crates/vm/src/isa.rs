@@ -778,35 +778,61 @@ impl Instr {
     }
 }
 
+impl Instr {
+    /// The assembler mnemonic (`"movi"`, `"jae"`, `"storeb"`, …).
+    pub fn mnemonic(&self) -> &'static str {
+        match self {
+            Instr::Nop => "nop",
+            Instr::Halt => "halt",
+            Instr::MovI { .. } => "movi",
+            Instr::Mov { .. } => "mov",
+            Instr::Load { .. } => "load",
+            Instr::Store { .. } => "store",
+            Instr::LoadB { .. } => "loadb",
+            Instr::StoreB { .. } => "storeb",
+            Instr::Push(_) => "push",
+            Instr::Pop(_) => "pop",
+            Instr::PushI(_) => "pushi",
+            Instr::Alu { op, .. } => op.mnemonic(),
+            Instr::AddI { .. } => "addi",
+            Instr::Cmp { .. } => "cmp",
+            Instr::CmpI { .. } => "cmpi",
+            Instr::Jmp(_) => "jmp",
+            Instr::JCond { cond, .. } => cond.mnemonic(),
+            Instr::Call(_) => "call",
+            Instr::CallR(_) => "callr",
+            Instr::Ret => "ret",
+            Instr::JmpR(_) => "jmpr",
+            Instr::Enter(_) => "enter",
+            Instr::Leave => "leave",
+            Instr::Sys(_) => "sys",
+            Instr::Trap(_) => "trap",
+            Instr::Lea { .. } => "lea",
+        }
+    }
+}
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.mnemonic())?;
         match *self {
-            Instr::Nop => write!(f, "nop"),
-            Instr::Halt => write!(f, "halt"),
-            Instr::MovI { dst, imm } => write!(f, "movi {dst}, {imm:#x}"),
-            Instr::Mov { dst, src } => write!(f, "mov {dst}, {src}"),
-            Instr::Load { dst, base, disp } => write!(f, "load {dst}, [{base}{disp:+}]"),
-            Instr::Store { base, disp, src } => write!(f, "store [{base}{disp:+}], {src}"),
-            Instr::LoadB { dst, base, disp } => write!(f, "loadb {dst}, [{base}{disp:+}]"),
-            Instr::StoreB { base, disp, src } => write!(f, "storeb [{base}{disp:+}], {src}"),
-            Instr::Push(r) => write!(f, "push {r}"),
-            Instr::Pop(r) => write!(f, "pop {r}"),
-            Instr::PushI(imm) => write!(f, "pushi {imm:#x}"),
-            Instr::Alu { op, dst, src } => write!(f, "{} {dst}, {src}", op.mnemonic()),
-            Instr::AddI { dst, imm } => write!(f, "addi {dst}, {imm:#x}"),
-            Instr::Cmp { a, b } => write!(f, "cmp {a}, {b}"),
-            Instr::CmpI { a, imm } => write!(f, "cmpi {a}, {imm:#x}"),
-            Instr::Jmp(t) => write!(f, "jmp {t:#010x}"),
-            Instr::JCond { cond, target } => write!(f, "{} {target:#010x}", cond.mnemonic()),
-            Instr::Call(t) => write!(f, "call {t:#010x}"),
-            Instr::CallR(r) => write!(f, "callr {r}"),
-            Instr::Ret => write!(f, "ret"),
-            Instr::JmpR(r) => write!(f, "jmpr {r}"),
-            Instr::Enter(n) => write!(f, "enter {n:#x}"),
-            Instr::Leave => write!(f, "leave"),
-            Instr::Sys(n) => write!(f, "sys {n}"),
-            Instr::Trap(n) => write!(f, "trap {n}"),
-            Instr::Lea { dst, base, disp } => write!(f, "lea {dst}, [{base}{disp:+}]"),
+            Instr::Nop | Instr::Halt | Instr::Ret | Instr::Leave => Ok(()),
+            Instr::MovI { dst: r, imm } | Instr::AddI { dst: r, imm } | Instr::CmpI { a: r, imm } => {
+                write!(f, " {r}, {imm:#x}")
+            }
+            Instr::Mov { dst: a, src: b } | Instr::Cmp { a, b } | Instr::Alu { dst: a, src: b, .. } => {
+                write!(f, " {a}, {b}")
+            }
+            Instr::Load { dst, base, disp }
+            | Instr::LoadB { dst, base, disp }
+            | Instr::Lea { dst, base, disp } => write!(f, " {dst}, [{base}{disp:+}]"),
+            Instr::Store { base, disp, src } | Instr::StoreB { base, disp, src } => {
+                write!(f, " [{base}{disp:+}], {src}")
+            }
+            Instr::Push(r) | Instr::Pop(r) | Instr::CallR(r) | Instr::JmpR(r) => write!(f, " {r}"),
+            Instr::PushI(imm) | Instr::Enter(imm) => write!(f, " {imm:#x}"),
+            Instr::Jmp(t) | Instr::JCond { target: t, .. } | Instr::Call(t) => write!(f, " {t:#010x}"),
+            Instr::Sys(n) | Instr::Trap(n) => write!(f, " {n}"),
         }
     }
 }
