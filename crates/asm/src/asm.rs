@@ -1,4 +1,5 @@
-//! The two-pass assembler.
+//! The text front end: parses assembly source into the statement IR of
+//! [`crate::items`] and links it with the shared back end.
 //!
 //! Syntax, one statement per line (`;` starts a comment):
 //!
@@ -317,8 +318,8 @@ impl<'a> Iterator for SplitOperands<'a> {
     }
 }
 
-/// An instruction mnemonic, decoded once at parse time so that neither
-/// pass matches the mnemonic text again.
+/// An instruction mnemonic, decoded once at parse time so that lowering
+/// never matches the mnemonic text again.
 #[derive(Clone, Copy)]
 enum Mnemonic {
     Nop,
@@ -402,25 +403,6 @@ impl Mnemonic {
         })
     }
 
-    /// Encoded length in bytes, for the label-address pass.
-    fn len(self) -> u32 {
-        match self {
-            Mnemonic::Nop | Mnemonic::Halt | Mnemonic::Ret | Mnemonic::Leave => 1,
-            Mnemonic::Mov
-            | Mnemonic::Cmp
-            | Mnemonic::Alu(_)
-            | Mnemonic::Push
-            | Mnemonic::Pop
-            | Mnemonic::CallR
-            | Mnemonic::JmpR
-            | Mnemonic::Sys
-            | Mnemonic::Trap => 2,
-            Mnemonic::Load | Mnemonic::LoadB | Mnemonic::Lea | Mnemonic::Store | Mnemonic::StoreB => 4,
-            Mnemonic::PushI | Mnemonic::Jmp | Mnemonic::JCond(_) | Mnemonic::Call | Mnemonic::Enter => 5,
-            Mnemonic::MovI | Mnemonic::AddI | Mnemonic::CmpI => 6,
-        }
-    }
-
     /// Number of operands.
     fn arity(self) -> usize {
         match self {
@@ -447,7 +429,8 @@ enum Stmt<'a> {
     Label(&'a str),
     /// An instruction; `mnemonic` is the source text, kept for errors.
     Instr { op: Mnemonic, mnemonic: &'a str, operands: Range<usize> },
-    /// A mnemonic outside the ISA and directive set, rejected in pass 1.
+    /// A mnemonic outside the ISA and directive set, reported with the
+    /// back end's pass-1 errors.
     Unknown(&'a str),
     Org(u32),
     Byte(Range<usize>),
@@ -733,18 +716,18 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
     let mut defs = defs.into_iter();
 
     // Lower every statement. The first operand error is held back, as
-    // are unknown mnemonics, so that errors keep the precedence above:
-    // an item that fails to lower becomes zero bytes of its length, so
-    // the back end's pass 1 still sees every address.
+    // are unknown mnemonics, so that errors keep the precedence above.
+    // An item that fails to lower becomes one zero byte: pass 1 only
+    // needs to know that something was emitted before a late `.org`.
     let mut unknown = None;
     let mut invalid = None;
     for (lineno, stmt) in &stmts {
         let r = Resolver { labels: &labels, line: *lineno };
-        let mut value = |op, len, item: fn(Value) -> Item| match r.imm(op) {
+        let mut value = |op, item: fn(Value) -> Item| match r.imm(op) {
             Ok(v) => asm.push(item(v)),
             Err(e) => {
                 invalid.get_or_insert(e);
-                asm.push(Item::Space(len));
+                asm.push(Item::Space(1));
             }
         };
         match stmt {
@@ -754,8 +737,8 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
                 let kind = AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase());
                 unknown.get_or_insert((asm.len(), AsmError { line: *lineno, kind }));
             }
-            Stmt::Byte(ops) => arena[ops.clone()].iter().for_each(|op| value(op, 1, Item::Byte)),
-            Stmt::Word(ops) => arena[ops.clone()].iter().for_each(|op| value(op, 4, Item::Word)),
+            Stmt::Byte(ops) => arena[ops.clone()].iter().for_each(|op| value(op, Item::Byte)),
+            Stmt::Word(ops) => arena[ops.clone()].iter().for_each(|op| value(op, Item::Word)),
             Stmt::Ascii(s) => asm.ascii(s.as_bytes()),
             Stmt::Space(n) => asm.push(Item::Space(*n)),
             Stmt::Instr { op, mnemonic, operands } => {
@@ -763,7 +746,7 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
                     Ok(insn) => asm.insn(insn),
                     Err(e) => {
                         invalid.get_or_insert(e);
-                        asm.push(Item::Space(op.len()));
+                        asm.push(Item::Space(1));
                     }
                 }
             }
