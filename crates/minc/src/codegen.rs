@@ -1571,7 +1571,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
             return Err(cerr(format!("internal: generated assembly failed: {e}")))
         }
     };
-    // One line per item, as the assembler reads it back.
+    // Item i renders as listing line i + 1, the line link errors name.
     let mut listing = String::with_capacity(24 * cg.asm.len());
     cg.asm.render(&mut listing, |out, label| cg.names[label.0 as usize].write(out));
     let functions = unit
