@@ -1365,8 +1365,8 @@ fn main() {
             );
         }
         // The service keeps the fork economics even with the queue,
-        // admission bookkeeping and one watchdog thread per job on
-        // the clock. The floor is 5x (vs 10x for the bare harness
+        // admission bookkeeping and the runner's watchdog on the
+        // clock. The floor is 5x (vs 10x for the bare harness
         // loops): per-job overheads are real, they just must not eat
         // the snapshot/restore win.
         assert!(

@@ -7,7 +7,7 @@
 //! the full E1–E16 suite — by decomposing each into its independent
 //! cells (the E3 matrix runs one cell per technique × configuration
 //! pair, the E4 sweep one per brute-force campaign, …) and draining
-//! the cell pool on a work-stealing thread pool.
+//! the cell pool on a pool of worker threads.
 //!
 //! Three properties make the result reproducible:
 //!
@@ -27,13 +27,15 @@
 //!
 //! ## The failure model
 //!
-//! Each cell attempt runs on its own watchdogged thread:
+//! Each cell attempt runs inline on a worker thread, watched by the
+//! calling thread:
 //!
 //! * a **panic** is caught (`catch_unwind`) and recorded;
-//! * a cell that exceeds [`CampaignConfig::cell_deadline`] is
-//!   abandoned (the attempt thread is detached and leaked — the
-//!   campaign cannot cancel arbitrary code, only stop waiting for it)
-//!   and recorded as timed out;
+//! * an attempt that exceeds [`CampaignConfig::cell_deadline`] is
+//!   abandoned (its worker is detached, retires once the attempt
+//!   returns, and a fresh worker takes its place — the campaign cannot
+//!   cancel arbitrary code, only stop waiting for it) and the cell
+//!   recorded as timed out;
 //! * each failed cell is retried up to
 //!   [`CampaignConfig::cell_retries`] times with the *same* derived
 //!   seed, so a retry can only change the result for cells that are
@@ -51,9 +53,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use swsec_obs::span::{self, SpanCollector, SpanRecord, SpanRecorder};
@@ -77,20 +80,6 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The next task for worker `me` of a work-stealing pool: the front of
-/// its own deque, else the back of the first other deque that has one
-/// (stealing from the back keeps stolen work coarse).
-///
-/// At most one deque is locked at a time. Holding the own-deque guard
-/// while locking a victim's would let two workers that run dry together
-/// each wait on the other's deque forever.
-pub(crate) fn next_task<T>(queues: &[Mutex<VecDeque<T>>], me: usize) -> Option<T> {
-    let own = lock_unpoisoned(&queues[me]).pop_front();
-    own.or_else(|| {
-        (1..queues.len()).find_map(|d| lock_unpoisoned(&queues[(me + d) % queues.len()]).pop_back())
-    })
-}
-
 /// Everything a campaign run depends on. One master seed drives every
 /// stochastic driver in the suite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,8 +96,10 @@ pub struct CampaignConfig {
     pub oracle_budget: u32,
     /// Experiments to run; empty means the full registry.
     pub experiments: Vec<ExperimentId>,
-    /// Wall-clock budget for one cell attempt; an attempt that exceeds
-    /// it is abandoned and the cell recorded
+    /// Wall-clock budget for one cell attempt, counted from the moment
+    /// a worker starts it. An attempt that exceeds it is abandoned (its
+    /// worker retires once the attempt returns, and a replacement
+    /// worker takes over the queue) and the cell retried or recorded
     /// [`CellOutcome::TimedOut`]. Generous by default — the deadline
     /// exists to keep a diverging cell from hanging the campaign, not
     /// to race healthy ones.
@@ -122,8 +113,8 @@ pub struct CampaignConfig {
     /// byte-identical either way.
     pub fork_server: bool,
     /// How the campaign's machines execute and where their security
-    /// events go: installed on every cell attempt thread (see
-    /// [`swsec_vm::context`]). The engine never changes a rendered
+    /// events go: installed as the VM context of every cell attempt
+    /// (see [`swsec_vm::context`]). The engine never changes a rendered
     /// byte; the sink also receives a [`SecurityEvent::CellFailed`]
     /// per failed cell.
     pub vm: VmConfig,
@@ -276,10 +267,9 @@ pub struct CellProgress {
 /// [`CampaignReport::render`] is byte-identical with or without it.
 #[derive(Default)]
 pub struct CampaignTelemetry {
-    /// Called once per finished cell, from the worker that ran it.
-    /// Callbacks run concurrently, so the callee synchronises its own
-    /// state (printing a progress line needs nothing extra). A panic
-    /// in the callback is contained like a cell panic.
+    /// Called once per finished cell, on the thread that runs the
+    /// campaign, in the order cells finish. A panic in the callback is
+    /// contained like a cell panic.
     pub progress: Option<ProgressFn>,
     /// Registry absorbing the run's counters and per-cell time
     /// histogram when the campaign finishes (see
@@ -394,7 +384,7 @@ pub struct CampaignReport {
     pub cache: CacheStats,
     /// VM counters (instructions, icache, TLB, tier 2, snapshots,
     /// profiler samples): the sum of the tallies of every cell attempt
-    /// the runner joined. Exactly the campaign's own machines — no
+    /// that reported back. Exactly the campaign's own machines — no
     /// other VM activity in the process, and no attempt abandoned at
     /// its deadline. Run metadata, never part of
     /// [`render`](Self::render): the cache counters vary with the
@@ -408,6 +398,9 @@ pub struct CampaignReport {
     pub spans: Vec<(u32, Vec<SpanRecord>)>,
     /// Worker threads actually used.
     pub workers: usize,
+    /// Worker threads spawned: [`workers`](Self::workers), plus one
+    /// replacement per attempt abandoned at its deadline.
+    pub threads_spawned: usize,
     /// Wall-clock for the whole campaign.
     pub elapsed: Duration,
 }
@@ -585,22 +578,12 @@ impl CampaignReport {
     }
 }
 
-/// One schedulable unit: cell `cell` of `exps[exp]`, writing `slot`.
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    exp: usize,
-    cell: usize,
-    slot: usize,
-}
-
 /// What lands in a result slot once its cell resolves.
 #[derive(Debug)]
 struct SlotResult {
     /// The cell's tables when it (eventually) succeeded.
     tables: Option<Vec<Table>>,
     outcome: CellOutcome,
-    /// The summed tallies of the cell's joined attempts.
-    vm: VmCounters,
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -613,7 +596,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// How a [`contain`]ed task resolved.
+/// How a task run by a [`Runner`] resolved.
 #[derive(Debug)]
 pub(crate) enum Resolved<T> {
     /// The first attempt succeeded.
@@ -626,136 +609,378 @@ pub(crate) enum Resolved<T> {
     TimedOut,
 }
 
-/// Runs `body` on a dedicated attempt thread named `name` under
-/// `deadline`, retrying a failed attempt (same inputs) up to `retries`
-/// times; the last attempt decides the outcome. The one containment
-/// primitive of the campaign runner and the service.
+/// The one containment primitive of the campaign runner and the
+/// service: runs tasks `0..n` on a pool of worker threads under a
+/// per-attempt deadline, retrying a failed attempt (same inputs) up to
+/// `retries` times; the last attempt decides the outcome.
 ///
-/// Each attempt thread installs `vm` and `profiler` as its VM context
-/// ([`swsec_vm::context`]) and `recorder` as its span recorder, and
-/// catches the body's panics. A finished attempt — succeeded, failed
-/// or panicked — is joined and its VM tally summed into the returned
-/// counters. An attempt past the deadline is abandoned: the runner
-/// cannot cancel arbitrary code, only stop waiting for it, so its
-/// thread is left to finish alone (a scoped thread would force the
-/// opposite choice — the scope's implicit join would block on a
-/// diverging body forever). Its tally is never summed, and the flag
-/// passed to `body` turns `true` so a body that polls it can stop
-/// early.
-pub(crate) fn contain<T, F>(
-    name: &str,
-    deadline: Duration,
-    retries: u32,
-    vm: &VmConfig,
-    profiler: Option<&Arc<Profiler>>,
-    recorder: Option<&Arc<SpanRecorder>>,
+/// A worker takes attempts from one shared queue and runs each inline,
+/// under `vm` and `profiler` as its VM context ([`swsec_vm::context`]),
+/// task `i`'s span recorder (track `i + 1` of `spans`) and
+/// `catch_unwind`. It then reports the result and the attempt's VM
+/// tally over a channel and moves on without waiting.
+///
+/// The calling thread is the only watchdog. It sleeps until the
+/// earliest deadline of the attempts in flight, each counted from the
+/// moment its attempt started, or for one full `deadline` when none is
+/// in flight: no attempt that starts later can expire sooner. An
+/// attempt past its deadline is abandoned — the runner cannot cancel
+/// arbitrary code, only stop waiting for it. The flag passed to the
+/// body turns `true` (a body that polls it can stop early), the worker
+/// retires once the body returns, its result and tally are dropped, and
+/// one replacement worker is spawned. Workers are detached, not scoped:
+/// a scope's implicit join would block on a diverging body forever.
+pub(crate) struct Runner<'a> {
+    /// Thread-name prefix: workers are `{name}-0`, `{name}-1`, ….
+    pub name: &'static str,
+    /// Workers requested; `0` means one per available core. Clamped to
+    /// `1..=n` for `n` tasks.
+    pub workers: usize,
+    /// Wall-clock budget of one attempt.
+    pub deadline: Duration,
+    /// Re-attempts of a failed task before its failure is recorded.
+    pub retries: u32,
+    /// The VM context of every attempt.
+    pub vm: &'a VmConfig,
+    /// Part of every attempt's VM context when set.
+    pub profiler: Option<&'a Arc<Profiler>>,
+    /// Where task `i` records its spans (track `i + 1`) when set.
+    pub spans: Option<&'a Arc<SpanCollector>>,
+}
+
+/// What one [`Runner::run`] used and counted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunStats {
+    /// Workers the run started with.
+    pub workers: usize,
+    /// Worker threads spawned: `workers`, plus one replacement per
+    /// abandoned attempt.
+    pub spawned: usize,
+    /// The summed VM tallies of every attempt that reported back.
+    pub vm: VmCounters,
+}
+
+/// Starts a named thread; the runner gets every thread through one.
+type Spawn = fn(String, Box<dyn FnOnce() + Send>) -> std::io::Result<JoinHandle<()>>;
+
+fn spawn_thread(name: String, work: Box<dyn FnOnce() + Send>) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(work)
+}
+
+/// One attempt of a task, from the moment a worker took it.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    task: usize,
+    /// Attempts of `task` that failed before this one.
+    failed: u32,
+    started: Instant,
+}
+
+/// A reported attempt: its wall time, result and VM tally.
+type Reported<T> = (Attempt, Duration, Result<T, String>, VmCounters);
+
+/// The queue a run's workers share. Its lock also settles whether an
+/// attempt in flight is reported by its worker or abandoned by the
+/// watchdog: whichever takes it out of `running` first.
+#[derive(Debug, Default)]
+struct Queue {
+    /// Attempts waiting for a worker: `(task, failed attempts so far)`.
+    waiting: VecDeque<(usize, u32)>,
+    /// Per spawned worker, the attempt it is running.
+    running: Vec<Option<Attempt>>,
+    /// Set once the run is over: idle workers exit.
+    closed: bool,
+}
+
+/// Everything a run's workers share.
+struct Work<F> {
+    queue: Mutex<Queue>,
+    /// Signalled when an attempt is queued or the queue closes.
+    ready: Condvar,
     body: F,
-) -> (Resolved<T>, VmCounters)
+    vm: VmConfig,
+    profiler: Option<Arc<Profiler>>,
+    recorders: Vec<Option<Arc<SpanRecorder>>>,
+}
+
+impl<F> Work<F> {
+    /// Worker `me`'s loop: take an attempt, run it, report it, until
+    /// the queue closes or the watchdog abandons an attempt of ours.
+    fn serve<T>(&self, me: usize, abandoned: &AtomicBool, report: &Sender<Reported<T>>)
+    where
+        F: Fn(usize, &AtomicBool) -> Result<T, String>,
+    {
+        loop {
+            let attempt = {
+                let mut queue = lock_unpoisoned(&self.queue);
+                loop {
+                    if queue.closed {
+                        return;
+                    }
+                    if let Some((task, failed)) = queue.waiting.pop_front() {
+                        let started = Instant::now();
+                        let attempt = Attempt { task, failed, started };
+                        queue.running[me] = Some(attempt);
+                        break attempt;
+                    }
+                    queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let task = attempt.task;
+            let run = || {
+                catch_unwind(AssertUnwindSafe(|| (self.body)(task, abandoned)))
+                    .unwrap_or_else(|payload| Err(panic_message(payload)))
+            };
+            let (result, tally) = swsec_vm::context::scope(&self.vm, self.profiler.clone(), || {
+                match &self.recorders[task] {
+                    Some(rec) => span::with_recorder(Arc::clone(rec), run),
+                    None => run(),
+                }
+            });
+            let elapsed = attempt.started.elapsed();
+            {
+                let mut queue = lock_unpoisoned(&self.queue);
+                if abandoned.load(Ordering::Acquire) {
+                    // A replacement has taken over: retire quietly.
+                    return;
+                }
+                queue.running[me] = None;
+            }
+            if report.send((attempt, elapsed, result, tally)).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// Closes the queue when dropped, so idle workers exit even if the
+/// watchdog unwinds.
+struct CloseOnDrop<'a, F>(&'a Work<F>);
+
+impl<F> Drop for CloseOnDrop<'_, F> {
+    fn drop(&mut self) {
+        lock_unpoisoned(&self.0.queue).closed = true;
+        self.0.ready.notify_all();
+    }
+}
+
+/// The watchdog's view of the workers it spawned.
+struct Pool<T, F> {
+    name: &'static str,
+    spawn: Spawn,
+    work: Arc<Work<F>>,
+    report: Sender<Reported<T>>,
+    /// Per spawned worker: its abandon flag, and its handle until the
+    /// watchdog abandons it (an abandoned worker is never joined).
+    workers: Vec<(Arc<AtomicBool>, Option<JoinHandle<()>>)>,
+    /// Why the last spawn failed.
+    spawn_error: Option<String>,
+}
+
+impl<T, F> Pool<T, F>
 where
     T: Send + 'static,
-    F: Fn(&AtomicBool) -> Result<T, String> + Send + Sync + 'static,
+    F: Fn(usize, &AtomicBool) -> Result<T, String> + Send + Sync + 'static,
 {
-    let body = Arc::new(body);
-    let mut total = VmCounters::default();
-    let mut failed_attempts = 0u32;
-    loop {
-        let (tx, rx) = channel();
+    fn start_worker(&mut self) {
+        let me = self.workers.len();
         let abandoned = Arc::new(AtomicBool::new(false));
-        let (flag, body) = (Arc::clone(&abandoned), Arc::clone(&body));
-        let (cfg, profiler, recorder) = (vm.clone(), profiler.cloned(), recorder.cloned());
-        let spawned = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                let attempt = || {
-                    catch_unwind(AssertUnwindSafe(|| body(&flag)))
-                        .unwrap_or_else(|payload| Err(panic_message(payload)))
-                };
-                let result = swsec_vm::context::scope(&cfg, profiler, || match recorder {
-                    Some(rec) => span::with_recorder(rec, attempt),
-                    None => attempt(),
+        lock_unpoisoned(&self.work.queue).running.push(None);
+        let (work, flag, report) = (
+            Arc::clone(&self.work),
+            Arc::clone(&abandoned),
+            self.report.clone(),
+        );
+        let name = format!("{}-{me}", self.name);
+        match (self.spawn)(
+            name.clone(),
+            Box::new(move || work.serve(me, &flag, &report)),
+        ) {
+            Ok(handle) => self.workers.push((abandoned, Some(handle))),
+            Err(e) => {
+                lock_unpoisoned(&self.work.queue).running.pop();
+                self.spawn_error = Some(format!("could not spawn worker thread {name}: {e}"));
+            }
+        }
+    }
+
+    /// Abandons every attempt past its deadline at `now`; returns them.
+    fn abandon_expired(&mut self, deadline: Duration, now: Instant) -> Vec<Attempt> {
+        let mut queue = lock_unpoisoned(&self.work.queue);
+        let mut expired = Vec::new();
+        for (w, slot) in queue.running.iter_mut().enumerate() {
+            let due = slot.and_then(|a| a.started.checked_add(deadline));
+            if due.is_some_and(|due| due <= now) {
+                expired.extend(slot.take());
+                let (abandoned, handle) = &mut self.workers[w];
+                abandoned.store(true, Ordering::Release);
+                *handle = None;
+            }
+        }
+        expired
+    }
+}
+
+impl Runner<'_> {
+    /// Runs tasks `0..tasks`: `body(task, abandoned)` once per attempt
+    /// on a worker thread, and `resolved(task, outcome, busy)` on the
+    /// calling thread once per task as it resolves. `busy` is the wall
+    /// time of all the task's attempts, an abandoned one up to its
+    /// abandonment.
+    ///
+    /// When a spawn fails, the workers already running carry on; with
+    /// none left, every task still waiting resolves
+    /// [`Resolved::Failed`] with the spawn error, so the run never
+    /// hangs.
+    pub(crate) fn run<T, F>(
+        &self,
+        tasks: usize,
+        body: F,
+        resolved: impl FnMut(usize, Resolved<T>, Duration),
+    ) -> RunStats
+    where
+        T: Send + 'static,
+        F: Fn(usize, &AtomicBool) -> Result<T, String> + Send + Sync + 'static,
+    {
+        self.run_spawning(spawn_thread, tasks, body, resolved)
+    }
+
+    fn run_spawning<T, F>(
+        &self,
+        spawn: Spawn,
+        tasks: usize,
+        body: F,
+        mut resolved: impl FnMut(usize, Resolved<T>, Duration),
+    ) -> RunStats
+    where
+        T: Send + 'static,
+        F: Fn(usize, &AtomicBool) -> Result<T, String> + Send + Sync + 'static,
+    {
+        let workers = if self.workers == 0 {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        } else {
+            self.workers
+        };
+        let workers = workers.clamp(1, tasks.max(1));
+        let work = Arc::new(Work {
+            queue: Mutex::new(Queue {
+                waiting: (0..tasks).map(|task| (task, 0)).collect(),
+                ..Queue::default()
+            }),
+            ready: Condvar::new(),
+            body,
+            vm: self.vm.clone(),
+            profiler: self.profiler.cloned(),
+            recorders: (0..tasks)
+                .map(|task| self.spans.map(|c| c.recorder(task as u32 + 1)))
+                .collect(),
+        });
+        let close = CloseOnDrop(&*work);
+        let (report, reports) = channel();
+        let mut pool = Pool {
+            name: self.name,
+            spawn,
+            work: Arc::clone(&work),
+            report,
+            workers: Vec::new(),
+            spawn_error: None,
+        };
+        for _ in 0..workers {
+            pool.start_worker();
+        }
+
+        let mut vm = VmCounters::default();
+        let mut busy = vec![Duration::ZERO; tasks];
+        let mut unresolved = tasks;
+        while unresolved > 0 {
+            if pool.workers.iter().all(|(_, handle)| handle.is_none()) {
+                // No worker is left to run what waits, and none has an
+                // attempt in flight: fail the rest instead of waiting.
+                let msg = pool.spawn_error.clone().unwrap_or_default();
+                let stranded: Vec<_> = lock_unpoisoned(&work.queue).waiting.drain(..).collect();
+                for (task, _) in stranded {
+                    resolved(task, Resolved::Failed(msg.clone()), busy[task]);
+                }
+                break;
+            }
+            let wait = lock_unpoisoned(&work.queue)
+                .running
+                .iter()
+                .flatten()
+                .filter_map(|a| a.started.checked_add(self.deadline))
+                .min()
+                .map_or(self.deadline, |due| {
+                    due.saturating_duration_since(Instant::now())
                 });
-                // The receiver may have given up on us (deadline): a
-                // failed send is then the expected way for this thread
-                // to retire.
-                let _ = tx.send(result);
-            });
-        let result = match spawned {
-            Ok(handle) => match rx.recv_timeout(deadline) {
-                Ok((result, tally)) => {
-                    let _ = handle.join();
-                    total += tally;
-                    Some(result)
+            // Attempts that ended without a result: the error, or
+            // `None` for an abandoned one.
+            let mut ended = Vec::new();
+            match reports.recv_timeout(wait) {
+                Ok((attempt, elapsed, result, tally)) => {
+                    vm += tally;
+                    busy[attempt.task] += elapsed;
+                    match result {
+                        Ok(value) => {
+                            let outcome = match attempt.failed {
+                                0 => Resolved::Ok(value),
+                                n => Resolved::Retried(n, value),
+                            };
+                            resolved(attempt.task, outcome, busy[attempt.task]);
+                            unresolved -= 1;
+                        }
+                        Err(msg) => ended.push((attempt, Some(msg))),
+                    }
                 }
                 Err(_) => {
-                    abandoned.store(true, Ordering::Release);
-                    None
+                    let now = Instant::now();
+                    for attempt in pool.abandon_expired(self.deadline, now) {
+                        busy[attempt.task] += now - attempt.started;
+                        pool.start_worker();
+                        ended.push((attempt, None));
+                    }
                 }
-            },
-            Err(e) => Some(Err(format!("could not spawn thread {name}: {e}"))),
-        };
-        let give_up = failed_attempts >= retries;
-        let resolved = match result {
-            Some(Ok(value)) if failed_attempts == 0 => Resolved::Ok(value),
-            Some(Ok(value)) => Resolved::Retried(failed_attempts, value),
-            Some(Err(msg)) if give_up => Resolved::Failed(msg),
-            None if give_up => Resolved::TimedOut,
-            Some(Err(_)) | None => {
-                failed_attempts += 1;
-                continue;
             }
-        };
-        return (resolved, total);
-    }
-}
-
-/// Resolves one cell under [`contain`].
-fn run_cell(
-    cfg: &Arc<CampaignConfig>,
-    ctx: &Arc<CampaignCtx>,
-    exp: &'static dyn Experiment,
-    cell: usize,
-    recorder: Option<&Arc<SpanRecorder>>,
-    profiler: Option<&Arc<Profiler>>,
-) -> SlotResult {
-    let id = exp.id();
-    let body = {
-        let (cfg, ctx) = (Arc::clone(cfg), Arc::clone(ctx));
-        move |_: &AtomicBool| {
-            let _cell = span::enter_with(SpanKind::Cell, || format!("{id} cell {cell}"));
-            Ok(exp.run_cell(&cfg, &ctx, cell))
+            for (attempt, error) in ended {
+                if attempt.failed < self.retries {
+                    lock_unpoisoned(&work.queue)
+                        .waiting
+                        .push_front((attempt.task, attempt.failed + 1));
+                    work.ready.notify_one();
+                    continue;
+                }
+                let outcome = match error {
+                    Some(msg) => Resolved::Failed(msg),
+                    None => Resolved::TimedOut,
+                };
+                resolved(attempt.task, outcome, busy[attempt.task]);
+                unresolved -= 1;
+            }
         }
-    };
-    let (resolved, vm) = contain(
-        &format!("cell-{id}-{cell}"),
-        cfg.cell_deadline,
-        cfg.cell_retries,
-        &cfg.vm,
-        profiler,
-        recorder,
-        body,
-    );
-    let (tables, outcome) = match resolved {
-        Resolved::Ok(tables) => (Some(tables), CellOutcome::Ok),
-        Resolved::Retried(n, tables) => (Some(tables), CellOutcome::Retried { n }),
-        Resolved::Failed(msg) => (None, CellOutcome::Panicked { msg }),
-        Resolved::TimedOut => (None, CellOutcome::TimedOut),
-    };
-    SlotResult {
-        tables,
-        outcome,
-        vm,
+
+        drop(close);
+        let spawned = pool.workers.len();
+        for handle in pool.workers.drain(..).filter_map(|(_, handle)| handle) {
+            // Bodies run under `catch_unwind`; nothing else a worker
+            // does can panic.
+            let _ = handle.join();
+        }
+        RunStats {
+            workers,
+            spawned,
+            vm,
+        }
     }
 }
 
-/// Runs the selected experiments across a work-stealing pool and
-/// assembles their reports.
+/// Runs the selected experiments on a pool of workers and assembles
+/// their reports.
 ///
-/// The cell pool is distributed round-robin over per-worker deques;
-/// each worker pops its own deque from the front and steals from the
-/// back of the others when it runs dry. Stealing only changes *who*
-/// runs a cell, never its seed or its output slot, so the assembled
-/// reports — and hence [`CampaignReport::render`] — are identical for
-/// every worker count.
+/// Workers take cells from one shared queue in slot order. Which
+/// worker runs a cell never changes its seed or its output slot, so
+/// the assembled reports — and hence [`CampaignReport::render`] — are
+/// identical for every worker count.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     run_campaign_with(cfg, &CampaignTelemetry::none())
 }
@@ -779,109 +1004,91 @@ pub fn run_campaign_on(
 ) -> CampaignReport {
     let started = Instant::now();
     let collector = telemetry.spans.map(|mask| Arc::new(SpanCollector::new(mask)));
-    let shared_cfg = Arc::new(cfg.clone());
     let ctx = Arc::new(CampaignCtx::new());
 
-    // Lay out one result slot per cell, experiment-major.
+    // Lay out one result slot per cell, experiment-major: slot `s` is
+    // cell `layout[s].1` of `exps[layout[s].0]`.
     let cell_counts: Vec<usize> = exps.iter().map(|e| e.cells(cfg).max(1)).collect();
-    let mut tasks = Vec::new();
-    let mut slot = 0usize;
-    for (exp, &cells) in cell_counts.iter().enumerate() {
-        for cell in 0..cells {
-            tasks.push(Task { exp, cell, slot });
-            slot += 1;
-        }
-    }
-    let total_slots = slot;
+    let layout: Arc<[(usize, usize)]> = cell_counts
+        .iter()
+        .enumerate()
+        .flat_map(|(exp, &cells)| (0..cells).map(move |cell| (exp, cell)))
+        .collect();
+    let total_slots = layout.len();
 
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.workers
-    };
-    let workers = workers.clamp(1, total_slots.max(1));
-
-    // The campaign root span lives on track 0; cells get track
-    // `slot + 1` below. Both are functions of the slot layout alone.
+    // The campaign root span lives on track 0; the runner puts slot
+    // `s` on track `s + 1`. Both are functions of the slot layout alone.
     let campaign_span = collector.as_ref().map(|c| {
         c.recorder(0)
             .enter_with(SpanKind::Campaign, || format!("{total_slots} cells"))
     });
 
-    let queues: Vec<Mutex<VecDeque<Task>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        lock_unpoisoned(&queues[i % workers]).push_back(task);
-    }
-
-    let slots: Vec<Mutex<Option<SlotResult>>> =
-        (0..total_slots).map(|_| Mutex::new(None)).collect();
-    let busy_nanos: Vec<AtomicU64> = (0..exps.len()).map(|_| AtomicU64::new(0)).collect();
-    let cell_nanos: Vec<AtomicU64> = (0..total_slots).map(|_| AtomicU64::new(0)).collect();
-    let completed = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let busy_nanos = &busy_nanos;
-            let cell_nanos = &cell_nanos;
-            let completed = &completed;
-            let shared_cfg = &shared_cfg;
-            let ctx = &ctx;
-            let collector = &collector;
-            scope.spawn(move || while let Some(task) = next_task(queues, me) {
-                let exp = exps[task.exp];
-                // The track index comes from the slot, not the worker:
-                // stealing moves *who* runs a cell, never where its
-                // spans land.
-                let recorder = collector
-                    .as_ref()
-                    .map(|c| c.recorder(task.slot as u32 + 1));
-                let cell_started = Instant::now();
-                let result = run_cell(
-                    shared_cfg,
-                    ctx,
-                    exp,
-                    task.cell,
-                    recorder.as_ref(),
-                    telemetry.profiler.as_ref(),
-                );
-                let elapsed = cell_started.elapsed();
-                let nanos = elapsed.as_nanos() as u64;
-                busy_nanos[task.exp].fetch_add(nanos, Ordering::Relaxed);
-                cell_nanos[task.slot].store(nanos, Ordering::Relaxed);
-                let ok = result.outcome.is_ok();
-                if !ok {
-                    // Surface the failure on the run's sink, like any
-                    // other security-relevant event: the harness
-                    // observing its own failure model.
-                    if let Some(sink) = &shared_cfg.vm.sink {
-                        let ev = SecurityEvent::CellFailed {
-                            experiment: exp.id().number(),
-                            cell: task.cell as u32,
-                        };
-                        if sink.interests().contains(ev.mask_bit()) {
-                            sink.record(&ev);
-                        }
-                    }
+    let body = {
+        let (cfg, ctx, layout, exps) = (
+            Arc::new(cfg.clone()),
+            Arc::clone(&ctx),
+            Arc::clone(&layout),
+            exps.to_vec(),
+        );
+        move |slot: usize, _: &AtomicBool| {
+            let (exp, cell) = layout[slot];
+            let exp = exps[exp];
+            let id = exp.id();
+            let _cell = span::enter_with(SpanKind::Cell, || format!("{id} cell {cell}"));
+            Ok(exp.run_cell(&cfg, &ctx, cell))
+        }
+    };
+    let mut slots: Vec<Option<SlotResult>> = (0..total_slots).map(|_| None).collect();
+    let mut busy = vec![Duration::ZERO; exps.len()];
+    let mut cell_busy = vec![Duration::ZERO; total_slots];
+    let mut completed = 0usize;
+    let runner = Runner {
+        name: "campaign",
+        workers: cfg.workers,
+        deadline: cfg.cell_deadline,
+        retries: cfg.cell_retries,
+        vm: &cfg.vm,
+        profiler: telemetry.profiler.as_ref(),
+        spans: collector.as_ref(),
+    };
+    let ran = runner.run(total_slots, body, |slot, resolved, elapsed| {
+        let (exp, cell) = layout[slot];
+        busy[exp] += elapsed;
+        cell_busy[slot] = elapsed;
+        let (tables, outcome) = match resolved {
+            Resolved::Ok(tables) => (Some(tables), CellOutcome::Ok),
+            Resolved::Retried(n, tables) => (Some(tables), CellOutcome::Retried { n }),
+            Resolved::Failed(msg) => (None, CellOutcome::Panicked { msg }),
+            Resolved::TimedOut => (None, CellOutcome::TimedOut),
+        };
+        let ok = outcome.is_ok();
+        if !ok {
+            // Surface the failure on the run's sink, like any other
+            // security-relevant event: the harness observing its own
+            // failure model.
+            if let Some(sink) = &cfg.vm.sink {
+                let ev = SecurityEvent::CellFailed {
+                    experiment: exps[exp].id().number(),
+                    cell: cell as u32,
+                };
+                if sink.interests().contains(ev.mask_bit()) {
+                    sink.record(&ev);
                 }
-                *lock_unpoisoned(&slots[task.slot]) = Some(result);
-                if let Some(progress) = telemetry.progress.as_ref() {
-                    let p = CellProgress {
-                        experiment: exp.id(),
-                        cell: task.cell,
-                        completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                        total: total_slots,
-                        elapsed,
-                        ok,
-                    };
-                    // A panicking observer must not take a worker down.
-                    let _ = catch_unwind(AssertUnwindSafe(|| progress(&p)));
-                }
-            });
+            }
+        }
+        slots[slot] = Some(SlotResult { tables, outcome });
+        completed += 1;
+        if let Some(progress) = telemetry.progress.as_ref() {
+            let p = CellProgress {
+                experiment: exps[exp].id(),
+                cell,
+                completed,
+                total: total_slots,
+                elapsed,
+                ok,
+            };
+            // A panicking observer must not take the run down.
+            let _ = catch_unwind(AssertUnwindSafe(|| progress(&p)));
         }
     });
 
@@ -894,26 +1101,14 @@ pub fn run_campaign_on(
     let mut assemble_panics = Vec::new();
     let mut timings = Vec::with_capacity(exps.len());
     let mut cell_timings = Vec::with_capacity(total_slots);
-    let mut vm = VmCounters::default();
-    let mut base = 0usize;
+    let mut results = slots.into_iter().zip(cell_busy);
     for (exp, &cells) in cell_counts.iter().enumerate() {
         let id = exps[exp].id();
         let mut outputs: Vec<Vec<Table>> = Vec::with_capacity(cells);
         let mut failed: Vec<CellRecord> = Vec::new();
         for cell in 0..cells {
-            let result = lock_unpoisoned(&slots[base + cell])
-                .take()
-                .unwrap_or(SlotResult {
-                    tables: None,
-                    // Unreachable in practice (workers drain every
-                    // queue), but a lost slot must degrade to a failed
-                    // cell, not a harness panic.
-                    outcome: CellOutcome::Panicked {
-                        msg: "cell result missing (worker lost)".to_string(),
-                    },
-                    vm: VmCounters::default(),
-                });
-            vm += result.vm;
+            let (result, elapsed) = results.next().expect("one slot per cell");
+            let result = result.expect("the runner resolves every cell");
             let record = CellRecord {
                 experiment: id,
                 cell,
@@ -928,10 +1123,9 @@ pub fn run_campaign_on(
             cell_timings.push(CellTiming {
                 experiment: id,
                 cell,
-                elapsed: Duration::from_nanos(cell_nanos[base + cell].load(Ordering::Relaxed)),
+                elapsed,
             });
         }
-        base += cells;
         // An experiment missing any cell gets a deterministic
         // placeholder: `assemble` is written against the full cell
         // layout and must never see partial data.
@@ -951,7 +1145,7 @@ pub fn run_campaign_on(
         timings.push(ExperimentTiming {
             id,
             cells,
-            busy: Duration::from_nanos(busy_nanos[exp].load(Ordering::Relaxed)),
+            busy: busy[exp],
         });
     }
 
@@ -962,9 +1156,10 @@ pub fn run_campaign_on(
         timings,
         cell_timings,
         cache: ctx.cache.stats(),
-        vm,
+        vm: ran.vm,
         spans,
-        workers,
+        workers: ran.workers,
+        threads_spawned: ran.spawned,
         elapsed: started.elapsed(),
     };
     if let Some(registry) = telemetry.metrics.as_deref() {
@@ -997,6 +1192,7 @@ fn placeholder_report(
 mod tests {
     use super::*;
     use crate::faults::FaultyExperiment;
+    use std::sync::atomic::AtomicUsize;
 
     fn tiny() -> CampaignConfig {
         // E10 + E12 are fast, deterministic, and exercise two cells'
@@ -1031,12 +1227,15 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_render() {
-        let mut cfg = tiny();
-        cfg.workers = 1;
-        let one = run_campaign(&cfg).render();
-        cfg.workers = 3;
-        let three = run_campaign(&cfg).render();
-        assert_eq!(one, three);
+        let runs: Vec<CampaignReport> = [1, 3]
+            .into_iter()
+            .map(|workers| run_campaign(&CampaignConfig { workers, ..tiny() }))
+            .collect();
+        assert_eq!(runs[0].render(), runs[1].render());
+        // A clean run spawns exactly its workers.
+        for run in &runs {
+            assert_eq!(run.threads_spawned, run.workers);
+        }
     }
 
     #[test]
@@ -1170,19 +1369,77 @@ mod tests {
     #[test]
     fn failure_renders_are_deterministic_across_worker_counts() {
         // Fresh experiment instances per run: the flaky cell's attempt
-        // state restarts, so both runs see the same failure pattern.
-        let one = run_campaign_on(
-            &faulty_cfg(1),
-            &[FaultyExperiment::fresh()],
-            &CampaignTelemetry::none(),
+        // state restarts, so every run sees the same failure pattern.
+        // At one worker the stalling cell holds the only worker until
+        // the watchdog abandons it and a replacement takes over.
+        let runs: Vec<CampaignReport> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                run_campaign_on(
+                    &faulty_cfg(workers),
+                    &[FaultyExperiment::fresh()],
+                    &CampaignTelemetry::none(),
+                )
+            })
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run.render(), runs[0].render());
+            assert_eq!(run.cells, runs[0].cells);
+        }
+        // One replacement per abandoned attempt: the stalling cell
+        // times out twice (`cell_retries: 1`).
+        for run in &runs {
+            assert_eq!(
+                run.threads_spawned,
+                run.workers + 2,
+                "at {} workers",
+                run.workers
+            );
+        }
+    }
+
+    /// Spawns the first worker only; every replacement is refused.
+    fn first_only(name: String, work: Box<dyn FnOnce() + Send>) -> std::io::Result<JoinHandle<()>> {
+        if name.ends_with("-0") {
+            spawn_thread(name, work)
+        } else {
+            Err(std::io::Error::other("refused"))
+        }
+    }
+
+    #[test]
+    fn a_failed_replacement_spawn_fails_the_rest_instead_of_hanging() {
+        // Task 0 holds the only worker until the watchdog abandons it;
+        // its replacement cannot be spawned.
+        let vm = VmConfig::default();
+        let runner = Runner {
+            name: "test",
+            workers: 1,
+            deadline: Duration::from_millis(100),
+            retries: 0,
+            vm: &vm,
+            profiler: None,
+            spans: None,
+        };
+        let mut outcomes = Vec::new();
+        let ran = runner.run_spawning(
+            first_only,
+            3,
+            |task, abandoned| {
+                while task == 0 && !abandoned.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(task)
+            },
+            |task, resolved, _| outcomes.push((task, format!("{resolved:?}"))),
         );
-        let four = run_campaign_on(
-            &faulty_cfg(4),
-            &[FaultyExperiment::fresh()],
-            &CampaignTelemetry::none(),
+        assert_eq!(ran.spawned, 1);
+        outcomes.sort();
+        let msg = "Failed(\"could not spawn worker thread test-1: refused\")".to_string();
+        assert_eq!(
+            outcomes,
+            vec![(0, "TimedOut".to_string()), (1, msg.clone()), (2, msg)]
         );
-        assert_eq!(one.render(), four.render());
-        assert_eq!(one.cells, four.cells);
     }
 
     #[test]

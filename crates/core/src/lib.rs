@@ -14,7 +14,7 @@
 //!   and claim (see `DESIGN.md` and `EXPERIMENTS.md`), each behind the
 //!   uniform [`experiments::Experiment`] trait;
 //! * [`campaign`] — the parallel, fault-tolerant campaign runner: the
-//!   full suite on a work-stealing pool, byte-identical output at any
+//!   full suite on a pool of workers, byte-identical output at any
 //!   worker count, panicking/stalling cells contained and reported;
 //! * [`faults`] — deterministic fault injection: seed-derived crash
 //!   points and bit flips, plus the test-only fault-demo experiment;

@@ -10,7 +10,7 @@
 //!
 //! * **a persistent job queue** — tenants [`submit`](CampaignService::submit)
 //!   attack-attempt jobs; [`run`](CampaignService::run) drains the
-//!   backlog on a work-stealing worker pool and the service lives on,
+//!   backlog on the campaign runner's worker pool and the service lives on,
 //!   queue, tenants and warm state intact, for the next round;
 //! * **multi-tenant sessions** — each tenant owns a seed namespace
 //!   (job seeds derive from the tenant seed and the tenant-local job
@@ -31,11 +31,11 @@
 //!   [`JobOutcome::Rejected`]) in the tenant's report and a
 //!   [`SecurityEvent::JobShed`] on the service's sink
 //!   ([`ServeConfig::vm`]) — degradation is observable, never silent;
-//! * **containment** — each job runs on a watchdog-guarded thread
-//!   through the campaign runner's containment primitive: deadline,
+//! * **containment** — each job runs inline on a worker thread of the
+//!   campaign runner's containment primitive: a watchdog deadline,
 //!   bounded same-seed retry, poison-tolerant locks, and a per-attempt
-//!   VM tally that the round sums only for the attempts it joined, so
-//!   an abandoned job never counts in any round.
+//!   VM tally that the round sums only for the attempts that reported,
+//!   so an abandoned job never counts in any round.
 //!
 //! Determinism contract: a job's result is a pure function of its
 //! `(tenant seed, job index, spec)`. [`CampaignService::render`] is
@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use swsec_defenses::DefenseConfig;
 use swsec_minc::{CompileError, CompileOptions};
-use swsec_obs::span::{self, SpanCollector, SpanRecord, SpanRecorder};
+use swsec_obs::span::{self, SpanCollector, SpanRecord};
 use swsec_obs::{Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
 use swsec_rng::derive;
 use swsec_vm::counters::VmCounters;
@@ -61,7 +61,7 @@ use swsec_vm::profile::Profiler;
 use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
-use crate::campaign::{contain, lock_unpoisoned, next_task, Resolved};
+use crate::campaign::{lock_unpoisoned, Resolved, Runner};
 use crate::harness::{AttackTarget, ForkServer, ServeMode, DEFAULT_FUEL};
 use crate::loader::plan_options;
 use crate::report::Table;
@@ -74,8 +74,10 @@ pub struct ServeConfig {
     /// Maximum jobs queued across all tenants. Arrivals beyond it shed
     /// lower-priority queued work or are rejected (typed, observable).
     pub queue_capacity: usize,
-    /// Wall-clock budget for one job attempt; past it the job's thread
-    /// is abandoned and the job retried or recorded
+    /// Wall-clock budget for one job attempt, counted from the moment
+    /// a worker starts it. Past it the attempt is abandoned (its worker
+    /// retires once the attempt returns, and a replacement worker takes
+    /// over the queue) and the job retried or recorded
     /// [`JobOutcome::TimedOut`].
     pub job_deadline: Duration,
     /// How many times a failed job is re-attempted (same seed) before
@@ -94,7 +96,7 @@ pub struct ServeConfig {
     /// unbounded — only sensible for short-lived test services.
     pub cache_capacity: Option<usize>,
     /// How the service's machines execute and where their security
-    /// events go: installed on every job attempt thread and re-armed
+    /// events go: installed as the VM context of every job attempt and re-armed
     /// on every leased server. The sink also receives a
     /// [`SecurityEvent::JobShed`] per shed or rejected job.
     pub vm: VmConfig,
@@ -248,7 +250,7 @@ pub enum JobOutcome {
         msg: String,
     },
     /// Exceeded the job deadline past the retry budget; its last
-    /// attempt thread was abandoned.
+    /// attempt was abandoned.
     TimedOut,
     /// Admitted, then dropped from a full queue to make room for
     /// higher-priority work.
@@ -451,11 +453,11 @@ struct JobSlot {
     tenant: usize,
     job: u32,
     seed: u64,
-    outcome: Mutex<JobOutcome>,
+    outcome: JobOutcome,
 }
 
-/// Shared context a job attempt thread needs (the thread may outlive
-/// the round if the watchdog abandons it, hence `Arc` everything).
+/// Shared context a job body needs (an abandoned attempt may outlive
+/// the round on its worker thread, hence `Arc` everything).
 struct JobCtx {
     cache: Arc<ProgramCache>,
     pool: Arc<ForkPool>,
@@ -500,13 +502,16 @@ pub struct ServiceRound {
     pub jobs: usize,
     /// Worker threads actually used.
     pub workers: usize,
+    /// Worker threads spawned: [`workers`](Self::workers), plus one
+    /// replacement per job attempt abandoned at its deadline.
+    pub threads_spawned: usize,
     /// Wall-clock for the round.
     pub elapsed: Duration,
     /// Service-counter increments since the previous round (includes
     /// submissions/sheds that happened between rounds).
     pub totals: ServeTotals,
-    /// VM counters summed over the round's joined job attempts:
-    /// exactly the round's own machines, never an abandoned job's.
+    /// VM counters summed over the round's job attempts that reported
+    /// back: exactly the round's own machines, never an abandoned job's.
     pub vm: VmCounters,
     /// Recorded spans per track — empty unless
     /// [`ServeTelemetry::spans`] was set.
@@ -654,7 +659,7 @@ impl CampaignService {
                 Some(i) => {
                     let shed = self.queue.remove(i).expect("victim index in bounds");
                     self.tenants[shed.tenant].queued -= 1;
-                    *lock_unpoisoned(&self.records[shed.record].outcome) = JobOutcome::Shed;
+                    self.records[shed.record].outcome = JobOutcome::Shed;
                     self.counters.jobs_shed.fetch_add(1, Ordering::Relaxed);
                     emit_shed(&self.cfg.vm, shed.tenant, shed.job);
                 }
@@ -677,7 +682,7 @@ impl CampaignService {
             tenant: t,
             job,
             seed,
-            outcome: Mutex::new(JobOutcome::Pending),
+            outcome: JobOutcome::Pending,
         });
         self.queue.push_back(QueuedJob {
             record,
@@ -698,7 +703,7 @@ impl CampaignService {
             tenant,
             job,
             seed,
-            outcome: Mutex::new(outcome),
+            outcome,
         });
     }
 
@@ -708,8 +713,8 @@ impl CampaignService {
         self.run_with(&ServeTelemetry::default())
     }
 
-    /// Drains the backlog on a work-stealing worker pool and returns
-    /// the round's metadata. Jobs are interleaved fairly across
+    /// Drains the backlog on the campaign runner's worker pool and
+    /// returns the round's metadata. Jobs are interleaved fairly across
     /// tenants (round-robin over per-tenant FIFO order) and each runs
     /// contained: watchdog deadline, bounded same-seed retry, and an
     /// abandoned job's VM tally left out of the round. The service
@@ -743,15 +748,6 @@ impl CampaignService {
         }
         let total = ordered.len();
 
-        let workers = if self.cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.cfg.workers
-        };
-        let workers = workers.clamp(1, total.max(1));
-
         let collector = telemetry.spans.map(|mask| Arc::new(SpanCollector::new(mask)));
         let round_span = collector.as_ref().map(|c| {
             let round = self.rounds;
@@ -768,78 +764,78 @@ impl CampaignService {
             cfg: self.cfg.clone(),
             profiler: telemetry.profiler.clone(),
         });
-
-        // Per-worker deques, round-robin dealt; own-front/steal-back.
-        let queues: Vec<Mutex<VecDeque<(usize, QueuedJob)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (order, job) in ordered.into_iter().enumerate() {
-            lock_unpoisoned(&queues[order % workers]).push_back((order, job));
-        }
-        let micros: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-        let vm = Mutex::new(VmCounters::default());
-
-        let records = &self.records;
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let queues = &queues;
-                let micros = &micros;
-                let vm = &vm;
-                let ctx = &ctx;
-                let collector = &collector;
-                scope.spawn(move || while let Some((order, job)) = next_task(queues, me) {
-                    // Track from the round order, not the worker:
-                    // stealing moves *who* runs a job, never where its
-                    // spans land.
-                    let recorder = collector.as_ref().map(|c| c.recorder(order as u32 + 1));
-                    let job_started = Instant::now();
-                    let (outcome, job_vm) = run_job(ctx, &job, recorder.as_ref());
-                    *lock_unpoisoned(vm) += job_vm;
-                    micros[order].store(
-                        job_started.elapsed().as_micros() as u64,
-                        Ordering::Relaxed,
-                    );
-                    match &outcome {
-                        JobOutcome::Done(stats) => {
-                            ctx.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
-                            note_stats(&ctx.counters, stats);
-                        }
-                        JobOutcome::Retried { stats, .. } => {
-                            ctx.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
-                            ctx.counters.jobs_retried.fetch_add(1, Ordering::Relaxed);
-                            note_stats(&ctx.counters, stats);
-                        }
-                        _ => {
-                            ctx.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    *lock_unpoisoned(&records[job.record].outcome) = outcome;
+        let ordered: Arc<[QueuedJob]> = ordered.into();
+        let body = {
+            let (ctx, ordered) = (Arc::clone(&ctx), Arc::clone(&ordered));
+            move |order: usize, abandoned: &AtomicBool| {
+                let job = &ordered[order];
+                let _job = span::enter_with(SpanKind::Job, || {
+                    format!("tenant {} job {} seed {:#x}", job.tenant, job.job, job.seed)
                 });
+                serve_job(&ctx, job.seed, &job.spec, abandoned).map_err(|e| e.message)
             }
+        };
+        let mut micros = vec![0u64; total];
+        let runner = Runner {
+            name: "serve",
+            workers: self.cfg.workers,
+            deadline: self.cfg.job_deadline,
+            retries: self.cfg.job_retries,
+            vm: &ctx.cfg.vm,
+            profiler: ctx.profiler.as_ref(),
+            spans: collector.as_ref(),
+        };
+        let records = &mut self.records;
+        // The job's round order is its span track (`order + 1`), so
+        // tracks never depend on which worker ran the job.
+        let ran = runner.run(total, body, |order, resolved, elapsed| {
+            micros[order] = elapsed.as_micros() as u64;
+            let outcome = match resolved {
+                Resolved::Ok(stats) => JobOutcome::Done(stats),
+                Resolved::Retried(n, stats) => JobOutcome::Retried { n, stats },
+                Resolved::Failed(msg) => JobOutcome::Failed { msg },
+                Resolved::TimedOut => JobOutcome::TimedOut,
+            };
+            match &outcome {
+                JobOutcome::Done(stats) => {
+                    ctx.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
+                    note_stats(&ctx.counters, stats);
+                }
+                JobOutcome::Retried { stats, .. } => {
+                    ctx.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
+                    ctx.counters.jobs_retried.fetch_add(1, Ordering::Relaxed);
+                    note_stats(&ctx.counters, stats);
+                }
+                _ => {
+                    ctx.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            records[ordered[order].record].outcome = outcome;
         });
 
         drop(round_span);
         let spans = collector.as_ref().map(|c| c.take()).unwrap_or_default();
-        let vm = vm.into_inner().unwrap_or_else(|e| e.into_inner());
 
         let now = self.counters.snapshot();
         let totals = now.since(self.exported);
         self.exported = now;
         {
             let mut hist = lock_unpoisoned(&self.job_micros);
-            for m in &micros {
-                hist.observe(m.load(Ordering::Relaxed));
+            for &m in &micros {
+                hist.observe(m);
             }
         }
         if let Some(registry) = telemetry.metrics.as_ref() {
-            self.absorb_round(registry, &totals, &vm, &micros);
+            self.absorb_round(registry, &totals, &ran.vm, &micros);
         }
 
         ServiceRound {
             jobs: total,
-            workers,
+            workers: ran.workers,
+            threads_spawned: ran.spawned,
             elapsed: started.elapsed(),
             totals,
-            vm,
+            vm: ran.vm,
             spans,
         }
     }
@@ -857,7 +853,7 @@ impl CampaignService {
         registry: &MetricsRegistry,
         totals: &ServeTotals,
         vm: &VmCounters,
-        micros: &[AtomicU64],
+        micros: &[u64],
     ) {
         registry.counter("serve.rounds", 1);
         registry.counter("serve.jobs_submitted", totals.jobs_submitted);
@@ -906,8 +902,8 @@ impl CampaignService {
         registry.counter("vm.snapshot.bytes_copied", vm.restore_bytes);
         registry.counter("vm.prof.samples", vm.prof_samples);
         registry.counter("vm.prof.frames", vm.prof_frames);
-        for m in micros {
-            registry.observe("serve.job_micros", m.load(Ordering::Relaxed));
+        for &m in micros {
+            registry.observe("serve.job_micros", m);
         }
     }
 
@@ -958,7 +954,7 @@ impl CampaignService {
             ],
         );
         for slot in self.records.iter().filter(|s| s.tenant == t) {
-            let outcome = lock_unpoisoned(&slot.outcome).clone();
+            let outcome = &slot.outcome;
             let mut row = vec![
                 slot.job.to_string(),
                 format!("{:#018x}", slot.seed),
@@ -986,7 +982,7 @@ impl CampaignService {
         self.records
             .iter()
             .find(|s| s.tenant == id.tenant.0 && s.job == id.job)
-            .map(|s| lock_unpoisoned(&s.outcome).clone())
+            .map(|s| s.outcome.clone())
     }
 
     /// Service-lifetime totals.
@@ -1039,42 +1035,6 @@ fn emit_shed(vm: &VmConfig, tenant: usize, job: u32) {
     }
 }
 
-/// Resolves one job under the campaign runner's containment
-/// primitive ([`contain`]); returns its outcome and the VM tally of its
-/// joined attempts.
-fn run_job(
-    ctx: &Arc<JobCtx>,
-    job: &QueuedJob,
-    recorder: Option<&Arc<SpanRecorder>>,
-) -> (JobOutcome, VmCounters) {
-    let (tenant, jobno, seed) = (job.tenant, job.job, job.seed);
-    let body = {
-        let (ctx, spec) = (Arc::clone(ctx), Arc::clone(&job.spec));
-        move |abandoned: &AtomicBool| {
-            let _job = span::enter_with(SpanKind::Job, || {
-                format!("tenant {tenant} job {jobno} seed {seed:#x}")
-            });
-            serve_job(&ctx, seed, &spec, abandoned).map_err(|e| e.message)
-        }
-    };
-    let (resolved, vm) = contain(
-        &format!("job-{tenant}-{jobno}"),
-        ctx.cfg.job_deadline,
-        ctx.cfg.job_retries,
-        &ctx.cfg.vm,
-        ctx.profiler.as_ref(),
-        recorder,
-        body,
-    );
-    let outcome = match resolved {
-        Resolved::Ok(stats) => JobOutcome::Done(stats),
-        Resolved::Retried(n, stats) => JobOutcome::Retried { n, stats },
-        Resolved::Failed(msg) => JobOutcome::Failed { msg },
-        Resolved::TimedOut => JobOutcome::TimedOut,
-    };
-    (outcome, vm)
-}
-
 /// The job body: lease (or boot) a warm server, re-arm it in full,
 /// serve the spec's attempts, park the server again. Stops at the next
 /// attempt boundary once the watchdog has `abandoned` the job.
@@ -1110,7 +1070,7 @@ fn serve_job(
         if abandoned.load(Ordering::Acquire) {
             // The watchdog abandoned this job mid-flight: bail at the
             // attempt boundary — the leased server dies with this
-            // thread rather than rejoining the pool in unknown shape.
+            // attempt rather than rejoining the pool in unknown shape.
             return Err(CompileError {
                 message: format!("job abandoned by deadline watchdog after {i} attempts"),
             });
@@ -1216,6 +1176,7 @@ mod tests {
         let round = svc.run();
         assert_eq!(round.jobs, 2);
         assert_eq!(round.totals.jobs_done, 2);
+        assert_eq!((round.workers, round.threads_spawned), (2, 2));
         assert_eq!(round.totals.attempts, 16);
         let sa = svc.outcome(a).unwrap().stats().expect("job a completed");
         assert_eq!(sa.attempts, 8);

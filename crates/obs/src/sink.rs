@@ -11,7 +11,7 @@
 //! Machines are frequently created deep inside experiment code that has
 //! no telemetry parameters. For those, a run carries its sink in its VM
 //! configuration (`swsec_vm::VmConfig::sink`), and every machine built
-//! on the run's attempt threads attaches it.
+//! inside the run's attempts attaches it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

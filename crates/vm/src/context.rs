@@ -8,14 +8,14 @@
 //! cannot change each other's engine or telemetry.
 //!
 //! Machines are built deep inside experiment code that takes no
-//! configuration parameters. A runner therefore installs its config on
-//! each attempt thread it owns with [`scope`]: every
+//! configuration parameters. A runner therefore installs its config
+//! around each attempt it runs with [`scope`]: every
 //! [`Machine`](crate::cpu::Machine) built inside the closure takes the
 //! scope's engine, sink and profiler, and counts its executed
 //! instructions, snapshots, restores and profiler samples into the
 //! scope's tally, which `scope` returns. The runner sums the tallies of
-//! the attempts it joined; an attempt it abandoned is simply never
-//! summed. Outside any scope a machine runs on [`Engine::Tier2`] with
+//! the attempts that reported back; an attempt it abandoned is simply
+//! never summed. Outside any scope a machine runs on [`Engine::Tier2`] with
 //! no sink and no profiler, and counts nowhere.
 
 use std::cell::RefCell;

@@ -52,6 +52,12 @@
 #      assembler (`assemble`); the compiler builds swsec_asm::Assembly
 #      items, encodes them with the shared back end and renders its
 #      listing from the same items (DESIGN.md §7 "Assembler cost").
+#  14. thread-spawn guard: crates/core/src may start threads in one
+#      place only, the campaign runner's worker spawn (`spawn_thread`
+#      in crates/core/src/campaign.rs). Any other `thread::spawn`,
+#      `Builder::…spawn` or `thread::scope` outside `#[cfg(test)]`
+#      items fails: attempts run inline on the runner's workers, never
+#      on a thread of their own (DESIGN.md §9).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -284,6 +290,29 @@ fi
 echo "==> compiler round-trip guard"
 if grep -rnE '(^|[^A-Za-z0-9_])assemble([^A-Za-z0-9_]|$)' crates/minc/src; then
     echo "verify: crates/minc/src calls the text assembler; build swsec_asm::Assembly items" >&2
+    exit 1
+fi
+
+echo "==> thread-spawn guard"
+# Every non-test line of crates/core/src that starts a thread; items
+# under #[cfg(test)] are skipped through their closing brace.
+SPAWNS=$(find crates/core/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { skip = 0 }
+    skip == 0 && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip == 1 {
+        for (i = 1; i <= length($0); i++) {
+            c = substr($0, i, 1)
+            if (c == "{") { depth++; opened = 1 } else if (c == "}") depth--
+        }
+        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+        next
+    }
+    $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+' | grep -E 'thread::(spawn|scope)|Builder::|\.spawn(_scoped|_unchecked)?\(' || true)
+if [ "$(printf '%s\n' "$SPAWNS" | grep -c .)" -ne 1 ] \
+    || ! printf '%s\n' "$SPAWNS" | grep -q '^crates/core/src/campaign.rs:.*std::thread::Builder::new().name(name).spawn(work)'; then
+    printf '%s\n' "$SPAWNS" >&2
+    echo "verify: crates/core/src starts a thread outside the campaign runner's worker spawn" >&2
     exit 1
 fi
 

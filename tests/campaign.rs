@@ -17,7 +17,7 @@ use swsec_vm::Engine;
 
 /// A small-but-real slice of the suite: two grids (E3, E14) plus two
 /// single-shot experiments, so the determinism check exercises the
-/// work-stealing pool with dozens of cells.
+/// worker pool with dozens of cells.
 fn determinism_config() -> CampaignConfig {
     CampaignConfig {
         experiments: vec![

@@ -213,3 +213,57 @@ fn watchdog_abandoned_jobs_divert_counters_away_from_later_windows() {
     let during = measured_round_instructions();
     assert_eq!(during, clean, "leaked job skewed a later VM window");
 }
+
+#[test]
+fn a_hung_job_on_the_only_worker_is_taken_over() {
+    fn healthy(svc: &mut CampaignService) -> (swsec::serve::TenantId, Vec<swsec::serve::JobId>) {
+        let t = svc.register_tenant(tenant("healthy", 0x600D, 1, 8));
+        let jobs = (0..3)
+            .map(|_| svc.submit(t, spec(DefenseConfig::none())).unwrap())
+            .collect();
+        (t, jobs)
+    }
+    let solo = {
+        let mut svc = CampaignService::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let (t, _) = healthy(&mut svc);
+        svc.run();
+        svc.render_tenant(t)
+    };
+
+    // The hog is first in round order, so it holds the only worker
+    // until the watchdog abandons it; a replacement worker then serves
+    // the healthy tenant's jobs.
+    let mut svc = CampaignService::new(ServeConfig {
+        workers: 1,
+        job_deadline: Duration::from_secs(1),
+        job_retries: 0,
+        ..ServeConfig::default()
+    });
+    let hog_tenant = svc.register_tenant(tenant("hog", 0xDEAD, 1, 4));
+    let hog = svc
+        .submit(
+            hog_tenant,
+            JobSpec {
+                source: VICTIM_SMASH.to_string(),
+                config: DefenseConfig::none(),
+                attempts: u32::MAX,
+                max_input: 48,
+            },
+        )
+        .unwrap();
+    let (t, jobs) = healthy(&mut svc);
+    let round = svc.run();
+    assert_eq!(svc.outcome(hog), Some(JobOutcome::TimedOut));
+    for job in jobs {
+        assert!(
+            matches!(svc.outcome(job), Some(JobOutcome::Done(_))),
+            "{job:?}: {:?}",
+            svc.outcome(job)
+        );
+    }
+    assert_eq!((round.workers, round.threads_spawned), (1, 2));
+    assert_eq!(svc.render_tenant(t), solo);
+}
