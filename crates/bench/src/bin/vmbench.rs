@@ -401,7 +401,7 @@ fn aps(attempts: u64, elapsed: Duration) -> f64 {
 
 /// The campaign-service leg: one full service round timed end to end
 /// (queue drain, admission bookkeeping, pool leases, watchdog-guarded
-/// job threads), fork-served vs rebuilt per attempt.
+/// jobs on the runner's workers), fork-served vs rebuilt per attempt.
 struct ServiceResult {
     tenants: usize,
     jobs: u64,
@@ -430,9 +430,9 @@ impl ServiceResult {
 /// attempts against the stock smash victim. Returns the round's wall
 /// time, the attempts served, and the per-job latency histogram. The
 /// full service stack is on the clock — job queue, per-tenant
-/// admission, sharded warm pools, one watchdog-guarded thread per job
-/// — which is exactly the point: this leg measures what a campaign
-/// *service* sustains, not what a bare serve loop does (the harness
+/// admission, the warm pool's LRU, watchdog-guarded jobs on the
+/// runner's workers — which is exactly the point: this leg measures
+/// what a campaign *service* sustains, not what a bare serve loop does (the harness
 /// legs above cover that).
 fn measure_service(fork: bool, tenants: usize, jobs_per: u32, attempts: u32) -> ServiceSample {
     let mut svc = CampaignService::new(ServeConfig {

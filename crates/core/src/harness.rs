@@ -588,4 +588,32 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn a_booted_victim_keeps_only_its_written_pages_resident() {
+        // The stock victim maps 34 pages, but the loader writes only a
+        // few and an attempt one more; the rest share the zero image
+        // and hold no storage, before and after attempts.
+        let cache = ProgramCache::new();
+        for config in [
+            DefenseConfig::none(),
+            canary_config(),
+            DefenseConfig::modern(8),
+        ] {
+            let mut server = ForkServer::boot(&cache, VICTIM_SMASH, config, 3).unwrap();
+            let resident = server.machine.mem().resident_pages();
+            assert!(
+                resident <= 4,
+                "{config:?}: {resident} resident pages after boot"
+            );
+            for _ in 0..8 {
+                server.execute(3, &[b'A'; 60]).unwrap();
+            }
+            let resident = server.machine.mem().resident_pages();
+            assert!(
+                resident <= 4,
+                "{config:?}: {resident} resident pages after attempts"
+            );
+        }
+    }
 }

@@ -23,8 +23,9 @@
 //! * [`harness`] — the snapshot/restore fork server: boot a victim
 //!   once, serve every attack attempt in O(dirty pages);
 //! * [`serve`] — campaign-as-a-service: a long-lived job queue with
-//!   multi-tenant sessions, sharded warm fork-server pools, bounded
-//!   backpressure with typed shedding, and per-tenant determinism;
+//!   multi-tenant sessions, a bounded LRU pool of warm fork servers,
+//!   bounded backpressure with typed shedding, and per-tenant
+//!   determinism;
 //! * [`report`] — plain-text tables the drivers emit.
 //!
 //! ## Quick start

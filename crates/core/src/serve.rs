@@ -17,12 +17,15 @@
 //!   index, so one tenant's results are independent of every other
 //!   tenant's traffic), a backlog quota, a priority, and its own slice
 //!   of the rendered report;
-//! * **sharded pools of warm [`ForkServer`]s** — keyed on
+//! * **a bounded warm pool of [`ForkServer`]s** — keyed on
 //!   `(program, CompileOptions, DefenseConfig)`, so a hot victim is
 //!   compiled once and booted once, then leased across jobs and
-//!   tenants. Every lease is re-armed in full (serve mode, fuel, event
-//!   sink, profiler) before it runs a single attempt: one tenant's
-//!   attempt configuration can never bleed into another's;
+//!   tenants. One least-recently-used order across all keys caps the
+//!   parked servers at [`ServeConfig::pool_capacity`], so keys that
+//!   never recur (each ASLR job's fresh layout) age out instead of
+//!   accumulating. Every lease is re-armed in full (serve mode, fuel,
+//!   event sink, profiler) before it runs a single attempt: one
+//!   tenant's attempt configuration can never bleed into another's;
 //! * **backpressure + graceful degradation** — the queue is bounded.
 //!   When it is full, an arriving job sheds the lowest-priority queued
 //!   job (strictly lower than its own priority) or is itself rejected;
@@ -43,9 +46,8 @@
 //! [`ServeMode`] — the property the verify.sh service smoke and the
 //! `tests/serve.rs` differential suite pin down.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -89,9 +91,10 @@ pub struct ServeConfig {
     pub fork_server: bool,
     /// Fuel budget per attempt.
     pub fuel: u64,
-    /// Warm servers kept per pool key; an excess return is dropped
-    /// (and counted) instead of parked.
-    pub pool_keep: usize,
+    /// Most warm servers parked at once, across all pool keys. A
+    /// check-in past it evicts the least recently used server (counted
+    /// in [`ServeTotals::pool_evictions`]); `0` parks nothing.
+    pub pool_capacity: usize,
     /// Compile-cache capacity ([`ProgramCache::bounded`]); `None` is
     /// unbounded — only sensible for short-lived test services.
     pub cache_capacity: Option<usize>,
@@ -111,7 +114,7 @@ impl Default for ServeConfig {
             job_retries: 1,
             fork_server: true,
             fuel: DEFAULT_FUEL,
-            pool_keep: 2,
+            pool_capacity: 16,
             cache_capacity: Some(256),
             vm: VmConfig::default(),
         }
@@ -291,6 +294,11 @@ impl JobOutcome {
 }
 
 /// Monotone service-lifetime totals; subtract snapshots for windows.
+///
+/// The job counts are a function of the submission history. The pool
+/// counts (`pool_hits`, `pool_boots`, `pool_evictions`) are exact only
+/// at one worker: with more, two jobs of one pool key can be in flight
+/// together, both miss and both boot, depending on scheduling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeTotals {
     /// Jobs submitted (admitted or not).
@@ -313,8 +321,9 @@ pub struct ServeTotals {
     pub pool_hits: u64,
     /// Jobs that had to boot a server.
     pub pool_boots: u64,
-    /// Warm servers dropped because their pool slot was full.
-    pub pool_drops: u64,
+    /// Warm servers evicted, least recently used first, to keep the
+    /// pool within [`ServeConfig::pool_capacity`].
+    pub pool_evictions: u64,
 }
 
 impl ServeTotals {
@@ -331,7 +340,7 @@ impl ServeTotals {
             secret_leaks: self.secret_leaks.saturating_sub(earlier.secret_leaks),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
             pool_boots: self.pool_boots.saturating_sub(earlier.pool_boots),
-            pool_drops: self.pool_drops.saturating_sub(earlier.pool_drops),
+            pool_evictions: self.pool_evictions.saturating_sub(earlier.pool_evictions),
         }
     }
 
@@ -353,7 +362,7 @@ struct ServeCounters {
     secret_leaks: AtomicU64,
     pool_hits: AtomicU64,
     pool_boots: AtomicU64,
-    pool_drops: AtomicU64,
+    pool_evictions: AtomicU64,
 }
 
 impl ServeCounters {
@@ -369,7 +378,7 @@ impl ServeCounters {
             secret_leaks: self.secret_leaks.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pool_boots: self.pool_boots.load(Ordering::Relaxed),
-            pool_drops: self.pool_drops.load(Ordering::Relaxed),
+            pool_evictions: self.pool_evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -377,57 +386,52 @@ impl ServeCounters {
 /// Pool key: everything that makes two victims interchangeable.
 type PoolKey = (String, CompileOptions, DefenseConfig);
 
-const POOL_SHARDS: usize = 8;
-
-/// Sharded pools of warm, parked [`ForkServer`]s.
+/// The warm pool: parked [`ForkServer`]s of every key in one
+/// least-recently-used order, at most `capacity` of them.
 ///
 /// A parked server is compiled, booted and snapshotted; leasing it
-/// costs a hash lookup instead of a compile+boot. Shard locks are
-/// poison-tolerant: a worker that panicked mid-checkin must not wedge
-/// the pool for every later job.
-#[derive(Default)]
+/// costs a scan of the pool instead of a compile+boot. The scan is
+/// linear, which suits a pool of a few dozen servers at most (each
+/// holds a machine and its snapshot). The lock is poison-tolerant: a
+/// worker that panicked mid-checkin must not wedge the pool for every
+/// later job.
 struct ForkPool {
-    shards: [Mutex<HashMap<PoolKey, Vec<ForkServer>>>; POOL_SHARDS],
-    keep: usize,
+    capacity: usize,
+    /// Parked servers, least recently checked in first.
+    parked: Mutex<VecDeque<(PoolKey, ForkServer)>>,
 }
 
 impl ForkPool {
-    fn new(keep: usize) -> ForkPool {
+    fn new(capacity: usize) -> ForkPool {
         ForkPool {
-            keep: keep.max(1),
-            ..ForkPool::default()
+            capacity,
+            parked: Mutex::new(VecDeque::new()),
         }
     }
 
-    fn shard(&self, key: &PoolKey) -> &Mutex<HashMap<PoolKey, Vec<ForkServer>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % POOL_SHARDS]
-    }
-
+    /// The most recently parked server for `key`, if any.
     fn checkout(&self, key: &PoolKey) -> Option<ForkServer> {
-        lock_unpoisoned(self.shard(key)).get_mut(key)?.pop()
+        let mut parked = lock_unpoisoned(&self.parked);
+        let i = parked.iter().rposition(|(k, _)| k == key)?;
+        parked.remove(i).map(|(_, server)| server)
     }
 
-    /// Parks `server` for reuse; `false` when the slot was full and the
-    /// server was dropped instead.
-    fn checkin(&self, key: PoolKey, server: ForkServer) -> bool {
-        let shard = self.shard(&key);
-        let mut map = lock_unpoisoned(shard);
-        let slot = map.entry(key).or_default();
-        if slot.len() >= self.keep {
-            return false;
+    /// Parks `server` as the most recently used. Returns the least
+    /// recently used server when the pool is then over capacity; the
+    /// caller drops it after the lock is released.
+    fn checkin(&self, key: PoolKey, server: ForkServer) -> Option<ForkServer> {
+        let mut parked = lock_unpoisoned(&self.parked);
+        parked.push_back((key, server));
+        if parked.len() > self.capacity {
+            parked.pop_front().map(|(_, server)| server)
+        } else {
+            None
         }
-        slot.push(server);
-        true
     }
 
-    /// Warm servers currently parked, across all shards.
+    /// Warm servers currently parked.
     fn warm(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_unpoisoned(s).values().map(Vec::len).sum::<usize>())
-            .sum()
+        lock_unpoisoned(&self.parked).len()
     }
 }
 
@@ -512,6 +516,10 @@ pub struct ServiceRound {
     pub totals: ServeTotals,
     /// VM counters summed over the round's job attempts that reported
     /// back: exactly the round's own machines, never an abandoned job's.
+    /// Like the pool counts in [`totals`](Self::totals), they repeat
+    /// exactly only at one worker: with more, which jobs boot a server
+    /// (and so snapshot, and start with cold caches) depends on
+    /// scheduling.
     pub vm: VmCounters,
     /// Recorded spans per track — empty unless
     /// [`ServeTelemetry::spans`] was set.
@@ -529,7 +537,7 @@ impl ServiceRound {
     pub fn summary_line(&self) -> String {
         format!(
             "serve round: {} jobs, {} workers, {:.3}s wall, {} attempts \
-             ({:.0}/s), pool {} hits / {} boots, {} shed, {} rejected, {} failed",
+             ({:.0}/s), pool {} hits / {} boots / {} evictions, {} shed, {} rejected, {} failed",
             self.jobs,
             self.workers,
             self.elapsed.as_secs_f64(),
@@ -537,6 +545,7 @@ impl ServiceRound {
             self.totals.attempts as f64 / self.elapsed.as_secs_f64().max(1e-9),
             self.totals.pool_hits,
             self.totals.pool_boots,
+            self.totals.pool_evictions,
             self.totals.jobs_shed,
             self.totals.jobs_rejected,
             self.totals.jobs_failed,
@@ -579,7 +588,7 @@ impl CampaignService {
             Some(cap) => ProgramCache::bounded(cap),
             None => ProgramCache::new(),
         });
-        let pool = Arc::new(ForkPool::new(cfg.pool_keep));
+        let pool = Arc::new(ForkPool::new(cfg.pool_capacity));
         CampaignService {
             cfg,
             cache,
@@ -718,7 +727,7 @@ impl CampaignService {
     /// tenants (round-robin over per-tenant FIFO order) and each runs
     /// contained: watchdog deadline, bounded same-seed retry, and an
     /// abandoned job's VM tally left out of the round. The service
-    /// survives the round with its tenants, records and warm pools
+    /// survives the round with its tenants, records and warm pool
     /// intact.
     pub fn run_with(&mut self, telemetry: &ServeTelemetry) -> ServiceRound {
         let started = Instant::now();
@@ -844,7 +853,7 @@ impl CampaignService {
     /// `serve.rounds`, `serve.jobs_submitted` / `serve.jobs_done` /
     /// `serve.jobs_retried` / `serve.jobs_failed` / `serve.jobs_shed` /
     /// `serve.jobs_rejected`, `serve.attempts` / `serve.secret_leaks`,
-    /// `serve.pool.hits` / `serve.pool.boots` / `serve.pool.drops`,
+    /// `serve.pool.hits` / `serve.pool.boots` / `serve.pool.evictions`,
     /// the `cache.*` window (incl. `cache.evictions`), the `vm.*`
     /// window (same names as the campaign runner), and one
     /// `serve.job_micros` observation per job.
@@ -866,7 +875,7 @@ impl CampaignService {
         registry.counter("serve.secret_leaks", totals.secret_leaks);
         registry.counter("serve.pool.hits", totals.pool_hits);
         registry.counter("serve.pool.boots", totals.pool_boots);
-        registry.counter("serve.pool.drops", totals.pool_drops);
+        registry.counter("serve.pool.evictions", totals.pool_evictions);
         registry.counter("serve.pool.warm", self.pool.warm() as u64);
         let cache_now = self.cache.stats();
         let cache = CacheStats {
@@ -995,7 +1004,8 @@ impl CampaignService {
         self.cache.stats()
     }
 
-    /// Warm servers currently parked across all pools.
+    /// Warm servers currently parked (at most
+    /// [`ServeConfig::pool_capacity`]).
     pub fn pooled(&self) -> usize {
         self.pool.warm()
     }
@@ -1090,8 +1100,9 @@ fn serve_job(
             stats.secret_leaks += 1;
         }
     }
-    if !ctx.pool.checkin(key, server) {
-        ctx.counters.pool_drops.fetch_add(1, Ordering::Relaxed);
+    if let Some(evicted) = ctx.pool.checkin(key, server) {
+        ctx.counters.pool_evictions.fetch_add(1, Ordering::Relaxed);
+        drop(evicted);
     }
     Ok(stats)
 }

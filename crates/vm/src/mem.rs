@@ -12,13 +12,16 @@
 //! # Performance model
 //!
 //! Pages live in a flat slot vector; a `BTreeMap` maps page bases to
-//! slots only on the *slow* path. Every access resolves its page
-//! **once** (not once per byte) and a pair of two-entry TLBs — one for
-//! data, one for instruction fetch, each holding the two most recent
-//! translations with MRU replacement (so code that alternates between
-//! a caller page and a module page keeps both) — memoize translations
-//! so the common case is a couple of compares. Two generation counters
-//! make the caching invisible:
+//! slots only on the *slow* path. A page holds storage only from its
+//! first write on: until then it reads as one shared zero image, so a
+//! large mapping that a program barely touches costs little to map,
+//! snapshot or keep (see [`resident_pages`](Memory::resident_pages)).
+//! Every access resolves its page **once** (not once per byte) and a
+//! pair of two-entry TLBs — one for data, one for instruction fetch,
+//! each holding the two most recent translations with MRU replacement
+//! (so code that alternates between a caller page and a module page
+//! keeps both) — memoize translations so the common case is a couple
+//! of compares. Two generation counters make the caching invisible:
 //!
 //! * the **layout generation** bumps on [`map`](Memory::map) /
 //!   [`unmap`](Memory::unmap) / [`set_perm`](Memory::set_perm) /
@@ -200,8 +203,24 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
+/// The bytes of one page.
+type PageImage = [u8; PAGE_SIZE as usize];
+
+/// What every never-written page reads as.
+static ZERO_PAGE: PageImage = [0; PAGE_SIZE as usize];
+
+/// Storage for a page at its first write.
+#[cold]
+#[inline(never)]
+fn zeroed_image() -> Box<PageImage> {
+    Box::new([0; PAGE_SIZE as usize])
+}
+
 struct Page {
-    bytes: Box<[u8; PAGE_SIZE as usize]>,
+    /// The page's own storage, `None` while it was never written since
+    /// it was mapped: reads then see [`ZERO_PAGE`], and the first write
+    /// (through [`Memory::touch`]) materialises it.
+    bytes: Option<Box<PageImage>>,
     perm: Perm,
     /// Whether the page's bytes may differ from the most recent
     /// [`Memory::snapshot`]. Cleared when a snapshot is taken (the page
@@ -225,13 +244,19 @@ struct Page {
 impl Page {
     fn new(perm: Perm) -> Page {
         Page {
-            bytes: Box::new([0; PAGE_SIZE as usize]),
+            bytes: None,
             perm,
             // A fresh page has no snapshot to match.
             dirty: true,
             snap_index: 0,
             gen: 0,
         }
+    }
+
+    /// The page's bytes: its own storage, or the shared zero image.
+    #[inline]
+    fn bytes(&self) -> &PageImage {
+        self.bytes.as_deref().unwrap_or(&ZERO_PAGE)
     }
 }
 
@@ -369,11 +394,13 @@ pub struct TlbStats {
 /// (`Arc`), so cloning a snapshot — or holding one while the live
 /// memory diverges — shares them copy-on-restore: only pages dirtied
 /// since the snapshot are re-materialized by
-/// [`Memory::restore_from`].
+/// [`Memory::restore_from`]. A page never written before the snapshot
+/// has no image of its own: it shares the zero image.
 #[derive(Clone)]
 pub struct MemorySnapshot {
-    /// `(page base, image, perm)`, sorted by base (page-table order).
-    pages: Vec<(u32, Arc<[u8; PAGE_SIZE as usize]>, Perm)>,
+    /// `(page base, image, perm)`, sorted by base (page-table order);
+    /// `None` is the zero image.
+    pages: Vec<(u32, Option<Arc<PageImage>>, Perm)>,
     enforce: bool,
 }
 
@@ -585,7 +612,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_read_u32(&self, line: DataLine, addr: u32) -> u32 {
         let off = (addr % PAGE_SIZE) as usize;
-        let b = &self.slots[line.slot as usize].bytes[off..off + 4];
+        let b = &self.slots[line.slot as usize].bytes()[off..off + 4];
         u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
@@ -595,8 +622,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_write_u32(&mut self, line: DataLine, addr: u32, value: u32) {
         let off = (addr % PAGE_SIZE) as usize;
-        let page = self.touch(line.slot as usize);
-        page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        self.touch(line.slot as usize)[off..off + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Reads a byte through a [`DataLine`]; caller proved
@@ -604,7 +630,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_read_u8(&self, line: DataLine, addr: u32) -> u8 {
         let off = (addr % PAGE_SIZE) as usize;
-        self.slots[line.slot as usize].bytes[off]
+        self.slots[line.slot as usize].bytes()[off]
     }
 
     /// Writes a byte through a [`DataLine`]; caller proved
@@ -612,8 +638,7 @@ impl Memory {
     #[inline]
     pub(crate) fn line_write_u8(&mut self, line: DataLine, addr: u32, value: u8) {
         let off = (addr % PAGE_SIZE) as usize;
-        let page = self.touch(line.slot as usize);
-        page.bytes[off] = value;
+        self.touch(line.slot as usize)[off] = value;
     }
 
     /// Translation-cache counters accumulated so far.
@@ -629,18 +654,20 @@ impl Memory {
         addr & !(PAGE_SIZE - 1)
     }
 
-    /// Marks a page's bytes as mutated and returns it: decode-stale
+    /// Marks a page's bytes as mutated and returns them: decode-stale
     /// (its write generation is bumped) and snapshot-dirty, queued on
     /// the dirty list the first time since the last snapshot or restore.
+    /// Every write path goes through here, so this is also where a
+    /// never-written page gets its own (zeroed) storage.
     #[inline]
-    fn touch(&mut self, slot: usize) -> &mut Page {
+    fn touch(&mut self, slot: usize) -> &mut PageImage {
         let page = &mut self.slots[slot];
         if !page.dirty {
             page.dirty = true;
             self.dirty.push(slot as u32);
         }
         page.gen = page.gen.wrapping_add(1);
-        page
+        page.bytes.get_or_insert_with(zeroed_image)
     }
 
     fn invalidate_layout(&mut self) {
@@ -752,10 +779,15 @@ impl Memory {
         loop {
             let slot = match self.free.pop() {
                 Some(slot) => {
-                    // Recycled slots must look freshly mapped.
-                    let p = self.touch(slot as usize);
-                    p.bytes.fill(0);
-                    p.perm = perm;
+                    // Recycled slots must look freshly mapped: never
+                    // written, their storage released. The write
+                    // generation moves on so no decode of the old page
+                    // can match.
+                    let p = &mut self.slots[slot as usize];
+                    *p = Page {
+                        gen: p.gen.wrapping_add(1),
+                        ..Page::new(perm)
+                    };
                     slot
                 }
                 None => {
@@ -817,6 +849,17 @@ impl Memory {
         self.invalidate_layout();
     }
 
+    /// Mapped pages that hold storage of their own: those written since
+    /// they were mapped (or restored from a snapshot that captured them
+    /// written). Every other mapped page reads from one shared zero
+    /// image.
+    pub fn resident_pages(&self) -> usize {
+        self.table
+            .values()
+            .filter(|&&slot| self.slots[slot as usize].bytes.is_some())
+            .count()
+    }
+
     /// Whether `addr` lies in a mapped page.
     pub fn is_mapped(&self, addr: u32) -> bool {
         self.table.contains_key(&Self::page_base(addr))
@@ -854,7 +897,7 @@ impl Memory {
     #[inline]
     pub fn read_u8(&self, addr: u32, access: Access) -> Result<u8, MemError> {
         let slot = self.resolve(addr, access)?;
-        Ok(self.slots[slot].bytes[(addr % PAGE_SIZE) as usize])
+        Ok(self.slots[slot].bytes()[(addr % PAGE_SIZE) as usize])
     }
 
     /// Writes one byte.
@@ -865,8 +908,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8, access: Access) -> Result<(), MemError> {
         let slot = self.resolve(addr, access)?;
-        let page = self.touch(slot);
-        page.bytes[(addr % PAGE_SIZE) as usize] = value;
+        self.touch(slot)[(addr % PAGE_SIZE) as usize] = value;
         Ok(())
     }
 
@@ -882,7 +924,7 @@ impl Memory {
         if self.fast_path && off + 4 <= PAGE_SIZE as usize {
             // Within one page: a single lookup and a word-wide copy.
             let slot = self.resolve(addr, access)?;
-            let b = &self.slots[slot].bytes[off..off + 4];
+            let b = &self.slots[slot].bytes()[off..off + 4];
             Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         } else {
             // Straddling a page — or the flag-disabled baseline, which
@@ -906,8 +948,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if self.fast_path && off + 4 <= PAGE_SIZE as usize {
             let slot = self.resolve(addr, access)?;
-            let page = self.touch(slot);
-            page.bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            self.touch(slot)[off..off + 4].copy_from_slice(&value.to_le_bytes());
             Ok(())
         } else {
             // Page-straddling store: byte-by-byte so a mid-word fault
@@ -941,7 +982,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let chunk = (PAGE_SIZE as usize - off).min(buf.len() - pos);
             let slot = self.resolve(a, access)?;
-            buf[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes[off..off + chunk]);
+            buf[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes()[off..off + chunk]);
             pos += chunk;
         }
         Ok(())
@@ -966,8 +1007,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let chunk = (PAGE_SIZE as usize - off).min(bytes.len() - pos);
             let slot = self.resolve(a, access)?;
-            let page = self.touch(slot);
-            page.bytes[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
+            self.touch(slot)[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
             pos += chunk;
         }
         Ok(())
@@ -993,8 +1033,7 @@ impl Memory {
             let slot = self.resolve_raw(a, Access::Write)?;
             // Pokes bypass permissions, so they can always plant code;
             // touching the page stales any decode read from it.
-            let page = self.touch(slot);
-            page.bytes[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
+            self.touch(slot)[off..off + chunk].copy_from_slice(&bytes[pos..pos + chunk]);
             pos += chunk;
         }
         Ok(())
@@ -1016,7 +1055,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let chunk = (PAGE_SIZE as usize - off).min(out.len() - pos);
             let slot = self.resolve_raw(a, Access::Read)?;
-            out[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes[off..off + chunk]);
+            out[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes()[off..off + chunk]);
             pos += chunk;
         }
         Ok(out)
@@ -1036,7 +1075,9 @@ impl Memory {
     /// enforcement flag into an immutable [`MemorySnapshot`], and arms
     /// dirty tracking: every page's dirty bit is cleared, so a later
     /// [`restore_from`](Memory::restore_from) of this snapshot copies
-    /// back exactly the pages written in between.
+    /// back exactly the pages written in between. Only pages with
+    /// storage of their own are copied; a never-written page shares the
+    /// zero image.
     ///
     /// Takes `&mut self` because arming the tracking mutates the dirty
     /// bits; the visible memory state is unchanged.
@@ -1047,7 +1088,7 @@ impl Memory {
             let page = &mut slots[slot as usize];
             page.dirty = false;
             page.snap_index = pages.len() as u32;
-            pages.push((base, Arc::new(*page.bytes), page.perm));
+            pages.push((base, page.bytes.as_deref().map(|b| Arc::new(*b)), page.perm));
         }
         self.dirty.clear();
         self.layout_dirty = false;
@@ -1065,6 +1106,11 @@ impl Memory {
     /// the snapshot (no `map`/`unmap`/`set_perm`/`set_enforce`); when
     /// it did change, the restore falls back to a wholesale rebuild
     /// from the snapshot's images (every page counts as copied).
+    ///
+    /// A page that was zero at snapshot time is refilled with zeros in
+    /// place and keeps its storage; it counts as copied like any other
+    /// dirty page, so [`RestoreStats`] do not depend on which pages
+    /// hold storage.
     ///
     /// Copied-back pages get their write generation bumped (their
     /// bytes changed, so decodes read from them must re-validate);
@@ -1089,7 +1135,7 @@ impl Memory {
             self.dirty.clear();
             for (base, image, perm) in &snap.pages {
                 let mut page = Page::new(*perm);
-                page.bytes.copy_from_slice(&image[..]);
+                page.bytes = image.as_deref().map(|image| Box::new(*image));
                 page.dirty = false;
                 page.snap_index = self.slots.len() as u32;
                 self.slots.push(page);
@@ -1111,7 +1157,16 @@ impl Memory {
                 let page = &mut self.slots[slot as usize];
                 let (_, image, sperm) = &snap.pages[page.snap_index as usize];
                 debug_assert_eq!(page.perm, *sperm, "page layout diverged without layout_dirty");
-                page.bytes.copy_from_slice(&image[..]);
+                match image {
+                    Some(image) => **page.bytes.get_or_insert_with(zeroed_image) = **image,
+                    // Zero at snapshot time: refill in place, keeping the
+                    // storage for the next attempt's writes.
+                    None => {
+                        if let Some(bytes) = page.bytes.as_deref_mut() {
+                            bytes.fill(0);
+                        }
+                    }
+                }
                 // The copy-back is a byte mutation like any other: bump
                 // the page's write generation so decodes read from the
                 // pre-restore bytes go stale. Untouched pages keep their
@@ -1304,9 +1359,10 @@ mod tests {
         assert!(mem.is_mapped(0x2000));
         let err = mem.read_u8(0x1000, Access::Read).unwrap_err();
         assert_eq!(err.kind, MemErrorKind::Unmapped);
-        // Remapping reuses the slot zero-filled.
+        // Remapping reuses the slot zero-filled, without storage.
         mem.map(0x5000, PAGE_SIZE, Perm::RW).unwrap();
         assert_eq!(mem.read_u8(0x5000, Access::Read).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 0);
     }
 
     #[test]
@@ -1450,6 +1506,9 @@ mod tests {
         mem.write_u8(0x1000, 0xaa, Access::Write).unwrap();
         let snap = mem.snapshot();
         assert_eq!(snap.page_count(), 4);
+        // Only the written page has an image; the rest share the zero one.
+        let images = snap.pages.iter().filter(|(_, image, _)| image.is_some());
+        assert_eq!(images.count(), 1);
 
         // Touch two of the four pages.
         mem.write_u8(0x2000, 1, Access::Write).unwrap();
@@ -1508,6 +1567,7 @@ mod tests {
         assert!(mem.enforce(), "enforcement flag restored");
         assert!(!mem.is_mapped(0x8000), "post-snapshot mapping gone");
         assert_eq!(mem.read_u8(0x1000, Access::Read).unwrap(), 7);
+        assert_eq!(mem.resident_pages(), 1, "zero pages get no storage");
         // The rebuilt memory is snapshot-consistent again: a dirty-path
         // restore works and copies only what is written.
         mem.write_u8(0x2000, 9, Access::Write).unwrap();
@@ -1547,5 +1607,77 @@ mod tests {
         let stats = mem.restore_from(&snap);
         assert_eq!(stats.dirty_pages, 2);
         assert_eq!(mem.peek_bytes(0x1ffe, 4).unwrap(), vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn never_written_pages_read_zero_on_every_path() {
+        for fast in [true, false] {
+            let mut mem = Memory::new();
+            mem.set_fast_path(fast);
+            mem.map(0x1000, 2 * PAGE_SIZE, Perm::RWX).unwrap();
+            assert_eq!(mem.read_u8(0x1000, Access::Read).unwrap(), 0);
+            assert_eq!(mem.read_u8(0x1000, Access::Fetch).unwrap(), 0);
+            assert_eq!(mem.read_u32(0x1100, Access::Read).unwrap(), 0);
+            assert_eq!(mem.read_u32(0x1ffe, Access::Read).unwrap(), 0, "straddling");
+            let mut buf = [0xffu8; 6000];
+            mem.read_bytes(0x1800, &mut buf, Access::Read).unwrap();
+            assert!(buf.iter().all(|&b| b == 0));
+            assert_eq!(mem.peek_bytes(0x1ff0, 32).unwrap(), vec![0; 32]);
+            assert_eq!(mem.peek_u32(0x2000).unwrap(), 0);
+            let line = mem.data_line(0x2000).unwrap();
+            assert!(line.serves_word(0x2ffc, false) && line.serves_byte(0x2fff, false));
+            assert_eq!(mem.line_read_u32(line, 0x2ffc), 0);
+            assert_eq!(mem.line_read_u8(line, 0x2fff), 0);
+            assert_eq!(mem.resident_pages(), 0, "reads must not materialise pages");
+        }
+    }
+
+    #[test]
+    fn a_first_write_materialises_exactly_one_page() {
+        let mut mem = Memory::new();
+        mem.map(0x1000, 4 * PAGE_SIZE, Perm::RW).unwrap();
+        mem.write_u8(0x1004, 9, Access::Write).unwrap();
+        assert_eq!(mem.resident_pages(), 1);
+        mem.write_u32(0x1ff0, 7, Access::Write).unwrap();
+        mem.write_bytes(0x1100, &[1, 2, 3], Access::Write).unwrap();
+        assert_eq!(mem.resident_pages(), 1, "later writes reuse the storage");
+        assert_eq!(
+            mem.peek_bytes(0x1000, 8).unwrap(),
+            vec![0, 0, 0, 0, 9, 0, 0, 0]
+        );
+        let line = mem.data_line(0x2000).unwrap();
+        mem.line_write_u8(line, 0x2001, 5);
+        assert_eq!(mem.resident_pages(), 2);
+        mem.poke_bytes(0x3000, &[4]).unwrap();
+        assert_eq!(mem.resident_pages(), 3);
+        assert_eq!(mem.read_u8(0x2001, Access::Read).unwrap(), 5);
+        assert_eq!(mem.read_u8(0x3000, Access::Read).unwrap(), 4);
+        assert_eq!(mem.read_u8(0x4000, Access::Read).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_page_first_written_after_a_snapshot_reads_zero_after_restore() {
+        let mut mem = Memory::new();
+        mem.map(0x1000, 3 * PAGE_SIZE, Perm::RW).unwrap();
+        mem.write_u8(0x1000, 0xaa, Access::Write).unwrap();
+        let snap = mem.snapshot();
+        for round in 0..2 {
+            mem.write_u32(0x2ffe, 0xdead_beef, Access::Write).unwrap(); // straddles 2 pages
+            let one_page = u64::from(PAGE_SIZE);
+            let expected = RestoreStats {
+                dirty_pages: 2,
+                bytes_copied: 2 * one_page,
+            };
+            assert_eq!(mem.restore_from(&snap), expected, "round {round}");
+            assert_eq!(
+                mem.peek_bytes(0x2ff0, 32).unwrap(),
+                vec![0; 32],
+                "round {round}"
+            );
+            assert_eq!(mem.read_u8(0x1000, Access::Read).unwrap(), 0xaa);
+            // The refilled pages keep their storage for the next attempt.
+            assert_eq!(mem.resident_pages(), 3, "round {round}");
+            assert_eq!(mem.restore_from(&snap), RestoreStats::default());
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Drive the campaign service: multi-tenant job queue, warm
-//! fork-server pools, typed degradation.
+//! Drive the campaign service: multi-tenant job queue, a bounded warm
+//! fork-server pool, typed degradation.
 //!
 //! ```text
 //! cargo run --release --example serve -- \

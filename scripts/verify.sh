@@ -254,8 +254,8 @@ if grep -Eq "shed|rejected" "$SERVEDIR/render_w1.txt"; then
 fi
 target/release/telcheck "$SERVEDIR/serve.jsonl" \
     --require "metric:serve.rounds" --require "metric:serve.attempts" \
-    --require "metric:serve.pool.hits" --require "metric:cache.hits" \
-    --require span:job --require meta
+    --require "metric:serve.pool.hits" --require "metric:serve.pool.evictions" \
+    --require "metric:cache.hits" --require span:job --require meta
 # Saturation: a queue sized under the load must shed/reject with typed
 # outcomes, emit job_shed telemetry, and make the run exit non-zero.
 if target/release/examples/serve --tenants 3 --jobs 6 --saturate \

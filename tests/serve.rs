@@ -2,14 +2,17 @@
 //! at any worker count and in either serve mode, admission control is
 //! typed and observable, quota slots free as the queue drains, the
 //! round's telemetry window carries `serve.*` metrics and Job spans,
-//! and a watchdog-abandoned job's VM counts never reach any round.
+//! a watchdog-abandoned job's VM counts never reach any round, and the
+//! warm pool stays within its capacity over a long session whose ASLR
+//! jobs park a server under a fresh key every time.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use swsec::attacker::VICTIM_SMASH;
 use swsec::serve::{
-    CampaignService, JobOutcome, JobSpec, RejectReason, ServeConfig, ServeTelemetry, TenantConfig,
+    CampaignService, JobOutcome, JobSpec, RejectReason, ServeConfig, ServeTelemetry, ServiceRound,
+    TenantConfig, TenantId,
 };
 use swsec_defenses::DefenseConfig;
 use swsec_obs::{CountingSink, MetricsRegistry, SpanKind, SpanMask};
@@ -266,4 +269,111 @@ fn a_hung_job_on_the_only_worker_is_taken_over() {
     }
     assert_eq!((round.workers, round.threads_spawned), (1, 2));
     assert_eq!(svc.render_tenant(t), solo);
+}
+
+/// Runs `rounds` rounds of three tenants that each submit one 2-attempt
+/// job per round on a rotating stack: no defenses, canaries, or
+/// canaries+DEP+ASLR(8). Every round thus has two jobs whose pool key
+/// recurs and one whose fresh layout is a key that almost never does.
+/// `check` sees the service and the round after each round.
+fn mixed_session(
+    cfg: ServeConfig,
+    rounds: usize,
+    mut check: impl FnMut(&CampaignService, &ServiceRound, usize),
+) -> (CampaignService, Vec<TenantId>) {
+    let stacks = [
+        DefenseConfig::none(),
+        DefenseConfig {
+            canary: true,
+            ..DefenseConfig::none()
+        },
+        DefenseConfig::modern(8),
+    ];
+    let mut svc = CampaignService::new(cfg);
+    let ids: Vec<_> = (0..3u64)
+        .map(|t| svc.register_tenant(tenant(&format!("t{t}"), 0x5E55 + t, 1, 4)))
+        .collect();
+    for round in 0..rounds {
+        for (t, id) in ids.iter().enumerate() {
+            let job = JobSpec {
+                attempts: 2,
+                ..spec(stacks[(t + round) % stacks.len()])
+            };
+            svc.submit(*id, job).unwrap();
+        }
+        let served = svc.run();
+        assert_eq!(served.totals.jobs_done, 3, "round {round}");
+        check(&svc, &served, round);
+    }
+    (svc, ids)
+}
+
+#[test]
+fn a_long_mixed_session_keeps_the_warm_pool_bounded() {
+    const ROUNDS: usize = 200;
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let capacity = cfg.pool_capacity;
+    let mut evictions = 0;
+    let (served, ids) = mixed_session(cfg.clone(), ROUNDS, |svc, round, no| {
+        assert!(
+            svc.pooled() <= capacity,
+            "round {no}: {} parked",
+            svc.pooled()
+        );
+        evictions += round.totals.pool_evictions;
+        if no > 0 {
+            // Both non-ASLR jobs lease a warm server. An ASLR job can
+            // hit too, when its slide recurs among the parked servers.
+            assert!(
+                round.totals.pool_hits >= 2,
+                "round {no}: {:?}",
+                round.totals
+            );
+        }
+    });
+    assert!(
+        evictions > 0,
+        "the ASLR keys never pushed the pool past its capacity"
+    );
+    assert_eq!(served.pooled(), capacity);
+
+    let (replay, _) = mixed_session(
+        ServeConfig {
+            fork_server: false,
+            ..cfg
+        },
+        ROUNDS,
+        |_, _, _| {},
+    );
+    for id in ids {
+        assert_eq!(served.render_tenant(id), replay.render_tenant(id), "{id:?}");
+    }
+}
+
+#[test]
+fn pool_and_vm_counts_repeat_exactly_at_one_worker() {
+    // At one worker no two jobs are in flight together, so which jobs
+    // hit, boot and evict is a function of the submission history.
+    let cfg = ServeConfig {
+        workers: 1,
+        pool_capacity: 2,
+        ..ServeConfig::default()
+    };
+    let windows = || {
+        let mut windows = Vec::new();
+        mixed_session(cfg.clone(), 6, |_, round, _| {
+            windows.push((round.totals, round.vm))
+        });
+        windows
+    };
+    let first = windows();
+    let evictions: u64 = first.iter().map(|(totals, _)| totals.pool_evictions).sum();
+    assert!(
+        evictions > 0,
+        "no evictions: the check proves nothing about them"
+    );
+    assert_eq!(first, windows());
 }
