@@ -21,7 +21,7 @@
 //!   `(program, CompileOptions, DefenseConfig)`, so a hot victim is
 //!   compiled once and booted once, then leased across jobs and
 //!   tenants. One least-recently-used order across all keys caps the
-//!   parked servers at [`ServeConfig::pool_capacity`], so keys that
+//!   parked servers at [`POOL_CAPACITY`], so keys that
 //!   never recur (each ASLR job's fresh layout) age out instead of
 //!   accumulating. Every lease is re-armed in full (serve mode, fuel,
 //!   event sink, profiler) before it runs a single attempt: one
@@ -68,6 +68,12 @@ use crate::harness::{AttackTarget, ForkServer, ServeMode, DEFAULT_FUEL};
 use crate::loader::plan_options;
 use crate::report::Table;
 
+/// Most warm servers parked at once, across all pool keys. A check-in
+/// past it evicts the least recently used server (counted in
+/// [`ServeTotals::pool_evictions`]). Runs that must not reuse servers
+/// set [`ServeConfig::fork_server`] to `false` instead.
+pub const POOL_CAPACITY: usize = 16;
+
 /// Service-wide policy knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -91,10 +97,6 @@ pub struct ServeConfig {
     pub fork_server: bool,
     /// Fuel budget per attempt.
     pub fuel: u64,
-    /// Most warm servers parked at once, across all pool keys. A
-    /// check-in past it evicts the least recently used server (counted
-    /// in [`ServeTotals::pool_evictions`]); `0` parks nothing.
-    pub pool_capacity: usize,
     /// Compile-cache capacity ([`ProgramCache::bounded`]); `None` is
     /// unbounded — only sensible for short-lived test services.
     pub cache_capacity: Option<usize>,
@@ -114,7 +116,6 @@ impl Default for ServeConfig {
             job_retries: 1,
             fork_server: true,
             fuel: DEFAULT_FUEL,
-            pool_capacity: 16,
             cache_capacity: Some(256),
             vm: VmConfig::default(),
         }
@@ -322,7 +323,7 @@ pub struct ServeTotals {
     /// Jobs that had to boot a server.
     pub pool_boots: u64,
     /// Warm servers evicted, least recently used first, to keep the
-    /// pool within [`ServeConfig::pool_capacity`].
+    /// pool within [`POOL_CAPACITY`].
     pub pool_evictions: u64,
 }
 
@@ -387,7 +388,7 @@ impl ServeCounters {
 type PoolKey = (String, CompileOptions, DefenseConfig);
 
 /// The warm pool: parked [`ForkServer`]s of every key in one
-/// least-recently-used order, at most `capacity` of them.
+/// least-recently-used order, at most [`POOL_CAPACITY`] of them.
 ///
 /// A parked server is compiled, booted and snapshotted; leasing it
 /// costs a scan of the pool instead of a compile+boot. The scan is
@@ -395,20 +396,13 @@ type PoolKey = (String, CompileOptions, DefenseConfig);
 /// holds a machine and its snapshot). The lock is poison-tolerant: a
 /// worker that panicked mid-checkin must not wedge the pool for every
 /// later job.
+#[derive(Default)]
 struct ForkPool {
-    capacity: usize,
     /// Parked servers, least recently checked in first.
     parked: Mutex<VecDeque<(PoolKey, ForkServer)>>,
 }
 
 impl ForkPool {
-    fn new(capacity: usize) -> ForkPool {
-        ForkPool {
-            capacity,
-            parked: Mutex::new(VecDeque::new()),
-        }
-    }
-
     /// The most recently parked server for `key`, if any.
     fn checkout(&self, key: &PoolKey) -> Option<ForkServer> {
         let mut parked = lock_unpoisoned(&self.parked);
@@ -422,7 +416,7 @@ impl ForkPool {
     fn checkin(&self, key: PoolKey, server: ForkServer) -> Option<ForkServer> {
         let mut parked = lock_unpoisoned(&self.parked);
         parked.push_back((key, server));
-        if parked.len() > self.capacity {
+        if parked.len() > POOL_CAPACITY {
             parked.pop_front().map(|(_, server)| server)
         } else {
             None
@@ -588,7 +582,7 @@ impl CampaignService {
             Some(cap) => ProgramCache::bounded(cap),
             None => ProgramCache::new(),
         });
-        let pool = Arc::new(ForkPool::new(cfg.pool_capacity));
+        let pool = Arc::new(ForkPool::default());
         CampaignService {
             cfg,
             cache,
@@ -1004,8 +998,7 @@ impl CampaignService {
         self.cache.stats()
     }
 
-    /// Warm servers currently parked (at most
-    /// [`ServeConfig::pool_capacity`]).
+    /// Warm servers currently parked (at most [`POOL_CAPACITY`]).
     pub fn pooled(&self) -> usize {
         self.pool.warm()
     }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use swsec::attacker::VICTIM_SMASH;
 use swsec::serve::{
     CampaignService, JobOutcome, JobSpec, RejectReason, ServeConfig, ServeTelemetry, ServiceRound,
-    TenantConfig, TenantId,
+    TenantConfig, TenantId, POOL_CAPACITY,
 };
 use swsec_defenses::DefenseConfig;
 use swsec_obs::{CountingSink, MetricsRegistry, SpanKind, SpanMask};
@@ -315,11 +315,10 @@ fn a_long_mixed_session_keeps_the_warm_pool_bounded() {
         workers: 1,
         ..ServeConfig::default()
     };
-    let capacity = cfg.pool_capacity;
     let mut evictions = 0;
     let (served, ids) = mixed_session(cfg.clone(), ROUNDS, |svc, round, no| {
         assert!(
-            svc.pooled() <= capacity,
+            svc.pooled() <= POOL_CAPACITY,
             "round {no}: {} parked",
             svc.pooled()
         );
@@ -338,7 +337,7 @@ fn a_long_mixed_session_keeps_the_warm_pool_bounded() {
         evictions > 0,
         "the ASLR keys never pushed the pool past its capacity"
     );
-    assert_eq!(served.pooled(), capacity);
+    assert_eq!(served.pooled(), POOL_CAPACITY);
 
     let (replay, _) = mixed_session(
         ServeConfig {
@@ -357,14 +356,21 @@ fn a_long_mixed_session_keeps_the_warm_pool_bounded() {
 fn pool_and_vm_counts_repeat_exactly_at_one_worker() {
     // At one worker no two jobs are in flight together, so which jobs
     // hit, boot and evict is a function of the submission history.
+    // Each round parks one fresh ASLR key beside the two non-ASLR ones,
+    // so the pool fills and starts evicting well before the last round.
+    const ROUNDS: usize = 24;
     let cfg = ServeConfig {
         workers: 1,
-        pool_capacity: 2,
         ..ServeConfig::default()
     };
     let windows = || {
         let mut windows = Vec::new();
-        mixed_session(cfg.clone(), 6, |_, round, _| {
+        mixed_session(cfg.clone(), ROUNDS, |svc, round, no| {
+            assert!(
+                svc.pooled() <= POOL_CAPACITY,
+                "round {no}: {} parked",
+                svc.pooled()
+            );
             windows.push((round.totals, round.vm))
         });
         windows
