@@ -4,10 +4,13 @@
 //! looking for secrets — credit card numbers, keys, PINs. Two
 //! implementations are provided:
 //!
-//! * [`Scraper`] — a fast model that performs exactly the loads the
-//!   malicious code would perform, honoring page permissions and
-//!   protected-module access control. A byte inside a protected module
-//!   is invisible to it; everything else is fair game.
+//! * [`Scraper`] — a fast model of what the malicious code can load,
+//!   honoring page permissions and protected-module access control. A
+//!   byte inside a protected module is invisible to it; everything else
+//!   is fair game. [`Scraper::scan`] evaluates visibility once per
+//!   page/module piece, which equals the per-byte rule of
+//!   [`Scraper::can_read`]; `tests/scraper_diff.rs` checks the two
+//!   against each other on generated machines.
 //! * [`scraper_program`] — real scraper *machine code* that runs on the
 //!   VM, for end-to-end demonstrations.
 //!
@@ -18,7 +21,7 @@
 
 use swsec_asm::assemble;
 use swsec_vm::cpu::Machine;
-use swsec_vm::mem::Access;
+use swsec_vm::mem::{Access, PAGE_SIZE};
 
 /// Privilege level of the scraping code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,35 +83,82 @@ impl Scraper {
         match self.privilege {
             ScrapePrivilege::User => m.mem().read_u8(addr, Access::Read).ok(),
             ScrapePrivilege::Kernel => {
-                m.mem().peek_bytes(addr, 1).ok().map(|v| v[0])
+                let mut byte = [0u8];
+                m.mem().peek_into(addr, &mut byte).ok().map(|()| byte[0])
             }
         }
     }
 
     /// Scans every mapped region for `needle`, returning the addresses
-    /// of all matches the scraper can actually see.
+    /// of all matches the scraper can actually see, in address order.
+    ///
+    /// The result is that of sliding a `needle.len()`-byte window of
+    /// [`read`](Scraper::read)s over each [`regions`] entry: a match
+    /// never covers an invisible byte and never spans two entries, even
+    /// adjacent ones. Visibility is evaluated once per *piece* instead
+    /// of per byte. A piece is a run of bytes inside one entry, cut at
+    /// page boundaries and at the code and data bounds of every
+    /// protected module; page permissions are per page and the PMA
+    /// verdict depends only on which module holds the address, so
+    /// neither can change inside a piece. Matches straddling visible
+    /// pieces are found by carrying the last `needle.len() - 1` bytes
+    /// from one piece to the next, so the working buffer is one page
+    /// plus that carry, whatever the region size.
+    ///
+    /// [`regions`]: swsec_vm::mem::Memory::regions
     pub fn scan(&self, m: &Machine, needle: &[u8]) -> Vec<u32> {
         if needle.is_empty() {
             return Vec::new();
         }
+        let mem = m.mem();
+        // Every address at which the PMA verdict may change.
+        let bounds: Vec<u32> = m.protection().map_or_else(Vec::new, |pma| {
+            pma.regions()
+                .iter()
+                .flat_map(|r| {
+                    let (code, data) = (r.code(), r.data());
+                    [code.start, code.end, data.start, data.end]
+                })
+                .collect()
+        });
+        let keep = needle.len() - 1;
+        // `buf[..carried]` holds the visible bytes just before the
+        // current piece; the piece is read in behind them.
+        let mut buf = vec![0u8; keep + PAGE_SIZE as usize];
         let mut hits = Vec::new();
-        for (range, _) in m.mem().regions() {
-            let mut window: Vec<Option<u8>> = Vec::new();
+        for (range, _) in mem.regions() {
+            // Offsets from `range.start`, so the last page, whose
+            // `range.end` wraps to 0, needs no special case.
             let len = range.end.wrapping_sub(range.start);
-            for i in 0..len {
-                let addr = range.start.wrapping_add(i);
-                window.push(self.read(m, addr));
-                if window.len() > needle.len() {
-                    window.remove(0);
+            let mut carried = 0usize;
+            let mut off = 0u32;
+            while off < len {
+                let addr = range.start.wrapping_add(off);
+                let mut end = (off - off % PAGE_SIZE + PAGE_SIZE).min(len);
+                for &bound in &bounds {
+                    let at = bound.wrapping_sub(range.start);
+                    if at > off && at < end {
+                        end = at;
+                    }
                 }
-                if window.len() == needle.len()
-                    && window
-                        .iter()
-                        .zip(needle)
-                        .all(|(b, n)| *b == Some(*n))
-                {
-                    hits.push(addr.wrapping_sub(needle.len() as u32 - 1));
+                if self.can_read(m, addr) {
+                    let seen = carried + (end - off) as usize;
+                    mem.peek_into(addr, &mut buf[carried..seen])
+                        .expect("a region's pages are mapped");
+                    let first = addr.wrapping_sub(carried as u32);
+                    hits.extend(
+                        buf[..seen]
+                            .windows(needle.len())
+                            .enumerate()
+                            .filter(|(_, w)| *w == needle)
+                            .map(|(i, _)| first.wrapping_add(i as u32)),
+                    );
+                    carried = keep.min(seen);
+                    buf.copy_within(seen - carried..seen, 0);
+                } else {
+                    carried = 0;
                 }
+                off = end;
             }
         }
         hits

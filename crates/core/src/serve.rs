@@ -850,7 +850,9 @@ impl CampaignService {
     /// `serve.pool.hits` / `serve.pool.boots` / `serve.pool.evictions`,
     /// the `cache.*` window (incl. `cache.evictions`), the `vm.*`
     /// window (same names as the campaign runner), and one
-    /// `serve.job_micros` observation per job.
+    /// `serve.job_micros` observation per job. `serve.pool.warm` is a
+    /// level, not a window: each round overwrites it with the number
+    /// of servers parked now (see [`MetricsRegistry::level`]).
     fn absorb_round(
         &mut self,
         registry: &MetricsRegistry,
@@ -870,7 +872,7 @@ impl CampaignService {
         registry.counter("serve.pool.hits", totals.pool_hits);
         registry.counter("serve.pool.boots", totals.pool_boots);
         registry.counter("serve.pool.evictions", totals.pool_evictions);
-        registry.counter("serve.pool.warm", self.pool.warm() as u64);
+        registry.level("serve.pool.warm", self.pool.warm() as u64);
         let cache_now = self.cache.stats();
         let cache = CacheStats {
             hits: cache_now.hits.saturating_sub(self.exported_cache.hits),

@@ -158,6 +158,14 @@ impl MetricsRegistry {
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
+    /// Sets counter `name` to `value`, replacing what it held: a
+    /// *level* (how many of something exist now) rather than a count
+    /// of events. It renders and exports exactly like a counter.
+    pub fn level(&self, name: &str, value: u64) {
+        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        inner.counters.insert(name.to_string(), value);
+    }
+
     /// Records `value` into histogram `name`, creating it first.
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
@@ -302,6 +310,18 @@ mod tests {
         let z = r1.find("z.last").unwrap();
         assert!(a < z);
         assert!(r1.contains("n=2"));
+    }
+
+    #[test]
+    fn a_level_overwrites_and_exports_like_a_counter() {
+        let reg = MetricsRegistry::new();
+        reg.level("pool.warm", 7);
+        reg.level("pool.warm", 3);
+        assert_eq!(reg.counter_value("pool.warm"), 3);
+        let counted = MetricsRegistry::new();
+        counted.counter("pool.warm", 3);
+        assert_eq!(reg.render(), counted.render());
+        assert_eq!(reg.export_jsonl(), counted.export_jsonl());
     }
 
     #[test]

@@ -1042,23 +1042,38 @@ impl Memory {
     /// Reads bytes ignoring permissions (but not mappedness); the
     /// complement of [`Memory::poke_bytes`], used by platform-level
     /// inspection such as attestation measurement and kernel-level
-    /// memory-scraping malware.
+    /// memory-scraping malware. Allocates; [`Memory::peek_into`] reads
+    /// into a caller's buffer instead.
     ///
     /// # Errors
     ///
     /// Faults only on unmapped pages.
     pub fn peek_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, MemError> {
         let mut out = vec![0u8; len as usize];
+        self.peek_into(addr, &mut out)?;
+        Ok(out)
+    }
+
+    /// Fills `buf` with the bytes starting at `addr`, ignoring
+    /// permissions (but not mappedness): [`Memory::peek_bytes`] without
+    /// the allocation. One page lookup per page touched.
+    ///
+    /// # Errors
+    ///
+    /// Faults on the first byte of the first unmapped page, with the
+    /// error `peek_bytes` returns; the bytes of the pages before it are
+    /// already copied into `buf`.
+    pub fn peek_into(&self, addr: u32, buf: &mut [u8]) -> Result<(), MemError> {
         let mut pos = 0usize;
-        while pos < out.len() {
+        while pos < buf.len() {
             let a = addr.wrapping_add(pos as u32);
             let off = (a % PAGE_SIZE) as usize;
-            let chunk = (PAGE_SIZE as usize - off).min(out.len() - pos);
+            let chunk = (PAGE_SIZE as usize - off).min(buf.len() - pos);
             let slot = self.resolve_raw(a, Access::Read)?;
-            out[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes()[off..off + chunk]);
+            buf[pos..pos + chunk].copy_from_slice(&self.slots[slot].bytes()[off..off + chunk]);
             pos += chunk;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Reads a 32-bit word ignoring permissions.
@@ -1067,8 +1082,9 @@ impl Memory {
     ///
     /// Faults only on unmapped pages.
     pub fn peek_u32(&self, addr: u32) -> Result<u32, MemError> {
-        let bytes = self.peek_bytes(addr, 4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let mut bytes = [0u8; 4];
+        self.peek_into(addr, &mut bytes)?;
+        Ok(u32::from_le_bytes(bytes))
     }
 
     /// Captures every mapped page (bytes + permission) and the
@@ -1338,6 +1354,32 @@ mod tests {
         mem.poke_bytes(0x1000, &[1, 2, 3]).unwrap();
         assert_eq!(mem.peek_bytes(0x1000, 3).unwrap(), vec![1, 2, 3]);
         assert!(mem.read_u8(0x1000, Access::Read).is_err());
+    }
+
+    #[test]
+    fn peek_into_straddles_pages_and_stops_at_the_unmapped_tail() {
+        let mut mem = Memory::new();
+        mem.map(0x1000, PAGE_SIZE, Perm::NONE).unwrap();
+        mem.map(0x2000, PAGE_SIZE, Perm::RW).unwrap(); // never written
+        mem.poke_bytes(0x1ffc, &[1, 2, 3, 4]).unwrap();
+
+        let mut buf = [0xaau8; 8];
+        mem.peek_into(0x1ffc, &mut buf).unwrap();
+        assert_eq!(buf, [1, 2, 3, 4, 0, 0, 0, 0]);
+        assert_eq!(mem.peek_bytes(0x1ffc, 8).unwrap(), buf);
+        assert_eq!(mem.peek_u32(0x1ffe).unwrap(), 0x0403);
+
+        // 0x3000 is unmapped: both report its first byte, not `addr`.
+        let unmapped = MemError {
+            addr: 0x3000,
+            access: Access::Read,
+            kind: MemErrorKind::Unmapped,
+        };
+        let mut tail = [0u8; 16];
+        assert_eq!(mem.peek_into(0x2ff8, &mut tail), Err(unmapped));
+        assert_eq!(mem.peek_bytes(0x2ff8, 16), Err(unmapped));
+        assert_eq!(mem.peek_u32(0x2ffe), Err(unmapped));
+        assert_eq!(mem.peek_into(0x3000, &mut []), Ok(()));
     }
 
     #[test]

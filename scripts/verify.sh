@@ -57,7 +57,11 @@
 #      in crates/core/src/campaign.rs). Any other `thread::spawn`,
 #      `Builder::…spawn` or `thread::scope` outside `#[cfg(test)]`
 #      items fails: attempts run inline on the runner's workers, never
-#      on a thread of their own (DESIGN.md §9).
+#      on a thread of their own (DESIGN.md §9);
+#  15. benchmark build and tests: swsecbench/ is a Cargo workspace of
+#      its own, so neither `cargo test` nor `cargo test --workspace`
+#      compiles it; a public-API change that breaks the benchmark fails
+#      here instead of in the benchmark run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -315,5 +319,8 @@ if [ "$(printf '%s\n' "$SPAWNS" | grep -c .)" -ne 1 ] \
     echo "verify: crates/core/src starts a thread outside the campaign runner's worker spawn" >&2
     exit 1
 fi
+
+echo "==> benchmark tests"
+cargo test -q --release --offline --manifest-path swsecbench/Cargo.toml
 
 echo "verify: all checks passed"

@@ -1,7 +1,8 @@
 //! Campaign-service contract: per-tenant renders are byte-identical
 //! at any worker count and in either serve mode, admission control is
 //! typed and observable, quota slots free as the queue drains, the
-//! round's telemetry window carries `serve.*` metrics and Job spans,
+//! round's telemetry window carries `serve.*` metrics and Job spans
+//! (with `serve.pool.warm` a level, not a sum over rounds),
 //! a watchdog-abandoned job's VM counts never reach any round, and the
 //! warm pool stays within its capacity over a long session whose ASLR
 //! jobs park a server under a fresh key every time.
@@ -163,6 +164,32 @@ fn round_telemetry_exports_serve_metrics_and_job_spans() {
         .count();
     assert_eq!(jobs, 2);
     assert!(round.span_tree().contains("serve round"));
+}
+
+#[test]
+fn pool_warm_metric_reads_the_parked_count_not_a_sum_over_rounds() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let telemetry = ServeTelemetry {
+        metrics: Some(registry.clone()),
+        spans: None,
+        profiler: None,
+    };
+    let mut svc = CampaignService::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let t = svc.register_tenant(tenant("t", 5, 1, 8));
+    for round in 1..=2 {
+        svc.submit(t, spec(DefenseConfig::none())).unwrap();
+        svc.run_with(&telemetry);
+        assert_eq!(registry.counter_value("serve.rounds"), round);
+        assert!(svc.pooled() > 0, "round {round} parked nothing");
+        assert_eq!(
+            registry.counter_value("serve.pool.warm"),
+            svc.pooled() as u64,
+            "round {round}"
+        );
+    }
 }
 
 /// A fixed small workload whose VM-counter window is deterministic:
