@@ -88,7 +88,11 @@ pub enum AsmErrorKind {
     /// An operand that could not be parsed.
     BadOperand(String),
     /// Wrong number of operands for the mnemonic.
-    WrongArity { mnemonic: String, expected: usize, got: usize },
+    WrongArity {
+        mnemonic: String,
+        expected: usize,
+        got: usize,
+    },
     /// Reference to a label that is never defined.
     UnknownLabel(String),
     /// The same label defined twice.
@@ -120,7 +124,11 @@ impl fmt::Display for AsmError {
         match &self.kind {
             AsmErrorKind::UnknownMnemonic(m) => write!(f, "{loc}unknown mnemonic `{m}`"),
             AsmErrorKind::BadOperand(o) => write!(f, "{loc}cannot parse operand `{o}`"),
-            AsmErrorKind::WrongArity { mnemonic, expected, got } => {
+            AsmErrorKind::WrongArity {
+                mnemonic,
+                expected,
+                got,
+            } => {
                 write!(f, "{loc}`{mnemonic}` takes {expected} operands, got {got}")
             }
             AsmErrorKind::UnknownLabel(l) => write!(f, "{loc}undefined label `{l}`"),
@@ -183,7 +191,10 @@ fn parse_int(s: &str) -> Option<i64> {
             return None;
         }
         c as i64
-    } else if body.bytes().all(|b| b.is_ascii_digit() || matches!(b, b'_' | b'+' | b'-')) {
+    } else if body
+        .bytes()
+        .all(|b| b.is_ascii_digit() || matches!(b, b'_' | b'+' | b'-'))
+    {
         body.replace('_', "").parse::<i64>().ok()?
     } else {
         // Any other byte survives the `_` removal and fails the parse;
@@ -234,7 +245,8 @@ fn parse_operand(s: &str) -> Result<Operand<'_>, AsmErrorKind> {
         // Forms: reg, reg+disp, reg-disp.
         let (reg_part, disp) = if let Some(idx) = inner.find(['+', '-']) {
             let (r, d) = inner.split_at(idx);
-            let disp = parse_int(d.trim()).ok_or_else(|| AsmErrorKind::BadOperand(s.to_string()))?;
+            let disp =
+                parse_int(d.trim()).ok_or_else(|| AsmErrorKind::BadOperand(s.to_string()))?;
             (r.trim(), disp)
         } else {
             (inner, 0)
@@ -247,7 +259,9 @@ fn parse_operand(s: &str) -> Result<Operand<'_>, AsmErrorKind> {
             .strip_prefix('"')
             .and_then(|t| t.strip_suffix('"'))
             .ok_or_else(|| AsmErrorKind::BadString(s.to_string()))?;
-        return Ok(Operand::Str(unescape(body).ok_or_else(|| AsmErrorKind::BadString(s.to_string()))?));
+        return Ok(Operand::Str(
+            unescape(body).ok_or_else(|| AsmErrorKind::BadString(s.to_string()))?,
+        ));
     }
     if let Some(reg) = parse_reg(s) {
         return Ok(Operand::Reg(reg));
@@ -428,7 +442,11 @@ impl Mnemonic {
 enum Stmt<'a> {
     Label(&'a str),
     /// An instruction; `mnemonic` is the source text, kept for errors.
-    Instr { op: Mnemonic, mnemonic: &'a str, operands: Range<usize> },
+    Instr {
+        op: Mnemonic,
+        mnemonic: &'a str,
+        operands: Range<usize>,
+    },
     /// A mnemonic outside the ISA and directive set, reported with the
     /// back end's pass-1 errors.
     Unknown(&'a str),
@@ -455,7 +473,10 @@ fn parse_line<'a>(
     // Leading labels (possibly several on one line): a run of label
     // characters directly followed by `:`.
     loop {
-        let len = rest.bytes().position(|b| !is_label_byte(b)).unwrap_or(rest.len());
+        let len = rest
+            .bytes()
+            .position(|b| !is_label_byte(b))
+            .unwrap_or(rest.len());
         if len == 0 || rest.as_bytes().get(len) != Some(&b':') {
             break;
         }
@@ -479,9 +500,18 @@ fn parse_line<'a>(
         arena.push(parse_operand(raw).map_err(|kind| AsmError { line: lineno, kind })?);
     }
     let operands = start..arena.len();
-    let bad = |kind: fn(String) -> AsmErrorKind| AsmError { line: lineno, kind: kind(args.to_string()) };
+    let bad = |kind: fn(String) -> AsmErrorKind| AsmError {
+        line: lineno,
+        kind: kind(args.to_string()),
+    };
     // `.org`, `.ascii` and `.space` take their one operand out of the arena.
-    let single = |arena: &mut Vec<Operand<'a>>| if operands.len() == 1 { arena.pop() } else { None };
+    let single = |arena: &mut Vec<Operand<'a>>| {
+        if operands.len() == 1 {
+            arena.pop()
+        } else {
+            None
+        }
+    };
     let stmt = match &*lower {
         ".org" => match single(arena) {
             Some(Operand::Imm(v)) => Stmt::Org(v as u32),
@@ -498,7 +528,11 @@ fn parse_line<'a>(
             _ => return Err(bad(AsmErrorKind::BadOperand)),
         },
         m => match Mnemonic::decode(m) {
-            Some(op) => Stmt::Instr { op, mnemonic, operands },
+            Some(op) => Stmt::Instr {
+                op,
+                mnemonic,
+                operands,
+            },
             None => Stmt::Unknown(mnemonic),
         },
     };
@@ -536,10 +570,15 @@ impl Resolver<'_, '_> {
     fn imm(&self, op: &Operand<'_>) -> Result<Value, AsmError> {
         match op {
             Operand::Imm(v) => Ok(Value::Const(*v as u32)),
-            Operand::Label(name) => self.labels.get(*name).map(|&l| Value::Label(l)).ok_or_else(|| AsmError {
-                line: self.line,
-                kind: AsmErrorKind::UnknownLabel(name.to_string()),
-            }),
+            Operand::Label(name) => {
+                self.labels
+                    .get(*name)
+                    .map(|&l| Value::Label(l))
+                    .ok_or_else(|| AsmError {
+                        line: self.line,
+                        kind: AsmErrorKind::UnknownLabel(name.to_string()),
+                    })
+            }
             other => Err(self.bad(other)),
         }
     }
@@ -606,12 +645,31 @@ fn lower_instr(
         Mnemonic::Halt => Instr::Halt,
         Mnemonic::Ret => Instr::Ret,
         Mnemonic::Leave => Instr::Leave,
-        Mnemonic::MovI => Instr::MovI { dst: r.reg(&ops[0])?, imm: imm(&ops[1])? },
-        Mnemonic::AddI => Instr::AddI { dst: r.reg(&ops[0])?, imm: imm(&ops[1])? },
-        Mnemonic::CmpI => Instr::CmpI { a: r.reg(&ops[0])?, imm: imm(&ops[1])? },
-        Mnemonic::Mov => Instr::Mov { dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
-        Mnemonic::Cmp => Instr::Cmp { a: r.reg(&ops[0])?, b: r.reg(&ops[1])? },
-        Mnemonic::Alu(alu) => Instr::Alu { op: alu, dst: r.reg(&ops[0])?, src: r.reg(&ops[1])? },
+        Mnemonic::MovI => Instr::MovI {
+            dst: r.reg(&ops[0])?,
+            imm: imm(&ops[1])?,
+        },
+        Mnemonic::AddI => Instr::AddI {
+            dst: r.reg(&ops[0])?,
+            imm: imm(&ops[1])?,
+        },
+        Mnemonic::CmpI => Instr::CmpI {
+            a: r.reg(&ops[0])?,
+            imm: imm(&ops[1])?,
+        },
+        Mnemonic::Mov => Instr::Mov {
+            dst: r.reg(&ops[0])?,
+            src: r.reg(&ops[1])?,
+        },
+        Mnemonic::Cmp => Instr::Cmp {
+            a: r.reg(&ops[0])?,
+            b: r.reg(&ops[1])?,
+        },
+        Mnemonic::Alu(alu) => Instr::Alu {
+            op: alu,
+            dst: r.reg(&ops[0])?,
+            src: r.reg(&ops[1])?,
+        },
         Mnemonic::Load | Mnemonic::LoadB | Mnemonic::Lea => {
             let dst = r.reg(&ops[0])?;
             let (base, disp) = r.mem(&ops[1])?;
@@ -635,7 +693,10 @@ fn lower_instr(
         Mnemonic::JmpR => Instr::JmpR(r.reg(&ops[0])?),
         Mnemonic::PushI => Instr::PushI(imm(&ops[0])?),
         Mnemonic::Jmp => Instr::Jmp(imm(&ops[0])?),
-        Mnemonic::JCond(cond) => Instr::JCond { cond, target: imm(&ops[0])? },
+        Mnemonic::JCond(cond) => Instr::JCond {
+            cond,
+            target: imm(&ops[0])?,
+        },
         Mnemonic::Call => Instr::Call(imm(&ops[0])?),
         Mnemonic::Enter => Instr::Enter(imm(&ops[0])?),
         Mnemonic::Sys => Instr::Sys(imm(&ops[0])? as u8),
@@ -722,7 +783,10 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
     let mut unknown = None;
     let mut invalid = None;
     for (lineno, stmt) in &stmts {
-        let r = Resolver { labels: &labels, line: *lineno };
+        let r = Resolver {
+            labels: &labels,
+            line: *lineno,
+        };
         let mut value = |op, item: fn(Value) -> Item| match r.imm(op) {
             Ok(v) => asm.push(item(v)),
             Err(e) => {
@@ -735,21 +799,33 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
             Stmt::Org(addr) => asm.push(Item::Org(*addr)),
             Stmt::Unknown(mnemonic) => {
                 let kind = AsmErrorKind::UnknownMnemonic(mnemonic.to_ascii_lowercase());
-                unknown.get_or_insert((asm.len(), AsmError { line: *lineno, kind }));
+                unknown.get_or_insert((
+                    asm.len(),
+                    AsmError {
+                        line: *lineno,
+                        kind,
+                    },
+                ));
             }
-            Stmt::Byte(ops) => arena[ops.clone()].iter().for_each(|op| value(op, Item::Byte)),
-            Stmt::Word(ops) => arena[ops.clone()].iter().for_each(|op| value(op, Item::Word)),
+            Stmt::Byte(ops) => arena[ops.clone()]
+                .iter()
+                .for_each(|op| value(op, Item::Byte)),
+            Stmt::Word(ops) => arena[ops.clone()]
+                .iter()
+                .for_each(|op| value(op, Item::Word)),
             Stmt::Ascii(s) => asm.ascii(s.as_bytes()),
             Stmt::Space(n) => asm.push(Item::Space(*n)),
-            Stmt::Instr { op, mnemonic, operands } => {
-                match lower_instr(*op, mnemonic, &arena[operands.clone()], &r) {
-                    Ok(insn) => asm.insn(insn),
-                    Err(e) => {
-                        invalid.get_or_insert(e);
-                        asm.push(Item::Space(1));
-                    }
+            Stmt::Instr {
+                op,
+                mnemonic,
+                operands,
+            } => match lower_instr(*op, mnemonic, &arena[operands.clone()], &r) {
+                Ok(insn) => asm.insn(insn),
+                Err(e) => {
+                    invalid.get_or_insert(e);
+                    asm.push(Item::Space(1));
                 }
-            }
+            },
         }
     }
 
@@ -765,8 +841,15 @@ pub fn assemble(source: &str) -> Result<AsmOutput, AsmError> {
     if let Some(err) = invalid {
         return Err(err);
     }
-    let labels = labels.into_iter().map(|(name, l)| (name.to_string(), linked.addr(l))).collect();
-    Ok(AsmOutput { base: linked.base, bytes: linked.bytes, labels })
+    let labels = labels
+        .into_iter()
+        .map(|(name, l)| (name.to_string(), linked.addr(l)))
+        .collect();
+    Ok(AsmOutput {
+        base: linked.base,
+        bytes: linked.bytes,
+        labels,
+    })
 }
 
 #[cfg(test)]
@@ -778,7 +861,13 @@ mod tests {
     fn assembles_minimal_program() {
         let out = assemble("movi r0, 42\nsys 0\n").unwrap();
         let (i, _) = Instr::decode(&out.bytes).unwrap();
-        assert_eq!(i, Instr::MovI { dst: Reg::R0, imm: 42 });
+        assert_eq!(
+            i,
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 42
+            }
+        );
     }
 
     #[test]
@@ -836,11 +925,32 @@ mod tests {
         )
         .unwrap();
         let (a, n) = Instr::decode(&out.bytes).unwrap();
-        assert_eq!(a, Instr::Load { dst: Reg::R0, base: Reg::Bp, disp: -16 });
+        assert_eq!(
+            a,
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::Bp,
+                disp: -16
+            }
+        );
         let (b, n2) = Instr::decode(&out.bytes[n..]).unwrap();
-        assert_eq!(b, Instr::Store { base: Reg::Sp, disp: 4, src: Reg::R1 });
+        assert_eq!(
+            b,
+            Instr::Store {
+                base: Reg::Sp,
+                disp: 4,
+                src: Reg::R1
+            }
+        );
         let (c, _) = Instr::decode(&out.bytes[n + n2..]).unwrap();
-        assert_eq!(c, Instr::LoadB { dst: Reg::R2, base: Reg::R3, disp: 0 });
+        assert_eq!(
+            c,
+            Instr::LoadB {
+                dst: Reg::R2,
+                base: Reg::R3,
+                disp: 0
+            }
+        );
     }
 
     #[test]
@@ -868,7 +978,13 @@ mod tests {
         )
         .unwrap();
         let (i, _) = Instr::decode(&out.bytes).unwrap();
-        assert_eq!(i, Instr::MovI { dst: Reg::R1, imm: 0x2007 });
+        assert_eq!(
+            i,
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0x2007
+            }
+        );
     }
 
     #[test]
@@ -918,20 +1034,52 @@ mod tests {
     fn negative_and_char_immediates() {
         let out = assemble("movi r0, -1\nmovi r1, 'A'\n").unwrap();
         let (a, n) = Instr::decode(&out.bytes).unwrap();
-        assert_eq!(a, Instr::MovI { dst: Reg::R0, imm: u32::MAX });
+        assert_eq!(
+            a,
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: u32::MAX
+            }
+        );
         let (b, _) = Instr::decode(&out.bytes[n..]).unwrap();
-        assert_eq!(b, Instr::MovI { dst: Reg::R1, imm: 65 });
+        assert_eq!(
+            b,
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 65
+            }
+        );
     }
 
     #[test]
     fn alu_and_cond_families() {
         let out = assemble("add r0, r1\nsar r2, r3\njae 0x10\n").unwrap();
         let (a, n) = Instr::decode(&out.bytes).unwrap();
-        assert_eq!(a, Instr::Alu { op: AluOp::Add, dst: Reg::R0, src: Reg::R1 });
+        assert_eq!(
+            a,
+            Instr::Alu {
+                op: AluOp::Add,
+                dst: Reg::R0,
+                src: Reg::R1
+            }
+        );
         let (b, n2) = Instr::decode(&out.bytes[n..]).unwrap();
-        assert_eq!(b, Instr::Alu { op: AluOp::Sar, dst: Reg::R2, src: Reg::R3 });
+        assert_eq!(
+            b,
+            Instr::Alu {
+                op: AluOp::Sar,
+                dst: Reg::R2,
+                src: Reg::R3
+            }
+        );
         let (c, _) = Instr::decode(&out.bytes[n + n2..]).unwrap();
-        assert_eq!(c, Instr::JCond { cond: Cond::Ae, target: 0x10 });
+        assert_eq!(
+            c,
+            Instr::JCond {
+                cond: Cond::Ae,
+                target: 0x10
+            }
+        );
     }
 
     fn err(src: &str) -> (usize, AsmErrorKind) {
@@ -949,29 +1097,57 @@ mod tests {
         // the malformed operand on line 4 is reported first.
         let src = "frob r0\na: nop\na: nop\nmovi r0, [bp\n";
         assert_eq!(err(src), (4, bad("[bp")));
-        assert_eq!(err("jmp nowhere\n.ascii 5\n"), (2, AsmErrorKind::BadString("5".into())));
+        assert_eq!(
+            err("jmp nowhere\n.ascii 5\n"),
+            (2, AsmErrorKind::BadString("5".into()))
+        );
     }
 
     #[test]
     fn pass_one_errors_come_in_statement_order() {
-        assert_eq!(err("a: nop\nfrob\na: nop\n"), (2, AsmErrorKind::UnknownMnemonic("frob".into())));
-        assert_eq!(err("a: nop\na: frob\n"), (2, AsmErrorKind::DuplicateLabel("a".into())));
+        assert_eq!(
+            err("a: nop\nfrob\na: nop\n"),
+            (2, AsmErrorKind::UnknownMnemonic("frob".into()))
+        );
+        assert_eq!(
+            err("a: nop\na: frob\n"),
+            (2, AsmErrorKind::DuplicateLabel("a".into()))
+        );
         assert_eq!(err("nop\n.org 0x10\nfrob\n"), (2, AsmErrorKind::LateOrg));
         // Lines stay right after statements that yield several items.
-        assert_eq!(err(".byte 1, 2, 3\na: nop\na: nop\n"), (3, AsmErrorKind::DuplicateLabel("a".into())));
+        assert_eq!(
+            err(".byte 1, 2, 3\na: nop\na: nop\n"),
+            (3, AsmErrorKind::DuplicateLabel("a".into()))
+        );
     }
 
     #[test]
     fn pass_two_errors_come_after_every_pass_one_error() {
-        assert_eq!(err("jmp nowhere\nmov r0\nfrob\n"), (3, AsmErrorKind::UnknownMnemonic("frob".into())));
-        assert_eq!(err("jmp nowhere\nmov r0\n"), (1, AsmErrorKind::UnknownLabel("nowhere".into())));
+        assert_eq!(
+            err("jmp nowhere\nmov r0\nfrob\n"),
+            (3, AsmErrorKind::UnknownMnemonic("frob".into()))
+        );
+        assert_eq!(
+            err("jmp nowhere\nmov r0\n"),
+            (1, AsmErrorKind::UnknownLabel("nowhere".into()))
+        );
         // Within one instruction: operand count, then operands left to right.
         assert_eq!(
             err("mov 5\n"),
-            (1, AsmErrorKind::WrongArity { mnemonic: "mov".into(), expected: 2, got: 1 })
+            (
+                1,
+                AsmErrorKind::WrongArity {
+                    mnemonic: "mov".into(),
+                    expected: 2,
+                    got: 1
+                }
+            )
         );
         assert_eq!(err("store r0, 5\n"), (1, bad("Reg(R0)")));
-        assert_eq!(err("load r0, [bp+40000]\nmov r0, 5\n"), (1, AsmErrorKind::DispOutOfRange(40000)));
+        assert_eq!(
+            err("load r0, [bp+40000]\nmov r0, 5\n"),
+            (1, AsmErrorKind::DispOutOfRange(40000))
+        );
     }
 
     #[test]
@@ -979,7 +1155,10 @@ mod tests {
         assert_eq!(err("mov r0, 5\n"), (1, bad("Imm(5)")));
         assert_eq!(err("movi r0, r1\n"), (1, bad("Reg(R1)")));
         assert_eq!(err("push loop\n"), (1, bad("Label(\"loop\")")));
-        assert_eq!(err("mov r0, [bp-4]\n"), (1, bad("Mem { base: Bp, disp: -4 }")));
+        assert_eq!(
+            err("mov r0, [bp-4]\n"),
+            (1, bad("Mem { base: Bp, disp: -4 }"))
+        );
         assert_eq!(err("load r0, r1\n"), (1, bad("Reg(R1)")));
         assert_eq!(err(".word r2\n"), (1, bad("Reg(R2)")));
         assert_eq!(err(".byte \"x\"\n"), (1, bad("Str(\"x\")")));
@@ -993,17 +1172,33 @@ mod tests {
         assert_eq!(err(".space -1\n"), (1, bad("-1")));
         assert_eq!(err("movi r0, @\n"), (1, bad("@")));
         assert_eq!(err("movi r0, ,\n"), (1, bad("")));
-        assert_eq!(err(".ascii \"a\\q\"\n"), (1, AsmErrorKind::BadString("\"a\\q\"".into())));
+        assert_eq!(
+            err(".ascii \"a\\q\"\n"),
+            (1, AsmErrorKind::BadString("\"a\\q\"".into()))
+        );
     }
 
     #[test]
     fn mnemonics_are_case_insensitive_and_errors_report_them_lowercase() {
         let upper = assemble("MOVI r0, 1\n.BYTE 2\n").unwrap();
-        assert_eq!(upper.bytes, assemble("movi r0, 1\n.byte 2\n").unwrap().bytes);
-        assert_eq!(err("FROB\n"), (1, AsmErrorKind::UnknownMnemonic("frob".into())));
+        assert_eq!(
+            upper.bytes,
+            assemble("movi r0, 1\n.byte 2\n").unwrap().bytes
+        );
+        assert_eq!(
+            err("FROB\n"),
+            (1, AsmErrorKind::UnknownMnemonic("frob".into()))
+        );
         assert_eq!(
             err("Mov r0\n"),
-            (1, AsmErrorKind::WrongArity { mnemonic: "mov".into(), expected: 2, got: 1 })
+            (
+                1,
+                AsmErrorKind::WrongArity {
+                    mnemonic: "mov".into(),
+                    expected: 2,
+                    got: 1
+                }
+            )
         );
     }
 
@@ -1022,6 +1217,9 @@ mod tests {
         assert_eq!(imm("movi r0, '''\n"), 39);
         // Out of i64 range is not a number, so it parses as a label.
         let huge = "99999999999999999999";
-        assert_eq!(err(&format!("movi r0, {huge}\n")), (1, AsmErrorKind::UnknownLabel(huge.into())));
+        assert_eq!(
+            err(&format!("movi r0, {huge}\n")),
+            (1, AsmErrorKind::UnknownLabel(huge.into()))
+        );
     }
 }

@@ -115,7 +115,12 @@ mod tests {
     fn sweep_decodes_instruction_sequence() {
         let mut bytes = Vec::new();
         Instr::Enter(0x18).encode(&mut bytes);
-        Instr::Lea { dst: Reg::R0, base: Reg::Bp, disp: -16 }.encode(&mut bytes);
+        Instr::Lea {
+            dst: Reg::R0,
+            base: Reg::Bp,
+            disp: -16,
+        }
+        .encode(&mut bytes);
         Instr::Leave.encode(&mut bytes);
         Instr::Ret.encode(&mut bytes);
         let lines = disassemble(&bytes, 0x0804_83f2);

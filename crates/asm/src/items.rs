@@ -51,7 +51,13 @@ impl Insn {
     /// An instruction whose operands are all given.
     #[must_use]
     pub fn new(instr: Instr) -> Insn {
-        Insn { instr, target: None, hex: false, bare: false, flush: false }
+        Insn {
+            instr,
+            target: None,
+            hex: false,
+            bare: false,
+            flush: false,
+        }
     }
 
     /// An instruction whose immediate operand is the address of
@@ -62,8 +68,14 @@ impl Insn {
     /// Panics if `instr` has no immediate operand.
     #[must_use]
     pub fn with_target(instr: Instr, label: Label) -> Insn {
-        assert!(with_imm(instr, 0).is_some(), "{instr} has no immediate operand");
-        Insn { target: Some(label), ..Insn::new(instr) }
+        assert!(
+            with_imm(instr, 0).is_some(),
+            "{instr} has no immediate operand"
+        );
+        Insn {
+            target: Some(label),
+            ..Insn::new(instr)
+        }
     }
 
     /// Lists the immediate in hex (`0x2a`).
@@ -82,7 +94,10 @@ impl Insn {
     /// Lists the line without indentation.
     #[must_use]
     pub fn flush(self) -> Insn {
-        Insn { flush: true, ..self }
+        Insn {
+            flush: true,
+            ..self
+        }
     }
 }
 
@@ -193,7 +208,10 @@ fn with_imm(instr: Instr, value: u32) -> Option<Instr> {
         Instr::Jmp(_) => Instr::Jmp(value),
         Instr::Call(_) => Instr::Call(value),
         Instr::Enter(_) => Instr::Enter(value),
-        Instr::JCond { cond, .. } => Instr::JCond { cond, target: value },
+        Instr::JCond { cond, .. } => Instr::JCond {
+            cond,
+            target: value,
+        },
         Instr::Sys(_) => Instr::Sys(value as u8),
         Instr::Trap(_) => Instr::Trap(value as u8),
         _ => return None,
@@ -222,7 +240,10 @@ impl Assembly {
     /// An empty assembly with room for `items` items.
     #[must_use]
     pub fn with_capacity(items: usize) -> Assembly {
-        Assembly { items: Vec::with_capacity(items), ..Assembly::default() }
+        Assembly {
+            items: Vec::with_capacity(items),
+            ..Assembly::default()
+        }
     }
 
     /// Allocates a new label id; define it by pushing [`Item::Label`].
@@ -245,7 +266,10 @@ impl Assembly {
     pub fn ascii(&mut self, bytes: &[u8]) {
         let start = self.pool.len() as u32;
         self.pool.extend_from_slice(bytes);
-        self.items.push(Item::Ascii { start, len: bytes.len() as u32 });
+        self.items.push(Item::Ascii {
+            start,
+            len: bytes.len() as u32,
+        });
     }
 
     /// Number of items.
@@ -326,7 +350,11 @@ impl Assembly {
                 Item::Space(n) => bytes.resize(bytes.len() + n as usize, 0),
             }
         }
-        Ok(Linked { base, bytes, labels })
+        Ok(Linked {
+            base,
+            bytes,
+            labels,
+        })
     }
 
     /// Lists the items as assembly source, one line per item, with
@@ -397,7 +425,9 @@ fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String,
     };
     match insn.instr {
         Instr::Nop | Instr::Halt | Instr::Ret | Instr::Leave => {}
-        Instr::MovI { dst: r, imm: v } | Instr::AddI { dst: r, imm: v } | Instr::CmpI { a: r, imm: v } => {
+        Instr::MovI { dst: r, imm: v }
+        | Instr::AddI { dst: r, imm: v }
+        | Instr::CmpI { a: r, imm: v } => {
             out.push(' ');
             out.push_str(r.name());
             out.push_str(", ");
@@ -409,7 +439,9 @@ fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String,
             out.push_str(", ");
             out.push_str(b.name());
         }
-        Instr::Load { dst, base, disp } | Instr::LoadB { dst, base, disp } | Instr::Lea { dst, base, disp } => {
+        Instr::Load { dst, base, disp }
+        | Instr::LoadB { dst, base, disp }
+        | Instr::Lea { dst, base, disp } => {
             out.push(' ');
             out.push_str(dst.name());
             out.push_str(", ");
@@ -425,7 +457,11 @@ fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String,
             out.push(' ');
             out.push_str(r.name());
         }
-        Instr::PushI(v) | Instr::Jmp(v) | Instr::Call(v) | Instr::Enter(v) | Instr::JCond { target: v, .. } => {
+        Instr::PushI(v)
+        | Instr::Jmp(v)
+        | Instr::Call(v)
+        | Instr::Enter(v)
+        | Instr::JCond { target: v, .. } => {
             out.push(' ');
             imm(out, v);
         }
@@ -478,7 +514,19 @@ mod tests {
 
     #[test]
     fn number_spellings_match_std_formatting() {
-        for v in [0, 1, 9, 10, 15, 16, 255, 4096, 0x0804_8000, 0xffff_fff8, u32::MAX] {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            15,
+            16,
+            255,
+            4096,
+            0x0804_8000,
+            0xffff_fff8,
+            u32::MAX,
+        ] {
             let (mut hex, mut dec) = (String::new(), String::new());
             push_hex(&mut hex, v);
             push_dec(&mut dec, v);
@@ -494,11 +542,41 @@ mod tests {
         asm.push(Item::Org(0x1000));
         asm.push(Item::Label(top));
         asm.insn(Insn::new(Instr::Enter(0x10)).hex());
-        asm.insn(Instr::Load { dst: Reg::R0, base: Reg::Bp, disp: 0 });
-        asm.insn(Insn::new(Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 }).bare());
-        asm.insn(Insn::new(Instr::Lea { dst: Reg::R3, base: Reg::R4, disp: -4 }).flush());
-        asm.insn(Insn::with_target(Instr::MovI { dst: Reg::R1, imm: 0 }, data));
-        asm.insn(Insn::with_target(Instr::JCond { cond: Cond::Ae, target: 0 }, top));
+        asm.insn(Instr::Load {
+            dst: Reg::R0,
+            base: Reg::Bp,
+            disp: 0,
+        });
+        asm.insn(
+            Insn::new(Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            })
+            .bare(),
+        );
+        asm.insn(
+            Insn::new(Instr::Lea {
+                dst: Reg::R3,
+                base: Reg::R4,
+                disp: -4,
+            })
+            .flush(),
+        );
+        asm.insn(Insn::with_target(
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0,
+            },
+            data,
+        ));
+        asm.insn(Insn::with_target(
+            Instr::JCond {
+                cond: Cond::Ae,
+                target: 0,
+            },
+            top,
+        ));
         asm.insn(Instr::Trap(3));
         asm.push(Item::Label(data));
         asm.push(Item::Word(Value::Label(top)));
@@ -507,8 +585,14 @@ mod tests {
         asm.push(Item::Space(3));
         let linked = asm.link().unwrap();
         let text = render(&asm);
-        assert!(text.starts_with(".org 0x1000\nl0:\n    enter 0x10\n    load r0, [bp+0]\n"), "{text}");
-        assert!(text.contains("    store [r1], r2\nlea r3, [r4-4]\n    movi r1, l1\n    jae l0\n"), "{text}");
+        assert!(
+            text.starts_with(".org 0x1000\nl0:\n    enter 0x10\n    load r0, [bp+0]\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("    store [r1], r2\nlea r3, [r4-4]\n    movi r1, l1\n    jae l0\n"),
+            "{text}"
+        );
         let out = crate::assemble(&text).unwrap();
         assert_eq!((out.base, &out.bytes), (linked.base, &linked.bytes));
         assert_eq!(out.labels["l1"], linked.addr(data));
@@ -517,7 +601,11 @@ mod tests {
     #[test]
     fn items_stay_compact() {
         // A compile holds one item per listing line; no item owns heap.
-        assert!(std::mem::size_of::<Item>() <= 24, "{}", std::mem::size_of::<Item>());
+        assert!(
+            std::mem::size_of::<Item>() <= 24,
+            "{}",
+            std::mem::size_of::<Item>()
+        );
     }
 
     #[test]
@@ -527,13 +615,19 @@ mod tests {
         asm.insn(Insn::with_target(Instr::Jmp(0), l));
         assert_eq!(
             asm.link(),
-            Err(LinkError { item: 0, kind: LinkErrorKind::UndefinedLabel(l) })
+            Err(LinkError {
+                item: 0,
+                kind: LinkErrorKind::UndefinedLabel(l)
+            })
         );
         asm.push(Item::Label(l));
         asm.push(Item::Label(l));
         assert_eq!(
             asm.link(),
-            Err(LinkError { item: 2, kind: LinkErrorKind::DuplicateLabel(l) })
+            Err(LinkError {
+                item: 2,
+                kind: LinkErrorKind::DuplicateLabel(l)
+            })
         );
     }
 }

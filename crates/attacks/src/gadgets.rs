@@ -153,12 +153,7 @@ mod tests {
 
     #[test]
     fn finds_intended_pop_ret() {
-        let code = encode_all(&[
-            Instr::Nop,
-            Instr::Pop(Reg::R3),
-            Instr::Ret,
-            Instr::Halt,
-        ]);
+        let code = encode_all(&[Instr::Nop, Instr::Pop(Reg::R3), Instr::Ret, Instr::Halt]);
         let finder = GadgetFinder::scan(&code, 0x1000, 4);
         assert_eq!(finder.pop_ret(Reg::R3), Some(0x1001));
         assert!(finder.ret().is_some());
@@ -188,13 +183,7 @@ mod tests {
 
     #[test]
     fn max_len_bounds_gadget_size() {
-        let code = encode_all(&[
-            Instr::Nop,
-            Instr::Nop,
-            Instr::Nop,
-            Instr::Nop,
-            Instr::Ret,
-        ]);
+        let code = encode_all(&[Instr::Nop, Instr::Nop, Instr::Nop, Instr::Nop, Instr::Ret]);
         let finder = GadgetFinder::scan(&code, 0, 2);
         // Only windows of ≤2 instructions survive: `nop; ret` and `ret`.
         assert!(finder.gadgets().iter().all(|g| g.instrs.len() <= 2));
@@ -205,14 +194,19 @@ mod tests {
     fn find_instr_addr_locates_interior_store() {
         let code = encode_all(&[
             Instr::Enter(8),
-            Instr::MovI { dst: Reg::R0, imm: 3 },
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R0 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 3,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R0,
+            },
             Instr::Leave,
             Instr::Ret,
         ]);
-        let addr = find_instr_addr(&code, 0x5000, |i| {
-            matches!(i, Instr::MovI { imm: 3, .. })
-        });
+        let addr = find_instr_addr(&code, 0x5000, |i| matches!(i, Instr::MovI { imm: 3, .. }));
         assert_eq!(addr, Some(0x5005));
     }
 

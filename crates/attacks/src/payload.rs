@@ -162,7 +162,11 @@ mod tests {
 
     #[test]
     fn builder_concatenates_parts() {
-        let p = Payload::new().pad(2, 0x41).word(0x01020304).bytes(&[9]).build();
+        let p = Payload::new()
+            .pad(2, 0x41)
+            .word(0x01020304)
+            .bytes(&[9])
+            .build();
         assert_eq!(p, vec![0x41, 0x41, 0x04, 0x03, 0x02, 0x01, 9]);
     }
 

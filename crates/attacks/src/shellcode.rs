@@ -116,7 +116,9 @@ mod tests {
         let mut m = Machine::new();
         m.mem_mut().map(0x4000, 0x1000, Perm::RX).unwrap();
         m.mem_mut().map(0x8000, 0x1000, Perm::RW).unwrap();
-        m.mem_mut().poke_bytes(0x8000, b"secret-key-material").unwrap();
+        m.mem_mut()
+            .poke_bytes(0x8000, b"secret-key-material")
+            .unwrap();
         let code = dump_memory_shellcode(2, 0x8000, 10);
         m.mem_mut().poke_bytes(0x4000, &code).unwrap();
         m.set_ip(0x4000);

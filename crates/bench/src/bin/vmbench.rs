@@ -43,9 +43,9 @@ use swsec::attacker::VICTIM_SMASH;
 use swsec::cache::ProgramCache;
 use swsec::campaign::{run_campaign_with, CampaignConfig, CampaignTelemetry};
 use swsec::harness::{AttackTarget, ForkServer, ServeMode};
-use swsec::serve::{CampaignService, JobSpec, ServeConfig, TenantConfig};
 use swsec::loader;
 use swsec::report::ExperimentId;
+use swsec::serve::{CampaignService, JobSpec, ServeConfig, TenantConfig};
 use swsec_defenses::DefenseConfig;
 use swsec_fuzz::targets::{FuzzTarget, VictimTarget};
 use swsec_obs::jsonl::meta_line;
@@ -55,10 +55,10 @@ use swsec_obs::{
 use swsec_rng::derive;
 use swsec_vm::context::scope;
 use swsec_vm::cpu::{Machine, RunOutcome};
-use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
 use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::Perm;
 use swsec_vm::policy::{ProtectedRegion, ProtectionMap};
+use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
 use swsec_vm::trace::ExecStats;
 use swsec_vm::VmConfig;
 
@@ -110,10 +110,19 @@ fn machine(code: &[u8]) -> Machine {
 fn tight_loop(iters: u32) -> Machine {
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: iters },
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 }, // 1: loop head
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: iters,
+            },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            }, // 1: loop head
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(1) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(1),
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -125,11 +134,20 @@ fn tight_loop(iters: u32) -> Machine {
 fn call_heavy(iters: u32) -> Machine {
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: iters },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: iters,
+            },
             Instr::Call(at(6)), // 1: loop head
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(1) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(1),
+            },
             Instr::Sys(sys::EXIT),
             Instr::Enter(16), // 6: f
             Instr::Push(Reg::R0),
@@ -146,17 +164,53 @@ fn call_heavy(iters: u32) -> Machine {
 fn memory_heavy(iters: u32) -> Machine {
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: DATA },
-            Instr::MovI { dst: Reg::R0, imm: iters },
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R0 }, // 2: loop head
-            Instr::Load { dst: Reg::R2, base: Reg::R1, disp: 0 },
-            Instr::Store { base: Reg::R1, disp: 64, src: Reg::R2 },
-            Instr::Load { dst: Reg::R3, base: Reg::R1, disp: 64 },
-            Instr::StoreB { base: Reg::R1, disp: 4, src: Reg::R0 },
-            Instr::LoadB { dst: Reg::R4, base: Reg::R1, disp: 4 },
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: DATA,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: iters,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R0,
+            }, // 2: loop head
+            Instr::Load {
+                dst: Reg::R2,
+                base: Reg::R1,
+                disp: 0,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 64,
+                src: Reg::R2,
+            },
+            Instr::Load {
+                dst: Reg::R3,
+                base: Reg::R1,
+                disp: 64,
+            },
+            Instr::StoreB {
+                base: Reg::R1,
+                disp: 4,
+                src: Reg::R0,
+            },
+            Instr::LoadB {
+                dst: Reg::R4,
+                base: Reg::R1,
+                disp: 4,
+            },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(2) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(2),
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -169,26 +223,50 @@ fn memory_heavy(iters: u32) -> Machine {
 fn pma_crossing(iters: u32) -> Machine {
     let main_code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: iters },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: iters,
+            },
             Instr::Call(MODULE), // 1: loop head
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(1) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(1),
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
     let module_code = assemble_at(MODULE, &|_| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: MDATA },
-            Instr::Load { dst: Reg::R2, base: Reg::R1, disp: 0 },
-            Instr::Store { base: Reg::R1, disp: 4, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: MDATA,
+            },
+            Instr::Load {
+                dst: Reg::R2,
+                base: Reg::R1,
+                disp: 0,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 4,
+                src: Reg::R2,
+            },
             Instr::Ret,
         ]
     });
     let mut m = machine(&main_code);
-    m.mem_mut().map(MODULE, 0x1000, Perm::RX).expect("map module");
+    m.mem_mut()
+        .map(MODULE, 0x1000, Perm::RX)
+        .expect("map module");
     m.mem_mut().map(MDATA, 0x1000, Perm::RW).expect("map mdata");
-    m.mem_mut().poke_bytes(MODULE, &module_code).expect("load module");
+    m.mem_mut()
+        .poke_bytes(MODULE, &module_code)
+        .expect("load module");
     m.set_protection(Some(ProtectionMap::new(vec![ProtectedRegion::new(
         MODULE..MODULE + 0x1000,
         MDATA..MDATA + 0x1000,
@@ -211,20 +289,60 @@ fn pma_crossing(iters: u32) -> Machine {
 fn indirect_dispatch(iters: u32) -> Machine {
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: iters },
-            Instr::MovI { dst: Reg::R5, imm: DATA }, // table base
-            Instr::MovI { dst: Reg::R6, imm: 3 },    // index mask
-            Instr::MovI { dst: Reg::R7, imm: 2 },    // entry shift
-            Instr::Mov { dst: Reg::R1, src: Reg::R0 }, // 4: loop head
-            Instr::Alu { op: AluOp::And, dst: Reg::R1, src: Reg::R6 },
-            Instr::Alu { op: AluOp::Shl, dst: Reg::R1, src: Reg::R7 },
-            Instr::Alu { op: AluOp::Add, dst: Reg::R1, src: Reg::R5 },
-            Instr::Load { dst: Reg::R2, base: Reg::R1, disp: 0 },
-            Instr::MovI { dst: Reg::R4, imm: 6 }, // method trip count
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: iters,
+            },
+            Instr::MovI {
+                dst: Reg::R5,
+                imm: DATA,
+            }, // table base
+            Instr::MovI {
+                dst: Reg::R6,
+                imm: 3,
+            }, // index mask
+            Instr::MovI {
+                dst: Reg::R7,
+                imm: 2,
+            }, // entry shift
+            Instr::Mov {
+                dst: Reg::R1,
+                src: Reg::R0,
+            }, // 4: loop head
+            Instr::Alu {
+                op: AluOp::And,
+                dst: Reg::R1,
+                src: Reg::R6,
+            },
+            Instr::Alu {
+                op: AluOp::Shl,
+                dst: Reg::R1,
+                src: Reg::R7,
+            },
+            Instr::Alu {
+                op: AluOp::Add,
+                dst: Reg::R1,
+                src: Reg::R5,
+            },
+            Instr::Load {
+                dst: Reg::R2,
+                base: Reg::R1,
+                disp: 0,
+            },
+            Instr::MovI {
+                dst: Reg::R4,
+                imm: 6,
+            }, // method trip count
             Instr::CallR(Reg::R2),
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(4) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(4),
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -240,12 +358,29 @@ fn indirect_dispatch(iters: u32) -> Machine {
         let field = (0x40 + k * 0x10) as i16;
         let callee = assemble_at(addr, &|at| {
             vec![
-                Instr::Load { dst: Reg::R3, base: Reg::R5, disp: field }, // 0: work loop head
-                Instr::AddI { dst: Reg::R3, imm: k + 1 },
-                Instr::Store { base: Reg::R5, disp: field, src: Reg::R3 },
-                Instr::AddI { dst: Reg::R4, imm: (-1i32) as u32 },
+                Instr::Load {
+                    dst: Reg::R3,
+                    base: Reg::R5,
+                    disp: field,
+                }, // 0: work loop head
+                Instr::AddI {
+                    dst: Reg::R3,
+                    imm: k + 1,
+                },
+                Instr::Store {
+                    base: Reg::R5,
+                    disp: field,
+                    src: Reg::R3,
+                },
+                Instr::AddI {
+                    dst: Reg::R4,
+                    imm: (-1i32) as u32,
+                },
                 Instr::CmpI { a: Reg::R4, imm: 0 },
-                Instr::JCond { cond: Cond::Nz, target: at(0) },
+                Instr::JCond {
+                    cond: Cond::Nz,
+                    target: at(0),
+                },
                 Instr::Ret,
             ]
         });
@@ -315,8 +450,7 @@ fn measure_with_sink(
             instructions: stats.instructions,
             elapsed,
             stats,
-            icache_hit_rate: (icache > 0)
-                .then(|| stats.icache_hits as f64 / icache as f64),
+            icache_hit_rate: (icache > 0).then(|| stats.icache_hits as f64 / icache as f64),
             tlb_hit_rate: (tlb > 0).then(|| stats.tlb_hits as f64 / tlb as f64),
         };
         if best.as_ref().is_none_or(|b| sample.elapsed < b.elapsed) {
@@ -519,12 +653,7 @@ fn measure_attempts(
 /// server existed: a compile-cache lookup, a full machine build from
 /// the compiled image, the payload feed and the run — per attempt.
 /// This is the honest rebuild baseline for the speedup column.
-fn measure_rebuild(
-    cache: &ProgramCache,
-    case: &HarnessCase,
-    attempts: u64,
-    reps: u32,
-) -> Duration {
+fn measure_rebuild(cache: &ProgramCache, case: &HarnessCase, attempts: u64, reps: u32) -> Duration {
     let opts = loader::plan_options(&case.config, case.plan_seed);
     let mut best: Option<Duration> = None;
     for _ in 0..reps.max(1) {
@@ -616,8 +745,8 @@ fn fuzz_replay_corpus(cache: &ProgramCache, attempts: u64) -> Vec<Vec<u8>> {
         );
         i += 1;
         let outcome = probe.execute(7, &input).expect("attempt runs");
-        let quick = !matches!(outcome.outcome, RunOutcome::OutOfFuel)
-            && outcome.stats.instructions <= cap;
+        let quick =
+            !matches!(outcome.outcome, RunOutcome::OutOfFuel) && outcome.stats.instructions <= cap;
         if quick {
             corpus.push(input);
         }
@@ -705,7 +834,10 @@ fn main() {
         ("tight-loop", Box::new(move || tight_loop(scale))),
         ("call-heavy", Box::new(move || call_heavy(scale / 2))),
         ("memory-heavy", Box::new(move || memory_heavy(scale / 3))),
-        ("indirect-dispatch", Box::new(move || indirect_dispatch(scale / 13))),
+        (
+            "indirect-dispatch",
+            Box::new(move || indirect_dispatch(scale / 13)),
+        ),
         ("pma-crossing", Box::new(move || pma_crossing(scale / 5))),
     ];
 
@@ -715,7 +847,14 @@ fn main() {
     );
     println!(
         "{:<14} {:>12} {:>12} {:>12} {:>12} {:>7} {:>8} {:>8} {:>8}",
-        "workload", "instrs", "tier2 i/s", "fast i/s", "base i/s", "t2/t1", "fast/b", "icache",
+        "workload",
+        "instrs",
+        "tier2 i/s",
+        "fast i/s",
+        "base i/s",
+        "t2/t1",
+        "fast/b",
+        "icache",
         "tlb"
     );
 
@@ -939,7 +1078,13 @@ fn main() {
                 ic_misses += outcome.stats.tier2_ic_misses;
                 fingerprints.push(sink.take_map().fingerprint());
             }
-            (fingerprints, tier2_hits, ic_hits, ic_misses, started.elapsed())
+            (
+                fingerprints,
+                tier2_hits,
+                ic_hits,
+                ic_misses,
+                started.elapsed(),
+            )
         };
         let (tiered_fps, tier2_hits, ic_hits, ic_misses, tiered_ns) = run(true);
         let (fast_fps, fast_hits, _, _, fast_ns) = run(false);
@@ -960,7 +1105,14 @@ fn main() {
             ic_hits,
             ic_misses,
         );
-        (corpus.len() as u64, tier2_hits, ic_hits, ic_misses, tiered_ns, fast_ns)
+        (
+            corpus.len() as u64,
+            tier2_hits,
+            ic_hits,
+            ic_misses,
+            tiered_ns,
+            fast_ns,
+        )
     };
 
     // Campaign-service leg: thousands of simulated concurrent clients
@@ -969,9 +1121,7 @@ fn main() {
     // reason. Smoke mode shrinks the client count, not the shape.
     let (svc_tenants, svc_jobs, svc_attempts): (usize, u32, u32) =
         if smoke { (24, 2, 4) } else { (2_000, 2, 16) };
-    println!(
-        "campaign service: {svc_tenants} tenants x {svc_jobs} jobs x {svc_attempts} attempts"
-    );
+    println!("campaign service: {svc_tenants} tenants x {svc_jobs} jobs x {svc_attempts} attempts");
     let service = {
         let mut fork = measure_service(true, svc_tenants, svc_jobs, svc_attempts);
         let mut rebuild = measure_service(false, svc_tenants, svc_jobs, svc_attempts);
@@ -1168,7 +1318,10 @@ fn main() {
             sink.write_line(&line);
         }
         sink.flush();
-        println!("vmbench: wrote telemetry {}", telemetry_path.as_deref().unwrap());
+        println!(
+            "vmbench: wrote telemetry {}",
+            telemetry_path.as_deref().unwrap()
+        );
     }
     println!("{}", campaign.summary());
 
@@ -1242,7 +1395,11 @@ fn main() {
             r.rebuild_aps(),
             r.speedup(),
             json_opt_rate(r.dirty_per_restore),
-            if i + 1 == harness_results.len() { "" } else { "," },
+            if i + 1 == harness_results.len() {
+                ""
+            } else {
+                ","
+            },
         ));
     }
     json.push_str("  ],\n");
@@ -1385,7 +1542,10 @@ fn main() {
             "tight-loop tier-2 speedup {:.2}x is below the 3x floor",
             tight.tier2_speedup()
         );
-        let calls = results.iter().find(|r| r.name == "call-heavy").expect("call-heavy runs");
+        let calls = results
+            .iter()
+            .find(|r| r.name == "call-heavy")
+            .expect("call-heavy runs");
         assert!(
             calls.tier2_speedup() >= 2.0,
             "call-heavy tier-2 speedup {:.2}x is below the 2x floor",
@@ -1402,7 +1562,10 @@ fn main() {
         // The two-way icache must keep both halves of the pma-crossing
         // working set resident (the direct-mapped design thrashed at
         // 75%).
-        let pma = results.iter().find(|r| r.name == "pma-crossing").expect("pma-crossing runs");
+        let pma = results
+            .iter()
+            .find(|r| r.name == "pma-crossing")
+            .expect("pma-crossing runs");
         let pma_icache = pma.fast.icache_hit_rate.expect("pma-crossing fetches");
         assert!(
             pma_icache >= 0.999,

@@ -425,7 +425,14 @@ fn attack_code_corruption(
             .bytes(&[0x00]) // value
             .pad(3, 0); // pad the 8-byte command
     }
-    run_single_shot(cache, VICTIM_POKE, config, seed, &payload.build(), b"SECRET")
+    run_single_shot(
+        cache,
+        VICTIM_POKE,
+        config,
+        seed,
+        &payload.build(),
+        b"SECRET",
+    )
 }
 
 fn attack_ret2libc(
@@ -457,14 +464,19 @@ fn attack_rop(
             },
         });
     };
-    let exit_gadget = find_instr_addr(&local.text, local.text_base, |i| {
-        matches!(i, Instr::Sys(n) if *n == swsec_vm::isa::sys::EXIT)
-    })
+    let exit_gadget = find_instr_addr(
+        &local.text,
+        local.text_base,
+        |i| matches!(i, Instr::Sys(n) if *n == swsec_vm::isa::sys::EXIT),
+    )
     .expect("an exit syscall exists in _start");
     // Chain: pop r0 <- 0x1337; "return" into `sys exit`.
-    let chain = RopChain::new().word(pop_r0).word(MARKER_EXIT).word(exit_gadget);
-    let smash = Payload::smash(&local.frames["handle"], "buf", chain.words()[0])
-        .expect("buf exists");
+    let chain = RopChain::new()
+        .word(pop_r0)
+        .word(MARKER_EXIT)
+        .word(exit_gadget);
+    let smash =
+        Payload::smash(&local.frames["handle"], "buf", chain.words()[0]).expect("buf exists");
     let mut payload = smash.build();
     payload.extend_from_slice(&chain.build()[4..]);
     run_single_shot(cache, VICTIM_SMASH, config, seed, &payload, b"")
@@ -525,9 +537,8 @@ fn attack_info_leak(
             },
         });
     }
-    let word = |off: usize| {
-        u32::from_le_bytes([leak[off], leak[off + 1], leak[off + 2], leak[off + 3]])
-    };
+    let word =
+        |off: usize| u32::from_le_bytes([leak[off], leak[off + 1], leak[off + 2], leak[off + 3]]);
     // Frame layout past the 16-byte buffer: [canary?] saved bp, ret.
     let (canary, saved_bp, leaked_ret) = if config.canary {
         (Some(word(16)), word(20), word(24))
@@ -587,11 +598,17 @@ mod tests {
     fn canary_blocks_return_address_smashing() {
         let mut cfg = DefenseConfig::none();
         cfg.canary = true;
-        for t in [Technique::CodeInjection, Technique::Ret2Libc, Technique::Rop] {
+        for t in [
+            Technique::CodeInjection,
+            Technique::Ret2Libc,
+            Technique::Rop,
+        ] {
             let o = outcome(t, cfg);
             assert_eq!(
                 o,
-                AttackOutcome::Blocked { by: "stack canary".into() },
+                AttackOutcome::Blocked {
+                    by: "stack canary".into()
+                },
                 "{t}"
             );
         }
@@ -672,10 +689,13 @@ mod tests {
             );
         }
         // …but not the forward edge or data.
-        assert!(outcome(Technique::CodePointerOverwrite, DefenseConfig {
-            shadow_stack: true,
-            ..DefenseConfig::none()
-        })
+        assert!(outcome(
+            Technique::CodePointerOverwrite,
+            DefenseConfig {
+                shadow_stack: true,
+                ..DefenseConfig::none()
+            }
+        )
         .succeeded());
     }
 

@@ -127,11 +127,7 @@ impl ProgramCache {
     /// at most `cap` entries. O(n) scans per eviction: bounded caches
     /// are small by construction, and eviction rides the already-slow
     /// compile path.
-    fn evict_to<K: Eq + Hash + Clone, T>(
-        &self,
-        map: &mut HashMap<K, Cached<T>>,
-        cap: usize,
-    ) {
+    fn evict_to<K: Eq + Hash + Clone, T>(&self, map: &mut HashMap<K, Cached<T>>, cap: usize) {
         while map.len() > cap {
             let Some(stalest) = map
                 .iter()
@@ -309,7 +305,9 @@ mod tests {
     #[test]
     fn parse_errors_propagate() {
         let cache = ProgramCache::new();
-        assert!(cache.compile("int main( {", &CompileOptions::default()).is_err());
+        assert!(cache
+            .compile("int main( {", &CompileOptions::default())
+            .is_err());
     }
 
     #[test]

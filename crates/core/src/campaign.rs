@@ -719,11 +719,18 @@ impl<F> Work<F> {
                     }
                     if let Some((task, failed)) = queue.waiting.pop_front() {
                         let started = Instant::now();
-                        let attempt = Attempt { task, failed, started };
+                        let attempt = Attempt {
+                            task,
+                            failed,
+                            started,
+                        };
                         queue.running[me] = Some(attempt);
                         break attempt;
                     }
-                    queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                    queue = self
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             let task = attempt.task;
@@ -1003,7 +1010,9 @@ pub fn run_campaign_on(
     telemetry: &CampaignTelemetry,
 ) -> CampaignReport {
     let started = Instant::now();
-    let collector = telemetry.spans.map(|mask| Arc::new(SpanCollector::new(mask)));
+    let collector = telemetry
+        .spans
+        .map(|mask| Arc::new(SpanCollector::new(mask)));
     let ctx = Arc::new(CampaignCtx::new());
 
     // Lay out one result slot per cell, experiment-major: slot `s` is
@@ -1291,7 +1300,9 @@ mod tests {
         assert_eq!(registry.counter_value("campaign.cells"), total as u64);
         assert_eq!(registry.counter_value("campaign.cells_failed"), 0);
         assert!(registry.counter_value("vm.instructions") > 0);
-        let h = registry.histogram("campaign.cell_micros").expect("histogram");
+        let h = registry
+            .histogram("campaign.cell_micros")
+            .expect("histogram");
         assert_eq!(h.count(), total as u64);
     }
 
@@ -1313,7 +1324,11 @@ mod tests {
             .collect();
         assert_eq!(got, expect);
         // The outcome records follow the same layout.
-        let recs: Vec<_> = report.cells.iter().map(|c| (c.experiment, c.cell)).collect();
+        let recs: Vec<_> = report
+            .cells
+            .iter()
+            .map(|c| (c.experiment, c.cell))
+            .collect();
         assert_eq!(recs, expect);
         // Per-experiment busy time is the sum of its cells (both sides
         // were computed from the same per-cell nanos).
@@ -1344,7 +1359,10 @@ mod tests {
             "got {:?}",
             outcome(FaultyExperiment::PANIC_CELL)
         );
-        assert_eq!(*outcome(FaultyExperiment::STALL_CELL), CellOutcome::TimedOut);
+        assert_eq!(
+            *outcome(FaultyExperiment::STALL_CELL),
+            CellOutcome::TimedOut
+        );
         assert_eq!(*outcome(FaultyExperiment::OK_CELL), CellOutcome::Ok);
         assert_eq!(
             *outcome(FaultyExperiment::FLAKY_CELL),

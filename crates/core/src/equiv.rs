@@ -118,7 +118,12 @@ pub fn compare(
     let machine_outcome = session.run(fuel);
     let machine_io = session.machine.io().observable();
 
-    let verdict = classify(&reference.outcome, &reference.io, &machine_outcome, &machine_io);
+    let verdict = classify(
+        &reference.outcome,
+        &reference.io,
+        &machine_outcome,
+        &machine_io,
+    );
     Ok(Comparison {
         verdict,
         reference_io: reference.io,
@@ -360,7 +365,10 @@ mod tests {
     fn holds_semantics() {
         assert!(Verdict::Equivalent.holds());
         assert!(Verdict::SafeDivergence { cause: "x".into() }.holds());
-        assert!(!Verdict::Compromised { evidence: "x".into() }.holds());
+        assert!(!Verdict::Compromised {
+            evidence: "x".into()
+        }
+        .holds());
     }
 
     #[test]

@@ -160,8 +160,14 @@ impl AnalysisReport {
         };
         push("static analysis (precise)", self.precise);
         push("static analysis (paranoid)", self.paranoid);
-        push("runtime checks + triggering tests", self.runtime_with_trigger);
-        push("runtime checks, benign tests only", self.runtime_benign_only);
+        push(
+            "runtime checks + triggering tests",
+            self.runtime_with_trigger,
+        );
+        push(
+            "runtime checks, benign tests only",
+            self.runtime_benign_only,
+        );
         t
     }
 }
@@ -220,7 +226,6 @@ pub fn compute() -> AnalysisReport {
     }
 }
 
-
 /// E6 under the campaign API.
 pub struct AnalysisExperiment;
 
@@ -254,7 +259,7 @@ impl crate::experiments::Experiment for AnalysisExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]
@@ -267,7 +272,10 @@ mod tests {
     fn precise_analysis_has_no_false_positives_but_misses_bugs() {
         let r = run();
         assert_eq!(r.precise.false_positives, 0);
-        assert!(r.precise.false_negatives >= 1, "precise should miss data-dependent bugs");
+        assert!(
+            r.precise.false_negatives >= 1,
+            "precise should miss data-dependent bugs"
+        );
         assert!(r.precise.true_positives >= 3);
     }
 
@@ -275,7 +283,10 @@ mod tests {
     fn paranoid_analysis_trades_false_positives_for_recall() {
         let r = run();
         assert!(r.paranoid.true_positives >= r.precise.true_positives);
-        assert!(r.paranoid.false_positives >= 1, "paranoid should over-report");
+        assert!(
+            r.paranoid.false_positives >= 1,
+            "paranoid should over-report"
+        );
         assert!(r.paranoid.false_negatives <= r.precise.false_negatives);
     }
 

@@ -123,8 +123,8 @@ pub fn brute_force_once<R: Rng>(
 fn leak_first_attempt(bits: u8, seed: u64, cache: &ProgramCache) -> u32 {
     let mut config = DefenseConfig::none();
     config.aslr_bits = Some(bits);
-    let leak = run_technique_cached(Technique::InfoLeak, config, seed, cache)
-        .expect("victim compiles");
+    let leak =
+        run_technique_cached(Technique::InfoLeak, config, seed, cache).expect("victim compiles");
     if leak.outcome.succeeded() {
         1
     } else {
@@ -149,8 +149,7 @@ pub fn compute(
             let cap = attempt_cap(bits);
             let total: u64 = (0..trials)
                 .map(|trial| {
-                    let mut rng =
-                        stream(master_seed, &[u64::from(bits), u64::from(trial)]);
+                    let mut rng = stream(master_seed, &[u64::from(bits), u64::from(trial)]);
                     brute_force_once(bits, &mut rng, cap, cache, mode)
                 })
                 .sum();
@@ -204,8 +203,13 @@ impl Experiment for AslrExperiment {
         let mut carrier = Table::new("cell", &["value"]);
         if k < Self::trials(cfg) as usize {
             let mut rng = stream(seed, &[0]);
-            let attempts =
-                brute_force_once(bits, &mut rng, attempt_cap(bits), &ctx.cache, cfg.serve_mode());
+            let attempts = brute_force_once(
+                bits,
+                &mut rng,
+                attempt_cap(bits),
+                &ctx.cache,
+                cfg.serve_mode(),
+            );
             carrier.row(vec![attempts.to_string()]);
         } else {
             carrier.row(vec![leak_first_attempt(bits, seed, &ctx.cache).to_string()]);
@@ -223,7 +227,9 @@ impl Experiment for AslrExperiment {
             .map(|(level, &bits)| {
                 let base = level * stride;
                 let value = |i: usize| -> u64 {
-                    cells[base + i][0].rows[0][0].parse().expect("numeric carrier")
+                    cells[base + i][0].rows[0][0]
+                        .parse()
+                        .expect("numeric carrier")
                 };
                 let total: u64 = (0..trials as usize).map(&value).sum();
                 AslrTrial {

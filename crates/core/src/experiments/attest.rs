@@ -127,7 +127,6 @@ pub fn compute() -> AttestReport {
     AttestReport { trials }
 }
 
-
 /// E10 under the campaign API.
 pub struct AttestExperiment;
 
@@ -161,7 +160,7 @@ impl crate::experiments::Experiment for AttestExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]

@@ -137,7 +137,12 @@ impl CanaryOracleReport {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "E14: byte-by-byte canary brute force via a crash oracle",
-            &["server model", "canary recovered", "oracle queries", "smash"],
+            &[
+                "server model",
+                "canary recovered",
+                "oracle queries",
+                "smash",
+            ],
         );
         let mut push = |name: &str, r: OracleResult| {
             t.row(vec![
@@ -182,7 +187,12 @@ fn oracle_row(name: &str, r: OracleResult) -> Vec<String> {
 }
 
 /// Runs the E14 experiment with an oracle budget per server model.
-pub fn compute(seed: u64, budget: u32, cache: &ProgramCache, mode: ServeMode) -> CanaryOracleReport {
+pub fn compute(
+    seed: u64,
+    budget: u32,
+    cache: &ProgramCache,
+    mode: ServeMode,
+) -> CanaryOracleReport {
     let mut cfg = DefenseConfig::none();
     cfg.canary = true;
     let actual_canary = cache
@@ -236,7 +246,12 @@ impl Experiment for CanaryOracleExperiment {
     fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
         let mut t = Table::new(
             "E14: byte-by-byte canary brute force via a crash oracle",
-            &["server model", "canary recovered", "oracle queries", "smash"],
+            &[
+                "server model",
+                "canary recovered",
+                "oracle queries",
+                "smash",
+            ],
         );
         for cell in &cells {
             t.rows.push(cell[0].rows[0].clone());

@@ -170,7 +170,11 @@ mod tests {
         let c = run(3);
         assert_eq!(c.vulnerabilities.len(), 3);
         for v in &c.vulnerabilities {
-            assert!(v.source_trapped, "{} did not trap: {}", v.name, v.source_verdict);
+            assert!(
+                v.source_trapped,
+                "{} did not trap: {}",
+                v.name, v.source_verdict
+            );
         }
     }
 

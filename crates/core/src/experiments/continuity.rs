@@ -9,8 +9,8 @@
 
 use swsec_pma::platform::ModuleKey;
 use swsec_pma::{
-    ContinuityError, CounterContinuity, CrashPoint, NaiveContinuity, Platform,
-    TwoPhaseContinuity, UntrustedStore,
+    ContinuityError, CounterContinuity, CrashPoint, NaiveContinuity, Platform, TwoPhaseContinuity,
+    UntrustedStore,
 };
 
 use crate::report::Table;
@@ -389,7 +389,6 @@ pub fn compute() -> ContinuityReport {
     }
 }
 
-
 /// E11 under the campaign API.
 pub struct ContinuityExperiment;
 
@@ -423,8 +422,8 @@ impl crate::experiments::Experiment for ContinuityExperiment {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::compute as run;
+    use super::*;
 
     #[test]
     fn vault_roundtrips() {

@@ -39,7 +39,13 @@ const TAMPER_CELL: usize = CRASH_CELLS;
 /// Cell index of the VM data-page bit-flip cell.
 const VM_FLIP_CELL: usize = CRASH_CELLS + 1;
 
-const CRASH_HEADERS: [&str; 5] = ["crash point", "target slot", "save", "recovered", "rollback replay"];
+const CRASH_HEADERS: [&str; 5] = [
+    "crash point",
+    "target slot",
+    "save",
+    "recovered",
+    "rollback replay",
+];
 const TAMPER_HEADERS: [&str; 3] = ["tampered blob", "bit flipped", "load verdict"];
 const VM_HEADERS: [&str; 4] = ["page", "bit flipped", "guest checksum", "sealed reference"];
 
@@ -66,7 +72,12 @@ fn crash_cell(plan: &FaultPlan, cell: usize) -> Table {
     let mut day_one = None;
     for seq in 1..=completed {
         assert!(
-            scheme.save(&mut platform, &mut store, &state_bytes(seq), CrashPoint::None),
+            scheme.save(
+                &mut platform,
+                &mut store,
+                &state_bytes(seq),
+                CrashPoint::None
+            ),
             "uninjected save {seq} must complete"
         );
         if seq == 1 {
@@ -136,8 +147,11 @@ fn tamper_cell(plan: &FaultPlan) -> Table {
     // is stale in slot B (1).
     let current = state_bytes(2);
     let mut t = Table::new("tamper", &TAMPER_HEADERS);
-    let scenarios: [(&str, &[u32]); 3] =
-        [("current (slot A)", &[0]), ("stale (slot B)", &[1]), ("both", &[0, 1])];
+    let scenarios: [(&str, &[u32]); 3] = [
+        ("current (slot A)", &[0]),
+        ("stale (slot B)", &[1]),
+        ("both", &[0, 1]),
+    ];
     for (scenario, (label, slots)) in scenarios.into_iter().enumerate() {
         let mut tampered = store.snapshot();
         let mut flips = Vec::new();
@@ -176,30 +190,80 @@ struct ChecksumGuest {
 impl ChecksumGuest {
     fn boot(page_len: usize) -> ChecksumGuest {
         let mut code = Vec::new();
-        Instr::MovI { dst: Reg::R0, imm: 0 }.encode(&mut code);
-        Instr::MovI { dst: Reg::R1, imm: PAGE_BASE }.encode(&mut code);
-        Instr::MovI { dst: Reg::R2, imm: PAGE_BASE + page_len as u32 }.encode(&mut code);
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 0,
+        }
+        .encode(&mut code);
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: PAGE_BASE,
+        }
+        .encode(&mut code);
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: PAGE_BASE + page_len as u32,
+        }
+        .encode(&mut code);
         let loop_top = CODE_BASE + code.len() as u32;
-        Instr::LoadB { dst: Reg::R3, base: Reg::R1, disp: 0 }.encode(&mut code);
-        Instr::Alu { op: AluOp::Xor, dst: Reg::R0, src: Reg::R3 }.encode(&mut code);
-        Instr::AddI { dst: Reg::R1, imm: 1 }.encode(&mut code);
-        Instr::Cmp { a: Reg::R1, b: Reg::R2 }.encode(&mut code);
-        Instr::JCond { cond: Cond::B, target: loop_top }.encode(&mut code);
+        Instr::LoadB {
+            dst: Reg::R3,
+            base: Reg::R1,
+            disp: 0,
+        }
+        .encode(&mut code);
+        Instr::Alu {
+            op: AluOp::Xor,
+            dst: Reg::R0,
+            src: Reg::R3,
+        }
+        .encode(&mut code);
+        Instr::AddI {
+            dst: Reg::R1,
+            imm: 1,
+        }
+        .encode(&mut code);
+        Instr::Cmp {
+            a: Reg::R1,
+            b: Reg::R2,
+        }
+        .encode(&mut code);
+        Instr::JCond {
+            cond: Cond::B,
+            target: loop_top,
+        }
+        .encode(&mut code);
         Instr::Sys(sys::EXIT).encode(&mut code);
 
         let mut machine = Machine::new();
-        machine.mem_mut().map(CODE_BASE, 0x1000, Perm::RX).expect("map code");
-        machine.mem_mut().map(PAGE_BASE, 0x1000, Perm::RW).expect("map data");
-        machine.mem_mut().poke_bytes(CODE_BASE, &code).expect("load code");
+        machine
+            .mem_mut()
+            .map(CODE_BASE, 0x1000, Perm::RX)
+            .expect("map code");
+        machine
+            .mem_mut()
+            .map(PAGE_BASE, 0x1000, Perm::RW)
+            .expect("map data");
+        machine
+            .mem_mut()
+            .poke_bytes(CODE_BASE, &code)
+            .expect("load code");
         machine.set_ip(CODE_BASE);
         let snapshot = machine.snapshot();
-        ChecksumGuest { machine, snapshot, page_len }
+        ChecksumGuest {
+            machine,
+            snapshot,
+            page_len,
+        }
     }
 
     fn checksum(&mut self, page: &[u8]) -> u32 {
         assert_eq!(page.len(), self.page_len, "guest code is sized to the page");
         self.machine.restore_from(&self.snapshot);
-        self.machine.mem_mut().poke_bytes(PAGE_BASE, page).expect("load page");
+        self.machine
+            .mem_mut()
+            .poke_bytes(PAGE_BASE, page)
+            .expect("load page");
         match self.machine.run(50_000) {
             RunOutcome::Halted(code) => code,
             other => panic!("checksum guest did not halt: {other:?}"),
@@ -237,7 +301,10 @@ fn vm_flip_cell(plan: &FaultPlan) -> Table {
         .zip(&tampered)
         .position(|(a, b)| a != b)
         .expect("reference comparison finds the flip");
-    assert_eq!(detected, byte, "sealed reference pinpoints the flipped byte");
+    assert_eq!(
+        detected, byte,
+        "sealed reference pinpoints the flipped byte"
+    );
 
     let mut t = Table::new("vmflip", &VM_HEADERS);
     t.row(vec![

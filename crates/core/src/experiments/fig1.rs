@@ -70,13 +70,17 @@ pub struct Fig1Facts {
 /// Panics only if the built-in program fails to compile — a bug, not an
 /// input condition.
 pub fn compute(cache: &ProgramCache, seed: u64) -> Fig1Report {
-    let mut session =
-        cache.launch(FIG1_SOURCE, DefenseConfig::none(), seed).expect("figure 1 compiles");
+    let mut session = cache
+        .launch(FIG1_SOURCE, DefenseConfig::none(), seed)
+        .expect("figure 1 compiles");
     // The figure's buffer holds "ABCDEFGHIJKLMNO\0"; feed it on fd 1 (the
     // figure passes fd = 1).
     session.machine.io_mut().feed_input(1, b"ABCDEFGHIJKLMNO\0");
 
-    let get_request = session.program.function_addr("get_request").expect("exists");
+    let get_request = session
+        .program
+        .function_addr("get_request")
+        .expect("exists");
     // Step to the moment the machine has just entered get_request().
     let mut entered = false;
     for _ in 0..1_000_000 {

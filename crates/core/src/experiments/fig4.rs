@@ -116,9 +116,13 @@ fn machine_with_policy(module: &Fig4Module, host_asm: &str, policy: ReentryPolic
         .expect("module loads");
     let host = swsec_asm::assemble(host_asm).expect("host assembles");
     m.mem_mut().map(HOST_BASE, 0x1000, Perm::RX).expect("maps");
-    m.mem_mut().poke_bytes(HOST_BASE, &host.bytes).expect("pokes");
+    m.mem_mut()
+        .poke_bytes(HOST_BASE, &host.bytes)
+        .expect("pokes");
     m.mem_mut().map(CELLS_BASE, 0x1000, Perm::RW).expect("maps");
-    m.mem_mut().map(STACK_TOP - 0xff0, 0x1000, Perm::RW).expect("maps");
+    m.mem_mut()
+        .map(STACK_TOP - 0xff0, 0x1000, Perm::RW)
+        .expect("maps");
     m.set_reg(swsec_vm::isa::Reg::Sp, STACK_TOP);
     m.set_reg(swsec_vm::isa::Reg::Bp, STACK_TOP);
     m.set_ip(HOST_BASE);
@@ -401,7 +405,6 @@ pub fn compute() -> Fig4Report {
     }
 }
 
-
 /// E9 under the campaign API.
 pub struct Fig4Experiment;
 
@@ -435,8 +438,8 @@ impl crate::experiments::Experiment for Fig4Experiment {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::compute as run;
+    use super::*;
 
     #[test]
     fn legitimate_calls_work_on_both_compilations() {

@@ -131,7 +131,6 @@ pub fn compute() -> UafReport {
     }
 }
 
-
 /// E15 under the campaign API.
 pub struct HeapUafExperiment;
 
@@ -165,7 +164,7 @@ impl crate::experiments::Experiment for HeapUafExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]

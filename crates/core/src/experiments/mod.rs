@@ -98,11 +98,7 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
 
 /// Shorthand: wraps already-final tables from a single-cell experiment
 /// into its report.
-fn single_cell_report(
-    id: ExperimentId,
-    title: &str,
-    mut cells: Vec<Vec<Table>>,
-) -> Report {
+fn single_cell_report(id: ExperimentId, title: &str, mut cells: Vec<Vec<Table>>) -> Report {
     let mut report = Report::new(id, title);
     report.tables = cells.swap_remove(0);
     report
@@ -116,8 +112,8 @@ pub mod catalogue;
 pub mod continuity;
 pub mod crash_matrix;
 pub mod fig1;
-pub mod heap_uaf;
 pub mod fig4;
+pub mod heap_uaf;
 pub mod matrix;
 pub mod overhead;
 pub mod pma_cost;

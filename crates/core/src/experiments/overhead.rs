@@ -81,7 +81,13 @@ impl OverheadReport {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "E5: instruction-count overhead of compiler countermeasures",
-            &["workload", "baseline instrs", "canary", "bounds checks", "both"],
+            &[
+                "workload",
+                "baseline instrs",
+                "canary",
+                "bounds checks",
+                "both",
+            ],
         );
         for r in &self.rows {
             t.row(vec![
@@ -176,7 +182,7 @@ impl Experiment for OverheadExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]
@@ -213,7 +219,13 @@ mod tests {
     fn combined_is_at_least_each_alone() {
         let report = run();
         for r in &report.rows {
-            assert!(r.both >= r.bounds * 0.9, "{}: both {} vs bounds {}", r.workload, r.both, r.bounds);
+            assert!(
+                r.both >= r.bounds * 0.9,
+                "{}: both {} vs bounds {}",
+                r.workload,
+                r.both,
+                r.bounds
+            );
         }
     }
 

@@ -82,7 +82,6 @@ pub fn compute() -> PmaCostReport {
     }
 }
 
-
 /// E12 under the campaign API.
 pub struct PmaCostExperiment;
 
@@ -116,7 +115,7 @@ impl crate::experiments::Experiment for PmaCostExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]

@@ -107,7 +107,8 @@ pub fn compute() -> RulesReport {
     check(
         "outside",
         "call entry point",
-        map.check_fetch(OUTSIDE_IP, ENTRY, TransferKind::Call).is_ok(),
+        map.check_fetch(OUTSIDE_IP, ENTRY, TransferKind::Call)
+            .is_ok(),
         true,
     );
     check(
@@ -191,7 +192,9 @@ pub fn compute() -> RulesReport {
         ))
         .expect("assembles");
         m.mem_mut().map(OUTSIDE_IP, 0x1000, Perm::RX).expect("maps");
-        m.mem_mut().poke_bytes(OUTSIDE_IP, &host.bytes).expect("pokes");
+        m.mem_mut()
+            .poke_bytes(OUTSIDE_IP, &host.bytes)
+            .expect("pokes");
         m.set_ip(OUTSIDE_IP);
         let outcome = m.run(100);
         let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
@@ -204,8 +207,11 @@ pub fn compute() -> RulesReport {
             {
                 // entry: movi r0, 7; ret
                 let mut code = Vec::new();
-                swsec_vm::isa::Instr::MovI { dst: swsec_vm::isa::Reg::R0, imm: 7 }
-                    .encode(&mut code);
+                swsec_vm::isa::Instr::MovI {
+                    dst: swsec_vm::isa::Reg::R0,
+                    imm: 7,
+                }
+                .encode(&mut code);
                 swsec_vm::isa::Instr::Ret.encode(&mut code);
                 code
             },
@@ -226,8 +232,12 @@ pub fn compute() -> RulesReport {
         ))
         .expect("assembles");
         m.mem_mut().map(OUTSIDE_IP, 0x1000, Perm::RX).expect("maps");
-        m.mem_mut().poke_bytes(OUTSIDE_IP, &host.bytes).expect("pokes");
-        m.mem_mut().map(0xbfff_0000, 0x1000, Perm::RW).expect("maps");
+        m.mem_mut()
+            .poke_bytes(OUTSIDE_IP, &host.bytes)
+            .expect("pokes");
+        m.mem_mut()
+            .map(0xbfff_0000, 0x1000, Perm::RW)
+            .expect("maps");
         m.set_reg(swsec_vm::isa::Reg::Sp, 0xbfff_0ff0);
         m.set_ip(OUTSIDE_IP);
         let outcome = m.run(100);
@@ -256,7 +266,9 @@ pub fn compute() -> RulesReport {
         ))
         .expect("assembles");
         m.mem_mut().map(OUTSIDE_IP, 0x1000, Perm::RX).expect("maps");
-        m.mem_mut().poke_bytes(OUTSIDE_IP, &host.bytes).expect("pokes");
+        m.mem_mut()
+            .poke_bytes(OUTSIDE_IP, &host.bytes)
+            .expect("pokes");
         m.set_ip(OUTSIDE_IP);
         let outcome = m.run(100);
         let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
@@ -265,7 +277,6 @@ pub fn compute() -> RulesReport {
 
     RulesReport { checks, vm_demos }
 }
-
 
 /// E8 under the campaign API.
 pub struct PmaRulesExperiment;
@@ -300,7 +311,7 @@ impl crate::experiments::Experiment for PmaRulesExperiment {
 
 #[cfg(test)]
 mod tests {
-    
+
     use super::compute as run;
 
     #[test]

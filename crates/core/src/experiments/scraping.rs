@@ -76,7 +76,12 @@ impl ScrapeReport {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "E7: memory scraping vs the Figure 2 secret module",
-            &["attacker", "module protection", "secret (666)", "PIN (1234)"],
+            &[
+                "attacker",
+                "module protection",
+                "secret (666)",
+                "PIN (1234)",
+            ],
         );
         t.row(vec![
             "I/O attacker (wrong PINs)".to_string(),
@@ -88,7 +93,12 @@ impl ScrapeReport {
             t.row(vec![
                 trial.attacker.to_string(),
                 if trial.protected { "PMA" } else { "none" }.to_string(),
-                if trial.found_secret { "SCRAPED" } else { "hidden" }.to_string(),
+                if trial.found_secret {
+                    "SCRAPED"
+                } else {
+                    "hidden"
+                }
+                .to_string(),
                 if trial.found_pin { "SCRAPED" } else { "hidden" }.to_string(),
             ]);
         }
@@ -99,15 +109,29 @@ impl ScrapeReport {
 fn machine_with_unprotected_module(image: &ModuleImage) -> Machine {
     let mut m = Machine::new();
     m.mem_mut()
-        .map(image.code_base(), image.code().len().max(1) as u32, Perm::RX)
+        .map(
+            image.code_base(),
+            image.code().len().max(1) as u32,
+            Perm::RX,
+        )
         .expect("maps");
-    m.mem_mut().poke_bytes(image.code_base(), image.code()).expect("pokes");
     m.mem_mut()
-        .map(image.data_base(), image.data().len().max(1) as u32, Perm::RW)
+        .poke_bytes(image.code_base(), image.code())
+        .expect("pokes");
+    m.mem_mut()
+        .map(
+            image.data_base(),
+            image.data().len().max(1) as u32,
+            Perm::RW,
+        )
         .expect("maps");
-    m.mem_mut().poke_bytes(image.data_base(), image.data()).expect("pokes");
+    m.mem_mut()
+        .poke_bytes(image.data_base(), image.data())
+        .expect("pokes");
     // A page for the malicious module's own code.
-    m.mem_mut().map(0x0900_0000, 0x1000, Perm::RX).expect("maps");
+    m.mem_mut()
+        .map(0x0900_0000, 0x1000, Perm::RX)
+        .expect("maps");
     m
 }
 
@@ -117,7 +141,9 @@ fn machine_with_protected_module(image: &ModuleImage) -> Machine {
     platform
         .load_module(&mut m, image, ReentryPolicy::EntryPointsOnly)
         .expect("loads");
-    m.mem_mut().map(0x0900_0000, 0x1000, Perm::RX).expect("maps");
+    m.mem_mut()
+        .map(0x0900_0000, 0x1000, Perm::RX)
+        .expect("maps");
     m
 }
 
@@ -158,16 +184,21 @@ pub fn compute() -> ScrapeReport {
          }}"
     );
     let unit = parse(&combined).expect("combined parses");
-    let io_attacker_verdict = equiv::compare(&unit, &[0xFF, 0xFF, 0, 0], DefenseConfig::none(), 5, 1_000_000)
-        .expect("compiles")
-        .verdict;
+    let io_attacker_verdict = equiv::compare(
+        &unit,
+        &[0xFF, 0xFF, 0, 0],
+        DefenseConfig::none(),
+        5,
+        1_000_000,
+    )
+    .expect("compiles")
+    .verdict;
 
     ScrapeReport {
         trials,
         io_attacker_verdict,
     }
 }
-
 
 /// E7 under the campaign API.
 pub struct ScrapingExperiment;
@@ -202,8 +233,8 @@ impl crate::experiments::Experiment for ScrapingExperiment {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::compute as run;
+    use super::*;
 
     #[test]
     fn unprotected_module_is_scraped_by_everyone() {

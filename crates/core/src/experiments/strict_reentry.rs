@@ -25,8 +25,7 @@ use swsec_vm::isa::trap;
 use swsec_vm::policy::ReentryPolicy;
 
 use crate::experiments::fig4::{
-    self, build_module, build_module_strict, jump_to_reentry, single_call_with_policy,
-    FnPtrChoice,
+    self, build_module, build_module_strict, jump_to_reentry, single_call_with_policy, FnPtrChoice,
 };
 use crate::report::Table;
 
@@ -181,7 +180,6 @@ pub fn compute() -> StrictReport {
     StrictReport { scenarios }
 }
 
-
 /// E13 under the campaign API.
 pub struct StrictReentryExperiment;
 
@@ -215,8 +213,8 @@ impl crate::experiments::Experiment for StrictReentryExperiment {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::compute as run;
+    use super::*;
 
     #[test]
     fn all_strict_scenarios_hold() {

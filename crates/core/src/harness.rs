@@ -103,7 +103,12 @@ impl AttemptOutcome {
 
     /// Whether channel `fd`'s output contains `needle`.
     pub fn emitted(&self, fd: u32, needle: &[u8]) -> bool {
-        !needle.is_empty() && self.io.output(fd).windows(needle.len()).any(|w| w == needle)
+        !needle.is_empty()
+            && self
+                .io
+                .output(fd)
+                .windows(needle.len())
+                .any(|w| w == needle)
     }
 }
 

@@ -65,10 +65,10 @@ pub mod prelude {
         run_campaign, run_campaign_on, run_campaign_with, CampaignConfig, CampaignReport,
         CampaignTelemetry, CellOutcome, CellProgress, CellRecord,
     };
-    pub use crate::faults::{FaultPlan, FaultyExperiment};
-    pub use crate::harness::{AttackTarget, AttemptOutcome, ForkServer, SearchOutcome, ServeMode};
     pub use crate::equiv::{compare, Comparison, Verdict};
     pub use crate::experiments::{registry, Experiment};
+    pub use crate::faults::{FaultPlan, FaultyExperiment};
+    pub use crate::harness::{AttackTarget, AttemptOutcome, ForkServer, SearchOutcome, ServeMode};
     pub use crate::loader::{launch, Session};
     pub use crate::report::{ExperimentId, Report, Table};
     pub use crate::serve::{

@@ -60,13 +60,9 @@ impl Session {
     pub fn local_addr(&self, path: &[(&str, u32)], local: &str) -> Result<u32, CompileError> {
         let bp = self.frame_base(path)?;
         let (func, _) = path.last().expect("path must not be empty");
-        let frame = self
-            .program
-            .frames
-            .get(*func)
-            .ok_or_else(|| CompileError {
-                message: format!("no frame info for `{func}`"),
-            })?;
+        let frame = self.program.frames.get(*func).ok_or_else(|| CompileError {
+            message: format!("no frame info for `{func}`"),
+        })?;
         let slot = frame
             .locals
             .iter()
@@ -212,8 +208,7 @@ mod tests {
     use swsec_minc::parse;
     use swsec_vm::cpu::RunOutcome;
 
-    const ECHO: &str =
-        "void main() { char buf[8]; int n = read(0, buf, 8); write(1, buf, n); }";
+    const ECHO: &str = "void main() { char buf[8]; int n = read(0, buf, 8); write(1, buf, n); }";
 
     #[test]
     fn launch_runs_programs() {

@@ -639,7 +639,12 @@ impl CampaignService {
 
         let quota = self.tenants[t].cfg.quota;
         if self.tenants[t].queued >= quota {
-            self.record_drop(t, job, seed, JobOutcome::Rejected(RejectReason::QuotaExceeded { quota }));
+            self.record_drop(
+                t,
+                job,
+                seed,
+                JobOutcome::Rejected(RejectReason::QuotaExceeded { quota }),
+            );
             self.counters.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(RejectReason::QuotaExceeded { quota });
         }
@@ -751,13 +756,14 @@ impl CampaignService {
         }
         let total = ordered.len();
 
-        let collector = telemetry.spans.map(|mask| Arc::new(SpanCollector::new(mask)));
+        let collector = telemetry
+            .spans
+            .map(|mask| Arc::new(SpanCollector::new(mask)));
         let round_span = collector.as_ref().map(|c| {
             let round = self.rounds;
-            c.recorder(0)
-                .enter_with(SpanKind::Campaign, || {
-                    format!("serve round {round}: {total} jobs")
-                })
+            c.recorder(0).enter_with(SpanKind::Campaign, || {
+                format!("serve round {round}: {total} jobs")
+            })
         });
 
         let ctx = Arc::new(JobCtx {
@@ -947,14 +953,7 @@ impl CampaignService {
                 cfg.name, cfg.seed, cfg.priority, cfg.quota
             ),
             &[
-                "job",
-                "seed",
-                "outcome",
-                "attempts",
-                "halted",
-                "faulted",
-                "no_fuel",
-                "blocked",
+                "job", "seed", "outcome", "attempts", "halted", "faulted", "no_fuel", "blocked",
                 "secrets",
             ],
         );
@@ -1022,7 +1021,9 @@ impl CampaignService {
 }
 
 fn note_stats(counters: &ServeCounters, stats: &JobStats) {
-    counters.attempts.fetch_add(stats.attempts, Ordering::Relaxed);
+    counters
+        .attempts
+        .fetch_add(stats.attempts, Ordering::Relaxed);
     counters
         .secret_leaks
         .fetch_add(stats.secret_leaks, Ordering::Relaxed);
@@ -1080,7 +1081,8 @@ fn serve_job(
                 message: format!("job abandoned by deadline watchdog after {i} attempts"),
             });
         }
-        let len = 1 + (derive(seed, &[u64::from(i), 1]) % u64::from(spec.max_input.max(1))) as usize;
+        let len =
+            1 + (derive(seed, &[u64::from(i), 1]) % u64::from(spec.max_input.max(1))) as usize;
         let fill = b'A' + (derive(seed, &[u64::from(i), 2]) % 26) as u8;
         let input = vec![fill; len];
         let outcome = server.execute(seed, &input)?;
@@ -1134,10 +1136,7 @@ mod tests {
         let err = svc.submit(t, quick_spec()).unwrap_err();
         assert_eq!(err, RejectReason::QuotaExceeded { quota: 2 });
         // The rejected job is recorded under its consumed index.
-        let id = JobId {
-            tenant: t,
-            job: 2,
-        };
+        let id = JobId { tenant: t, job: 2 };
         assert_eq!(svc.outcome(id), Some(JobOutcome::Rejected(err)));
         assert_eq!(svc.totals().jobs_rejected, 1);
         assert_eq!(svc.pending(), 2);
@@ -1238,9 +1237,6 @@ mod tests {
     fn unknown_job_is_none() {
         let mut svc = CampaignService::new(ServeConfig::default());
         let t = svc.register_tenant(tenant("t0", 1, 1, 4));
-        assert_eq!(
-            svc.outcome(JobId { tenant: t, job: 9 }),
-            None
-        );
+        assert_eq!(svc.outcome(JobId { tenant: t, job: 9 }), None);
     }
 }

@@ -47,12 +47,8 @@ impl ChaCha20 {
         state[2] = 0x7962_2d32;
         state[3] = 0x6b20_6574;
         for i in 0..8 {
-            state[4 + i] = u32::from_le_bytes([
-                key[i * 4],
-                key[i * 4 + 1],
-                key[i * 4 + 2],
-                key[i * 4 + 3],
-            ]);
+            state[4 + i] =
+                u32::from_le_bytes([key[i * 4], key[i * 4 + 1], key[i * 4 + 2], key[i * 4 + 3]]);
         }
         state[12] = counter;
         for i in 0..3 {
@@ -127,10 +123,7 @@ mod tests {
         let nonce: [u8; 12] = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let mut data = *b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
         ChaCha20::new(&key, &nonce, 1).apply(&mut data);
-        assert_eq!(
-            to_hex(&data[..16]),
-            "6e2e359a2568f98041ba0728dd0d6981"
-        );
+        assert_eq!(to_hex(&data[..16]), "6e2e359a2568f98041ba0728dd0d6981");
         assert_eq!(to_hex(&data[112..]), "87 4d".replace(' ', ""));
     }
 

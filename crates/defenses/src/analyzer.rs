@@ -133,9 +133,10 @@ impl Analyzer<'_> {
                 }
             }
             Expr::Index { base, index } => {
-                if let (Expr::Var(name), Some(len)) =
-                    (base.as_ref(), base_array(base).and_then(|n| self.array_len(n)))
-                {
+                if let (Expr::Var(name), Some(len)) = (
+                    base.as_ref(),
+                    base_array(base).and_then(|n| self.array_len(n)),
+                ) {
                     let _ = name;
                     if let Some(idx) = Self::const_value(index) {
                         if idx < 0 || idx as usize >= len {
@@ -365,10 +366,7 @@ mod tests {
 
     #[test]
     fn detects_constant_oob_index() {
-        let f = findings(
-            "int f() { int a[4]; return a[4]; }",
-            Precision::Precise,
-        );
+        let f = findings("int f() { int a[4]; return a[4]; }", Precision::Precise);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("out of bounds"));
     }
@@ -396,20 +394,14 @@ mod tests {
 
     #[test]
     fn detects_returned_local_array() {
-        let f = findings(
-            "char *f() { char buf[8]; return buf; }",
-            Precision::Precise,
-        );
+        let f = findings("char *f() { char buf[8]; return buf; }", Precision::Precise);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::Temporal);
     }
 
     #[test]
     fn returning_global_address_is_clean() {
-        let f = findings(
-            "int g;\nint *f() { return &g; }",
-            Precision::Precise,
-        );
+        let f = findings("int g;\nint *f() { return &g; }", Precision::Precise);
         assert!(f.is_empty());
     }
 

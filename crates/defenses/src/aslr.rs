@@ -67,16 +67,10 @@ impl AslrConfig {
             out.text_base = base.text_base.wrapping_add(text_slide);
             let gap = (self.layouts() as u32) * page;
             let data_slide = (rng.next_u32() & mask) * page;
-            out.data_base = base
-                .data_base
-                .wrapping_add(gap)
-                .wrapping_add(data_slide);
+            out.data_base = base.data_base.wrapping_add(gap).wrapping_add(data_slide);
             // The heap keeps its distance from the data segment (it is
             // part of the same randomized image half).
-            out.heap_base = base
-                .heap_base
-                .wrapping_add(gap)
-                .wrapping_add(data_slide);
+            out.heap_base = base.heap_base.wrapping_add(gap).wrapping_add(data_slide);
         }
         if self.stack {
             // Slide the stack *down* so it cannot collide with the data

@@ -61,7 +61,12 @@ impl CheckReport {
     }
 }
 
-fn run_one(unit: &Unit, opts: &CompileOptions, input: &[u8], fuel: u64) -> Result<(RunOutcome, u64), CompileError> {
+fn run_one(
+    unit: &Unit,
+    opts: &CompileOptions,
+    input: &[u8],
+    fuel: u64,
+) -> Result<(RunOutcome, u64), CompileError> {
     let prog = compile(unit, opts)?;
     let mut m = Machine::new();
     prog.load(&mut m)?;
@@ -183,16 +188,9 @@ mod tests {
 
     #[test]
     fn detects_triggered_overflow() {
-        let unit = parse(
-            "void main() { char buf[8]; read(0, buf, 64); }",
-        )
-        .unwrap();
-        let report = check_with_tests(
-            &unit,
-            &[b"short".to_vec(), vec![b'A'; 64]],
-            1_000_000,
-        )
-        .unwrap();
+        let unit = parse("void main() { char buf[8]; read(0, buf, 64); }").unwrap();
+        let report =
+            check_with_tests(&unit, &[b"short".to_vec(), vec![b'A'; 64]], 1_000_000).unwrap();
         // The oversized read is flagged regardless of input length —
         // the requested length already exceeds the buffer.
         assert!(report.detected());
@@ -201,10 +199,8 @@ mod tests {
 
     #[test]
     fn clean_program_stays_clean() {
-        let unit = parse(
-            "void main() { char buf[8]; int n = read(0, buf, 8); write(1, buf, n); }",
-        )
-        .unwrap();
+        let unit = parse("void main() { char buf[8]; int n = read(0, buf, 8); write(1, buf, n); }")
+            .unwrap();
         let report =
             check_with_tests(&unit, &[b"hello".to_vec(), b"".to_vec()], 1_000_000).unwrap();
         assert!(!report.detected());

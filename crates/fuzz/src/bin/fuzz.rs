@@ -165,8 +165,7 @@ fn main() {
 
     if let Some(path) = profile_path.as_deref() {
         let folded = profile_victim(cfg.master_seed);
-        std::fs::write(path, folded)
-            .unwrap_or_else(|e| panic!("cannot write profile {path}: {e}"));
+        std::fs::write(path, folded).unwrap_or_else(|e| panic!("cannot write profile {path}: {e}"));
     }
 
     let report = run_campaign_on(&cfg, &[exp.leaked()], &telemetry);

@@ -152,7 +152,9 @@ mod tests {
         }
         let run = |seed| {
             let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            (0..32).map(|_| c.select(&mut rng).input.clone()).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| c.select(&mut rng).input.clone())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

@@ -135,7 +135,9 @@ mod tests {
     #[test]
     fn generation_is_total_and_deterministic() {
         for n in 0..128u64 {
-            let bytes: Vec<u8> = (0..32).map(|i| (n.wrapping_mul(37) as u8).wrapping_add(i)).collect();
+            let bytes: Vec<u8> = (0..32)
+                .map(|i| (n.wrapping_mul(37) as u8).wrapping_add(i))
+                .collect();
             let a = program_from_bytes(&bytes);
             let b = program_from_bytes(&bytes);
             assert_eq!(a, b);
@@ -154,6 +156,10 @@ mod tests {
         let programs: std::collections::BTreeSet<String> = (0..64u8)
             .map(|b| program_from_bytes(&[b, b.wrapping_add(1), b.wrapping_mul(3), 7, 9]))
             .collect();
-        assert!(programs.len() > 16, "only {} distinct programs", programs.len());
+        assert!(
+            programs.len() > 16,
+            "only {} distinct programs",
+            programs.len()
+        );
     }
 }

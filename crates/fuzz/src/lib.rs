@@ -268,7 +268,14 @@ impl Experiment for FuzzExperiment {
 
         let mut summary = Table::new(
             "cell summary",
-            &["target", "executions", "corpus", "coverage slots", "findings", "divergences"],
+            &[
+                "target",
+                "executions",
+                "corpus",
+                "coverage slots",
+                "findings",
+                "divergences",
+            ],
         );
         summary.row(vec![
             outcome.target.to_string(),
@@ -280,7 +287,14 @@ impl Experiment for FuzzExperiment {
         ]);
         let mut found = Table::new(
             "cell findings",
-            &["target", "class", "attempt", "found len", "min len", "minimized"],
+            &[
+                "target",
+                "class",
+                "attempt",
+                "found len",
+                "min len",
+                "minimized",
+            ],
         );
         for f in &outcome.findings {
             found.row(vec![
@@ -298,11 +312,25 @@ impl Experiment for FuzzExperiment {
     fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
         let mut summary = Table::new(
             "E18: coverage-guided fuzzing over the attack harness",
-            &["target", "executions", "corpus", "coverage slots", "findings", "divergences"],
+            &[
+                "target",
+                "executions",
+                "corpus",
+                "coverage slots",
+                "findings",
+                "divergences",
+            ],
         );
         let mut found = Table::new(
             "E18: findings (deduplicated by class, minimized)",
-            &["target", "class", "attempt", "found len", "min len", "minimized"],
+            &[
+                "target",
+                "class",
+                "attempt",
+                "found len",
+                "min len",
+                "minimized",
+            ],
         );
         let mut exploit = false;
         let mut divergences: u64 = 0;
@@ -327,7 +355,11 @@ impl Experiment for FuzzExperiment {
         let mut verdicts = Table::new("E18: conformance verdicts", &["check", "result"]);
         verdicts.row(vec![
             "known exploit path rediscovered (victim-smash)".to_string(),
-            if exploit { "yes".to_string() } else { "NO".to_string() },
+            if exploit {
+                "yes".to_string()
+            } else {
+                "NO".to_string()
+            },
         ]);
         verdicts.row(vec![
             "fast-path vs baseline divergences".to_string(),
@@ -337,7 +369,10 @@ impl Experiment for FuzzExperiment {
             "compiler conformance findings".to_string(),
             compiler_findings.to_string(),
         ]);
-        verdicts.row(vec!["distinct finding classes".to_string(), classes.to_string()]);
+        verdicts.row(vec![
+            "distinct finding classes".to_string(),
+            classes.to_string(),
+        ]);
 
         let mut report = Report::new(self.id(), self.title());
         report.tables.push(summary);
@@ -375,7 +410,11 @@ mod tests {
         );
         let hit = outcome.findings.iter().find(|f| f.class == "needle");
         let hit = hit.expect("a random 0x7f byte within 400 mutations");
-        assert_eq!(hit.minimized, vec![0x7f], "minimizer should strip to the needle");
+        assert_eq!(
+            hit.minimized,
+            vec![0x7f],
+            "minimizer should strip to the needle"
+        );
         assert!(outcome.corpus_len >= 1 && outcome.coverage > 0);
     }
 
@@ -391,7 +430,11 @@ mod tests {
         let exploit = exploit.unwrap_or_else(|| {
             panic!(
                 "no exploit within budget; classes found: {:?}",
-                outcome.findings.iter().map(|f| &f.class).collect::<Vec<_>>()
+                outcome
+                    .findings
+                    .iter()
+                    .map(|f| &f.class)
+                    .collect::<Vec<_>>()
             )
         });
         // The minimized reproducer still needs to reach into the
@@ -399,9 +442,16 @@ mod tests {
         // the minimizer legitimately discovers *partial* overwrites
         // (grant shares its upper address bytes with the original
         // return address, so rewriting the low bytes alone diverts).
-        assert!(exploit.minimized.len() >= 57, "{:?}", exploit.minimized.len());
+        assert!(
+            exploit.minimized.len() >= 57,
+            "{:?}",
+            exploit.minimized.len()
+        );
         // Crash classes surface alongside the exploit.
-        assert!(outcome.findings.iter().any(|f| f.class.starts_with("crash:")));
+        assert!(outcome
+            .findings
+            .iter()
+            .any(|f| f.class.starts_with("crash:")));
     }
 
     #[test]
@@ -429,8 +479,16 @@ mod tests {
             )
         };
         let fork = digest(ServeMode::Fork);
-        assert_eq!(fork, digest(ServeMode::Fork), "same mode must replay exactly");
-        assert_eq!(fork, digest(ServeMode::Rebuild), "serve mode must not leak into results");
+        assert_eq!(
+            fork,
+            digest(ServeMode::Fork),
+            "same mode must replay exactly"
+        );
+        assert_eq!(
+            fork,
+            digest(ServeMode::Rebuild),
+            "serve mode must not leak into results"
+        );
     }
 
     #[test]

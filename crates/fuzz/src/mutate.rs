@@ -37,13 +37,7 @@ const OPS: u64 = 10;
 /// entry used by the splice operator; `dict` holds target-provided
 /// tokens (function addresses, magic words); the result never exceeds
 /// `max_len` bytes and is never empty.
-pub fn mutate(
-    seed: u64,
-    parent: &[u8],
-    donor: &[u8],
-    dict: &[Vec<u8>],
-    max_len: usize,
-) -> Vec<u8> {
+pub fn mutate(seed: u64, parent: &[u8], donor: &[u8], dict: &[Vec<u8>], max_len: usize) -> Vec<u8> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut input = if parent.is_empty() {
         vec![0u8; 8]
@@ -96,7 +90,11 @@ fn apply_one(
         3 => {
             // Interesting 32-bit constant, little-endian, in place.
             let word = INTERESTING[rng.gen_range(INTERESTING.len() as u64) as usize];
-            overwrite(input, rng.gen_range(len as u64) as usize, &word.to_le_bytes());
+            overwrite(
+                input,
+                rng.gen_range(len as u64) as usize,
+                &word.to_le_bytes(),
+            );
         }
         4 => {
             // Delete a block (never the whole input).
@@ -112,8 +110,7 @@ fn apply_one(
             // Duplicate a block to the end (growth, capped).
             let start = rng.gen_range(len as u64) as usize;
             let count = (1 + rng.gen_range(8)) as usize;
-            let block: Vec<u8> =
-                input[start..(start + count).min(len)].to_vec();
+            let block: Vec<u8> = input[start..(start + count).min(len)].to_vec();
             input.extend_from_slice(&block);
             input.truncate(max_len.max(1));
         }
@@ -191,7 +188,11 @@ mod tests {
         let distinct: std::collections::BTreeSet<Vec<u8>> = (0..64)
             .map(|s| mutate(s, &parent, &parent, &dict(), 96))
             .collect();
-        assert!(distinct.len() > 32, "only {} distinct children", distinct.len());
+        assert!(
+            distinct.len() > 32,
+            "only {} distinct children",
+            distinct.len()
+        );
     }
 
     #[test]

@@ -122,7 +122,11 @@ impl VictimTarget {
         let bp = 0xbfff_0000u32;
         let mut combo = bp.to_le_bytes().to_vec();
         combo.extend_from_slice(&grant.to_le_bytes());
-        let dict = vec![grant.to_le_bytes().to_vec(), bp.to_le_bytes().to_vec(), combo];
+        let dict = vec![
+            grant.to_le_bytes().to_vec(),
+            bp.to_le_bytes().to_vec(),
+            combo,
+        ];
         VictimTarget {
             server,
             run_seed,
@@ -226,8 +230,9 @@ impl AttackTarget for CompilerTarget {
         let unit = match parse(&src) {
             Ok(unit) => unit,
             Err(err) => {
-                self.last_finding =
-                    Some(format!("compiler: front end rejected a well-formed program ({err})"));
+                self.last_finding = Some(format!(
+                    "compiler: front end rejected a well-formed program ({err})"
+                ));
                 return Ok(Self::synthetic_outcome());
             }
         };
@@ -235,8 +240,9 @@ impl AttackTarget for CompilerTarget {
         let mut session = match loader::launch(&unit, self.config, seed) {
             Ok(session) => session,
             Err(err) => {
-                self.last_finding =
-                    Some(format!("compiler: compile/load failed on a safe program ({err})"));
+                self.last_finding = Some(format!(
+                    "compiler: compile/load failed on a safe program ({err})"
+                ));
                 return Ok(Self::synthetic_outcome());
             }
         };
@@ -254,13 +260,15 @@ impl AttackTarget for CompilerTarget {
                 self.last_finding = Some(format!("miscompile: {evidence}"));
             }
             Verdict::SafeDivergence { cause } => {
-                self.last_finding =
-                    Some(format!("miscompile: machine stopped early on a safe program ({cause})"));
+                self.last_finding = Some(format!(
+                    "miscompile: machine stopped early on a safe program ({cause})"
+                ));
             }
             Verdict::Inconclusive => {
                 if !matches!(reference.outcome, InterpOutcome::OutOfFuel) {
-                    self.last_finding =
-                        Some("miscompile: machine ran out of fuel where the source terminates".into());
+                    self.last_finding = Some(
+                        "miscompile: machine ran out of fuel where the source terminates".into(),
+                    );
                 }
             }
         }
@@ -285,11 +293,7 @@ impl FuzzTarget for CompilerTarget {
     }
 
     fn seeds(&self) -> Vec<Vec<u8>> {
-        vec![
-            vec![0u8; 16],
-            (0..64u8).collect(),
-            vec![0xff; 32],
-        ]
+        vec![vec![0u8; 16], (0..64u8).collect(), vec![0xff; 32]]
     }
 
     fn max_len(&self) -> usize {
@@ -326,9 +330,7 @@ impl DiffTarget {
     pub fn new(cache: &ProgramCache, run_seed: u64) -> DiffTarget {
         let config = DefenseConfig::none();
         let opts = loader::plan_options(&config, run_seed);
-        let program = cache
-            .compile(VICTIM_SMASH, &opts)
-            .expect("victim compiles");
+        let program = cache.compile(VICTIM_SMASH, &opts).expect("victim compiles");
         DiffTarget {
             program,
             config,
@@ -409,11 +411,11 @@ impl FuzzTarget for DiffTarget {
     }
 
     fn dictionary(&self) -> Vec<Vec<u8>> {
-        let grant = self
-            .program
-            .function_addr("grant")
-            .expect("grant exists");
-        vec![grant.to_le_bytes().to_vec(), 0xbfff_0000u32.to_le_bytes().to_vec()]
+        let grant = self.program.function_addr("grant").expect("grant exists");
+        vec![
+            grant.to_le_bytes().to_vec(),
+            0xbfff_0000u32.to_le_bytes().to_vec(),
+        ]
     }
 
     fn max_len(&self) -> usize {
@@ -514,7 +516,9 @@ pub(crate) mod tests {
     fn compiler_target_finds_nothing_on_the_safe_family() {
         let mut target = CompilerTarget::new(3);
         for n in 0..24u8 {
-            let bytes: Vec<u8> = (0..24).map(|i| n.wrapping_mul(17).wrapping_add(i)).collect();
+            let bytes: Vec<u8> = (0..24)
+                .map(|i| n.wrapping_mul(17).wrapping_add(i))
+                .collect();
             let out = target.execute(3, &bytes).unwrap();
             assert_eq!(target.classify(&out), None, "input {n}");
         }

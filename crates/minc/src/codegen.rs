@@ -150,10 +150,8 @@ pub struct CompileOptions {
 }
 
 /// Wrapper so `CompileOptions::default()` gets the default layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LayoutOpt(pub LayoutConfig);
-
 
 /// A compile-time error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,7 +266,9 @@ impl CompiledProgram {
     #[must_use]
     pub fn symbol_table(&self) -> swsec_obs::SymbolTable {
         swsec_obs::SymbolTable::from_labels(
-            self.functions.iter().map(|(name, addr)| (name.clone(), *addr)),
+            self.functions
+                .iter()
+                .map(|(name, addr)| (name.clone(), *addr)),
             self.text_end(),
         )
     }
@@ -310,15 +310,26 @@ impl CompiledProgram {
         m.mem_mut()
             .poke_bytes(self.data_base, &self.data)
             .map_err(|e| cerr(format!("load failed: {e}")))?;
-        map(m, self.layout.heap_base, self.layout.heap_size as usize, Perm::RW)?;
+        map(
+            m,
+            self.layout.heap_base,
+            self.layout.heap_size as usize,
+            Perm::RW,
+        )?;
         let stack_base = self.layout.stack_top - self.layout.stack_size;
         map(m, stack_base, self.layout.stack_size as usize, Perm::RW)?;
         // Leave headroom above the initial stack pointer so overflows
         // that run past the frame overwrite mapped memory (and are then
         // caught by canaries or verdicts) instead of faulting at the
         // stack ceiling.
-        m.set_reg(swsec_vm::isa::Reg::Sp, self.layout.stack_top - STACK_HEADROOM);
-        m.set_reg(swsec_vm::isa::Reg::Bp, self.layout.stack_top - STACK_HEADROOM);
+        m.set_reg(
+            swsec_vm::isa::Reg::Sp,
+            self.layout.stack_top - STACK_HEADROOM,
+        );
+        m.set_reg(
+            swsec_vm::isa::Reg::Bp,
+            self.layout.stack_top - STACK_HEADROOM,
+        );
         if let Some(entry) = self.entry {
             m.set_ip(entry);
         }
@@ -525,7 +536,11 @@ impl<'a> Codegen<'a> {
     fn fresh_label(&mut self, hint: &'static str) -> Label {
         self.label_counter += 1;
         let func = self.current_fn;
-        self.new_label(LabelName::Local { func, hint, n: self.label_counter })
+        self.new_label(LabelName::Local {
+            func,
+            hint,
+            n: self.label_counter,
+        })
     }
 
     /// `offset` as the displacement of the instruction emitted next.
@@ -644,11 +659,20 @@ impl<'a> Codegen<'a> {
             Expr::Var(name) => match self.resolve(name)? {
                 Place::Local(FrameSlot { offset, .. }) | Place::Param { offset, .. } => {
                     let disp = self.disp(offset);
-                    self.emit(Lea { dst: R0, base: Bp, disp });
+                    self.emit(Lea {
+                        dst: R0,
+                        base: Bp,
+                        disp,
+                    });
                 }
-                Place::Global(slot) => self.emit(hex(MovI { dst: R0, imm: slot.addr })),
+                Place::Global(slot) => self.emit(hex(MovI {
+                    dst: R0,
+                    imm: slot.addr,
+                })),
                 Place::Function(_) => {
-                    return Err(cerr(format!("cannot take the address of function `{name}`")))
+                    return Err(cerr(format!(
+                        "cannot take the address of function `{name}`"
+                    )))
                 }
             },
             Expr::Index { base, index } => {
@@ -672,10 +696,18 @@ impl<'a> Codegen<'a> {
                 let size = elem.size();
                 if size > 1 {
                     self.emit(MovI { dst: R1, imm: size });
-                    self.emit(Alu { op: AluOp::Mul, dst: R0, src: R1 });
+                    self.emit(Alu {
+                        op: AluOp::Mul,
+                        dst: R0,
+                        src: R1,
+                    });
                 }
                 self.pop_operands();
-                self.emit(Alu { op: AluOp::Add, dst: R0, src: R1 });
+                self.emit(Alu {
+                    op: AluOp::Add,
+                    dst: R0,
+                    src: R1,
+                });
             }
             Expr::Unary {
                 op: UnaryOp::Deref,
@@ -745,7 +777,10 @@ impl<'a> Codegen<'a> {
     fn gen_expr(&mut self, e: &Expr) -> Result<(), CompileError> {
         match e {
             Expr::IntLit(v) => {
-                self.emit(hex(MovI { dst: R0, imm: *v as u32 }));
+                self.emit(hex(MovI {
+                    dst: R0,
+                    imm: *v as u32,
+                }));
             }
             Expr::StrLit(s) => {
                 let addr = self.string_addr(s);
@@ -765,9 +800,15 @@ impl<'a> Codegen<'a> {
                     self.emit(load(ty.is_byte(), R0, Bp, disp));
                 }
                 Place::Global(slot) => match &slot.ty {
-                    Type::Array(..) => self.emit(hex(MovI { dst: R0, imm: slot.addr })),
+                    Type::Array(..) => self.emit(hex(MovI {
+                        dst: R0,
+                        imm: slot.addr,
+                    })),
                     ty => {
-                        self.emit(hex(MovI { dst: R1, imm: slot.addr }));
+                        self.emit(hex(MovI {
+                            dst: R1,
+                            imm: slot.addr,
+                        }));
                         self.emit(at(load(*ty == Type::Char, R0, R1, 0)));
                     }
                 },
@@ -792,7 +833,11 @@ impl<'a> Codegen<'a> {
                     self.gen_expr(expr)?;
                     self.emit(Mov { dst: R1, src: R0 });
                     self.emit(MovI { dst: R0, imm: 0 });
-                    self.emit(Alu { op: AluOp::Sub, dst: R0, src: R1 });
+                    self.emit(Alu {
+                        op: AluOp::Sub,
+                        dst: R0,
+                        src: R1,
+                    });
                 }
                 UnaryOp::Not => {
                     self.gen_expr(expr)?;
@@ -825,10 +870,16 @@ impl<'a> Codegen<'a> {
                         self.emit(CmpI { a: R0, imm: 0 });
                         self.jcc(exit_cond, exit);
                     }
-                    self.emit(MovI { dst: R0, imm: u32::from(and) });
+                    self.emit(MovI {
+                        dst: R0,
+                        imm: u32::from(and),
+                    });
                     self.jmp(end);
                     self.emit_label(exit);
-                    self.emit(MovI { dst: R0, imm: u32::from(!and) });
+                    self.emit(MovI {
+                        dst: R0,
+                        imm: u32::from(!and),
+                    });
                     self.emit_label(end);
                 }
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
@@ -866,8 +917,15 @@ impl<'a> Codegen<'a> {
                     let l_ptr = matches!(lt, Type::Ptr(_));
                     let r_ptr = matches!(rt, Type::Ptr(_));
                     if l_ptr && !r_ptr && elem_size(&lt) > 1 {
-                        self.emit(MovI { dst: R1, imm: elem_size(&lt) });
-                        self.emit(Alu { op: AluOp::Mul, dst: R0, src: R1 });
+                        self.emit(MovI {
+                            dst: R1,
+                            imm: elem_size(&lt),
+                        });
+                        self.emit(Alu {
+                            op: AluOp::Mul,
+                            dst: R0,
+                            src: R1,
+                        });
                     }
                     self.pop_operands();
                     if r_ptr && !l_ptr {
@@ -875,15 +933,37 @@ impl<'a> Codegen<'a> {
                             return Err(cerr("cannot subtract a pointer from an integer"));
                         }
                         if elem_size(&rt) > 1 {
-                            self.emit(MovI { dst: R2, imm: elem_size(&rt) });
-                            self.emit(Alu { op: AluOp::Mul, dst: R0, src: R2 });
+                            self.emit(MovI {
+                                dst: R2,
+                                imm: elem_size(&rt),
+                            });
+                            self.emit(Alu {
+                                op: AluOp::Mul,
+                                dst: R0,
+                                src: R2,
+                            });
                         }
                     }
-                    let alu = if *op == BinOp::Add { AluOp::Add } else { AluOp::Sub };
-                    self.emit(Alu { op: alu, dst: R0, src: R1 });
+                    let alu = if *op == BinOp::Add {
+                        AluOp::Add
+                    } else {
+                        AluOp::Sub
+                    };
+                    self.emit(Alu {
+                        op: alu,
+                        dst: R0,
+                        src: R1,
+                    });
                     if l_ptr && r_ptr && *op == BinOp::Sub && elem_size(&lt) > 1 {
-                        self.emit(MovI { dst: R1, imm: elem_size(&lt) });
-                        self.emit(Alu { op: AluOp::DivS, dst: R0, src: R1 });
+                        self.emit(MovI {
+                            dst: R1,
+                            imm: elem_size(&lt),
+                        });
+                        self.emit(Alu {
+                            op: AluOp::DivS,
+                            dst: R0,
+                            src: R1,
+                        });
                     }
                 }
                 _ => {
@@ -902,7 +982,11 @@ impl<'a> Codegen<'a> {
                         BinOp::BitXor => AluOp::Xor,
                         _ => unreachable!("handled above"),
                     };
-                    self.emit(Alu { op, dst: R0, src: R1 });
+                    self.emit(Alu {
+                        op,
+                        dst: R0,
+                        src: R1,
+                    });
                 }
             },
             Expr::Call { callee, args } => {
@@ -949,13 +1033,20 @@ impl<'a> Codegen<'a> {
                     if name == "read" && self.opts.harden.bounds_checks {
                         if let Some(bytes) = self.static_array_bytes(&args[1]) {
                             let ok = self.fresh_label("readlen_ok");
-                            self.emit(CmpI { a: R2, imm: bytes + 1 });
+                            self.emit(CmpI {
+                                a: R2,
+                                imm: bytes + 1,
+                            });
                             self.jcc(Cond::B, ok);
                             self.emit(Trap(trap::BOUNDS));
                             self.emit_label(ok);
                         }
                     }
-                    self.emit(Sys(if name == "read" { sys::READ } else { sys::WRITE }));
+                    self.emit(Sys(if name == "read" {
+                        sys::READ
+                    } else {
+                        sys::WRITE
+                    }));
                     return Ok(());
                 }
                 "exit" => {
@@ -1033,7 +1124,10 @@ impl<'a> Codegen<'a> {
             }
         }
         if !args.is_empty() {
-            self.emit(hex(AddI { dst: Sp, imm: WORD * args.len() as u32 }));
+            self.emit(hex(AddI {
+                dst: Sp,
+                imm: WORD * args.len() as u32,
+            }));
         }
         Ok(())
     }
@@ -1053,16 +1147,34 @@ impl<'a> Codegen<'a> {
         // Push the continuation onto the internal stack (with overflow
         // check: a module driven into unbounded out-call recursion must
         // fail closed, not overwrite its own data).
-        self.emit(hex(MovI { dst: R1, imm: cont_sp }));
-        self.emit(at(Load { dst: R2, base: R1, disp: 0 }));
-        self.emit(hex(CmpI { a: R2, imm: stack_end }));
+        self.emit(hex(MovI {
+            dst: R1,
+            imm: cont_sp,
+        }));
+        self.emit(at(Load {
+            dst: R2,
+            base: R1,
+            disp: 0,
+        }));
+        self.emit(hex(CmpI {
+            a: R2,
+            imm: stack_end,
+        }));
         self.jcc(Cond::B, ok);
         self.emit(Trap(trap::ASSERT));
         self.emit_label(ok);
         self.emit_to(MovI { dst: R3, imm: 0 }, cont);
-        self.emit(at(Store { base: R2, disp: 0, src: R3 }));
+        self.emit(at(Store {
+            base: R2,
+            disp: 0,
+            src: R3,
+        }));
         self.emit(AddI { dst: R2, imm: 4 });
-        self.emit(at(Store { base: R1, disp: 0, src: R2 }));
+        self.emit(at(Store {
+            base: R1,
+            disp: 0,
+            src: R2,
+        }));
         // Hand the external code our return entry point as its return
         // address, then leave the module.
         let reentry = self.symbol("__reentry");
@@ -1083,15 +1195,36 @@ impl<'a> Codegen<'a> {
         let reentry = self.symbol("__reentry");
         self.emit_label(reentry);
         // r0 carries the external call's return value; r1-r3 are scratch.
-        self.emit(hex(MovI { dst: R1, imm: cont_sp }));
-        self.emit(at(Load { dst: R2, base: R1, disp: 0 }));
-        self.emit(hex(CmpI { a: R2, imm: stack_start + 1 }));
+        self.emit(hex(MovI {
+            dst: R1,
+            imm: cont_sp,
+        }));
+        self.emit(at(Load {
+            dst: R2,
+            base: R1,
+            disp: 0,
+        }));
+        self.emit(hex(CmpI {
+            a: R2,
+            imm: stack_start + 1,
+        }));
         self.jcc(Cond::Ae, ok);
         self.emit(Trap(trap::ASSERT));
         self.emit_label(ok);
-        self.emit(hex(AddI { dst: R2, imm: (-4i32) as u32 }));
-        self.emit(at(Store { base: R1, disp: 0, src: R2 }));
-        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(hex(AddI {
+            dst: R2,
+            imm: (-4i32) as u32,
+        }));
+        self.emit(at(Store {
+            base: R1,
+            disp: 0,
+            src: R2,
+        }));
+        self.emit(at(Load {
+            dst: R3,
+            base: R2,
+            disp: 0,
+        }));
         self.emit(JmpR(R3));
     }
 
@@ -1121,38 +1254,102 @@ impl<'a> Codegen<'a> {
         self.flush = true;
         self.emit_label(alloc);
         self.emit(Enter(0));
-        self.emit(Load { dst: R1, base: Bp, disp: 8 });
+        self.emit(Load {
+            dst: R1,
+            base: Bp,
+            disp: 8,
+        });
         self.emit(AddI { dst: R1, imm: 11 });
-        self.emit(hex(MovI { dst: R2, imm: 0xffff_fff8 }));
-        self.emit(Alu { op: AluOp::And, dst: R1, src: R2 });
-        self.emit(hex(MovI { dst: R2, imm: free_list }));
+        self.emit(hex(MovI {
+            dst: R2,
+            imm: 0xffff_fff8,
+        }));
+        self.emit(Alu {
+            op: AluOp::And,
+            dst: R1,
+            src: R2,
+        });
+        self.emit(hex(MovI {
+            dst: R2,
+            imm: free_list,
+        }));
         self.emit_label(find);
-        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(at(Load {
+            dst: R3,
+            base: R2,
+            disp: 0,
+        }));
         self.emit(CmpI { a: R3, imm: 0 });
         self.jcc(Cond::Z, new);
-        self.emit(at(Load { dst: R4, base: R3, disp: 0 }));
+        self.emit(at(Load {
+            dst: R4,
+            base: R3,
+            disp: 0,
+        }));
         self.emit(Cmp { a: R4, b: R1 });
         self.jcc(Cond::Ae, take);
-        self.emit(Lea { dst: R2, base: R3, disp: 4 });
+        self.emit(Lea {
+            dst: R2,
+            base: R3,
+            disp: 4,
+        });
         self.jmp(find);
         self.emit_label(take);
-        self.emit(Load { dst: R4, base: R3, disp: 4 });
-        self.emit(at(Store { base: R2, disp: 0, src: R4 }));
-        self.emit(Lea { dst: R0, base: R3, disp: 4 });
+        self.emit(Load {
+            dst: R4,
+            base: R3,
+            disp: 4,
+        });
+        self.emit(at(Store {
+            base: R2,
+            disp: 0,
+            src: R4,
+        }));
+        self.emit(Lea {
+            dst: R0,
+            base: R3,
+            disp: 4,
+        });
         ret(self);
         self.emit_label(new);
-        self.emit(hex(MovI { dst: R2, imm: heap_next }));
-        self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
+        self.emit(hex(MovI {
+            dst: R2,
+            imm: heap_next,
+        }));
+        self.emit(at(Load {
+            dst: R3,
+            base: R2,
+            disp: 0,
+        }));
         self.emit(Mov { dst: R4, src: R3 });
-        self.emit(Alu { op: AluOp::Add, dst: R4, src: R1 });
-        self.emit(hex(CmpI { a: R4, imm: heap_end }));
+        self.emit(Alu {
+            op: AluOp::Add,
+            dst: R4,
+            src: R1,
+        });
+        self.emit(hex(CmpI {
+            a: R4,
+            imm: heap_end,
+        }));
         self.jcc(Cond::B, ok);
         self.emit(MovI { dst: R0, imm: 0 });
         ret(self);
         self.emit_label(ok);
-        self.emit(at(Store { base: R2, disp: 0, src: R4 }));
-        self.emit(at(Store { base: R3, disp: 0, src: R1 }));
-        self.emit(Lea { dst: R0, base: R3, disp: 4 });
+        self.emit(at(Store {
+            base: R2,
+            disp: 0,
+            src: R4,
+        }));
+        self.emit(at(Store {
+            base: R3,
+            disp: 0,
+            src: R1,
+        }));
+        self.emit(Lea {
+            dst: R0,
+            base: R3,
+            disp: 4,
+        });
         ret(self);
         self.emit_label(free);
         self.emit(Enter(0));
@@ -1161,14 +1358,37 @@ impl<'a> Codegen<'a> {
         // contents without ever being handed out again).
         if !self.opts.harden.heap_quarantine {
             let done = self.symbol(".L__free_done");
-            self.emit(Load { dst: R1, base: Bp, disp: 8 });
+            self.emit(Load {
+                dst: R1,
+                base: Bp,
+                disp: 8,
+            });
             self.emit(CmpI { a: R1, imm: 0 });
             self.jcc(Cond::Z, done);
-            self.emit(Lea { dst: R1, base: R1, disp: -4 });
-            self.emit(hex(MovI { dst: R2, imm: free_list }));
-            self.emit(at(Load { dst: R3, base: R2, disp: 0 }));
-            self.emit(Store { base: R1, disp: 4, src: R3 });
-            self.emit(at(Store { base: R2, disp: 0, src: R1 }));
+            self.emit(Lea {
+                dst: R1,
+                base: R1,
+                disp: -4,
+            });
+            self.emit(hex(MovI {
+                dst: R2,
+                imm: free_list,
+            }));
+            self.emit(at(Load {
+                dst: R3,
+                base: R2,
+                disp: 0,
+            }));
+            self.emit(Store {
+                base: R1,
+                disp: 4,
+                src: R3,
+            });
+            self.emit(at(Store {
+                base: R2,
+                disp: 0,
+                src: R1,
+            }));
             self.emit_label(done);
         }
         ret(self);
@@ -1264,7 +1484,10 @@ impl<'a> Codegen<'a> {
                 self.jmp(self.epilogue.expect("inside a function"));
             }
             Stmt::Break => {
-                let label = *self.break_stack.last().ok_or_else(|| cerr("break outside loop"))?;
+                let label = *self
+                    .break_stack
+                    .last()
+                    .ok_or_else(|| cerr("break outside loop"))?;
                 self.jmp(label);
             }
             Stmt::Continue => {
@@ -1312,8 +1535,16 @@ impl<'a> Codegen<'a> {
         if canary {
             let addr = self.canary_addr.expect("canary cell allocated");
             self.emit(hex(MovI { dst: R1, imm: addr }));
-            self.emit(at(Load { dst: R1, base: R1, disp: 0 }));
-            self.emit(Store { base: Bp, disp: -4, src: R1 });
+            self.emit(at(Load {
+                dst: R1,
+                base: R1,
+                disp: 0,
+            }));
+            self.emit(Store {
+                base: Bp,
+                disp: -4,
+                src: R1,
+            });
         }
         for s in body {
             self.gen_stmt(s, &mut alloc)?;
@@ -1324,8 +1555,16 @@ impl<'a> Codegen<'a> {
             let addr = self.canary_addr.expect("canary cell allocated");
             let ok = self.fresh_label("canary_ok");
             self.emit(hex(MovI { dst: R1, imm: addr }));
-            self.emit(at(Load { dst: R1, base: R1, disp: 0 }));
-            self.emit(Load { dst: R2, base: Bp, disp: -4 });
+            self.emit(at(Load {
+                dst: R1,
+                base: R1,
+                disp: 0,
+            }));
+            self.emit(Load {
+                dst: R2,
+                base: Bp,
+                disp: -4,
+            });
             self.emit(Cmp { a: R1, b: R2 });
             self.jcc(Cond::Z, ok);
             self.emit(Trap(trap::CANARY));
@@ -1390,7 +1629,10 @@ fn stmt_locals_size(s: &Stmt) -> u32 {
             ..
         } => {
             stmt_locals_size(then_branch)
-                + else_branch.as_ref().map(|e| stmt_locals_size(e)).unwrap_or(0)
+                + else_branch
+                    .as_ref()
+                    .map(|e| stmt_locals_size(e))
+                    .unwrap_or(0)
         }
         Stmt::While { body, .. } => stmt_locals_size(body),
         Stmt::For { init, body, .. } => {
@@ -1573,7 +1815,9 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
     };
     // Item i renders as listing line i + 1, the line link errors name.
     let mut listing = String::with_capacity(24 * cg.asm.len());
-    cg.asm.render(&mut listing, |out, label| cg.names[label.0 as usize].write(out));
+    cg.asm.render(&mut listing, |out, label| {
+        cg.names[label.0 as usize].write(out)
+    });
     let functions = unit
         .functions
         .iter()
@@ -1837,7 +2081,10 @@ mod tests {
 
     #[test]
     fn string_literals_are_addressable() {
-        assert_eq!(output_of("void main() { write(1, \"hi\", 2); }", &[]), b"hi");
+        assert_eq!(
+            output_of("void main() { write(1, \"hi\", 2); }", &[]),
+            b"hi"
+        );
     }
 
     #[test]
@@ -1986,8 +2233,7 @@ mod tests {
         callee_opts.layout.0.data_base = 0x0910_0000;
         let callee = compile(&callee_unit, &callee_opts).unwrap();
 
-        let caller_unit =
-            parse("extern int answer();\nint main() { return answer(); }").unwrap();
+        let caller_unit = parse("extern int answer();\nint main() { return answer(); }").unwrap();
         let mut caller_opts = CompileOptions::default();
         caller_opts
             .externs
@@ -1999,7 +2245,9 @@ mod tests {
         m.mem_mut()
             .map(callee.text_base, callee.text.len() as u32, Perm::RX)
             .unwrap();
-        m.mem_mut().poke_bytes(callee.text_base, &callee.text).unwrap();
+        m.mem_mut()
+            .poke_bytes(callee.text_base, &callee.text)
+            .unwrap();
         assert_eq!(m.run(100_000), RunOutcome::Halted(42));
     }
 
@@ -2103,8 +2351,8 @@ mod tests {
 
     #[test]
     fn listing_contains_paper_style_prologue() {
-        let unit = parse("void process(int fd) { char buf[16]; }\nvoid main() { process(1); }")
-            .unwrap();
+        let unit =
+            parse("void process(int fd) { char buf[16]; }\nvoid main() { process(1); }").unwrap();
         let prog = compile(&unit, &CompileOptions::default()).unwrap();
         assert!(prog.listing.contains("enter 0x10"));
         assert!(prog.listing.contains("process:"));

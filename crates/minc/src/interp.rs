@@ -354,9 +354,11 @@ impl<'a> Interp<'a> {
                 let (alloc, index) = self.lvalue(target)?;
                 let old = self.load_cell(alloc, index)?;
                 let new = match &old {
-                    Value::Int(v) => {
-                        Value::Int(if *inc { v.wrapping_add(1) } else { v.wrapping_sub(1) })
-                    }
+                    Value::Int(v) => Value::Int(if *inc {
+                        v.wrapping_add(1)
+                    } else {
+                        v.wrapping_sub(1)
+                    }),
                     Value::Ptr { alloc, index } => Value::Ptr {
                         alloc: *alloc,
                         index: if *inc { index + 1 } else { index - 1 },
@@ -426,9 +428,7 @@ impl<'a> Interp<'a> {
             ) => {
                 return match op {
                     BinOp::Sub if a1 == a2 => Ok(Value::Int((i1 - i2) as i32)),
-                    BinOp::Sub => Err(violation(
-                        "subtraction of pointers into different objects",
-                    )),
+                    BinOp::Sub => Err(violation("subtraction of pointers into different objects")),
                     BinOp::Eq => Ok(Value::Int(i32::from(a1 == a2 && i1 == i2))),
                     BinOp::Ne => Ok(Value::Int(i32::from(!(a1 == a2 && i1 == i2)))),
                     BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge if a1 == a2 => {
@@ -516,7 +516,10 @@ impl<'a> Interp<'a> {
                         let v = self.load_cell(alloc, base + i64::from(i))?.as_int()?;
                         bytes.push(v as u8);
                     }
-                    self.outputs.entry(fd).or_default().extend_from_slice(&bytes);
+                    self.outputs
+                        .entry(fd)
+                        .or_default()
+                        .extend_from_slice(&bytes);
                     return Ok(Value::Int(len.max(0)));
                 }
                 "exit" => {
@@ -540,7 +543,10 @@ impl<'a> Interp<'a> {
                         aggregate: true,
                         heap: true,
                     });
-                    return Ok(Value::Ptr { alloc: id, index: 0 });
+                    return Ok(Value::Ptr {
+                        alloc: id,
+                        index: 0,
+                    });
                 }
                 "free" => {
                     let v = self.eval(&args[0])?;
@@ -560,10 +566,7 @@ impl<'a> Interp<'a> {
                                 )));
                             }
                             if !a.live {
-                                return Err(violation(format!(
-                                    "double free of `{}`",
-                                    a.name
-                                )));
+                                return Err(violation(format!("double free of `{}`", a.name)));
                             }
                             a.live = false;
                             return Ok(Value::Int(0));
@@ -576,7 +579,9 @@ impl<'a> Interp<'a> {
         }
         // Resolve the target function.
         let fname = match callee {
-            Expr::Var(name) if self.unit.function(name).is_some() && self.lookup(name).is_none() => {
+            Expr::Var(name)
+                if self.unit.function(name).is_some() && self.lookup(name).is_none() =>
+            {
                 name.clone()
             }
             other => match self.eval(other)? {
@@ -586,9 +591,7 @@ impl<'a> Interp<'a> {
                         "call through an integer (no function provenance)",
                     ))
                 }
-                Value::Ptr { .. } => {
-                    return Err(violation("call through a data pointer"))
-                }
+                Value::Ptr { .. } => return Err(violation("call through a data pointer")),
             },
         };
         let func = self
@@ -646,7 +649,11 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt], frame_allocs: &mut Vec<usize>) -> Result<Flow, Interrupt> {
+    fn exec_block(
+        &mut self,
+        stmts: &[Stmt],
+        frame_allocs: &mut Vec<usize>,
+    ) -> Result<Flow, Interrupt> {
         for s in stmts {
             match self.exec_stmt(s, frame_allocs)? {
                 Flow::Normal => {}
@@ -843,7 +850,10 @@ mod tests {
 
     #[test]
     fn exit_code_from_main() {
-        assert_eq!(exec("int main() { return 42; }", &[]).outcome, InterpOutcome::Exit(42));
+        assert_eq!(
+            exec("int main() { return 42; }", &[]).outcome,
+            InterpOutcome::Exit(42)
+        );
     }
 
     #[test]
@@ -858,10 +868,7 @@ mod tests {
 
     #[test]
     fn spatial_violation_on_oversized_read() {
-        let r = exec(
-            "void main() { char buf[4]; read(0, buf, 8); }",
-            b"AAAAAAAA",
-        );
+        let r = exec("void main() { char buf[4]; read(0, buf, 8); }", b"AAAAAAAA");
         match r.outcome {
             InterpOutcome::Trap(v) => assert!(v.message.contains("spatial")),
             other => panic!("expected trap, got {other:?}"),
@@ -903,7 +910,10 @@ mod tests {
 
     #[test]
     fn integer_to_pointer_has_no_provenance() {
-        let r = exec("int main() { int x = 1234; int *p; p = &x; p = p + 10; return *p; }", &[]);
+        let r = exec(
+            "int main() { int x = 1234; int *p; p = &x; p = p + 10; return *p; }",
+            &[],
+        );
         assert!(matches!(r.outcome, InterpOutcome::Trap(_)));
     }
 

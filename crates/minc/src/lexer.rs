@@ -280,9 +280,7 @@ impl<'a> Lexer<'a> {
                     _ => Token::Ident(name),
                 }
             }
-            other => {
-                return Err(self.error(format!("unexpected character `{}`", other as char)))
-            }
+            other => return Err(self.error(format!("unexpected character `{}`", other as char))),
         };
         Ok(Some(Spanned { token, line }))
     }
@@ -333,7 +331,12 @@ mod tests {
     fn numbers_decimal_hex_char() {
         assert_eq!(
             toks("42 0x2a 'A' '\\n'"),
-            vec![Token::Int(42), Token::Int(42), Token::Int(65), Token::Int(10)]
+            vec![
+                Token::Int(42),
+                Token::Int(42),
+                Token::Int(65),
+                Token::Int(10)
+            ]
         );
     }
 
@@ -360,10 +363,7 @@ mod tests {
 
     #[test]
     fn string_with_escapes() {
-        assert_eq!(
-            toks(r#""hi\n\0""#),
-            vec![Token::Str("hi\n\0".into())]
-        );
+        assert_eq!(toks(r#""hi\n\0""#), vec![Token::Str("hi\n\0".into())]);
     }
 
     #[test]
@@ -376,10 +376,7 @@ mod tests {
 
     #[test]
     fn preprocessor_lines_ignored() {
-        assert_eq!(
-            toks("#include <stdio.h>\nint"),
-            vec![Token::KwInt]
-        );
+        assert_eq!(toks("#include <stdio.h>\nint"), vec![Token::KwInt]);
     }
 
     #[test]

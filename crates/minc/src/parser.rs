@@ -201,8 +201,7 @@ impl Parser {
                 self.advance();
                 let mut params = Vec::new();
                 if self.peek() != Some(&Token::RParen) {
-                    if self.peek() == Some(&Token::KwVoid) && self.peek2() == Some(&Token::RParen)
-                    {
+                    if self.peek() == Some(&Token::KwVoid) && self.peek2() == Some(&Token::RParen) {
                         self.advance(); // f(void)
                     } else {
                         loop {
@@ -757,10 +756,7 @@ mod tests {
         "#;
         let unit = parse(src).unwrap();
         let f = unit.function("get_secret").unwrap();
-        assert_eq!(
-            f.params[0].ty,
-            Type::FnPtr(Box::new(Type::Int), vec![])
-        );
+        assert_eq!(f.params[0].ty, Type::FnPtr(Box::new(Type::Int), vec![]));
     }
 
     #[test]
@@ -777,10 +773,7 @@ mod tests {
 
     #[test]
     fn parses_globals_with_initializers() {
-        let unit = parse(
-            "int x = 5;\nint neg = -3;\nchar msg[8] = \"hi\";\nint zeroed;",
-        )
-        .unwrap();
+        let unit = parse("int x = 5;\nint neg = -3;\nchar msg[8] = \"hi\";\nint zeroed;").unwrap();
         assert_eq!(unit.globals[0].init, Some(GlobalInit::Int(5)));
         assert_eq!(unit.globals[1].init, Some(GlobalInit::Int(-3)));
         assert_eq!(unit.globals[2].init, Some(GlobalInit::Str("hi".into())));
@@ -792,7 +785,11 @@ mod tests {
         let unit = parse("int f() { return 1 + 2 * 3; }").unwrap();
         let body = unit.function("f").unwrap().body.as_ref().unwrap();
         match &body[0] {
-            Stmt::Return(Some(Expr::Binary { op: BinOp::Add, rhs, .. })) => {
+            Stmt::Return(Some(Expr::Binary {
+                op: BinOp::Add,
+                rhs,
+                ..
+            })) => {
                 assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
             }
             other => panic!("unexpected AST: {other:?}"),
@@ -832,8 +829,18 @@ mod tests {
         let unit = parse("int f(int a, int b) { return a & b && a; }").unwrap();
         let body = unit.function("f").unwrap().body.as_ref().unwrap();
         match &body[0] {
-            Stmt::Return(Some(Expr::Binary { op: BinOp::And, lhs, .. })) => {
-                assert!(matches!(**lhs, Expr::Binary { op: BinOp::BitAnd, .. }));
+            Stmt::Return(Some(Expr::Binary {
+                op: BinOp::And,
+                lhs,
+                ..
+            })) => {
+                assert!(matches!(
+                    **lhs,
+                    Expr::Binary {
+                        op: BinOp::BitAnd,
+                        ..
+                    }
+                ));
             }
             other => panic!("unexpected AST: {other:?}"),
         }

@@ -42,8 +42,14 @@ fn err(message: impl Into<String>) -> SemaError {
 pub fn builtins() -> HashMap<&'static str, (Type, Vec<Type>)> {
     let charp = Type::Ptr(Box::new(Type::Char));
     HashMap::from([
-        ("read", (Type::Int, vec![Type::Int, charp.clone(), Type::Int])),
-        ("write", (Type::Int, vec![Type::Int, charp.clone(), Type::Int])),
+        (
+            "read",
+            (Type::Int, vec![Type::Int, charp.clone(), Type::Int]),
+        ),
+        (
+            "write",
+            (Type::Int, vec![Type::Int, charp.clone(), Type::Int]),
+        ),
         ("exit", (Type::Void, vec![Type::Int])),
         ("rand", (Type::Int, vec![])),
         ("alloc", (charp.clone(), vec![Type::Int])),
@@ -119,7 +125,12 @@ impl Checker<'_> {
     fn is_lvalue(&self, e: &Expr) -> bool {
         matches!(
             e,
-            Expr::Var(_) | Expr::Index { .. } | Expr::Unary { op: UnaryOp::Deref, .. }
+            Expr::Var(_)
+                | Expr::Index { .. }
+                | Expr::Unary {
+                    op: UnaryOp::Deref,
+                    ..
+                }
         )
     }
 
@@ -307,9 +318,7 @@ impl Checker<'_> {
             }
             Stmt::Return(value) => {
                 match (value, &self.current_ret) {
-                    (Some(_), Type::Void) => {
-                        return Err(err("void function returns a value"))
-                    }
+                    (Some(_), Type::Void) => return Err(err("void function returns a value")),
                     (Some(v), _) => {
                         self.check_expr(v)?;
                     }
@@ -480,10 +489,7 @@ mod tests {
     fn accepts_overflowing_read_without_complaint() {
         // The spatial vulnerability of §III-A: reading 32 bytes into a
         // 16-byte buffer is *well-typed* C. Sema must accept it.
-        check_src(
-            "void f(int fd) { char buf[16]; read(fd, buf, 32); }",
-        )
-        .unwrap();
+        check_src("void f(int fd) { char buf[16]; read(fd, buf, 32); }").unwrap();
     }
 
     #[test]
@@ -553,10 +559,7 @@ mod tests {
 
     #[test]
     fn accepts_function_pointer_call() {
-        check_src(
-            "int get_secret(int (*get_pin)()) { return get_pin(); }",
-        )
-        .unwrap();
+        check_src("int get_secret(int (*get_pin)()) { return get_pin(); }").unwrap();
     }
 
     #[test]
@@ -576,8 +579,7 @@ mod tests {
 
     #[test]
     fn two_bodies_rejected() {
-        let e =
-            check_src("int f() { return 1; } int f() { return 2; }").unwrap_err();
+        let e = check_src("int f() { return 1; } int f() { return 2; }").unwrap_err();
         assert!(e.message.contains("defined twice"));
     }
 
@@ -595,9 +597,6 @@ mod tests {
 
     #[test]
     fn pointer_arithmetic_types() {
-        check_src(
-            "void f(char *p) { char c; c = *(p + 1); p = p - 1; }",
-        )
-        .unwrap();
+        check_src("void f(char *p) { char c; c = *(p + 1); p = p - 1; }").unwrap();
     }
 }

@@ -107,9 +107,7 @@ fn main() -> ExitCode {
             "--require" => required.push(argv.next().expect("--require needs an event kind")),
             "--chrome" => chrome = Some(argv.next().expect("--chrome needs a file")),
             "--help" | "-h" => {
-                println!(
-                    "usage: telcheck FILE.jsonl [--require KIND]... [--chrome trace.json]"
-                );
+                println!("usage: telcheck FILE.jsonl [--require KIND]... [--chrome trace.json]");
                 return ExitCode::SUCCESS;
             }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),

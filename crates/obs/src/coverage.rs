@@ -86,9 +86,8 @@ impl CoverageSink {
     fn bump(&self, slot: usize) {
         // Saturating increment: a slot stuck at 255 stays there rather
         // than wrapping back to "never hit".
-        let _ = self.map[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            v.checked_add(1)
-        });
+        let _ =
+            self.map[slot].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_add(1));
     }
 
     /// Bumps a pre-resolved map slot directly — the devirtualized

@@ -261,7 +261,11 @@ impl fmt::Display for SecurityEvent {
                 write!(f, "{} {from:#010x} -> {to:#010x}", kind.name())
             }
             SecurityEvent::Fault { kind, ip, addr } => {
-                write!(f, "fault[{}] at {ip:#010x} (addr {addr:#010x})", kind.name())
+                write!(
+                    f,
+                    "fault[{}] at {ip:#010x} (addr {addr:#010x})",
+                    kind.name()
+                )
             }
             SecurityEvent::CanaryTrip { ip } => write!(f, "canary trip at {ip:#010x}"),
             SecurityEvent::PmaViolation { rule, from, to } => write!(

@@ -372,8 +372,8 @@ impl Parser<'_> {
                                 return Err(self.err("truncated \\u escape"));
                             }
                             let hex = &self.bytes[self.pos + 1..self.pos + 5];
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed by this
@@ -426,8 +426,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::UInt(n));
@@ -478,7 +477,11 @@ mod tests {
 
     #[test]
     fn obj_preserves_insertion_order() {
-        let line = Obj::new().u64("v", 1).str("type", "event").u64("ip", 7).render();
+        let line = Obj::new()
+            .u64("v", 1)
+            .str("type", "event")
+            .u64("ip", 7)
+            .render();
         assert_eq!(line, r#"{"v":1,"type":"event","ip":7}"#);
         // And parses back to the same content.
         let parsed = parse(&line).unwrap();

@@ -92,9 +92,9 @@ pub fn event_line(event: &SecurityEvent) -> String {
             .u64("rule", u64::from(rule.number()))
             .u64("from", u64::from(from))
             .u64("to", u64::from(to)),
-        SecurityEvent::Syscall { number, ip } => {
-            obj.u64("number", u64::from(number)).u64("ip", u64::from(ip))
-        }
+        SecurityEvent::Syscall { number, ip } => obj
+            .u64("number", u64::from(number))
+            .u64("ip", u64::from(ip)),
         SecurityEvent::GuardCheck { code, ip } => {
             obj.u64("code", u64::from(code)).u64("ip", u64::from(ip))
         }
@@ -376,8 +376,14 @@ mod tests {
                 from: 0x1000,
                 to: 0x8004,
             },
-            SecurityEvent::Syscall { number: 2, ip: 0x10f0 },
-            SecurityEvent::GuardCheck { code: 3, ip: 0x1100 },
+            SecurityEvent::Syscall {
+                number: 2,
+                ip: 0x10f0,
+            },
+            SecurityEvent::GuardCheck {
+                code: 3,
+                ip: 0x1100,
+            },
             SecurityEvent::Step { ip: 0x1004 },
             SecurityEvent::CellFailed {
                 experiment: 16,

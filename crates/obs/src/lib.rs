@@ -52,6 +52,6 @@ pub use coverage::{CoverageGain, CoverageMap, CoverageSink, GlobalCoverage};
 pub use event::{ControlKind, EventMask, FaultKind, PmaRule, SecurityEvent};
 pub use jsonl::{JsonlSink, LineError, Record, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsRegistry};
+pub use sink::{CountingSink, EventCounts, EventSink, FanoutSink, HotAddressSink, RingBufferSink};
 pub use span::{ChromeInstant, Span, SpanCollector, SpanKind, SpanMask, SpanRecord, SpanRecorder};
 pub use sym::SymbolTable;
-pub use sink::{CountingSink, EventCounts, EventSink, FanoutSink, HotAddressSink, RingBufferSink};

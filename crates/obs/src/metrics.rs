@@ -276,7 +276,9 @@ mod tests {
         assert!(buckets.contains(&(2, 1)));
         assert!(buckets.contains(&(1024, 1)));
         // The max-value sample saturates into the last bucket.
-        assert!(buckets.iter().any(|(b, _)| *b == 1u64 << (HISTOGRAM_BUCKETS - 1)));
+        assert!(buckets
+            .iter()
+            .any(|(b, _)| *b == 1u64 << (HISTOGRAM_BUCKETS - 1)));
         assert!(h.quantile_upper_bound(0.5) <= 4);
     }
 

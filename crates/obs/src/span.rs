@@ -67,9 +67,8 @@ impl SpanMask {
     /// The default interest set: lifecycle structure without the
     /// per-attempt flood (`ATTEMPT`/`RESTORE`/`EXECUTE` are opt-in —
     /// at ~10⁶ attempts/s they dominate the recording, not the story).
-    pub const DEFAULT: SpanMask = SpanMask(
-        SpanMask::CAMPAIGN.0 | SpanMask::CELL.0 | SpanMask::COMPILE.0 | SpanMask::BOOT.0,
-    );
+    pub const DEFAULT: SpanMask =
+        SpanMask(SpanMask::CAMPAIGN.0 | SpanMask::CELL.0 | SpanMask::COMPILE.0 | SpanMask::BOOT.0);
 
     /// Union of two masks.
     #[must_use]
@@ -213,7 +212,8 @@ impl SpanCollector {
     #[must_use]
     pub fn take(&self) -> Vec<(u32, Vec<SpanRecord>)> {
         let mut tracks = self.tracks.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out: Vec<(u32, Vec<SpanRecord>)> = std::mem::take(&mut *tracks).into_iter().collect();
+        let mut out: Vec<(u32, Vec<SpanRecord>)> =
+            std::mem::take(&mut *tracks).into_iter().collect();
         for (_, records) in &mut out {
             records.sort_by_key(|r| r.seq_open);
         }

@@ -93,7 +93,11 @@ mod tests {
 
     fn table() -> SymbolTable {
         SymbolTable::from_labels(
-            vec![("main", 0x1000u32), ("handle", 0x1040), ("__text_end", 0x1080)],
+            vec![
+                ("main", 0x1000u32),
+                ("handle", 0x1040),
+                ("__text_end", 0x1080),
+            ],
             0x1080,
         )
     }

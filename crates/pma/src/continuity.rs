@@ -116,7 +116,10 @@ impl fmt::Display for ContinuityError {
             ContinuityError::NoState => write!(f, "no stored state"),
             ContinuityError::Corrupt => write!(f, "stored state failed authentication"),
             ContinuityError::Stale { found, expected } => {
-                write!(f, "stored state is stale (found seq {found}, expected {expected})")
+                write!(
+                    f,
+                    "stored state is stale (found seq {found}, expected {expected})"
+                )
             }
         }
     }
@@ -266,8 +269,8 @@ impl CounterContinuity {
     ) -> Result<Vec<u8>, ContinuityError> {
         let expected = platform.counter(self.counter);
         let blob = store.read(self.slot).ok_or(ContinuityError::NoState)?;
-        let plain = open(&self.key.0, b"counter-continuity", blob)
-            .map_err(|_| ContinuityError::Corrupt)?;
+        let plain =
+            open(&self.key.0, b"counter-continuity", blob).map_err(|_| ContinuityError::Corrupt)?;
         let (seq, state) = decode(plain)?;
         if seq != expected {
             return Err(ContinuityError::Stale {
@@ -414,10 +417,7 @@ impl TwoPhaseContinuity {
             None if expected == 0 => Err(ContinuityError::NoState),
             // Storage emptied under a non-zero counter: the blobs were
             // deleted, which freshness-wise is a rollback to nothing.
-            None => Err(ContinuityError::Stale {
-                found: 0,
-                expected,
-            }),
+            None => Err(ContinuityError::Stale { found: 0, expected }),
         }
     }
 }
@@ -448,7 +448,7 @@ mod tests {
         let old = store.snapshot(); // attacker keeps the fresh state
         scheme.save(&mut store, b"tries=1");
         store.restore(old); // attacker rolls back
-        // The stale state is accepted: the attack works.
+                            // The stale state is accepted: the attack works.
         assert_eq!(scheme.load(&store).unwrap(), b"tries=3");
     }
 
@@ -474,7 +474,10 @@ mod tests {
         store.restore(old);
         assert!(matches!(
             scheme.load(&platform, &store),
-            Err(ContinuityError::Stale { found: 1, expected: 2 })
+            Err(ContinuityError::Stale {
+                found: 1,
+                expected: 2
+            })
         ));
     }
 
@@ -652,9 +655,7 @@ mod tests {
         let mut scheme = NaiveContinuity::new(key, 0);
         scheme.save(&mut store, b"PIN=1234");
         let blob = store.read(0).unwrap();
-        assert!(!blob
-            .windows(8)
-            .any(|w| w == b"PIN=1234"));
+        assert!(!blob.windows(8).any(|w| w == b"PIN=1234"));
     }
 
     #[test]

@@ -177,7 +177,9 @@ mod tests {
     fn region_covers_code_and_data() {
         let image = secret_module_image();
         let region = image.region();
-        assert!(region.code().contains(&image.export_addr("get_secret").unwrap()));
+        assert!(region
+            .code()
+            .contains(&image.export_addr("get_secret").unwrap()));
         assert!(region.data().contains(&image.data_base()));
         assert!(region.is_entry(image.export_addr("get_secret").unwrap()));
     }

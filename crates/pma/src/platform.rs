@@ -155,7 +155,11 @@ impl Platform {
         };
         machine
             .mem_mut()
-            .map(image.code_base(), image.code().len().max(1) as u32, Perm::RX)
+            .map(
+                image.code_base(),
+                image.code().len().max(1) as u32,
+                Perm::RX,
+            )
             .map_err(map_err)?;
         machine
             .mem_mut()
@@ -163,7 +167,11 @@ impl Platform {
             .map_err(poke_err)?;
         machine
             .mem_mut()
-            .map(image.data_base(), image.data().len().max(1) as u32, Perm::RW)
+            .map(
+                image.data_base(),
+                image.data().len().max(1) as u32,
+                Perm::RW,
+            )
             .map_err(map_err)?;
         machine
             .mem_mut()

@@ -53,13 +53,15 @@
 use std::fmt;
 use std::sync::Arc;
 
-use swsec_obs::{ControlKind, CoverageSink, EventMask, EventSink, FaultKind, PmaRule, SecurityEvent};
+use swsec_obs::{
+    ControlKind, CoverageSink, EventMask, EventSink, FaultKind, PmaRule, SecurityEvent,
+};
 
-use crate::isa::{self, AluOp, Cond, DecodeError, Instr, Reg, NUM_REGS};
 use crate::io::IoBus;
-use crate::profile::Profiler;
+use crate::isa::{self, AluOp, Cond, DecodeError, Instr, Reg, NUM_REGS};
 use crate::mem::{Access, DataLine, MemError, MemErrorKind, Memory, PAGE_SIZE};
 use crate::policy::{PmaViolation, PmaViolationKind, ProtectionMap, TransferKind};
+use crate::profile::Profiler;
 use crate::tier::{IcProbe, IcPromotion, MicroOp, TierEngine, IC_NONE};
 use crate::trace::{ExecStats, TraceEntry, TraceRing};
 
@@ -600,7 +602,11 @@ impl Machine {
     /// [`DEFAULT_TRACE_CAPACITY`](crate::trace::DEFAULT_TRACE_CAPACITY)
     /// entries, oldest overwritten first) until [`Machine::take_trace`].
     pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = if enabled { Some(TraceRing::new()) } else { None };
+        self.trace = if enabled {
+            Some(TraceRing::new())
+        } else {
+            None
+        };
     }
 
     /// Enables instruction tracing into a ring bounded at `capacity`
@@ -890,7 +896,12 @@ impl Machine {
     }
 
     #[inline]
-    fn bc_store_u32(&mut self, line: &mut [DataLine; 2], addr: u32, value: u32) -> Result<(), Fault> {
+    fn bc_store_u32(
+        &mut self,
+        line: &mut [DataLine; 2],
+        addr: u32,
+        value: u32,
+    ) -> Result<(), Fault> {
         if line[0].serves_word(addr, true) {
             self.stats.mem_writes += 1;
             self.mem.line_write_u32(line[0], addr, value);
@@ -1613,7 +1624,8 @@ impl Machine {
             let gen = self.mem.code_generation();
             let mut promote: Option<(usize, u32, u16)> = None;
             let predicted = match pending_ic.take() {
-                Some((from_slot, from_ip, ic)) => match engine.ic_probe(from_slot, from_ip, ic, ip) {
+                Some((from_slot, from_ip, ic)) => match engine.ic_probe(from_slot, from_ip, ic, ip)
+                {
                     IcProbe::Hit(slot) => {
                         self.stats.tier2_ic_hits += 1;
                         Some(slot)
@@ -1736,190 +1748,182 @@ impl Machine {
         #[allow(unused_assignments)] // re-initialized at each chain entry
         let mut exit_ic: u16 = IC_NONE;
         'chain: loop {
-        let block = engine.block(slot);
-        let ops = &block.ops[..];
-        let start_ip = block.start_ip;
-        let pages = &block.pages[..usize::from(block.npages)];
-        let mut i = 0usize;
-        // How op 0 was most recently entered: `None` means the
-        // machine's own (prev_ip, pending_transfer) still describe it;
-        // `Some(ip)` means an in-block backedge jumped from `ip`.
-        let mut backedge_from: Option<u32> = None;
-        // Exit state for the terminal/natural exits, installed after
-        // the loop (the initial values are never read: every such
-        // break assigns all three).
-        let mut exit_prev: u32 = 0;
-        let mut exit_ip: u32 = 0;
-        let mut exit_kind = TransferKind::Sequential;
-        // Inline-cache index of the dynamic terminator the block exits
-        // through; IC_NONE on stall/fault/side-exit and static exits.
-        exit_ic = IC_NONE;
-        let mut side_exit = false;
-        // Fuel ran out at op `i` *before* executing it (a fused op may
-        // retire more instructions than the budget has left).
-        let mut stall = false;
+            let block = engine.block(slot);
+            let ops = &block.ops[..];
+            let start_ip = block.start_ip;
+            let pages = &block.pages[..usize::from(block.npages)];
+            let mut i = 0usize;
+            // How op 0 was most recently entered: `None` means the
+            // machine's own (prev_ip, pending_transfer) still describe it;
+            // `Some(ip)` means an in-block backedge jumped from `ip`.
+            let mut backedge_from: Option<u32> = None;
+            // Exit state for the terminal/natural exits, installed after
+            // the loop (the initial values are never read: every such
+            // break assigns all three).
+            let mut exit_prev: u32 = 0;
+            let mut exit_ip: u32 = 0;
+            let mut exit_kind = TransferKind::Sequential;
+            // Inline-cache index of the dynamic terminator the block exits
+            // through; IC_NONE on stall/fault/side-exit and static exits.
+            exit_ic = IC_NONE;
+            let mut side_exit = false;
+            // Fuel ran out at op `i` *before* executing it (a fused op may
+            // retire more instructions than the budget has left).
+            let mut stall = false;
 
-        'blk: loop {
-            let op = ops[i];
-            if executed + u64::from(op.n) > budget {
-                // Stop exactly where stepping would have: at this op,
-                // unexecuted. The dispatcher guarantees op 0 fits, so
-                // a stall always has history to reconstruct from.
-                stall = true;
-                break 'blk;
-            }
-            executed += u64::from(op.n);
-            match op.kind {
-                MicroOp::Nop => {}
-                MicroOp::MovI { dst, imm } => self.regs[usize::from(dst)] = imm,
-                MicroOp::Mov { dst, src } => {
-                    self.regs[usize::from(dst)] = self.regs[usize::from(src)];
+            'blk: loop {
+                let op = ops[i];
+                if executed + u64::from(op.n) > budget {
+                    // Stop exactly where stepping would have: at this op,
+                    // unexecuted. The dispatcher guarantees op 0 fits, so
+                    // a stall always has history to reconstruct from.
+                    stall = true;
+                    break 'blk;
                 }
-                MicroOp::Load { dst, base, disp } => {
-                    let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                    match self.bc_load_u32(line, addr) {
+                executed += u64::from(op.n);
+                match op.kind {
+                    MicroOp::Nop => {}
+                    MicroOp::MovI { dst, imm } => self.regs[usize::from(dst)] = imm,
+                    MicroOp::Mov { dst, src } => {
+                        self.regs[usize::from(dst)] = self.regs[usize::from(src)];
+                    }
+                    MicroOp::Load { dst, base, disp } => {
+                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
+                        match self.bc_load_u32(line, addr) {
+                            Ok(v) => self.regs[usize::from(dst)] = v,
+                            Err(f) => {
+                                self.ip = op.ip;
+                                fault = Some(f);
+                                break 'blk;
+                            }
+                        }
+                    }
+                    MicroOp::Store { base, disp, src } => {
+                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
+                        let v = self.regs[usize::from(src)];
+                        if let Err(f) = self.bc_store_u32(line, addr, v) {
+                            self.ip = op.ip;
+                            fault = Some(f);
+                            break 'blk;
+                        }
+                    }
+                    MicroOp::LoadB { dst, base, disp } => {
+                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
+                        match self.bc_load_u8(line, addr) {
+                            Ok(v) => self.regs[usize::from(dst)] = u32::from(v),
+                            Err(f) => {
+                                self.ip = op.ip;
+                                fault = Some(f);
+                                break 'blk;
+                            }
+                        }
+                    }
+                    MicroOp::StoreB { base, disp, src } => {
+                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
+                        let v = self.regs[usize::from(src)] as u8;
+                        if let Err(f) = self.bc_store_u8(line, addr, v) {
+                            self.ip = op.ip;
+                            fault = Some(f);
+                            break 'blk;
+                        }
+                    }
+                    MicroOp::Push { src } => {
+                        let v = self.regs[usize::from(src)];
+                        if let Err(f) = self.bc_push(line, v) {
+                            self.ip = op.ip;
+                            fault = Some(f);
+                            break 'blk;
+                        }
+                    }
+                    MicroOp::Pop { dst } => match self.bc_pop(line) {
                         Ok(v) => self.regs[usize::from(dst)] = v,
                         Err(f) => {
                             self.ip = op.ip;
                             fault = Some(f);
                             break 'blk;
                         }
-                    }
-                }
-                MicroOp::Store { base, disp, src } => {
-                    let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                    let v = self.regs[usize::from(src)];
-                    if let Err(f) = self.bc_store_u32(line, addr, v) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
-                    }
-                }
-                MicroOp::LoadB { dst, base, disp } => {
-                    let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                    match self.bc_load_u8(line, addr) {
-                        Ok(v) => self.regs[usize::from(dst)] = u32::from(v),
-                        Err(f) => {
+                    },
+                    MicroOp::PushI { imm } => {
+                        if let Err(f) = self.bc_push(line, imm) {
                             self.ip = op.ip;
                             fault = Some(f);
                             break 'blk;
                         }
                     }
-                }
-                MicroOp::StoreB { base, disp, src } => {
-                    let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                    let v = self.regs[usize::from(src)] as u8;
-                    if let Err(f) = self.bc_store_u8(line, addr, v) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
+                    MicroOp::Alu {
+                        op: alu_op,
+                        dst,
+                        src,
+                    } => {
+                        let (d, s) = (usize::from(dst), usize::from(src));
+                        let (a, b) = (self.regs[d], self.regs[s]);
+                        // Mirrors `Machine::alu`, on pre-resolved indices.
+                        let result = match alu_op {
+                            AluOp::Add => a.wrapping_add(b),
+                            AluOp::Sub => a.wrapping_sub(b),
+                            AluOp::Mul => a.wrapping_mul(b),
+                            AluOp::DivU | AluOp::DivS | AluOp::ModU | AluOp::ModS if b == 0 => {
+                                self.ip = op.ip;
+                                fault = Some(Fault::DivideByZero { ip: op.ip });
+                                break 'blk;
+                            }
+                            AluOp::DivU => a / b,
+                            AluOp::DivS => (a as i32).wrapping_div(b as i32) as u32,
+                            AluOp::ModU => a % b,
+                            AluOp::ModS => (a as i32).wrapping_rem(b as i32) as u32,
+                            AluOp::And => a & b,
+                            AluOp::Or => a | b,
+                            AluOp::Xor => a ^ b,
+                            AluOp::Shl => a.wrapping_shl(b),
+                            AluOp::Shr => a.wrapping_shr(b),
+                            AluOp::Sar => ((a as i32).wrapping_shr(b)) as u32,
+                        };
+                        self.regs[d] = result;
                     }
-                }
-                MicroOp::Push { src } => {
-                    let v = self.regs[usize::from(src)];
-                    if let Err(f) = self.bc_push(line, v) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
+                    MicroOp::AddI { dst, imm } => {
+                        let d = usize::from(dst);
+                        self.regs[d] = self.regs[d].wrapping_add(imm);
                     }
-                }
-                MicroOp::Pop { dst } => match self.bc_pop(line) {
-                    Ok(v) => self.regs[usize::from(dst)] = v,
-                    Err(f) => {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
+                    MicroOp::Cmp { a, b } => {
+                        let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
+                        self.set_cmp_flags(x, y);
                     }
-                },
-                MicroOp::PushI { imm } => {
-                    if let Err(f) = self.bc_push(line, imm) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
+                    MicroOp::CmpI { a, imm } => {
+                        let x = self.regs[usize::from(a)];
+                        self.set_cmp_flags(x, imm);
                     }
-                }
-                MicroOp::Alu { op: alu_op, dst, src } => {
-                    let (d, s) = (usize::from(dst), usize::from(src));
-                    let (a, b) = (self.regs[d], self.regs[s]);
-                    // Mirrors `Machine::alu`, on pre-resolved indices.
-                    let result = match alu_op {
-                        AluOp::Add => a.wrapping_add(b),
-                        AluOp::Sub => a.wrapping_sub(b),
-                        AluOp::Mul => a.wrapping_mul(b),
-                        AluOp::DivU | AluOp::DivS | AluOp::ModU | AluOp::ModS if b == 0 => {
-                            self.ip = op.ip;
-                            fault = Some(Fault::DivideByZero { ip: op.ip });
-                            break 'blk;
-                        }
-                        AluOp::DivU => a / b,
-                        AluOp::DivS => (a as i32).wrapping_div(b as i32) as u32,
-                        AluOp::ModU => a % b,
-                        AluOp::ModS => (a as i32).wrapping_rem(b as i32) as u32,
-                        AluOp::And => a & b,
-                        AluOp::Or => a | b,
-                        AluOp::Xor => a ^ b,
-                        AluOp::Shl => a.wrapping_shl(b),
-                        AluOp::Shr => a.wrapping_shr(b),
-                        AluOp::Sar => ((a as i32).wrapping_shr(b)) as u32,
-                    };
-                    self.regs[d] = result;
-                }
-                MicroOp::AddI { dst, imm } => {
-                    let d = usize::from(dst);
-                    self.regs[d] = self.regs[d].wrapping_add(imm);
-                }
-                MicroOp::Cmp { a, b } => {
-                    let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
-                    self.set_cmp_flags(x, y);
-                }
-                MicroOp::CmpI { a, imm } => {
-                    let x = self.regs[usize::from(a)];
-                    self.set_cmp_flags(x, imm);
-                }
-                MicroOp::Lea { dst, base, disp } => {
-                    self.regs[usize::from(dst)] =
-                        self.regs[usize::from(base)].wrapping_add(disp);
-                }
-                MicroOp::Enter { frame } => {
-                    let bp = self.reg(Reg::Bp);
-                    if let Err(f) = self.bc_push(line, bp) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
+                    MicroOp::Lea { dst, base, disp } => {
+                        self.regs[usize::from(dst)] =
+                            self.regs[usize::from(base)].wrapping_add(disp);
                     }
-                    let sp = self.reg(Reg::Sp);
-                    self.set_reg(Reg::Bp, sp);
-                    self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
-                }
-                MicroOp::Leave => {
-                    let bp = self.reg(Reg::Bp);
-                    self.set_reg(Reg::Sp, bp);
-                    match self.bc_pop(line) {
-                        Ok(v) => self.set_reg(Reg::Bp, v),
-                        Err(f) => {
+                    MicroOp::Enter { frame } => {
+                        let bp = self.reg(Reg::Bp);
+                        if let Err(f) = self.bc_push(line, bp) {
                             self.ip = op.ip;
                             fault = Some(f);
                             break 'blk;
                         }
+                        let sp = self.reg(Reg::Sp);
+                        self.set_reg(Reg::Bp, sp);
+                        self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
                     }
-                }
-                MicroOp::Jmp { target } => {
-                    if target == start_ip {
-                        // The tight-loop superinstruction: a backward
-                        // jump to the block's own head stays in-block
-                        // (the loop-top fuel check bounds it).
-                        backedge_from = Some(op.ip);
-                        i = 0;
-                        continue 'blk;
+                    MicroOp::Leave => {
+                        let bp = self.reg(Reg::Bp);
+                        self.set_reg(Reg::Sp, bp);
+                        match self.bc_pop(line) {
+                            Ok(v) => self.set_reg(Reg::Bp, v),
+                            Err(f) => {
+                                self.ip = op.ip;
+                                fault = Some(f);
+                                break 'blk;
+                            }
+                        }
                     }
-                    exit_prev = op.ip;
-                    exit_ip = target;
-                    exit_kind = TransferKind::Jump;
-                    break 'blk;
-                }
-                MicroOp::JCond { cond, target } => {
-                    if self.flags.test(cond) {
+                    MicroOp::Jmp { target } => {
                         if target == start_ip {
+                            // The tight-loop superinstruction: a backward
+                            // jump to the block's own head stays in-block
+                            // (the loop-top fuel check bounds it).
                             backedge_from = Some(op.ip);
                             i = 0;
                             continue 'blk;
@@ -1929,226 +1933,281 @@ impl Machine {
                         exit_kind = TransferKind::Jump;
                         break 'blk;
                     }
-                }
-                MicroOp::Call { target } => {
-                    let ret = op.next_ip;
-                    if let Err(f) = self.bc_push(line, ret) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
-                    }
-                    if let Some(shadow) = &mut self.shadow_stack {
-                        shadow.push(ret);
-                    }
-                    self.stats.calls += 1;
-                    if self.sink_mask.contains(EventMask::CONTROL) {
-                        // A directly-attached coverage sink takes the
-                        // devirtualized path: the edge is static, so
-                        // its map slot was pre-resolved at compile
-                        // time — same slot, same count as the event.
-                        match &self.cov {
-                            Some(cov) => cov.bump_slot(usize::from(op.cov_slot)),
-                            None => self.emit(SecurityEvent::ControlTransfer {
-                                kind: ControlKind::Call,
-                                from: op.ip,
-                                to: target,
-                            }),
-                        }
-                    }
-                    if !op.linked() {
-                        exit_prev = op.ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Call;
-                        break 'blk;
-                    }
-                    // Linked call: the next op is the callee's first
-                    // instruction — fall through (the SMC check below
-                    // still guards the pushed return address).
-                }
-                MicroOp::CallR { src } => {
-                    let target = self.regs[usize::from(src)];
-                    let ret = op.next_ip;
-                    if let Err(f) = self.bc_push(line, ret) {
-                        self.ip = op.ip;
-                        fault = Some(f);
-                        break 'blk;
-                    }
-                    if let Some(shadow) = &mut self.shadow_stack {
-                        shadow.push(ret);
-                    }
-                    self.stats.calls += 1;
-                    if self.sink_mask.contains(EventMask::CONTROL) {
-                        match &self.cov {
-                            Some(cov) => {
-                                cov.bump_edge(ControlKind::CallIndirect as u8, op.ip, target)
+                    MicroOp::JCond { cond, target } => {
+                        if self.flags.test(cond) {
+                            if target == start_ip {
+                                backedge_from = Some(op.ip);
+                                i = 0;
+                                continue 'blk;
                             }
-                            None => self.emit(SecurityEvent::ControlTransfer {
-                                kind: ControlKind::CallIndirect,
-                                from: op.ip,
-                                to: target,
-                            }),
+                            exit_prev = op.ip;
+                            exit_ip = target;
+                            exit_kind = TransferKind::Jump;
+                            break 'blk;
                         }
                     }
-                    exit_prev = op.ip;
-                    exit_ip = target;
-                    exit_kind = TransferKind::Call;
-                    exit_ic = op.ic;
-                    break 'blk;
-                }
-                MicroOp::Ret => {
-                    let target = match self.bc_pop(line) {
-                        Ok(v) => v,
-                        Err(f) => {
+                    MicroOp::Call { target } => {
+                        let ret = op.next_ip;
+                        if let Err(f) = self.bc_push(line, ret) {
                             self.ip = op.ip;
                             fault = Some(f);
                             break 'blk;
                         }
-                    };
-                    if let Some(shadow) = &mut self.shadow_stack {
-                        match shadow.pop() {
-                            None => {
-                                self.ip = op.ip;
-                                fault = Some(Fault::ShadowStackUnderflow { ip: op.ip });
-                                break 'blk;
-                            }
-                            Some(expected) if expected != target => {
-                                self.ip = op.ip;
-                                fault = Some(Fault::ShadowStackMismatch {
-                                    expected,
-                                    got: target,
-                                });
-                                break 'blk;
-                            }
-                            Some(_) => {}
+                        if let Some(shadow) = &mut self.shadow_stack {
+                            shadow.push(ret);
                         }
-                    }
-                    self.stats.rets += 1;
-                    if self.sink_mask.contains(EventMask::CONTROL) {
-                        match &self.cov {
-                            Some(cov) => cov.bump_edge(ControlKind::Ret as u8, op.ip, target),
-                            None => self.emit(SecurityEvent::ControlTransfer {
-                                kind: ControlKind::Ret,
-                                from: op.ip,
-                                to: target,
-                            }),
+                        self.stats.calls += 1;
+                        if self.sink_mask.contains(EventMask::CONTROL) {
+                            // A directly-attached coverage sink takes the
+                            // devirtualized path: the edge is static, so
+                            // its map slot was pre-resolved at compile
+                            // time — same slot, same count as the event.
+                            match &self.cov {
+                                Some(cov) => cov.bump_slot(usize::from(op.cov_slot)),
+                                None => self.emit(SecurityEvent::ControlTransfer {
+                                    kind: ControlKind::Call,
+                                    from: op.ip,
+                                    to: target,
+                                }),
+                            }
                         }
+                        if !op.linked() {
+                            exit_prev = op.ip;
+                            exit_ip = target;
+                            exit_kind = TransferKind::Call;
+                            break 'blk;
+                        }
+                        // Linked call: the next op is the callee's first
+                        // instruction — fall through (the SMC check below
+                        // still guards the pushed return address).
                     }
-                    if !op.linked() || target != op.cont_ip {
-                        // An unlinked ret reports its inline cache,
-                        // keyed downstream on `target` — the popped,
-                        // shadow-stack-verified return address. The
-                        // linked-ret mismatch path (a smashed return)
-                        // carries IC_NONE: it exits unpredicted.
+                    MicroOp::CallR { src } => {
+                        let target = self.regs[usize::from(src)];
+                        let ret = op.next_ip;
+                        if let Err(f) = self.bc_push(line, ret) {
+                            self.ip = op.ip;
+                            fault = Some(f);
+                            break 'blk;
+                        }
+                        if let Some(shadow) = &mut self.shadow_stack {
+                            shadow.push(ret);
+                        }
+                        self.stats.calls += 1;
+                        if self.sink_mask.contains(EventMask::CONTROL) {
+                            match &self.cov {
+                                Some(cov) => {
+                                    cov.bump_edge(ControlKind::CallIndirect as u8, op.ip, target)
+                                }
+                                None => self.emit(SecurityEvent::ControlTransfer {
+                                    kind: ControlKind::CallIndirect,
+                                    from: op.ip,
+                                    to: target,
+                                }),
+                            }
+                        }
                         exit_prev = op.ip;
                         exit_ip = target;
-                        exit_kind = TransferKind::Ret;
+                        exit_kind = TransferKind::Call;
                         exit_ic = op.ic;
                         break 'blk;
                     }
-                    // Linked return: the popped target equals the
-                    // matching in-block call's return site, which is
-                    // the next op — keep running in-block. A return
-                    // address the program (or an attacker) rewrote
-                    // fails the compare above and exits with the
-                    // actual target pending, exactly like stepping.
-                }
-                MicroOp::JmpR { src } => {
-                    let target = self.regs[usize::from(src)];
-                    if self.sink_mask.contains(EventMask::CONTROL) {
-                        match &self.cov {
-                            Some(cov) => {
-                                cov.bump_edge(ControlKind::JmpIndirect as u8, op.ip, target)
+                    MicroOp::Ret => {
+                        let target = match self.bc_pop(line) {
+                            Ok(v) => v,
+                            Err(f) => {
+                                self.ip = op.ip;
+                                fault = Some(f);
+                                break 'blk;
                             }
-                            None => self.emit(SecurityEvent::ControlTransfer {
-                                kind: ControlKind::JmpIndirect,
-                                from: op.ip,
-                                to: target,
-                            }),
-                        }
-                    }
-                    exit_prev = op.ip;
-                    exit_ip = target;
-                    exit_kind = TransferKind::Jump;
-                    exit_ic = op.ic;
-                    break 'blk;
-                }
-                MicroOp::FusedLoopI { dst, add_imm, a, cmp_imm, cond, target } => {
-                    let d = usize::from(dst);
-                    self.regs[d] = self.regs[d].wrapping_add(add_imm);
-                    let x = self.regs[usize::from(a)];
-                    self.set_cmp_flags(x, cmp_imm);
-                    if self.flags.test(cond) {
-                        if target == start_ip {
-                            if ops.len() == 1 && usize::from(a) == d {
-                                // The whole block is this one
-                                // superinstruction branching to itself:
-                                // iterate in place. Intermediate
-                                // register/flag states are unobservable
-                                // (no faults, no events, no memory), so
-                                // only the per-pass fuel accounting and
-                                // the final state need to be
-                                // architectural.
-                                let n = u64::from(op.n);
-                                let v1 = self.regs[d];
-                                if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
-                                    // Counted ±1 loop: the remaining
-                                    // trip count is closed-form. v1 !=
-                                    // cmp_imm here (the branch was
-                                    // taken), so `left` is in
-                                    // [1, 2^32-1].
-                                    let left = u64::from(if add_imm == 1 {
-                                        cmp_imm.wrapping_sub(v1)
-                                    } else {
-                                        v1.wrapping_sub(cmp_imm)
+                        };
+                        if let Some(shadow) = &mut self.shadow_stack {
+                            match shadow.pop() {
+                                None => {
+                                    self.ip = op.ip;
+                                    fault = Some(Fault::ShadowStackUnderflow { ip: op.ip });
+                                    break 'blk;
+                                }
+                                Some(expected) if expected != target => {
+                                    self.ip = op.ip;
+                                    fault = Some(Fault::ShadowStackMismatch {
+                                        expected,
+                                        got: target,
                                     });
-                                    let by_fuel = (budget - executed) / n;
-                                    if left <= by_fuel {
-                                        executed += left * n;
-                                        self.regs[d] = cmp_imm;
-                                        self.set_cmp_flags(cmp_imm, cmp_imm);
-                                        // Falls through to the
-                                        // sequential completion below.
-                                    } else {
-                                        let k = by_fuel as u32;
-                                        let v = if add_imm == 1 {
-                                            v1.wrapping_add(k)
+                                    break 'blk;
+                                }
+                                Some(_) => {}
+                            }
+                        }
+                        self.stats.rets += 1;
+                        if self.sink_mask.contains(EventMask::CONTROL) {
+                            match &self.cov {
+                                Some(cov) => cov.bump_edge(ControlKind::Ret as u8, op.ip, target),
+                                None => self.emit(SecurityEvent::ControlTransfer {
+                                    kind: ControlKind::Ret,
+                                    from: op.ip,
+                                    to: target,
+                                }),
+                            }
+                        }
+                        if !op.linked() || target != op.cont_ip {
+                            // An unlinked ret reports its inline cache,
+                            // keyed downstream on `target` — the popped,
+                            // shadow-stack-verified return address. The
+                            // linked-ret mismatch path (a smashed return)
+                            // carries IC_NONE: it exits unpredicted.
+                            exit_prev = op.ip;
+                            exit_ip = target;
+                            exit_kind = TransferKind::Ret;
+                            exit_ic = op.ic;
+                            break 'blk;
+                        }
+                        // Linked return: the popped target equals the
+                        // matching in-block call's return site, which is
+                        // the next op — keep running in-block. A return
+                        // address the program (or an attacker) rewrote
+                        // fails the compare above and exits with the
+                        // actual target pending, exactly like stepping.
+                    }
+                    MicroOp::JmpR { src } => {
+                        let target = self.regs[usize::from(src)];
+                        if self.sink_mask.contains(EventMask::CONTROL) {
+                            match &self.cov {
+                                Some(cov) => {
+                                    cov.bump_edge(ControlKind::JmpIndirect as u8, op.ip, target)
+                                }
+                                None => self.emit(SecurityEvent::ControlTransfer {
+                                    kind: ControlKind::JmpIndirect,
+                                    from: op.ip,
+                                    to: target,
+                                }),
+                            }
+                        }
+                        exit_prev = op.ip;
+                        exit_ip = target;
+                        exit_kind = TransferKind::Jump;
+                        exit_ic = op.ic;
+                        break 'blk;
+                    }
+                    MicroOp::FusedLoopI {
+                        dst,
+                        add_imm,
+                        a,
+                        cmp_imm,
+                        cond,
+                        target,
+                    } => {
+                        let d = usize::from(dst);
+                        self.regs[d] = self.regs[d].wrapping_add(add_imm);
+                        let x = self.regs[usize::from(a)];
+                        self.set_cmp_flags(x, cmp_imm);
+                        if self.flags.test(cond) {
+                            if target == start_ip {
+                                if ops.len() == 1 && usize::from(a) == d {
+                                    // The whole block is this one
+                                    // superinstruction branching to itself:
+                                    // iterate in place. Intermediate
+                                    // register/flag states are unobservable
+                                    // (no faults, no events, no memory), so
+                                    // only the per-pass fuel accounting and
+                                    // the final state need to be
+                                    // architectural.
+                                    let n = u64::from(op.n);
+                                    let v1 = self.regs[d];
+                                    if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
+                                        // Counted ±1 loop: the remaining
+                                        // trip count is closed-form. v1 !=
+                                        // cmp_imm here (the branch was
+                                        // taken), so `left` is in
+                                        // [1, 2^32-1].
+                                        let left = u64::from(if add_imm == 1 {
+                                            cmp_imm.wrapping_sub(v1)
                                         } else {
-                                            v1.wrapping_sub(k)
-                                        };
-                                        executed += by_fuel * n;
-                                        self.regs[d] = v;
-                                        self.set_cmp_flags(v, cmp_imm);
-                                        backedge_from = Some(op.last_ip);
-                                        i = 0;
-                                        stall = true;
-                                        break 'blk;
-                                    }
-                                } else {
-                                    loop {
-                                        if executed + n > budget {
+                                            v1.wrapping_sub(cmp_imm)
+                                        });
+                                        let by_fuel = (budget - executed) / n;
+                                        if left <= by_fuel {
+                                            executed += left * n;
+                                            self.regs[d] = cmp_imm;
+                                            self.set_cmp_flags(cmp_imm, cmp_imm);
+                                            // Falls through to the
+                                            // sequential completion below.
+                                        } else {
+                                            let k = by_fuel as u32;
+                                            let v = if add_imm == 1 {
+                                                v1.wrapping_add(k)
+                                            } else {
+                                                v1.wrapping_sub(k)
+                                            };
+                                            executed += by_fuel * n;
+                                            self.regs[d] = v;
+                                            self.set_cmp_flags(v, cmp_imm);
                                             backedge_from = Some(op.last_ip);
                                             i = 0;
                                             stall = true;
                                             break 'blk;
                                         }
-                                        executed += n;
-                                        let v = self.regs[d].wrapping_add(add_imm);
-                                        self.regs[d] = v;
-                                        self.set_cmp_flags(v, cmp_imm);
-                                        if !self.flags.test(cond) {
-                                            // Falls through to the
-                                            // sequential completion
-                                            // below.
-                                            break;
+                                    } else {
+                                        loop {
+                                            if executed + n > budget {
+                                                backedge_from = Some(op.last_ip);
+                                                i = 0;
+                                                stall = true;
+                                                break 'blk;
+                                            }
+                                            executed += n;
+                                            let v = self.regs[d].wrapping_add(add_imm);
+                                            self.regs[d] = v;
+                                            self.set_cmp_flags(v, cmp_imm);
+                                            if !self.flags.test(cond) {
+                                                // Falls through to the
+                                                // sequential completion
+                                                // below.
+                                                break;
+                                            }
                                         }
                                     }
+                                } else {
+                                    backedge_from = Some(op.last_ip);
+                                    i = 0;
+                                    continue 'blk;
                                 }
                             } else {
+                                exit_prev = op.last_ip;
+                                exit_ip = target;
+                                exit_kind = TransferKind::Jump;
+                                break 'blk;
+                            }
+                        }
+                    }
+                    MicroOp::FusedCmpIJ {
+                        a,
+                        imm,
+                        cond,
+                        target,
+                    } => {
+                        let x = self.regs[usize::from(a)];
+                        self.set_cmp_flags(x, imm);
+                        if self.flags.test(cond) {
+                            if target == start_ip {
                                 backedge_from = Some(op.last_ip);
                                 i = 0;
                                 continue 'blk;
                             }
-                        } else {
+                            exit_prev = op.last_ip;
+                            exit_ip = target;
+                            exit_kind = TransferKind::Jump;
+                            break 'blk;
+                        }
+                    }
+                    MicroOp::FusedCmpJ { a, b, cond, target } => {
+                        let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
+                        self.set_cmp_flags(x, y);
+                        if self.flags.test(cond) {
+                            if target == start_ip {
+                                backedge_from = Some(op.last_ip);
+                                i = 0;
+                                continue 'blk;
+                            }
                             exit_prev = op.last_ip;
                             exit_ip = target;
                             exit_kind = TransferKind::Jump;
@@ -2156,129 +2215,98 @@ impl Machine {
                         }
                     }
                 }
-                MicroOp::FusedCmpIJ { a, imm, cond, target } => {
-                    let x = self.regs[usize::from(a)];
-                    self.set_cmp_flags(x, imm);
-                    if self.flags.test(cond) {
-                        if target == start_ip {
-                            backedge_from = Some(op.last_ip);
-                            i = 0;
-                            continue 'blk;
-                        }
-                        exit_prev = op.last_ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Jump;
-                        break 'blk;
-                    }
+                // Completion of op `i` without an exit. A memory-writing op
+                // may have patched the block's own encodings (self-
+                // modifying code); nothing decoded from these pages may run
+                // past it. The continuation fields make this exact even
+                // after a linked call (exit lands at the callee with the
+                // call pending).
+                if op.kind.writes_memory() && !self.mem.page_gens_valid(pages) {
+                    exit_prev = op.last_ip;
+                    exit_ip = op.cont_ip;
+                    exit_kind = op.cont_kind;
+                    side_exit = true;
+                    break 'blk;
                 }
-                MicroOp::FusedCmpJ { a, b, cond, target } => {
-                    let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
-                    self.set_cmp_flags(x, y);
-                    if self.flags.test(cond) {
-                        if target == start_ip {
-                            backedge_from = Some(op.last_ip);
-                            i = 0;
-                            continue 'blk;
-                        }
-                        exit_prev = op.last_ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Jump;
-                        break 'blk;
-                    }
+                i += 1;
+                if i == ops.len() {
+                    exit_prev = op.last_ip;
+                    exit_ip = op.cont_ip;
+                    exit_kind = op.cont_kind;
+                    break 'blk;
                 }
             }
-            // Completion of op `i` without an exit. A memory-writing op
-            // may have patched the block's own encodings (self-
-            // modifying code); nothing decoded from these pages may run
-            // past it. The continuation fields make this exact even
-            // after a linked call (exit lands at the callee with the
-            // call pending).
-            if op.kind.writes_memory() && !self.mem.page_gens_valid(pages) {
-                exit_prev = op.last_ip;
-                exit_ip = op.cont_ip;
-                exit_kind = op.cont_kind;
-                side_exit = true;
-                break 'blk;
-            }
-            i += 1;
-            if i == ops.len() {
-                exit_prev = op.last_ip;
-                exit_ip = op.cont_ip;
-                exit_kind = op.cont_kind;
-                break 'blk;
-            }
-        }
 
-        if fault.is_some() || stall {
-            // A fault arm already pointed `self.ip` at the faulting
-            // instruction; a stall stops *at* op `i`, unexecuted.
-            // Either way, restore the (prev_ip, pending_transfer) the
-            // op's tier-1 step would have seen on entry.
-            if stall {
-                self.ip = ops[i].ip;
-            }
-            if i > 0 {
-                self.prev_ip = ops[i - 1].last_ip;
-                self.pending_transfer = ops[i - 1].cont_kind;
-            } else if let Some(from) = backedge_from {
-                self.prev_ip = from;
-                self.pending_transfer = TransferKind::Jump;
-            }
-            // First entry to op 0: the machine's own state already
-            // describes it — leave it untouched.
-            side_exit = true;
-        } else {
-            self.prev_ip = exit_prev;
-            self.ip = exit_ip;
-            self.pending_transfer = exit_kind;
-        }
-        // Instruction counters are folded once per dispatch chain (see
-        // `tier2_dispatch`); only the rare side-exit counter is
-        // per-block.
-        if side_exit {
-            self.stats.tier2_side_exits += 1;
-        }
-        if fault.is_some() || stall {
-            break 'chain;
-        }
-        // Chain straight into the successor block when the exit names
-        // one — no dispatcher round trip. A dynamic terminator chains
-        // through its inline cache (a hit is the prediction paying
-        // off); a clean static transfer chains through a plain block-
-        // cache lookup. Either way the exit state above is already
-        // installed, and the successor is re-validated against the
-        // current write generations and the remaining fuel exactly as
-        // the dispatcher would, so the hand-off is observably a
-        // dispatch. Anything else — an IC miss (the dispatcher must
-        // count and promote it), a side exit, a stale or missing
-        // successor — falls through to a normal exit and the
-        // dispatcher's slow path.
-        let next = if side_exit || exit_kind == TransferKind::Sequential {
-            None
-        } else if exit_ic != IC_NONE {
-            match engine.ic_probe(slot, start_ip, exit_ic, self.ip) {
-                IcProbe::Hit(n) => Some((n, true)),
-                IcProbe::Mega => engine.lookup_slot(self.ip).map(|n| (n, false)),
-                IcProbe::Miss => None,
-            }
-        } else {
-            engine.lookup_slot(self.ip).map(|n| (n, false))
-        };
-        if let Some((next, predicted)) = next {
-            let nb = engine.block(next);
-            if nb.gen == self.mem.code_generation()
-                && nb.pages_valid(&self.mem)
-                && u64::from(nb.ops[0].n) <= budget - executed
-            {
-                if predicted {
-                    self.stats.tier2_ic_hits += 1;
+            if fault.is_some() || stall {
+                // A fault arm already pointed `self.ip` at the faulting
+                // instruction; a stall stops *at* op `i`, unexecuted.
+                // Either way, restore the (prev_ip, pending_transfer) the
+                // op's tier-1 step would have seen on entry.
+                if stall {
+                    self.ip = ops[i].ip;
                 }
-                self.stats.tier2_hits += 1;
-                slot = next;
-                continue 'chain;
+                if i > 0 {
+                    self.prev_ip = ops[i - 1].last_ip;
+                    self.pending_transfer = ops[i - 1].cont_kind;
+                } else if let Some(from) = backedge_from {
+                    self.prev_ip = from;
+                    self.pending_transfer = TransferKind::Jump;
+                }
+                // First entry to op 0: the machine's own state already
+                // describes it — leave it untouched.
+                side_exit = true;
+            } else {
+                self.prev_ip = exit_prev;
+                self.ip = exit_ip;
+                self.pending_transfer = exit_kind;
             }
-        }
-        break 'chain;
+            // Instruction counters are folded once per dispatch chain (see
+            // `tier2_dispatch`); only the rare side-exit counter is
+            // per-block.
+            if side_exit {
+                self.stats.tier2_side_exits += 1;
+            }
+            if fault.is_some() || stall {
+                break 'chain;
+            }
+            // Chain straight into the successor block when the exit names
+            // one — no dispatcher round trip. A dynamic terminator chains
+            // through its inline cache (a hit is the prediction paying
+            // off); a clean static transfer chains through a plain block-
+            // cache lookup. Either way the exit state above is already
+            // installed, and the successor is re-validated against the
+            // current write generations and the remaining fuel exactly as
+            // the dispatcher would, so the hand-off is observably a
+            // dispatch. Anything else — an IC miss (the dispatcher must
+            // count and promote it), a side exit, a stale or missing
+            // successor — falls through to a normal exit and the
+            // dispatcher's slow path.
+            let next = if side_exit || exit_kind == TransferKind::Sequential {
+                None
+            } else if exit_ic != IC_NONE {
+                match engine.ic_probe(slot, start_ip, exit_ic, self.ip) {
+                    IcProbe::Hit(n) => Some((n, true)),
+                    IcProbe::Mega => engine.lookup_slot(self.ip).map(|n| (n, false)),
+                    IcProbe::Miss => None,
+                }
+            } else {
+                engine.lookup_slot(self.ip).map(|n| (n, false))
+            };
+            if let Some((next, predicted)) = next {
+                let nb = engine.block(next);
+                if nb.gen == self.mem.code_generation()
+                    && nb.pages_valid(&self.mem)
+                    && u64::from(nb.ops[0].n) <= budget - executed
+                {
+                    if predicted {
+                        self.stats.tier2_ic_hits += 1;
+                    }
+                    self.stats.tier2_hits += 1;
+                    slot = next;
+                    continue 'chain;
+                }
+            }
+            break 'chain;
         }
         (executed, fault, exit_ic, slot)
     }
@@ -2478,15 +2506,31 @@ mod tests {
     }
 
     fn exit_with(r: Reg) -> Vec<Instr> {
-        vec![Instr::Mov { dst: Reg::R0, src: r }, Instr::Sys(sys::EXIT)]
+        vec![
+            Instr::Mov {
+                dst: Reg::R0,
+                src: r,
+            },
+            Instr::Sys(sys::EXIT),
+        ]
     }
 
     #[test]
     fn arithmetic_and_exit() {
         let mut prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 40 },
-            Instr::MovI { dst: Reg::R2, imm: 2 },
-            Instr::Alu { op: AluOp::Add, dst: Reg::R1, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 40,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 2,
+            },
+            Instr::Alu {
+                op: AluOp::Add,
+                dst: Reg::R1,
+                src: Reg::R2,
+            },
         ];
         prog.extend(exit_with(Reg::R1));
         assert_eq!(machine_with(&prog).run(100), RunOutcome::Halted(42));
@@ -2495,9 +2539,19 @@ mod tests {
     #[test]
     fn signed_division_truncates_toward_zero() {
         let mut prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: (-7i32) as u32 },
-            Instr::MovI { dst: Reg::R2, imm: 2 },
-            Instr::Alu { op: AluOp::DivS, dst: Reg::R1, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: (-7i32) as u32,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 2,
+            },
+            Instr::Alu {
+                op: AluOp::DivS,
+                dst: Reg::R1,
+                src: Reg::R2,
+            },
         ];
         prog.extend(exit_with(Reg::R1));
         assert_eq!(
@@ -2509,12 +2563,25 @@ mod tests {
     #[test]
     fn division_by_zero_faults() {
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 1 },
-            Instr::MovI { dst: Reg::R2, imm: 0 },
-            Instr::Alu { op: AluOp::DivU, dst: Reg::R1, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 1,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 0,
+            },
+            Instr::Alu {
+                op: AluOp::DivU,
+                dst: Reg::R1,
+                src: Reg::R2,
+            },
         ];
         let outcome = machine_with(&prog).run(100);
-        assert!(matches!(outcome, RunOutcome::Fault(Fault::DivideByZero { .. })));
+        assert!(matches!(
+            outcome,
+            RunOutcome::Fault(Fault::DivideByZero { .. })
+        ));
     }
 
     #[test]
@@ -2523,9 +2590,15 @@ mod tests {
         // Layout: call(5) mov(2) sys(2) -> f at TEXT+9
         let prog = vec![
             Instr::Call(TEXT + 9),
-            Instr::Mov { dst: Reg::R0, src: Reg::R0 },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R0,
+            },
             Instr::Sys(sys::EXIT),
-            Instr::MovI { dst: Reg::R0, imm: 7 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 7,
+            },
             Instr::Ret,
         ];
         assert_eq!(machine_with(&prog).run(100), RunOutcome::Halted(7));
@@ -2535,13 +2608,27 @@ mod tests {
     fn enter_leave_maintain_frame_chain() {
         let prog = vec![
             Instr::Call(TEXT + 9),
-            Instr::Mov { dst: Reg::R0, src: Reg::R3 },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R3,
+            },
             Instr::Sys(sys::EXIT),
             // f:
             Instr::Enter(0x18),
-            Instr::MovI { dst: Reg::R3, imm: 11 },
-            Instr::Store { base: Reg::Bp, disp: -4, src: Reg::R3 },
-            Instr::Load { dst: Reg::R3, base: Reg::Bp, disp: -4 },
+            Instr::MovI {
+                dst: Reg::R3,
+                imm: 11,
+            },
+            Instr::Store {
+                base: Reg::Bp,
+                disp: -4,
+                src: Reg::R3,
+            },
+            Instr::Load {
+                dst: Reg::R3,
+                base: Reg::Bp,
+                disp: -4,
+            },
             Instr::Leave,
             Instr::Ret,
         ];
@@ -2552,12 +2639,24 @@ mod tests {
     fn conditional_jumps_follow_flags() {
         // if (3 < 5) exit(1) else exit(0), signed
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 3 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 3,
+            },
             Instr::CmpI { a: Reg::R1, imm: 5 },
-            Instr::JCond { cond: Cond::Lt, target: TEXT + 24 },
-            Instr::MovI { dst: Reg::R0, imm: 0 }, // offset 17
+            Instr::JCond {
+                cond: Cond::Lt,
+                target: TEXT + 24,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            }, // offset 17
             Instr::Sys(sys::EXIT),
-            Instr::MovI { dst: Reg::R0, imm: 1 }, // offset 24
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 1,
+            }, // offset 24
             Instr::Sys(sys::EXIT),
         ];
         assert_eq!(machine_with(&prog).run(100), RunOutcome::Halted(1));
@@ -2567,12 +2666,24 @@ mod tests {
     fn unsigned_vs_signed_comparison_differ() {
         // -1 (0xffffffff) is above 5 unsigned, below 5 signed.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: u32::MAX },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: u32::MAX,
+            },
             Instr::CmpI { a: Reg::R1, imm: 5 },
-            Instr::JCond { cond: Cond::B, target: TEXT + 24 },
-            Instr::MovI { dst: Reg::R0, imm: 2 }, // not below (unsigned)
+            Instr::JCond {
+                cond: Cond::B,
+                target: TEXT + 24,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 2,
+            }, // not below (unsigned)
             Instr::Sys(sys::EXIT),
-            Instr::MovI { dst: Reg::R0, imm: 3 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 3,
+            },
             Instr::Sys(sys::EXIT),
         ];
         assert_eq!(machine_with(&prog).run(100), RunOutcome::Halted(2));
@@ -2582,14 +2693,32 @@ mod tests {
     fn read_and_write_syscalls_move_bytes() {
         let buf = STACK_TOP - 0x100;
         let prog = vec![
-            Instr::MovI { dst: Reg::R0, imm: 0 },   // fd 0
-            Instr::MovI { dst: Reg::R1, imm: buf },
-            Instr::MovI { dst: Reg::R2, imm: 16 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            }, // fd 0
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: buf,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 16,
+            },
             Instr::Sys(sys::READ),
-            Instr::Mov { dst: Reg::R2, src: Reg::R0 }, // echo as many as read
-            Instr::MovI { dst: Reg::R0, imm: 1 },   // fd 1
+            Instr::Mov {
+                dst: Reg::R2,
+                src: Reg::R0,
+            }, // echo as many as read
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 1,
+            }, // fd 1
             Instr::Sys(sys::WRITE),
-            Instr::MovI { dst: Reg::R0, imm: 0 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let mut m = machine_with(&prog);
@@ -2614,7 +2743,10 @@ mod tests {
         let outcome = machine_with(&prog).run(10);
         assert_eq!(
             outcome,
-            RunOutcome::Fault(Fault::SoftwareTrap { code: trap::CANARY, ip: TEXT })
+            RunOutcome::Fault(Fault::SoftwareTrap {
+                code: trap::CANARY,
+                ip: TEXT
+            })
         );
     }
 
@@ -2636,7 +2768,13 @@ mod tests {
     #[test]
     fn executing_data_succeeds_without_dep() {
         let data = STACK_TOP - 0x100;
-        let shellcode = assemble(&[Instr::MovI { dst: Reg::R0, imm: 99 }, Instr::Sys(sys::EXIT)]);
+        let shellcode = assemble(&[
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 99,
+            },
+            Instr::Sys(sys::EXIT),
+        ]);
         let prog = vec![Instr::Jmp(data)];
         let mut m = machine_with(&prog);
         m.mem_mut().poke_bytes(data, &shellcode).unwrap();
@@ -2649,17 +2787,27 @@ mod tests {
         // main: call f; exit(0)
         // f: overwrite own return address, then ret.
         let prog = vec![
-            Instr::Call(TEXT + 12),                         // +0, 5 bytes
-            Instr::MovI { dst: Reg::R0, imm: 0 },           // +5
-            Instr::Sys(sys::EXIT),                          // +11? no: movi 6 bytes
+            Instr::Call(TEXT + 12), // +0, 5 bytes
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            }, // +5
+            Instr::Sys(sys::EXIT),  // +11? no: movi 6 bytes
         ];
         // Recompute: call is 5 bytes (ends at +5), movi 6 (ends at +11),
         // sys 2 (ends at +13). Place f at +13.
         let prog = {
             let mut p = prog;
             p[0] = Instr::Call(TEXT + 13);
-            p.push(Instr::MovI { dst: Reg::R1, imm: TEXT }); // f: forge target
-            p.push(Instr::Store { base: Reg::Sp, disp: 0, src: Reg::R1 });
+            p.push(Instr::MovI {
+                dst: Reg::R1,
+                imm: TEXT,
+            }); // f: forge target
+            p.push(Instr::Store {
+                base: Reg::Sp,
+                disp: 0,
+                src: Reg::R1,
+            });
             p.push(Instr::Ret);
             p
         };
@@ -2667,7 +2815,10 @@ mod tests {
         m.set_shadow_stack(true);
         let outcome = m.run(100);
         assert!(
-            matches!(outcome, RunOutcome::Fault(Fault::ShadowStackMismatch { .. })),
+            matches!(
+                outcome,
+                RunOutcome::Fault(Fault::ShadowStackMismatch { .. })
+            ),
             "got {outcome:?}"
         );
     }
@@ -2687,7 +2838,10 @@ mod tests {
     fn shadow_stack_allows_honest_calls() {
         let prog = vec![
             Instr::Call(TEXT + 13),
-            Instr::MovI { dst: Reg::R0, imm: 5 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 5,
+            },
             Instr::Sys(sys::EXIT),
             Instr::Ret,
         ];
@@ -2706,9 +2860,18 @@ mod tests {
         const PAGES: u32 = 3;
         let fd = if number == sys::READ { 0 } else { 1 };
         let mut m = machine_with(&[
-            Instr::MovI { dst: Reg::R0, imm: fd },
-            Instr::MovI { dst: Reg::R1, imm: buf },
-            Instr::MovI { dst: Reg::R2, imm: len },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: fd,
+            },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: buf,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: len,
+            },
             Instr::Sys(number),
             Instr::Sys(sys::EXIT),
         ]);
@@ -2753,7 +2916,11 @@ mod tests {
         const SMASHED: u32 = 0x4141_4141;
         let input: Vec<u8> = (0..300u32).map(|i| i as u8 ^ 0x5a).collect();
         let unmapped = |access| {
-            RunOutcome::Fault(Fault::Mem(MemError { addr: END, access, kind: MemErrorKind::Unmapped }))
+            RunOutcome::Fault(Fault::Mem(MemError {
+                addr: END,
+                access,
+                kind: MemErrorKind::Unmapped,
+            }))
         };
         for pma in [false, true] {
             for fast in [true, false] {
@@ -2761,26 +2928,46 @@ mod tests {
                 // READ past the mapped end: the 300 pending bytes are all
                 // consumed, the first 100 land, the 101st store faults.
                 let read = sys_transfer(sys::READ, END - 100, SMASHED, &input, pma, fast);
-                assert_eq!(read, sys_transfer(sys::READ, END - 100, 300, &input, pma, fast), "{ctx}");
+                assert_eq!(
+                    read,
+                    sys_transfer(sys::READ, END - 100, 300, &input, pma, fast),
+                    "{ctx}"
+                );
                 assert_eq!(read.outcome, unmapped(Access::Write), "{ctx}");
                 assert_eq!(read.data[0x3000 - 100..], input[..100], "{ctx}");
                 assert_eq!((read.pending, read.stats.mem_writes), (0, 101), "{ctx}");
                 // READ that fits: only the pending input moves.
                 let short = sys_transfer(sys::READ, DATA, SMASHED, &input[..50], pma, fast);
-                assert_eq!(short, sys_transfer(sys::READ, DATA, 50, &input[..50], pma, fast), "{ctx}");
+                assert_eq!(
+                    short,
+                    sys_transfer(sys::READ, DATA, 50, &input[..50], pma, fast),
+                    "{ctx}"
+                );
                 assert_eq!(short.outcome, RunOutcome::Halted(50), "{ctx}");
                 assert_eq!(short.data[..50], input[..50], "{ctx}");
                 // WRITE past the mapped end: the 101st load faults and
                 // nothing reaches the channel.
                 let write = sys_transfer(sys::WRITE, END - 100, SMASHED, &[], pma, fast);
-                assert_eq!(write, sys_transfer(sys::WRITE, END - 100, 101, &[], pma, fast), "{ctx}");
+                assert_eq!(
+                    write,
+                    sys_transfer(sys::WRITE, END - 100, 101, &[], pma, fast),
+                    "{ctx}"
+                );
                 assert_eq!(write.outcome, unmapped(Access::Read), "{ctx}");
-                assert_eq!((write.output.len(), write.stats.mem_reads), (0, 101), "{ctx}");
+                assert_eq!(
+                    (write.output.len(), write.stats.mem_reads),
+                    (0, 101),
+                    "{ctx}"
+                );
                 // A long unaligned WRITE across pages is staged in pieces
                 // and still emits exactly the bytes in memory.
                 let long = sys_transfer(sys::WRITE, DATA + 100, 0x2000 + 50, &[], pma, fast);
                 assert_eq!(long.outcome, RunOutcome::Halted(0x2000 + 50), "{ctx}");
-                assert_eq!(long.output, vec![(1, long.data[100..100 + 0x2000 + 50].to_vec())], "{ctx}");
+                assert_eq!(
+                    long.output,
+                    vec![(1, long.data[100..100 + 0x2000 + 50].to_vec())],
+                    "{ctx}"
+                );
                 assert_eq!(long.stats.mem_reads, 0x2000 + 50, "{ctx}");
             }
         }
@@ -2790,8 +2977,15 @@ mod tests {
     fn pma_blocks_outside_data_access() {
         // Program (outside) loads from protected data.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 0x0060_0000 },
-            Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 0 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0x0060_0000,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                disp: 0,
+            },
         ];
         let mut m = machine_with(&prog);
         m.mem_mut().map(0x0050_0000, 0x2000, Perm::RWX).unwrap();
@@ -2802,7 +2996,10 @@ mod tests {
         )])));
         m.mem_mut().map(0x0060_0000, 0x1000, Perm::RW).unwrap();
         let outcome = m.run(10);
-        assert!(matches!(outcome, RunOutcome::Fault(Fault::Pma(_))), "{outcome:?}");
+        assert!(
+            matches!(outcome, RunOutcome::Fault(Fault::Pma(_))),
+            "{outcome:?}"
+        );
     }
 
     #[test]
@@ -2815,7 +3012,10 @@ mod tests {
             m.mem_mut().map(module_code, 0x1000, Perm::RX).unwrap();
             let body = assemble(&[
                 Instr::Nop,
-                Instr::MovI { dst: Reg::R0, imm: 1 },
+                Instr::MovI {
+                    dst: Reg::R0,
+                    imm: 1,
+                },
                 Instr::Sys(sys::EXIT),
             ]);
             m.mem_mut().poke_bytes(module_code, &body).unwrap();
@@ -2841,12 +3041,20 @@ mod tests {
         let helper = TEXT + 0x100;
         let prog = vec![Instr::Call(module_code)];
         let mut m = machine_with(&prog);
-        m.mem_mut().poke_bytes(helper, &assemble(&[Instr::Ret])).unwrap();
+        m.mem_mut()
+            .poke_bytes(helper, &assemble(&[Instr::Ret]))
+            .unwrap();
         m.mem_mut().map(module_code, 0x1000, Perm::RX).unwrap();
         let module_body = assemble(&[
-            Instr::MovI { dst: Reg::R1, imm: helper },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: helper,
+            },
             Instr::CallR(Reg::R1),
-            Instr::MovI { dst: Reg::R0, imm: 77 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 77,
+            },
             Instr::Sys(sys::EXIT),
         ]);
         m.mem_mut().poke_bytes(module_code, &module_body).unwrap();
@@ -2863,7 +3071,9 @@ mod tests {
         // Relaxed policy: the return is tolerated.
         let prog2 = vec![Instr::Call(module_code)];
         let mut m2 = machine_with(&prog2);
-        m2.mem_mut().poke_bytes(helper, &assemble(&[Instr::Ret])).unwrap();
+        m2.mem_mut()
+            .poke_bytes(helper, &assemble(&[Instr::Ret]))
+            .unwrap();
         m2.mem_mut().map(module_code, 0x1000, Perm::RX).unwrap();
         m2.mem_mut().poke_bytes(module_code, &module_body).unwrap();
         m2.set_protection(Some(
@@ -2877,7 +3087,10 @@ mod tests {
     fn stats_count_instructions_and_calls() {
         let prog = vec![
             Instr::Call(TEXT + 13),
-            Instr::MovI { dst: Reg::R0, imm: 0 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            },
             Instr::Sys(sys::EXIT),
             Instr::Ret,
         ];
@@ -2904,11 +3117,23 @@ mod tests {
     fn icache_serves_loops_and_is_observable() {
         // r1 = 3; loop: addi r1, -1; cmpi r1, 0; jnz loop; exit(r1)
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 3 },
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 }, // TEXT+6
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 3,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            }, // TEXT+6
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
-            Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let mut m = machine_with(&prog);
@@ -2925,11 +3150,23 @@ mod tests {
     #[test]
     fn fast_path_off_is_bit_identical_and_uncounted() {
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 3 },
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 3,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
-            Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let mut fast = machine_with(&prog);
@@ -2955,14 +3192,36 @@ mod tests {
         // jnz(5) | sys(2).  MovI's immediate starts at offset 2, so
         // the patched byte is loop+2 = TEXT+8.
         let prog = vec![
-            Instr::MovI { dst: Reg::R3, imm: 2 },
-            Instr::MovI { dst: Reg::R0, imm: 1 }, // TEXT+6, the target
-            Instr::MovI { dst: Reg::R1, imm: TEXT + 8 },
-            Instr::MovI { dst: Reg::R2, imm: 42 },
-            Instr::StoreB { base: Reg::R1, disp: 0, src: Reg::R2 },
-            Instr::AddI { dst: Reg::R3, imm: (-1i32) as u32 },
+            Instr::MovI {
+                dst: Reg::R3,
+                imm: 2,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 1,
+            }, // TEXT+6, the target
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: TEXT + 8,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 42,
+            },
+            Instr::StoreB {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
+            Instr::AddI {
+                dst: Reg::R3,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R3, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let mut m = Machine::new();
@@ -2991,14 +3250,20 @@ mod tests {
         use swsec_obs::{CountingSink, RingBufferSink};
 
         let prog = vec![
-            Instr::Call(TEXT + 13),                 // direct call
-            Instr::MovI { dst: Reg::R0, imm: 0 },
+            Instr::Call(TEXT + 13), // direct call
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            },
             Instr::Sys(sys::EXIT),
             // f: (movi 6 + callr 2 + ret 1 ⇒ g at TEXT+22)
-            Instr::MovI { dst: Reg::R1, imm: TEXT + 22 },
-            Instr::CallR(Reg::R1),                  // indirect call
-            Instr::Ret,                             // back to main
-            Instr::Ret,                             // g: return to f
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: TEXT + 22,
+            },
+            Instr::CallR(Reg::R1), // indirect call
+            Instr::Ret,            // back to main
+            Instr::Ret,            // g: return to f
         ];
         let counter = std::sync::Arc::new(CountingSink::new());
         let ring = std::sync::Arc::new(RingBufferSink::new(64));
@@ -3057,26 +3322,53 @@ mod tests {
 
         // DEP: jump to a non-executable page.
         let events = capture(machine_with(&[Instr::Jmp(STACK_TOP - 0x100)]));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            SecurityEvent::Fault { kind: swsec_obs::FaultKind::Dep, .. }
-        )), "{events:?}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SecurityEvent::Fault {
+                    kind: swsec_obs::FaultKind::Dep,
+                    ..
+                }
+            )),
+            "{events:?}"
+        );
 
         // Unmapped data read.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 0x7000_0000 },
-            Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 0 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0x7000_0000,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                disp: 0,
+            },
         ];
         let events = capture(machine_with(&prog));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            SecurityEvent::Fault { kind: swsec_obs::FaultKind::Unmapped, addr: 0x7000_0000, .. }
-        )), "{events:?}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SecurityEvent::Fault {
+                    kind: swsec_obs::FaultKind::Unmapped,
+                    addr: 0x7000_0000,
+                    ..
+                }
+            )),
+            "{events:?}"
+        );
 
         // PMA rule 1: outside access to protected data.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 0x0060_0000 },
-            Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 0 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0x0060_0000,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                disp: 0,
+            },
         ];
         let mut m = machine_with(&prog);
         m.mem_mut().map(0x0050_0000, 0x2000, Perm::RWX).unwrap();
@@ -3087,14 +3379,17 @@ mod tests {
             vec![0x0050_0000],
         )])));
         let events = capture(m);
-        assert!(events.iter().any(|e| matches!(
-            e,
-            SecurityEvent::PmaViolation {
-                rule: swsec_obs::PmaRule::OutsideDataAccess,
-                to: 0x0060_0000,
-                ..
-            }
-        )), "{events:?}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SecurityEvent::PmaViolation {
+                    rule: swsec_obs::PmaRule::OutsideDataAccess,
+                    to: 0x0060_0000,
+                    ..
+                }
+            )),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -3104,9 +3399,19 @@ mod tests {
         // Writable page followed by a read-only page: a word store at
         // the boundary faults mid-word on the second page.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 0x9000 - 2 },
-            Instr::MovI { dst: Reg::R2, imm: 0xaabb_ccdd },
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 0x9000 - 2,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 0xaabb_ccdd,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
         ];
         let mut m = machine_with(&prog);
         m.mem_mut().map(0x8000, 0x1000, Perm::RW).unwrap();
@@ -3115,10 +3420,17 @@ mod tests {
         m.set_event_sink(Some(ring.clone()));
         assert!(matches!(m.run(10), RunOutcome::Fault(Fault::Mem(_))));
         let (events, _) = ring.drain();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            SecurityEvent::Fault { kind: FaultKind::Straddle, addr: 0x9000, .. }
-        )), "{events:?}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SecurityEvent::Fault {
+                    kind: FaultKind::Straddle,
+                    addr: 0x9000,
+                    ..
+                }
+            )),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -3126,11 +3438,23 @@ mod tests {
         use swsec_obs::HotAddressSink;
 
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 3 },
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 }, // TEXT+6
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 3,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            }, // TEXT+6
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
-            Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let hot = std::sync::Arc::new(HotAddressSink::new());
@@ -3151,7 +3475,10 @@ mod tests {
 
         let prog = vec![
             Instr::Call(TEXT + 13),
-            Instr::MovI { dst: Reg::R0, imm: 0 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            },
             Instr::Sys(sys::EXIT),
             Instr::Ret,
         ];
@@ -3173,11 +3500,23 @@ mod tests {
     #[test]
     fn bounded_trace_ring_keeps_newest_entries() {
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: 3 },
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 3,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
-            Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
             Instr::Sys(sys::EXIT),
         ];
         let mut m = machine_with(&prog);
@@ -3190,7 +3529,13 @@ mod tests {
         // The final entry is the exit syscall.
         assert_eq!(trace[3].instr, Instr::Sys(sys::EXIT));
         // And the entries are the last four in execution order.
-        assert_eq!(trace[2].instr, Instr::Mov { dst: Reg::R0, src: Reg::R1 });
+        assert_eq!(
+            trace[2].instr,
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1
+            }
+        );
     }
 
     #[test]
@@ -3206,12 +3551,24 @@ mod tests {
     /// promoted into a tier-2 block.
     fn hot_countdown(trips: u32) -> Vec<Instr> {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: trips },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: trips,
+            },
             // TEXT + 6: the loop head, and the tier-2 block head.
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: TEXT + 6 },
-            Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
             Instr::Sys(sys::EXIT),
         ]
     }
@@ -3237,14 +3594,8 @@ mod tests {
         }
         assert_eq!(tiered.ip(), fast.ip());
         assert_eq!(tiered.flags(), fast.flags());
-        assert_eq!(
-            tiered.stats().architectural(),
-            fast.stats().architectural()
-        );
-        assert_eq!(
-            tiered.stats().architectural(),
-            base.stats().architectural()
-        );
+        assert_eq!(tiered.stats().architectural(), fast.stats().architectural());
+        assert_eq!(tiered.stats().architectural(), base.stats().architectural());
         // And the tier actually engaged.
         let stats = tiered.stats();
         assert!(stats.tier2_compiled >= 1, "no block compiled");
@@ -3290,11 +3641,24 @@ mod tests {
         // mapping: hot enough to run as a block, and the 65th trip
         // faults on an unmapped store *mid-block*.
         let prog = vec![
-            Instr::MovI { dst: Reg::R1, imm: STACK_TOP - 0x100 },
-            Instr::MovI { dst: Reg::R2, imm: 0x5a5a_5a5a },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: STACK_TOP - 0x100,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 0x5a5a_5a5a,
+            },
             // TEXT + 12: loop head.
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 },
-            Instr::AddI { dst: Reg::R1, imm: 4 },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: 4,
+            },
             Instr::Jmp(TEXT + 12),
         ];
         let mut tiered = machine_with(&prog);
@@ -3317,10 +3681,7 @@ mod tests {
         assert_eq!(tiered.ip(), fast.ip());
         assert_eq!(tiered.ip(), TEXT + 12);
         assert_eq!(tiered.reg(Reg::R1), fast.reg(Reg::R1));
-        assert_eq!(
-            tiered.stats().architectural(),
-            fast.stats().architectural()
-        );
+        assert_eq!(tiered.stats().architectural(), fast.stats().architectural());
         assert!(tiered.stats().tier2_instructions > 0);
     }
 
@@ -3342,10 +3703,16 @@ mod tests {
         let (stepped, stepped_stats) = run(false);
         assert_eq!(tiered, stepped);
         assert!(!tiered.is_empty());
-        assert!(tiered_stats.instructions / 16 > 10, "loop too short to sample");
+        assert!(
+            tiered_stats.instructions / 16 > 10,
+            "loop too short to sample"
+        );
         // Profiling must not force tier 1: blocks still compile and
         // retire the bulk of the loop between sample points.
-        assert!(tiered_stats.tier2_hits > 0, "tier 2 disengaged under profiling");
+        assert!(
+            tiered_stats.tier2_hits > 0,
+            "tier 2 disengaged under profiling"
+        );
         assert!(tiered_stats.tier2_instructions > 0);
         assert_eq!(stepped_stats.tier2_hits, 0);
     }
@@ -3391,7 +3758,10 @@ mod tests {
         let prog = vec![
             Instr::Call(TEXT + 7),
             Instr::Sys(sys::EXIT),
-            Instr::MovI { dst: Reg::R0, imm: 7 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 7,
+            },
             Instr::Ret,
         ];
         let prof = std::sync::Arc::new(crate::profile::Profiler::new(1));
@@ -3419,8 +3789,14 @@ mod tests {
             Instr::Sys(sys::EXIT),
             // f: push bp; mov bp, sp; body; pop bp; ret
             Instr::Push(Reg::Bp),
-            Instr::Mov { dst: Reg::Bp, src: Reg::Sp },
-            Instr::MovI { dst: Reg::R0, imm: 7 },
+            Instr::Mov {
+                dst: Reg::Bp,
+                src: Reg::Sp,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 7,
+            },
             Instr::Pop(Reg::Bp),
             Instr::Ret,
         ];

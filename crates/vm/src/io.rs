@@ -55,7 +55,11 @@ impl IoBus {
 
     /// Queues `bytes` as pending input on channel `fd`.
     pub fn feed_input(&mut self, fd: u32, bytes: &[u8]) {
-        self.channels.entry(fd).or_default().input.extend_from_slice(bytes);
+        self.channels
+            .entry(fd)
+            .or_default()
+            .input
+            .extend_from_slice(bytes);
     }
 
     /// Consumes up to `buf.len()` queued input bytes from channel `fd`,
@@ -70,7 +74,11 @@ impl IoBus {
 
     /// Appends `bytes` to the output log of channel `fd`.
     pub fn write(&mut self, fd: u32, bytes: &[u8]) {
-        self.channels.entry(fd).or_default().output.extend_from_slice(bytes);
+        self.channels
+            .entry(fd)
+            .or_default()
+            .output
+            .extend_from_slice(bytes);
     }
 
     /// The complete output written so far on channel `fd`.

@@ -442,7 +442,11 @@ pub enum DecodeError {
     /// The first byte is not a defined opcode.
     UnknownOpcode(u8),
     /// Fewer bytes were available than the opcode's fixed length.
-    Truncated { opcode: u8, have: usize, need: usize },
+    Truncated {
+        opcode: u8,
+        have: usize,
+        need: usize,
+    },
     /// A register field holds an id outside the register file.
     BadRegister(u8),
 }
@@ -817,10 +821,14 @@ impl fmt::Display for Instr {
         f.write_str(self.mnemonic())?;
         match *self {
             Instr::Nop | Instr::Halt | Instr::Ret | Instr::Leave => Ok(()),
-            Instr::MovI { dst: r, imm } | Instr::AddI { dst: r, imm } | Instr::CmpI { a: r, imm } => {
+            Instr::MovI { dst: r, imm }
+            | Instr::AddI { dst: r, imm }
+            | Instr::CmpI { a: r, imm } => {
                 write!(f, " {r}, {imm:#x}")
             }
-            Instr::Mov { dst: a, src: b } | Instr::Cmp { a, b } | Instr::Alu { dst: a, src: b, .. } => {
+            Instr::Mov { dst: a, src: b }
+            | Instr::Cmp { a, b }
+            | Instr::Alu { dst: a, src: b, .. } => {
                 write!(f, " {a}, {b}")
             }
             Instr::Load { dst, base, disp }
@@ -831,7 +839,9 @@ impl fmt::Display for Instr {
             }
             Instr::Push(r) | Instr::Pop(r) | Instr::CallR(r) | Instr::JmpR(r) => write!(f, " {r}"),
             Instr::PushI(imm) | Instr::Enter(imm) => write!(f, " {imm:#x}"),
-            Instr::Jmp(t) | Instr::JCond { target: t, .. } | Instr::Call(t) => write!(f, " {t:#010x}"),
+            Instr::Jmp(t) | Instr::JCond { target: t, .. } | Instr::Call(t) => {
+                write!(f, " {t:#010x}")
+            }
             Instr::Sys(n) | Instr::Trap(n) => write!(f, " {n}"),
         }
     }
@@ -845,17 +855,45 @@ mod tests {
         let mut v = vec![
             Instr::Nop,
             Instr::Halt,
-            Instr::MovI { dst: Reg::R3, imm: 0xdead_beef },
-            Instr::Mov { dst: Reg::Sp, src: Reg::Bp },
-            Instr::Load { dst: Reg::R0, base: Reg::Bp, disp: -16 },
-            Instr::Store { base: Reg::Sp, disp: 4, src: Reg::R1 },
-            Instr::LoadB { dst: Reg::R2, base: Reg::R3, disp: 0 },
-            Instr::StoreB { base: Reg::R4, disp: -1, src: Reg::R5 },
+            Instr::MovI {
+                dst: Reg::R3,
+                imm: 0xdead_beef,
+            },
+            Instr::Mov {
+                dst: Reg::Sp,
+                src: Reg::Bp,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::Bp,
+                disp: -16,
+            },
+            Instr::Store {
+                base: Reg::Sp,
+                disp: 4,
+                src: Reg::R1,
+            },
+            Instr::LoadB {
+                dst: Reg::R2,
+                base: Reg::R3,
+                disp: 0,
+            },
+            Instr::StoreB {
+                base: Reg::R4,
+                disp: -1,
+                src: Reg::R5,
+            },
             Instr::Push(Reg::Bp),
             Instr::Pop(Reg::R7),
             Instr::PushI(0x1234_5678),
-            Instr::AddI { dst: Reg::Sp, imm: 0xffff_fff0 },
-            Instr::Cmp { a: Reg::R0, b: Reg::R1 },
+            Instr::AddI {
+                dst: Reg::Sp,
+                imm: 0xffff_fff0,
+            },
+            Instr::Cmp {
+                a: Reg::R0,
+                b: Reg::R1,
+            },
             Instr::CmpI { a: Reg::R6, imm: 3 },
             Instr::Jmp(0x0804_83f2),
             Instr::Call(0x0804_83ed),
@@ -866,7 +904,11 @@ mod tests {
             Instr::Leave,
             Instr::Sys(sys::READ),
             Instr::Trap(trap::CANARY),
-            Instr::Lea { dst: Reg::R0, base: Reg::Bp, disp: -16 },
+            Instr::Lea {
+                dst: Reg::R0,
+                base: Reg::Bp,
+                disp: -16,
+            },
         ];
         for op in [
             AluOp::Add,
@@ -883,7 +925,11 @@ mod tests {
             AluOp::Shr,
             AluOp::Sar,
         ] {
-            v.push(Instr::Alu { op, dst: Reg::R1, src: Reg::R2 });
+            v.push(Instr::Alu {
+                op,
+                dst: Reg::R1,
+                src: Reg::R2,
+            });
         }
         for cond in [
             Cond::Z,
@@ -895,7 +941,10 @@ mod tests {
             Cond::B,
             Cond::Ae,
         ] {
-            v.push(Instr::JCond { cond, target: 0x1000 });
+            v.push(Instr::JCond {
+                cond,
+                target: 0x1000,
+            });
         }
         v
     }
@@ -917,14 +966,21 @@ mod tests {
     #[test]
     fn immediates_are_little_endian() {
         let mut bytes = Vec::new();
-        Instr::MovI { dst: Reg::R0, imm: 0x0804_840a }.encode(&mut bytes);
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 0x0804_840a,
+        }
+        .encode(&mut bytes);
         // The paper's Figure 1 stores 0x0804840a as 0a 84 04 08.
         assert_eq!(&bytes[2..6], &[0x0a, 0x84, 0x04, 0x08]);
     }
 
     #[test]
     fn decode_unknown_opcode() {
-        assert_eq!(Instr::decode(&[0xFF]), Err(DecodeError::UnknownOpcode(0xFF)));
+        assert_eq!(
+            Instr::decode(&[0xFF]),
+            Err(DecodeError::UnknownOpcode(0xFF))
+        );
     }
 
     #[test]
@@ -932,7 +988,11 @@ mod tests {
         let err = Instr::decode(&[opcode::MOVI, 0x00, 0x01]).unwrap_err();
         assert_eq!(
             err,
-            DecodeError::Truncated { opcode: opcode::MOVI, have: 3, need: 6 }
+            DecodeError::Truncated {
+                opcode: opcode::MOVI,
+                have: 3,
+                need: 6
+            }
         );
     }
 
@@ -947,7 +1007,11 @@ mod tests {
     fn decode_empty_input() {
         assert!(matches!(
             Instr::decode(&[]),
-            Err(DecodeError::Truncated { have: 0, need: 1, .. })
+            Err(DecodeError::Truncated {
+                have: 0,
+                need: 1,
+                ..
+            })
         ));
     }
 
@@ -971,12 +1035,21 @@ mod tests {
     #[test]
     fn display_forms_are_stable() {
         assert_eq!(
-            Instr::Load { dst: Reg::R0, base: Reg::Bp, disp: -16 }.to_string(),
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::Bp,
+                disp: -16
+            }
+            .to_string(),
             "load r0, [bp-16]"
         );
         assert_eq!(Instr::Enter(0x18).to_string(), "enter 0x18");
         assert_eq!(
-            Instr::JCond { cond: Cond::Nz, target: 0x1000 }.to_string(),
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: 0x1000
+            }
+            .to_string(),
             "jnz 0x00001000"
         );
     }
@@ -988,8 +1061,11 @@ mod tests {
         // depends on.
         let mut bytes = Vec::new();
         // movi r0, imm where imm's bytes spell "ret" followed by garbage.
-        Instr::MovI { dst: Reg::R0, imm: u32::from_le_bytes([opcode::RET, 0, 0, 0]) }
-            .encode(&mut bytes);
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: u32::from_le_bytes([opcode::RET, 0, 0, 0]),
+        }
+        .encode(&mut bytes);
         let (inner, _) = Instr::decode(&bytes[2..]).expect("decode of embedded bytes");
         assert_eq!(inner, Instr::Ret);
     }

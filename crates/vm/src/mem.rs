@@ -374,8 +374,7 @@ impl DataLine {
     /// with sufficient permission.
     #[inline]
     pub(crate) fn serves_byte(self, addr: u32, write: bool) -> bool {
-        addr.wrapping_sub(self.base) < PAGE_SIZE
-            && if write { self.write_ok } else { self.read_ok }
+        addr.wrapping_sub(self.base) < PAGE_SIZE && if write { self.write_ok } else { self.read_ok }
     }
 }
 
@@ -574,9 +573,7 @@ impl Memory {
     /// compare [`code_generation`](Memory::code_generation) first).
     #[inline]
     pub(crate) fn slot_gen(&self, slot: u32) -> u64 {
-        self.slots
-            .get(slot as usize)
-            .map_or(u64::MAX, |p| p.gen)
+        self.slots.get(slot as usize).map_or(u64::MAX, |p| p.gen)
     }
 
     /// Whether every `(slot, write generation)` pair still stands —
@@ -1172,7 +1169,10 @@ impl Memory {
             for slot in self.dirty.drain(..) {
                 let page = &mut self.slots[slot as usize];
                 let (_, image, sperm) = &snap.pages[page.snap_index as usize];
-                debug_assert_eq!(page.perm, *sperm, "page layout diverged without layout_dirty");
+                debug_assert_eq!(
+                    page.perm, *sperm,
+                    "page layout diverged without layout_dirty"
+                );
                 match image {
                     Some(image) => **page.bytes.get_or_insert_with(zeroed_image) = **image,
                     // Zero at snapshot time: refill in place, keeping the
@@ -1310,7 +1310,9 @@ mod tests {
         let mut mem = Memory::new();
         mem.map(0x1000, PAGE_SIZE, Perm::RW).unwrap();
         mem.map(0x2000, PAGE_SIZE, Perm::R).unwrap();
-        let err = mem.write_u32(0x1ffe, 0xddcc_bbaa, Access::Write).unwrap_err();
+        let err = mem
+            .write_u32(0x1ffe, 0xddcc_bbaa, Access::Write)
+            .unwrap_err();
         assert_eq!(err.addr, 0x2000);
         assert_eq!(err.kind, MemErrorKind::Denied { have: Perm::R });
         assert_eq!(mem.read_u8(0x1ffe, Access::Read).unwrap(), 0xaa);
@@ -1576,7 +1578,8 @@ mod tests {
         let mut mem = Memory::new();
         mem.map(0x10_0000, PAGES * PAGE_SIZE, Perm::RW).unwrap();
         for i in 0..PAGES {
-            mem.write_u32(0x10_0000 + i * PAGE_SIZE, i ^ 0x5a5a, Access::Write).unwrap();
+            mem.write_u32(0x10_0000 + i * PAGE_SIZE, i ^ 0x5a5a, Access::Write)
+                .unwrap();
         }
         let snap = mem.snapshot();
         let before = mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap();
@@ -1585,14 +1588,24 @@ mod tests {
         for off in 0..64 {
             mem.write_u8(victim + off, 0xff, Access::Write).unwrap();
         }
-        let expected = RestoreStats { dirty_pages: 1, bytes_copied: u64::from(PAGE_SIZE) };
+        let expected = RestoreStats {
+            dirty_pages: 1,
+            bytes_copied: u64::from(PAGE_SIZE),
+        };
         assert_eq!(mem.restore_from(&snap), expected);
-        assert_eq!(mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(), before);
+        assert_eq!(
+            mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(),
+            before
+        );
         assert_eq!(mem.restore_from(&snap), RestoreStats::default());
         // The dirty list starts over after each restore.
-        mem.write_u32(victim - 2, 0xdead_beef, Access::Write).unwrap(); // straddles two pages
+        mem.write_u32(victim - 2, 0xdead_beef, Access::Write)
+            .unwrap(); // straddles two pages
         assert_eq!(mem.restore_from(&snap).dirty_pages, 2);
-        assert_eq!(mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(), before);
+        assert_eq!(
+            mem.peek_bytes(0x10_0000, PAGES * PAGE_SIZE).unwrap(),
+            before
+        );
     }
 
     #[test]

@@ -85,7 +85,11 @@ impl ProtectedRegion {
                 code.end
             );
         }
-        ProtectedRegion { code, data, entries }
+        ProtectedRegion {
+            code,
+            data,
+            entries,
+        }
     }
 
     /// The module's code range.
@@ -276,8 +280,7 @@ impl ProtectionMap {
                 }
                 let region = &self.regions[idx];
                 let entry_ok = region.is_entry(new_ip)
-                    || (self.reentry == ReentryPolicy::AllowReturns
-                        && kind == TransferKind::Ret);
+                    || (self.reentry == ReentryPolicy::AllowReturns && kind == TransferKind::Ret);
                 if entry_ok {
                     Ok(())
                 } else {
@@ -340,7 +343,9 @@ mod tests {
     fn internal_control_flow_is_unrestricted() {
         let map = one_module();
         assert!(map.check_fetch(0x2004, 0x2050, TransferKind::Jump).is_ok());
-        assert!(map.check_fetch(0x2ffc, 0x2000, TransferKind::Sequential).is_ok());
+        assert!(map
+            .check_fetch(0x2ffc, 0x2000, TransferKind::Sequential)
+            .is_ok());
     }
 
     #[test]

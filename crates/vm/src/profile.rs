@@ -128,8 +128,7 @@ impl Profiler {
             .unwrap_or_else(|p| p.into_inner())
             .iter()
             .map(|(stack, count)| {
-                let frames: Vec<String> =
-                    stack.iter().map(|addr| symbols.frame(*addr)).collect();
+                let frames: Vec<String> = stack.iter().map(|addr| symbols.frame(*addr)).collect();
                 format!("{} {count}", frames.join(";"))
             })
             .collect();
@@ -166,10 +165,7 @@ mod tests {
         prof.record(&[0x1000, 0x1044]);
         prof.record(&[0x1000, 0x1044]);
         prof.record(&[0x9999]);
-        let table = SymbolTable::from_labels(
-            vec![("main", 0x1000u32), ("handle", 0x1040)],
-            0x1080,
-        );
+        let table = SymbolTable::from_labels(vec![("main", 0x1000u32), ("handle", 0x1040)], 0x1080);
         assert_eq!(prof.folded(&table), "0x9999 1\nmain;handle 2\n");
     }
 

@@ -139,42 +139,117 @@ pub const MAX_BLOCK_PAGES: usize = 2;
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroOp {
     Nop,
-    MovI { dst: u8, imm: u32 },
-    Mov { dst: u8, src: u8 },
-    Load { dst: u8, base: u8, disp: u32 },
-    Store { base: u8, disp: u32, src: u8 },
-    LoadB { dst: u8, base: u8, disp: u32 },
-    StoreB { base: u8, disp: u32, src: u8 },
-    Push { src: u8 },
-    Pop { dst: u8 },
-    PushI { imm: u32 },
-    Alu { op: AluOp, dst: u8, src: u8 },
-    AddI { dst: u8, imm: u32 },
-    Cmp { a: u8, b: u8 },
-    CmpI { a: u8, imm: u32 },
-    Lea { dst: u8, base: u8, disp: u32 },
-    Enter { frame: u32 },
+    MovI {
+        dst: u8,
+        imm: u32,
+    },
+    Mov {
+        dst: u8,
+        src: u8,
+    },
+    Load {
+        dst: u8,
+        base: u8,
+        disp: u32,
+    },
+    Store {
+        base: u8,
+        disp: u32,
+        src: u8,
+    },
+    LoadB {
+        dst: u8,
+        base: u8,
+        disp: u32,
+    },
+    StoreB {
+        base: u8,
+        disp: u32,
+        src: u8,
+    },
+    Push {
+        src: u8,
+    },
+    Pop {
+        dst: u8,
+    },
+    PushI {
+        imm: u32,
+    },
+    Alu {
+        op: AluOp,
+        dst: u8,
+        src: u8,
+    },
+    AddI {
+        dst: u8,
+        imm: u32,
+    },
+    Cmp {
+        a: u8,
+        b: u8,
+    },
+    CmpI {
+        a: u8,
+        imm: u32,
+    },
+    Lea {
+        dst: u8,
+        base: u8,
+        disp: u32,
+    },
+    Enter {
+        frame: u32,
+    },
     Leave,
-    Jmp { target: u32 },
-    JCond { cond: Cond, target: u32 },
+    Jmp {
+        target: u32,
+    },
+    JCond {
+        cond: Cond,
+        target: u32,
+    },
     /// Terminal: push the return address (`Op::next_ip`), then
     /// transfer to `target`.
-    Call { target: u32 },
+    Call {
+        target: u32,
+    },
     /// Terminal: like [`MicroOp::Call`] with the target in a register.
-    CallR { src: u8 },
+    CallR {
+        src: u8,
+    },
     /// Terminal: pop the return address (with the shadow-stack check)
     /// and transfer to it.
     Ret,
     /// Terminal: transfer to the address in a register.
-    JmpR { src: u8 },
+    JmpR {
+        src: u8,
+    },
     /// Superinstruction: `addi dst, add_imm; cmpi a, cmp_imm;
     /// jcc cond, target` — the counted-loop step, three instructions
     /// in one dispatch.
-    FusedLoopI { dst: u8, add_imm: u32, a: u8, cmp_imm: u32, cond: Cond, target: u32 },
+    FusedLoopI {
+        dst: u8,
+        add_imm: u32,
+        a: u8,
+        cmp_imm: u32,
+        cond: Cond,
+        target: u32,
+    },
     /// Superinstruction: `cmpi a, imm; jcc cond, target`.
-    FusedCmpIJ { a: u8, imm: u32, cond: Cond, target: u32 },
+    FusedCmpIJ {
+        a: u8,
+        imm: u32,
+        cond: Cond,
+        target: u32,
+    },
     /// Superinstruction: `cmp a, b; jcc cond, target`.
-    FusedCmpJ { a: u8, b: u8, cond: Cond, target: u32 },
+    FusedCmpJ {
+        a: u8,
+        b: u8,
+        cond: Cond,
+        target: u32,
+    },
 }
 
 impl MicroOp {
@@ -464,7 +539,10 @@ impl TierEngine {
                 // for a different region since the entry was
                 // installed; only a live block with the right start
                 // address counts as a hit.
-                if self.blocks[pred].as_ref().is_some_and(|b| b.start_ip == target) {
+                if self.blocks[pred]
+                    .as_ref()
+                    .is_some_and(|b| b.start_ip == target)
+                {
                     return IcProbe::Hit(pred);
                 }
                 return IcProbe::Miss;
@@ -508,7 +586,10 @@ impl TierEngine {
             }
         }
         if len < IC_WAYS {
-            cache.entries[len] = IcEntry { target, slot: succ_slot as u32 };
+            cache.entries[len] = IcEntry {
+                target,
+                slot: succ_slot as u32,
+            };
             cache.len += 1;
             IcPromotion::Installed
         } else {
@@ -558,19 +639,46 @@ fn lower(instr: Instr) -> Option<MicroOp> {
     Some(match instr {
         Instr::Nop => MicroOp::Nop,
         Instr::MovI { dst, imm } => MicroOp::MovI { dst: r(dst), imm },
-        Instr::Mov { dst, src } => MicroOp::Mov { dst: r(dst), src: r(src) },
-        Instr::Load { dst, base, disp } => MicroOp::Load { dst: r(dst), base: r(base), disp: sx(disp) },
-        Instr::Store { base, disp, src } => MicroOp::Store { base: r(base), disp: sx(disp), src: r(src) },
-        Instr::LoadB { dst, base, disp } => MicroOp::LoadB { dst: r(dst), base: r(base), disp: sx(disp) },
-        Instr::StoreB { base, disp, src } => MicroOp::StoreB { base: r(base), disp: sx(disp), src: r(src) },
+        Instr::Mov { dst, src } => MicroOp::Mov {
+            dst: r(dst),
+            src: r(src),
+        },
+        Instr::Load { dst, base, disp } => MicroOp::Load {
+            dst: r(dst),
+            base: r(base),
+            disp: sx(disp),
+        },
+        Instr::Store { base, disp, src } => MicroOp::Store {
+            base: r(base),
+            disp: sx(disp),
+            src: r(src),
+        },
+        Instr::LoadB { dst, base, disp } => MicroOp::LoadB {
+            dst: r(dst),
+            base: r(base),
+            disp: sx(disp),
+        },
+        Instr::StoreB { base, disp, src } => MicroOp::StoreB {
+            base: r(base),
+            disp: sx(disp),
+            src: r(src),
+        },
         Instr::Push(src) => MicroOp::Push { src: r(src) },
         Instr::Pop(dst) => MicroOp::Pop { dst: r(dst) },
         Instr::PushI(imm) => MicroOp::PushI { imm },
-        Instr::Alu { op, dst, src } => MicroOp::Alu { op, dst: r(dst), src: r(src) },
+        Instr::Alu { op, dst, src } => MicroOp::Alu {
+            op,
+            dst: r(dst),
+            src: r(src),
+        },
         Instr::AddI { dst, imm } => MicroOp::AddI { dst: r(dst), imm },
         Instr::Cmp { a, b } => MicroOp::Cmp { a: r(a), b: r(b) },
         Instr::CmpI { a, imm } => MicroOp::CmpI { a: r(a), imm },
-        Instr::Lea { dst, base, disp } => MicroOp::Lea { dst: r(dst), base: r(base), disp: sx(disp) },
+        Instr::Lea { dst, base, disp } => MicroOp::Lea {
+            dst: r(dst),
+            base: r(base),
+            disp: sx(disp),
+        },
         Instr::Enter(frame) => MicroOp::Enter { frame },
         Instr::Leave => MicroOp::Leave,
         Instr::Jmp(target) => MicroOp::Jmp { target },
@@ -607,7 +715,14 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
                     n: 3,
                     ic: IC_NONE,
                     cov_slot: 0,
-                    kind: MicroOp::FusedLoopI { dst, add_imm, a, cmp_imm, cond, target },
+                    kind: MicroOp::FusedLoopI {
+                        dst,
+                        add_imm,
+                        a,
+                        cmp_imm,
+                        cond,
+                        target,
+                    },
                 });
                 j += 3;
                 continue;
@@ -616,7 +731,12 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
         if j + 1 < ops.len() {
             let pair = match (ops[j].kind, ops[j + 1].kind) {
                 (MicroOp::CmpI { a, imm }, MicroOp::JCond { cond, target }) => {
-                    Some(MicroOp::FusedCmpIJ { a, imm, cond, target })
+                    Some(MicroOp::FusedCmpIJ {
+                        a,
+                        imm,
+                        cond,
+                        target,
+                    })
                 }
                 (MicroOp::Cmp { a, b }, MicroOp::JCond { cond, target }) => {
                     Some(MicroOp::FusedCmpJ { a, b, cond, target })
@@ -676,14 +796,19 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
     let mut call_rets: Vec<u32> = Vec::new();
     let mut ip = start_ip;
     while ops.len() < MAX_BLOCK_OPS {
-        let Some((instr, len)) = decode_at(mem, ip) else { break };
+        let Some((instr, len)) = decode_at(mem, ip) else {
+            break;
+        };
         let Some(kind) = lower(instr) else { break };
         // Record the page(s) this encoding occupies; give up on the
         // region (ending the block) rather than track a third page.
         let last = ip.wrapping_add(len as u32 - 1);
         let mut fits = true;
         for addr in [ip, last] {
-            let Ok(page) = mem.fetch_page(addr) else { fits = false; break };
+            let Ok(page) = mem.fetch_page(addr) else {
+                fits = false;
+                break;
+            };
             if pages[..npages].contains(&page) {
                 continue;
             }
@@ -732,7 +857,17 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
             MicroOp::Call { target } => edge_slot(ControlKind::Call as u8, ip, target) as u16,
             _ => 0,
         };
-        ops.push(Op { ip, last_ip: ip, next_ip, cont_ip, cont_kind, n: 1, ic, cov_slot, kind });
+        ops.push(Op {
+            ip,
+            last_ip: ip,
+            next_ip,
+            cont_ip,
+            cont_kind,
+            n: 1,
+            ic,
+            cov_slot,
+            kind,
+        });
         if kind.terminal() && cont_kind == TransferKind::Sequential {
             break;
         }
@@ -787,8 +922,14 @@ mod tests {
         let mut mem = mem_with(
             0x1000,
             &[
-                Instr::AddI { dst: Reg::R0, imm: 1 },
-                Instr::CmpI { a: Reg::R0, imm: 10 },
+                Instr::AddI {
+                    dst: Reg::R0,
+                    imm: 1,
+                },
+                Instr::CmpI {
+                    a: Reg::R0,
+                    imm: 10,
+                },
                 Instr::Call(0x2000),
                 Instr::Nop, // reached only after the callee returns
                 Instr::Ret, // top-level: no in-block call to link to
@@ -796,7 +937,13 @@ mod tests {
         );
         mem.poke_bytes(
             0x2000,
-            &assemble(&[Instr::MovI { dst: Reg::R1, imm: 7 }, Instr::Ret]),
+            &assemble(&[
+                Instr::MovI {
+                    dst: Reg::R1,
+                    imm: 7,
+                },
+                Instr::Ret,
+            ]),
         )
         .unwrap();
         let block = compile(&mem, 0x1000).expect("block");
@@ -835,8 +982,14 @@ mod tests {
         let mem = mem_with(
             0x1000,
             &[
-                Instr::AddI { dst: Reg::R0, imm: 1 },
-                Instr::CmpI { a: Reg::R0, imm: 10 },
+                Instr::AddI {
+                    dst: Reg::R0,
+                    imm: 1,
+                },
+                Instr::CmpI {
+                    a: Reg::R0,
+                    imm: 10,
+                },
                 Instr::Call(0x9000),
                 Instr::Nop, // never reached by the block
             ],
@@ -855,9 +1008,15 @@ mod tests {
         let mem = mem_with(
             0x1000,
             &[
-                Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+                Instr::AddI {
+                    dst: Reg::R0,
+                    imm: (-1i32) as u32,
+                },
                 Instr::CmpI { a: Reg::R0, imm: 0 },
-                Instr::JCond { cond: Cond::Nz, target: 0x1000 },
+                Instr::JCond {
+                    cond: Cond::Nz,
+                    target: 0x1000,
+                },
                 Instr::Sys(isa::sys::EXIT), // ends the block
             ],
         );
@@ -866,7 +1025,13 @@ mod tests {
         let op = block.ops[0];
         assert!(matches!(
             op.kind,
-            MicroOp::FusedLoopI { dst: 0, a: 0, cond: Cond::Nz, target: 0x1000, .. }
+            MicroOp::FusedLoopI {
+                dst: 0,
+                a: 0,
+                cond: Cond::Nz,
+                target: 0x1000,
+                ..
+            }
         ));
         assert_eq!(op.n, 3);
         assert_eq!(op.ip, 0x1000);
@@ -880,17 +1045,32 @@ mod tests {
             0x1000,
             &[
                 Instr::CmpI { a: Reg::R1, imm: 7 },
-                Instr::JCond { cond: Cond::Z, target: 0x1800 },
-                Instr::Cmp { a: Reg::R1, b: Reg::R2 },
-                Instr::JCond { cond: Cond::Lt, target: 0x1900 },
+                Instr::JCond {
+                    cond: Cond::Z,
+                    target: 0x1800,
+                },
+                Instr::Cmp {
+                    a: Reg::R1,
+                    b: Reg::R2,
+                },
+                Instr::JCond {
+                    cond: Cond::Lt,
+                    target: 0x1900,
+                },
                 Instr::Sys(isa::sys::EXIT),
             ],
         );
         let block = compile(&mem, 0x1000).expect("block");
         assert_eq!(block.ops.len(), 2);
-        assert!(matches!(block.ops[0].kind, MicroOp::FusedCmpIJ { a: 1, imm: 7, .. }));
+        assert!(matches!(
+            block.ops[0].kind,
+            MicroOp::FusedCmpIJ { a: 1, imm: 7, .. }
+        ));
         assert_eq!(block.ops[0].n, 2);
-        assert!(matches!(block.ops[1].kind, MicroOp::FusedCmpJ { a: 1, b: 2, .. }));
+        assert!(matches!(
+            block.ops[1].kind,
+            MicroOp::FusedCmpJ { a: 1, b: 2, .. }
+        ));
         assert_eq!(block.ops[1].n, 2);
     }
 
@@ -899,8 +1079,14 @@ mod tests {
         let mem = mem_with(
             0x1000,
             &[
-                Instr::AddI { dst: Reg::R0, imm: 1 },
-                Instr::JCond { cond: Cond::Nz, target: 0x1000 },
+                Instr::AddI {
+                    dst: Reg::R0,
+                    imm: 1,
+                },
+                Instr::JCond {
+                    cond: Cond::Nz,
+                    target: 0x1000,
+                },
                 Instr::Jmp(0x1000),
             ],
         );
@@ -929,7 +1115,8 @@ mod tests {
     fn blocks_validate_against_page_generations() {
         let mut mem = Memory::new();
         mem.map(0x1000, 0x1000, Perm::RWX).unwrap();
-        mem.poke_bytes(0x1000, &assemble(&[Instr::Nop, Instr::Nop])).unwrap();
+        mem.poke_bytes(0x1000, &assemble(&[Instr::Nop, Instr::Nop]))
+            .unwrap();
         let block = compile(&mem, 0x1000).expect("block");
         assert!(block.gen == mem.code_generation() && block.pages_valid(&mem));
         // A write to the page bumps its generation: stale.
@@ -1028,7 +1215,10 @@ mod tests {
         assert!(block.ops[0].linked());
         assert_eq!(block.ops[0].ic, IC_NONE, "linked call predicts statically");
         assert!(block.ops[1].linked());
-        assert_eq!(block.ops[1].ic, IC_NONE, "linked ret's mismatch path stays unpredicted");
+        assert_eq!(
+            block.ops[1].ic, IC_NONE,
+            "linked ret's mismatch path stays unpredicted"
+        );
         assert!(!block.ops[2].linked());
         assert_eq!(block.ops[2].ic, 0);
         assert_eq!(block.ics.len(), 1);
@@ -1045,7 +1235,8 @@ mod tests {
         let mut mem = Memory::new();
         mem.map(0x1000, 0x8000, Perm::RX).unwrap();
         // Dispatcher block: a bare jmpr (ic 0).
-        mem.poke_bytes(0x1000, &assemble(&[Instr::JmpR(Reg::R0)])).unwrap();
+        mem.poke_bytes(0x1000, &assemble(&[Instr::JmpR(Reg::R0)]))
+            .unwrap();
         // Six distinct targets, each its own one-op block.
         let targets: Vec<u32> = (0..6).map(|k| 0x2000 + k * 0x100).collect();
         for &t in &targets {
@@ -1058,7 +1249,10 @@ mod tests {
         let succ = engine.lookup_slot(targets[0]).expect("target block");
 
         // Cold cache: miss, then promote, then hit.
-        assert!(matches!(engine.ic_probe(from, 0x1000, 0, targets[0]), IcProbe::Miss));
+        assert!(matches!(
+            engine.ic_probe(from, 0x1000, 0, targets[0]),
+            IcProbe::Miss
+        ));
         assert!(matches!(
             engine.ic_promote(from, 0x1000, 0, targets[0], succ),
             IcPromotion::Installed
@@ -1080,14 +1274,18 @@ mod tests {
             engine.ic_promote(from, 0x1000, 0, targets[IC_WAYS], succ),
             IcPromotion::Megamorphic
         ));
-        assert!(matches!(engine.ic_probe(from, 0x1000, 0, targets[0]), IcProbe::Mega));
+        assert!(matches!(
+            engine.ic_probe(from, 0x1000, 0, targets[0]),
+            IcProbe::Mega
+        ));
     }
 
     #[test]
     fn ic_hit_requires_a_live_matching_successor() {
         let mut mem = Memory::new();
         mem.map(0x1000, 0x4000, Perm::RX).unwrap();
-        mem.poke_bytes(0x1000, &assemble(&[Instr::JmpR(Reg::R0)])).unwrap();
+        mem.poke_bytes(0x1000, &assemble(&[Instr::JmpR(Reg::R0)]))
+            .unwrap();
         mem.poke_bytes(0x2000, &assemble(&[Instr::Ret])).unwrap();
         let mut engine = TierEngine::new();
         assert!(engine.compile_into(&mem, 0x1000));
@@ -1098,14 +1296,23 @@ mod tests {
             engine.ic_promote(from, 0x1000, 0, 0x2000, succ),
             IcPromotion::Installed
         ));
-        assert!(matches!(engine.ic_probe(from, 0x1000, 0, 0x2000), IcProbe::Hit(_)));
+        assert!(matches!(
+            engine.ic_probe(from, 0x1000, 0, 0x2000),
+            IcProbe::Hit(_)
+        ));
         // A different runtime target (a smashed pointer) never hits a
         // cache entry installed for another address.
-        assert!(matches!(engine.ic_probe(from, 0x1000, 0, 0x2400), IcProbe::Miss));
+        assert!(matches!(
+            engine.ic_probe(from, 0x1000, 0, 0x2400),
+            IcProbe::Miss
+        ));
         // Dropping the predicted block (invalidation, eviction) turns
         // the stale entry into a miss, not a hit on dead state.
         engine.invalidate(0x2000);
-        assert!(matches!(engine.ic_probe(from, 0x1000, 0, 0x2000), IcProbe::Miss));
+        assert!(matches!(
+            engine.ic_probe(from, 0x1000, 0, 0x2000),
+            IcProbe::Miss
+        ));
     }
 
     #[test]

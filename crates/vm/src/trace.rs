@@ -132,7 +132,11 @@ impl fmt::Display for ExecStats {
         write!(
             f,
             "{} instructions ({} calls, {} rets, {} loads, {} stores, {} syscalls)",
-            self.instructions, self.calls, self.rets, self.mem_reads, self.mem_writes,
+            self.instructions,
+            self.calls,
+            self.rets,
+            self.mem_reads,
+            self.mem_writes,
             self.syscalls
         )
     }

@@ -75,9 +75,19 @@ fn program_store_to_code_is_seen_on_the_very_next_fetch() {
     // store run and fall through into the patched byte.
     let halt_byte = assemble(&[Instr::Halt])[0];
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: TEXT + 16 },
-        Instr::MovI { dst: Reg::R2, imm: u32::from(halt_byte) },
-        Instr::StoreB { base: Reg::R1, disp: 0, src: Reg::R2 },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: TEXT + 16,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: u32::from(halt_byte),
+        },
+        Instr::StoreB {
+            base: Reg::R1,
+            disp: 0,
+            src: Reg::R2,
+        },
         Instr::Nop, // TEXT+16: becomes `halt`
         Instr::Jmp(TEXT),
     ];
@@ -86,7 +96,7 @@ fn program_store_to_code_is_seen_on_the_very_next_fetch() {
     assert_eq!(m.step(), StepResult::Continue); // movi r1
     assert_eq!(m.step(), StepResult::Continue); // movi r2
     assert_eq!(m.step(), StepResult::Continue); // storeb patches TEXT+16
-    // Next fetch is the patched instruction itself.
+                                                // Next fetch is the patched instruction itself.
     assert_eq!(m.step(), StepResult::Halted(0));
 }
 
@@ -133,10 +143,25 @@ fn data_tlb_invalidated_by_protect_and_unmap() {
     // the translation was TLB-cached.
     let data = STACK_TOP - 0x100;
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: data },
-        Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 0 },
-        Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 4 },
-        Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 8 },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: data,
+        },
+        Instr::Load {
+            dst: Reg::R0,
+            base: Reg::R1,
+            disp: 0,
+        },
+        Instr::Load {
+            dst: Reg::R0,
+            base: Reg::R1,
+            disp: 4,
+        },
+        Instr::Load {
+            dst: Reg::R0,
+            base: Reg::R1,
+            disp: 8,
+        },
     ];
     let mut m = machine_with(Perm::RX, &prog);
     assert_eq!(m.step(), StepResult::Continue); // movi
@@ -161,9 +186,19 @@ fn straddling_store_that_faults_mid_word_leaves_earlier_bytes_written() {
     let hi_page = lo_page + PAGE_SIZE;
     let addr = hi_page - 2; // two bytes in each page
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: addr },
-        Instr::MovI { dst: Reg::R2, imm: 0xddcc_bbaa },
-        Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: addr,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: 0xddcc_bbaa,
+        },
+        Instr::Store {
+            base: Reg::R1,
+            disp: 0,
+            src: Reg::R2,
+        },
     ];
     let mut m = machine_with(Perm::RX, &prog);
     m.mem_mut().map(lo_page, PAGE_SIZE, Perm::RW).unwrap();
@@ -192,7 +227,10 @@ fn instruction_straddling_pages_respects_second_page_permissions() {
     let text2 = TEXT + 0x1000; // second text page
     let start = text2 - 4; // movi occupies [start, start+6): 4+2 split
     let prog = vec![
-        Instr::MovI { dst: Reg::R0, imm: 5 }, // at `start`, straddles
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 5,
+        }, // at `start`, straddles
         Instr::Jmp(start),
     ];
     let mut m = Machine::new();
@@ -273,15 +311,37 @@ fn tier2_block_storing_into_its_own_page_side_exits_every_entry() {
     // store and fail validation at the next entry — and the result
     // must still be bit-for-bit identical to stepping.
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: 40 },
-        Instr::MovI { dst: Reg::R2, imm: TEXT + 0x800 },
-        Instr::MovI { dst: Reg::R3, imm: 0x5a },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: 40,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: TEXT + 0x800,
+        },
+        Instr::MovI {
+            dst: Reg::R3,
+            imm: 0x5a,
+        },
         // TEXT+18: loop head.
-        Instr::StoreB { base: Reg::R2, disp: 0, src: Reg::R3 },
-        Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 },
+        Instr::StoreB {
+            base: Reg::R2,
+            disp: 0,
+            src: Reg::R3,
+        },
+        Instr::AddI {
+            dst: Reg::R1,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R1, imm: 0 },
-        Instr::JCond { cond: swsec_vm::isa::Cond::Nz, target: TEXT + 18 },
-        Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+        Instr::JCond {
+            cond: swsec_vm::isa::Cond::Nz,
+            target: TEXT + 18,
+        },
+        Instr::Mov {
+            dst: Reg::R0,
+            src: Reg::R1,
+        },
         Instr::Sys(sys::EXIT),
     ];
     let tiered = assert_three_way_identical(&prog, 100_000);
@@ -305,22 +365,53 @@ fn tier2_recompiles_patched_code_byte_identically() {
     // stale block must never run: the patched loop takes 10 trips, and
     // every register and architectural counter must match stepping.
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: 30 },
-        Instr::MovI { dst: Reg::R2, imm: TEXT + 20 }, // AddI imm low byte
-        Instr::MovI { dst: Reg::R3, imm: 0xfd },      // -3 in the low byte
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: 30,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: TEXT + 20,
+        }, // AddI imm low byte
+        Instr::MovI {
+            dst: Reg::R3,
+            imm: 0xfd,
+        }, // -3 in the low byte
         // TEXT+18: loop head; imm low byte sits at TEXT+20.
-        Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 },
+        Instr::AddI {
+            dst: Reg::R1,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R1, imm: 0 },
-        Instr::JCond { cond: swsec_vm::isa::Cond::Nz, target: TEXT + 18 },
+        Instr::JCond {
+            cond: swsec_vm::isa::Cond::Nz,
+            target: TEXT + 18,
+        },
         // TEXT+35: fall-through; second time around, finish.
         Instr::CmpI { a: Reg::R7, imm: 0 },
-        Instr::JCond { cond: swsec_vm::isa::Cond::Nz, target: TEXT + 67 },
-        Instr::MovI { dst: Reg::R7, imm: 1 },
-        Instr::MovI { dst: Reg::R1, imm: 30 },
-        Instr::StoreB { base: Reg::R2, disp: 0, src: Reg::R3 },
+        Instr::JCond {
+            cond: swsec_vm::isa::Cond::Nz,
+            target: TEXT + 67,
+        },
+        Instr::MovI {
+            dst: Reg::R7,
+            imm: 1,
+        },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: 30,
+        },
+        Instr::StoreB {
+            base: Reg::R2,
+            disp: 0,
+            src: Reg::R3,
+        },
         Instr::Jmp(TEXT + 18),
         // TEXT+67: done.
-        Instr::Mov { dst: Reg::R0, src: Reg::R1 },
+        Instr::Mov {
+            dst: Reg::R0,
+            src: Reg::R1,
+        },
         Instr::Sys(sys::EXIT),
     ];
     // Guard the hand-computed offsets against encoding drift.
@@ -331,7 +422,10 @@ fn tier2_recompiles_patched_code_byte_identically() {
 
     let tiered = assert_three_way_identical(&prog, 100_000);
     let stats = tiered.stats();
-    assert!(stats.tier2_compiled >= 1, "phase 1 never compiled: {stats:?}");
+    assert!(
+        stats.tier2_compiled >= 1,
+        "phase 1 never compiled: {stats:?}"
+    );
     assert!(
         stats.tier2_invalidations >= 1,
         "patched block must be invalidated: {stats:?}"
@@ -345,21 +439,51 @@ fn fast_and_slow_machines_agree_on_a_busy_program() {
     // identical architectural stats and identical memory.
     let scratch = STACK_TOP - 0x2000;
     let prog = vec![
-        Instr::MovI { dst: Reg::R1, imm: scratch },
-        Instr::MovI { dst: Reg::R2, imm: 0x1122_3344 },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: scratch,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: 0x1122_3344,
+        },
         // f(x): store/load roundtrip, called a few times.
-        Instr::MovI { dst: Reg::R3, imm: 3 },
+        Instr::MovI {
+            dst: Reg::R3,
+            imm: 3,
+        },
         // loop:
         Instr::Call(TEXT + 44), // target computed below
-        Instr::AddI { dst: Reg::R3, imm: (-1i32) as u32 },
+        Instr::AddI {
+            dst: Reg::R3,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R3, imm: 0 },
-        Instr::JCond { cond: swsec_vm::isa::Cond::Nz, target: TEXT + 18 },
-        Instr::Mov { dst: Reg::R0, src: Reg::R4 },
+        Instr::JCond {
+            cond: swsec_vm::isa::Cond::Nz,
+            target: TEXT + 18,
+        },
+        Instr::Mov {
+            dst: Reg::R0,
+            src: Reg::R4,
+        },
         Instr::Sys(sys::EXIT),
         // f: TEXT+44
-        Instr::Store { base: Reg::R1, disp: 2, src: Reg::R2 },
-        Instr::Load { dst: Reg::R4, base: Reg::R1, disp: 2 },
-        Instr::LoadB { dst: Reg::R5, base: Reg::R1, disp: 3 },
+        Instr::Store {
+            base: Reg::R1,
+            disp: 2,
+            src: Reg::R2,
+        },
+        Instr::Load {
+            dst: Reg::R4,
+            base: Reg::R1,
+            disp: 2,
+        },
+        Instr::LoadB {
+            dst: Reg::R5,
+            base: Reg::R1,
+            disp: 3,
+        },
         Instr::Ret,
     ];
     // Verify the hand-computed offsets: call site loop head and f.
@@ -411,11 +535,20 @@ fn linked_call_and_return_collapse_the_loop_into_one_block() {
     // block with an in-block backedge — after warmup the loop must run
     // without re-entering the dispatcher every iteration.
     let mut prog = vec![
-        Instr::MovI { dst: Reg::R0, imm: 2_000 },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 2_000,
+        },
         Instr::Call(0), // 1: loop head, patched below
-        Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R0, imm: 0 },
-        Instr::JCond { cond: Cond::Nz, target: 0 }, // patched below
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
         Instr::Sys(sys::EXIT),
         Instr::Enter(16), // 6: callee
         Instr::Push(Reg::R0),
@@ -424,7 +557,10 @@ fn linked_call_and_return_collapse_the_loop_into_one_block() {
         Instr::Ret,
     ];
     prog[1] = Instr::Call(addr_at(&prog, 6));
-    prog[4] = Instr::JCond { cond: Cond::Nz, target: addr_at(&prog, 1) };
+    prog[4] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, 1),
+    };
     let tiered = assert_three_way_identical(&prog, 100_000);
     let stats = tiered.stats();
     assert!(stats.tier2_compiled >= 1, "loop never compiled: {stats:?}");
@@ -448,22 +584,44 @@ fn smashed_return_address_exits_the_linked_block() {
     // runtime compare must catch the mismatch and exit the block with
     // the *attacker's* target pending — bit-for-bit what stepping does.
     let mut prog = vec![
-        Instr::MovI { dst: Reg::R0, imm: 64 },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 64,
+        },
         Instr::Call(0), // 1: loop head, patched below
         Instr::Nop,     // 2: the honest return site (always skipped)
-        Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 }, // 3: smash target
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: (-1i32) as u32,
+        }, // 3: smash target
         Instr::CmpI { a: Reg::R0, imm: 0 },
-        Instr::JCond { cond: Cond::Nz, target: 0 }, // patched below
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
         Instr::Sys(sys::EXIT),
         Instr::Enter(0), // 7: callee
-        Instr::MovI { dst: Reg::R2, imm: 0 }, // patched below
-        Instr::Store { base: Reg::Bp, disp: 4, src: Reg::R2 },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: 0,
+        }, // patched below
+        Instr::Store {
+            base: Reg::Bp,
+            disp: 4,
+            src: Reg::R2,
+        },
         Instr::Leave,
         Instr::Ret,
     ];
     prog[1] = Instr::Call(addr_at(&prog, 7));
-    prog[5] = Instr::JCond { cond: Cond::Nz, target: addr_at(&prog, 1) };
-    prog[8] = Instr::MovI { dst: Reg::R2, imm: addr_at(&prog, 3) };
+    prog[5] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, 1),
+    };
+    prog[8] = Instr::MovI {
+        dst: Reg::R2,
+        imm: addr_at(&prog, 3),
+    };
     let tiered = assert_three_way_identical(&prog, 100_000);
     let stats = tiered.stats();
     assert!(stats.tier2_compiled >= 1, "loop never compiled: {stats:?}");
@@ -484,27 +642,70 @@ const TABLE: u32 = STACK_TOP - 0x2000;
 /// cache once the loop is hot.
 fn dispatch_prog(iters: u32) -> (Vec<Instr>, Vec<u8>) {
     let mut prog = vec![
-        Instr::MovI { dst: Reg::R0, imm: iters },
-        Instr::MovI { dst: Reg::R5, imm: TABLE },
-        Instr::MovI { dst: Reg::R6, imm: 3 },
-        Instr::MovI { dst: Reg::R7, imm: 2 },
-        Instr::Mov { dst: Reg::R1, src: Reg::R0 }, // 4: loop head
-        Instr::Alu { op: AluOp::And, dst: Reg::R1, src: Reg::R6 },
-        Instr::Alu { op: AluOp::Shl, dst: Reg::R1, src: Reg::R7 },
-        Instr::Alu { op: AluOp::Add, dst: Reg::R1, src: Reg::R5 },
-        Instr::Load { dst: Reg::R2, base: Reg::R1, disp: 0 },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: iters,
+        },
+        Instr::MovI {
+            dst: Reg::R5,
+            imm: TABLE,
+        },
+        Instr::MovI {
+            dst: Reg::R6,
+            imm: 3,
+        },
+        Instr::MovI {
+            dst: Reg::R7,
+            imm: 2,
+        },
+        Instr::Mov {
+            dst: Reg::R1,
+            src: Reg::R0,
+        }, // 4: loop head
+        Instr::Alu {
+            op: AluOp::And,
+            dst: Reg::R1,
+            src: Reg::R6,
+        },
+        Instr::Alu {
+            op: AluOp::Shl,
+            dst: Reg::R1,
+            src: Reg::R7,
+        },
+        Instr::Alu {
+            op: AluOp::Add,
+            dst: Reg::R1,
+            src: Reg::R5,
+        },
+        Instr::Load {
+            dst: Reg::R2,
+            base: Reg::R1,
+            disp: 0,
+        },
         Instr::CallR(Reg::R2),
-        Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R0, imm: 0 },
-        Instr::JCond { cond: Cond::Nz, target: 0 }, // patched below
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
         Instr::Jmp(0), // 13: to the epilogue, patched below
-        // 14..: four callees, `addi r3, k+1; ret` each.
+                       // 14..: four callees, `addi r3, k+1; ret` each.
     ];
     for k in 0..4u32 {
-        prog.push(Instr::AddI { dst: Reg::R3, imm: k + 1 });
+        prog.push(Instr::AddI {
+            dst: Reg::R3,
+            imm: k + 1,
+        });
         prog.push(Instr::Ret);
     }
-    prog[12] = Instr::JCond { cond: Cond::Nz, target: addr_at(&prog, 4) };
+    prog[12] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, 4),
+    };
     // The epilogue lives past the callees so tests can swap it for a
     // multi-instruction driver without moving any code the table (or a
     // compiled block) already points at.
@@ -534,17 +735,42 @@ fn patching_a_callee_behind_a_hot_inline_cache_recompiles_it() {
     let d = prog.len();
     prog.extend([
         Instr::CmpI { a: Reg::R4, imm: 0 },
-        Instr::JCond { cond: Cond::Nz, target: 0 }, // patched below
-        Instr::MovI { dst: Reg::R4, imm: 1 },
-        Instr::MovI { dst: Reg::R1, imm: addr_at(&prog, 14) + 2 },
-        Instr::MovI { dst: Reg::R2, imm: 9 },
-        Instr::StoreB { base: Reg::R1, disp: 0, src: Reg::R2 },
-        Instr::MovI { dst: Reg::R0, imm: 96 },
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
+        Instr::MovI {
+            dst: Reg::R4,
+            imm: 1,
+        },
+        Instr::MovI {
+            dst: Reg::R1,
+            imm: addr_at(&prog, 14) + 2,
+        },
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: 9,
+        },
+        Instr::StoreB {
+            base: Reg::R1,
+            disp: 0,
+            src: Reg::R2,
+        },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 96,
+        },
         Instr::Jmp(addr_at(&prog, 4)),
-        Instr::Mov { dst: Reg::R0, src: Reg::R3 },
+        Instr::Mov {
+            dst: Reg::R0,
+            src: Reg::R3,
+        },
         Instr::Sys(sys::EXIT),
     ]);
-    prog[d + 1] = Instr::JCond { cond: Cond::Nz, target: addr_at(&prog, d + 8) };
+    prog[d + 1] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, d + 8),
+    };
     let (outcome, tiered) = assert_three_way_identical_cfg(&prog, 100_000, &|m| {
         m.mem_mut().poke_bytes(TABLE, &table).unwrap();
     });
@@ -573,9 +799,19 @@ fn smashed_function_pointer_faults_identically_under_dep() {
     // the callees, so nothing the table points at moves).
     prog.pop();
     prog.extend([
-        Instr::MovI { dst: Reg::R2, imm: TABLE },
-        Instr::Store { base: Reg::R5, disp: 0, src: Reg::R2 },
-        Instr::MovI { dst: Reg::R0, imm: 4 }, // index 0 first: faults
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: TABLE,
+        },
+        Instr::Store {
+            base: Reg::R5,
+            disp: 0,
+            src: Reg::R2,
+        },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 4,
+        }, // index 0 first: faults
         Instr::Jmp(addr_at(&prog, 4)),
     ]);
     let (outcome, tiered) = assert_three_way_identical_cfg(&prog, 100_000, &|m| {
@@ -603,38 +839,78 @@ fn smashed_return_address_through_an_inline_cache_trips_the_shadow_stack() {
     // the cache side-steps, and the enabled shadow stack must report
     // the mismatch — identically in every tier.
     let mut prog = vec![
-        Instr::MovI { dst: Reg::R0, imm: 40 },
-        Instr::MovI { dst: Reg::R5, imm: 0 }, // patched: callee address
-        Instr::CallR(Reg::R5),                // 2: loop head
-        Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 40,
+        },
+        Instr::MovI {
+            dst: Reg::R5,
+            imm: 0,
+        }, // patched: callee address
+        Instr::CallR(Reg::R5), // 2: loop head
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: (-1i32) as u32,
+        },
         Instr::CmpI { a: Reg::R0, imm: 0 },
-        Instr::JCond { cond: Cond::Nz, target: 0 }, // patched below
-        Instr::MovI { dst: Reg::R2, imm: 0 },       // patched: smash target
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
+        Instr::MovI {
+            dst: Reg::R2,
+            imm: 0,
+        }, // patched: smash target
         Instr::CallR(Reg::R5),
         Instr::Nop, // 8: honest return site (skipped by the smash)
         Instr::Sys(sys::EXIT),
         Instr::Sys(sys::EXIT), // 10: attacker target (never reached)
         Instr::Enter(0),       // 11: callee
         Instr::CmpI { a: Reg::R2, imm: 0 },
-        Instr::JCond { cond: Cond::Z, target: 0 }, // patched below
-        Instr::Store { base: Reg::Bp, disp: 4, src: Reg::R2 },
+        Instr::JCond {
+            cond: Cond::Z,
+            target: 0,
+        }, // patched below
+        Instr::Store {
+            base: Reg::Bp,
+            disp: 4,
+            src: Reg::R2,
+        },
         Instr::Leave, // 15
         Instr::Ret,
     ];
-    prog[1] = Instr::MovI { dst: Reg::R5, imm: addr_at(&prog, 11) };
-    prog[5] = Instr::JCond { cond: Cond::Nz, target: addr_at(&prog, 2) };
-    prog[6] = Instr::MovI { dst: Reg::R2, imm: addr_at(&prog, 10) };
-    prog[13] = Instr::JCond { cond: Cond::Z, target: addr_at(&prog, 15) };
+    prog[1] = Instr::MovI {
+        dst: Reg::R5,
+        imm: addr_at(&prog, 11),
+    };
+    prog[5] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, 2),
+    };
+    prog[6] = Instr::MovI {
+        dst: Reg::R2,
+        imm: addr_at(&prog, 10),
+    };
+    prog[13] = Instr::JCond {
+        cond: Cond::Z,
+        target: addr_at(&prog, 15),
+    };
     let honest = addr_at(&prog, 8);
     let smashed = addr_at(&prog, 10);
     let (outcome, tiered) =
         assert_three_way_identical_cfg(&prog, 100_000, &|m| m.set_shadow_stack(true));
     assert_eq!(
         outcome,
-        RunOutcome::Fault(Fault::ShadowStackMismatch { expected: honest, got: smashed })
+        RunOutcome::Fault(Fault::ShadowStackMismatch {
+            expected: honest,
+            got: smashed
+        })
     );
     let stats = tiered.stats();
-    assert!(stats.tier2_ic_hits > 0, "the ret IC never predicted: {stats:?}");
+    assert!(
+        stats.tier2_ic_hits > 0,
+        "the ret IC never predicted: {stats:?}"
+    );
 }
 
 #[test]
@@ -685,7 +961,11 @@ fn coverage_fingerprints_are_tier_invariant_through_inline_caches() {
         let sink = Arc::new(CoverageSink::new());
         m.set_coverage(Some(Arc::clone(&sink)));
         let outcome = m.run(100_000);
-        (outcome, sink.take_map().fingerprint(), m.stats().tier2_ic_hits)
+        (
+            outcome,
+            sink.take_map().fingerprint(),
+            m.stats().tier2_ic_hits,
+        )
     };
     let (tiered_outcome, tiered_fp, tiered_ic) = run(true);
     let (fast_outcome, fast_fp, fast_ic) = run(false);

@@ -25,7 +25,9 @@ fn run_program(instrs: &[Instr]) -> (RunOutcome, Machine) {
     let mut m = Machine::new();
     m.mem_mut().map(TEXT, 0x2000, Perm::RX).unwrap();
     m.mem_mut().poke_bytes(TEXT, &bytes).unwrap();
-    m.mem_mut().map(STACK_TOP - 0x1000, 0x1000, Perm::RW).unwrap();
+    m.mem_mut()
+        .map(STACK_TOP - 0x1000, 0x1000, Perm::RW)
+        .unwrap();
     m.set_reg(Reg::Sp, STACK_TOP - 16);
     m.set_ip(TEXT);
     let outcome = m.run(10_000);

@@ -87,7 +87,13 @@ fn fingerprint(m: &Machine, outcome: RunOutcome) -> Fingerprint {
                 .expect("mapped region is peekable")
         })
         .collect();
-    (outcome, regs, m.stats().architectural(), m.io().observable(), mem)
+    (
+        outcome,
+        regs,
+        m.stats().architectural(),
+        m.io().observable(),
+        mem,
+    )
 }
 
 /// Reads 8 bytes from fd 0, byte-sums them through a loop, round-trips
@@ -97,28 +103,79 @@ fn fingerprint(m: &Machine, outcome: RunOutcome) -> Fingerprint {
 fn busy_program() -> Vec<u8> {
     assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: 0 },    // 0: fd 0
-            Instr::MovI { dst: Reg::R1, imm: DATA }, // 1: buf
-            Instr::MovI { dst: Reg::R2, imm: 8 },    // 2: len
-            Instr::Sys(sys::READ),                   // 3
-            Instr::MovI { dst: Reg::R3, imm: 0 },    // 4: acc
-            Instr::MovI { dst: Reg::R4, imm: 8 },    // 5: counter
-            Instr::MovI { dst: Reg::R1, imm: DATA }, // 6
-            Instr::LoadB { dst: Reg::R5, base: Reg::R1, disp: 0 }, // 7: loop head
-            Instr::Alu { op: AluOp::Add, dst: Reg::R3, src: Reg::R5 }, // 8
-            Instr::AddI { dst: Reg::R1, imm: 1 },    // 9
-            Instr::AddI { dst: Reg::R4, imm: (-1i32) as u32 }, // 10
-            Instr::CmpI { a: Reg::R4, imm: 0 },      // 11
-            Instr::JCond { cond: Cond::Nz, target: at(7) }, // 12
-            Instr::Call(at(21)),                     // 13: leaf
-            Instr::MovI { dst: Reg::R1, imm: DATA }, // 14
-            Instr::Store { base: Reg::R1, disp: 0x100, src: Reg::R3 }, // 15
-            Instr::MovI { dst: Reg::R0, imm: 1 },    // 16: fd 1
-            Instr::MovI { dst: Reg::R2, imm: 4 },    // 17
-            Instr::Sys(sys::WRITE),                  // 18
-            Instr::Mov { dst: Reg::R0, src: Reg::R3 }, // 19
-            Instr::Sys(sys::EXIT),                   // 20
-            Instr::Enter(16),                        // 21: leaf
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 0,
+            }, // 0: fd 0
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: DATA,
+            }, // 1: buf
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 8,
+            }, // 2: len
+            Instr::Sys(sys::READ), // 3
+            Instr::MovI {
+                dst: Reg::R3,
+                imm: 0,
+            }, // 4: acc
+            Instr::MovI {
+                dst: Reg::R4,
+                imm: 8,
+            }, // 5: counter
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: DATA,
+            }, // 6
+            Instr::LoadB {
+                dst: Reg::R5,
+                base: Reg::R1,
+                disp: 0,
+            }, // 7: loop head
+            Instr::Alu {
+                op: AluOp::Add,
+                dst: Reg::R3,
+                src: Reg::R5,
+            }, // 8
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: 1,
+            }, // 9
+            Instr::AddI {
+                dst: Reg::R4,
+                imm: (-1i32) as u32,
+            }, // 10
+            Instr::CmpI { a: Reg::R4, imm: 0 }, // 11
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(7),
+            }, // 12
+            Instr::Call(at(21)),   // 13: leaf
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: DATA,
+            }, // 14
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0x100,
+                src: Reg::R3,
+            }, // 15
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 1,
+            }, // 16: fd 1
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 4,
+            }, // 17
+            Instr::Sys(sys::WRITE), // 18
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R3,
+            }, // 19
+            Instr::Sys(sys::EXIT), // 20
+            Instr::Enter(16),      // 21: leaf
             Instr::Push(Reg::R3),
             Instr::Pop(Reg::R6),
             Instr::Leave,
@@ -172,11 +229,24 @@ fn self_modifying_code_replays_identically_after_restore() {
     };
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: at(3) },
-            Instr::MovI { dst: Reg::R2, imm: u32::from(halt_byte) },
-            Instr::StoreB { base: Reg::R1, disp: 0, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: at(3),
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: u32::from(halt_byte),
+            },
+            Instr::StoreB {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
             Instr::Nop, // 3: becomes `halt`
-            Instr::MovI { dst: Reg::R0, imm: 42 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 42,
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -187,7 +257,10 @@ fn self_modifying_code_replays_identically_after_restore() {
         m.step();
     }
     let patch_addr = m.reg(Reg::R1);
-    assert!(patch_addr > TEXT && patch_addr < TEXT + 0x100, "{patch_addr:#x}");
+    assert!(
+        patch_addr > TEXT && patch_addr < TEXT + 0x100,
+        "{patch_addr:#x}"
+    );
     let snap = m.snapshot();
 
     let first = m.run(100);
@@ -231,9 +304,19 @@ fn dep_fault_reproduces_identically_after_restore() {
     // the identical point with identical stats.
     let code = assemble_at(TEXT, &|_| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: TEXT },
-            Instr::MovI { dst: Reg::R2, imm: 0xdead },
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: TEXT,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 0xdead,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -261,29 +344,56 @@ fn pma_crossing_program_restores_cleanly() {
     // restored run re-runs the same checks to the same effect.
     let main_code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R0, imm: 40 },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 40,
+            },
             Instr::Call(MODULE), // 1: loop head
-            Instr::AddI { dst: Reg::R0, imm: (-1i32) as u32 },
+            Instr::AddI {
+                dst: Reg::R0,
+                imm: (-1i32) as u32,
+            },
             Instr::CmpI { a: Reg::R0, imm: 0 },
-            Instr::JCond { cond: Cond::Nz, target: at(1) },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: at(1),
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
     let module_code = assemble_at(MODULE, &|_| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: MDATA },
-            Instr::Load { dst: Reg::R2, base: Reg::R1, disp: 0 },
-            Instr::AddI { dst: Reg::R2, imm: 1 },
-            Instr::Store { base: Reg::R1, disp: 0, src: Reg::R2 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: MDATA,
+            },
+            Instr::Load {
+                dst: Reg::R2,
+                base: Reg::R1,
+                disp: 0,
+            },
+            Instr::AddI {
+                dst: Reg::R2,
+                imm: 1,
+            },
+            Instr::Store {
+                base: Reg::R1,
+                disp: 0,
+                src: Reg::R2,
+            },
             Instr::Ret,
         ]
     });
     for fast in [true, false] {
         let mut m = machine_with(Perm::RX, &main_code);
         m.set_fast_path(fast);
-        m.mem_mut().map(MODULE, 0x1000, Perm::RX).expect("map module");
+        m.mem_mut()
+            .map(MODULE, 0x1000, Perm::RX)
+            .expect("map module");
         m.mem_mut().map(MDATA, 0x1000, Perm::RW).expect("map mdata");
-        m.mem_mut().poke_bytes(MODULE, &module_code).expect("load module");
+        m.mem_mut()
+            .poke_bytes(MODULE, &module_code)
+            .expect("load module");
         m.set_protection(Some(ProtectionMap::new(vec![ProtectedRegion::new(
             MODULE..MODULE + 0x1000,
             MDATA..MDATA + 0x1000,
@@ -331,12 +441,19 @@ fn restore_copies_exactly_the_touched_pages() {
     assert_eq!(delta.restore_dirty_pages, 3, "vm.snapshot.dirty_pages");
     assert_eq!(delta.restore_bytes, 3 * u64::from(PAGE_SIZE));
     for page in [0u32, 3, 7] {
-        assert_eq!(m.mem().peek_bytes(DATA + page * PAGE_SIZE, 1).unwrap()[0], 0);
+        assert_eq!(
+            m.mem().peek_bytes(DATA + page * PAGE_SIZE, 1).unwrap()[0],
+            0
+        );
     }
 
     // Nothing touched since the last restore: nothing to copy.
     let restore = m.restore_from(&snap);
-    assert_eq!(restore, RestoreStats::default(), "clean restore copies 0 pages");
+    assert_eq!(
+        restore,
+        RestoreStats::default(),
+        "clean restore copies 0 pages"
+    );
 }
 
 #[test]
@@ -350,13 +467,31 @@ fn restore_never_executes_stale_tier2_blocks() {
     let step_imm_idx = 2; // AddI R1: imm low byte 2 bytes into it
     let code = assemble_at(TEXT, &|at| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: 32 },
-            Instr::MovI { dst: Reg::R2, imm: 0 },
-            Instr::AddI { dst: Reg::R1, imm: (-1i32) as u32 }, // 2: loop head
-            Instr::AddI { dst: Reg::R2, imm: 1 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: 32,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 0,
+            },
+            Instr::AddI {
+                dst: Reg::R1,
+                imm: (-1i32) as u32,
+            }, // 2: loop head
+            Instr::AddI {
+                dst: Reg::R2,
+                imm: 1,
+            },
             Instr::CmpI { a: Reg::R1, imm: 0 },
-            Instr::JCond { cond: Cond::Gt, target: at(2) },
-            Instr::Mov { dst: Reg::R0, src: Reg::R2 },
+            Instr::JCond {
+                cond: Cond::Gt,
+                target: at(2),
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R2,
+            },
             Instr::Sys(sys::EXIT),
         ]
     });
@@ -414,8 +549,15 @@ fn layout_change_falls_back_to_a_wholesale_rebuild() {
     // exactly, paying full price (every snapshot page copied).
     let code = assemble_at(TEXT, &|_| {
         vec![
-            Instr::MovI { dst: Reg::R1, imm: DATA },
-            Instr::Load { dst: Reg::R0, base: Reg::R1, disp: 0 },
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: DATA,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                disp: 0,
+            },
             Instr::Sys(sys::EXIT),
         ]
     });

@@ -23,12 +23,18 @@ fn main() {
 
     // Keep the sweep small outside --release; the bench harness runs
     // the full version.
-    println!("{}", aslr::compute(&[2, 4, 6], 5, 7, cache, ServeMode::Fork).table());
+    println!(
+        "{}",
+        aslr::compute(&[2, 4, 6], 5, 7, cache, ServeMode::Fork).table()
+    );
 
     println!("{}", overhead::compute().table());
 
     println!("{}", analysis::compute().table());
 
     // E14: the crash-oracle canary brute force against a forking server.
-    println!("{}", canary_oracle::compute(31, 2048, cache, ServeMode::Fork).table());
+    println!(
+        "{}",
+        canary_oracle::compute(31, 2048, cache, ServeMode::Fork).table()
+    );
 }

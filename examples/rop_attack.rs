@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  … {} total", finder.gadgets().len());
 
-    let pop_r0 = finder.pop_ret(Reg::R0).expect("a pop r0; ret gadget exists");
+    let pop_r0 = finder
+        .pop_ret(Reg::R0)
+        .expect("a pop r0; ret gadget exists");
     println!("\nchosen: pop r0; ret @ {pop_r0:#010x} (hides inside a movi immediate!)");
 
     let exit_gadget = swsec_attacks::find_instr_addr(&local.text, local.text_base, |i| {
@@ -41,17 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("chosen: sys exit    @ {exit_gadget:#010x} (the tail of _start)");
 
     // Chain: r0 <- 0x1337, then "return" into sys exit.
-    let chain = RopChain::new()
-        .word(pop_r0)
-        .word(0x1337)
-        .word(exit_gadget);
+    let chain = RopChain::new().word(pop_r0).word(0x1337).word(exit_gadget);
     println!("\nchain: {:08x?}", chain.words());
 
     // Embed the chain in an overflow payload and fire it at a
     // DEP-protected victim (injected *code* would be stopped; reused
     // code is not).
-    let smash = Payload::smash(&local.frames["handle"], "buf", chain.words()[0])
-        .expect("buf exists");
+    let smash =
+        Payload::smash(&local.frames["handle"], "buf", chain.words()[0]).expect("buf exists");
     let mut payload = smash.build();
     payload.extend_from_slice(&chain.build()[4..]);
 

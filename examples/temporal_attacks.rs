@@ -25,7 +25,10 @@ fn main() {
     // The explicit case: the use-after-free experiment, end to end.
     let report = heap_uaf::compute();
     println!("{}", report.table());
-    println!("source semantics for the attack input: {}", report.source_verdict);
+    println!(
+        "source semantics for the attack input: {}",
+        report.source_verdict
+    );
     println!();
     println!("victim source:\n{}", heap_uaf::VICTIM_UAF);
 }

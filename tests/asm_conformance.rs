@@ -185,12 +185,30 @@ fn harden_mixes() -> Vec<HardenOptions> {
     };
     vec![
         none,
-        HardenOptions { stack_canary: true, ..none },
-        HardenOptions { bounds_checks: true, ..none },
-        HardenOptions { pma_fnptr_check: true, ..none },
-        HardenOptions { scrub_registers: true, ..none },
-        HardenOptions { strict_reentry: true, ..none },
-        HardenOptions { heap_quarantine: true, ..none },
+        HardenOptions {
+            stack_canary: true,
+            ..none
+        },
+        HardenOptions {
+            bounds_checks: true,
+            ..none
+        },
+        HardenOptions {
+            pma_fnptr_check: true,
+            ..none
+        },
+        HardenOptions {
+            scrub_registers: true,
+            ..none
+        },
+        HardenOptions {
+            strict_reentry: true,
+            ..none
+        },
+        HardenOptions {
+            heap_quarantine: true,
+            ..none
+        },
         all,
     ]
 }

@@ -7,7 +7,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use swsec::campaign::{run_campaign, run_campaign_on, CampaignConfig, CampaignCtx, CampaignTelemetry};
+use swsec::campaign::{
+    run_campaign, run_campaign_on, CampaignConfig, CampaignCtx, CampaignTelemetry,
+};
 use swsec::experiments::registry;
 use swsec::faults::FaultyExperiment;
 use swsec::report::ExperimentId;
@@ -213,7 +215,10 @@ fn profiler_and_spans_are_deterministic_across_worker_counts() {
             .with_profiler(prof.clone());
         let report = run_campaign_with(&cfg, &telemetry);
         assert!(report.all_ok());
-        assert!(report.vm.prof_samples > 0, "no samples at {workers} workers");
+        assert!(
+            report.vm.prof_samples > 0,
+            "no samples at {workers} workers"
+        );
         runs.push((
             report.render(),
             report.span_tree(),

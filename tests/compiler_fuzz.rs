@@ -129,8 +129,7 @@ fn expr_strategy() -> impl Strategy<Value = GenExpr> {
                 .prop_map(|(a, b)| GenExpr::Mul(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| GenExpr::Xor(Box::new(a), Box::new(b))),
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| GenExpr::Lt(Box::new(a), Box::new(b))),
+            (inner.clone(), inner).prop_map(|(a, b)| GenExpr::Lt(Box::new(a), Box::new(b))),
         ]
     })
 }
@@ -150,8 +149,7 @@ fn stmt_strategy() -> impl Strategy<Value = GenStmt> {
                 prop::collection::vec(inner.clone(), 0..3)
             )
                 .prop_map(|(c, t, e)| GenStmt::If(c, t, e)),
-            (any::<u8>(), prop::collection::vec(inner, 0..3))
-                .prop_map(|(n, b)| GenStmt::For(n, b)),
+            (any::<u8>(), prop::collection::vec(inner, 0..3)).prop_map(|(n, b)| GenStmt::For(n, b)),
         ]
     })
 }

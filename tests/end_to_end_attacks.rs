@@ -31,12 +31,11 @@ fn overflow_based_hijack_is_judged_compromised() {
     // exits with a code the source cannot produce.
     let unit = parse(VULN_SERVER).unwrap();
     let session = launch(&unit, DefenseConfig::none(), 3).unwrap();
-    let exit_path = swsec_attacks::find_instr_addr(
-        &session.program.text,
-        session.program.text_base,
-        |i| matches!(i, swsec_vm::isa::Instr::Sys(0)),
-    )
-    .unwrap();
+    let exit_path =
+        swsec_attacks::find_instr_addr(&session.program.text, session.program.text_base, |i| {
+            matches!(i, swsec_vm::isa::Instr::Sys(0))
+        })
+        .unwrap();
     // r0 at that point is the return value of handle()'s frame chaos —
     // any exit is fine as long as output/exit deviate. Use the ROP-style
     // single-word redirect.

@@ -41,12 +41,14 @@ fn e4_aslr_scaling() {
 #[test]
 fn e5_overhead_shape() {
     let report = overhead::compute();
-    for r in report
-        .rows
-        .iter()
-        .filter(|r| r.workload != "call-heavy")
-    {
-        assert!(r.bounds > r.canary, "{}: {} vs {}", r.workload, r.bounds, r.canary);
+    for r in report.rows.iter().filter(|r| r.workload != "call-heavy") {
+        assert!(
+            r.bounds > r.canary,
+            "{}: {} vs {}",
+            r.workload,
+            r.bounds,
+            r.canary
+        );
     }
 }
 
@@ -61,8 +63,16 @@ fn e6_analysis_tradeoffs() {
 #[test]
 fn e7_scraping() {
     let r = scraping::compute();
-    assert!(r.trials.iter().filter(|t| !t.protected).all(|t| t.found_secret));
-    assert!(r.trials.iter().filter(|t| t.protected).all(|t| !t.found_secret));
+    assert!(r
+        .trials
+        .iter()
+        .filter(|t| !t.protected)
+        .all(|t| t.found_secret));
+    assert!(r
+        .trials
+        .iter()
+        .filter(|t| t.protected)
+        .all(|t| !t.found_secret));
 }
 
 #[test]
@@ -86,9 +96,17 @@ fn e10_attestation() {
 #[test]
 fn e11_continuity() {
     let r = continuity::compute();
-    let naive = r.rollback.iter().find(|(s, _)| *s == continuity::Scheme::Naive).unwrap();
+    let naive = r
+        .rollback
+        .iter()
+        .find(|(s, _)| *s == continuity::Scheme::Naive)
+        .unwrap();
     assert!(naive.1.found);
-    for (s, result) in r.rollback.iter().filter(|(s, _)| *s != continuity::Scheme::Naive) {
+    for (s, result) in r
+        .rollback
+        .iter()
+        .filter(|(s, _)| *s != continuity::Scheme::Naive)
+    {
         assert!(!result.found, "{s:?}");
     }
     // Liveness: the plain counter bricks somewhere; two-phase never.
@@ -97,13 +115,21 @@ fn e11_continuity() {
         .iter()
         .find(|(s, _)| *s == continuity::Scheme::Counter)
         .unwrap();
-    assert!(counter.1.outcomes.iter().any(|(_, recovered, _)| !recovered));
+    assert!(counter
+        .1
+        .outcomes
+        .iter()
+        .any(|(_, recovered, _)| !recovered));
     let two_phase = r
         .liveness
         .iter()
         .find(|(s, _)| *s == continuity::Scheme::TwoPhase)
         .unwrap();
-    assert!(two_phase.1.outcomes.iter().all(|(_, recovered, _)| *recovered));
+    assert!(two_phase
+        .1
+        .outcomes
+        .iter()
+        .all(|(_, recovered, _)| *recovered));
 }
 
 #[test]

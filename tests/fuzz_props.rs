@@ -143,6 +143,10 @@ proptest! {
 /// the crate — the shape downstream harnesses depend on.
 #[test]
 fn fuzz_config_is_reachable_from_the_suite() {
-    let cfg = FuzzConfig { master_seed: 1, budget: 0, minimize_budget: 0 };
+    let cfg = FuzzConfig {
+        master_seed: 1,
+        budget: 0,
+        minimize_budget: 0,
+    };
     assert_eq!(cfg.budget, 0);
 }

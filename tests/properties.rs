@@ -58,12 +58,21 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
         Just(Instr::Leave),
         (reg_strategy(), any::<u32>()).prop_map(|(dst, imm)| Instr::MovI { dst, imm }),
         (reg_strategy(), reg_strategy()).prop_map(|(dst, src)| Instr::Mov { dst, src }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::Load { dst, base, disp }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(base, src, disp)| Instr::Store { base, disp, src }),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::LoadB { dst, base, disp }),
+        (reg_strategy(), reg_strategy(), any::<i16>()).prop_map(|(dst, base, disp)| Instr::Load {
+            dst,
+            base,
+            disp
+        }),
+        (reg_strategy(), reg_strategy(), any::<i16>()).prop_map(|(base, src, disp)| Instr::Store {
+            base,
+            disp,
+            src
+        }),
+        (reg_strategy(), reg_strategy(), any::<i16>()).prop_map(|(dst, base, disp)| Instr::LoadB {
+            dst,
+            base,
+            disp
+        }),
         (reg_strategy(), reg_strategy(), any::<i16>())
             .prop_map(|(base, src, disp)| Instr::StoreB { base, disp, src }),
         reg_strategy().prop_map(Instr::Push),
@@ -85,8 +94,11 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
         any::<u32>().prop_map(Instr::Enter),
         any::<u8>().prop_map(Instr::Sys),
         any::<u8>().prop_map(Instr::Trap),
-        (reg_strategy(), reg_strategy(), any::<i16>())
-            .prop_map(|(dst, base, disp)| Instr::Lea { dst, base, disp }),
+        (reg_strategy(), reg_strategy(), any::<i16>()).prop_map(|(dst, base, disp)| Instr::Lea {
+            dst,
+            base,
+            disp
+        }),
     ]
 }
 

@@ -45,8 +45,7 @@ fn full_pipeline_module_protected_and_usable() {
     // is exactly the distinction: the scraper sees the caller's data,
     // never the module's.)
     let hits = Scraper::kernel().scan_word(&m, 1234);
-    let module_data =
-        scraping::MODULE_DATA_BASE..scraping::MODULE_DATA_BASE + 0x1000;
+    let module_data = scraping::MODULE_DATA_BASE..scraping::MODULE_DATA_BASE + 0x1000;
     assert!(
         hits.iter().all(|a| !module_data.contains(a)),
         "PIN scraped from module data: {hits:08x?}"
@@ -151,7 +150,10 @@ fn attestation_binds_the_secure_compilation() {
     // Platform loads the naive module: derives the naive key.
     let naive_key = platform.derive_key(Measurement::of(&naive.image));
     let report = attest(&naive_key, nonce, b"");
-    assert!(!verifier.verify(nonce, &report), "downgrade must be detected");
+    assert!(
+        !verifier.verify(nonce, &report),
+        "downgrade must be detected"
+    );
     // Honest load verifies.
     let nonce2 = verifier.challenge(2);
     let good = attest(&platform.derive_key(expected), nonce2, b"");
@@ -180,8 +182,12 @@ fn raw_byte_module_and_compiled_module_coexist() {
     let pma = m.protection().unwrap();
     assert_eq!(pma.regions().len(), 2);
     // Module A's code cannot read module B's data and vice versa.
-    assert!(pma.check_data(scraping::MODULE_CODE_BASE + 4, 0x0b10_0000).is_err());
-    assert!(pma.check_data(0x0b00_0004, scraping::MODULE_DATA_BASE).is_err());
+    assert!(pma
+        .check_data(scraping::MODULE_CODE_BASE + 4, 0x0b10_0000)
+        .is_err());
+    assert!(pma
+        .check_data(0x0b00_0004, scraping::MODULE_DATA_BASE)
+        .is_err());
     // Nobody scrapes either secret.
     let kernel = Scraper::kernel();
     assert!(kernel.scan_word(&m, 666).is_empty());

@@ -62,11 +62,7 @@ fn renders_are_byte_identical_across_workers_and_serve_modes() {
     let baseline = two_tenant_render(1, true);
     assert_eq!(baseline, two_tenant_render(4, true), "1 vs 4 workers");
     assert_eq!(baseline, two_tenant_render(1, false), "fork vs rebuild");
-    assert_eq!(
-        baseline,
-        two_tenant_render(4, false),
-        "4 workers, rebuild"
-    );
+    assert_eq!(baseline, two_tenant_render(4, false), "4 workers, rebuild");
     assert!(baseline.contains("tenant alice"));
     assert!(baseline.contains("tenant bob"));
     assert!(baseline.contains("done"));
