@@ -406,8 +406,6 @@ struct Measurement {
     instructions: u64,
     elapsed: Duration,
     stats: ExecStats,
-    icache_hit_rate: Option<f64>,
-    tlb_hit_rate: Option<f64>,
 }
 
 /// One of the three execution configurations a workload is timed in.
@@ -444,14 +442,10 @@ fn measure_with_sink(
         let elapsed = started.elapsed();
         assert_eq!(outcome, RunOutcome::Halted(0), "workload must halt cleanly");
         let stats = m.stats();
-        let icache = stats.icache_hits + stats.icache_misses;
-        let tlb = stats.tlb_hits + stats.tlb_misses;
         let sample = Measurement {
             instructions: stats.instructions,
             elapsed,
             stats,
-            icache_hit_rate: (icache > 0).then(|| stats.icache_hits as f64 / icache as f64),
-            tlb_hit_rate: (tlb > 0).then(|| stats.tlb_hits as f64 / tlb as f64),
         };
         if best.as_ref().is_none_or(|b| sample.elapsed < b.elapsed) {
             best = Some(sample);
@@ -488,8 +482,6 @@ fn measure_with_prof(
             instructions: stats.instructions,
             elapsed,
             stats,
-            icache_hit_rate: None,
-            tlb_hit_rate: None,
         };
         if best.as_ref().is_none_or(|b| sample.elapsed < b.elapsed) {
             best = Some(sample);
@@ -908,10 +900,12 @@ fn main() {
             r.tier2_speedup(),
             r.speedup(),
             r.fast
-                .icache_hit_rate
+                .stats
+                .icache_hit_rate()
                 .map_or("n/a".into(), |v| format!("{:.1}%", v * 100.0)),
             r.fast
-                .tlb_hit_rate
+                .stats
+                .tlb_hit_rate()
                 .map_or("n/a".into(), |v| format!("{:.1}%", v * 100.0)),
         );
         if verbose {
@@ -1350,8 +1344,8 @@ fn main() {
             r.base_ips(),
             r.tier2_speedup(),
             r.speedup(),
-            json_opt_rate(r.fast.icache_hit_rate),
-            json_opt_rate(r.fast.tlb_hit_rate),
+            json_opt_rate(r.fast.stats.icache_hit_rate()),
+            json_opt_rate(r.fast.stats.tlb_hit_rate()),
             t2.tier2_compiled,
             t2.tier2_hits,
             t2.tier2_instructions,
@@ -1566,7 +1560,11 @@ fn main() {
             .iter()
             .find(|r| r.name == "pma-crossing")
             .expect("pma-crossing runs");
-        let pma_icache = pma.fast.icache_hit_rate.expect("pma-crossing fetches");
+        let pma_icache = pma
+            .fast
+            .stats
+            .icache_hit_rate()
+            .expect("pma-crossing fetches");
         assert!(
             pma_icache >= 0.999,
             "pma-crossing icache hit rate {:.4} is below the 0.999 floor",

@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 use swsec_obs::span::{self, SpanCollector, SpanRecord, SpanRecorder};
 use swsec_obs::{Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
 use swsec_rng::derive;
-use swsec_vm::counters::VmCounters;
 use swsec_vm::profile::Profiler;
+use swsec_vm::trace::ExecStats;
 use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
@@ -389,7 +389,7 @@ pub struct CampaignReport {
     /// its deadline. Run metadata, never part of
     /// [`render`](Self::render): the cache counters vary with the
     /// engine.
-    pub vm: VmCounters,
+    pub vm: ExecStats,
     /// Recorded spans per track, sorted by track then open sequence —
     /// empty unless [`CampaignTelemetry::spans`] was set. Sequence
     /// numbers are per-track logical clocks, so the recorded shape (and
@@ -521,17 +521,8 @@ impl CampaignReport {
     /// * counters `campaign.runs`, `campaign.cells`, `campaign.workers`,
     ///   `campaign.cells_failed`, `campaign.cells_retried`,
     ///   `cache.hits` / `cache.misses` / `cache.parses` /
-    ///   `cache.evictions`, and
-    ///   `vm.instructions` / `vm.icache.hits` / `vm.icache.misses` /
-    ///   `vm.tlb.hits` / `vm.tlb.misses`,
-    ///   `vm.tier2.blocks_compiled` / `vm.tier2.block_hits` /
-    ///   `vm.tier2.instructions` / `vm.tier2.side_exits` /
-    ///   `vm.tier2.invalidations`, `vm.tier2.ic_hits` /
-    ///   `vm.tier2.ic_misses` / `vm.tier2.ic_installs` /
-    ///   `vm.tier2.ic_megamorphic`, `vm.snapshot.snapshots` /
-    ///   `vm.snapshot.restores` / `vm.snapshot.dirty_pages` /
-    ///   `vm.snapshot.bytes_copied`, and `vm.prof.samples` /
-    ///   `vm.prof.frames`;
+    ///   `cache.evictions`, and the `vm.*` counters of
+    ///   [`vm`](Self::vm) (named by [`ExecStats::absorb_into`]);
     /// * histogram `campaign.cell_micros` with one observation per cell.
     ///
     /// Called automatically by [`run_campaign_with`] when
@@ -552,26 +543,7 @@ impl CampaignReport {
         registry.counter("cache.misses", self.cache.misses);
         registry.counter("cache.parses", self.cache.parses);
         registry.counter("cache.evictions", self.cache.evictions);
-        registry.counter("vm.instructions", self.vm.instructions);
-        registry.counter("vm.icache.hits", self.vm.icache_hits);
-        registry.counter("vm.icache.misses", self.vm.icache_misses);
-        registry.counter("vm.tlb.hits", self.vm.tlb_hits);
-        registry.counter("vm.tlb.misses", self.vm.tlb_misses);
-        registry.counter("vm.tier2.blocks_compiled", self.vm.tier2_compiled);
-        registry.counter("vm.tier2.block_hits", self.vm.tier2_hits);
-        registry.counter("vm.tier2.instructions", self.vm.tier2_instructions);
-        registry.counter("vm.tier2.side_exits", self.vm.tier2_side_exits);
-        registry.counter("vm.tier2.invalidations", self.vm.tier2_invalidations);
-        registry.counter("vm.tier2.ic_hits", self.vm.tier2_ic_hits);
-        registry.counter("vm.tier2.ic_misses", self.vm.tier2_ic_misses);
-        registry.counter("vm.tier2.ic_installs", self.vm.tier2_ic_installs);
-        registry.counter("vm.tier2.ic_megamorphic", self.vm.tier2_ic_megamorphic);
-        registry.counter("vm.snapshot.snapshots", self.vm.snapshots);
-        registry.counter("vm.snapshot.restores", self.vm.restores);
-        registry.counter("vm.snapshot.dirty_pages", self.vm.restore_dirty_pages);
-        registry.counter("vm.snapshot.bytes_copied", self.vm.restore_bytes);
-        registry.counter("vm.prof.samples", self.vm.prof_samples);
-        registry.counter("vm.prof.frames", self.vm.prof_frames);
+        self.vm.absorb_into(registry);
         for cell in &self.cell_timings {
             registry.observe("campaign.cell_micros", cell.elapsed.as_micros() as u64);
         }
@@ -657,7 +629,7 @@ pub(crate) struct RunStats {
     /// abandoned attempt.
     pub spawned: usize,
     /// The summed VM tallies of every attempt that reported back.
-    pub vm: VmCounters,
+    pub vm: ExecStats,
 }
 
 /// Starts a named thread; the runner gets every thread through one.
@@ -677,7 +649,7 @@ struct Attempt {
 }
 
 /// A reported attempt: its wall time, result and VM tally.
-type Reported<T> = (Attempt, Duration, Result<T, String>, VmCounters);
+type Reported<T> = (Attempt, Duration, Result<T, String>, ExecStats);
 
 /// The queue a run's workers share. Its lock also settles whether an
 /// attempt in flight is reported by its worker or abandoned by the
@@ -898,7 +870,7 @@ impl Runner<'_> {
             pool.start_worker();
         }
 
-        let mut vm = VmCounters::default();
+        let mut vm = ExecStats::default();
         let mut busy = vec![Duration::ZERO; tasks];
         let mut unresolved = tasks;
         while unresolved > 0 {

@@ -57,9 +57,9 @@ use swsec_minc::{CompileError, CompileOptions};
 use swsec_obs::span::{self, SpanCollector, SpanRecord};
 use swsec_obs::{Histogram, MetricsRegistry, SecurityEvent, SpanKind, SpanMask};
 use swsec_rng::derive;
-use swsec_vm::counters::VmCounters;
 use swsec_vm::cpu::RunOutcome;
 use swsec_vm::profile::Profiler;
+use swsec_vm::trace::ExecStats;
 use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
@@ -514,7 +514,7 @@ pub struct ServiceRound {
     /// exactly only at one worker: with more, which jobs boot a server
     /// (and so snapshot, and start with cold caches) depends on
     /// scheduling.
-    pub vm: VmCounters,
+    pub vm: ExecStats,
     /// Recorded spans per track — empty unless
     /// [`ServeTelemetry::spans`] was set.
     pub spans: Vec<(u32, Vec<SpanRecord>)>,
@@ -855,7 +855,7 @@ impl CampaignService {
     /// `serve.jobs_rejected`, `serve.attempts` / `serve.secret_leaks`,
     /// `serve.pool.hits` / `serve.pool.boots` / `serve.pool.evictions`,
     /// the `cache.*` window (incl. `cache.evictions`), the `vm.*`
-    /// window (same names as the campaign runner), and one
+    /// window (named by [`ExecStats::absorb_into`]), and one
     /// `serve.job_micros` observation per job. `serve.pool.warm` is a
     /// level, not a window: each round overwrites it with the number
     /// of servers parked now (see [`MetricsRegistry::level`]).
@@ -863,7 +863,7 @@ impl CampaignService {
         &mut self,
         registry: &MetricsRegistry,
         totals: &ServeTotals,
-        vm: &VmCounters,
+        vm: &ExecStats,
         micros: &[u64],
     ) {
         registry.counter("serve.rounds", 1);
@@ -893,26 +893,7 @@ impl CampaignService {
         registry.counter("cache.misses", cache.misses);
         registry.counter("cache.parses", cache.parses);
         registry.counter("cache.evictions", cache.evictions);
-        registry.counter("vm.instructions", vm.instructions);
-        registry.counter("vm.icache.hits", vm.icache_hits);
-        registry.counter("vm.icache.misses", vm.icache_misses);
-        registry.counter("vm.tlb.hits", vm.tlb_hits);
-        registry.counter("vm.tlb.misses", vm.tlb_misses);
-        registry.counter("vm.tier2.blocks_compiled", vm.tier2_compiled);
-        registry.counter("vm.tier2.block_hits", vm.tier2_hits);
-        registry.counter("vm.tier2.instructions", vm.tier2_instructions);
-        registry.counter("vm.tier2.side_exits", vm.tier2_side_exits);
-        registry.counter("vm.tier2.invalidations", vm.tier2_invalidations);
-        registry.counter("vm.tier2.ic_hits", vm.tier2_ic_hits);
-        registry.counter("vm.tier2.ic_misses", vm.tier2_ic_misses);
-        registry.counter("vm.tier2.ic_installs", vm.tier2_ic_installs);
-        registry.counter("vm.tier2.ic_megamorphic", vm.tier2_ic_megamorphic);
-        registry.counter("vm.snapshot.snapshots", vm.snapshots);
-        registry.counter("vm.snapshot.restores", vm.restores);
-        registry.counter("vm.snapshot.dirty_pages", vm.restore_dirty_pages);
-        registry.counter("vm.snapshot.bytes_copied", vm.restore_bytes);
-        registry.counter("vm.prof.samples", vm.prof_samples);
-        registry.counter("vm.prof.frames", vm.prof_frames);
+        vm.absorb_into(registry);
         for &m in micros {
             registry.observe("serve.job_micros", m);
         }

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use swsec_obs::EventSink;
 
-use crate::counters::VmCounters;
 use crate::profile::Profiler;
+use crate::trace::ExecStats;
 
 /// Which execution engine new machines use. Every engine is
 /// semantically invisible: outcomes, registers, memory, I/O, events and
@@ -96,7 +96,7 @@ impl Eq for VmConfig {}
 struct Context {
     cfg: VmConfig,
     profiler: Option<Arc<Profiler>>,
-    tally: VmCounters,
+    tally: ExecStats,
 }
 
 thread_local! {
@@ -116,7 +116,7 @@ pub fn scope<R>(
     cfg: &VmConfig,
     profiler: Option<Arc<Profiler>>,
     f: impl FnOnce() -> R,
-) -> (R, VmCounters) {
+) -> (R, ExecStats) {
     struct Restore(Option<Context>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -127,7 +127,7 @@ pub fn scope<R>(
         c.borrow_mut().replace(Context {
             cfg: cfg.clone(),
             profiler,
-            tally: VmCounters::default(),
+            tally: ExecStats::default(),
         })
     });
     let _restore = Restore(prev);
@@ -147,10 +147,53 @@ pub(crate) fn machine_defaults() -> (Engine, Option<Arc<dyn EventSink>>, Option<
 
 /// Adds to the current scope's tally; a no-op outside any scope (and
 /// during thread teardown, so a machine's `Drop` never panics).
-pub(crate) fn count(f: impl FnOnce(&mut VmCounters)) {
+pub(crate) fn count(f: impl FnOnce(&mut ExecStats)) {
     let _ = CURRENT.try_with(|c| {
         if let Some(ctx) = c.borrow_mut().as_mut() {
             f(&mut ctx.tally);
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn concurrent_scopes_count_exactly_their_own_machines() {
+        use crate::cpu::{Machine, RunOutcome};
+        use crate::isa::{sys, Instr, Reg};
+        use crate::mem::Perm;
+
+        // Two machines run and drop on separate threads, each inside
+        // its own scope: each tally holds exactly its own machine's
+        // instructions, never the other's.
+        let run_one = |loops: u32| {
+            scope(&VmConfig::default(), None, || {
+                let mut code = Vec::new();
+                for _ in 0..loops {
+                    Instr::Nop.encode(&mut code);
+                }
+                Instr::MovI {
+                    dst: Reg::R0,
+                    imm: 0,
+                }
+                .encode(&mut code);
+                Instr::Sys(sys::EXIT).encode(&mut code);
+                let mut m = Machine::new();
+                m.mem_mut().map(0x1000, 0x1000, Perm::RX).unwrap();
+                m.mem_mut().poke_bytes(0x1000, &code).unwrap();
+                m.set_ip(0x1000);
+                assert_eq!(m.run(10_000), RunOutcome::Halted(0));
+                m.stats().instructions
+            })
+        };
+        let t1 = std::thread::spawn(move || run_one(300));
+        let t2 = std::thread::spawn(move || run_one(500));
+        let (a, tally_a) = t1.join().expect("thread 1");
+        let (b, tally_b) = t2.join().expect("thread 2");
+        assert_eq!((a, b), (302, 502));
+        assert_eq!(tally_a.instructions, a);
+        assert_eq!(tally_b.instructions, b);
+    }
 }

@@ -2411,7 +2411,7 @@ impl Machine {
     fn count_stats(&mut self) {
         let now = self.stats();
         let last = std::mem::replace(&mut self.counted, now);
-        crate::context::count(|t| t.add_stats(&now, &last));
+        crate::context::count(|tally| *tally += now.since(&last));
     }
 }
 

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod counters;
 pub mod cpu;
 pub mod io;
 pub mod isa;

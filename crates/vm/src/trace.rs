@@ -6,16 +6,27 @@
 //! redirected control flow.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 use crate::isa::Instr;
 
-/// Counters accumulated over a machine's lifetime.
+/// Counters accumulated over a machine's lifetime, or summed over the
+/// machines of one [`scope`](crate::context::scope) or run.
 ///
 /// The cache counters (`icache_*`, `tlb_*`, `tier2_*`) observe the
 /// hot-path accelerators of the interpreter; they vary with the
 /// fast-path and tier-2 switches and are deliberately **excluded**
 /// from [`Display`], so any rendered report built on these stats
 /// stays byte-identical whether the accelerators are on or off.
+///
+/// The run-level counters (`snapshots`, `restores`, `restore_*`,
+/// `prof_*`) are counted straight into a scope's tally; a machine's
+/// own [`stats`](crate::cpu::Machine::stats) leave them at zero. Runners
+/// sum the tallies of the attempts they joined — the campaign into
+/// `CampaignReport::vm`, the service into `ServiceRound::vm` — so the
+/// totals count exactly the run's own machines, and export them with
+/// [`absorb_into`](ExecStats::absorb_into). They belong in run
+/// *metadata*, never in deterministic report bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Instructions executed.
@@ -64,30 +75,125 @@ pub struct ExecStats {
     /// Inline caches that overflowed their ways and went megamorphic
     /// (the terminator stops predicting).
     pub tier2_ic_megamorphic: u64,
+    /// Machine snapshots taken ([`Machine::snapshot`](crate::cpu::Machine::snapshot)).
+    pub snapshots: u64,
+    /// Machine restores performed
+    /// ([`Machine::restore_from`](crate::cpu::Machine::restore_from)).
+    pub restores: u64,
+    /// Dirty pages copied back across all restores.
+    pub restore_dirty_pages: u64,
+    /// Bytes copied back across all restores.
+    pub restore_bytes: u64,
+    /// Profiler samples taken (see [`crate::profile`]).
+    pub prof_samples: u64,
+    /// Stack frames recorded across all profiler samples.
+    pub prof_frames: u64,
 }
 
 impl ExecStats {
-    /// The architectural projection: these stats with the cache
-    /// counters zeroed. Two runs are *semantically* equivalent iff
-    /// their architectural stats (plus outcome, registers, memory and
-    /// I/O) agree; the cache counters legitimately differ between a
-    /// fresh build and a snapshot-restored attempt, or between
-    /// fast-path settings. Equivalence tests compare this projection.
-    pub fn architectural(mut self) -> ExecStats {
-        self.icache_hits = 0;
-        self.icache_misses = 0;
-        self.tlb_hits = 0;
-        self.tlb_misses = 0;
-        self.tier2_compiled = 0;
-        self.tier2_hits = 0;
-        self.tier2_instructions = 0;
-        self.tier2_side_exits = 0;
-        self.tier2_invalidations = 0;
-        self.tier2_ic_hits = 0;
-        self.tier2_ic_misses = 0;
-        self.tier2_ic_installs = 0;
-        self.tier2_ic_megamorphic = 0;
-        self
+    /// The architectural projection: these stats with the cache and
+    /// run-level counters zeroed. Two runs are *semantically*
+    /// equivalent iff their architectural stats (plus outcome,
+    /// registers, memory and I/O) agree; the cache counters
+    /// legitimately differ between a fresh build and a
+    /// snapshot-restored attempt, or between fast-path settings.
+    /// Equivalence tests compare this projection.
+    pub fn architectural(self) -> ExecStats {
+        ExecStats {
+            instructions: self.instructions,
+            calls: self.calls,
+            rets: self.rets,
+            mem_reads: self.mem_reads,
+            mem_writes: self.mem_writes,
+            syscalls: self.syscalls,
+            ..ExecStats::default()
+        }
+    }
+
+    /// What these stats gained since `earlier`, field by field,
+    /// saturating at zero.
+    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    /// Applies `f` to each pair of fields.
+    fn zip(&self, other: &ExecStats, f: impl Fn(u64, u64) -> u64) -> ExecStats {
+        ExecStats {
+            instructions: f(self.instructions, other.instructions),
+            calls: f(self.calls, other.calls),
+            rets: f(self.rets, other.rets),
+            mem_reads: f(self.mem_reads, other.mem_reads),
+            mem_writes: f(self.mem_writes, other.mem_writes),
+            syscalls: f(self.syscalls, other.syscalls),
+            icache_hits: f(self.icache_hits, other.icache_hits),
+            icache_misses: f(self.icache_misses, other.icache_misses),
+            tlb_hits: f(self.tlb_hits, other.tlb_hits),
+            tlb_misses: f(self.tlb_misses, other.tlb_misses),
+            tier2_compiled: f(self.tier2_compiled, other.tier2_compiled),
+            tier2_hits: f(self.tier2_hits, other.tier2_hits),
+            tier2_instructions: f(self.tier2_instructions, other.tier2_instructions),
+            tier2_side_exits: f(self.tier2_side_exits, other.tier2_side_exits),
+            tier2_invalidations: f(self.tier2_invalidations, other.tier2_invalidations),
+            tier2_ic_hits: f(self.tier2_ic_hits, other.tier2_ic_hits),
+            tier2_ic_misses: f(self.tier2_ic_misses, other.tier2_ic_misses),
+            tier2_ic_installs: f(self.tier2_ic_installs, other.tier2_ic_installs),
+            tier2_ic_megamorphic: f(self.tier2_ic_megamorphic, other.tier2_ic_megamorphic),
+            snapshots: f(self.snapshots, other.snapshots),
+            restores: f(self.restores, other.restores),
+            restore_dirty_pages: f(self.restore_dirty_pages, other.restore_dirty_pages),
+            restore_bytes: f(self.restore_bytes, other.restore_bytes),
+            prof_samples: f(self.prof_samples, other.prof_samples),
+            prof_frames: f(self.prof_frames, other.prof_frames),
+        }
+    }
+
+    /// Mean dirty pages copied per restore; `None` when no restore was
+    /// counted.
+    pub fn mean_dirty_pages(&self) -> Option<f64> {
+        (self.restores > 0).then(|| self.restore_dirty_pages as f64 / self.restores as f64)
+    }
+
+    /// Hit fraction of the decoded-instruction cache, in `[0, 1]`;
+    /// `None` when no fetch was counted.
+    pub fn icache_hit_rate(&self) -> Option<f64> {
+        rate(self.icache_hits, self.icache_misses)
+    }
+
+    /// Hit fraction of the TLBs, in `[0, 1]`; `None` when no access
+    /// was counted.
+    pub fn tlb_hit_rate(&self) -> Option<f64> {
+        rate(self.tlb_hits, self.tlb_misses)
+    }
+
+    /// Adds these counters to `registry` as `vm.instructions`,
+    /// `vm.icache.*`, `vm.tlb.*`, `vm.tier2.*`, `vm.snapshot.*` and
+    /// `vm.prof.*`: the one place the `vm.*` counter names are written,
+    /// for campaign and service telemetry alike.
+    pub fn absorb_into(&self, registry: &swsec_obs::MetricsRegistry) {
+        for (name, value) in [
+            ("vm.instructions", self.instructions),
+            ("vm.icache.hits", self.icache_hits),
+            ("vm.icache.misses", self.icache_misses),
+            ("vm.tlb.hits", self.tlb_hits),
+            ("vm.tlb.misses", self.tlb_misses),
+            ("vm.tier2.blocks_compiled", self.tier2_compiled),
+            ("vm.tier2.block_hits", self.tier2_hits),
+            ("vm.tier2.instructions", self.tier2_instructions),
+            ("vm.tier2.side_exits", self.tier2_side_exits),
+            ("vm.tier2.invalidations", self.tier2_invalidations),
+            ("vm.tier2.ic_hits", self.tier2_ic_hits),
+            ("vm.tier2.ic_misses", self.tier2_ic_misses),
+            ("vm.tier2.ic_installs", self.tier2_ic_installs),
+            ("vm.tier2.ic_megamorphic", self.tier2_ic_megamorphic),
+            ("vm.snapshot.snapshots", self.snapshots),
+            ("vm.snapshot.restores", self.restores),
+            ("vm.snapshot.dirty_pages", self.restore_dirty_pages),
+            ("vm.snapshot.bytes_copied", self.restore_bytes),
+            ("vm.prof.samples", self.prof_samples),
+            ("vm.prof.frames", self.prof_frames),
+        ] {
+            registry.counter(name, value);
+        }
     }
 
     /// A multi-line rendering that *does* include the cache counters —
@@ -96,22 +202,16 @@ impl ExecStats {
     /// a deterministic report body: the cache numbers vary with the
     /// fast-path switch.
     pub fn verbose(&self) -> String {
-        let rate = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                "n/a".to_string()
-            } else {
-                format!("{:.1}%", hits as f64 * 100.0 / total as f64)
-            }
-        };
+        let pct =
+            |rate: Option<f64>| rate.map_or("n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
         format!(
             "{self}\n  icache: {} hits, {} misses ({} hit rate)\n  tlb: {} hits, {} misses ({} hit rate)\n  tier2: {} blocks compiled, {} entries, {} instructions, {} side exits, {} invalidations\n  tier2 ic: {} hits, {} misses, {} installs, {} megamorphic",
             self.icache_hits,
             self.icache_misses,
-            rate(self.icache_hits, self.icache_misses),
+            pct(self.icache_hit_rate()),
             self.tlb_hits,
             self.tlb_misses,
-            rate(self.tlb_hits, self.tlb_misses),
+            pct(self.tlb_hit_rate()),
             self.tier2_compiled,
             self.tier2_hits,
             self.tier2_instructions,
@@ -123,6 +223,17 @@ impl ExecStats {
             self.tier2_ic_megamorphic,
         )
     }
+}
+
+impl AddAssign for ExecStats {
+    fn add_assign(&mut self, other: ExecStats) {
+        *self = self.zip(&other, |a, b| a + b);
+    }
+}
+
+fn rate(hits: u64, misses: u64) -> Option<f64> {
+    let total = hits + misses;
+    (total > 0).then(|| hits as f64 / total as f64)
 }
 
 impl fmt::Display for ExecStats {
@@ -291,6 +402,30 @@ mod tests {
     }
 
     #[test]
+    fn sums_and_rates() {
+        let a = ExecStats {
+            instructions: 100,
+            icache_hits: 90,
+            icache_misses: 10,
+            restores: 4,
+            restore_dirty_pages: 6,
+            ..ExecStats::default()
+        };
+        let mut d = ExecStats::default();
+        d += a;
+        assert_eq!(d, a);
+        assert_eq!(d.icache_hit_rate(), Some(0.9));
+        assert_eq!(d.tlb_hit_rate(), None);
+        assert_eq!(d.mean_dirty_pages(), Some(1.5));
+        assert_eq!(ExecStats::default().mean_dirty_pages(), None);
+        d += a;
+        assert_eq!(d.instructions, 200);
+        assert_eq!(d.restore_dirty_pages, 12);
+        assert_eq!(d.since(&a), a);
+        assert_eq!(a.since(&d), ExecStats::default());
+    }
+
+    #[test]
     fn verbose_includes_cache_counters_display_does_not() {
         let stats = ExecStats {
             instructions: 10,
@@ -302,6 +437,18 @@ mod tests {
         };
         let plain = stats.to_string();
         assert!(!plain.contains("icache"));
+        // The run-level counters stay out of the rendering too.
+        let run_level = ExecStats {
+            snapshots: 11,
+            restores: 12,
+            restore_dirty_pages: 13,
+            restore_bytes: 14,
+            prof_samples: 15,
+            prof_frames: 16,
+            ..stats
+        };
+        assert_eq!(run_level.to_string(), plain);
+        assert_eq!(run_level.architectural(), stats.architectural());
         let verbose = stats.verbose();
         assert!(verbose.starts_with(&plain));
         assert!(verbose.contains("icache: 7 hits, 3 misses (70.0% hit rate)"));
