@@ -566,29 +566,16 @@ mod tests {
 
     #[test]
     fn rebuild_attempts_see_the_attached_sink() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use swsec_obs::{EventMask, SecurityEvent};
-
-        struct Counter(AtomicUsize);
-        impl EventSink for Counter {
-            fn record(&self, _event: &SecurityEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn interests(&self) -> EventMask {
-                EventMask::CONTROL
-            }
-        }
-
         let cache = ProgramCache::new();
         for mode in [ServeMode::Fork, ServeMode::Rebuild] {
             let mut server = ForkServer::boot(&cache, VICTIM_SMASH, DefenseConfig::none(), 1)
                 .unwrap()
                 .with_mode(mode);
-            let counter = Arc::new(Counter(AtomicUsize::new(0)));
-            server.set_event_sink(Some(counter.clone()));
+            let sink = Arc::new(swsec_obs::CountingSink::new());
+            server.set_event_sink(Some(sink.clone()));
             server.execute(1, b"hi").unwrap();
             assert!(
-                counter.0.load(Ordering::Relaxed) > 0,
+                sink.counts().control > 0,
                 "no control transfers observed in {mode:?}"
             );
         }
