@@ -61,7 +61,15 @@
 #  15. benchmark build and tests: swsecbench/ is a Cargo workspace of
 #      its own, so neither `cargo test` nor `cargo test --workspace`
 #      compiles it; a public-API change that breaks the benchmark fails
-#      here instead of in the benchmark run.
+#      here instead of in the benchmark run;
+#  16. vm-counter guard: swsec_vm::trace::ExecStats is the one VM
+#      counter type and ExecStats::absorb_into the one place the vm.*
+#      counter names are written, so crates/core/src may not emit a
+#      `counter("vm.…")` of its own (reading one back with
+#      `counter_value` is fine), and `VmCounters` may not reappear
+#      under crates/, tests/ or examples/ (DESIGN.md "Observability");
+#  17. format check: `cargo fmt --all --check` over the workspace
+#      (swsecbench/ is not a member and is not checked).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -322,5 +330,18 @@ fi
 
 echo "==> benchmark tests"
 cargo test -q --release --offline --manifest-path swsecbench/Cargo.toml
+
+echo "==> vm-counter guard"
+if grep -rn 'counter("vm\.' crates/core/src; then
+    echo "verify: crates/core/src emits a vm.* counter; call ExecStats::absorb_into" >&2
+    exit 1
+fi
+if grep -rn 'VmCounters' crates tests examples; then
+    echo "verify: VmCounters is back; ExecStats is the one VM counter type" >&2
+    exit 1
+fi
+
+echo "==> format check"
+cargo fmt --all --check
 
 echo "verify: all checks passed"
