@@ -25,8 +25,8 @@ use crate::isa::Instr;
 /// sum the tallies of the attempts they joined — the campaign into
 /// `CampaignReport::vm`, the service into `ServiceRound::vm` — so the
 /// totals count exactly the run's own machines, and export them with
-/// [`absorb_into`](ExecStats::absorb_into). They belong in run
-/// *metadata*, never in deterministic report bodies.
+/// [`absorb_into`](ExecStats::absorb_into). Such totals are run
+/// *metadata*, never part of a deterministic report body.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Instructions executed.
