@@ -131,6 +131,7 @@ fn expr(cur: &mut Cursor<'_>, depth: u8) -> String {
 mod tests {
     use super::*;
     use swsec_minc::parse;
+    use swsec_rng::Rng;
 
     #[test]
     fn generation_is_total_and_deterministic() {
@@ -143,6 +144,33 @@ mod tests {
             assert_eq!(a, b);
             parse(&a).expect("every decoded program parses");
         }
+    }
+
+    /// Digest of the generated sources for 20 seeded inputs of every
+    /// length 0..=80 (the empty and 1-byte inputs included), recorded
+    /// with the original generator, so a rewrite must reproduce its
+    /// output byte for byte.
+    #[test]
+    fn generated_sources_match_the_recorded_digest() {
+        const GOLDEN: u64 = 0xe4c7_0a40_5870_da19;
+        let mut rng = swsec_rng::stream(0x9E4_50C5, &[]);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                digest ^= u64::from(b);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for len in 0..=80 {
+            for _ in 0..20 {
+                let mut input = vec![0u8; len];
+                rng.fill_bytes(&mut input);
+                let src = program_from_bytes(&input);
+                feed(&(src.len() as u64).to_le_bytes());
+                feed(src.as_bytes());
+            }
+        }
+        assert_eq!(digest, GOLDEN, "generated sources changed: {digest:#018x}");
     }
 
     #[test]
