@@ -284,6 +284,12 @@ impl Assembly {
         self.items.is_empty()
     }
 
+    /// Drops spare capacity, for an assembly kept after it is built.
+    pub fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+        self.pool.shrink_to_fit();
+    }
+
     fn pool(&self, start: u32, len: u32) -> &[u8] {
         &self.pool[start as usize..(start + len) as usize]
     }

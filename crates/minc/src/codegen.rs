@@ -1,8 +1,9 @@
 //! Code generation: MinC → assembler items → machine code.
 //!
 //! Code is built as [`swsec_asm::Assembly`] items and encoded by the
-//! assembler's shared back end; the listing is rendered from the same
-//! items, so no assembly text is parsed on the way.
+//! assembler's shared back end, so no assembly text is parsed on the
+//! way; the listing is rendered from the same items on first read
+//! ([`Listing`]).
 //!
 //! The generated code follows the frame layout of the paper's Figure 1
 //! exactly:
@@ -38,6 +39,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use swsec_asm::{AsmError, AsmErrorKind, Assembly, Insn, Item, Label};
+
+mod listing;
+
+pub use listing::Listing;
+use listing::{LabelName, Names, Span};
 use swsec_vm::cpu::Machine;
 use swsec_vm::isa::Instr::{self, *};
 use swsec_vm::isa::Reg::*;
@@ -242,8 +248,8 @@ pub struct CompiledProgram {
     /// [`HardenOptions::strict_reentry`]. Must be registered as a
     /// protected-module entry point.
     pub reentry_addr: Option<u32>,
-    /// The generated assembly listing.
-    pub listing: String,
+    /// The generated assembly listing, rendered on first read.
+    pub listing: Listing,
     /// The layout this program was compiled for.
     pub layout: LayoutConfig,
 }
@@ -378,38 +384,6 @@ enum Callee<'a> {
     Absolute(u32),
 }
 
-/// How a label is spelled in the listing.
-#[derive(Debug, Clone, Copy)]
-enum LabelName<'a> {
-    /// A function or runtime symbol, verbatim.
-    Symbol(&'a str),
-    /// A function's shared return path: `.L{fn}_epilogue`.
-    Epilogue(&'a str),
-    /// A compiler-made local label: `.L{fn}_{hint}_{n}`.
-    Local {
-        func: &'a str,
-        hint: &'static str,
-        n: u32,
-    },
-}
-
-impl LabelName<'_> {
-    fn write(self, out: &mut String) {
-        match self {
-            LabelName::Symbol(name) => out.push_str(name),
-            LabelName::Epilogue(func) => {
-                out.push_str(".L");
-                out.push_str(func);
-                out.push_str("_epilogue");
-            }
-            LabelName::Local { func, hint, n } => {
-                use fmt::Write;
-                write!(out, ".L{func}_{hint}_{n}").expect("writing to a String");
-            }
-        }
-    }
-}
-
 /// `instr` with its immediate listed in hex.
 fn hex(instr: Instr) -> Insn {
     Insn::new(instr).hex()
@@ -467,7 +441,7 @@ struct Codegen<'a> {
     opts: &'a CompileOptions,
     asm: Assembly,
     /// Listing spelling of each label, by id.
-    names: Vec<LabelName<'a>>,
+    names: Names,
     /// Labels of functions and runtime symbols, by name.
     symbols: HashMap<&'a str, Label>,
     /// List emitted instructions without indentation (the heap runtime).
@@ -488,7 +462,8 @@ struct Codegen<'a> {
     // Per-function state.
     scopes: Vec<HashMap<String, FrameSlot>>,
     params: HashMap<String, (i32, Type)>,
-    current_fn: &'a str,
+    /// The current function's name in `names`.
+    current_fn: Span,
     epilogue: Option<Label>,
     break_stack: Vec<Label>,
     continue_stack: Vec<Label>,
@@ -517,7 +492,7 @@ impl<'a> Codegen<'a> {
         self.asm.push(Item::Label(label));
     }
 
-    fn new_label(&mut self, name: LabelName<'a>) -> Label {
+    fn new_label(&mut self, name: LabelName) -> Label {
         self.names.push(name);
         self.asm.label()
     }
@@ -528,7 +503,8 @@ impl<'a> Codegen<'a> {
         if let Some(&label) = self.symbols.get(name) {
             return label;
         }
-        let label = self.new_label(LabelName::Symbol(name));
+        let span = self.names.intern(name);
+        let label = self.new_label(LabelName::Symbol(span));
         self.symbols.insert(name, label);
         label
     }
@@ -1513,8 +1489,8 @@ impl<'a> Codegen<'a> {
             Some(b) => b,
             None => return Ok(()),
         };
-        self.current_fn = &f.name;
-        let epilogue = self.new_label(LabelName::Epilogue(&f.name));
+        self.current_fn = self.names.intern(&f.name);
+        let epilogue = self.new_label(LabelName::Epilogue(self.current_fn));
         self.epilogue = Some(epilogue);
         self.scopes = vec![HashMap::new()];
         self.params = HashMap::new();
@@ -1735,7 +1711,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         unit,
         opts,
         asm: Assembly::new(),
-        names: Vec::new(),
+        names: Names::default(),
         symbols: HashMap::new(),
         flush: false,
         disp_error: None,
@@ -1752,7 +1728,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         label_counter: 0,
         scopes: Vec::new(),
         params: HashMap::new(),
-        current_fn: "",
+        current_fn: Span::default(),
         epilogue: None,
         break_stack: Vec::new(),
         continue_stack: Vec::new(),
@@ -1776,7 +1752,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
     }
 
     if opts.harden.strict_reentry {
-        cg.current_fn = "__module";
+        cg.current_fn = cg.names.intern("__module");
         cg.emit_reentry_stub();
     }
     cg.emit_heap_runtime(layout);
@@ -1803,7 +1779,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
 
     let name = |label: Label| {
         let mut name = String::new();
-        cg.names[label.0 as usize].write(&mut name);
+        cg.names.write(label, &mut name);
         name
     };
     let linked = cg.asm.link().map_err(|e| e.to_asm_error(e.item + 1, name));
@@ -1813,11 +1789,6 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
             return Err(cerr(format!("internal: generated assembly failed: {e}")))
         }
     };
-    // Item i renders as listing line i + 1, the line link errors name.
-    let mut listing = String::with_capacity(24 * cg.asm.len());
-    cg.asm.render(&mut listing, |out, label| {
-        cg.names[label.0 as usize].write(out)
-    });
     let functions = unit
         .functions
         .iter()
@@ -1847,7 +1818,7 @@ pub fn compile(unit: &Unit, opts: &CompileOptions) -> Result<CompiledProgram, Co
         frames: cg.frames,
         canary_addr,
         reentry_addr,
-        listing,
+        listing: Listing::new(cg.asm, cg.names),
         layout,
     })
 }

@@ -49,7 +49,7 @@ pub mod token;
 pub use ast::Unit as Program;
 pub use codegen::{
     compile, CompileError, CompileOptions, CompiledProgram, FrameLayout, FrameSlot, GlobalSlot,
-    HardenOptions, LayoutConfig,
+    HardenOptions, LayoutConfig, Listing,
 };
 pub use interp::{InterpOutcome, InterpResult, SafetyViolation};
 pub use parser::{parse, ParseError};

@@ -50,8 +50,11 @@
 #      explicitly (swsec_vm::VmConfig, DESIGN.md §7).
 #  13. compiler round-trip guard: crates/minc/src may not call the text
 #      assembler (`assemble`); the compiler builds swsec_asm::Assembly
-#      items, encodes them with the shared back end and renders its
-#      listing from the same items (DESIGN.md §7 "Assembler cost").
+#      items and encodes them with the shared back end. Nor may it call
+#      the renderer (`.render(`) outside the Listing type
+#      (crates/minc/src/codegen/listing.rs): `compile` renders nothing,
+#      the listing is rendered from the same items on first read
+#      (DESIGN.md §7 "Assembler cost").
 #  14. thread-spawn guard: crates/core/src may start threads in one
 #      place only, the campaign runner's worker spawn (`spawn_thread`
 #      in crates/core/src/campaign.rs). Any other `thread::spawn`,
@@ -302,6 +305,10 @@ fi
 echo "==> compiler round-trip guard"
 if grep -rnE '(^|[^A-Za-z0-9_])assemble([^A-Za-z0-9_]|$)' crates/minc/src; then
     echo "verify: crates/minc/src calls the text assembler; build swsec_asm::Assembly items" >&2
+    exit 1
+fi
+if grep -rn '\.render(' crates/minc/src | grep -v '^crates/minc/src/codegen/listing\.rs:'; then
+    echo "verify: crates/minc/src renders a listing outside codegen::Listing; leave it to the first read" >&2
     exit 1
 fi
 
