@@ -38,93 +38,157 @@ impl Cursor<'_> {
     }
 }
 
+/// Everything before the generated statements.
+const PROLOGUE: &str = "\
+    int twist(int v) { return (v * 31) ^ (v >> 3); }\n\
+    int main() {\n\
+    int a[8];\n\
+    for (int i = 0; i < 8; i++) a[i] = i * 3;\n\
+    int x0 = 1; int x1 = 2; int x2 = 3; int x3 = 4;\n";
+/// Everything after the generated statements.
+const EPILOGUE: &str = "\
+    int acc = x0 ^ x1 ^ x2 ^ x3;\n\
+    for (int i = 0; i < 8; i++) acc = acc ^ a[i];\n\
+    return acc & 0xff;\n\
+    }\n";
+/// Initial buffer size: above the 99th percentile of program lengths
+/// over random inputs of up to 80 bytes.
+const CAPACITY: usize = 2048;
+
 /// Decodes `bytes` into a complete MinC program.
 pub fn program_from_bytes(bytes: &[u8]) -> String {
     let mut cur = Cursor { bytes, pos: 0 };
-    let mut body = String::new();
+    let mut out = String::with_capacity(CAPACITY);
+    out.push_str(PROLOGUE);
     let stmts = 1 + cur.next() % 8;
     for _ in 0..stmts {
-        stmt(&mut cur, &mut body, 1, MAX_DEPTH);
+        stmt(&mut cur, &mut out, 1, MAX_DEPTH);
     }
-    format!(
-        "int twist(int v) {{ return (v * 31) ^ (v >> 3); }}\n\
-         int main() {{\n\
-             int a[8];\n\
-             for (int i = 0; i < 8; i++) a[i] = i * 3;\n\
-             int x0 = 1; int x1 = 2; int x2 = 3; int x3 = 4;\n\
-         {body}\
-             int acc = x0 ^ x1 ^ x2 ^ x3;\n\
-             for (int i = 0; i < 8; i++) acc = acc ^ a[i];\n\
-             return acc & 0xff;\n\
-         }}\n"
-    )
+    out.push_str(EPILOGUE);
+    out
 }
 
+/// Appends a statement, indented `indent` levels, at nesting budget
+/// `depth`.
 fn stmt(cur: &mut Cursor<'_>, out: &mut String, indent: usize, depth: u8) {
-    let pad = "    ".repeat(indent);
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
     let op = cur.next() % 6;
     match op {
         0 => {
-            let v = cur.next() % NUM_VARS;
-            let e = expr(cur, depth);
-            out.push_str(&format!("{pad}x{v} = {e};\n"));
+            var(cur, out);
+            out.push_str(" = ");
+            expr(cur, out, depth);
+            out.push_str(";\n");
         }
         1 => {
-            let idx = expr(cur, depth);
-            let val = expr(cur, depth);
-            out.push_str(&format!("{pad}a[{idx} & 7] = {val};\n"));
+            out.push_str("a[");
+            expr(cur, out, depth);
+            out.push_str(" & 7] = ");
+            expr(cur, out, depth);
+            out.push_str(";\n");
         }
         2 => {
-            let v = cur.next() % NUM_VARS;
-            let idx = expr(cur, depth);
-            out.push_str(&format!("{pad}x{v} = a[{idx} & 7];\n"));
+            var(cur, out);
+            out.push_str(" = a[");
+            expr(cur, out, depth);
+            out.push_str(" & 7];\n");
         }
         3 if depth > 0 => {
-            let cond = expr(cur, depth);
-            out.push_str(&format!("{pad}if ({cond}) {{\n"));
+            out.push_str("if (");
+            expr(cur, out, depth);
+            out.push_str(") {\n");
             for _ in 0..1 + cur.next() % 2 {
                 stmt(cur, out, indent + 1, depth - 1);
             }
-            out.push_str(&format!("{pad}}} else {{\n"));
+            close(out, indent, " else {\n");
             for _ in 0..cur.next() % 2 {
                 stmt(cur, out, indent + 1, depth - 1);
             }
-            out.push_str(&format!("{pad}}}\n"));
+            close(out, indent, "\n");
         }
         4 if depth > 0 => {
-            let n = cur.next() % 6;
-            out.push_str(&format!("{pad}for (int k = 0; k < {n}; k++) {{\n"));
+            out.push_str("for (int k = 0; k < ");
+            out.push(digit(cur.next() % 6));
+            out.push_str("; k++) {\n");
             for _ in 0..1 + cur.next() % 2 {
                 stmt(cur, out, indent + 1, depth - 1);
             }
-            out.push_str(&format!("{pad}}}\n"));
+            close(out, indent, "\n");
         }
         _ => {
-            let v = cur.next() % NUM_VARS;
-            let e = expr(cur, depth);
-            out.push_str(&format!("{pad}x{v} = twist({e});\n"));
+            var(cur, out);
+            out.push_str(" = twist(");
+            expr(cur, out, depth);
+            out.push_str(");\n");
         }
     }
 }
 
-fn expr(cur: &mut Cursor<'_>, depth: u8) -> String {
+/// Appends a closing brace at `indent` levels, then `rest`.
+fn close(out: &mut String, indent: usize, rest: &str) {
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
+    out.push('}');
+    out.push_str(rest);
+}
+
+/// Appends an expression at nesting budget `depth`.
+fn expr(cur: &mut Cursor<'_>, out: &mut String, depth: u8) {
     let op = cur.next() % 7;
     if depth == 0 || op < 2 {
-        return match op % 2 {
-            0 => format!("({})", cur.next_i16()),
-            _ => format!("x{}", cur.next() % NUM_VARS),
-        };
+        match op % 2 {
+            0 => {
+                out.push('(');
+                push_i16(out, cur.next_i16());
+                out.push(')');
+            }
+            _ => var(cur, out),
+        }
+        return;
     }
-    let a = expr(cur, depth - 1);
-    let b = expr(cur, depth - 1);
-    let sym = match op {
-        2 => "+",
-        3 => "-",
-        4 => "*",
-        5 => "^",
-        _ => "<",
-    };
-    format!("({a} {sym} {b})")
+    out.push('(');
+    expr(cur, out, depth - 1);
+    out.push_str(match op {
+        2 => " + ",
+        3 => " - ",
+        4 => " * ",
+        5 => " ^ ",
+        _ => " < ",
+    });
+    expr(cur, out, depth - 1);
+    out.push(')');
+}
+
+/// Appends a scalar variable name, `x0` to `x3`.
+fn var(cur: &mut Cursor<'_>, out: &mut String) {
+    out.push('x');
+    out.push(digit(cur.next() % NUM_VARS));
+}
+
+fn digit(d: u8) -> char {
+    char::from(b'0' + d)
+}
+
+/// Appends `v` in decimal.
+fn push_i16(out: &mut String, v: i16) {
+    if v < 0 {
+        out.push('-');
+    }
+    let mut n = v.unsigned_abs();
+    let mut digits = [0u8; 5];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
