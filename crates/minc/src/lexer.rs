@@ -262,9 +262,8 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 let name = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("identifier bytes are ascii")
-                    .to_string();
-                match name.as_str() {
+                    .expect("identifier bytes are ascii");
+                match name {
                     "int" => Token::KwInt,
                     "char" => Token::KwChar,
                     "void" => Token::KwVoid,
@@ -277,7 +276,7 @@ impl<'a> Lexer<'a> {
                     "extern" => Token::KwExtern,
                     "break" => Token::KwBreak,
                     "continue" => Token::KwContinue,
-                    _ => Token::Ident(name),
+                    _ => Token::Ident(name.to_string()),
                 }
             }
             other => return Err(self.error(format!("unexpected character `{}`", other as char))),
@@ -297,7 +296,8 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, LexError> {
         pos: 0,
         line: 1,
     };
-    let mut tokens = Vec::new();
+    // MinC sources run at about 0.4 tokens per byte.
+    let mut tokens = Vec::with_capacity(source.len() / 2);
     while let Some(tok) = lexer.next_token()? {
         tokens.push(tok);
     }
