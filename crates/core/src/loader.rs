@@ -15,6 +15,8 @@
 //! ([`Session::frame_base`]): given a call path, where a frame's base
 //! pointer will be — exact without ASLR, a guess with it.
 
+use std::borrow::Cow;
+
 use swsec_rng::{stream, Rng};
 
 use swsec_defenses::DefenseConfig;
@@ -143,15 +145,25 @@ pub fn launch_compiled(
     config: DefenseConfig,
     seed: u64,
 ) -> Result<Session, CompileError> {
+    boot(Cow::Borrowed(program), config, seed)
+}
+
+/// Loads `program` and arms it, as [`launch_compiled`] documents; a
+/// borrowed program is cloned into the session only once it booted.
+fn boot(
+    program: Cow<'_, CompiledProgram>,
+    config: DefenseConfig,
+    seed: u64,
+) -> Result<Session, CompileError> {
     let _boot = swsec_obs::span::enter_with(swsec_obs::SpanKind::Boot, || format!("seed {seed}"));
     let mut machine = Machine::new();
     program.load(&mut machine)?;
     machine.mem_mut().set_enforce(config.dep);
     machine.set_shadow_stack(config.shadow_stack);
-    let canary_value = arm_session(&mut machine, program, &config, seed)?;
+    let canary_value = arm_session(&mut machine, &program, &config, seed)?;
     Ok(Session {
         machine,
-        program: program.clone(),
+        program: program.into_owned(),
         config,
         canary_value,
     })
@@ -198,8 +210,7 @@ pub fn arm_session(
 /// Returns a [`CompileError`] when compilation or loading fails.
 pub fn launch(unit: &Unit, config: DefenseConfig, seed: u64) -> Result<Session, CompileError> {
     let opts = plan_options(&config, seed);
-    let program = compile(unit, &opts)?;
-    launch_compiled(&program, config, seed)
+    boot(Cow::Owned(compile(unit, &opts)?), config, seed)
 }
 
 #[cfg(test)]
