@@ -40,24 +40,26 @@ pub enum Value {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Insn {
     instr: Instr,
-    /// The label whose address replaces the immediate operand.
-    target: Option<Label>,
-    hex: bool,
-    bare: bool,
-    flush: bool,
+    /// The spelling flags and, under [`TARGET`], the id of the label
+    /// whose address replaces the immediate operand, in one word so
+    /// that an [`Item`] takes 12 bytes.
+    bits: u32,
 }
+
+/// [`Insn::bits`]: the low bits hold a target label's id.
+const TARGET: u32 = 1 << 28;
+/// [`Insn::bits`]: list the immediate in hex.
+const HEX: u32 = 1 << 29;
+/// [`Insn::bits`]: list the memory operand as `[reg]`.
+const BARE: u32 = 1 << 30;
+/// [`Insn::bits`]: list the line without indentation.
+const FLUSH: u32 = 1 << 31;
 
 impl Insn {
     /// An instruction whose operands are all given.
     #[must_use]
     pub fn new(instr: Instr) -> Insn {
-        Insn {
-            instr,
-            target: None,
-            hex: false,
-            bare: false,
-            flush: false,
-        }
+        Insn { instr, bits: 0 }
     }
 
     /// An instruction whose immediate operand is the address of
@@ -65,39 +67,54 @@ impl Insn {
     ///
     /// # Panics
     ///
-    /// Panics if `instr` has no immediate operand.
+    /// Panics if `instr` has no immediate operand, or if the label's id
+    /// is 2^28 or more.
     #[must_use]
     pub fn with_target(instr: Instr, label: Label) -> Insn {
         assert!(
             with_imm(instr, 0).is_some(),
             "{instr} has no immediate operand"
         );
+        assert!(label.0 < TARGET, "label id {} too large", label.0);
         Insn {
-            target: Some(label),
-            ..Insn::new(instr)
+            instr,
+            bits: TARGET | label.0,
         }
     }
 
     /// Lists the immediate in hex (`0x2a`).
     #[must_use]
     pub fn hex(self) -> Insn {
-        Insn { hex: true, ..self }
+        self.with(HEX)
     }
 
     /// Lists a memory operand as `[reg]` (its displacement must be 0).
     #[must_use]
     pub fn bare(self) -> Insn {
         debug_assert_eq!(mem_of(&self.instr).map(|(_, disp)| disp), Some(0));
-        Insn { bare: true, ..self }
+        self.with(BARE)
     }
 
     /// Lists the line without indentation.
     #[must_use]
     pub fn flush(self) -> Insn {
+        self.with(FLUSH)
+    }
+
+    fn with(self, flag: u32) -> Insn {
         Insn {
-            flush: true,
+            bits: self.bits | flag,
             ..self
         }
+    }
+
+    fn has(self, flag: u32) -> bool {
+        self.bits & flag != 0
+    }
+
+    /// The label whose address replaces the immediate, if any.
+    fn target(self) -> Option<Label> {
+        self.has(TARGET).then_some(Label(self.bits & (TARGET - 1)))
     }
 }
 
@@ -344,7 +361,7 @@ impl Assembly {
             };
             match *it {
                 Item::Org(_) | Item::Label(_) => {}
-                Item::Insn(insn) => match insn.target {
+                Item::Insn(insn) => match insn.target() {
                     Some(l) => with_imm(insn.instr, resolve(l)?)
                         .expect("Insn::with_target checked the immediate")
                         .encode(&mut bytes),
@@ -411,19 +428,19 @@ impl Assembly {
 }
 
 fn render_insn(out: &mut String, insn: &Insn, name: &mut impl FnMut(&mut String, Label)) {
-    if !insn.flush {
+    if !insn.has(FLUSH) {
         out.push_str("    ");
     }
     out.push_str(insn.instr.mnemonic());
-    let mut imm = |out: &mut String, value: u32| match insn.target {
+    let mut imm = |out: &mut String, value: u32| match insn.target() {
         Some(l) => name(out, l),
-        None if insn.hex => push_hex(out, value),
+        None if insn.has(HEX) => push_hex(out, value),
         None => push_dec(out, value),
     };
     let mem = |out: &mut String, base: Reg, disp: i16| {
         out.push('[');
         out.push_str(base.name());
-        if !insn.bare {
+        if !insn.has(BARE) {
             out.push(if disp < 0 { '-' } else { '+' });
             push_dec(out, u32::from(disp.unsigned_abs()));
         }
@@ -606,9 +623,10 @@ mod tests {
 
     #[test]
     fn items_stay_compact() {
-        // A compile holds one item per listing line; no item owns heap.
+        // A compiled program keeps one item per listing line, in less
+        // than the ≈15 bytes of the line; no item owns heap.
         assert!(
-            std::mem::size_of::<Item>() <= 24,
+            std::mem::size_of::<Item>() <= 12,
             "{}",
             std::mem::size_of::<Item>()
         );
