@@ -39,16 +39,16 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use swsec_asm::{AsmError, AsmErrorKind, Assembly, Insn, Item, Label};
-
-mod listing;
-
-pub use listing::Listing;
-use listing::{LabelName, Names, Span};
 use swsec_vm::cpu::Machine;
 use swsec_vm::isa::Instr::{self, *};
 use swsec_vm::isa::Reg::*;
 use swsec_vm::isa::{sys, trap, AluOp, Cond, Reg};
 use swsec_vm::mem::Perm;
+
+mod listing;
+
+pub use listing::Listing;
+use listing::{LabelName, Names, Span};
 
 use crate::ast::{BinOp, Expr, Function, GlobalInit, Stmt, Type, UnaryOp, Unit};
 use crate::sema;
