@@ -567,4 +567,54 @@ pub(crate) mod tests {
         }
         assert_eq!(target.divergences(), 0);
     }
+
+    #[test]
+    fn diff_target_legs_match_fresh_launches_on_each_engine() {
+        // Every leg of the differential must behave exactly like an
+        // ordinary `launch_compiled` session pinned to the same engine.
+        // With zero divergences all three legs equal the tier-2 leg the
+        // target returns, so checking that one against each engine's
+        // fresh launch covers every leg.
+        use swsec_rng::Rng;
+        let seed = 13;
+        let cache = ProgramCache::new();
+        let mut target = DiffTarget::new(&cache, seed);
+        let grant = target.program.function_addr("grant").unwrap();
+        let mut smash = vec![b'A'; 52];
+        smash.extend_from_slice(&0xbfff_0000u32.to_le_bytes());
+        smash.extend_from_slice(&grant.to_le_bytes());
+        let mut inputs = vec![b"hello".to_vec(), vec![b'A'; 96], smash];
+        let mut rng = swsec_rng::stream(0xD1FF_1E65, &[]);
+        for _ in 0..24 {
+            let mut input = vec![0u8; rng.gen_range(97) as usize];
+            rng.fill_bytes(&mut input);
+            inputs.push(input);
+        }
+        for input in &inputs {
+            let out = target.execute(seed, input).unwrap();
+            assert_eq!(target.classify(&out), None, "input {input:02x?}");
+            for (fast_path, tier2) in [(true, true), (true, false), (false, false)] {
+                let mut session = loader::launch_compiled(&target.program, target.config, seed)
+                    .expect("victim boots");
+                session.machine.set_fast_path(fast_path);
+                session.machine.set_tier2(tier2);
+                session.machine.io_mut().feed_input(0, input);
+                let outcome = session.run(TARGET_FUEL);
+                let engine = (fast_path, tier2);
+                assert_eq!(out.outcome, outcome, "{engine:?} {input:02x?}");
+                assert_eq!(
+                    out.io.observable(),
+                    session.machine.io().observable(),
+                    "{engine:?} {input:02x?}"
+                );
+                assert_eq!(
+                    out.stats.architectural(),
+                    session.machine.stats().architectural(),
+                    "{engine:?} {input:02x?}"
+                );
+                assert_eq!(out.canary_value, session.canary_value);
+            }
+        }
+        assert_eq!(target.divergences(), 0);
+    }
 }
