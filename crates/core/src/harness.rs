@@ -243,10 +243,7 @@ impl ForkServer {
     ) -> Result<ForkServer, CompileError> {
         let opts = plan_options(&config, plan_seed);
         let program = cache.compile(source, &opts)?;
-        let mut machine = Machine::new();
-        program.load(&mut machine)?;
-        machine.mem_mut().set_enforce(config.dep);
-        machine.set_shadow_stack(config.shadow_stack);
+        let mut machine = loader::load_machine(&program, &config)?;
         let snapshot = machine.snapshot();
         let tier2 = machine.tier2();
         Ok(ForkServer {
@@ -410,25 +407,26 @@ impl AttackTarget for ForkServer {
                 })
             }
             ServeMode::Rebuild => {
-                let mut session = loader::launch_compiled(&self.program, self.config, seed)?;
-                session.machine.set_tier2(self.tier2);
+                let (mut machine, canary_value) =
+                    loader::boot_machine(&self.program, &self.config, seed)?;
+                machine.set_tier2(self.tier2);
                 if let Some(cov) = &self.cov {
-                    session.machine.set_coverage(Some(Arc::clone(cov)));
+                    machine.set_coverage(Some(Arc::clone(cov)));
                 } else if self.sink.is_some() {
-                    session.machine.set_event_sink(self.sink.clone());
+                    machine.set_event_sink(self.sink.clone());
                 }
                 if self.profiler.is_some() {
-                    session.machine.set_profiler(self.profiler.clone());
+                    machine.set_profiler(self.profiler.clone());
                 }
-                session.machine.io_mut().feed_input(0, input);
+                machine.io_mut().feed_input(0, input);
                 let execute = span::enter(SpanKind::Execute, "");
-                let outcome = session.run(self.fuel);
+                let outcome = machine.run(self.fuel);
                 drop(execute);
                 Ok(AttemptOutcome {
                     outcome,
-                    canary_value: session.canary_value,
-                    io: std::mem::take(session.machine.io_mut()),
-                    stats: session.machine.stats(),
+                    canary_value,
+                    io: std::mem::take(machine.io_mut()),
+                    stats: machine.stats(),
                 })
             }
         }

@@ -155,12 +155,7 @@ fn boot(
     config: DefenseConfig,
     seed: u64,
 ) -> Result<Session, CompileError> {
-    let _boot = swsec_obs::span::enter_with(swsec_obs::SpanKind::Boot, || format!("seed {seed}"));
-    let mut machine = Machine::new();
-    program.load(&mut machine)?;
-    machine.mem_mut().set_enforce(config.dep);
-    machine.set_shadow_stack(config.shadow_stack);
-    let canary_value = arm_session(&mut machine, &program, &config, seed)?;
+    let (machine, canary_value) = boot_machine(&program, &config, seed)?;
     Ok(Session {
         machine,
         program: program.into_owned(),
@@ -169,12 +164,54 @@ fn boot(
     })
 }
 
+/// Boots a bare machine for one launch of `program`: [`load_machine`],
+/// then [`arm_session`]. Returns the machine, ready to run from the
+/// entry point, and the installed canary value.
+///
+/// This is [`launch_compiled`] without the [`Session`] around it, for
+/// callers that keep the program themselves (a fork server's rebuild
+/// attempts, a differential target's legs) and so need no copy of it.
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] when loading or canary installation
+/// fails.
+pub fn boot_machine(
+    program: &CompiledProgram,
+    config: &DefenseConfig,
+    seed: u64,
+) -> Result<(Machine, Option<u32>), CompileError> {
+    let _boot = swsec_obs::span::enter_with(swsec_obs::SpanKind::Boot, || format!("seed {seed}"));
+    let mut machine = load_machine(program, config)?;
+    let canary_value = arm_session(&mut machine, program, config, seed)?;
+    Ok((machine, canary_value))
+}
+
+/// Loads `program` into a fresh machine and applies the
+/// seed-independent run-time defenses of `config`: DEP enforcement and
+/// the shadow stack. This is the head of every launch, and exactly the
+/// state a fork server snapshots ([`crate::harness::ForkServer`]).
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] when loading fails.
+pub fn load_machine(
+    program: &CompiledProgram,
+    config: &DefenseConfig,
+) -> Result<Machine, CompileError> {
+    let mut machine = Machine::new();
+    program.load(&mut machine)?;
+    machine.mem_mut().set_enforce(config.dep);
+    machine.set_shadow_stack(config.shadow_stack);
+    Ok(machine)
+}
+
 /// Applies the per-launch, *seed-dependent* half of a launch to an
 /// already-loaded machine: seeds the machine RNG and installs the
 /// canary drawn from `seed` (when canaries are on), returning the
 /// installed value.
 ///
-/// This is the exact tail of [`launch_compiled`], factored out so the
+/// This is the exact tail of [`boot_machine`], factored out so the
 /// fork-server harness ([`crate::harness::ForkServer`]) can replay it
 /// after a snapshot restore — per-attempt state is then bit-identical
 /// to a fresh launch *by construction*, because both paths run this one

@@ -342,33 +342,47 @@ impl DiffTarget {
     }
 }
 
+impl DiffTarget {
+    /// Runs `input` on one fresh machine with the given engine
+    /// switches; the tier-2 leg also feeds the coverage sink.
+    fn run_leg(
+        &self,
+        seed: u64,
+        input: &[u8],
+        fast_path: bool,
+        tier2: bool,
+    ) -> Result<AttemptOutcome, CompileError> {
+        let (mut machine, canary_value) = loader::boot_machine(&self.program, &self.config, seed)?;
+        machine.set_fast_path(fast_path);
+        machine.set_tier2(tier2);
+        if let (true, Some(sink)) = (tier2, &self.sink) {
+            machine.set_coverage(Some(Arc::clone(sink)));
+        }
+        machine.io_mut().feed_input(0, input);
+        let outcome = machine.run(TARGET_FUEL);
+        Ok(AttemptOutcome {
+            outcome,
+            canary_value,
+            io: std::mem::take(machine.io_mut()),
+            stats: machine.stats(),
+        })
+    }
+}
+
 impl AttackTarget for DiffTarget {
     fn execute(&mut self, seed: u64, input: &[u8]) -> Result<AttemptOutcome, CompileError> {
         self.last_finding = None;
-        let mut tiered = loader::launch_compiled(&self.program, self.config, seed)?;
-        let mut fast = loader::launch_compiled(&self.program, self.config, seed)?;
-        let mut base = loader::launch_compiled(&self.program, self.config, seed)?;
-        tiered.machine.set_fast_path(true);
-        tiered.machine.set_tier2(true);
-        fast.machine.set_fast_path(true);
-        fast.machine.set_tier2(false);
-        base.machine.set_fast_path(false);
-        base.machine.set_tier2(false);
-        if let Some(sink) = &self.sink {
-            tiered.machine.set_coverage(Some(Arc::clone(sink)));
-        }
-        tiered.machine.io_mut().feed_input(0, input);
-        fast.machine.io_mut().feed_input(0, input);
-        base.machine.io_mut().feed_input(0, input);
-        let tiered_outcome = tiered.run(TARGET_FUEL);
-        let fast_outcome = fast.run(TARGET_FUEL);
-        let base_outcome = base.run(TARGET_FUEL);
-        let tiered_io = tiered.machine.io().observable();
-        let fast_io = fast.machine.io().observable();
-        let base_io = base.machine.io().observable();
-        let tiered_stats = tiered.machine.stats().architectural();
-        let fast_stats = fast.machine.stats().architectural();
-        let base_stats = base.machine.stats().architectural();
+        let tiered = self.run_leg(seed, input, true, true)?;
+        let fast = self.run_leg(seed, input, true, false)?;
+        let base = self.run_leg(seed, input, false, false)?;
+        let (tiered_outcome, fast_outcome, base_outcome) =
+            (&tiered.outcome, &fast.outcome, &base.outcome);
+        let tiered_io = tiered.io.observable();
+        let fast_io = fast.io.observable();
+        let base_io = base.io.observable();
+        let tiered_stats = tiered.stats.architectural();
+        let fast_stats = fast.stats.architectural();
+        let base_stats = base.stats.architectural();
         let pairs_agree = tiered_outcome == fast_outcome
             && fast_outcome == base_outcome
             && tiered_io == fast_io
@@ -386,14 +400,7 @@ impl AttackTarget for DiffTarget {
                 fast_stats == base_stats,
             ));
         }
-        let stats = tiered.machine.stats();
-        let io = std::mem::take(tiered.machine.io_mut());
-        Ok(AttemptOutcome {
-            outcome: tiered_outcome,
-            canary_value: tiered.canary_value,
-            io,
-            stats,
-        })
+        Ok(tiered)
     }
 }
 

@@ -318,6 +318,8 @@ pub struct Machine {
     pending_transfer: TransferKind,
     trace: Option<TraceRing>,
     blocking_reads: bool,
+    /// The decoded-instruction cache: empty (no allocation) until the
+    /// first fast-path fetch, so a baseline machine never pays for it.
     icache: Box<[ICacheEntry]>,
     fast_path: bool,
     tier2: bool,
@@ -400,7 +402,7 @@ impl Machine {
             pending_transfer: TransferKind::Jump,
             trace: None,
             blocking_reads: false,
-            icache: vec![ICACHE_EMPTY; ICACHE_SLOTS].into_boxed_slice(),
+            icache: Box::default(),
             fast_path,
             tier2: engine.tier2(),
             tier: None,
@@ -474,7 +476,9 @@ impl Machine {
     /// switching it off forces every fetch to decode from memory and
     /// every access through the page-table lookup. Program-visible behaviour is
     /// bit-for-bit identical either way — the switch exists for
-    /// benchmark baselines and determinism audits.
+    /// benchmark baselines and determinism audits. The switch flushes
+    /// the decoded-instruction cache; a cache that was never allocated
+    /// (no fast-path fetch yet) stays unallocated.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
         self.mem.set_fast_path(on);
@@ -986,33 +990,48 @@ impl Machine {
     /// permission (DEP) needs no per-hit re-check: permission and
     /// enforcement changes bump the global generation, so a hit proves
     /// the fill-time check still stands (see [`ICacheEntry`]).
+    ///
+    /// The cache is allocated on the first fast-path fetch: the set
+    /// lookup's bounds check, which every hit pays anyway, finds the
+    /// still-empty cache and diverts to the fill.
     fn fetch(&mut self) -> Result<(Instr, usize), Fault> {
         if !self.fast_path {
             return self.fetch_decode();
         }
         let gen = self.mem.code_generation();
         let way0 = ((self.ip as usize) & (ICACHE_SETS - 1)) * 2;
+        let Some(set) = self.icache.get_mut(way0..way0 + 2) else {
+            self.icache = vec![ICACHE_EMPTY; ICACHE_SLOTS].into_boxed_slice();
+            return self.fetch_fill(gen, way0);
+        };
         // `gen` must match before the slot indices may be trusted: a
         // matching global generation means no map/unmap has happened
         // since the fill, so the slots still hold the same pages.
-        let valid = |e: &ICacheEntry, ip: u32| {
+        let mem = &self.mem;
+        let ip = self.ip;
+        let valid = |e: &ICacheEntry| {
             e.gen == gen
                 && e.ip == ip
-                && self.mem.slot_gen(e.slot) == e.pgen
-                && (!e.straddles || self.mem.slot_gen(e.slot2) == e.pgen2)
+                && mem.slot_gen(e.slot) == e.pgen
+                && (!e.straddles || mem.slot_gen(e.slot2) == e.pgen2)
         };
-        let e = self.icache[way0];
-        if valid(&e, self.ip) {
+        if valid(&set[0]) {
             self.stats.icache_hits += 1;
-            return Ok((e.instr, usize::from(e.len)));
+            return Ok((set[0].instr, usize::from(set[0].len)));
         }
-        let e = self.icache[way0 + 1];
-        if valid(&e, self.ip) {
+        if valid(&set[1]) {
             // Promote to way 0 so the set evicts least-recently-used.
-            self.icache.swap(way0, way0 + 1);
+            set.swap(0, 1);
             self.stats.icache_hits += 1;
-            return Ok((e.instr, usize::from(e.len)));
+            return Ok((set[0].instr, usize::from(set[0].len)));
         }
+        self.fetch_fill(gen, way0)
+    }
+
+    /// The decoded-instruction-cache miss path: decode at `ip` and
+    /// install the line as way 0 of its set (`way0`), demoting the old
+    /// way 0 to way 1.
+    fn fetch_fill(&mut self, gen: u64, way0: usize) -> Result<(Instr, usize), Fault> {
         self.stats.icache_misses += 1;
         let (instr, len) = self.fetch_decode()?;
         let last = self.ip.wrapping_add(len as u32 - 1);
@@ -3833,5 +3852,94 @@ mod tests {
         let stats = m.stats();
         assert_eq!(stats.icache_misses, 2, "aliasing ips must coexist");
         assert_eq!(stats.icache_hits, 98);
+    }
+
+    /// A 40-trip loop writing one byte per trip: hot enough for tier 2
+    /// to compile blocks, with observable output.
+    fn hot_writer() -> Vec<Instr> {
+        vec![
+            Instr::MovI {
+                dst: Reg::R3,
+                imm: 40,
+            },
+            Instr::MovI {
+                dst: Reg::R0,
+                imm: 1,
+            }, // TEXT+6, the loop head
+            Instr::MovI {
+                dst: Reg::R1,
+                imm: STACK_TOP - 0x100,
+            },
+            Instr::MovI {
+                dst: Reg::R2,
+                imm: 1,
+            },
+            Instr::Sys(sys::WRITE),
+            Instr::AddI {
+                dst: Reg::R3,
+                imm: (-1i32) as u32,
+            },
+            Instr::CmpI { a: Reg::R3, imm: 0 },
+            Instr::JCond {
+                cond: Cond::Nz,
+                target: TEXT + 6,
+            },
+            Instr::Mov {
+                dst: Reg::R0,
+                src: Reg::R3,
+            },
+            Instr::Sys(sys::EXIT),
+        ]
+    }
+
+    #[test]
+    fn baseline_runs_allocate_no_decode_cache() {
+        let cfg = crate::VmConfig {
+            engine: crate::Engine::Baseline,
+            sink: None,
+        };
+        let (m, _) = crate::context::scope(&cfg, None, || {
+            let mut m = machine_with(&hot_writer());
+            assert_eq!(m.run(10_000), RunOutcome::Halted(0));
+            m
+        });
+        assert!(
+            m.icache.is_empty(),
+            "a baseline run allocated the decode cache"
+        );
+        assert!(m.tier.is_none(), "a baseline run built the tier-2 tables");
+        // Switching a never-used cache's engine does not allocate it.
+        let mut m = machine_with(&hot_writer());
+        m.set_fast_path(false);
+        m.set_fast_path(true);
+        assert!(m.icache.is_empty());
+    }
+
+    #[test]
+    fn fast_path_after_a_baseline_run_matches_a_fresh_fast_machine() {
+        // The decode cache is allocated on the first fast-path fetch,
+        // wherever that happens: a machine that ran on the baseline and
+        // then switched must count exactly like one that started fast.
+        let mut switched = machine_with(&hot_writer());
+        switched.set_fast_path(false);
+        switched.set_tier2(false);
+        let snap = switched.snapshot();
+        assert_eq!(switched.run(10_000), RunOutcome::Halted(0));
+        assert!(switched.icache.is_empty());
+        switched.restore_from(&snap);
+        switched.set_fast_path(true);
+        switched.set_tier2(true);
+        let mut fresh = machine_with(&hot_writer());
+        assert!(fresh.fast_path() && fresh.tier2());
+        assert_eq!(switched.run(10_000), fresh.run(10_000));
+        assert_eq!(switched.io().observable(), fresh.io().observable());
+        assert_eq!(fresh.io().output(1), [0u8; 40]);
+        let (s, f) = (switched.stats(), fresh.stats());
+        assert_eq!(s.architectural(), f.architectural());
+        assert_eq!(
+            (s.icache_hits, s.icache_misses),
+            (f.icache_hits, f.icache_misses)
+        );
+        assert!(f.tier2_compiled > 0 && f.tier2_instructions > 0, "{f:?}");
     }
 }

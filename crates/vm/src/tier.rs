@@ -418,12 +418,14 @@ struct HotSlot {
 }
 
 /// The per-machine tier-2 state: the block cache and the hotness
-/// table. Allocated lazily on the first eligible control transfer, so
-/// machines that never run hot code (or run with tier 2 off) pay
-/// nothing.
+/// table. Allocated on the first eligible control transfer, so a
+/// machine with tier 2 off pays nothing, and one that makes any
+/// eligible transfer pays for the two tables (4 KB of block pointers,
+/// 8 KB of hotness counters) even if nothing ever turns hot. A block's
+/// own storage exists only once it is compiled.
 #[derive(Debug)]
 pub(crate) struct TierEngine {
-    blocks: Box<[Option<Block>]>,
+    blocks: Box<[Option<Box<Block>>]>,
     hot: Box<[[HotSlot; HOT_WAYS]]>,
 }
 
@@ -603,7 +605,7 @@ impl TierEngine {
     pub(crate) fn compile_into(&mut self, mem: &Memory, ip: u32) -> bool {
         match compile(mem, ip) {
             Some(block) => {
-                self.blocks[Self::block_slot(ip)] = Some(block);
+                self.blocks[Self::block_slot(ip)] = Some(Box::new(block));
                 true
             }
             None => {
