@@ -36,7 +36,7 @@
 //! [`AttemptOutcome`], and the provided [`AttackTarget::search`] folds
 //! a guess sequence over it. [`ForkServer`] is the canonical
 //! implementation; the fuzzer adds synthetic targets (compiler
-//! differential, fast-path-vs-baseline VM differential) behind the
+//! differential, tier-2/fast-path/baseline VM differential) behind the
 //! same signature, so a search strategy written once runs against any
 //! of them.
 

@@ -90,7 +90,8 @@ pub struct FuzzOutcome {
     pub coverage: usize,
     /// Deduplicated, minimized findings in discovery order.
     pub findings: Vec<Finding>,
-    /// Fast-vs-baseline divergences (differential targets).
+    /// Divergences between the tier-2, fast-path and baseline engines
+    /// (differential targets).
     pub divergences: u64,
 }
 

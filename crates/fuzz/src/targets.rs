@@ -15,9 +15,10 @@
 //!   against the reference interpreter with the exact
 //!   [`swsec::equiv`] semantics, so any non-equivalence is a compiler
 //!   finding;
-//! * [`DiffTarget`] — the same input runs on a fast-path and a
-//!   baseline VM; any divergence in outcome, observable I/O or
-//!   architectural stats is a crash-class finding.
+//! * [`DiffTarget`] — the same input runs on three fresh machines, one
+//!   per engine: tier 2, the tier-1 fast path and the baseline; any
+//!   divergence in outcome, observable I/O or architectural stats is a
+//!   crash-class finding.
 
 use std::sync::Arc;
 
@@ -67,8 +68,8 @@ pub trait FuzzTarget: AttackTarget {
     /// yields the same class, which the minimizer relies on.
     fn classify(&mut self, outcome: &AttemptOutcome) -> Option<String>;
 
-    /// Fast-vs-baseline divergences observed so far (differential
-    /// targets only).
+    /// Divergences between the tier-2, fast-path and baseline engines
+    /// observed so far (differential targets only).
     fn divergences(&self) -> u64 {
         0
     }
@@ -375,16 +376,11 @@ impl AttackTarget for DiffTarget {
         let tiered = self.run_leg(seed, input, true, true)?;
         let fast = self.run_leg(seed, input, true, false)?;
         let base = self.run_leg(seed, input, false, false)?;
-        let (tiered_outcome, fast_outcome, base_outcome) =
-            (&tiered.outcome, &fast.outcome, &base.outcome);
-        let tiered_io = tiered.io.observable();
-        let fast_io = fast.io.observable();
-        let base_io = base.io.observable();
-        let tiered_stats = tiered.stats.architectural();
-        let fast_stats = fast.stats.architectural();
-        let base_stats = base.stats.architectural();
-        let pairs_agree = tiered_outcome == fast_outcome
-            && fast_outcome == base_outcome
+        let [tiered_io, fast_io, base_io] = [&tiered, &fast, &base].map(|leg| leg.io.observable());
+        let [tiered_stats, fast_stats, base_stats] =
+            [&tiered, &fast, &base].map(|leg| leg.stats.architectural());
+        let pairs_agree = tiered.outcome == fast.outcome
+            && fast.outcome == base.outcome
             && tiered_io == fast_io
             && fast_io == base_io
             && tiered_stats == fast_stats
@@ -392,8 +388,11 @@ impl AttackTarget for DiffTarget {
         if !pairs_agree {
             self.divergences += 1;
             self.last_finding = Some(format!(
-                "divergence: tier-2 {tiered_outcome:?} vs fast-path {fast_outcome:?} \
-                 vs baseline {base_outcome:?} (io equal: {}/{}, stats equal: {}/{})",
+                "divergence: tier-2 {:?} vs fast-path {:?} vs baseline {:?} \
+                 (io equal: {}/{}, stats equal: {}/{})",
+                tiered.outcome,
+                fast.outcome,
+                base.outcome,
                 tiered_io == fast_io,
                 fast_io == base_io,
                 tiered_stats == fast_stats,

@@ -28,8 +28,9 @@
 #      fixed seed and budget must rediscover the E2 stack smash, see
 #      zero fast-path-vs-baseline divergences, and render byte-identical
 #      reports at 1 and 4 workers (deterministic findings contract,
-#      DESIGN.md §11) and with --no-tier2 (the coverage feedback that
-#      steers the campaign may not depend on the serving tier);
+#      DESIGN.md §11), with --no-tier2 (the coverage feedback that
+#      steers the campaign may not depend on the serving tier) and
+#      with --no-fork-server (rebuilt machines match restored ones);
 #  10. trace smoke: a quick campaign with spans and the sampling
 #      profiler attached must render byte-identically to the plain run,
 #      stream span records and vm.prof.* metrics into the telemetry
@@ -188,6 +189,14 @@ target/release/fuzz --seed 9 --workers 1 --render-only --no-tier2 \
     > "$FUZZDIR/render_no_tier2.txt"
 cmp "$FUZZDIR/render_w1.txt" "$FUZZDIR/render_no_tier2.txt" || {
     echo "verify: fuzz render differs with tier 2 disabled" >&2
+    exit 1
+}
+# Rebuilding a fresh machine per attempt instead of restoring the
+# snapshot must not change a single finding either.
+target/release/fuzz --seed 9 --workers 1 --render-only --no-fork-server \
+    > "$FUZZDIR/render_no_fork.txt"
+cmp "$FUZZDIR/render_w1.txt" "$FUZZDIR/render_no_fork.txt" || {
+    echo "verify: fuzz render differs with the fork server disabled" >&2
     exit 1
 }
 # The known-vulnerable victim must yield the exploit-path finding ...
