@@ -67,7 +67,7 @@ use swsec_vm::trace::ExecStats;
 use swsec_vm::VmConfig;
 
 use crate::cache::{CacheStats, ProgramCache};
-use crate::experiments::{registry, Experiment};
+use crate::experiments::{registry, AnyCell, AnyExperiment};
 use crate::report::{ExperimentId, Report, Table};
 
 /// Locks a mutex, recovering the guard even if a previous holder
@@ -149,7 +149,7 @@ impl CampaignConfig {
     }
 
     /// The experiments this campaign will run, in presentation order.
-    pub fn selected(&self) -> Vec<&'static dyn Experiment> {
+    pub fn selected(&self) -> Vec<&'static dyn AnyExperiment> {
         registry()
             .iter()
             .copied()
@@ -189,7 +189,7 @@ impl CampaignCtx {
 /// How one cell ended, after containment and retry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellOutcome {
-    /// The first attempt produced the cell's tables.
+    /// The first attempt produced the cell's output.
     Ok,
     /// A later attempt succeeded after `n` failed ones. The result is
     /// used normally; the outcome flags the cell as flaky.
@@ -553,8 +553,8 @@ impl CampaignReport {
 /// What lands in a result slot once its cell resolves.
 #[derive(Debug)]
 struct SlotResult {
-    /// The cell's tables when it (eventually) succeeded.
-    tables: Option<Vec<Table>>,
+    /// The cell's output when it (eventually) succeeded.
+    output: Option<AnyCell>,
     outcome: CellOutcome,
 }
 
@@ -978,7 +978,7 @@ pub fn run_campaign_with(cfg: &CampaignConfig, telemetry: &CampaignTelemetry) ->
 /// `cfg.experiments` is ignored; everything else applies as usual.
 pub fn run_campaign_on(
     cfg: &CampaignConfig,
-    exps: &[&'static dyn Experiment],
+    exps: &[&'static dyn AnyExperiment],
     telemetry: &CampaignTelemetry,
 ) -> CampaignReport {
     let started = Instant::now();
@@ -1016,7 +1016,7 @@ pub fn run_campaign_on(
             let exp = exps[exp];
             let id = exp.id();
             let _cell = span::enter_with(SpanKind::Cell, || format!("{id} cell {cell}"));
-            Ok(exp.run_cell(&cfg, &ctx, cell))
+            Ok(exp.run_cell_boxed(&cfg, &ctx, cell))
         }
     };
     let mut slots: Vec<Option<SlotResult>> = (0..total_slots).map(|_| None).collect();
@@ -1036,9 +1036,9 @@ pub fn run_campaign_on(
         let (exp, cell) = layout[slot];
         busy[exp] += elapsed;
         cell_busy[slot] = elapsed;
-        let (tables, outcome) = match resolved {
-            Resolved::Ok(tables) => (Some(tables), CellOutcome::Ok),
-            Resolved::Retried(n, tables) => (Some(tables), CellOutcome::Retried { n }),
+        let (output, outcome) = match resolved {
+            Resolved::Ok(output) => (Some(output), CellOutcome::Ok),
+            Resolved::Retried(n, output) => (Some(output), CellOutcome::Retried { n }),
             Resolved::Failed(msg) => (None, CellOutcome::Panicked { msg }),
             Resolved::TimedOut => (None, CellOutcome::TimedOut),
         };
@@ -1057,7 +1057,7 @@ pub fn run_campaign_on(
                 }
             }
         }
-        slots[slot] = Some(SlotResult { tables, outcome });
+        slots[slot] = Some(SlotResult { output, outcome });
         completed += 1;
         if let Some(progress) = telemetry.progress.as_ref() {
             let p = CellProgress {
@@ -1085,7 +1085,7 @@ pub fn run_campaign_on(
     let mut results = slots.into_iter().zip(cell_busy);
     for (exp, &cells) in cell_counts.iter().enumerate() {
         let id = exps[exp].id();
-        let mut outputs: Vec<Vec<Table>> = Vec::with_capacity(cells);
+        let mut outputs = Vec::with_capacity(cells);
         let mut failed: Vec<CellRecord> = Vec::new();
         for cell in 0..cells {
             let (result, elapsed) = results.next().expect("one slot per cell");
@@ -1095,8 +1095,8 @@ pub fn run_campaign_on(
                 cell,
                 outcome: result.outcome,
             };
-            if let Some(tables) = result.tables {
-                outputs.push(tables);
+            if let Some(output) = result.output {
+                outputs.push(output);
             } else {
                 failed.push(record.clone());
             }
@@ -1111,7 +1111,7 @@ pub fn run_campaign_on(
         // placeholder: `assemble` is written against the full cell
         // layout and must never see partial data.
         let report = if failed.is_empty() {
-            match catch_unwind(AssertUnwindSafe(|| exps[exp].assemble(cfg, outputs))) {
+            match catch_unwind(AssertUnwindSafe(|| exps[exp].assemble_report(cfg, outputs))) {
                 Ok(report) => report,
                 Err(payload) => {
                     let msg = panic_message(payload);

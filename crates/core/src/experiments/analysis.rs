@@ -15,7 +15,9 @@ use swsec_defenses::analyzer::{analyze, Precision};
 use swsec_defenses::runtime_check::check_with_tests;
 use swsec_minc::parse;
 
-use crate::report::Table;
+use crate::campaign::{CampaignConfig, CampaignCtx};
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// One corpus program.
 #[derive(Debug, Clone)]
@@ -143,9 +145,80 @@ pub struct AnalysisReport {
     pub corpus_sizes: (usize, usize),
 }
 
-impl AnalysisReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
+/// E6 under the campaign API.
+pub struct AnalysisExperiment;
+
+impl Experiment for AnalysisExperiment {
+    type Cell = AnalysisReport;
+    type Output = AnalysisReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(6)
+    }
+
+    fn title(&self) -> &'static str {
+        "Static analysis and run-time checking"
+    }
+
+    /// Runs the E6 measurement.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> AnalysisReport {
+        let corpus = corpus();
+        let buggy_count = corpus.iter().filter(|c| c.buggy).count();
+        let clean_count = corpus.len() - buggy_count;
+
+        let score = |flagged: &dyn Fn(&CorpusEntry) -> bool| -> Detection {
+            let mut d = Detection::default();
+            for entry in &corpus {
+                let hit = flagged(entry);
+                match (entry.buggy, hit) {
+                    (true, true) => d.true_positives += 1,
+                    (true, false) => d.false_negatives += 1,
+                    (false, true) => d.false_positives += 1,
+                    (false, false) => {}
+                }
+            }
+            d
+        };
+
+        let precise = score(&|e: &CorpusEntry| {
+            let unit = parse(e.source).expect("corpus parses");
+            !analyze(&unit, Precision::Precise).is_empty()
+        });
+        let paranoid = score(&|e: &CorpusEntry| {
+            let unit = parse(e.source).expect("corpus parses");
+            !analyze(&unit, Precision::Paranoid).is_empty()
+        });
+        let runtime_with_trigger = score(&|e: &CorpusEntry| {
+            let unit = parse(e.source).expect("corpus parses");
+            let mut tests = vec![e.benign.to_vec()];
+            if !e.trigger.is_empty() || e.buggy {
+                tests.push(e.trigger.to_vec());
+            }
+            check_with_tests(&unit, &tests, 1_000_000)
+                .expect("corpus compiles")
+                .detected()
+        });
+        let runtime_benign_only = score(&|e: &CorpusEntry| {
+            let unit = parse(e.source).expect("corpus parses");
+            check_with_tests(&unit, &[e.benign.to_vec()], 1_000_000)
+                .expect("corpus compiles")
+                .detected()
+        });
+
+        AnalysisReport {
+            precise,
+            paranoid,
+            runtime_with_trigger,
+            runtime_benign_only,
+            corpus_sizes: (buggy_count, clean_count),
+        }
+    }
+
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<AnalysisReport>) -> AnalysisReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &AnalysisReport) -> Vec<Table> {
         let mut t = Table::new(
             "E6: vulnerability-introduction countermeasures on the seeded corpus",
             &["tool", "true pos", "false pos", "false neg"],
@@ -158,109 +231,27 @@ impl AnalysisReport {
                 d.false_negatives.to_string(),
             ]);
         };
-        push("static analysis (precise)", self.precise);
-        push("static analysis (paranoid)", self.paranoid);
+        push("static analysis (precise)", report.precise);
+        push("static analysis (paranoid)", report.paranoid);
         push(
             "runtime checks + triggering tests",
-            self.runtime_with_trigger,
+            report.runtime_with_trigger,
         );
         push(
             "runtime checks, benign tests only",
-            self.runtime_benign_only,
+            report.runtime_benign_only,
         );
-        t
-    }
-}
-
-/// Runs the E6 measurement.
-pub fn compute() -> AnalysisReport {
-    let corpus = corpus();
-    let buggy_count = corpus.iter().filter(|c| c.buggy).count();
-    let clean_count = corpus.len() - buggy_count;
-
-    let score = |flagged: &dyn Fn(&CorpusEntry) -> bool| -> Detection {
-        let mut d = Detection::default();
-        for entry in &corpus {
-            let hit = flagged(entry);
-            match (entry.buggy, hit) {
-                (true, true) => d.true_positives += 1,
-                (true, false) => d.false_negatives += 1,
-                (false, true) => d.false_positives += 1,
-                (false, false) => {}
-            }
-        }
-        d
-    };
-
-    let precise = score(&|e: &CorpusEntry| {
-        let unit = parse(e.source).expect("corpus parses");
-        !analyze(&unit, Precision::Precise).is_empty()
-    });
-    let paranoid = score(&|e: &CorpusEntry| {
-        let unit = parse(e.source).expect("corpus parses");
-        !analyze(&unit, Precision::Paranoid).is_empty()
-    });
-    let runtime_with_trigger = score(&|e: &CorpusEntry| {
-        let unit = parse(e.source).expect("corpus parses");
-        let mut tests = vec![e.benign.to_vec()];
-        if !e.trigger.is_empty() || e.buggy {
-            tests.push(e.trigger.to_vec());
-        }
-        check_with_tests(&unit, &tests, 1_000_000)
-            .expect("corpus compiles")
-            .detected()
-    });
-    let runtime_benign_only = score(&|e: &CorpusEntry| {
-        let unit = parse(e.source).expect("corpus parses");
-        check_with_tests(&unit, &[e.benign.to_vec()], 1_000_000)
-            .expect("corpus compiles")
-            .detected()
-    });
-
-    AnalysisReport {
-        precise,
-        paranoid,
-        runtime_with_trigger,
-        runtime_benign_only,
-        corpus_sizes: (buggy_count, clean_count),
-    }
-}
-
-/// E6 under the campaign API.
-pub struct AnalysisExperiment;
-
-impl crate::experiments::Experiment for AnalysisExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(6)
-    }
-
-    fn title(&self) -> &'static str {
-        "Static analysis and run-time checking"
-    }
-
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        vec![report.table()]
-    }
-
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
 
-    use super::compute as run;
+    fn run() -> AnalysisReport {
+        AnalysisExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn corpus_is_balanced() {
@@ -307,6 +298,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("static analysis"));
+        assert!(AnalysisExperiment
+            .report(&run())
+            .render()
+            .contains("static analysis"));
     }
 }

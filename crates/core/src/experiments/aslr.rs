@@ -8,7 +8,7 @@
 //! a single attempt.
 
 use swsec_attacks::Payload;
-use swsec_rng::{derive, stream, Rng};
+use swsec_rng::{stream, Rng};
 
 use swsec_defenses::{AslrConfig, DefenseConfig};
 
@@ -18,7 +18,7 @@ use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
 use crate::harness::{AttackTarget, ForkServer, ServeMode};
 use crate::loader::plan_options;
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 /// Result for one entropy level.
 #[derive(Debug, Clone, Copy)]
@@ -40,32 +40,6 @@ pub struct AslrTrial {
 pub struct AslrSweep {
     /// One row per entropy level.
     pub rows: Vec<AslrTrial>,
-}
-
-impl AslrSweep {
-    /// Renders the sweep.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E4: brute-forcing ASLR (return-to-libc until it lands)",
-            &[
-                "entropy bits",
-                "trials",
-                "mean attempts",
-                "expected 2^bits",
-                "leak-assisted attempts",
-            ],
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.bits.to_string(),
-                r.trials.to_string(),
-                format!("{:.1}", r.mean_attempts),
-                format!("{:.0}", r.expected),
-                r.leak_attempts.to_string(),
-            ]);
-        }
-        t
-    }
 }
 
 /// The cap keeping an unlucky campaign from running forever.
@@ -132,40 +106,6 @@ fn leak_first_attempt(bits: u8, seed: u64, cache: &ProgramCache) -> u32 {
     }
 }
 
-/// Runs the sweep sequentially. Each (level, trial) pair draws its
-/// attempt seeds from its own derived stream, so the result matches a
-/// campaign run cell for cell.
-pub fn compute(
-    bits_levels: &[u8],
-    base_trials: u32,
-    master_seed: u64,
-    cache: &ProgramCache,
-    mode: ServeMode,
-) -> AslrSweep {
-    let trials = base_trials.max(1);
-    let rows = bits_levels
-        .iter()
-        .map(|&bits| {
-            let cap = attempt_cap(bits);
-            let total: u64 = (0..trials)
-                .map(|trial| {
-                    let mut rng = stream(master_seed, &[u64::from(bits), u64::from(trial)]);
-                    brute_force_once(bits, &mut rng, cap, cache, mode)
-                })
-                .sum();
-            let leak_seed = derive(master_seed, &[u64::from(bits), u64::from(trials)]);
-            AslrTrial {
-                bits,
-                trials,
-                mean_attempts: total as f64 / f64::from(trials),
-                expected: AslrConfig::bits(bits).expected_attempts(),
-                leak_attempts: leak_first_attempt(bits, leak_seed, cache),
-            }
-        })
-        .collect();
-    AslrSweep { rows }
-}
-
 /// E4 under the campaign API: one cell per (entropy level, campaign)
 /// pair plus one leak-probe cell per level, so the expensive
 /// high-entropy brute forces spread across workers.
@@ -183,6 +123,12 @@ impl AslrExperiment {
 }
 
 impl Experiment for AslrExperiment {
+    /// The attempts one cell's attacker needed: a brute-force
+    /// campaign's count, or a level's leak probe (1 when the leak-assisted
+    /// attacker landed first try).
+    type Cell = u64;
+    type Output = AslrSweep;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::new(4)
     }
@@ -195,55 +141,65 @@ impl Experiment for AslrExperiment {
         cfg.aslr_bits_levels.len().max(1) * Self::stride(cfg)
     }
 
-    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> u64 {
         let stride = Self::stride(cfg);
         let bits = cfg.aslr_bits_levels[cell / stride];
-        let k = cell % stride;
         let seed = cfg.cell_seed(self.id(), cell);
-        let mut carrier = Table::new("cell", &["value"]);
-        if k < Self::trials(cfg) as usize {
+        if cell % stride < Self::trials(cfg) as usize {
             let mut rng = stream(seed, &[0]);
-            let attempts = brute_force_once(
+            brute_force_once(
                 bits,
                 &mut rng,
                 attempt_cap(bits),
                 &ctx.cache,
                 cfg.serve_mode(),
-            );
-            carrier.row(vec![attempts.to_string()]);
+            )
         } else {
-            carrier.row(vec![leak_first_attempt(bits, seed, &ctx.cache).to_string()]);
+            u64::from(leak_first_attempt(bits, seed, &ctx.cache))
         }
-        vec![carrier]
     }
 
-    fn assemble(&self, cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
-        let stride = Self::stride(cfg);
+    fn assemble(&self, cfg: &CampaignConfig, cells: Vec<u64>) -> AslrSweep {
         let trials = Self::trials(cfg);
         let rows = cfg
             .aslr_bits_levels
             .iter()
-            .enumerate()
-            .map(|(level, &bits)| {
-                let base = level * stride;
-                let value = |i: usize| -> u64 {
-                    cells[base + i][0].rows[0][0]
-                        .parse()
-                        .expect("numeric carrier")
-                };
-                let total: u64 = (0..trials as usize).map(&value).sum();
+            .zip(cells.chunks(Self::stride(cfg)))
+            .map(|(&bits, level)| {
+                let (campaigns, leak) = level.split_at(trials as usize);
                 AslrTrial {
                     bits,
                     trials,
-                    mean_attempts: total as f64 / f64::from(trials),
+                    mean_attempts: campaigns.iter().sum::<u64>() as f64 / f64::from(trials),
                     expected: AslrConfig::bits(bits).expected_attempts(),
-                    leak_attempts: value(trials as usize) as u32,
+                    leak_attempts: leak[0] as u32,
                 }
             })
             .collect();
-        let mut report = Report::new(self.id(), self.title());
-        report.tables.push(AslrSweep { rows }.table());
-        report
+        AslrSweep { rows }
+    }
+
+    fn tables(&self, sweep: &AslrSweep) -> Vec<Table> {
+        let mut t = Table::new(
+            "E4: brute-forcing ASLR (return-to-libc until it lands)",
+            &[
+                "entropy bits",
+                "trials",
+                "mean attempts",
+                "expected 2^bits",
+                "leak-assisted attempts",
+            ],
+        );
+        for r in &sweep.rows {
+            t.row(vec![
+                r.bits.to_string(),
+                r.trials.to_string(),
+                format!("{:.1}", r.mean_attempts),
+                format!("{:.0}", r.expected),
+                r.leak_attempts.to_string(),
+            ]);
+        }
+        vec![t]
     }
 }
 
@@ -251,26 +207,29 @@ impl Experiment for AslrExperiment {
 mod tests {
     use super::*;
 
-    fn run(bits_levels: &[u8], base_trials: u32, master_seed: u64) -> AslrSweep {
-        compute(
-            bits_levels,
-            base_trials,
+    fn config(bits_levels: &[u8], aslr_trials: u32, master_seed: u64) -> CampaignConfig {
+        CampaignConfig {
             master_seed,
-            &ProgramCache::new(),
-            ServeMode::Fork,
-        )
+            aslr_bits_levels: bits_levels.to_vec(),
+            aslr_trials,
+            ..CampaignConfig::default()
+        }
+    }
+
+    fn run(bits_levels: &[u8], aslr_trials: u32, master_seed: u64) -> AslrSweep {
+        AslrExperiment.run(&config(bits_levels, aslr_trials, master_seed))
     }
 
     #[test]
     fn fork_and_rebuild_brute_forces_agree_exactly() {
-        for mode in [ServeMode::Fork, ServeMode::Rebuild] {
-            let cache = ProgramCache::new();
-            let sweep = compute(&[2, 3], 3, 11, &cache, mode);
-            let other = compute(&[2, 3], 3, 11, &ProgramCache::new(), ServeMode::Fork);
-            for (a, b) in sweep.rows.iter().zip(&other.rows) {
-                assert_eq!(a.mean_attempts, b.mean_attempts, "{mode:?}");
-                assert_eq!(a.leak_attempts, b.leak_attempts, "{mode:?}");
-            }
+        let fork = run(&[2, 3], 3, 11);
+        let rebuilt = AslrExperiment.run(&CampaignConfig {
+            fork_server: false,
+            ..config(&[2, 3], 3, 11)
+        });
+        for (a, b) in fork.rows.iter().zip(&rebuilt.rows) {
+            assert_eq!(a.mean_attempts, b.mean_attempts);
+            assert_eq!(a.leak_attempts, b.leak_attempts);
         }
     }
 
@@ -321,19 +280,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let sweep = run(&[2], 2, 5);
-        assert!(sweep.table().to_string().contains("entropy bits"));
-    }
-
-    #[test]
-    fn campaign_cells_reproduce_the_sequential_sweep_shape() {
-        let cfg = CampaignConfig {
-            aslr_bits_levels: vec![2],
-            aslr_trials: 2,
-            ..CampaignConfig::quick()
-        };
-        let report = AslrExperiment.run(&cfg);
+        let report = AslrExperiment.report(&run(&[2], 2, 5));
         assert_eq!(report.tables.len(), 1);
+        assert!(report.tables[0].to_string().contains("entropy bits"));
         assert_eq!(report.tables[0].rows.len(), 1);
         assert_eq!(report.tables[0].rows[0][4], "1", "leak lands first try");
     }

@@ -26,7 +26,7 @@ use crate::cache::ProgramCache;
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
 use crate::harness::{AttackTarget, ForkServer, ServeMode};
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 /// Result of a byte-by-byte canary recovery campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +39,10 @@ pub struct OracleResult {
     pub attempts: u32,
     /// Whether the follow-up smash with the recovered canary landed.
     pub smash_succeeded: bool,
+    /// The canary the server installed for the last oracle query
+    /// (`None` when the budget allowed none). Under fork semantics
+    /// every query sees this one canary.
+    pub installed: Option<u32>,
 }
 
 const FILLER: usize = 52; // buf[48] + the x local, up to the canary slot
@@ -66,6 +70,7 @@ pub fn brute_force_canary_cached(
         .with_mode(mode);
     let mut known: Vec<u8> = Vec::new();
     let mut attempts = 0u32;
+    let mut installed = None;
     'bytes: for _pos in 0..4 {
         for guess in 0u16..=255 {
             if attempts >= budget {
@@ -81,6 +86,7 @@ pub fn brute_force_canary_cached(
             payload.extend_from_slice(&known);
             payload.push(guess as u8);
             let attempt = server.execute(seed, &payload).expect("attempt runs");
+            installed = attempt.canary_value;
             let crashed_on_canary = matches!(
                 attempt.outcome,
                 RunOutcome::Fault(Fault::SoftwareTrap { code, .. }) if code == trap::CANARY
@@ -118,6 +124,7 @@ pub fn brute_force_canary_cached(
         canary,
         attempts,
         smash_succeeded,
+        installed,
     }
 }
 
@@ -128,13 +135,53 @@ pub struct CanaryOracleReport {
     pub forking: OracleResult,
     /// Attack against the re-executing server.
     pub fresh: OracleResult,
-    /// The actual canary of the forking server, for verification.
-    pub actual_canary: u32,
+    /// The canary the forking server actually installed under its cell
+    /// seed, for verification.
+    pub actual_canary: Option<u32>,
 }
 
-impl CanaryOracleReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
+/// E14 under the campaign API: one cell per server model, so the two
+/// oracle campaigns run concurrently.
+pub struct CanaryOracleExperiment;
+
+impl Experiment for CanaryOracleExperiment {
+    /// One server model's recovery campaign: cell 0 the forking
+    /// server, cell 1 the re-executing one.
+    type Cell = OracleResult;
+    type Output = CanaryOracleReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(14)
+    }
+
+    fn title(&self) -> &'static str {
+        "Byte-by-byte canary brute force"
+    }
+
+    fn cells(&self, _cfg: &CampaignConfig) -> usize {
+        2
+    }
+
+    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> OracleResult {
+        brute_force_canary_cached(
+            &ctx.cache,
+            cfg.cell_seed(self.id(), cell),
+            cell == 0,
+            cfg.oracle_budget,
+            cfg.serve_mode(),
+        )
+    }
+
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<OracleResult>) -> CanaryOracleReport {
+        let (forking, fresh) = (cells[0], cells[1]);
+        CanaryOracleReport {
+            forking,
+            fresh,
+            actual_canary: forking.installed,
+        }
+    }
+
+    fn tables(&self, report: &CanaryOracleReport) -> Vec<Table> {
         let mut t = Table::new(
             "E14: byte-by-byte canary brute force via a crash oracle",
             &[
@@ -144,7 +191,11 @@ impl CanaryOracleReport {
                 "smash",
             ],
         );
-        let mut push = |name: &str, r: OracleResult| {
+        let models = [
+            ("forking (canary survives fork)", report.forking),
+            ("re-executing (fresh canary)", report.fresh),
+        ];
+        for (name, r) in models {
             t.row(vec![
                 name.to_string(),
                 if r.recovered {
@@ -160,105 +211,8 @@ impl CanaryOracleReport {
                 }
                 .to_string(),
             ]);
-        };
-        push("forking (canary survives fork)", self.forking);
-        push("re-executing (fresh canary)", self.fresh);
-        t
-    }
-}
-
-/// How one server model renders in the E14 table.
-fn oracle_row(name: &str, r: OracleResult) -> Vec<String> {
-    vec![
-        name.to_string(),
-        if r.recovered {
-            format!("yes ({:#010x})", r.canary)
-        } else {
-            "no".to_string()
-        },
-        r.attempts.to_string(),
-        if r.smash_succeeded {
-            "COMPROMISED"
-        } else {
-            "blocked"
         }
-        .to_string(),
-    ]
-}
-
-/// Runs the E14 experiment with an oracle budget per server model.
-pub fn compute(
-    seed: u64,
-    budget: u32,
-    cache: &ProgramCache,
-    mode: ServeMode,
-) -> CanaryOracleReport {
-    let mut cfg = DefenseConfig::none();
-    cfg.canary = true;
-    let actual_canary = cache
-        .launch(VICTIM_SMASH, cfg, seed)
-        .expect("compiles")
-        .canary_value
-        .expect("canary installed");
-    CanaryOracleReport {
-        forking: brute_force_canary_cached(cache, seed, true, budget, mode),
-        fresh: brute_force_canary_cached(cache, seed, false, budget, mode),
-        actual_canary,
-    }
-}
-
-/// E14 under the campaign API: one cell per server model, so the two
-/// oracle campaigns run concurrently.
-pub struct CanaryOracleExperiment;
-
-impl Experiment for CanaryOracleExperiment {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::new(14)
-    }
-
-    fn title(&self) -> &'static str {
-        "Byte-by-byte canary brute force"
-    }
-
-    fn cells(&self, _cfg: &CampaignConfig) -> usize {
-        2
-    }
-
-    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
-        let fork_semantics = cell == 0;
-        let result = brute_force_canary_cached(
-            &ctx.cache,
-            cfg.cell_seed(self.id(), cell),
-            fork_semantics,
-            cfg.oracle_budget,
-            cfg.serve_mode(),
-        );
-        let name = if fork_semantics {
-            "forking (canary survives fork)"
-        } else {
-            "re-executing (fresh canary)"
-        };
-        let mut carrier = Table::new("cell", &["model", "recovered", "queries", "smash"]);
-        carrier.row(oracle_row(name, result));
-        vec![carrier]
-    }
-
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
-        let mut t = Table::new(
-            "E14: byte-by-byte canary brute force via a crash oracle",
-            &[
-                "server model",
-                "canary recovered",
-                "oracle queries",
-                "smash",
-            ],
-        );
-        for cell in &cells {
-            t.rows.push(cell[0].rows[0].clone());
-        }
-        let mut report = Report::new(self.id(), self.title());
-        report.tables.push(t);
-        report
+        vec![t]
     }
 }
 
@@ -266,14 +220,25 @@ impl Experiment for CanaryOracleExperiment {
 mod tests {
     use super::*;
 
-    fn run(seed: u64) -> CanaryOracleReport {
-        compute(seed, 2048, &ProgramCache::new(), ServeMode::Fork)
+    fn config(master_seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            master_seed,
+            oracle_budget: 2048,
+            ..CampaignConfig::default()
+        }
+    }
+
+    fn run(master_seed: u64) -> CanaryOracleReport {
+        CanaryOracleExperiment.run(&config(master_seed))
     }
 
     #[test]
     fn fork_and_rebuild_oracles_agree_exactly() {
-        let snap = compute(31, 2048, &ProgramCache::new(), ServeMode::Fork);
-        let rebuilt = compute(31, 2048, &ProgramCache::new(), ServeMode::Rebuild);
+        let snap = run(31);
+        let rebuilt = CanaryOracleExperiment.run(&CampaignConfig {
+            fork_server: false,
+            ..config(31)
+        });
         assert_eq!(snap.forking, rebuilt.forking);
         assert_eq!(snap.fresh, rebuilt.fresh);
         assert_eq!(snap.actual_canary, rebuilt.actual_canary);
@@ -294,7 +259,7 @@ mod tests {
     fn forking_server_leaks_its_canary_byte_by_byte() {
         let r = run(31);
         assert!(r.forking.recovered);
-        assert_eq!(r.forking.canary, r.actual_canary);
+        assert_eq!(Some(r.forking.canary), r.actual_canary);
         // At most 4 × 256 queries, enormously less than 2^32.
         assert!(r.forking.attempts <= 1024, "{}", r.forking.attempts);
         assert!(r.forking.smash_succeeded);
@@ -312,6 +277,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run(31).table().to_string().contains("forking"));
+        assert!(CanaryOracleExperiment
+            .report(&run(31))
+            .render()
+            .contains("forking"));
     }
 }

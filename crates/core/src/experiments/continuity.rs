@@ -13,7 +13,9 @@ use swsec_pma::{
     UntrustedStore,
 };
 
-use crate::report::Table;
+use crate::campaign::{CampaignConfig, CampaignCtx};
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// A pure-Rust model of the Figure 2 module logic, used as the
 /// stateful payload of the continuity schemes. (The in-VM version of
@@ -334,14 +336,52 @@ pub struct ContinuityReport {
     pub tamper: Vec<TamperResult>,
 }
 
-impl ContinuityReport {
-    /// Renders the report.
-    pub fn tables(&self) -> Vec<Table> {
+/// E11 under the campaign API.
+pub struct ContinuityExperiment;
+
+impl Experiment for ContinuityExperiment {
+    type Cell = ContinuityReport;
+    type Output = ContinuityReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(11)
+    }
+
+    fn title(&self) -> &'static str {
+        "State continuity and rollback"
+    }
+
+    /// Runs the E11 experiment.
+    fn run_cell(
+        &self,
+        _cfg: &CampaignConfig,
+        _ctx: &CampaignCtx,
+        _cell: usize,
+    ) -> ContinuityReport {
+        let pin = 73;
+        let space = 100;
+        let rollback = Scheme::ALL
+            .iter()
+            .map(|&s| (s, rollback_brute_force(s, pin, space)))
+            .collect();
+        let liveness = Scheme::ALL.iter().map(|&s| (s, liveness(s))).collect();
+        ContinuityReport {
+            rollback,
+            liveness,
+            tamper: tamper_classification(),
+        }
+    }
+
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<ContinuityReport>) -> ContinuityReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &ContinuityReport) -> Vec<Table> {
         let mut rb = Table::new(
             "E11a: rollback brute force against the PIN vault",
             &["scheme", "PIN recovered", "guesses", "stopped by freshness"],
         );
-        for (s, r) in &self.rollback {
+        for (s, r) in &report.rollback {
             rb.row(vec![
                 s.label().to_string(),
                 r.found.to_string(),
@@ -353,7 +393,7 @@ impl ContinuityReport {
             "E11b: crash injection during save (liveness)",
             &["scheme", "crash point", "recovery"],
         );
-        for (s, l) in &self.liveness {
+        for (s, l) in &report.liveness {
             for (point, _, desc) in &l.outcomes {
                 lv.row(vec![
                     s.label().to_string(),
@@ -366,64 +406,20 @@ impl ContinuityReport {
             "E11c: tamper classification (two-phase scheme)",
             &["storage tampering", "load verdict"],
         );
-        for t in &self.tamper {
+        for t in &report.tamper {
             tp.row(vec![t.action.to_string(), t.verdict.clone()]);
         }
         vec![rb, lv, tp]
     }
 }
 
-/// Runs the E11 experiment.
-pub fn compute() -> ContinuityReport {
-    let pin = 73;
-    let space = 100;
-    let rollback = Scheme::ALL
-        .iter()
-        .map(|&s| (s, rollback_brute_force(s, pin, space)))
-        .collect();
-    let liveness = Scheme::ALL.iter().map(|&s| (s, liveness(s))).collect();
-    ContinuityReport {
-        rollback,
-        liveness,
-        tamper: tamper_classification(),
-    }
-}
-
-/// E11 under the campaign API.
-pub struct ContinuityExperiment;
-
-impl crate::experiments::Experiment for ContinuityExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(11)
-    }
-
-    fn title(&self) -> &'static str {
-        "State continuity and rollback"
-    }
-
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        report.tables()
-    }
-
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::compute as run;
     use super::*;
+
+    fn run() -> ContinuityReport {
+        ContinuityExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn vault_roundtrips() {
@@ -489,7 +485,7 @@ mod tests {
 
     #[test]
     fn report_tables_render() {
-        let tables = run().tables();
+        let tables = ContinuityExperiment.tables(&run());
         assert_eq!(tables.len(), 3);
         assert!(tables[0].to_string().contains("naive sealing"));
         assert!(tables[1].to_string().contains("BRICKED"));

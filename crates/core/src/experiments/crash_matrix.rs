@@ -30,7 +30,7 @@ use swsec_vm::mem::Perm;
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
 use crate::faults::{crash_point_label, FaultPlan, CRASH_POINTS};
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 /// Number of crash cells: every crash point × both target slots.
 const CRASH_CELLS: usize = CRASH_POINTS.len() * 2;
@@ -62,7 +62,7 @@ fn setup(plan: &FaultPlan) -> (Platform, TwoPhaseContinuity, UntrustedStore) {
     (platform, scheme, UntrustedStore::new())
 }
 
-fn crash_cell(plan: &FaultPlan, cell: usize) -> Table {
+fn crash_cell(plan: &FaultPlan, cell: usize) -> Vec<String> {
     let point = CRASH_POINTS[cell / 2];
     let target_a = cell.is_multiple_of(2);
     // Even sequences go to slot A, odd to slot B: run enough completed
@@ -112,8 +112,7 @@ fn crash_cell(plan: &FaultPlan, cell: usize) -> Table {
         other => panic!("rollback replay not detected at {point:?}: {other:?}"),
     };
 
-    let mut t = Table::new("crash", &CRASH_HEADERS);
-    t.row(vec![
+    vec![
         crash_point_label(point).to_string(),
         if target_a { "slot A" } else { "slot B" }.to_string(),
         // AfterBump never interrupts two-phase (the bump is the last
@@ -121,8 +120,7 @@ fn crash_cell(plan: &FaultPlan, cell: usize) -> Table {
         if finished { "completed" } else { "interrupted" }.to_string(),
         recovered.to_string(),
         replay.to_string(),
-    ]);
-    t
+    ]
 }
 
 fn tamper_verdict(result: Result<Vec<u8>, ContinuityError>, current: &[u8]) -> String {
@@ -139,14 +137,14 @@ fn tamper_verdict(result: Result<Vec<u8>, ContinuityError>, current: &[u8]) -> S
     }
 }
 
-fn tamper_cell(plan: &FaultPlan) -> Table {
+fn tamper_cell(plan: &FaultPlan) -> Vec<Vec<String>> {
     let (mut platform, mut scheme, mut store) = setup(plan);
     assert!(scheme.save(&mut platform, &mut store, &state_bytes(1), CrashPoint::None));
     assert!(scheme.save(&mut platform, &mut store, &state_bytes(2), CrashPoint::None));
     // Sequence 2 (even) is current and lives in slot A (0); sequence 1
     // is stale in slot B (1).
     let current = state_bytes(2);
-    let mut t = Table::new("tamper", &TAMPER_HEADERS);
+    let mut rows = Vec::new();
     let scenarios: [(&str, &[u32]); 3] = [
         ("current (slot A)", &[0]),
         ("stale (slot B)", &[1]),
@@ -163,13 +161,13 @@ fn tamper_cell(plan: &FaultPlan) -> Table {
             flips.push(format!("slot {slot} byte {byte} bit {bit}"));
         }
         let verdict = tamper_verdict(scheme.load(&mut platform, &tampered), &current);
-        t.row(vec![label.to_string(), flips.join(", "), verdict]);
+        rows.push(vec![label.to_string(), flips.join(", "), verdict]);
     }
     // The expected classifications, asserted (not just reported):
-    assert!(t.rows[0][2].starts_with("Stale (found seq 1"));
-    assert_eq!(t.rows[1][2], "recovered current state");
-    assert!(t.rows[2][2].starts_with("Corrupt"));
-    t
+    assert!(rows[0][2].starts_with("Stale (found seq 1"));
+    assert_eq!(rows[1][2], "recovered current state");
+    assert!(rows[2][2].starts_with("Corrupt"));
+    rows
 }
 
 const CODE_BASE: u32 = 0x1000;
@@ -271,7 +269,7 @@ impl ChecksumGuest {
     }
 }
 
-fn vm_flip_cell(plan: &FaultPlan) -> Table {
+fn vm_flip_cell(plan: &FaultPlan) -> Vec<String> {
     let mut page = vec![0u8; PAGE_LEN];
     plan.fill(&mut page, &[0]);
 
@@ -306,20 +304,33 @@ fn vm_flip_cell(plan: &FaultPlan) -> Table {
         "sealed reference pinpoints the flipped byte"
     );
 
-    let mut t = Table::new("vmflip", &VM_HEADERS);
-    t.row(vec![
+    vec![
         format!("{PAGE_LEN} B at {PAGE_BASE:#x}"),
         format!("byte {byte} bit {bit}"),
         format!("{clean_sum:#04x} -> {tampered_sum:#04x} (fault observed)"),
         format!("mismatch at byte {detected} (fault located)"),
-    ]);
-    t
+    ]
+}
+
+/// The E16 tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrashMatrix {
+    /// E16a: one row per crash point × target slot.
+    pub crash: Table,
+    /// E16b: one row per sealed-blob tampering scenario.
+    pub tamper: Table,
+    /// E16c: the VM data-page bit flip.
+    pub vmflip: Table,
 }
 
 /// The E16 driver.
 pub struct CrashMatrixExperiment;
 
 impl Experiment for CrashMatrixExperiment {
+    /// The rows one cell adds to its table.
+    type Cell = Vec<Vec<String>>;
+    type Output = CrashMatrix;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::new(16)
     }
@@ -332,38 +343,42 @@ impl Experiment for CrashMatrixExperiment {
         CRASH_CELLS + 2
     }
 
-    fn run_cell(&self, cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> Vec<Vec<String>> {
         let plan = FaultPlan::new(cfg.cell_seed(self.id(), cell));
-        let table = match cell {
-            c if c < CRASH_CELLS => crash_cell(&plan, c),
+        match cell {
+            c if c < CRASH_CELLS => vec![crash_cell(&plan, c)],
             TAMPER_CELL => tamper_cell(&plan),
-            VM_FLIP_CELL => vm_flip_cell(&plan),
+            VM_FLIP_CELL => vec![vm_flip_cell(&plan)],
             other => unreachable!("E16 has {} cells, got {other}", CRASH_CELLS + 2),
-        };
-        vec![table]
+        }
     }
 
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
-        let mut crash = Table::new(
-            "E16a — two-phase save: crash point × target slot",
-            &CRASH_HEADERS,
-        );
-        let mut tamper = Table::new("E16b — sealed-blob bit flips", &TAMPER_HEADERS);
-        let mut vmflip = Table::new("E16c — VM data-page bit flip", &VM_HEADERS);
-        for tables in cells {
-            for t in tables {
-                let dest = match t.title.as_str() {
-                    "crash" => &mut crash,
-                    "tamper" => &mut tamper,
-                    "vmflip" => &mut vmflip,
-                    other => unreachable!("unknown carrier table {other:?}"),
-                };
-                dest.rows.extend(t.rows);
-            }
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Vec<String>>>) -> CrashMatrix {
+        let table = |title: &str, headers: &[&str], cells: &[Vec<Vec<String>>]| Table {
+            rows: cells.concat(),
+            ..Table::new(title, headers)
+        };
+        CrashMatrix {
+            crash: table(
+                "E16a — two-phase save: crash point × target slot",
+                &CRASH_HEADERS,
+                &cells[..TAMPER_CELL],
+            ),
+            tamper: table(
+                "E16b — sealed-blob bit flips",
+                &TAMPER_HEADERS,
+                &cells[TAMPER_CELL..VM_FLIP_CELL],
+            ),
+            vmflip: table(
+                "E16c — VM data-page bit flip",
+                &VM_HEADERS,
+                &cells[VM_FLIP_CELL..],
+            ),
         }
-        let mut report = Report::new(self.id(), self.title());
-        report.tables = vec![crash, tamper, vmflip];
-        report
+    }
+
+    fn tables(&self, m: &CrashMatrix) -> Vec<Table> {
+        vec![m.crash.clone(), m.tamper.clone(), m.vmflip.clone()]
     }
 }
 
@@ -375,9 +390,9 @@ mod tests {
     #[test]
     fn covers_every_crash_point_and_slot() {
         let cfg = CampaignConfig::default();
-        let report = CrashMatrixExperiment.run(&cfg);
-        assert_eq!(report.tables.len(), 3);
-        let crash = &report.tables[0];
+        let m = CrashMatrixExperiment.run(&cfg);
+        assert_eq!(CrashMatrixExperiment.report(&m).tables.len(), 3);
+        let crash = &m.crash;
         assert_eq!(crash.rows.len(), CRASH_CELLS);
         for point in CRASH_POINTS {
             for slot in ["slot A", "slot B"] {
@@ -405,7 +420,7 @@ mod tests {
         other.master_seed ^= 0xDEAD_BEEF;
         let c = CrashMatrixExperiment.run(&other);
         // Fault positions move with the seed (verdicts stay the same).
-        assert_ne!(a.tables[2], c.tables[2]);
+        assert_ne!(a.vmflip, c.vmflip);
     }
 
     #[test]

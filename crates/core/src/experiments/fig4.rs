@@ -23,7 +23,9 @@ use swsec_vm::isa::{trap, Instr};
 use swsec_vm::mem::Perm;
 use swsec_vm::policy::ReentryPolicy;
 
-use crate::report::Table;
+use crate::campaign::{CampaignConfig, CampaignCtx};
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 const MODULE_CODE_BASE: u32 = 0x0a00_0000;
 const MODULE_DATA_BASE: u32 = 0x0a10_0000;
@@ -336,14 +338,66 @@ pub struct Fig4Report {
     pub pin: u32,
 }
 
-impl Fig4Report {
-    /// Renders the report.
-    pub fn tables(&self) -> Vec<Table> {
+/// E9 under the campaign API.
+pub struct Fig4Experiment;
+
+impl Experiment for Fig4Experiment {
+    type Cell = Fig4Report;
+    type Output = Fig4Report;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(9)
+    }
+
+    fn title(&self) -> &'static str {
+        "Figure 4: secure compilation"
+    }
+
+    /// Runs the E9 experiment with a small PIN space.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> Fig4Report {
+        let pin = 57;
+        let space = 100;
+        let naive = build_module(pin, false);
+        let secure = build_module(pin, true);
+
+        let mut calls = Vec::new();
+        // Legitimate use, correct PIN.
+        let (o, t) = single_call(&naive, FnPtrChoice::HonestGetPin, pin);
+        calls.push(("naive", "honest get_pin, right PIN", o.to_string(), t));
+        let (o, t) = single_call(&secure, FnPtrChoice::HonestGetPin, pin);
+        calls.push(("secure", "honest get_pin, right PIN", o.to_string(), t));
+        // Legitimate use, wrong PIN.
+        let (o, t) = single_call(&naive, FnPtrChoice::HonestGetPin, pin + 1);
+        calls.push(("naive", "honest get_pin, wrong PIN", o.to_string(), t));
+        // The attack.
+        let (o, t) = single_call(&naive, FnPtrChoice::ResetGadget, 0);
+        calls.push(("naive", "ATTACK: interior pointer", o.to_string(), t));
+        let (o, t) = single_call(&secure, FnPtrChoice::ResetGadget, 0);
+        calls.push(("secure", "ATTACK: interior pointer", o.to_string(), t));
+
+        let honest_brute = brute_force(&build_module(pin, false), space, false);
+        let naive_brute = brute_force(&build_module(pin, false), space, true);
+        let secure_brute = brute_force(&build_module(pin, true), space, true);
+
+        Fig4Report {
+            calls,
+            honest_brute,
+            naive_brute,
+            secure_brute,
+            pin,
+        }
+    }
+
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Fig4Report>) -> Fig4Report {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &Fig4Report) -> Vec<Table> {
         let mut calls = Table::new(
             "E9a: Figure 4 function-pointer calls into the module",
             &["compilation", "call", "outcome", "tries_left after"],
         );
-        for (compilation, scenario, outcome, tries) in &self.calls {
+        for (compilation, scenario, outcome, tries) in &report.calls {
             calls.row(vec![
                 compilation.to_string(),
                 scenario.to_string(),
@@ -363,83 +417,20 @@ impl Fig4Report {
                 b.trapped.to_string(),
             ]);
         };
-        push("honest client, no reset", self.honest_brute);
-        push("attack on naive compilation", self.naive_brute);
-        push("attack on secure compilation", self.secure_brute);
+        push("honest client, no reset", report.honest_brute);
+        push("attack on naive compilation", report.naive_brute);
+        push("attack on secure compilation", report.secure_brute);
         vec![calls, brute]
-    }
-}
-
-/// Runs the E9 experiment with a small PIN space.
-pub fn compute() -> Fig4Report {
-    let pin = 57;
-    let space = 100;
-    let naive = build_module(pin, false);
-    let secure = build_module(pin, true);
-
-    let mut calls = Vec::new();
-    // Legitimate use, correct PIN.
-    let (o, t) = single_call(&naive, FnPtrChoice::HonestGetPin, pin);
-    calls.push(("naive", "honest get_pin, right PIN", o.to_string(), t));
-    let (o, t) = single_call(&secure, FnPtrChoice::HonestGetPin, pin);
-    calls.push(("secure", "honest get_pin, right PIN", o.to_string(), t));
-    // Legitimate use, wrong PIN.
-    let (o, t) = single_call(&naive, FnPtrChoice::HonestGetPin, pin + 1);
-    calls.push(("naive", "honest get_pin, wrong PIN", o.to_string(), t));
-    // The attack.
-    let (o, t) = single_call(&naive, FnPtrChoice::ResetGadget, 0);
-    calls.push(("naive", "ATTACK: interior pointer", o.to_string(), t));
-    let (o, t) = single_call(&secure, FnPtrChoice::ResetGadget, 0);
-    calls.push(("secure", "ATTACK: interior pointer", o.to_string(), t));
-
-    let honest_brute = brute_force(&build_module(pin, false), space, false);
-    let naive_brute = brute_force(&build_module(pin, false), space, true);
-    let secure_brute = brute_force(&build_module(pin, true), space, true);
-
-    Fig4Report {
-        calls,
-        honest_brute,
-        naive_brute,
-        secure_brute,
-        pin,
-    }
-}
-
-/// E9 under the campaign API.
-pub struct Fig4Experiment;
-
-impl crate::experiments::Experiment for Fig4Experiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(9)
-    }
-
-    fn title(&self) -> &'static str {
-        "Figure 4: secure compilation"
-    }
-
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        report.tables()
-    }
-
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::compute as run;
     use super::*;
+
+    fn run() -> Fig4Report {
+        Fig4Experiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn legitimate_calls_work_on_both_compilations() {
@@ -505,7 +496,7 @@ mod tests {
 
     #[test]
     fn report_tables_render() {
-        let tables = run().tables();
+        let tables = Fig4Experiment.tables(&run());
         assert_eq!(tables.len(), 2);
         assert!(tables[1].to_string().contains("reset"));
     }

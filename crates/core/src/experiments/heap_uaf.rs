@@ -25,7 +25,9 @@ use swsec_minc::interp::{self, InterpOutcome};
 use swsec_minc::{compile, parse, CompileOptions, HardenOptions};
 use swsec_vm::cpu::Machine;
 
-use crate::report::Table;
+use crate::campaign::{CampaignConfig, CampaignCtx};
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// The use-after-free victim.
 pub const VICTIM_UAF: &str = "\
@@ -61,30 +63,6 @@ pub struct UafReport {
     pub source_verdict: String,
 }
 
-impl UafReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E15: use-after-free vs the allocator (explicit temporal vulnerability)",
-            &["allocator", "input", "machine output", "attack"],
-        );
-        for trial in &self.trials {
-            t.row(vec![
-                trial.allocator.to_string(),
-                trial.input.to_string(),
-                trial.output.clone(),
-                if trial.compromised {
-                    "COMPROMISED"
-                } else {
-                    "blocked"
-                }
-                .to_string(),
-            ]);
-        }
-        t
-    }
-}
-
 fn run_victim(quarantine: bool, input: &[u8]) -> String {
     let unit = parse(VICTIM_UAF).expect("victim parses");
     let opts = CompileOptions {
@@ -102,70 +80,83 @@ fn run_victim(quarantine: bool, input: &[u8]) -> String {
     String::from_utf8_lossy(m.io().output(1)).into_owned()
 }
 
-/// Runs the E15 experiment.
-pub fn compute() -> UafReport {
-    let benign = vec![0u8; 16];
-    let attack = vec![0xFFu8; 16];
-    let mut trials = Vec::new();
-    for (quarantine, allocator) in [(false, "classic (LIFO reuse)"), (true, "quarantine")] {
-        for (input, name) in [(&benign, "benign (zeros)"), (&attack, "attack (0xFF…)")] {
-            let output = run_victim(quarantine, input);
-            let compromised = output == "ADMIN";
-            trials.push(UafTrial {
-                allocator,
-                input: name,
-                output,
-                compromised,
-            });
-        }
-    }
-    let unit = parse(VICTIM_UAF).expect("victim parses");
-    let reference = interp::run(&unit, &[(0, attack)], 1_000_000);
-    let source_verdict = match reference.outcome {
-        InterpOutcome::Trap(v) => v.message,
-        other => format!("{other:?}"),
-    };
-    UafReport {
-        trials,
-        source_verdict,
-    }
-}
-
 /// E15 under the campaign API.
 pub struct HeapUafExperiment;
 
-impl crate::experiments::Experiment for HeapUafExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(15)
+impl Experiment for HeapUafExperiment {
+    type Cell = UafReport;
+    type Output = UafReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(15)
     }
 
     fn title(&self) -> &'static str {
         "Use-after-free and heap quarantine"
     }
 
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        vec![report.table()]
+    /// Runs the E15 experiment.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> UafReport {
+        let benign = vec![0u8; 16];
+        let attack = vec![0xFFu8; 16];
+        let mut trials = Vec::new();
+        for (quarantine, allocator) in [(false, "classic (LIFO reuse)"), (true, "quarantine")] {
+            for (input, name) in [(&benign, "benign (zeros)"), (&attack, "attack (0xFF…)")] {
+                let output = run_victim(quarantine, input);
+                let compromised = output == "ADMIN";
+                trials.push(UafTrial {
+                    allocator,
+                    input: name,
+                    output,
+                    compromised,
+                });
+            }
+        }
+        let unit = parse(VICTIM_UAF).expect("victim parses");
+        let reference = interp::run(&unit, &[(0, attack)], 1_000_000);
+        let source_verdict = match reference.outcome {
+            InterpOutcome::Trap(v) => v.message,
+            other => format!("{other:?}"),
+        };
+        UafReport {
+            trials,
+            source_verdict,
+        }
     }
 
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<UafReport>) -> UafReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &UafReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E15: use-after-free vs the allocator (explicit temporal vulnerability)",
+            &["allocator", "input", "machine output", "attack"],
+        );
+        for trial in &report.trials {
+            t.row(vec![
+                trial.allocator.to_string(),
+                trial.input.to_string(),
+                trial.output.clone(),
+                if trial.compromised {
+                    "COMPROMISED"
+                } else {
+                    "blocked"
+                }
+                .to_string(),
+            ]);
+        }
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
 
-    use super::compute as run;
+    fn run() -> UafReport {
+        HeapUafExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn classic_allocator_is_exploitable() {
@@ -210,6 +201,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("quarantine"));
+        assert!(HeapUafExperiment
+            .report(&run())
+            .render()
+            .contains("quarantine"));
     }
 }

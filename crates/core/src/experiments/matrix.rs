@@ -10,15 +10,14 @@
 use swsec_defenses::DefenseConfig;
 
 use crate::attacker::{run_technique_cached, AttackOutcome, Technique};
-use crate::cache::ProgramCache;
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 const TITLE: &str = "E3: attack techniques × deployed countermeasures";
 
 /// How one matrix cell renders.
-pub(crate) fn outcome_cell(o: &AttackOutcome) -> String {
+fn outcome_cell(o: &AttackOutcome) -> String {
     if o.succeeded() {
         "COMPROMISED".to_string()
     } else {
@@ -89,44 +88,6 @@ impl Matrix {
             })
             .collect()
     }
-
-    /// Renders the matrix.
-    pub fn table(&self) -> Table {
-        let mut headers = vec!["technique".to_string()];
-        headers.extend(self.configs.iter().map(|c| c.label()));
-        let mut table = Table {
-            title: TITLE.into(),
-            headers,
-            rows: Vec::new(),
-        };
-        for (t, outcomes) in &self.rows {
-            let mut row = vec![t.label().to_string()];
-            row.extend(outcomes.iter().map(outcome_cell));
-            table.rows.push(row);
-        }
-        table
-    }
-}
-
-/// Runs the full matrix with the given victim-launch seed, compiling
-/// each victim/configuration pair through `cache` exactly once.
-pub fn compute(seed: u64, cache: &ProgramCache) -> Matrix {
-    let configs = standard_configs();
-    let rows = Technique::ALL
-        .iter()
-        .map(|&t| {
-            let outcomes = configs
-                .iter()
-                .map(|&c| {
-                    run_technique_cached(t, c, seed, cache)
-                        .expect("built-in victims compile")
-                        .outcome
-                })
-                .collect();
-            (t, outcomes)
-        })
-        .collect();
-    Matrix { configs, rows }
 }
 
 /// E3 under the campaign API: one cell per technique × configuration
@@ -134,6 +95,10 @@ pub fn compute(seed: u64, cache: &ProgramCache) -> Matrix {
 pub struct MatrixExperiment;
 
 impl Experiment for MatrixExperiment {
+    /// The outcome of one technique against one configuration.
+    type Cell = AttackOutcome;
+    type Output = Matrix;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::new(3)
     }
@@ -146,41 +111,44 @@ impl Experiment for MatrixExperiment {
         Technique::ALL.len() * standard_configs().len()
     }
 
-    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> AttackOutcome {
         let configs = standard_configs();
         let technique = Technique::ALL[cell / configs.len()];
         let config = configs[cell % configs.len()];
-        let result = run_technique_cached(
+        run_technique_cached(
             technique,
             config,
             cfg.cell_seed(self.id(), cell),
             &ctx.cache,
         )
-        .expect("built-in victims compile");
-        let mut carrier = Table::new("cell", &["outcome"]);
-        carrier.row(vec![outcome_cell(&result.outcome)]);
-        vec![carrier]
+        .expect("built-in victims compile")
+        .outcome
     }
 
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<AttackOutcome>) -> Matrix {
         let configs = standard_configs();
+        let mut cells = cells.into_iter();
+        let rows = Technique::ALL
+            .iter()
+            .map(|&t| (t, cells.by_ref().take(configs.len()).collect()))
+            .collect();
+        Matrix { configs, rows }
+    }
+
+    fn tables(&self, matrix: &Matrix) -> Vec<Table> {
         let mut headers = vec!["technique".to_string()];
-        headers.extend(configs.iter().map(|c| c.label()));
+        headers.extend(matrix.configs.iter().map(|c| c.label()));
         let mut table = Table {
             title: TITLE.into(),
             headers,
             rows: Vec::new(),
         };
-        for (ti, t) in Technique::ALL.iter().enumerate() {
+        for (t, outcomes) in &matrix.rows {
             let mut row = vec![t.label().to_string()];
-            for ci in 0..configs.len() {
-                row.push(cells[ti * configs.len() + ci][0].rows[0][0].clone());
-            }
+            row.extend(outcomes.iter().map(outcome_cell));
             table.rows.push(row);
         }
-        let mut report = Report::new(self.id(), self.title());
-        report.tables.push(table);
-        report
+        vec![table]
     }
 }
 
@@ -188,8 +156,11 @@ impl Experiment for MatrixExperiment {
 mod tests {
     use super::*;
 
-    fn run(seed: u64) -> Matrix {
-        compute(seed, &ProgramCache::new())
+    fn run(master_seed: u64) -> Matrix {
+        MatrixExperiment.run(&CampaignConfig {
+            master_seed,
+            ..CampaignConfig::default()
+        })
     }
 
     #[test]
@@ -237,7 +208,7 @@ mod tests {
     #[test]
     fn table_renders_with_all_columns() {
         let m = run(42);
-        let t = m.table();
+        let t = &MatrixExperiment.tables(&m)[0];
         assert_eq!(t.headers.len(), 9);
         assert_eq!(t.rows.len(), 7);
     }

@@ -20,6 +20,8 @@
 //! | [`heap_uaf`] | E15 — use-after-free and heap quarantine |
 //! | [`crash_matrix`] | E16 — crash/fault matrix vs state continuity |
 
+use std::any::Any;
+
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::report::{ExperimentId, Report, Table};
 
@@ -28,16 +30,26 @@ use crate::report::{ExperimentId, Report, Table};
 /// An experiment decomposes into `cells()` independent units of work;
 /// [`run_cell`](Experiment::run_cell) executes one — depending only on
 /// the configuration, the shared context and the cell index, never on
-/// execution order — and [`assemble`](Experiment::assemble) folds the
-/// outputs (in cell order) into the final [`Report`]. Single-shot
+/// execution order — and returns its typed
+/// [`Cell`](Experiment::Cell). [`assemble`](Experiment::assemble)
+/// folds the cells (in cell order) into the typed
+/// [`Output`](Experiment::Output) that tests and examples read, and
+/// [`tables`](Experiment::tables) renders that output. Single-cell
 /// experiments have one cell; grids like the E3 matrix expose one cell
 /// per grid point so the campaign runner can spread them across
 /// workers.
 ///
-/// Cell outputs travel as `Vec<Table>`: either the finished tables
-/// (single-cell experiments) or small carrier tables `assemble`
-/// pivots into the final shape.
+/// There is one path per experiment: [`run`](Experiment::run) drives
+/// the same `run_cell`/`assemble` sequentially that the campaign
+/// drives on its workers, so an assertion on `run`'s output checks
+/// what the campaign renders. The registry and the campaign hold
+/// experiments as [`AnyExperiment`] trait objects.
 pub trait Experiment: Sync {
+    /// What one cell produces.
+    type Cell: Send + 'static;
+    /// The assembled result.
+    type Output;
+
     /// Which experiment this is.
     fn id(&self) -> ExperimentId;
 
@@ -52,30 +64,100 @@ pub trait Experiment: Sync {
     /// Runs cell `cell`. Must be a pure function of
     /// `(cfg, cell)` plus the derived seed
     /// [`CampaignConfig::cell_seed`]`(self.id(), cell)`.
-    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Vec<Table>;
+    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Self::Cell;
 
-    /// Folds the cell outputs (cell order) into the report.
-    fn assemble(&self, cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report;
+    /// Folds the cells (cell order) into the output.
+    fn assemble(&self, cfg: &CampaignConfig, cells: Vec<Self::Cell>) -> Self::Output;
+
+    /// Renders the output as the report's tables.
+    fn tables(&self, out: &Self::Output) -> Vec<Table>;
+
+    /// The report of `out`: this experiment's id, title and tables.
+    fn report(&self, out: &Self::Output) -> Report {
+        Report {
+            id: self.id(),
+            title: self.title().to_string(),
+            tables: self.tables(out),
+        }
+    }
 
     /// Runs the whole experiment sequentially: the uniform entry point
     /// for callers that do not need the campaign pool.
-    fn run(&self, cfg: &CampaignConfig) -> Report {
+    fn run(&self, cfg: &CampaignConfig) -> Self::Output {
         self.run_with(cfg, &CampaignCtx::new())
     }
 
     /// Like [`run`](Experiment::run), sharing the caller's context
-    /// (and hence compile cache).
-    fn run_with(&self, cfg: &CampaignConfig, ctx: &CampaignCtx) -> Report {
-        let cells = (0..self.cells(cfg))
+    /// (and hence compile cache). Lays out cells as the campaign does.
+    fn run_with(&self, cfg: &CampaignConfig, ctx: &CampaignCtx) -> Self::Output {
+        let cells = (0..self.cells(cfg).max(1))
             .map(|cell| self.run_cell(cfg, ctx, cell))
             .collect();
         self.assemble(cfg, cells)
     }
 }
 
+/// A cell output with its type erased, as the campaign runner holds it.
+pub type AnyCell = Box<dyn Any + Send>;
+
+/// An [`Experiment`] with its cell and output types erased: what the
+/// registry and the campaign runner hold. Implemented for every
+/// `Experiment`; that impl is the only place a cell is boxed.
+pub trait AnyExperiment: Sync {
+    /// [`Experiment::id`].
+    fn id(&self) -> ExperimentId;
+
+    /// [`Experiment::title`].
+    fn title(&self) -> &'static str;
+
+    /// [`Experiment::cells`].
+    fn cells(&self, cfg: &CampaignConfig) -> usize;
+
+    /// [`Experiment::run_cell`], boxed.
+    fn run_cell_boxed(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> AnyCell;
+
+    /// [`Experiment::assemble`] over cells from
+    /// [`run_cell_boxed`](AnyExperiment::run_cell_boxed), rendered by
+    /// [`Experiment::report`].
+    fn assemble_report(&self, cfg: &CampaignConfig, cells: Vec<AnyCell>) -> Report;
+
+    /// [`Experiment::run_with`], rendered by [`Experiment::report`].
+    fn run_report(&self, cfg: &CampaignConfig, ctx: &CampaignCtx) -> Report;
+}
+
+impl<E: Experiment> AnyExperiment for E {
+    fn id(&self) -> ExperimentId {
+        Experiment::id(self)
+    }
+
+    fn title(&self) -> &'static str {
+        Experiment::title(self)
+    }
+
+    fn cells(&self, cfg: &CampaignConfig) -> usize {
+        Experiment::cells(self, cfg)
+    }
+
+    fn run_cell_boxed(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> AnyCell {
+        Box::new(self.run_cell(cfg, ctx, cell))
+    }
+
+    fn assemble_report(&self, cfg: &CampaignConfig, cells: Vec<AnyCell>) -> Report {
+        let cells = cells
+            .into_iter()
+            .map(|cell| *cell.downcast::<E::Cell>().expect("own cell"))
+            .collect();
+        self.report(&self.assemble(cfg, cells))
+    }
+
+    fn run_report(&self, cfg: &CampaignConfig, ctx: &CampaignCtx) -> Report {
+        self.report(&self.run_with(cfg, ctx))
+    }
+}
+
 /// Every experiment, in presentation order E1–E16.
-pub fn registry() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 16] = [
+pub fn registry() -> &'static [&'static dyn AnyExperiment] {
+    static REGISTRY: [&dyn AnyExperiment; 16] = [
         &fig1::Fig1Experiment,
         &catalogue::CatalogueExperiment,
         &matrix::MatrixExperiment,
@@ -96,12 +178,9 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
     &REGISTRY
 }
 
-/// Shorthand: wraps already-final tables from a single-cell experiment
-/// into its report.
-fn single_cell_report(id: ExperimentId, title: &str, mut cells: Vec<Vec<Table>>) -> Report {
-    let mut report = Report::new(id, title);
-    report.tables = cells.swap_remove(0);
-    report
+/// The output of a single-cell experiment: its one cell.
+fn only_cell<T>(mut cells: Vec<T>) -> T {
+    cells.swap_remove(0)
 }
 
 pub mod analysis;

@@ -11,7 +11,7 @@ use swsec_minc::{parse, HardenOptions};
 
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 /// The benchmark workloads: compute-heavy MinC programs exercising
 /// calls, array traffic and byte scanning.
@@ -77,30 +77,6 @@ pub struct OverheadReport {
 }
 
 impl OverheadReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E5: instruction-count overhead of compiler countermeasures",
-            &[
-                "workload",
-                "baseline instrs",
-                "canary",
-                "bounds checks",
-                "both",
-            ],
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.workload.to_string(),
-                r.baseline.to_string(),
-                format!("{:+.1}%", r.canary * 100.0),
-                format!("{:+.1}%", r.bounds * 100.0),
-                format!("{:+.1}%", r.both * 100.0),
-            ]);
-        }
-        t
-    }
-
     /// Mean overhead across workloads for (canary, bounds).
     pub fn means(&self) -> (f64, f64) {
         let n = self.rows.len() as f64;
@@ -134,19 +110,13 @@ fn measure_workload(name: &'static str, src: &str) -> OverheadRow {
     }
 }
 
-/// Runs the overhead sweep.
-pub fn compute() -> OverheadReport {
-    let rows = workloads()
-        .into_iter()
-        .map(|(name, src)| measure_workload(name, &src))
-        .collect();
-    OverheadReport { rows }
-}
-
 /// E5 under the campaign API: one cell per benchmark workload.
 pub struct OverheadExperiment;
 
 impl Experiment for OverheadExperiment {
+    type Cell = OverheadRow;
+    type Output = OverheadReport;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::new(5)
     }
@@ -159,31 +129,46 @@ impl Experiment for OverheadExperiment {
         workloads().len()
     }
 
-    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> OverheadRow {
         let (name, src) = workloads().swap_remove(cell);
-        let report = OverheadReport {
-            rows: vec![measure_workload(name, &src)],
-        };
-        vec![report.table()]
+        measure_workload(name, &src)
     }
 
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
-        // Each cell rendered a one-row copy of the final table; fold
-        // the rows back together.
-        let mut table = cells[0][0].clone();
-        for cell in &cells[1..] {
-            table.rows.extend(cell[0].rows.iter().cloned());
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<OverheadRow>) -> OverheadReport {
+        OverheadReport { rows: cells }
+    }
+
+    fn tables(&self, report: &OverheadReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E5: instruction-count overhead of compiler countermeasures",
+            &[
+                "workload",
+                "baseline instrs",
+                "canary",
+                "bounds checks",
+                "both",
+            ],
+        );
+        for r in &report.rows {
+            t.row(vec![
+                r.workload.to_string(),
+                r.baseline.to_string(),
+                format!("{:+.1}%", r.canary * 100.0),
+                format!("{:+.1}%", r.bounds * 100.0),
+                format!("{:+.1}%", r.both * 100.0),
+            ]);
         }
-        let mut report = Report::new(self.id(), self.title());
-        report.tables.push(table);
-        report
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
 
-    use super::compute as run;
+    fn run() -> OverheadReport {
+        OverheadExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn bounds_cost_dominates_canary_cost_on_data_heavy_code() {
@@ -231,6 +216,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("baseline"));
+        assert!(OverheadExperiment
+            .report(&run())
+            .render()
+            .contains("baseline"));
     }
 }

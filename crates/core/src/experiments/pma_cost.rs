@@ -11,8 +11,10 @@
 
 use swsec_vm::cpu::RunOutcome;
 
+use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::fig4::{build_module, single_call, FnPtrChoice};
-use crate::report::Table;
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// Instruction costs of one `get_secret` call.
 #[derive(Debug, Clone, Copy)]
@@ -37,27 +39,6 @@ pub struct PmaCostReport {
     pub cost: CallCost,
 }
 
-impl PmaCostReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E12: guest-instruction cost of secure compilation (per module call)",
-            &["compilation", "instructions / call", "overhead"],
-        );
-        t.row(vec![
-            "naive".to_string(),
-            self.cost.naive_instructions.to_string(),
-            "-".to_string(),
-        ]);
-        t.row(vec![
-            "secure (§IV-B checks + scrubbing)".to_string(),
-            self.cost.secure_instructions.to_string(),
-            format!("{:+.1}%", self.cost.relative() * 100.0),
-        ]);
-        t
-    }
-}
-
 fn instructions_for(secure: bool) -> u64 {
     let module = build_module(57, secure);
     // Reuse the single-call harness but count instructions: replicate
@@ -72,51 +53,61 @@ fn instructions_for(secure: bool) -> u64 {
     m.stats().instructions
 }
 
-/// Runs the E12 measurement.
-pub fn compute() -> PmaCostReport {
-    PmaCostReport {
-        cost: CallCost {
-            naive_instructions: instructions_for(false),
-            secure_instructions: instructions_for(true),
-        },
-    }
-}
-
 /// E12 under the campaign API.
 pub struct PmaCostExperiment;
 
-impl crate::experiments::Experiment for PmaCostExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(12)
+impl Experiment for PmaCostExperiment {
+    type Cell = PmaCostReport;
+    type Output = PmaCostReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(12)
     }
 
     fn title(&self) -> &'static str {
         "Isolation cost"
     }
 
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        vec![report.table()]
+    /// Runs the E12 measurement.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> PmaCostReport {
+        PmaCostReport {
+            cost: CallCost {
+                naive_instructions: instructions_for(false),
+                secure_instructions: instructions_for(true),
+            },
+        }
     }
 
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<PmaCostReport>) -> PmaCostReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &PmaCostReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E12: guest-instruction cost of secure compilation (per module call)",
+            &["compilation", "instructions / call", "overhead"],
+        );
+        t.row(vec![
+            "naive".to_string(),
+            report.cost.naive_instructions.to_string(),
+            "-".to_string(),
+        ]);
+        t.row(vec![
+            "secure (§IV-B checks + scrubbing)".to_string(),
+            report.cost.secure_instructions.to_string(),
+            format!("{:+.1}%", report.cost.relative() * 100.0),
+        ]);
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
 
-    use super::compute as run;
+    fn run() -> PmaCostReport {
+        PmaCostExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn secure_compilation_costs_a_bounded_premium() {
@@ -136,6 +127,6 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("secure"));
+        assert!(PmaCostExperiment.report(&run()).render().contains("secure"));
     }
 }

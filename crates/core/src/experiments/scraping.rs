@@ -15,8 +15,10 @@ use swsec_vm::cpu::Machine;
 use swsec_vm::mem::Perm;
 use swsec_vm::policy::ReentryPolicy;
 
+use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::equiv::{self, Verdict};
-use crate::report::Table;
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// The paper's Figure 2 secret module, verbatim in MinC.
 pub const SECRET_MODULE: &str = "\
@@ -71,41 +73,6 @@ pub struct ScrapeReport {
     pub io_attacker_verdict: Verdict,
 }
 
-impl ScrapeReport {
-    /// Renders the report.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E7: memory scraping vs the Figure 2 secret module",
-            &[
-                "attacker",
-                "module protection",
-                "secret (666)",
-                "PIN (1234)",
-            ],
-        );
-        t.row(vec![
-            "I/O attacker (wrong PINs)".to_string(),
-            "n/a (module is bug-free)".to_string(),
-            format!("{}", self.io_attacker_verdict),
-            "-".to_string(),
-        ]);
-        for trial in &self.trials {
-            t.row(vec![
-                trial.attacker.to_string(),
-                if trial.protected { "PMA" } else { "none" }.to_string(),
-                if trial.found_secret {
-                    "SCRAPED"
-                } else {
-                    "hidden"
-                }
-                .to_string(),
-                if trial.found_pin { "SCRAPED" } else { "hidden" }.to_string(),
-            ]);
-        }
-        t
-    }
-}
-
 fn machine_with_unprotected_module(image: &ModuleImage) -> Machine {
     let mut m = Machine::new();
     m.mem_mut()
@@ -147,94 +114,118 @@ fn machine_with_protected_module(image: &ModuleImage) -> Machine {
     m
 }
 
-/// Runs the E7 experiment.
-pub fn compute() -> ScrapeReport {
-    let image = secret_module_image();
-    let mut trials = Vec::new();
-    for protected in [false, true] {
-        let machine = if protected {
-            machine_with_protected_module(&image)
-        } else {
-            machine_with_unprotected_module(&image)
-        };
-        for (attacker, scraper) in [
-            ("malicious module (user code)", Scraper::user(0x0900_0000)),
-            ("kernel malware", Scraper::kernel()),
-        ] {
-            trials.push(ScrapeTrial {
-                attacker,
-                protected,
-                found_secret: !scraper.scan_word(&machine, 666).is_empty(),
-                found_pin: !scraper.scan_word(&machine, 1234).is_empty(),
-            });
-        }
-    }
-
-    // The I/O attacker: a driver program links the module and exposes it
-    // over input; with wrong PINs the compiled behaviour matches the
-    // source exactly (no vulnerability, no attack).
-    let combined = format!(
-        "{SECRET_MODULE}\n\
-         void main() {{\n\
-             char req[4];\n\
-             read(0, req, 4);\n\
-             int pin = req[0] + (req[1] << 8);\n\
-             int s = get_secret(pin);\n\
-             if (s != 0) {{ write(1, \"YES\", 3); }} else {{ write(1, \"NO\", 2); }}\n\
-         }}"
-    );
-    let unit = parse(&combined).expect("combined parses");
-    let io_attacker_verdict = equiv::compare(
-        &unit,
-        &[0xFF, 0xFF, 0, 0],
-        DefenseConfig::none(),
-        5,
-        1_000_000,
-    )
-    .expect("compiles")
-    .verdict;
-
-    ScrapeReport {
-        trials,
-        io_attacker_verdict,
-    }
-}
-
 /// E7 under the campaign API.
 pub struct ScrapingExperiment;
 
-impl crate::experiments::Experiment for ScrapingExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(7)
+impl Experiment for ScrapingExperiment {
+    type Cell = ScrapeReport;
+    type Output = ScrapeReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(7)
     }
 
     fn title(&self) -> &'static str {
         "Figure 2: memory scraping vs PMA"
     }
 
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        vec![report.table()]
+    /// Runs the E7 experiment.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> ScrapeReport {
+        let image = secret_module_image();
+        let mut trials = Vec::new();
+        for protected in [false, true] {
+            let machine = if protected {
+                machine_with_protected_module(&image)
+            } else {
+                machine_with_unprotected_module(&image)
+            };
+            for (attacker, scraper) in [
+                ("malicious module (user code)", Scraper::user(0x0900_0000)),
+                ("kernel malware", Scraper::kernel()),
+            ] {
+                trials.push(ScrapeTrial {
+                    attacker,
+                    protected,
+                    found_secret: !scraper.scan_word(&machine, 666).is_empty(),
+                    found_pin: !scraper.scan_word(&machine, 1234).is_empty(),
+                });
+            }
+        }
+
+        // The I/O attacker: a driver program links the module and exposes it
+        // over input; with wrong PINs the compiled behaviour matches the
+        // source exactly (no vulnerability, no attack).
+        let combined = format!(
+            "{SECRET_MODULE}\n\
+             void main() {{\n\
+                 char req[4];\n\
+                 read(0, req, 4);\n\
+                 int pin = req[0] + (req[1] << 8);\n\
+                 int s = get_secret(pin);\n\
+                 if (s != 0) {{ write(1, \"YES\", 3); }} else {{ write(1, \"NO\", 2); }}\n\
+             }}"
+        );
+        let unit = parse(&combined).expect("combined parses");
+        let io_attacker_verdict = equiv::compare(
+            &unit,
+            &[0xFF, 0xFF, 0, 0],
+            DefenseConfig::none(),
+            5,
+            1_000_000,
+        )
+        .expect("compiles")
+        .verdict;
+
+        ScrapeReport {
+            trials,
+            io_attacker_verdict,
+        }
     }
 
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<ScrapeReport>) -> ScrapeReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &ScrapeReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E7: memory scraping vs the Figure 2 secret module",
+            &[
+                "attacker",
+                "module protection",
+                "secret (666)",
+                "PIN (1234)",
+            ],
+        );
+        t.row(vec![
+            "I/O attacker (wrong PINs)".to_string(),
+            "n/a (module is bug-free)".to_string(),
+            format!("{}", report.io_attacker_verdict),
+            "-".to_string(),
+        ]);
+        for trial in &report.trials {
+            t.row(vec![
+                trial.attacker.to_string(),
+                if trial.protected { "PMA" } else { "none" }.to_string(),
+                if trial.found_secret {
+                    "SCRAPED"
+                } else {
+                    "hidden"
+                }
+                .to_string(),
+                if trial.found_pin { "SCRAPED" } else { "hidden" }.to_string(),
+            ]);
+        }
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::compute as run;
     use super::*;
+
+    fn run() -> ScrapeReport {
+        ScrapingExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn unprotected_module_is_scraped_by_everyone() {
@@ -262,6 +253,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("kernel malware"));
+        assert!(ScrapingExperiment
+            .report(&run())
+            .render()
+            .contains("kernel malware"));
     }
 }

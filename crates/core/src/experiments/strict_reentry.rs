@@ -24,10 +24,12 @@ use swsec_vm::cpu::{Fault, RunOutcome};
 use swsec_vm::isa::trap;
 use swsec_vm::policy::ReentryPolicy;
 
+use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::fig4::{
     self, build_module, build_module_strict, jump_to_reentry, single_call_with_policy, FnPtrChoice,
 };
-use crate::report::Table;
+use crate::experiments::{only_cell, Experiment};
+use crate::report::{ExperimentId, Table};
 
 /// One scenario row.
 #[derive(Debug, Clone)]
@@ -52,169 +54,160 @@ impl StrictReport {
     pub fn all_ok(&self) -> bool {
         self.scenarios.iter().all(|s| s.ok)
     }
-
-    /// Renders the report.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "E13: secure compilation under the strict EntryPointsOnly policy",
-            &["scenario", "outcome", "as specified"],
-        );
-        for s in &self.scenarios {
-            t.row(vec![
-                s.name.to_string(),
-                s.outcome.clone(),
-                if s.ok { "✓" } else { "✗" }.to_string(),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs the E13 experiment.
-pub fn compute() -> StrictReport {
-    let pin = 57;
-    let mut scenarios = Vec::new();
-
-    // 1. Relaxed compilation under the strict policy: the legitimate
-    //    call breaks when the external get_pin tries to return.
-    {
-        let module = build_module(pin, true);
-        let (outcome, _) = single_call_with_policy(
-            &module,
-            FnPtrChoice::HonestGetPin,
-            pin,
-            ReentryPolicy::EntryPointsOnly,
-        );
-        let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
-        scenarios.push(Scenario {
-            name: "relaxed compile, strict policy: honest call",
-            outcome: outcome.to_string(),
-            ok,
-        });
-    }
-
-    // 2. Strict compilation under the strict policy: works.
-    {
-        let module = build_module_strict(pin);
-        let (outcome, tries) = single_call_with_policy(
-            &module,
-            FnPtrChoice::HonestGetPin,
-            pin,
-            ReentryPolicy::EntryPointsOnly,
-        );
-        let ok = outcome == RunOutcome::Halted(666) && tries == 3;
-        scenarios.push(Scenario {
-            name: "strict compile, strict policy: honest call",
-            outcome: outcome.to_string(),
-            ok,
-        });
-    }
-
-    // 3. Wrong PIN still burns a try (functional parity).
-    {
-        let module = build_module_strict(pin);
-        let (outcome, tries) = single_call_with_policy(
-            &module,
-            FnPtrChoice::HonestGetPin,
-            pin + 1,
-            ReentryPolicy::EntryPointsOnly,
-        );
-        let ok = outcome == RunOutcome::Halted(0) && tries == 2;
-        scenarios.push(Scenario {
-            name: "strict compile: wrong PIN burns a try",
-            outcome: format!("{outcome}; tries_left = {tries}"),
-            ok,
-        });
-    }
-
-    // 4. The Figure 4 interior-pointer attack: trapped by the fnptr
-    //    defensive check before any transfer happens.
-    {
-        let module = build_module_strict(pin);
-        let (outcome, tries) = single_call_with_policy(
-            &module,
-            FnPtrChoice::ResetGadget,
-            0,
-            ReentryPolicy::EntryPointsOnly,
-        );
-        let ok = matches!(
-            outcome,
-            RunOutcome::Fault(Fault::SoftwareTrap { code, .. }) if code == trap::FNPTR
-        ) && tries == 3;
-        scenarios.push(Scenario {
-            name: "strict compile: interior-pointer attack",
-            outcome: outcome.to_string(),
-            ok,
-        });
-    }
-
-    // 5. Jumping straight to the return entry without a pending
-    //    out-call: the continuation-underflow check fires.
-    {
-        let module = build_module_strict(pin);
-        let outcome = jump_to_reentry(&module);
-        let ok = matches!(
-            outcome,
-            RunOutcome::Fault(Fault::SoftwareTrap { code, .. }) if code == trap::ASSERT
-        );
-        scenarios.push(Scenario {
-            name: "malicious jump to the return entry",
-            outcome: outcome.to_string(),
-            ok,
-        });
-    }
-
-    // 6. Jumping to an interior instruction from outside: the PMA
-    //    entry rule itself refuses.
-    {
-        let module = build_module_strict(pin);
-        let (outcome, _) = fig4::single_call_interior_jump(&module);
-        let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
-        scenarios.push(Scenario {
-            name: "malicious jump into the module interior",
-            outcome: outcome.to_string(),
-            ok,
-        });
-    }
-
-    StrictReport { scenarios }
 }
 
 /// E13 under the campaign API.
 pub struct StrictReentryExperiment;
 
-impl crate::experiments::Experiment for StrictReentryExperiment {
-    fn id(&self) -> crate::report::ExperimentId {
-        crate::report::ExperimentId::new(13)
+impl Experiment for StrictReentryExperiment {
+    type Cell = StrictReport;
+    type Output = StrictReport;
+
+    fn id(&self) -> ExperimentId {
+        ExperimentId::new(13)
     }
 
     fn title(&self) -> &'static str {
         "Strict-policy secure compilation"
     }
 
-    fn run_cell(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        _ctx: &crate::campaign::CampaignCtx,
-        _cell: usize,
-    ) -> Vec<crate::report::Table> {
-        let report = compute();
-        vec![report.table()]
+    /// Runs the E13 experiment.
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> StrictReport {
+        let pin = 57;
+        let mut scenarios = Vec::new();
+
+        // 1. Relaxed compilation under the strict policy: the legitimate
+        //    call breaks when the external get_pin tries to return.
+        {
+            let module = build_module(pin, true);
+            let (outcome, _) = single_call_with_policy(
+                &module,
+                FnPtrChoice::HonestGetPin,
+                pin,
+                ReentryPolicy::EntryPointsOnly,
+            );
+            let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
+            scenarios.push(Scenario {
+                name: "relaxed compile, strict policy: honest call",
+                outcome: outcome.to_string(),
+                ok,
+            });
+        }
+
+        // 2. Strict compilation under the strict policy: works.
+        {
+            let module = build_module_strict(pin);
+            let (outcome, tries) = single_call_with_policy(
+                &module,
+                FnPtrChoice::HonestGetPin,
+                pin,
+                ReentryPolicy::EntryPointsOnly,
+            );
+            let ok = outcome == RunOutcome::Halted(666) && tries == 3;
+            scenarios.push(Scenario {
+                name: "strict compile, strict policy: honest call",
+                outcome: outcome.to_string(),
+                ok,
+            });
+        }
+
+        // 3. Wrong PIN still burns a try (functional parity).
+        {
+            let module = build_module_strict(pin);
+            let (outcome, tries) = single_call_with_policy(
+                &module,
+                FnPtrChoice::HonestGetPin,
+                pin + 1,
+                ReentryPolicy::EntryPointsOnly,
+            );
+            let ok = outcome == RunOutcome::Halted(0) && tries == 2;
+            scenarios.push(Scenario {
+                name: "strict compile: wrong PIN burns a try",
+                outcome: format!("{outcome}; tries_left = {tries}"),
+                ok,
+            });
+        }
+
+        // 4. The Figure 4 interior-pointer attack: trapped by the fnptr
+        //    defensive check before any transfer happens.
+        {
+            let module = build_module_strict(pin);
+            let (outcome, tries) = single_call_with_policy(
+                &module,
+                FnPtrChoice::ResetGadget,
+                0,
+                ReentryPolicy::EntryPointsOnly,
+            );
+            let ok = matches!(
+                outcome,
+                RunOutcome::Fault(Fault::SoftwareTrap { code, .. }) if code == trap::FNPTR
+            ) && tries == 3;
+            scenarios.push(Scenario {
+                name: "strict compile: interior-pointer attack",
+                outcome: outcome.to_string(),
+                ok,
+            });
+        }
+
+        // 5. Jumping straight to the return entry without a pending
+        //    out-call: the continuation-underflow check fires.
+        {
+            let module = build_module_strict(pin);
+            let outcome = jump_to_reentry(&module);
+            let ok = matches!(
+                outcome,
+                RunOutcome::Fault(Fault::SoftwareTrap { code, .. }) if code == trap::ASSERT
+            );
+            scenarios.push(Scenario {
+                name: "malicious jump to the return entry",
+                outcome: outcome.to_string(),
+                ok,
+            });
+        }
+
+        // 6. Jumping to an interior instruction from outside: the PMA
+        //    entry rule itself refuses.
+        {
+            let module = build_module_strict(pin);
+            let (outcome, _) = fig4::single_call_interior_jump(&module);
+            let ok = matches!(outcome, RunOutcome::Fault(Fault::Pma(_)));
+            scenarios.push(Scenario {
+                name: "malicious jump into the module interior",
+                outcome: outcome.to_string(),
+                ok,
+            });
+        }
+
+        StrictReport { scenarios }
     }
 
-    fn assemble(
-        &self,
-        _cfg: &crate::campaign::CampaignConfig,
-        cells: Vec<Vec<crate::report::Table>>,
-    ) -> crate::report::Report {
-        crate::experiments::single_cell_report(self.id(), self.title(), cells)
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<StrictReport>) -> StrictReport {
+        only_cell(cells)
+    }
+
+    fn tables(&self, report: &StrictReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E13: secure compilation under the strict EntryPointsOnly policy",
+            &["scenario", "outcome", "as specified"],
+        );
+        for s in &report.scenarios {
+            t.row(vec![
+                s.name.to_string(),
+                s.outcome.clone(),
+                if s.ok { "✓" } else { "✗" }.to_string(),
+            ]);
+        }
+        vec![t]
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::compute as run;
     use super::*;
+
+    fn run() -> StrictReport {
+        StrictReentryExperiment.run(&CampaignConfig::default())
+    }
 
     #[test]
     fn all_strict_scenarios_hold() {
@@ -241,6 +234,9 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert!(run().table().to_string().contains("strict"));
+        assert!(StrictReentryExperiment
+            .report(&run())
+            .render()
+            .contains("strict"));
     }
 }

@@ -27,7 +27,7 @@ use swsec_rng::{derive, Rng, SplitMix64};
 
 use crate::campaign::{CampaignConfig, CampaignCtx};
 use crate::experiments::Experiment;
-use crate::report::{ExperimentId, Report, Table};
+use crate::report::{ExperimentId, Table};
 
 /// Every [`CrashPoint`], in the fixed order the E16 crash matrix
 /// enumerates them.
@@ -158,15 +158,14 @@ impl FaultyExperiment {
             attempts: AtomicU32::new(0),
         }))
     }
-
-    fn cell_table(cell: usize, note: &str) -> Vec<Table> {
-        let mut t = Table::new("fault-demo cell", &["cell", "note"]);
-        t.row(vec![cell.to_string(), note.to_string()]);
-        vec![t]
-    }
 }
 
 impl Experiment for FaultyExperiment {
+    /// The cell's note.
+    type Cell = &'static str;
+    /// The notes, in cell order.
+    type Output = Vec<&'static str>;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::FAULT_DEMO
     }
@@ -179,7 +178,7 @@ impl Experiment for FaultyExperiment {
         4
     }
 
-    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, cell: usize) -> &'static str {
         match cell {
             FaultyExperiment::PANIC_CELL => panic!("injected cell panic (fault demo)"),
             FaultyExperiment::STALL_CELL => {
@@ -189,23 +188,33 @@ impl Experiment for FaultyExperiment {
                 while start.elapsed() < FaultyExperiment::STALL {
                     std::thread::sleep(Duration::from_millis(10));
                 }
-                FaultyExperiment::cell_table(cell, "stall finished")
+                "stall finished"
             }
-            FaultyExperiment::OK_CELL => FaultyExperiment::cell_table(cell, "ok"),
+            FaultyExperiment::OK_CELL => "ok",
             FaultyExperiment::FLAKY_CELL => {
                 if self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("injected flaky failure (first attempt)");
                 }
-                FaultyExperiment::cell_table(cell, "ok after retry")
+                "ok after retry"
             }
             other => unreachable!("fault demo has 4 cells, got {other}"),
         }
     }
 
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
-        let mut report = Report::new(self.id(), self.title());
-        report.tables = cells.into_iter().flatten().collect();
-        report
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<&'static str>) -> Vec<&'static str> {
+        cells
+    }
+
+    fn tables(&self, notes: &Vec<&'static str>) -> Vec<Table> {
+        notes
+            .iter()
+            .enumerate()
+            .map(|(cell, note)| {
+                let mut t = Table::new("fault-demo cell", &["cell", "note"]);
+                t.row(vec![cell.to_string(), note.to_string()]);
+                t
+            })
+            .collect()
     }
 }
 
@@ -252,15 +261,14 @@ mod tests {
         let cfg = CampaignConfig::default();
         let ctx = CampaignCtx::new();
         // OK cell succeeds.
-        let t = exp.run_cell(&cfg, &ctx, FaultyExperiment::OK_CELL);
-        assert_eq!(t[0].rows[0][1], "ok");
+        assert_eq!(exp.run_cell(&cfg, &ctx, FaultyExperiment::OK_CELL), "ok");
         // Flaky cell: first attempt panics, second succeeds.
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exp.run_cell(&cfg, &ctx, FaultyExperiment::FLAKY_CELL)
         }));
         assert!(first.is_err());
         let second = exp.run_cell(&cfg, &ctx, FaultyExperiment::FLAKY_CELL);
-        assert_eq!(second[0].rows[0][1], "ok after retry");
+        assert_eq!(second, "ok after retry");
         // Panic cell always panics.
         let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exp.run_cell(&cfg, &ctx, FaultyExperiment::PANIC_CELL)

@@ -1,12 +1,12 @@
 //! Plain-text report tables for experiment output.
 //!
-//! Every experiment driver returns one or more [`Table`]s; examples and
-//! the benchmark harness print them, and `EXPERIMENTS.md` quotes them.
+//! Every experiment driver renders its typed output as one or more
+//! [`Table`]s; examples print them, and `EXPERIMENTS.md` quotes them.
 //!
 //! The campaign API adds two uniform types on top: [`ExperimentId`]
-//! names a driver (E1–E16), and [`Report`] is the structured output
-//! every [`crate::experiments::Experiment`] returns — an id, a title
-//! and tables of structured rows, never a bespoke struct.
+//! names a driver (E1–E16), and [`Report`] is what every
+//! [`crate::experiments::Experiment`] renders into — an id, a title
+//! and tables of structured rows.
 
 use std::fmt;
 
@@ -154,8 +154,8 @@ impl fmt::Display for ExperimentId {
 
 /// Uniform experiment output: id, title, and structured tables.
 ///
-/// `Report` is the entire boundary between an experiment and the
-/// campaign runner — equality (and hence campaign determinism checks)
+/// `Report` is what the campaign runner gets back from each
+/// experiment — equality (and hence campaign determinism checks)
 /// compare the full structured contents, and [`Report::render`] is a
 /// pure function of them.
 #[derive(Debug, Clone, PartialEq, Eq)]

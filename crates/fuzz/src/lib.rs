@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use swsec::campaign::{CampaignConfig, CampaignCtx};
 use swsec::experiments::Experiment;
-use swsec::report::{ExperimentId, Report, Table};
+use swsec::report::{ExperimentId, Table};
 use swsec_obs::{CoverageSink, GlobalCoverage};
 use swsec_rng::{derive, stream};
 
@@ -239,6 +239,11 @@ fn hex_preview(bytes: &[u8]) -> String {
 }
 
 impl Experiment for FuzzExperiment {
+    /// One target's campaign.
+    type Cell = FuzzOutcome;
+    /// The targets' campaigns, in [`TARGETS`] order.
+    type Output = Vec<FuzzOutcome>;
+
     fn id(&self) -> ExperimentId {
         ExperimentId::FUZZ
     }
@@ -251,66 +256,28 @@ impl Experiment for FuzzExperiment {
         TARGETS.len()
     }
 
-    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> Vec<Table> {
+    fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> FuzzOutcome {
         let seed = cfg.cell_seed(self.id(), cell);
         let mut target: Box<dyn FuzzTarget> = match cell {
             0 => Box::new(VictimTarget::new(&ctx.cache, seed, cfg.serve_mode())),
             1 => Box::new(CompilerTarget::new(seed)),
             _ => Box::new(DiffTarget::new(&ctx.cache, seed)),
         };
-        let outcome = fuzz_target(
+        fuzz_target(
             target.as_mut(),
             &FuzzConfig {
                 master_seed: seed,
                 budget: self.budget,
                 minimize_budget: self.minimize_budget,
             },
-        );
-
-        let mut summary = Table::new(
-            "cell summary",
-            &[
-                "target",
-                "executions",
-                "corpus",
-                "coverage slots",
-                "findings",
-                "divergences",
-            ],
-        );
-        summary.row(vec![
-            outcome.target.to_string(),
-            outcome.executed.to_string(),
-            outcome.corpus_len.to_string(),
-            outcome.coverage.to_string(),
-            outcome.findings.len().to_string(),
-            outcome.divergences.to_string(),
-        ]);
-        let mut found = Table::new(
-            "cell findings",
-            &[
-                "target",
-                "class",
-                "attempt",
-                "found len",
-                "min len",
-                "minimized",
-            ],
-        );
-        for f in &outcome.findings {
-            found.row(vec![
-                outcome.target.to_string(),
-                f.class.clone(),
-                f.attempt.to_string(),
-                f.input.len().to_string(),
-                f.minimized.len().to_string(),
-                hex_preview(&f.minimized),
-            ]);
-        }
-        vec![summary, found]
+        )
     }
 
-    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<Vec<Table>>) -> Report {
+    fn assemble(&self, _cfg: &CampaignConfig, cells: Vec<FuzzOutcome>) -> Vec<FuzzOutcome> {
+        cells
+    }
+
+    fn tables(&self, outcomes: &Vec<FuzzOutcome>) -> Vec<Table> {
         let mut summary = Table::new(
             "E18: coverage-guided fuzzing over the attack harness",
             &[
@@ -333,26 +300,34 @@ impl Experiment for FuzzExperiment {
                 "minimized",
             ],
         );
-        let mut exploit = false;
-        let mut divergences: u64 = 0;
-        let mut compiler_findings: u64 = 0;
-        let mut classes: u64 = 0;
-        for cell in &cells {
-            for row in &cell[0].rows {
-                divergences += row[5].parse::<u64>().unwrap_or(0);
-                summary.rows.push(row.clone());
-            }
-            for row in &cell[1].rows {
-                classes += 1;
-                if row[1].starts_with("exploit:") {
-                    exploit = true;
-                }
-                if row[0] == "minc-compiler" {
-                    compiler_findings += 1;
-                }
-                found.rows.push(row.clone());
+        for outcome in outcomes {
+            summary.row(vec![
+                outcome.target.to_string(),
+                outcome.executed.to_string(),
+                outcome.corpus_len.to_string(),
+                outcome.coverage.to_string(),
+                outcome.findings.len().to_string(),
+                outcome.divergences.to_string(),
+            ]);
+            for f in &outcome.findings {
+                found.row(vec![
+                    outcome.target.to_string(),
+                    f.class.clone(),
+                    f.attempt.to_string(),
+                    f.input.len().to_string(),
+                    f.minimized.len().to_string(),
+                    hex_preview(&f.minimized),
+                ]);
             }
         }
+        let findings = || outcomes.iter().flat_map(|o| &o.findings);
+        let exploit = findings().any(|f| f.class.starts_with("exploit:"));
+        let divergences: u64 = outcomes.iter().map(|o| o.divergences).sum();
+        let compiler_findings: usize = outcomes
+            .iter()
+            .filter(|o| o.target == "minc-compiler")
+            .map(|o| o.findings.len())
+            .sum();
         let mut verdicts = Table::new("E18: conformance verdicts", &["check", "result"]);
         verdicts.row(vec![
             "known exploit path rediscovered (victim-smash)".to_string(),
@@ -372,14 +347,9 @@ impl Experiment for FuzzExperiment {
         ]);
         verdicts.row(vec![
             "distinct finding classes".to_string(),
-            classes.to_string(),
+            findings().count().to_string(),
         ]);
-
-        let mut report = Report::new(self.id(), self.title());
-        report.tables.push(summary);
-        report.tables.push(found);
-        report.tables.push(verdicts);
-        report
+        vec![summary, found, verdicts]
     }
 }
 

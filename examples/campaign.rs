@@ -13,7 +13,8 @@
 //! per-experiment busy time, the compile-cache counters, and the wall
 //! clock. `--render-only` suppresses the summary, leaving exactly the
 //! deterministic bytes on stdout. `--only N` (repeatable) restricts
-//! the run to experiment N.
+//! the run to experiment N of E1–E16; any other N is a usage error
+//! (exit 2).
 //!
 //! With `--telemetry PATH`, the run also streams a schema-v1 JSONL
 //! dump to `PATH`: meta lines describing the run, one event line per
@@ -62,8 +63,8 @@ use std::time::Duration;
 use swsec::campaign::{
     run_campaign_on, run_campaign_with, CampaignConfig, CampaignReport, CampaignTelemetry,
 };
+use swsec::experiments::registry;
 use swsec::faults::FaultyExperiment;
-use swsec::report::ExperimentId;
 use swsec_obs::jsonl::{meta_line, span_line};
 use swsec_obs::{EventMask, JsonlSink, MetricsRegistry, SpanMask, SymbolTable};
 use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
@@ -110,11 +111,16 @@ fn main() {
                 };
             }
             "--only" => {
-                let n: u8 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--only takes an experiment number");
-                cfg.experiments.push(ExperimentId::new(n));
+                let wanted = args.next().and_then(|v| v.parse::<u8>().ok());
+                let Some(exp) = registry().iter().find(|e| Some(e.id().number()) == wanted) else {
+                    eprintln!(
+                        "campaign: --only takes an experiment number from 1 to 16 (E1–E16); \
+                         E17 is the fault demo (--fault-demo), E18 the fuzzing campaign \
+                         (cargo run -p swsec-fuzz --bin fuzz)"
+                    );
+                    std::process::exit(2);
+                };
+                cfg.experiments.push(exp.id());
             }
             "--telemetry" => {
                 telemetry_path = Some(args.next().expect("--telemetry takes a path"));

@@ -1,40 +1,47 @@
 //! Regenerates the full experiment tables of the reproduction: the
 //! E2 catalogue, the E3 attack × countermeasure matrix, the E4 ASLR
-//! sweep, the E5 overhead table and the E6 analysis table.
+//! sweep, the E5 overhead table, the E6 analysis table and the E14
+//! canary oracle.
 //!
 //! ```text
 //! cargo run --release --example defense_matrix
 //! ```
 
-use swsec::cache::ProgramCache;
-use swsec::experiments::{analysis, aslr, canary_oracle, catalogue, matrix, overhead};
-use swsec::harness::ServeMode;
+use swsec::campaign::{CampaignConfig, CampaignCtx};
+use swsec::experiments::analysis::AnalysisExperiment;
+use swsec::experiments::aslr::AslrExperiment;
+use swsec::experiments::canary_oracle::CanaryOracleExperiment;
+use swsec::experiments::catalogue::CatalogueExperiment;
+use swsec::experiments::matrix::MatrixExperiment;
+use swsec::experiments::overhead::OverheadExperiment;
+use swsec::experiments::Experiment;
 
-fn main() {
-    // One compile cache: every victim/options pair below compiles
-    // exactly once across all five experiments.
-    let cache = &ProgramCache::new();
-
-    for table in catalogue::compute(42, cache).tables() {
+/// Runs `exp` through its cells and prints its tables.
+fn show<E: Experiment>(exp: E, cfg: &CampaignConfig, ctx: &CampaignCtx) {
+    for table in exp.tables(&exp.run_with(cfg, ctx)) {
         println!("{table}");
     }
+}
 
-    println!("{}", matrix::compute(42, cache).table());
+fn main() {
+    // Keep the E4 sweep small outside --release; the campaign runs the
+    // full version.
+    let cfg = CampaignConfig {
+        master_seed: 42,
+        aslr_bits_levels: vec![2, 4, 6],
+        aslr_trials: 5,
+        oracle_budget: 2048,
+        ..CampaignConfig::default()
+    };
+    // One compile cache: every victim/options pair below compiles
+    // exactly once across all six experiments.
+    let ctx = CampaignCtx::new();
 
-    // Keep the sweep small outside --release; the bench harness runs
-    // the full version.
-    println!(
-        "{}",
-        aslr::compute(&[2, 4, 6], 5, 7, cache, ServeMode::Fork).table()
-    );
-
-    println!("{}", overhead::compute().table());
-
-    println!("{}", analysis::compute().table());
-
+    show(CatalogueExperiment, &cfg, &ctx);
+    show(MatrixExperiment, &cfg, &ctx);
+    show(AslrExperiment, &cfg, &ctx);
+    show(OverheadExperiment, &cfg, &ctx);
+    show(AnalysisExperiment, &cfg, &ctx);
     // E14: the crash-oracle canary brute force against a forking server.
-    println!(
-        "{}",
-        canary_oracle::compute(31, 2048, cache, ServeMode::Fork).table()
-    );
+    show(CanaryOracleExperiment, &cfg, &ctx);
 }

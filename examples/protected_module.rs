@@ -6,15 +6,31 @@
 //! cargo run --example protected_module
 //! ```
 
-use swsec::experiments::{attest, fig4, pma_rules, scraping, strict_reentry};
+use swsec::campaign::CampaignConfig;
+use swsec::experiments::attest::AttestExperiment;
+use swsec::experiments::fig4::Fig4Experiment;
+use swsec::experiments::pma_rules::PmaRulesExperiment;
+use swsec::experiments::scraping::ScrapingExperiment;
+use swsec::experiments::strict_reentry::StrictReentryExperiment;
+use swsec::experiments::Experiment;
+
+/// Runs `exp`, prints its tables and returns its output.
+fn show<E: Experiment>(exp: E, cfg: &CampaignConfig) -> E::Output {
+    let out = exp.run(cfg);
+    for table in exp.tables(&out) {
+        println!("{table}");
+    }
+    out
+}
 
 fn main() {
+    let cfg = CampaignConfig::default();
+
     // E7: memory scraping with and without PMA protection.
-    println!("{}", scraping::compute().table());
+    show(ScrapingExperiment, &cfg);
 
     // E8: the three access-control rules, exhaustively.
-    let rules = pma_rules::compute();
-    println!("{}", rules.table());
+    let rules = show(PmaRulesExperiment, &cfg);
     println!("end-to-end demonstrations:");
     for (name, outcome, ok) in &rules.vm_demos {
         println!("  {name:<32} {outcome} {}", if *ok { "✓" } else { "✗" });
@@ -22,14 +38,12 @@ fn main() {
     println!();
 
     // E9: the Figure 4 function-pointer attack vs secure compilation.
-    for table in fig4::compute().tables() {
-        println!("{table}");
-    }
+    show(Fig4Experiment, &cfg);
 
     // E10: remote attestation.
-    println!("{}", attest::compute().table());
+    show(AttestExperiment, &cfg);
 
     // E13: the full secure-compilation scheme under the strict
     // EntryPointsOnly policy (continuation stack + return entry).
-    println!("{}", strict_reentry::compute().table());
+    show(StrictReentryExperiment, &cfg);
 }

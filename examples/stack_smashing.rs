@@ -5,14 +5,16 @@
 //! cargo run --example stack_smashing
 //! ```
 
-use swsec::experiments::fig1;
+use swsec::campaign::CampaignConfig;
+use swsec::experiments::fig1::Fig1Experiment;
+use swsec::experiments::Experiment;
 use swsec::prelude::*;
 use swsec_attacks::Payload;
 use swsec_minc::parse;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 1 first: the anatomy the attack exploits.
-    let fig1 = fig1::compute(&swsec::cache::ProgramCache::new(), 1);
+    let fig1 = Fig1Experiment.run(&CampaignConfig::default());
     println!("=== Figure 1(b): machine code of process() ===");
     println!("{}", fig1.listing);
     println!("{}", fig1.snapshot);

@@ -5,11 +5,13 @@
 //! cargo run --example state_continuity
 //! ```
 
-use swsec::experiments::continuity::{self, Scheme};
+use swsec::campaign::CampaignConfig;
+use swsec::experiments::continuity::{ContinuityExperiment, Scheme};
+use swsec::experiments::Experiment;
 
 fn main() {
-    let report = continuity::compute();
-    for table in report.tables() {
+    let report = ContinuityExperiment.run(&CampaignConfig::default());
+    for table in ContinuityExperiment.tables(&report) {
         println!("{table}");
     }
 

@@ -6,7 +6,9 @@
 //! cargo run --example temporal_attacks
 //! ```
 
-use swsec::experiments::heap_uaf;
+use swsec::campaign::CampaignConfig;
+use swsec::experiments::heap_uaf::{self, HeapUafExperiment};
+use swsec::experiments::Experiment;
 use swsec_minc::interp::{self, InterpOutcome};
 use swsec_minc::parse;
 
@@ -23,8 +25,10 @@ fn main() {
     }
 
     // The explicit case: the use-after-free experiment, end to end.
-    let report = heap_uaf::compute();
-    println!("{}", report.table());
+    let report = HeapUafExperiment.run(&CampaignConfig::default());
+    for table in HeapUafExperiment.tables(&report) {
+        println!("{table}");
+    }
     println!(
         "source semantics for the attack input: {}",
         report.source_verdict

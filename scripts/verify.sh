@@ -23,7 +23,8 @@
 #      counters — proving blocks actually compiled and ran;
 #   8. fault-injection smoke: the E16 crash matrix standalone, plus a
 #      --fault-demo run that must exit non-zero, report its failed
-#      cells, and emit cell_failed telemetry;
+#      cells, and emit cell_failed telemetry; `--only 17` (an id outside
+#      the E1–E16 registry) must be a usage error with empty stdout;
 #   9. fuzz smoke: the E18 coverage-guided campaign (swsec-fuzz) at a
 #      fixed seed and budget must rediscover the E2 stack smash, see
 #      zero fast-path-vs-baseline divergences, and render byte-identical
@@ -73,7 +74,10 @@
 #      `counter_value` is fine), and `VmCounters` may not reappear
 #      under crates/, tests/ or examples/ (DESIGN.md "Observability");
 #  17. format check: `cargo fmt --all --check` over the workspace
-#      (swsecbench/ is not a member and is not checked).
+#      (swsecbench/ is not a member and is not checked);
+#  18. one-path guard: crates/core/src/experiments may not bring back a
+#      `pub fn compute` twin of an `Experiment` impl, a
+#      `Table::new("cell", …)` carrier or cells routed by `t.title`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -170,6 +174,12 @@ grep -q "failed cells" "$FAULTDIR/fault_demo.txt" || {
 }
 target/release/telcheck "$FAULTDIR/fault_demo.jsonl" \
     --require cell_failed --require metric --require meta
+# E17 is not a registered experiment: --only 17 is a usage error.
+if target/release/examples/campaign --quick --only 17 > "$FAULTDIR/only_17.txt" 2> /dev/null \
+    || [ -s "$FAULTDIR/only_17.txt" ]; then
+    echo "verify: --only 17 must exit non-zero with empty stdout" >&2
+    exit 1
+fi
 
 echo "==> fuzz smoke"
 cargo build -q --release --offline -p swsec-fuzz --bin fuzz
@@ -359,5 +369,12 @@ fi
 
 echo "==> format check"
 cargo fmt --all --check
+
+echo "==> one-path guard"
+if grep -rnE 'pub fn compute[[:space:]]*[(<]|Table::new\("cell"|\.title\.as_str\(\)|(^|[^A-Za-z0-9_])t\.title([^A-Za-z0-9_]|$)' \
+    crates/core/src/experiments; then
+    echo "verify: an experiment has a second path; run it through its Experiment impl" >&2
+    exit 1
+fi
 
 echo "verify: all checks passed"

@@ -77,11 +77,11 @@ fn second_matrix_run_compiles_nothing() {
     let ctx = CampaignCtx::new();
     let matrix = registry()[ExperimentId::new(3).index()];
 
-    let first = matrix.run_with(&cfg, &ctx);
+    let first = matrix.run_report(&cfg, &ctx);
     let after_first = ctx.cache.stats();
     assert!(after_first.misses > 0, "first run must compile something");
 
-    let second = matrix.run_with(&cfg, &ctx);
+    let second = matrix.run_report(&cfg, &ctx);
     let after_second = ctx.cache.stats();
     assert_eq!(
         after_second.misses, after_first.misses,
@@ -90,6 +90,24 @@ fn second_matrix_run_compiles_nothing() {
     assert_eq!(after_second.parses, after_first.parses);
     assert!(after_second.hits > after_first.hits);
     assert_eq!(first.render(), second.render());
+}
+
+#[test]
+fn sequential_runs_render_exactly_the_campaign_sections() {
+    // One path per experiment: the sequential typed run, rendered
+    // through its report, is byte-for-byte the experiment's section of
+    // a pooled campaign on the same configuration.
+    let cfg = CampaignConfig {
+        workers: 4,
+        ..CampaignConfig::quick()
+    };
+    let campaign = run_campaign(&cfg);
+    assert!(campaign.all_ok());
+    assert_eq!(campaign.reports.len(), registry().len());
+    for (exp, section) in registry().iter().zip(&campaign.reports) {
+        let sequential = exp.run_report(&cfg, &CampaignCtx::new());
+        assert_eq!(sequential.render(), section.render(), "{}", exp.id());
+    }
 }
 
 #[test]

@@ -1,13 +1,15 @@
-//! Liveness of the work-stealing pools behind the campaign runner and
-//! the campaign service.
+//! Liveness of the worker pool behind the campaign runner and the
+//! campaign service.
 //!
-//! Every worker of either pool finishes by finding its own deque empty
-//! and then trying to steal from the others, so every run ends with
-//! workers running dry at the same moment. If a worker still held its
-//! own deque's lock while locking a victim's, two such workers could
-//! each wait on the other forever. Each test repeats many short runs at
-//! 2 and 4 workers under a watchdog, so a hang fails the test instead
-//! of stalling the suite.
+//! Both run their tasks through one runner: workers take attempts from
+//! a single shared queue (a `Mutex<VecDeque>`) and sleep on a `Condvar`
+//! while it is empty, and the calling thread closes the queue and wakes
+//! them once every task has resolved. Runs of many instant tasks end
+//! with every worker finding the queue empty at the same moment, which
+//! is where a lost wake-up or a missed close would leave a worker (or
+//! the caller waiting on it) blocked forever. Each test repeats many
+//! short runs at 2 and 4 workers under a watchdog, so a hang fails the
+//! test instead of stalling the suite.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
@@ -15,7 +17,7 @@ use std::time::Duration;
 use swsec::attacker::VICTIM_SMASH;
 use swsec::campaign::{run_campaign_on, CampaignConfig, CampaignCtx, CampaignTelemetry};
 use swsec::experiments::Experiment;
-use swsec::report::{ExperimentId, Report, Table};
+use swsec::report::{ExperimentId, Table};
 use swsec::serve::{CampaignService, JobSpec, ServeConfig, TenantConfig};
 use swsec_defenses::DefenseConfig;
 
@@ -41,10 +43,13 @@ fn within_deadline(what: &str, work: impl FnOnce() + Send + 'static) {
 }
 
 /// An experiment of many instant cells: runs are dominated by workers
-/// draining, stealing and running dry.
+/// draining the shared queue and running dry.
 struct Instant64;
 
 impl Experiment for Instant64 {
+    type Cell = ();
+    type Output = ();
+
     fn id(&self) -> ExperimentId {
         ExperimentId::FAULT_DEMO
     }
@@ -57,12 +62,12 @@ impl Experiment for Instant64 {
         64
     }
 
-    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) -> Vec<Table> {
-        Vec::new()
-    }
+    fn run_cell(&self, _cfg: &CampaignConfig, _ctx: &CampaignCtx, _cell: usize) {}
 
-    fn assemble(&self, _cfg: &CampaignConfig, _cells: Vec<Vec<Table>>) -> Report {
-        Report::new(self.id(), self.title())
+    fn assemble(&self, _cfg: &CampaignConfig, _cells: Vec<()>) {}
+
+    fn tables(&self, _out: &()) -> Vec<Table> {
+        Vec::new()
     }
 }
 
