@@ -1,16 +1,21 @@
-//! Property: the `Display` form of every instruction is valid assembler
-//! syntax that re-assembles to the identical encoding — so disassembly
-//! listings are always round-trippable, and the two syntax definitions
-//! (printer and parser) can never drift apart.
+//! Properties: the `Display` form of every instruction is valid
+//! assembler syntax that re-assembles to the identical encoding — so
+//! disassembly listings are always round-trippable, and the two syntax
+//! definitions (printer and parser) can never drift apart — and that
+//! encoding decodes back to the same instructions. Alongside, the
+//! disassembler's linear sweep over arbitrary bytes accounts for every
+//! byte.
 //!
 //! Cases are drawn from a seeded `swsec-rng` stream: every `Instr`
 //! variant, displacements biased toward the `i16` boundaries, full-range
-//! `u32` immediates, 1–24 instructions per case.
+//! `u32` immediates, 1–24 instructions per case, plus 0–200 random bytes
+//! per case from a second stream.
 
 use swsec_rng::{stream, Rng};
 use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS};
 
 const CASES: u64 = 2_000;
+const SEED: u64 = 0xA55E_4B1E;
 
 const ALU_OPS: [AluOp; 13] = [
     AluOp::Add,
@@ -147,9 +152,11 @@ fn instr(rng: &mut impl Rng, variant: u64) -> Instr {
 
 #[test]
 fn display_form_reassembles_to_identical_bytes() {
-    let mut rng = stream(0xA55E_4B1E, &[1]);
+    let mut rng = stream(SEED, &[1]);
+    let mut junk_rng = stream(SEED, &[2]);
     let mut drawn = 0u64;
     for case in 0..CASES {
+        let mut instrs = Vec::new();
         let mut expected = Vec::new();
         let mut source = String::new();
         for _ in 0..1 + rng.gen_range(24) {
@@ -164,10 +171,42 @@ fn display_form_reassembles_to_identical_bytes() {
             i.encode(&mut expected);
             source.push_str(&i.to_string());
             source.push('\n');
+            instrs.push(i);
         }
         let assembled = swsec_asm::assemble(&source).unwrap_or_else(|e| {
-            panic!("case {case}: display form failed to assemble:\n{source}\n{e}")
+            panic!("seed {SEED:#x} case {case}: display form failed to assemble:\n{source}\n{e}")
         });
-        assert_eq!(assembled.bytes, expected, "case {case}, source:\n{source}");
+        assert_eq!(
+            assembled.bytes, expected,
+            "seed {SEED:#x} case {case}, source:\n{source}"
+        );
+
+        let mut decoded = Vec::new();
+        let mut offset = 0;
+        while offset < expected.len() {
+            let (i, len) = Instr::decode(&expected[offset..]).unwrap_or_else(|e| {
+                panic!("seed {SEED:#x} case {case}: decode failed at {offset}: {e}")
+            });
+            decoded.push(i);
+            offset += len;
+        }
+        assert_eq!(
+            decoded, instrs,
+            "seed {SEED:#x} case {case}, source:\n{source}"
+        );
+
+        // Linear sweep over arbitrary bytes terminates and accounts for
+        // every byte.
+        let mut junk = vec![0u8; junk_rng.gen_range(201) as usize];
+        junk_rng.fill_bytes(&mut junk);
+        let swept: usize = swsec_asm::disassemble(&junk, 0x1000)
+            .iter()
+            .map(|l| l.len)
+            .sum();
+        assert_eq!(
+            swept,
+            junk.len(),
+            "seed {SEED:#x} case {case}, bytes {junk:?}"
+        );
     }
 }

@@ -989,7 +989,7 @@ pub fn run_campaign_on(
 
     // Lay out one result slot per cell, experiment-major: slot `s` is
     // cell `layout[s].1` of `exps[layout[s].0]`.
-    let cell_counts: Vec<usize> = exps.iter().map(|e| e.cells(cfg).max(1)).collect();
+    let cell_counts: Vec<usize> = exps.iter().map(|e| e.cells(cfg)).collect();
     let layout: Arc<[(usize, usize)]> = cell_counts
         .iter()
         .enumerate()

@@ -138,7 +138,7 @@ impl Experiment for AslrExperiment {
     }
 
     fn cells(&self, cfg: &CampaignConfig) -> usize {
-        cfg.aslr_bits_levels.len().max(1) * Self::stride(cfg)
+        cfg.aslr_bits_levels.len() * Self::stride(cfg)
     }
 
     fn run_cell(&self, cfg: &CampaignConfig, ctx: &CampaignCtx, cell: usize) -> u64 {

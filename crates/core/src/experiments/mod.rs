@@ -56,7 +56,8 @@ pub trait Experiment: Sync {
     /// Human-readable title, used as the report heading.
     fn title(&self) -> &'static str;
 
-    /// Number of independent cells under `cfg` (at least 1).
+    /// Number of independent cells under `cfg`. Zero is allowed: the
+    /// experiment then assembles its output from no cells.
     fn cells(&self, _cfg: &CampaignConfig) -> usize {
         1
     }
@@ -90,7 +91,7 @@ pub trait Experiment: Sync {
     /// Like [`run`](Experiment::run), sharing the caller's context
     /// (and hence compile cache). Lays out cells as the campaign does.
     fn run_with(&self, cfg: &CampaignConfig, ctx: &CampaignCtx) -> Self::Output {
-        let cells = (0..self.cells(cfg).max(1))
+        let cells = (0..self.cells(cfg))
             .map(|cell| self.run_cell(cfg, ctx, cell))
             .collect();
         self.assemble(cfg, cells)

@@ -113,6 +113,7 @@ pub fn open(key: &[u8; KEY_LEN], aad: &[u8], blob: &[u8]) -> Result<Vec<u8>, Sea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swsec_rng::{stream, Rng};
 
     const KEY: [u8; 32] = [0x11; 32];
     const NONCE: [u8; 12] = [0x22; 12];
@@ -130,25 +131,43 @@ mod tests {
     }
 
     #[test]
-    fn tampered_ciphertext_detected() {
-        let mut blob = seal(&KEY, &NONCE, b"aad", b"secret state");
-        blob[NONCE_LEN] ^= 1;
-        assert_eq!(open(&KEY, b"aad", &blob), Err(SealError::BadTag));
-    }
-
-    #[test]
-    fn tampered_nonce_detected() {
-        let mut blob = seal(&KEY, &NONCE, b"aad", b"secret state");
-        blob[0] ^= 1;
-        assert_eq!(open(&KEY, b"aad", &blob), Err(SealError::BadTag));
-    }
-
-    #[test]
-    fn tampered_tag_detected() {
-        let mut blob = seal(&KEY, &NONCE, b"aad", b"secret state");
-        let last = blob.len() - 1;
-        blob[last] ^= 1;
-        assert_eq!(open(&KEY, b"aad", &blob), Err(SealError::BadTag));
+    fn any_bit_flip_is_detected() {
+        // The first nonce byte, the first ciphertext byte and the last
+        // tag byte of a fixed blob, then seeded keys, nonces, aads,
+        // plaintexts and flip positions; case `n` draws from
+        // `stream(SEED, &[n])`.
+        const SEED: u64 = 0x5EA1_0001;
+        let blob = seal(&KEY, &NONCE, b"aad", b"secret state");
+        for idx in [0, NONCE_LEN, blob.len() - 1] {
+            let mut tampered = blob.clone();
+            tampered[idx] ^= 1;
+            assert_eq!(
+                open(&KEY, b"aad", &tampered),
+                Err(SealError::BadTag),
+                "byte {idx}"
+            );
+        }
+        for case in 0..32 {
+            let mut rng = stream(SEED, &[case]);
+            let (mut key, mut nonce) = ([0u8; KEY_LEN], [0u8; NONCE_LEN]);
+            rng.fill_bytes(&mut key);
+            rng.fill_bytes(&mut nonce);
+            let mut aad = vec![0u8; rng.gen_range(16) as usize];
+            rng.fill_bytes(&mut aad);
+            let mut plaintext = vec![0u8; rng.gen_range(64) as usize];
+            rng.fill_bytes(&mut plaintext);
+            let what = format!("seed {SEED:#x} case {case}: aad {aad:?}, plaintext {plaintext:?}");
+            let blob = seal(&key, &nonce, &aad, &plaintext);
+            assert_eq!(open(&key, &aad, &blob).as_ref(), Ok(&plaintext), "{what}");
+            let (idx, bit) = (rng.gen_range(blob.len() as u64) as usize, rng.gen_range(8));
+            let mut tampered = blob;
+            tampered[idx] ^= 1 << bit;
+            assert_eq!(
+                open(&key, &aad, &tampered),
+                Err(SealError::BadTag),
+                "{what}, bit {bit} of byte {idx}"
+            );
+        }
     }
 
     #[test]

@@ -63,6 +63,26 @@ fn profile_victim(seed: u64) -> String {
     prof.folded(&server.program().symbol_table())
 }
 
+const USAGE: &str = "usage: fuzz [--workers N] [--seed S] [--budget N] \
+                     [--minimize-budget N] [--progress] [--telemetry out.jsonl] \
+                     [--render-only] [--no-fork-server] [--no-tier2] \
+                     [--profile out.folded]";
+
+/// Prints `msg` and the usage line to stderr, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("fuzz: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The next argument parsed as `T`; a usage error naming `msg` when it
+/// is missing or does not parse.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, msg: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(msg))
+}
+
 fn main() {
     let mut cfg = CampaignConfig::quick();
     let mut exp = FuzzExperiment::smoke();
@@ -73,33 +93,13 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workers" => {
-                cfg.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a number");
-            }
-            "--seed" => {
-                cfg.master_seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a number");
-            }
-            "--budget" => {
-                exp.budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--budget takes a number");
-            }
+            "--workers" => cfg.workers = value(&mut args, "--workers takes a number"),
+            "--seed" => cfg.master_seed = value(&mut args, "--seed takes a number"),
+            "--budget" => exp.budget = value(&mut args, "--budget takes a number"),
             "--minimize-budget" => {
-                exp.minimize_budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--minimize-budget takes a number");
+                exp.minimize_budget = value(&mut args, "--minimize-budget takes a number")
             }
-            "--telemetry" => {
-                telemetry_path = Some(args.next().expect("--telemetry takes a path"));
-            }
+            "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry takes a path")),
             "--progress" => progress = true,
             "--render-only" => render_only = true,
             "--no-fork-server" => cfg.fork_server = false,
@@ -108,19 +108,8 @@ fn main() {
             // the reports (and the coverage feedback that steers the
             // campaign) must be byte-identical either way.
             "--no-tier2" => cfg.vm.engine = Engine::Fast,
-            "--profile" => {
-                profile_path = Some(args.next().expect("--profile takes a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: fuzz [--workers N] [--seed S] [--budget N] \
-                     [--minimize-budget N] [--progress] [--telemetry out.jsonl] \
-                     [--render-only] [--no-fork-server] [--no-tier2] \
-                     [--profile out.folded]"
-                );
-                std::process::exit(2);
-            }
+            "--profile" => profile_path = Some(value(&mut args, "--profile takes a path")),
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 

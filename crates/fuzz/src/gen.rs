@@ -1,14 +1,14 @@
 //! Byte-driven MinC program generation for the compiler target.
 //!
 //! [`program_from_bytes`] maps an arbitrary byte string onto a
-//! *well-formed, safe* MinC program — the same bounded family
-//! `tests/compiler_fuzz.rs` draws from proptest strategies (masked
-//! array indices, literal loop bounds, no division) — so every fuzz
-//! input decodes to a program the reference interpreter fully
-//! specifies. The mapping is total and deterministic: fuzzing explores
-//! program space by mutating the byte string, and any compiler crash
-//! or observational divergence it provokes is replayable from the
-//! input alone.
+//! *well-formed, safe* MinC program (masked array indices, literal
+//! loop bounds, no division), so every fuzz input decodes to a program
+//! the reference interpreter fully specifies. The same family feeds
+//! the root suite's hardened equivalence check
+//! (`tests/end_to_end_attacks.rs`). The mapping is total and
+//! deterministic: fuzzing explores program space by mutating the byte
+//! string, and any compiler crash or observational divergence it
+//! provokes is replayable from the input alone.
 
 /// Number of scalar variables in the generated skeleton.
 const NUM_VARS: u8 = 4;
@@ -207,6 +207,19 @@ mod tests {
             let b = program_from_bytes(&bytes);
             assert_eq!(a, b);
             parse(&a).expect("every decoded program parses");
+        }
+        // Seeded inputs of 0–63 bytes; case `n` draws from
+        // `stream(SEED, &[n])`.
+        const SEED: u64 = 0x6E40_0001;
+        for case in 0..256 {
+            let mut rng = swsec_rng::stream(SEED, &[case]);
+            let mut bytes = vec![0u8; rng.gen_range(64) as usize];
+            rng.fill_bytes(&mut bytes);
+            let a = program_from_bytes(&bytes);
+            assert_eq!(a, program_from_bytes(&bytes), "seed {SEED:#x} case {case}");
+            if let Err(e) = parse(&a) {
+                panic!("seed {SEED:#x} case {case}: bytes {bytes:?} decode to\n{a}\n{e}");
+            }
         }
     }
 

@@ -113,33 +113,43 @@ pub fn fuzz_target(target: &mut dyn FuzzTarget, cfg: &FuzzConfig) -> FuzzOutcome
     let mut seen = BTreeSet::new();
     let mut executed = 0u64;
 
-    // Starter seeds: they establish baseline coverage, and a seed that
-    // already classifies (a target shipped broken) is finding zero.
-    for seed_input in target.seeds() {
+    // One input's step: execute it, fold its coverage into the global
+    // map, and record (minimized) the first input of each class.
+    // `attempt` is 1-based, 0 for a starter seed. `None` when the input
+    // did not compile; otherwise its fingerprint and coverage gain.
+    let mut step = |target: &mut dyn FuzzTarget, input: &[u8], attempt: u64| {
         sink.reset();
-        let Ok(out) = target.execute(run_seed, &seed_input) else {
-            continue;
-        };
+        let out = target.execute(run_seed, input).ok()?;
         executed += 1;
+        // Take the map before any minimization runs pollute the sink.
         let map = sink.take_map();
         let gain = global.observe(&map);
         if let Some(class) = target.classify(&out) {
             if seen.insert(class.clone()) {
                 let (minimized, spent) =
-                    minimize::minimize(target, run_seed, &seed_input, &class, cfg.minimize_budget);
+                    minimize::minimize(target, run_seed, input, &class, cfg.minimize_budget);
                 executed += spent;
                 findings.push(Finding {
                     class,
-                    attempt: 0,
-                    input: seed_input.clone(),
+                    attempt,
+                    input: input.to_vec(),
                     minimized,
                 });
             }
         }
-        if !corpus.add(seed_input.clone(), map.fingerprint(), &gain) && corpus.is_empty() {
+        Some((map.fingerprint(), gain))
+    };
+
+    // Starter seeds: they establish baseline coverage, and a seed that
+    // already classifies (a target shipped broken) is finding zero.
+    for seed_input in target.seeds() {
+        let Some((fingerprint, gain)) = step(target, &seed_input, 0) else {
+            continue;
+        };
+        if !corpus.add(seed_input.clone(), fingerprint, &gain) && corpus.is_empty() {
             // Never fuzz from an empty corpus, even for a target that
             // emits no events at all.
-            corpus.add_forced(seed_input, map.fingerprint());
+            corpus.add_forced(seed_input, fingerprint);
         }
     }
 
@@ -156,28 +166,9 @@ pub fn fuzz_target(target: &mut dyn FuzzTarget, cfg: &FuzzConfig) -> FuzzOutcome
                 max_len,
             )
         };
-        sink.reset();
-        let Ok(out) = target.execute(run_seed, &input) else {
-            continue;
-        };
-        executed += 1;
-        // Take the map before any minimization runs pollute the sink.
-        let map = sink.take_map();
-        let gain = global.observe(&map);
-        if let Some(class) = target.classify(&out) {
-            if seen.insert(class.clone()) {
-                let (minimized, spent) =
-                    minimize::minimize(target, run_seed, &input, &class, cfg.minimize_budget);
-                executed += spent;
-                findings.push(Finding {
-                    class,
-                    attempt: attempt + 1,
-                    input: input.clone(),
-                    minimized,
-                });
-            }
+        if let Some((fingerprint, gain)) = step(target, &input, attempt + 1) {
+            corpus.add(input, fingerprint, &gain);
         }
-        corpus.add(input, map.fingerprint(), &gain);
     }
 
     FuzzOutcome {

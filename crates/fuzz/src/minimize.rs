@@ -77,6 +77,8 @@ fn reproduces(
 mod tests {
     use super::*;
     use crate::targets::tests::MockTarget;
+    use swsec::harness::AttackTarget;
+    use swsec_rng::{stream, Rng};
 
     #[test]
     fn minimizer_shrinks_while_preserving_the_class() {
@@ -98,6 +100,29 @@ mod tests {
         let (b, _) = minimize(&mut MockTarget::default(), 0, &input, "needle", 256);
         assert_eq!(a, b);
         assert!(a.len() < input.len());
+
+        // Seeded 0–39-byte prefixes and suffixes around one 0x7f: the
+        // result is deterministic, no longer than the input, and keeps
+        // the class. Case `n` draws from `stream(SEED, &[n])`.
+        const SEED: u64 = 0x313E_0001;
+        for case in 0..256 {
+            let mut rng = stream(SEED, &[case]);
+            let mut prefix = vec![0u8; rng.gen_range(40) as usize];
+            rng.fill_bytes(&mut prefix);
+            let mut suffix = vec![0u8; rng.gen_range(40) as usize];
+            rng.fill_bytes(&mut suffix);
+            let input = [&prefix[..], &[0x7f], &suffix[..]].concat();
+            let mut target = MockTarget::default();
+            let (a, _) = minimize(&mut target, 0, &input, "needle", 512);
+            let (b, _) = minimize(&mut target, 0, &input, "needle", 512);
+            let out = target.execute(0, &a).unwrap();
+            assert!(
+                a == b
+                    && a.len() <= input.len()
+                    && target.classify(&out).as_deref() == Some("needle"),
+                "seed {SEED:#x} case {case}: input {input:?} minimized to {a:?} then {b:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! seeded with `seed`, so the same call always yields the same child
 //! input. That purity is what makes fuzzing campaigns replayable and
 //! the campaign render byte-identical at any worker count —
-//! `tests` below and `tests/fuzz_props.rs` assert it.
+//! `tests` below assert it on seeded parents and donors.
 //!
 //! The operator set is the classic AFL-style mix: bit flips, byte
 //! sets, byte-wise arithmetic, interesting 32-bit constants, block
@@ -166,9 +166,20 @@ fn overwrite(input: &mut [u8], pos: usize, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swsec_rng::{stream, Rng, Xoshiro256pp};
+
+    /// Seeded cases: case `n` draws from `stream(SEED, &[n])`.
+    const SEED: u64 = 0x4D07_0001;
 
     fn dict() -> Vec<Vec<u8>> {
         vec![vec![0xde, 0xad, 0xbe, 0xef], vec![0x41; 8]]
+    }
+
+    /// 1–95 random bytes.
+    fn bytes(rng: &mut Xoshiro256pp) -> Vec<u8> {
+        let mut out = vec![0u8; 1 + rng.gen_range(95) as usize];
+        rng.fill_bytes(&mut out);
+        out
     }
 
     #[test]
@@ -179,6 +190,15 @@ mod tests {
             let a = mutate(seed, &parent, &donor, &dict(), 96);
             let b = mutate(seed, &parent, &donor, &dict(), 96);
             assert_eq!(a, b, "seed {seed} not reproducible");
+        }
+        for case in 0..256 {
+            let mut rng = stream(SEED, &[case]);
+            let (seed, parent, donor) = (rng.next_u64(), bytes(&mut rng), bytes(&mut rng));
+            assert_eq!(
+                mutate(seed, &parent, &donor, &dict(), 96),
+                mutate(seed, &parent, &donor, &dict(), 96),
+                "seed {SEED:#x} case {case}: mutation seed {seed:#x}, parent {parent:?}, donor {donor:?}"
+            );
         }
     }
 
@@ -201,6 +221,19 @@ mod tests {
             let child = mutate(seed, b"abc", b"defghijklmnop", &dict(), 16);
             assert!(!child.is_empty());
             assert!(child.len() <= 16, "len {} at seed {seed}", child.len());
+        }
+        for case in 0..256 {
+            let mut rng = stream(SEED, &[case]);
+            let (seed, parent, donor) = (rng.next_u64(), bytes(&mut rng), bytes(&mut rng));
+            let max_len = 1 + rng.gen_range(127) as usize;
+            let dict = if rng.gen_bool() { dict() } else { Vec::new() };
+            let child = mutate(seed, &parent, &donor, &dict, max_len);
+            assert!(
+                !child.is_empty() && child.len() <= max_len,
+                "seed {SEED:#x} case {case}: len {} over max_len {max_len}, mutation seed \
+                 {seed:#x}, parent {parent:?}, donor {donor:?}, dict {dict:?}",
+                child.len()
+            );
         }
     }
 

@@ -7,8 +7,7 @@
 //! - [`event`] — the typed, allocation-free [`SecurityEvent`]
 //!   vocabulary and the [`EventMask`] interest bitmask.
 //! - [`sink`] — the pluggable [`EventSink`] trait plus stock sinks
-//!   (bounded ring buffer, per-kind counters, hot-address profile,
-//!   fanout).
+//!   (bounded ring buffer, per-kind counters, hot-address profile).
 //! - [`coverage`] — an AFL-style edge/event coverage map over the
 //!   event stream: the novelty signal behind the `swsec-fuzz`
 //!   coverage-guided fuzzer.
@@ -52,6 +51,6 @@ pub use coverage::{CoverageGain, CoverageMap, CoverageSink, GlobalCoverage};
 pub use event::{ControlKind, EventMask, FaultKind, PmaRule, SecurityEvent};
 pub use jsonl::{JsonlSink, LineError, Record, SCHEMA_VERSION};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{CountingSink, EventCounts, EventSink, FanoutSink, HotAddressSink, RingBufferSink};
+pub use sink::{CountingSink, EventCounts, EventSink, HotAddressSink, RingBufferSink};
 pub use span::{ChromeInstant, Span, SpanCollector, SpanKind, SpanMask, SpanRecord, SpanRecorder};
 pub use sym::SymbolTable;

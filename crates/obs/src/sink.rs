@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::event::{EventMask, SecurityEvent};
 
@@ -33,51 +33,6 @@ pub trait EventSink: Send + Sync {
     /// attached; defaults to everything except per-instruction steps.
     fn interests(&self) -> EventMask {
         EventMask::DEFAULT
-    }
-}
-
-/// A sink that fans events out to several others.
-///
-/// Its interest mask is the union of the children's, and each child
-/// still only sees the kinds it asked for.
-pub struct FanoutSink {
-    children: Vec<(Arc<dyn EventSink>, EventMask)>,
-    interests: EventMask,
-}
-
-impl FanoutSink {
-    /// Builds a fanout over `children`. Interest masks are captured
-    /// here, once.
-    pub fn new(children: Vec<Arc<dyn EventSink>>) -> FanoutSink {
-        let children: Vec<_> = children
-            .into_iter()
-            .map(|c| {
-                let mask = c.interests();
-                (c, mask)
-            })
-            .collect();
-        let interests = children
-            .iter()
-            .fold(EventMask::NONE, |acc, (_, m)| acc.union(*m));
-        FanoutSink {
-            children,
-            interests,
-        }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn record(&self, event: &SecurityEvent) {
-        let bit = event.mask_bit();
-        for (child, mask) in &self.children {
-            if mask.contains(bit) {
-                child.record(event);
-            }
-        }
-    }
-
-    fn interests(&self) -> EventMask {
-        self.interests
     }
 }
 
@@ -405,21 +360,5 @@ mod tests {
         let rendered = sink.render_top(3);
         assert!(rendered.contains("0x00002000"));
         assert!(rendered.contains("60.0%"));
-    }
-
-    #[test]
-    fn fanout_respects_child_interests() {
-        let counter = Arc::new(CountingSink::new());
-        let hot = Arc::new(HotAddressSink::new());
-        let fan = FanoutSink::new(vec![counter.clone(), hot.clone()]);
-        // Union of DEFAULT and STEP is ALL.
-        assert_eq!(fan.interests(), EventMask::ALL);
-        fan.record(&SecurityEvent::Step { ip: 4 });
-        fan.record(&control(0));
-        // The counter did not see the step; the profile did not see the
-        // control transfer.
-        assert_eq!(counter.counts().step, 0);
-        assert_eq!(counter.counts().control, 1);
-        assert_eq!(hot.total(), 1);
     }
 }

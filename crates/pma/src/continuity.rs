@@ -425,6 +425,7 @@ impl TwoPhaseContinuity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swsec_rng::{stream, Rng};
 
     fn setup() -> (Platform, ModuleKey, UntrustedStore) {
         let platform = Platform::new([5u8; 32]);
@@ -510,6 +511,74 @@ mod tests {
             scheme.load(&mut platform, &store),
             Err(ContinuityError::Stale { .. })
         ));
+
+        // Seeded schedules of {save the next version, roll back to a
+        // kept snapshot, load}: two-phase never loads a version older
+        // than the newest it saved or loaded, while the naive scheme
+        // does load an older one on some schedule. Case `n` draws from
+        // `stream(SEED, &[n])`.
+        const SEED: u64 = 0xC047_0001;
+        let mut naive_regressions = 0;
+        for case in 0..32 {
+            let mut rng = stream(SEED, &[case]);
+            let (mut platform, key, mut store) = setup();
+            let c = platform.alloc_counter();
+            let mut scheme = TwoPhaseContinuity::new(key, c, 0, 1);
+            let mut naive = NaiveContinuity::new(key, 9);
+            let (mut version, mut floor) = (0u32, 0u32);
+            let mut trace = Vec::new();
+            scheme.save(
+                &mut platform,
+                &mut store,
+                &0u32.to_le_bytes(),
+                CrashPoint::None,
+            );
+            naive.save(&mut store, &0u32.to_le_bytes());
+            let mut snapshots = vec![store.snapshot()];
+            for _ in 0..1 + rng.gen_range(23) {
+                let (op, flag) = (rng.gen_range(3), rng.gen_bool());
+                trace.push((op, flag));
+                match op {
+                    0 => {
+                        version += 1;
+                        let state = version.to_le_bytes();
+                        scheme.save(&mut platform, &mut store, &state, CrashPoint::None);
+                        naive.save(&mut store, &state);
+                        if flag {
+                            snapshots.push(store.snapshot());
+                        }
+                        floor = version;
+                    }
+                    1 => {
+                        let idx =
+                            (usize::from(flag) * snapshots.len() / 2).min(snapshots.len() - 1);
+                        store.restore(snapshots[idx].clone());
+                    }
+                    _ => {
+                        let version_of =
+                            |bytes: Vec<u8>| u32::from_le_bytes(bytes[..4].try_into().unwrap());
+                        if let Ok(bytes) = scheme.load(&mut platform, &store) {
+                            let v = version_of(bytes);
+                            assert!(
+                                v >= floor,
+                                "seed {SEED:#x} case {case}: two-phase regressed from {floor} to {v} after {trace:?}"
+                            );
+                            floor = v;
+                        }
+                        if naive
+                            .load(&store)
+                            .is_ok_and(|bytes| version_of(bytes) < floor)
+                        {
+                            naive_regressions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            naive_regressions > 0,
+            "no schedule rolled the naive scheme back"
+        );
     }
 
     #[test]

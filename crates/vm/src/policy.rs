@@ -298,6 +298,7 @@ impl ProtectionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swsec_rng::{stream, Rng, Xoshiro256pp};
 
     fn one_module() -> ProtectionMap {
         ProtectionMap::new(vec![ProtectedRegion::new(
@@ -308,24 +309,42 @@ mod tests {
     }
 
     #[test]
-    fn outside_cannot_touch_module_data() {
+    fn data_access_follows_the_rule_verbatim() {
+        // Access is allowed iff the target is not in a module, or the IP
+        // executes that module's code. Hand-picked points first: outside
+        // code cannot touch module data, nor read its code; the module
+        // touches its own data and code; anyone touches unprotected
+        // memory, the module included. Then seeded points, mostly around
+        // the module and on its boundaries; case `n` draws from
+        // `stream(SEED, &[n])`.
+        const SEED: u64 = 0x9A7A_0001;
+        let point = |rng: &mut Xoshiro256pp| match rng.gen_range(4) {
+            0 => rng.next_u32(),
+            // A region boundary, or a byte either side of it.
+            1 => (0x2000 + 0x1000 * rng.gen_range(3) as u32 + rng.gen_range(3) as u32) - 1,
+            _ => 0x1800 + rng.gen_range(0x3000) as u32,
+        };
+        let pinned = [
+            (0x9000, 0x3004),
+            (0x9000, 0x2004),
+            (0x2004, 0x3004),
+            (0x2004, 0x2008),
+            (0x9000, 0x8000),
+            (0x2004, 0x8000),
+        ];
+        let seeded = (pinned.len() as u64..pinned.len() as u64 + 256).map(|case| {
+            let mut rng = stream(SEED, &[case]);
+            (point(&mut rng), point(&mut rng))
+        });
         let map = one_module();
-        assert!(map.check_data(0x9000, 0x3004).is_err());
-        assert!(map.check_data(0x9000, 0x2004).is_err()); // nor read code
-    }
-
-    #[test]
-    fn inside_can_touch_own_data_and_code() {
-        let map = one_module();
-        assert!(map.check_data(0x2004, 0x3004).is_ok());
-        assert!(map.check_data(0x2004, 0x2008).is_ok());
-    }
-
-    #[test]
-    fn anyone_can_touch_unprotected_memory() {
-        let map = one_module();
-        assert!(map.check_data(0x9000, 0x8000).is_ok());
-        assert!(map.check_data(0x2004, 0x8000).is_ok()); // module reaching out
+        for (case, (ip, addr)) in pinned.into_iter().chain(seeded).enumerate() {
+            let allowed = !(0x2000..0x4000).contains(&addr) || (0x2000..0x3000).contains(&ip);
+            assert_eq!(
+                map.check_data(ip, addr).is_ok(),
+                allowed,
+                "seed {SEED:#x} case {case}: ip {ip:#x} addr {addr:#x}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! clock. `--render-only` suppresses the summary, leaving exactly the
 //! deterministic bytes on stdout. `--only N` (repeatable) restricts
 //! the run to experiment N of E1–E16; any other N is a usage error
-//! (exit 2).
+//! (exit 2), as is a flag missing its value or given a malformed one.
 //!
 //! With `--telemetry PATH`, the run also streams a schema-v1 JSONL
 //! dump to `PATH`: meta lines describing the run, one event line per
@@ -70,6 +70,26 @@ use swsec_obs::{EventMask, JsonlSink, MetricsRegistry, SpanMask, SymbolTable};
 use swsec_vm::profile::{Profiler, DEFAULT_INTERVAL};
 use swsec_vm::Engine;
 
+const USAGE: &str = "usage: campaign [--workers N] [--seed S] [--quick] [--only N]... \
+                     [--progress] [--telemetry out.jsonl] [--render-only] [--fault-demo] \
+                     [--no-fork-server] [--no-tier2] [--spans] [--chrome out.json] \
+                     [--profile out.folded] [--profile-interval N]";
+
+/// Prints `msg` and the usage line to stderr, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("campaign: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The next argument parsed as `T`; a usage error naming `msg` when it
+/// is missing or does not parse.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, msg: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(msg))
+}
+
 fn main() {
     let mut cfg = CampaignConfig::default();
     let mut telemetry_path: Option<String> = None;
@@ -83,18 +103,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workers" => {
-                cfg.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a number");
-            }
-            "--seed" => {
-                cfg.master_seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a number");
-            }
+            "--workers" => cfg.workers = value(&mut args, "--workers takes a number"),
+            "--seed" => cfg.master_seed = value(&mut args, "--seed takes a number"),
             "--quick" => {
                 let workers = cfg.workers;
                 let master_seed = cfg.master_seed;
@@ -113,46 +123,27 @@ fn main() {
             "--only" => {
                 let wanted = args.next().and_then(|v| v.parse::<u8>().ok());
                 let Some(exp) = registry().iter().find(|e| Some(e.id().number()) == wanted) else {
-                    eprintln!(
-                        "campaign: --only takes an experiment number from 1 to 16 (E1–E16); \
+                    usage_error(
+                        "--only takes an experiment number from 1 to 16 (E1–E16); \
                          E17 is the fault demo (--fault-demo), E18 the fuzzing campaign \
-                         (cargo run -p swsec-fuzz --bin fuzz)"
+                         (cargo run -p swsec-fuzz --bin fuzz)",
                     );
-                    std::process::exit(2);
                 };
                 cfg.experiments.push(exp.id());
             }
-            "--telemetry" => {
-                telemetry_path = Some(args.next().expect("--telemetry takes a path"));
-            }
+            "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry takes a path")),
             "--progress" => progress = true,
             "--render-only" => render_only = true,
             "--fault-demo" => fault_demo = true,
             "--no-fork-server" => cfg.fork_server = false,
             "--no-tier2" => cfg.vm.engine = Engine::Fast,
             "--spans" => spans = true,
-            "--chrome" => {
-                chrome_path = Some(args.next().expect("--chrome takes a path"));
-            }
-            "--profile" => {
-                profile_path = Some(args.next().expect("--profile takes a path"));
-            }
+            "--chrome" => chrome_path = Some(value(&mut args, "--chrome takes a path")),
+            "--profile" => profile_path = Some(value(&mut args, "--profile takes a path")),
             "--profile-interval" => {
-                profile_interval = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--profile-interval takes a number");
+                profile_interval = value(&mut args, "--profile-interval takes a number")
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: campaign [--workers N] [--seed S] [--quick] [--only N]... \
-                     [--progress] [--telemetry out.jsonl] [--render-only] [--fault-demo] \
-                     [--no-fork-server] [--no-tier2] [--spans] [--chrome out.json] \
-                     [--profile out.folded] [--profile-interval N]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 

@@ -34,6 +34,25 @@ use swsec_obs::jsonl::{meta_line, span_line};
 use swsec_obs::{EventMask, JsonlSink, MetricsRegistry, SpanMask};
 use swsec_rng::derive;
 
+const USAGE: &str = "usage: serve [--tenants N] [--jobs N] [--attempts N] [--workers N] \
+                     [--seed S] [--queue N] [--rebuild] [--saturate] [--spans] \
+                     [--telemetry out.jsonl] [--render-only]";
+
+/// Prints `msg` and the usage line to stderr, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("serve: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The next argument parsed as `T`; a usage error naming `msg` when it
+/// is missing or does not parse.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, msg: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(msg))
+}
+
 fn main() {
     let mut tenants = 2usize;
     let mut jobs = 4u32;
@@ -47,58 +66,18 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tenants" => {
-                tenants = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tenants takes a number");
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs takes a number");
-            }
-            "--attempts" => {
-                attempts = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--attempts takes a number");
-            }
-            "--workers" => {
-                cfg.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a number");
-            }
-            "--seed" => {
-                master_seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a number");
-            }
-            "--queue" => {
-                cfg.queue_capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queue takes a number");
-            }
+            "--tenants" => tenants = value(&mut args, "--tenants takes a number"),
+            "--jobs" => jobs = value(&mut args, "--jobs takes a number"),
+            "--attempts" => attempts = value(&mut args, "--attempts takes a number"),
+            "--workers" => cfg.workers = value(&mut args, "--workers takes a number"),
+            "--seed" => master_seed = value(&mut args, "--seed takes a number"),
+            "--queue" => cfg.queue_capacity = value(&mut args, "--queue takes a number"),
             "--rebuild" => cfg.fork_server = false,
             "--saturate" => saturate = true,
             "--spans" => spans = true,
             "--render-only" => render_only = true,
-            "--telemetry" => {
-                telemetry_path = Some(args.next().expect("--telemetry takes a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: serve [--tenants N] [--jobs N] [--attempts N] [--workers N] \
-                     [--seed S] [--queue N] [--rebuild] [--saturate] [--spans] \
-                     [--telemetry out.jsonl] [--render-only]"
-                );
-                std::process::exit(2);
-            }
+            "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry takes a path")),
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     let tenants = tenants.max(1);

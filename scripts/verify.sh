@@ -24,7 +24,8 @@
 #   8. fault-injection smoke: the E16 crash matrix standalone, plus a
 #      --fault-demo run that must exit non-zero, report its failed
 #      cells, and emit cell_failed telemetry; `--only 17` (an id outside
-#      the E1–E16 registry) must be a usage error with empty stdout;
+#      the E1–E16 registry), `--workers abc` and a bare `--seed` must be
+#      usage errors (exit 2) with empty stdout;
 #   9. fuzz smoke: the E18 coverage-guided campaign (swsec-fuzz) at a
 #      fixed seed and budget must rediscover the E2 stack smash, see
 #      zero fast-path-vs-baseline divergences, and render byte-identical
@@ -77,7 +78,12 @@
 #      (swsecbench/ is not a member and is not checked);
 #  18. one-path guard: crates/core/src/experiments may not bring back a
 #      `pub fn compute` twin of an `Experiment` impl, a
-#      `Table::new("cell", …)` carrier or cells routed by `t.title`.
+#      `Table::new("cell", …)` carrier or cells routed by `t.title`;
+#  19. feature guard: no workspace manifest (swsecbench/ is not a
+#      member) may declare `[features]`, and no source under crates/,
+#      tests/, examples/ or suite/ may gate code on `cfg(feature …)` or
+#      mention `proptest`: every test builds offline and runs in the
+#      default suite, where steps 2 and 3 test and lint it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -180,6 +186,18 @@ if target/release/examples/campaign --quick --only 17 > "$FAULTDIR/only_17.txt" 
     echo "verify: --only 17 must exit non-zero with empty stdout" >&2
     exit 1
 fi
+# A flag missing its value, or given a malformed one, is a usage error
+# too, never a panic.
+for args in "--workers abc" "--seed"; do
+    status=0
+    # $args is unquoted on purpose: it splits into flag and value.
+    target/release/examples/campaign --quick $args > "$FAULTDIR/bad_flag.txt" 2> /dev/null \
+        || status=$?
+    if [ "$status" -ne 2 ] || [ -s "$FAULTDIR/bad_flag.txt" ]; then
+        echo "verify: campaign $args must exit 2 with empty stdout (got $status)" >&2
+        exit 1
+    fi
+done
 
 echo "==> fuzz smoke"
 cargo build -q --release --offline -p swsec-fuzz --bin fuzz
@@ -374,6 +392,17 @@ echo "==> one-path guard"
 if grep -rnE 'pub fn compute[[:space:]]*[(<]|Table::new\("cell"|\.title\.as_str\(\)|(^|[^A-Za-z0-9_])t\.title([^A-Za-z0-9_]|$)' \
     crates/core/src/experiments; then
     echo "verify: an experiment has a second path; run it through its Experiment impl" >&2
+    exit 1
+fi
+
+echo "==> feature guard"
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+    echo "verify: a workspace manifest declares cargo features; tests run in the default suite" >&2
+    exit 1
+fi
+if grep -rnE 'cfg(_attr)?\((.*[^A-Za-z0-9_])?feature *=|proptest' \
+    crates tests examples suite --include='*.rs'; then
+    echo "verify: feature-gated or proptest code is back; write seeded swsec-rng cases" >&2
     exit 1
 fi
 

@@ -97,16 +97,30 @@ fn sequential_runs_render_exactly_the_campaign_sections() {
     // One path per experiment: the sequential typed run, rendered
     // through its report, is byte-for-byte the experiment's section of
     // a pooled campaign on the same configuration.
-    let cfg = CampaignConfig {
+    let quick = CampaignConfig {
         workers: 4,
         ..CampaignConfig::quick()
     };
-    let campaign = run_campaign(&cfg);
-    assert!(campaign.all_ok());
-    assert_eq!(campaign.reports.len(), registry().len());
-    for (exp, section) in registry().iter().zip(&campaign.reports) {
-        let sequential = exp.run_report(&cfg, &CampaignCtx::new());
-        assert_eq!(sequential.render(), section.render(), "{}", exp.id());
+    // An empty ASLR sweep lays out no E4 cell and renders an empty
+    // table, on both paths.
+    let empty_sweep = CampaignConfig {
+        experiments: vec![ExperimentId::new(4)],
+        aslr_bits_levels: Vec::new(),
+        ..quick.clone()
+    };
+    for cfg in [quick, empty_sweep] {
+        let campaign = run_campaign(&cfg);
+        assert!(campaign.all_ok());
+        if cfg.aslr_bits_levels.is_empty() {
+            assert_eq!(campaign.timings[0].cells, 0);
+            assert!(campaign.reports[0].tables[0].rows.is_empty());
+        }
+        let selected = cfg.selected();
+        assert_eq!(campaign.reports.len(), selected.len());
+        for (exp, section) in selected.iter().zip(&campaign.reports) {
+            let sequential = exp.run_report(&cfg, &CampaignCtx::new());
+            assert_eq!(sequential.render(), section.render(), "{}", exp.id());
+        }
     }
 }
 
