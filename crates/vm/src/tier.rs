@@ -1318,6 +1318,13 @@ mod tests {
     }
 
     #[test]
+    fn ops_stay_forty_bytes() {
+        // A compiled block's heap is mostly its `ops`; a wider `Op`
+        // grows every block (40 bytes when this was pinned).
+        assert!(std::mem::size_of::<Op>() <= 40);
+    }
+
+    #[test]
     fn index_mix_separates_low_bit_aliases() {
         // 0x1000 and 0x0040_0000 share low bits — the classic
         // text/module alias; the mixed index must differ.

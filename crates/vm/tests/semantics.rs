@@ -7,15 +7,19 @@
 //! edge values in [`EDGES`]; the ALU and branch properties walk every
 //! pair of edge values first. A seeded case `n` draws from
 //! `stream(SEED, &[n])`, so a failure's seed and case index replay it
-//! alone. These straight-line programs never get hot enough for tier 2
+//! alone. The straight-line properties never get hot enough for tier 2
 //! to compile a block: under `Engine::Tier2` they check the tier's
-//! interpreter fallback, not its blocks.
+//! interpreter fallback. The `hot_` properties run the same cases
+//! inside a counted loop that crosses `HOT_THRESHOLD`, so tier 2
+//! executes them in a compiled block, and compare every engine's final
+//! machine state against the baseline's.
 
 use swsec_rng::{stream, Rng};
 use swsec_vm::context::scope;
-use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
+use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg, ALL_REGS};
 use swsec_vm::mem::Perm;
 use swsec_vm::prelude::*;
+use swsec_vm::tier::HOT_THRESHOLD;
 use swsec_vm::{Engine, VmConfig};
 
 const TEXT: u32 = 0x1000;
@@ -353,5 +357,222 @@ fn call_ret_preserves_control_flow() {
             assert_eq!(m.stats().calls, depth as u64 + 1, "{what}");
             assert_eq!(m.stats().rets, depth as u64 + 1, "{what}");
         }
+    }
+}
+
+/// Trips of the counted loop in [`hot_loop`]: twice the promotion
+/// threshold, so the loop head compiles into a block half-way through
+/// and the remaining trips, and the code after the loop, run in it.
+const TRIPS: u32 = 2 * HOT_THRESHOLD;
+
+/// Where a hot case's body runs relative to the counted loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Placement {
+    /// Once, on the loop's exit path. The loop's block runs straight
+    /// into it, so even a body that faults first faults inside a block.
+    AfterLoop,
+    /// On every trip, and once more after the loop.
+    InLoop,
+}
+
+fn encoded_len(instrs: &[Instr]) -> u32 {
+    let mut bytes = Vec::new();
+    for i in instrs {
+        i.encode(&mut bytes);
+    }
+    bytes.len() as u32
+}
+
+/// `setup`, then a counted loop over `r7` ([`TRIPS`] trips) with
+/// `body` at the placement's position(s), then `sys exit`. `body` may
+/// not touch `r7`.
+fn hot_loop(setup: &[Instr], body: &[Instr], placement: Placement) -> Vec<Instr> {
+    let mut prog = setup.to_vec();
+    prog.push(movi(Reg::R7, TRIPS));
+    let head = TEXT + encoded_len(&prog);
+    if placement == Placement::InLoop {
+        prog.extend_from_slice(body);
+    }
+    prog.extend([
+        Instr::AddI {
+            dst: Reg::R7,
+            imm: u32::MAX,
+        },
+        Instr::CmpI { a: Reg::R7, imm: 0 },
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: head,
+        },
+    ]);
+    prog.extend_from_slice(body);
+    prog.push(Instr::Sys(sys::EXIT));
+    prog
+}
+
+/// Runs `body` in a hot loop at both placements under every engine and
+/// checks that the fast and tier-2 engines leave exactly the baseline's
+/// outcome, registers, `ip`, flags, stack-page memory and architectural
+/// stats, and that tier 2 really served the case from a block.
+fn check_hot(what: &str, setup: &[Instr], body: &[Instr]) {
+    for placement in [Placement::AfterLoop, Placement::InLoop] {
+        let prog = hot_loop(setup, body, placement);
+        let mut runs = run_on_every_engine(&prog);
+        let (_, want, base) = runs.next().expect("baseline run");
+        let state = |m: &Machine| {
+            let regs = ALL_REGS.map(|r| m.reg(r));
+            let page = m.mem().peek_bytes(STACK_TOP - 0x1000, 0x1000).unwrap();
+            (regs, m.ip(), m.flags(), page, m.stats().architectural())
+        };
+        let want_state = state(&base);
+        for (engine, outcome, m) in runs {
+            let at = format!("{what} ({placement:?}) on {engine:?}");
+            assert_eq!(outcome, want, "{at}: outcome");
+            assert!(state(&m) == want_state, "{at}: machine state differs");
+            // An in-loop body that faults on its first trip never gets hot.
+            let first_trip_fault = placement == Placement::InLoop && want.fault().is_some();
+            if engine == Engine::Tier2 && !first_trip_fault {
+                assert!(m.stats().tier2_instructions > 0, "{at}: no block ran");
+            }
+        }
+    }
+}
+
+#[test]
+fn hot_alu_matches_the_baseline_in_blocks() {
+    for (case, a, b) in operand_pairs() {
+        for op in ALU_OPS {
+            let setup = [movi(Reg::R2, a), movi(Reg::R3, b)];
+            let body = [
+                Instr::Mov {
+                    dst: Reg::R0,
+                    src: Reg::R2,
+                },
+                Instr::Mov {
+                    dst: Reg::R1,
+                    src: Reg::R3,
+                },
+                Instr::Alu {
+                    op,
+                    dst: Reg::R0,
+                    src: Reg::R1,
+                },
+                Instr::Cmp {
+                    a: Reg::R0,
+                    b: Reg::R3,
+                },
+            ];
+            let what = format!("seed {SEED:#x} case {case}: {op:?} {a:#x} {b:#x}");
+            check_hot(&what, &setup, &body);
+        }
+    }
+}
+
+#[test]
+fn hot_push_pop_matches_the_baseline_in_blocks() {
+    for case in 0..CASES {
+        let mut rng = stream(SEED, &[case]);
+        let values: Vec<u32> = (0..1 + rng.gen_range(8))
+            .map(|_| operand(&mut rng))
+            .collect();
+        let mut body: Vec<Instr> = values.iter().map(|&v| Instr::PushI(v)).collect();
+        body.push(movi(Reg::R0, 0));
+        for _ in &values {
+            body.push(Instr::Pop(Reg::R1));
+            body.push(Instr::Alu {
+                op: AluOp::Xor,
+                dst: Reg::R0,
+                src: Reg::R1,
+            });
+        }
+        body.push(Instr::Push(Reg::R0));
+        body.push(Instr::Pop(Reg::R2));
+        let what = format!("seed {SEED:#x} case {case}: values {values:#x?}");
+        check_hot(&what, &[], &body);
+    }
+}
+
+/// A load or store address `disp` bytes off a base register: anywhere
+/// in the stack page, or a few bytes past either end of it, where
+/// words straddle into unmapped memory and fault.
+fn data_address(rng: &mut impl Rng) -> (u32, i16) {
+    let page = STACK_TOP - 0x1000;
+    let addr = page - 8 + rng.gen_range(0x1000 + 16) as u32;
+    let disp = rng.gen_range(256) as i16 - 128;
+    (addr.wrapping_sub(disp as i32 as u32), disp)
+}
+
+#[test]
+fn hot_loads_and_stores_match_the_baseline_in_blocks() {
+    for case in 0..CASES {
+        let mut rng = stream(SEED, &[case]);
+        let (base, disp) = data_address(&mut rng);
+        let (value, junk) = (operand(&mut rng), operand(&mut rng));
+        let setup = [
+            movi(Reg::R1, base),
+            movi(Reg::R2, value),
+            movi(Reg::R3, junk),
+        ];
+        let body = [
+            Instr::Store {
+                base: Reg::R1,
+                disp,
+                src: Reg::R3,
+            },
+            Instr::StoreB {
+                base: Reg::R1,
+                disp,
+                src: Reg::R2,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                disp,
+            },
+            Instr::LoadB {
+                dst: Reg::R4,
+                base: Reg::R1,
+                disp,
+            },
+            Instr::Lea {
+                dst: Reg::R5,
+                base: Reg::R1,
+                disp,
+            },
+        ];
+        let what =
+            format!("seed {SEED:#x} case {case}: {value:#x} over {junk:#x} at {base:#x}{disp:+}");
+        check_hot(&what, &setup, &body);
+    }
+}
+
+#[test]
+fn hot_enter_leave_matches_the_baseline_in_blocks() {
+    for case in 0..CASES {
+        let mut rng = stream(SEED, &[case]);
+        // Mostly frames that fit the stack page; some run off its end,
+        // so the local store below the frame faults.
+        let frame = if rng.gen_range(8) == 0 {
+            0x1000 + rng.gen_range(64) as u32
+        } else {
+            rng.gen_range(0x400) as u32 & !3
+        };
+        let (value, bp) = (operand(&mut rng), STACK_TOP - 0x800);
+        let setup = [movi(Reg::Bp, bp), movi(Reg::R2, value)];
+        let body = [
+            Instr::Enter(frame),
+            Instr::Store {
+                base: Reg::Sp,
+                disp: 0,
+                src: Reg::R2,
+            },
+            Instr::Load {
+                dst: Reg::R0,
+                base: Reg::Bp,
+                disp: 0,
+            },
+            Instr::Leave,
+        ];
+        let what = format!("seed {SEED:#x} case {case}: frame {frame:#x} value {value:#x}");
+        check_hot(&what, &setup, &body);
     }
 }
