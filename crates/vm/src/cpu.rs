@@ -332,9 +332,9 @@ pub struct Machine {
     sink: Option<Arc<dyn EventSink>>,
     sink_mask: EventMask,
     /// The sink, re-typed, when it is a [`CoverageSink`] attached via
-    /// [`Machine::set_coverage`]: tier-2 blocks bump its edge map
-    /// directly (no event construction, no dynamic dispatch) on
-    /// control-transfer micro-ops, byte-identical to the event path.
+    /// [`Machine::set_coverage`]: calls, returns and indirect jumps
+    /// bump its edge map directly (no event construction, no dynamic
+    /// dispatch), byte-identical to the event path.
     cov: Option<Arc<CoverageSink>>,
     /// Attached sampling profiler (see [`profile`](crate::profile)).
     prof: Option<Arc<Profiler>>,
@@ -429,11 +429,11 @@ impl Machine {
     }
 
     /// Attaches (or with `None`, detaches) a coverage sink with the
-    /// devirtualized tier-2 path: the sink becomes the machine's event
-    /// sink exactly as [`set_event_sink`](Machine::set_event_sink)
-    /// would make it (tier-1 execution feeds it through the ordinary
-    /// event stream), and tier-2 blocks additionally bump its edge map
-    /// in place at control-transfer micro-ops instead of constructing
+    /// devirtualized transfer path: the sink becomes the machine's
+    /// event sink exactly as [`set_event_sink`](Machine::set_event_sink)
+    /// would make it (faults and syscalls reach it through the ordinary
+    /// event stream), and calls, returns and indirect jumps, at either
+    /// tier, bump its edge map in place instead of constructing
     /// `ControlTransfer` events. The accumulated
     /// [`CoverageMap`](swsec_obs::CoverageMap) is byte-identical
     /// either way — same slots, same counts, same fingerprint — so
@@ -849,133 +849,19 @@ impl Machine {
         }
     }
 
-    fn push(&mut self, value: u32) -> Result<(), Fault> {
+    /// `sp -= 4; mem32[sp] <- value`, through the data path `data`.
+    #[inline]
+    fn push<D: DataPath>(&mut self, data: &mut D, value: u32) -> Result<(), Fault> {
         let sp = self.reg(Reg::Sp).wrapping_sub(4);
         self.set_reg(Reg::Sp, sp);
-        self.store_u32(sp, value)
+        data.store_u32(self, sp, value)
     }
 
-    fn pop(&mut self) -> Result<u32, Fault> {
+    /// `value <- mem32[sp]; sp += 4`, through the data path `data`.
+    #[inline]
+    fn pop<D: DataPath>(&mut self, data: &mut D) -> Result<u32, Fault> {
         let sp = self.reg(Reg::Sp);
-        let value = self.load_u32(sp)?;
-        self.set_reg(Reg::Sp, sp.wrapping_add(4));
-        Ok(value)
-    }
-
-    // --- tier-2 block-local memory path ---------------------------
-    // These mirror load_u32/store_u32/push/pop exactly, but serve
-    // repeat accesses through a chain-local pair of [`DataLine`]s,
-    // skipping the TLB probe. Two lines, not one, for the same reason
-    // the tier-1 data TLB has two entries: dispatcher-shaped code
-    // alternates every iteration between a data page (a jump table, a
-    // buffer) and the stack page (call/ret traffic), and a single line
-    // would refill through the page-table map twice per trip. The pair
-    // is kept most-recently-used-first; a hit on the second line swaps
-    // it forward, a refill displaces the older line. Only the block
-    // loop may call these: tier-2 eligibility guarantees no PMA policy
-    // is attached (so the skipped `check_pma_data` would be a no-op),
-    // and micro-ops cannot remap, reprotect or restore memory, so a
-    // filled line stays valid for the whole dispatch chain. Line
-    // writes bump the page's write generation and dirty flag exactly
-    // like `store_u32`, keeping SMC detection and snapshot dirty
-    // tracking intact.
-
-    #[inline]
-    fn bc_load_u32(&mut self, line: &mut [DataLine; 2], addr: u32) -> Result<u32, Fault> {
-        if line[0].serves_word(addr, false) {
-            self.stats.mem_reads += 1;
-            return Ok(self.mem.line_read_u32(line[0], addr));
-        }
-        if line[1].serves_word(addr, false) {
-            line.swap(0, 1);
-            self.stats.mem_reads += 1;
-            return Ok(self.mem.line_read_u32(line[0], addr));
-        }
-        let v = self.load_u32(addr)?;
-        if let Some(l) = self.mem.data_line(addr) {
-            line[1] = line[0];
-            line[0] = l;
-        }
-        Ok(v)
-    }
-
-    #[inline]
-    fn bc_store_u32(
-        &mut self,
-        line: &mut [DataLine; 2],
-        addr: u32,
-        value: u32,
-    ) -> Result<(), Fault> {
-        if line[0].serves_word(addr, true) {
-            self.stats.mem_writes += 1;
-            self.mem.line_write_u32(line[0], addr, value);
-            return Ok(());
-        }
-        if line[1].serves_word(addr, true) {
-            line.swap(0, 1);
-            self.stats.mem_writes += 1;
-            self.mem.line_write_u32(line[0], addr, value);
-            return Ok(());
-        }
-        self.store_u32(addr, value)?;
-        if let Some(l) = self.mem.data_line(addr) {
-            line[1] = line[0];
-            line[0] = l;
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn bc_load_u8(&mut self, line: &mut [DataLine; 2], addr: u32) -> Result<u8, Fault> {
-        if line[0].serves_byte(addr, false) {
-            self.stats.mem_reads += 1;
-            return Ok(self.mem.line_read_u8(line[0], addr));
-        }
-        if line[1].serves_byte(addr, false) {
-            line.swap(0, 1);
-            self.stats.mem_reads += 1;
-            return Ok(self.mem.line_read_u8(line[0], addr));
-        }
-        let v = self.load_u8(addr)?;
-        if let Some(l) = self.mem.data_line(addr) {
-            line[1] = line[0];
-            line[0] = l;
-        }
-        Ok(v)
-    }
-
-    #[inline]
-    fn bc_store_u8(&mut self, line: &mut [DataLine; 2], addr: u32, value: u8) -> Result<(), Fault> {
-        if line[0].serves_byte(addr, true) {
-            self.stats.mem_writes += 1;
-            self.mem.line_write_u8(line[0], addr, value);
-            return Ok(());
-        }
-        if line[1].serves_byte(addr, true) {
-            line.swap(0, 1);
-            self.stats.mem_writes += 1;
-            self.mem.line_write_u8(line[0], addr, value);
-            return Ok(());
-        }
-        self.store_u8(addr, value)?;
-        if let Some(l) = self.mem.data_line(addr) {
-            line[1] = line[0];
-            line[0] = l;
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn bc_push(&mut self, line: &mut [DataLine; 2], value: u32) -> Result<(), Fault> {
-        let sp = self.reg(Reg::Sp).wrapping_sub(4);
-        self.set_reg(Reg::Sp, sp);
-        self.bc_store_u32(line, sp, value)
-    }
-
-    #[inline]
-    fn bc_pop(&mut self, line: &mut [DataLine; 2]) -> Result<u32, Fault> {
-        let sp = self.reg(Reg::Sp);
-        let value = self.bc_load_u32(line, sp)?;
+        let value = data.load_u32(self, sp)?;
         self.set_reg(Reg::Sp, sp.wrapping_add(4));
         Ok(value)
     }
@@ -996,7 +882,7 @@ impl Machine {
     /// still-empty cache and diverts to the fill.
     fn fetch(&mut self) -> Result<(Instr, usize), Fault> {
         if !self.fast_path {
-            return self.fetch_decode();
+            return decode_at(&self.mem, self.ip);
         }
         let gen = self.mem.code_generation();
         let way0 = ((self.ip as usize) & (ICACHE_SETS - 1)) * 2;
@@ -1033,7 +919,7 @@ impl Machine {
     /// way 0 to way 1.
     fn fetch_fill(&mut self, gen: u64, way0: usize) -> Result<(Instr, usize), Fault> {
         self.stats.icache_misses += 1;
-        let (instr, len) = self.fetch_decode()?;
+        let (instr, len) = decode_at(&self.mem, self.ip)?;
         let last = self.ip.wrapping_add(len as u32 - 1);
         let straddles = (self.ip ^ last) >= PAGE_SIZE;
         let (slot, pgen) = self.mem.fetch_page(self.ip)?;
@@ -1057,23 +943,6 @@ impl Machine {
         Ok((instr, len))
     }
 
-    /// The uncached fetch path: read the encoding (one page resolution
-    /// per page touched) and decode it.
-    fn fetch_decode(&self) -> Result<(Instr, usize), Fault> {
-        let first = self.mem.read_u8(self.ip, Access::Fetch)?;
-        let len = isa::instr_len(first).ok_or(Fault::Decode {
-            addr: self.ip,
-            err: DecodeError::UnknownOpcode(first),
-        })?;
-        let mut buf = [0u8; isa::MAX_INSTR_LEN];
-        buf[0] = first;
-        if len > 1 {
-            self.mem
-                .read_bytes(self.ip.wrapping_add(1), &mut buf[1..len], Access::Fetch)?;
-        }
-        Instr::decode(&buf[..len]).map_err(|err| Fault::Decode { addr: self.ip, err })
-    }
-
     fn transfer(&mut self, target: u32, kind: TransferKind) {
         self.prev_ip = self.ip;
         self.ip = target;
@@ -1090,16 +959,19 @@ impl Machine {
     /// longer transfers fall back to a heap allocation.
     const SYS_STACK_BUF_LEN: usize = 256;
 
-    fn syscall(&mut self, number: u8) -> Result<SysEffect, Fault> {
+    /// Runs system call `number`. Syscalls never compile into blocks,
+    /// so this runs only at tier 1, where `self.ip` is the `sys`
+    /// instruction itself.
+    fn syscall(&mut self, number: u8) -> Result<Flow, Fault> {
         self.stats.syscalls += 1;
         match number {
-            isa::sys::EXIT => Ok(SysEffect::Halt(self.reg(Reg::R0))),
+            isa::sys::EXIT => Ok(Flow::Halt(self.reg(Reg::R0))),
             isa::sys::READ => {
                 let fd = self.reg(Reg::R0);
                 let buf = self.reg(Reg::R1);
                 let len = self.reg(Reg::R2);
                 if self.blocking_reads && len > 0 && self.io.pending_input(fd) == 0 {
-                    return Ok(SysEffect::Block(fd));
+                    return Ok(Flow::Blocked(fd));
                 }
                 // Only the pending input can arrive, so a smashed length
                 // register never sizes the staging buffer. Small
@@ -1126,7 +998,7 @@ impl Machine {
                     }
                 }
                 self.set_reg(Reg::R0, n as u32);
-                Ok(SysEffect::Continue)
+                Ok(Flow::Seq)
             }
             isa::sys::WRITE => {
                 let fd = self.reg(Reg::R0);
@@ -1144,12 +1016,12 @@ impl Machine {
                 };
                 self.io.write(fd, out);
                 self.set_reg(Reg::R0, len);
-                Ok(SysEffect::Continue)
+                Ok(Flow::Seq)
             }
             isa::sys::RAND => {
                 let r = self.next_rand();
                 self.set_reg(Reg::R0, r);
-                Ok(SysEffect::Continue)
+                Ok(Flow::Seq)
             }
             _ => Err(Fault::UnknownSyscall {
                 number,
@@ -1158,7 +1030,8 @@ impl Machine {
         }
     }
 
-    fn alu(&mut self, op: AluOp, dst: Reg, src: Reg) -> Result<(), Fault> {
+    /// `dst <- dst op src` for the instruction at `ip`.
+    fn alu(&mut self, op: AluOp, dst: Reg, src: Reg, ip: u32) -> Result<(), Fault> {
         let a = self.reg(dst);
         let b = self.reg(src);
         let result = match op {
@@ -1167,25 +1040,25 @@ impl Machine {
             AluOp::Mul => a.wrapping_mul(b),
             AluOp::DivU => {
                 if b == 0 {
-                    return Err(Fault::DivideByZero { ip: self.ip });
+                    return Err(Fault::DivideByZero { ip });
                 }
                 a / b
             }
             AluOp::DivS => {
                 if b == 0 {
-                    return Err(Fault::DivideByZero { ip: self.ip });
+                    return Err(Fault::DivideByZero { ip });
                 }
                 (a as i32).wrapping_div(b as i32) as u32
             }
             AluOp::ModU => {
                 if b == 0 {
-                    return Err(Fault::DivideByZero { ip: self.ip });
+                    return Err(Fault::DivideByZero { ip });
                 }
                 a % b
             }
             AluOp::ModS => {
                 if b == 0 {
-                    return Err(Fault::DivideByZero { ip: self.ip });
+                    return Err(Fault::DivideByZero { ip });
                 }
                 (a as i32).wrapping_rem(b as i32) as u32
             }
@@ -1240,12 +1113,12 @@ impl Machine {
             self.prof_sample();
         }
         match self.exec(instr, len) {
-            Ok(ExecOutcome::Continue) => StepResult::Continue,
-            Ok(ExecOutcome::Halt(code)) => {
+            Ok(Flow::Halt(code)) => {
                 self.halted = Some(code);
                 StepResult::Halted(code)
             }
-            Ok(ExecOutcome::Blocked(fd)) => StepResult::Blocked { fd },
+            Ok(Flow::Blocked(fd)) => StepResult::Blocked { fd },
+            Ok(_) => StepResult::Continue,
             Err(f) => {
                 self.emit_fault(&f);
                 StepResult::Fault(f)
@@ -1313,126 +1186,131 @@ impl Machine {
         frames
     }
 
-    fn exec(&mut self, instr: Instr, len: usize) -> Result<ExecOutcome, Fault> {
-        match instr {
-            Instr::Nop => self.advance(len),
-            Instr::Halt => {
-                return Ok(ExecOutcome::Halt(0));
+    /// Executes `instr`, `len` bytes long at `self.ip`, through the
+    /// executor core and moves `ip` to where control goes next.
+    fn exec(&mut self, instr: Instr, len: usize) -> Result<Flow, Fault> {
+        let next_ip = self.ip.wrapping_add(len as u32);
+        let flow = self.exec_instr(instr, self.ip, next_ip, None, &mut Checked)?;
+        match flow {
+            Flow::Seq => self.advance(len),
+            Flow::Jump(target) | Flow::Call(target) | Flow::Ret(target) => {
+                self.transfer(target, flow.kind());
             }
+            // A halted machine stays put; a blocked read retries the
+            // same instruction on the next step.
+            Flow::Halt(_) | Flow::Blocked(_) => {}
+        }
+        Ok(flow)
+    }
+
+    /// The executor core: the one implementation of every instruction's
+    /// semantics, shared by tier 1 ([`exec`](Machine::exec)) and tier-2
+    /// blocks ([`exec_block`](Machine::exec_block)). Runs `instr`,
+    /// located at `ip` with its sequential successor at `next_ip`,
+    /// against the registers, flags and, through `data`, memory, and
+    /// returns where control goes next; moving `ip` is the caller's
+    /// job. Fault payloads and events name `ip`, never `self.ip`, which
+    /// a block leaves at its entry while it runs.
+    ///
+    /// `call_slot` is a static call's coverage-map slot when a block
+    /// pre-resolved it at compile time, `None` otherwise.
+    #[inline(always)]
+    fn exec_instr<D: DataPath>(
+        &mut self,
+        instr: Instr,
+        ip: u32,
+        next_ip: u32,
+        call_slot: Option<u16>,
+        data: &mut D,
+    ) -> Result<Flow, Fault> {
+        Ok(match instr {
+            Instr::Nop => Flow::Seq,
+            Instr::Halt => Flow::Halt(0),
             Instr::MovI { dst, imm } => {
                 self.set_reg(dst, imm);
-                self.advance(len);
+                Flow::Seq
             }
             Instr::Mov { dst, src } => {
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-                self.advance(len);
+                self.set_reg(dst, self.reg(src));
+                Flow::Seq
             }
             Instr::Load { dst, base, disp } => {
-                let addr = self.reg(base).wrapping_add(disp as i32 as u32);
-                let v = self.load_u32(addr)?;
+                let addr = self.addr(base, disp);
+                let v = data.load_u32(self, addr)?;
                 self.set_reg(dst, v);
-                self.advance(len);
+                Flow::Seq
             }
             Instr::Store { base, disp, src } => {
-                let addr = self.reg(base).wrapping_add(disp as i32 as u32);
-                let v = self.reg(src);
-                self.store_u32(addr, v)?;
-                self.advance(len);
+                let (addr, v) = (self.addr(base, disp), self.reg(src));
+                data.store_u32(self, addr, v)?;
+                Flow::Seq
             }
             Instr::LoadB { dst, base, disp } => {
-                let addr = self.reg(base).wrapping_add(disp as i32 as u32);
-                let v = self.load_u8(addr)?;
+                let addr = self.addr(base, disp);
+                let v = data.load_u8(self, addr)?;
                 self.set_reg(dst, u32::from(v));
-                self.advance(len);
+                Flow::Seq
             }
             Instr::StoreB { base, disp, src } => {
-                let addr = self.reg(base).wrapping_add(disp as i32 as u32);
-                let v = self.reg(src) as u8;
-                self.store_u8(addr, v)?;
-                self.advance(len);
+                let (addr, v) = (self.addr(base, disp), self.reg(src) as u8);
+                data.store_u8(self, addr, v)?;
+                Flow::Seq
             }
             Instr::Push(r) => {
-                let v = self.reg(r);
-                self.push(v)?;
-                self.advance(len);
+                self.push(data, self.reg(r))?;
+                Flow::Seq
             }
             Instr::Pop(r) => {
-                let v = self.pop()?;
+                let v = self.pop(data)?;
                 self.set_reg(r, v);
-                self.advance(len);
+                Flow::Seq
             }
             Instr::PushI(imm) => {
-                self.push(imm)?;
-                self.advance(len);
+                self.push(data, imm)?;
+                Flow::Seq
             }
             Instr::Alu { op, dst, src } => {
-                self.alu(op, dst, src)?;
-                self.advance(len);
+                self.alu(op, dst, src, ip)?;
+                Flow::Seq
             }
             Instr::AddI { dst, imm } => {
-                let v = self.reg(dst).wrapping_add(imm);
-                self.set_reg(dst, v);
-                self.advance(len);
+                self.set_reg(dst, self.reg(dst).wrapping_add(imm));
+                Flow::Seq
             }
             Instr::Cmp { a, b } => {
-                let (x, y) = (self.reg(a), self.reg(b));
-                self.set_cmp_flags(x, y);
-                self.advance(len);
+                self.set_cmp_flags(self.reg(a), self.reg(b));
+                Flow::Seq
             }
             Instr::CmpI { a, imm } => {
-                let x = self.reg(a);
-                self.set_cmp_flags(x, imm);
-                self.advance(len);
+                self.set_cmp_flags(self.reg(a), imm);
+                Flow::Seq
             }
-            Instr::Jmp(target) => self.transfer(target, TransferKind::Jump),
+            Instr::Lea { dst, base, disp } => {
+                self.set_reg(dst, self.addr(base, disp));
+                Flow::Seq
+            }
+            Instr::Jmp(target) => Flow::Jump(target),
             Instr::JCond { cond, target } => {
                 if self.flags.test(cond) {
-                    self.transfer(target, TransferKind::Jump);
+                    Flow::Jump(target)
                 } else {
-                    self.advance(len);
+                    Flow::Seq
                 }
             }
             Instr::Call(target) => {
-                let ret = self.ip.wrapping_add(len as u32);
-                self.push(ret)?;
-                if let Some(shadow) = &mut self.shadow_stack {
-                    shadow.push(ret);
-                }
-                self.stats.calls += 1;
-                if self.sink_mask.contains(EventMask::CONTROL) {
-                    self.emit(SecurityEvent::ControlTransfer {
-                        kind: ControlKind::Call,
-                        from: self.ip,
-                        to: target,
-                    });
-                }
-                self.transfer(target, TransferKind::Call);
+                self.call(data, ControlKind::Call, ip, next_ip, target, call_slot)?;
+                Flow::Call(target)
             }
             Instr::CallR(r) => {
                 let target = self.reg(r);
-                let ret = self.ip.wrapping_add(len as u32);
-                self.push(ret)?;
-                if let Some(shadow) = &mut self.shadow_stack {
-                    shadow.push(ret);
-                }
-                self.stats.calls += 1;
-                if self.sink_mask.contains(EventMask::CONTROL) {
-                    self.emit(SecurityEvent::ControlTransfer {
-                        kind: ControlKind::CallIndirect,
-                        from: self.ip,
-                        to: target,
-                    });
-                }
-                self.transfer(target, TransferKind::Call);
+                self.call(data, ControlKind::CallIndirect, ip, next_ip, target, None)?;
+                Flow::Call(target)
             }
             Instr::Ret => {
-                let target = self.pop()?;
+                let target = self.pop(data)?;
                 if let Some(shadow) = &mut self.shadow_stack {
                     match shadow.pop() {
-                        None => {
-                            return Err(Fault::ShadowStackUnderflow { ip: self.ip });
-                        }
+                        None => return Err(Fault::ShadowStackUnderflow { ip }),
                         Some(expected) if expected != target => {
                             return Err(Fault::ShadowStackMismatch {
                                 expected,
@@ -1443,72 +1321,84 @@ impl Machine {
                     }
                 }
                 self.stats.rets += 1;
-                if self.sink_mask.contains(EventMask::CONTROL) {
-                    self.emit(SecurityEvent::ControlTransfer {
-                        kind: ControlKind::Ret,
-                        from: self.ip,
-                        to: target,
-                    });
-                }
-                self.transfer(target, TransferKind::Ret);
+                self.note_transfer(ControlKind::Ret, ip, target, None);
+                Flow::Ret(target)
             }
             Instr::JmpR(r) => {
                 let target = self.reg(r);
-                if self.sink_mask.contains(EventMask::CONTROL) {
-                    self.emit(SecurityEvent::ControlTransfer {
-                        kind: ControlKind::JmpIndirect,
-                        from: self.ip,
-                        to: target,
-                    });
-                }
-                self.transfer(target, TransferKind::Jump);
+                self.note_transfer(ControlKind::JmpIndirect, ip, target, None);
+                Flow::Jump(target)
             }
             Instr::Enter(frame) => {
-                let bp = self.reg(Reg::Bp);
-                self.push(bp)?;
+                self.push(data, self.reg(Reg::Bp))?;
                 let sp = self.reg(Reg::Sp);
                 self.set_reg(Reg::Bp, sp);
                 self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
-                self.advance(len);
+                Flow::Seq
             }
             Instr::Leave => {
-                let bp = self.reg(Reg::Bp);
-                self.set_reg(Reg::Sp, bp);
-                let saved = self.pop()?;
+                self.set_reg(Reg::Sp, self.reg(Reg::Bp));
+                let saved = self.pop(data)?;
                 self.set_reg(Reg::Bp, saved);
-                self.advance(len);
+                Flow::Seq
             }
             Instr::Sys(number) => {
-                let effect = self.syscall(number)?;
+                let flow = self.syscall(number)?;
                 // A blocked read retries the same instruction; emit its
                 // event only when the call actually completes.
-                if !matches!(effect, SysEffect::Block(_))
-                    && self.sink_mask.contains(EventMask::SYSCALL)
+                if !matches!(flow, Flow::Blocked(_)) && self.sink_mask.contains(EventMask::SYSCALL)
                 {
-                    self.emit(SecurityEvent::Syscall {
-                        number,
-                        ip: self.ip,
-                    });
+                    self.emit(SecurityEvent::Syscall { number, ip });
                 }
-                match effect {
-                    SysEffect::Halt(code) => return Ok(ExecOutcome::Halt(code)),
-                    SysEffect::Block(fd) => {
-                        // Do not advance: the read retries on next step.
-                        return Ok(ExecOutcome::Blocked(fd));
-                    }
-                    SysEffect::Continue => self.advance(len),
-                }
+                flow
             }
-            Instr::Trap(code) => {
-                return Err(Fault::SoftwareTrap { code, ip: self.ip });
-            }
-            Instr::Lea { dst, base, disp } => {
-                let addr = self.reg(base).wrapping_add(disp as i32 as u32);
-                self.set_reg(dst, addr);
-                self.advance(len);
-            }
+            Instr::Trap(code) => return Err(Fault::SoftwareTrap { code, ip }),
+        })
+    }
+
+    /// `base + disp`, the effective address of a memory operand.
+    #[inline]
+    fn addr(&self, base: Reg, disp: i16) -> u32 {
+        self.reg(base).wrapping_add(disp as i32 as u32)
+    }
+
+    /// The push, shadow-stack record, count and report of a call from
+    /// `ip` to `target` returning to `ret` (see
+    /// [`note_transfer`](Machine::note_transfer) for `slot`).
+    #[inline]
+    fn call<D: DataPath>(
+        &mut self,
+        data: &mut D,
+        kind: ControlKind,
+        ip: u32,
+        ret: u32,
+        target: u32,
+        slot: Option<u16>,
+    ) -> Result<(), Fault> {
+        self.push(data, ret)?;
+        if let Some(shadow) = &mut self.shadow_stack {
+            shadow.push(ret);
         }
-        Ok(ExecOutcome::Continue)
+        self.stats.calls += 1;
+        self.note_transfer(kind, ip, target, slot);
+        Ok(())
+    }
+
+    /// Reports the control transfer `from -> to` to an interested sink.
+    /// A directly attached coverage sink has its edge slot bumped in
+    /// place (`slot`, when the caller pre-resolved it) instead of
+    /// receiving a `ControlTransfer` event: same slot, same count, no
+    /// event construction or dynamic dispatch.
+    #[inline]
+    fn note_transfer(&self, kind: ControlKind, from: u32, to: u32, slot: Option<u16>) {
+        if !self.sink_mask.contains(EventMask::CONTROL) {
+            return;
+        }
+        match (&self.cov, slot) {
+            (Some(cov), Some(slot)) => cov.bump_slot(usize::from(slot)),
+            (Some(cov), None) => cov.bump_edge(kind as u8, from, to),
+            (None, _) => self.emit(SecurityEvent::ControlTransfer { kind, from, to }),
+        }
     }
 
     /// Runs up to `fuel` instructions. With blocking reads enabled, the
@@ -1579,8 +1469,8 @@ impl Machine {
     /// events needs one event per instruction — all of which the block
     /// loop hoists away — so those machines stay on tier 1, which is
     /// observably equivalent. (`ControlTransfer` interest needs no
-    /// exclusion: the terminal call/ret/indirect-jump micro-ops emit
-    /// the same events their tier-1 instructions would.)
+    /// exclusion: blocks run calls, returns and indirect jumps through
+    /// the same executor core as tier 1, events included.)
     #[inline]
     fn tier2_eligible(&self) -> bool {
         self.fast_path
@@ -1745,9 +1635,13 @@ impl Machine {
     /// a failed re-validation) exits normally and lets the dispatcher
     /// count, promote or invalidate.
     ///
-    /// The contract is exact equivalence with the `step` loop: every
-    /// micro-op reproduces its instruction's execution effects
-    /// (including fault identity and order), and on any exit —
+    /// Each decoded instruction runs through the executor core
+    /// ([`exec_instr`](Machine::exec_instr)), the code `step` runs, with
+    /// the chain's data lines as its data path; this loop adds only what
+    /// is specific to blocks: fuel, backedges, the linked call/return
+    /// prediction, the SMC side exit, inline-cache exits, chaining and
+    /// the three fused compare-and-branch ops. The contract is exact
+    /// equivalence with the `step` loop: on any exit —
     /// natural end, taken jump, exhausted budget, self-modifying
     /// store, fault — `ip`, `prev_ip` and `pending_transfer` hold
     /// precisely what stepping would have left, so the next `step` or
@@ -1800,312 +1694,17 @@ impl Machine {
                     break 'blk;
                 }
                 executed += u64::from(op.n);
-                match op.kind {
-                    MicroOp::Nop => {}
-                    MicroOp::MovI { dst, imm } => self.regs[usize::from(dst)] = imm,
-                    MicroOp::Mov { dst, src } => {
-                        self.regs[usize::from(dst)] = self.regs[usize::from(src)];
-                    }
-                    MicroOp::Load { dst, base, disp } => {
-                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                        match self.bc_load_u32(line, addr) {
-                            Ok(v) => self.regs[usize::from(dst)] = v,
+                let flow = match op.kind {
+                    MicroOp::Instr(instr) => {
+                        let slot = Some(op.cov_slot);
+                        match self.exec_instr(instr, op.ip, op.next_ip, slot, line) {
+                            Ok(flow) => flow,
                             Err(f) => {
                                 self.ip = op.ip;
                                 fault = Some(f);
                                 break 'blk;
                             }
                         }
-                    }
-                    MicroOp::Store { base, disp, src } => {
-                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                        let v = self.regs[usize::from(src)];
-                        if let Err(f) = self.bc_store_u32(line, addr, v) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                    }
-                    MicroOp::LoadB { dst, base, disp } => {
-                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                        match self.bc_load_u8(line, addr) {
-                            Ok(v) => self.regs[usize::from(dst)] = u32::from(v),
-                            Err(f) => {
-                                self.ip = op.ip;
-                                fault = Some(f);
-                                break 'blk;
-                            }
-                        }
-                    }
-                    MicroOp::StoreB { base, disp, src } => {
-                        let addr = self.regs[usize::from(base)].wrapping_add(disp);
-                        let v = self.regs[usize::from(src)] as u8;
-                        if let Err(f) = self.bc_store_u8(line, addr, v) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                    }
-                    MicroOp::Push { src } => {
-                        let v = self.regs[usize::from(src)];
-                        if let Err(f) = self.bc_push(line, v) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                    }
-                    MicroOp::Pop { dst } => match self.bc_pop(line) {
-                        Ok(v) => self.regs[usize::from(dst)] = v,
-                        Err(f) => {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                    },
-                    MicroOp::PushI { imm } => {
-                        if let Err(f) = self.bc_push(line, imm) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                    }
-                    MicroOp::Alu {
-                        op: alu_op,
-                        dst,
-                        src,
-                    } => {
-                        let (d, s) = (usize::from(dst), usize::from(src));
-                        let (a, b) = (self.regs[d], self.regs[s]);
-                        // Mirrors `Machine::alu`, on pre-resolved indices.
-                        let result = match alu_op {
-                            AluOp::Add => a.wrapping_add(b),
-                            AluOp::Sub => a.wrapping_sub(b),
-                            AluOp::Mul => a.wrapping_mul(b),
-                            AluOp::DivU | AluOp::DivS | AluOp::ModU | AluOp::ModS if b == 0 => {
-                                self.ip = op.ip;
-                                fault = Some(Fault::DivideByZero { ip: op.ip });
-                                break 'blk;
-                            }
-                            AluOp::DivU => a / b,
-                            AluOp::DivS => (a as i32).wrapping_div(b as i32) as u32,
-                            AluOp::ModU => a % b,
-                            AluOp::ModS => (a as i32).wrapping_rem(b as i32) as u32,
-                            AluOp::And => a & b,
-                            AluOp::Or => a | b,
-                            AluOp::Xor => a ^ b,
-                            AluOp::Shl => a.wrapping_shl(b),
-                            AluOp::Shr => a.wrapping_shr(b),
-                            AluOp::Sar => ((a as i32).wrapping_shr(b)) as u32,
-                        };
-                        self.regs[d] = result;
-                    }
-                    MicroOp::AddI { dst, imm } => {
-                        let d = usize::from(dst);
-                        self.regs[d] = self.regs[d].wrapping_add(imm);
-                    }
-                    MicroOp::Cmp { a, b } => {
-                        let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
-                        self.set_cmp_flags(x, y);
-                    }
-                    MicroOp::CmpI { a, imm } => {
-                        let x = self.regs[usize::from(a)];
-                        self.set_cmp_flags(x, imm);
-                    }
-                    MicroOp::Lea { dst, base, disp } => {
-                        self.regs[usize::from(dst)] =
-                            self.regs[usize::from(base)].wrapping_add(disp);
-                    }
-                    MicroOp::Enter { frame } => {
-                        let bp = self.reg(Reg::Bp);
-                        if let Err(f) = self.bc_push(line, bp) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                        let sp = self.reg(Reg::Sp);
-                        self.set_reg(Reg::Bp, sp);
-                        self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
-                    }
-                    MicroOp::Leave => {
-                        let bp = self.reg(Reg::Bp);
-                        self.set_reg(Reg::Sp, bp);
-                        match self.bc_pop(line) {
-                            Ok(v) => self.set_reg(Reg::Bp, v),
-                            Err(f) => {
-                                self.ip = op.ip;
-                                fault = Some(f);
-                                break 'blk;
-                            }
-                        }
-                    }
-                    MicroOp::Jmp { target } => {
-                        if target == start_ip {
-                            // The tight-loop superinstruction: a backward
-                            // jump to the block's own head stays in-block
-                            // (the loop-top fuel check bounds it).
-                            backedge_from = Some(op.ip);
-                            i = 0;
-                            continue 'blk;
-                        }
-                        exit_prev = op.ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Jump;
-                        break 'blk;
-                    }
-                    MicroOp::JCond { cond, target } => {
-                        if self.flags.test(cond) {
-                            if target == start_ip {
-                                backedge_from = Some(op.ip);
-                                i = 0;
-                                continue 'blk;
-                            }
-                            exit_prev = op.ip;
-                            exit_ip = target;
-                            exit_kind = TransferKind::Jump;
-                            break 'blk;
-                        }
-                    }
-                    MicroOp::Call { target } => {
-                        let ret = op.next_ip;
-                        if let Err(f) = self.bc_push(line, ret) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                        if let Some(shadow) = &mut self.shadow_stack {
-                            shadow.push(ret);
-                        }
-                        self.stats.calls += 1;
-                        if self.sink_mask.contains(EventMask::CONTROL) {
-                            // A directly-attached coverage sink takes the
-                            // devirtualized path: the edge is static, so
-                            // its map slot was pre-resolved at compile
-                            // time — same slot, same count as the event.
-                            match &self.cov {
-                                Some(cov) => cov.bump_slot(usize::from(op.cov_slot)),
-                                None => self.emit(SecurityEvent::ControlTransfer {
-                                    kind: ControlKind::Call,
-                                    from: op.ip,
-                                    to: target,
-                                }),
-                            }
-                        }
-                        if !op.linked() {
-                            exit_prev = op.ip;
-                            exit_ip = target;
-                            exit_kind = TransferKind::Call;
-                            break 'blk;
-                        }
-                        // Linked call: the next op is the callee's first
-                        // instruction — fall through (the SMC check below
-                        // still guards the pushed return address).
-                    }
-                    MicroOp::CallR { src } => {
-                        let target = self.regs[usize::from(src)];
-                        let ret = op.next_ip;
-                        if let Err(f) = self.bc_push(line, ret) {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
-                        if let Some(shadow) = &mut self.shadow_stack {
-                            shadow.push(ret);
-                        }
-                        self.stats.calls += 1;
-                        if self.sink_mask.contains(EventMask::CONTROL) {
-                            match &self.cov {
-                                Some(cov) => {
-                                    cov.bump_edge(ControlKind::CallIndirect as u8, op.ip, target)
-                                }
-                                None => self.emit(SecurityEvent::ControlTransfer {
-                                    kind: ControlKind::CallIndirect,
-                                    from: op.ip,
-                                    to: target,
-                                }),
-                            }
-                        }
-                        exit_prev = op.ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Call;
-                        exit_ic = op.ic;
-                        break 'blk;
-                    }
-                    MicroOp::Ret => {
-                        let target = match self.bc_pop(line) {
-                            Ok(v) => v,
-                            Err(f) => {
-                                self.ip = op.ip;
-                                fault = Some(f);
-                                break 'blk;
-                            }
-                        };
-                        if let Some(shadow) = &mut self.shadow_stack {
-                            match shadow.pop() {
-                                None => {
-                                    self.ip = op.ip;
-                                    fault = Some(Fault::ShadowStackUnderflow { ip: op.ip });
-                                    break 'blk;
-                                }
-                                Some(expected) if expected != target => {
-                                    self.ip = op.ip;
-                                    fault = Some(Fault::ShadowStackMismatch {
-                                        expected,
-                                        got: target,
-                                    });
-                                    break 'blk;
-                                }
-                                Some(_) => {}
-                            }
-                        }
-                        self.stats.rets += 1;
-                        if self.sink_mask.contains(EventMask::CONTROL) {
-                            match &self.cov {
-                                Some(cov) => cov.bump_edge(ControlKind::Ret as u8, op.ip, target),
-                                None => self.emit(SecurityEvent::ControlTransfer {
-                                    kind: ControlKind::Ret,
-                                    from: op.ip,
-                                    to: target,
-                                }),
-                            }
-                        }
-                        if !op.linked() || target != op.cont_ip {
-                            // An unlinked ret reports its inline cache,
-                            // keyed downstream on `target` — the popped,
-                            // shadow-stack-verified return address. The
-                            // linked-ret mismatch path (a smashed return)
-                            // carries IC_NONE: it exits unpredicted.
-                            exit_prev = op.ip;
-                            exit_ip = target;
-                            exit_kind = TransferKind::Ret;
-                            exit_ic = op.ic;
-                            break 'blk;
-                        }
-                        // Linked return: the popped target equals the
-                        // matching in-block call's return site, which is
-                        // the next op — keep running in-block. A return
-                        // address the program (or an attacker) rewrote
-                        // fails the compare above and exits with the
-                        // actual target pending, exactly like stepping.
-                    }
-                    MicroOp::JmpR { src } => {
-                        let target = self.regs[usize::from(src)];
-                        if self.sink_mask.contains(EventMask::CONTROL) {
-                            match &self.cov {
-                                Some(cov) => {
-                                    cov.bump_edge(ControlKind::JmpIndirect as u8, op.ip, target)
-                                }
-                                None => self.emit(SecurityEvent::ControlTransfer {
-                                    kind: ControlKind::JmpIndirect,
-                                    from: op.ip,
-                                    to: target,
-                                }),
-                            }
-                        }
-                        exit_prev = op.ip;
-                        exit_ip = target;
-                        exit_kind = TransferKind::Jump;
-                        exit_ic = op.ic;
-                        break 'blk;
                     }
                     MicroOp::FusedLoopI {
                         dst,
@@ -2115,87 +1714,69 @@ impl Machine {
                         cond,
                         target,
                     } => {
-                        let d = usize::from(dst);
-                        self.regs[d] = self.regs[d].wrapping_add(add_imm);
-                        let x = self.regs[usize::from(a)];
-                        self.set_cmp_flags(x, cmp_imm);
-                        if self.flags.test(cond) {
-                            if target == start_ip {
-                                if ops.len() == 1 && usize::from(a) == d {
-                                    // The whole block is this one
-                                    // superinstruction branching to itself:
-                                    // iterate in place. Intermediate
-                                    // register/flag states are unobservable
-                                    // (no faults, no events, no memory), so
-                                    // only the per-pass fuel accounting and
-                                    // the final state need to be
-                                    // architectural.
-                                    let n = u64::from(op.n);
-                                    let v1 = self.regs[d];
-                                    if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
-                                        // Counted ±1 loop: the remaining
-                                        // trip count is closed-form. v1 !=
-                                        // cmp_imm here (the branch was
-                                        // taken), so `left` is in
-                                        // [1, 2^32-1].
-                                        let left = u64::from(if add_imm == 1 {
-                                            cmp_imm.wrapping_sub(v1)
-                                        } else {
-                                            v1.wrapping_sub(cmp_imm)
-                                        });
-                                        let by_fuel = (budget - executed) / n;
-                                        if left <= by_fuel {
-                                            executed += left * n;
-                                            self.regs[d] = cmp_imm;
-                                            self.set_cmp_flags(cmp_imm, cmp_imm);
-                                            // Falls through to the
-                                            // sequential completion below.
-                                        } else {
-                                            let k = by_fuel as u32;
-                                            let v = if add_imm == 1 {
-                                                v1.wrapping_add(k)
-                                            } else {
-                                                v1.wrapping_sub(k)
-                                            };
-                                            executed += by_fuel * n;
-                                            self.regs[d] = v;
-                                            self.set_cmp_flags(v, cmp_imm);
-                                            backedge_from = Some(op.last_ip);
-                                            i = 0;
-                                            stall = true;
-                                            break 'blk;
-                                        }
-                                    } else {
-                                        loop {
-                                            if executed + n > budget {
-                                                backedge_from = Some(op.last_ip);
-                                                i = 0;
-                                                stall = true;
-                                                break 'blk;
-                                            }
-                                            executed += n;
-                                            let v = self.regs[d].wrapping_add(add_imm);
-                                            self.regs[d] = v;
-                                            self.set_cmp_flags(v, cmp_imm);
-                                            if !self.flags.test(cond) {
-                                                // Falls through to the
-                                                // sequential completion
-                                                // below.
-                                                break;
-                                            }
-                                        }
-                                    }
+                        self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
+                        self.set_cmp_flags(self.reg(a), cmp_imm);
+                        if !self.flags.test(cond) {
+                            Flow::Seq
+                        } else if target != start_ip || ops.len() > 1 || a != dst {
+                            Flow::Jump(target)
+                        } else {
+                            // The whole block is this one superinstruction
+                            // branching to itself: iterate in place.
+                            // Intermediate register/flag states are
+                            // unobservable (no faults, no events, no
+                            // memory), so only the per-pass fuel
+                            // accounting and the final state need to be
+                            // architectural.
+                            let n = u64::from(op.n);
+                            let v1 = self.reg(dst);
+                            if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
+                                // Counted ±1 loop: the remaining trip
+                                // count is closed-form. v1 != cmp_imm here
+                                // (the branch was taken), so `left` is in
+                                // [1, 2^32-1].
+                                let left = u64::from(if add_imm == 1 {
+                                    cmp_imm.wrapping_sub(v1)
                                 } else {
+                                    v1.wrapping_sub(cmp_imm)
+                                });
+                                let by_fuel = (budget - executed) / n;
+                                if left > by_fuel {
+                                    let k = by_fuel as u32;
+                                    let v = if add_imm == 1 {
+                                        v1.wrapping_add(k)
+                                    } else {
+                                        v1.wrapping_sub(k)
+                                    };
+                                    executed += by_fuel * n;
+                                    self.set_reg(dst, v);
+                                    self.set_cmp_flags(v, cmp_imm);
                                     backedge_from = Some(op.last_ip);
                                     i = 0;
-                                    continue 'blk;
+                                    stall = true;
+                                    break 'blk;
                                 }
+                                executed += left * n;
+                                self.set_reg(dst, cmp_imm);
+                                self.set_cmp_flags(cmp_imm, cmp_imm);
                             } else {
-                                exit_prev = op.last_ip;
-                                exit_ip = target;
-                                exit_kind = TransferKind::Jump;
-                                break 'blk;
+                                loop {
+                                    if executed + n > budget {
+                                        backedge_from = Some(op.last_ip);
+                                        i = 0;
+                                        stall = true;
+                                        break 'blk;
+                                    }
+                                    executed += n;
+                                    let v = self.reg(dst).wrapping_add(add_imm);
+                                    self.set_reg(dst, v);
+                                    self.set_cmp_flags(v, cmp_imm);
+                                    if !self.flags.test(cond) {
+                                        break;
+                                    }
+                                }
                             }
+                            Flow::Seq
                         }
                     }
                     MicroOp::FusedCmpIJ {
@@ -2204,34 +1785,58 @@ impl Machine {
                         cond,
                         target,
                     } => {
-                        let x = self.regs[usize::from(a)];
-                        self.set_cmp_flags(x, imm);
+                        self.set_cmp_flags(self.reg(a), imm);
                         if self.flags.test(cond) {
-                            if target == start_ip {
-                                backedge_from = Some(op.last_ip);
-                                i = 0;
-                                continue 'blk;
-                            }
-                            exit_prev = op.last_ip;
-                            exit_ip = target;
-                            exit_kind = TransferKind::Jump;
-                            break 'blk;
+                            Flow::Jump(target)
+                        } else {
+                            Flow::Seq
                         }
                     }
                     MicroOp::FusedCmpJ { a, b, cond, target } => {
-                        let (x, y) = (self.regs[usize::from(a)], self.regs[usize::from(b)]);
-                        self.set_cmp_flags(x, y);
+                        self.set_cmp_flags(self.reg(a), self.reg(b));
                         if self.flags.test(cond) {
-                            if target == start_ip {
-                                backedge_from = Some(op.last_ip);
-                                i = 0;
-                                continue 'blk;
-                            }
-                            exit_prev = op.last_ip;
-                            exit_ip = target;
-                            exit_kind = TransferKind::Jump;
-                            break 'blk;
+                            Flow::Jump(target)
+                        } else {
+                            Flow::Seq
                         }
+                    }
+                };
+                match flow {
+                    Flow::Seq => {}
+                    // A direct jump back to the block's own head loops
+                    // without leaving the block (the loop-top fuel check
+                    // bounds it); a dynamic terminator (one with an
+                    // inline cache) always exits.
+                    Flow::Jump(target) if target == start_ip && op.ic == IC_NONE => {
+                        backedge_from = Some(op.last_ip);
+                        i = 0;
+                        continue 'blk;
+                    }
+                    // Linked call: the next op is the callee's first
+                    // instruction, so fall through (the SMC check below
+                    // still guards the pushed return address).
+                    Flow::Call(_) if op.linked() => {}
+                    // Linked return: the popped target is the matching
+                    // in-block call's return site, the next op, so keep
+                    // running in-block. A return address the program (or
+                    // an attacker) rewrote exits below with the actual
+                    // target pending, exactly like stepping.
+                    Flow::Ret(target) if op.linked() && target == op.cont_ip => {}
+                    // Every other transfer exits. A dynamic terminator
+                    // reports its inline cache, keyed downstream on the
+                    // runtime target (for `ret`, the popped,
+                    // shadow-stack-verified return address); static
+                    // transfers and the linked-ret mismatch carry
+                    // IC_NONE and exit unpredicted.
+                    Flow::Jump(target) | Flow::Call(target) | Flow::Ret(target) => {
+                        exit_prev = op.last_ip;
+                        exit_ip = target;
+                        exit_kind = flow.kind();
+                        exit_ic = op.ic;
+                        break 'blk;
+                    }
+                    Flow::Halt(_) | Flow::Blocked(_) => {
+                        unreachable!("halt and syscalls never compile into blocks")
                     }
                 }
                 // Completion of op `i` without an exit. A memory-writing op
@@ -2482,16 +2087,171 @@ impl Drop for Machine {
     }
 }
 
-enum SysEffect {
-    Continue,
-    Halt(u32),
-    Block(u32),
+/// Decodes the instruction at `addr`: reads its encoding with fetch
+/// permission (one page resolution per page touched) and decodes it.
+/// Tier 1's uncached fetch and the block compiler both decode here.
+pub(crate) fn decode_at(mem: &Memory, addr: u32) -> Result<(Instr, usize), Fault> {
+    let first = mem.read_u8(addr, Access::Fetch)?;
+    let len = isa::instr_len(first).ok_or(Fault::Decode {
+        addr,
+        err: DecodeError::UnknownOpcode(first),
+    })?;
+    let mut buf = [0u8; isa::MAX_INSTR_LEN];
+    buf[0] = first;
+    if len > 1 {
+        mem.read_bytes(addr.wrapping_add(1), &mut buf[1..len], Access::Fetch)?;
+    }
+    Instr::decode(&buf[..len]).map_err(|err| Fault::Decode { addr, err })
 }
 
-enum ExecOutcome {
-    Continue,
+/// Where control goes after the executor core ran an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// On to the sequential successor.
+    Seq,
+    /// A jump, direct or indirect, taken to the target.
+    Jump(u32),
+    /// A call to the target; the return address is pushed.
+    Call(u32),
+    /// A return to the popped (and shadow-stack-checked) target.
+    Ret(u32),
+    /// The machine halts with this exit code.
     Halt(u32),
+    /// A read blocks on this empty descriptor; the instruction retries.
     Blocked(u32),
+}
+
+impl Flow {
+    /// The transfer kind this flow leaves pending for the next fetch.
+    fn kind(self) -> TransferKind {
+        match self {
+            Flow::Jump(_) => TransferKind::Jump,
+            Flow::Call(_) => TransferKind::Call,
+            Flow::Ret(_) => TransferKind::Ret,
+            Flow::Seq | Flow::Halt(_) | Flow::Blocked(_) => TransferKind::Sequential,
+        }
+    }
+}
+
+/// How the executor core reaches data memory. The core is generic over
+/// it, so each tier gets its own monomorphized copy of one source.
+trait DataPath {
+    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault>;
+    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault>;
+    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault>;
+    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault>;
+}
+
+/// Tier 1's data path: every access through the PMA check and the
+/// TLB-backed page lookup.
+struct Checked;
+
+impl DataPath for Checked {
+    #[inline]
+    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault> {
+        m.load_u32(addr)
+    }
+
+    #[inline]
+    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault> {
+        m.load_u8(addr)
+    }
+
+    #[inline]
+    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault> {
+        m.store_u32(addr, value)
+    }
+
+    #[inline]
+    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault> {
+        m.store_u8(addr, value)
+    }
+}
+
+/// Tier 2's data path: a dispatch chain's pair of [`DataLine`]s, which
+/// serve repeat accesses without the TLB probe and fall back to the
+/// checked accessors, refilling a line, on a miss. Two lines, not one,
+/// for the same reason the tier-1 data TLB has two entries:
+/// dispatcher-shaped code alternates every iteration between a data
+/// page (a jump table, a buffer) and the stack page (call/ret
+/// traffic), and a single line would refill through the page-table map
+/// twice per trip. The pair is kept most-recently-used-first; a hit on
+/// the second line swaps it forward, a refill displaces the older line.
+/// Only blocks use it: tier-2 eligibility guarantees no PMA policy is
+/// attached (so the skipped `check_pma_data` would be a no-op), and
+/// blocks cannot remap, reprotect or restore memory, so a filled line
+/// stays valid for the whole chain. Line writes bump the page's write
+/// generation and dirty flag exactly like `store_u32`, keeping SMC
+/// detection and snapshot dirty tracking intact.
+impl DataPath for [DataLine; 2] {
+    #[inline]
+    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault> {
+        if let Some(line) = line_hit(self, |l| l.serves_word(addr, false)) {
+            m.stats.mem_reads += 1;
+            return Ok(m.mem.line_read_u32(line, addr));
+        }
+        let v = m.load_u32(addr)?;
+        line_fill(self, &m.mem, addr);
+        Ok(v)
+    }
+
+    #[inline]
+    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault> {
+        if let Some(line) = line_hit(self, |l| l.serves_byte(addr, false)) {
+            m.stats.mem_reads += 1;
+            return Ok(m.mem.line_read_u8(line, addr));
+        }
+        let v = m.load_u8(addr)?;
+        line_fill(self, &m.mem, addr);
+        Ok(v)
+    }
+
+    #[inline]
+    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault> {
+        if let Some(line) = line_hit(self, |l| l.serves_word(addr, true)) {
+            m.stats.mem_writes += 1;
+            m.mem.line_write_u32(line, addr, value);
+            return Ok(());
+        }
+        m.store_u32(addr, value)?;
+        line_fill(self, &m.mem, addr);
+        Ok(())
+    }
+
+    #[inline]
+    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault> {
+        if let Some(line) = line_hit(self, |l| l.serves_byte(addr, true)) {
+            m.stats.mem_writes += 1;
+            m.mem.line_write_u8(line, addr, value);
+            return Ok(());
+        }
+        m.store_u8(addr, value)?;
+        line_fill(self, &m.mem, addr);
+        Ok(())
+    }
+}
+
+/// The line of the pair that `serves` the access, swapped to the front.
+#[inline]
+fn line_hit(pair: &mut [DataLine; 2], serves: impl Fn(DataLine) -> bool) -> Option<DataLine> {
+    if serves(pair[0]) {
+        return Some(pair[0]);
+    }
+    if serves(pair[1]) {
+        pair.swap(0, 1);
+        return Some(pair[0]);
+    }
+    None
+}
+
+/// After a checked access at `addr`, installs its page's line at the
+/// front of the pair, displacing the older line.
+#[inline]
+fn line_fill(pair: &mut [DataLine; 2], mem: &Memory, addr: u32) {
+    if let Some(line) = mem.data_line(addr) {
+        pair[1] = pair[0];
+        pair[0] = line;
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,12 @@
 //! second tier above it: when a control-transfer target proves hot
 //! (executed [`HOT_THRESHOLD`] times), the straight-line region
 //! starting there is fused into a **block** — a flat array of
-//! pre-resolved [`MicroOp`]s that the CPU executes in a tight loop
-//! with the per-instruction fetch, PMA test, sink test and trace test
-//! all hoisted out.
+//! [`MicroOp`]s, each a decoded instruction or a fused
+//! compare-and-branch, that the CPU executes in a tight loop with the
+//! per-instruction fetch, PMA test, sink test and trace test all
+//! hoisted out. A block has no semantics of its own: each decoded
+//! instruction runs through the CPU's executor core, the same code a
+//! tier-1 step runs.
 //!
 //! Safety of the hoisting is generational, exactly like the icache:
 //! a block records the memory's global code generation plus the write
@@ -22,19 +25,17 @@
 //! side-exits before the next micro-op if the block patched itself,
 //! so SMC is byte-for-byte identical to the interpreter.
 //!
-//! What a block may contain is deliberately conservative: only
-//! instructions whose effects the micro-op loop reproduces exactly.
 //! Syscalls, traps and `halt` terminate compilation and run through
 //! the ordinary [`step`](crate::cpu::Machine::step) path, which keeps
-//! syscall, blocking-read and halt semantics in one place. Control
-//! transfers *are* included: `jmp` and conditional jumps mid-block
-//! (a backward jump to the block's own head loops without leaving the
-//! block at all — the tight-loop superinstruction), and the indirect
-//! transfers `callr` and `jmpr` as block **terminators** that
-//! reproduce the push/pop, shadow-stack check, call/ret counting and
+//! syscall, blocking-read and halt handling out of the block loop.
+//! Control transfers *are* included: `jmp` and conditional jumps
+//! mid-block (a backward jump to the block's own head loops without
+//! leaving the block at all — the tight-loop superinstruction), and
+//! the indirect transfers `callr` and `jmpr` as block **terminators**,
+//! which exit with the transfer pending after the core has done the
+//! push, shadow-stack bookkeeping, call/ret counting and
 //! [`ControlTransfer`](swsec_obs::SecurityEvent::ControlTransfer)
-//! emission of their tier-1 instruction before exiting with the
-//! transfer pending.
+//! report.
 //!
 //! Static `call`s go further: compilation **links** the call — pushes
 //! its return address on a compile-time call stack and continues
@@ -47,7 +48,7 @@
 //! bit-for-bit what stepping does. A `call`/`ret` with no in-block
 //! partner stays a terminator as above.
 //!
-//! Beyond predecoding, compilation runs a peephole pass that fuses
+//! Beyond decoding, compilation runs a peephole pass that fuses
 //! the classic loop-closing sequences — `addi; cmpi; jcc`, `cmpi;
 //! jcc`, `cmp; jcc` — into single **superinstruction** micro-ops, so
 //! a counted loop retires three instructions per dispatch; a block
@@ -79,22 +80,23 @@
 //! stops predicting.
 //!
 //! When a [`CoverageSink`](swsec_obs::CoverageSink) is attached
-//! directly (see `Machine::set_coverage`), blocks also update the
-//! coverage map **in place**: static calls bump a compile-time
-//! pre-resolved slot ([`Op::cov_slot`]) and dynamic terminators hash
-//! their runtime edge, instead of constructing `ControlTransfer`
-//! events and dispatching through the sink trait. The resulting map
-//! is byte-identical to the event path — same slots, same counts —
-//! so coverage-guided fuzzing keeps its fingerprints while running
-//! tier-2 engaged.
+//! directly (see `Machine::set_coverage`), the executor core updates
+//! the coverage map **in place** at calls, returns and indirect jumps
+//! instead of constructing `ControlTransfer` events and dispatching
+//! through the sink trait; in a block, a static call bumps the slot
+//! compilation pre-resolved for its edge ([`Op::cov_slot`]). The
+//! resulting map is byte-identical to the event path — same slots,
+//! same counts — so coverage-guided fuzzing keeps its fingerprints
+//! while running tier-2 engaged.
 //!
 //! Machines with a PMA policy installed, tracing on, or a sink
 //! interested in per-step events never enter tier 2 (the per-step
 //! checks those require are exactly what the tier hoists away); they
 //! run tier 1, which is bit-for-bit equivalent.
 
-use crate::isa::{self, AluOp, Cond, Instr};
-use crate::mem::{Access, Memory};
+use crate::cpu::decode_at;
+use crate::isa::{Cond, Instr, Reg};
+use crate::mem::Memory;
 use crate::policy::TransferKind;
 use swsec_obs::coverage::edge_slot;
 use swsec_obs::ControlKind;
@@ -132,121 +134,34 @@ pub const MAX_BLOCK_OPS: usize = 64;
 /// always suffice; compilation stops early rather than track more.
 pub const MAX_BLOCK_PAGES: usize = 2;
 
-/// One pre-resolved micro-op. Operands are extracted at compile time
-/// (register indices widened, displacements sign-extended) so the
-/// execution loop does no per-op decoding — just a jump-table dispatch
-/// on this enum.
+/// One block micro-op: a decoded instruction, which the CPU's executor
+/// core runs exactly as tier 1 does, or one of three superinstructions
+/// fused from a compare-and-branch idiom.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroOp {
-    Nop,
-    MovI {
-        dst: u8,
-        imm: u32,
-    },
-    Mov {
-        dst: u8,
-        src: u8,
-    },
-    Load {
-        dst: u8,
-        base: u8,
-        disp: u32,
-    },
-    Store {
-        base: u8,
-        disp: u32,
-        src: u8,
-    },
-    LoadB {
-        dst: u8,
-        base: u8,
-        disp: u32,
-    },
-    StoreB {
-        base: u8,
-        disp: u32,
-        src: u8,
-    },
-    Push {
-        src: u8,
-    },
-    Pop {
-        dst: u8,
-    },
-    PushI {
-        imm: u32,
-    },
-    Alu {
-        op: AluOp,
-        dst: u8,
-        src: u8,
-    },
-    AddI {
-        dst: u8,
-        imm: u32,
-    },
-    Cmp {
-        a: u8,
-        b: u8,
-    },
-    CmpI {
-        a: u8,
-        imm: u32,
-    },
-    Lea {
-        dst: u8,
-        base: u8,
-        disp: u32,
-    },
-    Enter {
-        frame: u32,
-    },
-    Leave,
-    Jmp {
-        target: u32,
-    },
-    JCond {
-        cond: Cond,
-        target: u32,
-    },
-    /// Terminal: push the return address (`Op::next_ip`), then
-    /// transfer to `target`.
-    Call {
-        target: u32,
-    },
-    /// Terminal: like [`MicroOp::Call`] with the target in a register.
-    CallR {
-        src: u8,
-    },
-    /// Terminal: pop the return address (with the shadow-stack check)
-    /// and transfer to it.
-    Ret,
-    /// Terminal: transfer to the address in a register.
-    JmpR {
-        src: u8,
-    },
+    Instr(Instr),
     /// Superinstruction: `addi dst, add_imm; cmpi a, cmp_imm;
     /// jcc cond, target` — the counted-loop step, three instructions
     /// in one dispatch.
     FusedLoopI {
-        dst: u8,
+        dst: Reg,
         add_imm: u32,
-        a: u8,
+        a: Reg,
         cmp_imm: u32,
         cond: Cond,
         target: u32,
     },
     /// Superinstruction: `cmpi a, imm; jcc cond, target`.
     FusedCmpIJ {
-        a: u8,
+        a: Reg,
         imm: u32,
         cond: Cond,
         target: u32,
     },
     /// Superinstruction: `cmp a, b; jcc cond, target`.
     FusedCmpJ {
-        a: u8,
-        b: u8,
+        a: Reg,
+        b: Reg,
         cond: Cond,
         target: u32,
     },
@@ -255,35 +170,32 @@ pub(crate) enum MicroOp {
 impl MicroOp {
     /// Whether executing this op can write memory — after such an op
     /// the block re-validates its own code pages (SMC side exit).
-    /// `call`/`callr` push, but are terminal, so nothing decoded from
-    /// the block runs after them anyway.
+    /// An unlinked `call`/`callr` pushes but ends the block, so nothing
+    /// decoded from the block runs after it anyway.
     #[inline]
     pub(crate) fn writes_memory(self) -> bool {
         matches!(
             self,
-            MicroOp::Store { .. }
-                | MicroOp::StoreB { .. }
-                | MicroOp::Push { .. }
-                | MicroOp::PushI { .. }
-                | MicroOp::Enter { .. }
-                | MicroOp::Call { .. }
-                | MicroOp::CallR { .. }
+            MicroOp::Instr(
+                Instr::Store { .. }
+                    | Instr::StoreB { .. }
+                    | Instr::Push(_)
+                    | Instr::PushI(_)
+                    | Instr::Enter(_)
+                    | Instr::Call(_)
+                    | Instr::CallR(_)
+            )
         )
     }
+}
 
-    /// Whether this op ends its block unconditionally (the transfer
-    /// kinds whose successor is not the next sequential instruction).
-    #[inline]
-    fn terminal(self) -> bool {
-        matches!(
-            self,
-            MicroOp::Jmp { .. }
-                | MicroOp::Call { .. }
-                | MicroOp::CallR { .. }
-                | MicroOp::Ret
-                | MicroOp::JmpR { .. }
-        )
-    }
+/// Whether `instr` ends its block unconditionally (the transfer kinds
+/// whose successor is not the next sequential instruction).
+fn terminal(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Jmp(_) | Instr::Call(_) | Instr::CallR(_) | Instr::Ret | Instr::JmpR(_)
+    )
 }
 
 /// One micro-op plus the addresses the equivalent tier-1 steps would
@@ -616,83 +528,6 @@ impl TierEngine {
     }
 }
 
-/// Decodes one instruction at `addr` without touching any machine
-/// state. Mirrors the CPU's uncached fetch; any fault (unmapped, DEP,
-/// undecodable) simply ends the region.
-fn decode_at(mem: &Memory, addr: u32) -> Option<(Instr, usize)> {
-    let first = mem.read_u8(addr, Access::Fetch).ok()?;
-    let len = isa::instr_len(first)?;
-    let mut buf = [0u8; isa::MAX_INSTR_LEN];
-    buf[0] = first;
-    if len > 1 {
-        mem.read_bytes(addr.wrapping_add(1), &mut buf[1..len], Access::Fetch)
-            .ok()?;
-    }
-    let (instr, _) = Instr::decode(&buf[..len]).ok()?;
-    Some((instr, len))
-}
-
-/// Translates one decodable instruction into a micro-op, or `None`
-/// for the instruction classes that must run through `step`
-/// (syscalls, traps, halt).
-fn lower(instr: Instr) -> Option<MicroOp> {
-    let r = |reg: isa::Reg| reg as u8;
-    let sx = |disp: i16| disp as i32 as u32;
-    Some(match instr {
-        Instr::Nop => MicroOp::Nop,
-        Instr::MovI { dst, imm } => MicroOp::MovI { dst: r(dst), imm },
-        Instr::Mov { dst, src } => MicroOp::Mov {
-            dst: r(dst),
-            src: r(src),
-        },
-        Instr::Load { dst, base, disp } => MicroOp::Load {
-            dst: r(dst),
-            base: r(base),
-            disp: sx(disp),
-        },
-        Instr::Store { base, disp, src } => MicroOp::Store {
-            base: r(base),
-            disp: sx(disp),
-            src: r(src),
-        },
-        Instr::LoadB { dst, base, disp } => MicroOp::LoadB {
-            dst: r(dst),
-            base: r(base),
-            disp: sx(disp),
-        },
-        Instr::StoreB { base, disp, src } => MicroOp::StoreB {
-            base: r(base),
-            disp: sx(disp),
-            src: r(src),
-        },
-        Instr::Push(src) => MicroOp::Push { src: r(src) },
-        Instr::Pop(dst) => MicroOp::Pop { dst: r(dst) },
-        Instr::PushI(imm) => MicroOp::PushI { imm },
-        Instr::Alu { op, dst, src } => MicroOp::Alu {
-            op,
-            dst: r(dst),
-            src: r(src),
-        },
-        Instr::AddI { dst, imm } => MicroOp::AddI { dst: r(dst), imm },
-        Instr::Cmp { a, b } => MicroOp::Cmp { a: r(a), b: r(b) },
-        Instr::CmpI { a, imm } => MicroOp::CmpI { a: r(a), imm },
-        Instr::Lea { dst, base, disp } => MicroOp::Lea {
-            dst: r(dst),
-            base: r(base),
-            disp: sx(disp),
-        },
-        Instr::Enter(frame) => MicroOp::Enter { frame },
-        Instr::Leave => MicroOp::Leave,
-        Instr::Jmp(target) => MicroOp::Jmp { target },
-        Instr::JCond { cond, target } => MicroOp::JCond { cond, target },
-        Instr::Call(target) => MicroOp::Call { target },
-        Instr::CallR(src) => MicroOp::CallR { src: r(src) },
-        Instr::Ret => MicroOp::Ret,
-        Instr::JmpR(src) => MicroOp::JmpR { src: r(src) },
-        Instr::Halt | Instr::Sys(_) | Instr::Trap(_) => return None,
-    })
-}
-
 /// The peephole pass: collapses the loop-closing compare-and-branch
 /// idioms into single superinstruction micro-ops. Only fault-free
 /// constituents (register ALU, flag set, direct branch) are fused, so
@@ -703,9 +538,9 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
     while j < ops.len() {
         if j + 2 < ops.len() {
             if let (
-                MicroOp::AddI { dst, imm: add_imm },
-                MicroOp::CmpI { a, imm: cmp_imm },
-                MicroOp::JCond { cond, target },
+                MicroOp::Instr(Instr::AddI { dst, imm: add_imm }),
+                MicroOp::Instr(Instr::CmpI { a, imm: cmp_imm }),
+                MicroOp::Instr(Instr::JCond { cond, target }),
             ) = (ops[j].kind, ops[j + 1].kind, ops[j + 2].kind)
             {
                 out.push(Op {
@@ -732,17 +567,19 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
         }
         if j + 1 < ops.len() {
             let pair = match (ops[j].kind, ops[j + 1].kind) {
-                (MicroOp::CmpI { a, imm }, MicroOp::JCond { cond, target }) => {
-                    Some(MicroOp::FusedCmpIJ {
-                        a,
-                        imm,
-                        cond,
-                        target,
-                    })
-                }
-                (MicroOp::Cmp { a, b }, MicroOp::JCond { cond, target }) => {
-                    Some(MicroOp::FusedCmpJ { a, b, cond, target })
-                }
+                (
+                    MicroOp::Instr(Instr::CmpI { a, imm }),
+                    MicroOp::Instr(Instr::JCond { cond, target }),
+                ) => Some(MicroOp::FusedCmpIJ {
+                    a,
+                    imm,
+                    cond,
+                    target,
+                }),
+                (
+                    MicroOp::Instr(Instr::Cmp { a, b }),
+                    MicroOp::Instr(Instr::JCond { cond, target }),
+                ) => Some(MicroOp::FusedCmpJ { a, b, cond, target }),
                 _ => None,
             };
             if let Some(kind) = pair {
@@ -768,21 +605,21 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
 }
 
 /// Compiles the straight-line region starting at `start_ip` into a
-/// block, or `None` when the very first instruction already cannot be
-/// lowered (the hot target is a syscall/trap/halt or undecodable).
+/// block, or `None` when the very first instruction already cannot
+/// join one (the hot target is a syscall/trap/halt or undecodable).
 ///
 /// A static `call` does not end the block: its successor is known at
 /// compile time, so compilation **links** it — marks the op as
 /// falling through (`cont_ip` = target, `cont_kind` = `Call`) and
-/// continues lowering at the callee's entry, inlining the callee body
-/// into the block. The op still reproduces the full call (push,
-/// shadow stack, counters, event); only the round trip through the
-/// dispatcher is saved. `ret`, `callr` and `jmpr` have dynamic
+/// continues decoding at the callee's entry, inlining the callee body
+/// into the block. The op still runs the full call (push, shadow
+/// stack, counters, event); only the round trip through the dispatcher
+/// is saved. `ret`, `callr` and `jmpr` have dynamic
 /// successors and stay terminal; `jmp` stays terminal too (a backward
 /// jump to the block head becomes the in-block loop instead).
 ///
-/// Compilation otherwise stops after a terminal transfer, at any
-/// non-lowerable instruction, at [`MAX_BLOCK_OPS`], at the third
+/// Compilation otherwise stops after a terminal transfer, at a
+/// syscall, trap or halt, at [`MAX_BLOCK_OPS`], at the third
 /// page, or at bytes that do not currently decode — the block simply
 /// ends early and execution side-exits to tier 1 there. A final
 /// peephole pass ([`fuse`]) then collapses compare-and-branch idioms
@@ -798,10 +635,14 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
     let mut call_rets: Vec<u32> = Vec::new();
     let mut ip = start_ip;
     while ops.len() < MAX_BLOCK_OPS {
-        let Some((instr, len)) = decode_at(mem, ip) else {
+        // Syscalls, traps and halt run through `step`; bytes that do
+        // not decode end the region too.
+        let Ok((instr, len)) = decode_at(mem, ip) else {
             break;
         };
-        let Some(kind) = lower(instr) else { break };
+        if matches!(instr, Instr::Halt | Instr::Sys(_) | Instr::Trap(_)) {
+            break;
+        }
         // Record the page(s) this encoding occupies; give up on the
         // region (ending the block) rather than track a third page.
         let last = ip.wrapping_add(len as u32 - 1);
@@ -825,9 +666,9 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
             break;
         }
         let next_ip = ip.wrapping_add(len as u32);
-        let (cont_ip, cont_kind) = match kind {
+        let (cont_ip, cont_kind) = match instr {
             // Link the static call: execution continues at the callee.
-            MicroOp::Call { target } if ops.len() + 1 < MAX_BLOCK_OPS => {
+            Instr::Call(target) if ops.len() + 1 < MAX_BLOCK_OPS => {
                 call_rets.push(next_ip);
                 (target, TransferKind::Call)
             }
@@ -836,7 +677,7 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
             // an assumption — the runtime op compares the popped
             // target against it and side-exits on mismatch, so a
             // smashed return address behaves exactly as stepped code.
-            MicroOp::Ret if ops.len() + 1 < MAX_BLOCK_OPS && !call_rets.is_empty() => {
+            Instr::Ret if ops.len() + 1 < MAX_BLOCK_OPS && !call_rets.is_empty() => {
                 (call_rets.pop().expect("non-empty"), TransferKind::Ret)
             }
             _ => (next_ip, TransferKind::Sequential),
@@ -844,8 +685,8 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
         // Dynamic-transfer terminators get an inline cache; a linked
         // `ret` does not (its mismatch path — a smashed return
         // address — must stay an unpredicted terminal exit).
-        let dynamic = matches!(kind, MicroOp::CallR { .. } | MicroOp::JmpR { .. })
-            || (matches!(kind, MicroOp::Ret) && cont_kind == TransferKind::Sequential);
+        let dynamic = matches!(instr, Instr::CallR(_) | Instr::JmpR(_))
+            || (instr == Instr::Ret && cont_kind == TransferKind::Sequential);
         let ic = if dynamic {
             nics += 1;
             (nics - 1) as u16
@@ -855,8 +696,8 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
         // A static call's edge is fully known here: pre-resolve its
         // coverage-map slot so an attached sink can be bumped without
         // constructing the event.
-        let cov_slot = match kind {
-            MicroOp::Call { target } => edge_slot(ControlKind::Call as u8, ip, target) as u16,
+        let cov_slot = match instr {
+            Instr::Call(target) => edge_slot(ControlKind::Call as u8, ip, target) as u16,
             _ => 0,
         };
         ops.push(Op {
@@ -868,9 +709,9 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
             n: 1,
             ic,
             cov_slot,
-            kind,
+            kind: MicroOp::Instr(instr),
         });
-        if kind.terminal() && cont_kind == TransferKind::Sequential {
+        if terminal(instr) && cont_kind == TransferKind::Sequential {
             break;
         }
         ip = cont_ip;
@@ -901,8 +742,8 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Instr, Reg};
-    use crate::mem::Perm;
+    use crate::isa;
+    use crate::mem::{Access, Perm};
 
     fn assemble(instrs: &[Instr]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -954,7 +795,7 @@ mod tests {
         assert_eq!(block.ops.len(), 7);
         assert_eq!(block.ops[0].ip, 0x1000);
         let call = block.ops[2];
-        assert!(matches!(call.kind, MicroOp::Call { target: 0x2000 }));
+        assert!(matches!(call.kind, MicroOp::Instr(Instr::Call(0x2000))));
         assert!(call.linked());
         assert_eq!(call.cont_ip, 0x2000);
         assert_eq!(call.cont_kind, TransferKind::Call);
@@ -963,16 +804,16 @@ mod tests {
         assert_eq!(block.ops[3].ip, 0x2000);
         // The callee's return links back to the call's return site...
         let ret = block.ops[4];
-        assert!(matches!(ret.kind, MicroOp::Ret));
+        assert!(matches!(ret.kind, MicroOp::Instr(Instr::Ret)));
         assert!(ret.linked());
         assert_eq!(ret.cont_ip, call.next_ip);
         assert_eq!(ret.cont_kind, TransferKind::Ret);
         // ...where compilation resumed.
         assert_eq!(block.ops[5].ip, call.next_ip);
-        assert!(matches!(block.ops[5].kind, MicroOp::Nop));
+        assert!(matches!(block.ops[5].kind, MicroOp::Instr(Instr::Nop)));
         // A return with no matching in-block call stays terminal.
         let top = block.ops[6];
-        assert!(matches!(top.kind, MicroOp::Ret));
+        assert!(matches!(top.kind, MicroOp::Instr(Instr::Ret)));
         assert!(!top.linked());
         assert_eq!(usize::from(block.npages), 2);
     }
@@ -999,7 +840,7 @@ mod tests {
         let block = compile(&mem, 0x1000).expect("block");
         assert_eq!(block.ops.len(), 3);
         let call = block.ops[2];
-        assert!(matches!(call.kind, MicroOp::Call { target: 0x9000 }));
+        assert!(matches!(call.kind, MicroOp::Instr(Instr::Call(0x9000))));
         assert!(!call.linked());
         assert_eq!(call.cont_ip, call.next_ip);
         assert_eq!(usize::from(block.npages), 1);
@@ -1028,8 +869,8 @@ mod tests {
         assert!(matches!(
             op.kind,
             MicroOp::FusedLoopI {
-                dst: 0,
-                a: 0,
+                dst: Reg::R0,
+                a: Reg::R0,
                 cond: Cond::Nz,
                 target: 0x1000,
                 ..
@@ -1066,12 +907,20 @@ mod tests {
         assert_eq!(block.ops.len(), 2);
         assert!(matches!(
             block.ops[0].kind,
-            MicroOp::FusedCmpIJ { a: 1, imm: 7, .. }
+            MicroOp::FusedCmpIJ {
+                a: Reg::R1,
+                imm: 7,
+                ..
+            }
         ));
         assert_eq!(block.ops[0].n, 2);
         assert!(matches!(
             block.ops[1].kind,
-            MicroOp::FusedCmpJ { a: 1, b: 2, .. }
+            MicroOp::FusedCmpJ {
+                a: Reg::R1,
+                b: Reg::R2,
+                ..
+            }
         ));
         assert_eq!(block.ops[1].n, 2);
     }
@@ -1095,7 +944,10 @@ mod tests {
         let block = compile(&mem, 0x1000).expect("block");
         // The conditional does not end the block; the jmp does.
         assert_eq!(block.ops.len(), 3);
-        assert!(matches!(block.ops[2].kind, MicroOp::Jmp { target: 0x1000 }));
+        assert!(matches!(
+            block.ops[2].kind,
+            MicroOp::Instr(Instr::Jmp(0x1000))
+        ));
     }
 
     #[test]
@@ -1110,7 +962,7 @@ mod tests {
         let mem = mem_with(0x1000, &[Instr::Ret]);
         let block = compile(&mem, 0x1000).expect("ret block");
         assert_eq!(block.ops.len(), 1);
-        assert!(matches!(block.ops[0].kind, MicroOp::Ret));
+        assert!(matches!(block.ops[0].kind, MicroOp::Instr(Instr::Ret)));
     }
 
     #[test]
