@@ -850,7 +850,7 @@ impl Machine {
     }
 
     /// `sp -= 4; mem32[sp] <- value`, through the data path `data`.
-    #[inline]
+    #[inline(always)]
     fn push<D: DataPath>(&mut self, data: &mut D, value: u32) -> Result<(), Fault> {
         let sp = self.reg(Reg::Sp).wrapping_sub(4);
         self.set_reg(Reg::Sp, sp);
@@ -858,7 +858,7 @@ impl Machine {
     }
 
     /// `value <- mem32[sp]; sp += 4`, through the data path `data`.
-    #[inline]
+    #[inline(always)]
     fn pop<D: DataPath>(&mut self, data: &mut D) -> Result<u32, Fault> {
         let sp = self.reg(Reg::Sp);
         let value = data.load_u32(self, sp)?;
@@ -949,20 +949,14 @@ impl Machine {
         self.pending_transfer = kind;
     }
 
-    fn advance(&mut self, len: usize) {
-        self.prev_ip = self.ip;
-        self.ip = self.ip.wrapping_add(len as u32);
-        self.pending_transfer = TransferKind::Sequential;
-    }
-
     /// Largest syscall I/O transfer staged through a stack buffer;
     /// longer transfers fall back to a heap allocation.
     const SYS_STACK_BUF_LEN: usize = 256;
 
-    /// Runs system call `number`. Syscalls never compile into blocks,
-    /// so this runs only at tier 1, where `self.ip` is the `sys`
-    /// instruction itself.
-    fn syscall(&mut self, number: u8) -> Result<Flow, Fault> {
+    /// Runs system call `number`; the `sys` instruction's successor is
+    /// at `next_ip`. Syscalls never compile into blocks, so this runs
+    /// only at tier 1, where `self.ip` is the `sys` instruction itself.
+    fn syscall(&mut self, number: u8, next_ip: u32) -> Result<Flow, Fault> {
         self.stats.syscalls += 1;
         match number {
             isa::sys::EXIT => Ok(Flow::Halt(self.reg(Reg::R0))),
@@ -998,7 +992,7 @@ impl Machine {
                     }
                 }
                 self.set_reg(Reg::R0, n as u32);
-                Ok(Flow::Seq)
+                Ok(Flow::Next(next_ip, TransferKind::Sequential))
             }
             isa::sys::WRITE => {
                 let fd = self.reg(Reg::R0);
@@ -1016,12 +1010,12 @@ impl Machine {
                 };
                 self.io.write(fd, out);
                 self.set_reg(Reg::R0, len);
-                Ok(Flow::Seq)
+                Ok(Flow::Next(next_ip, TransferKind::Sequential))
             }
             isa::sys::RAND => {
                 let r = self.next_rand();
                 self.set_reg(Reg::R0, r);
-                Ok(Flow::Seq)
+                Ok(Flow::Next(next_ip, TransferKind::Sequential))
             }
             _ => Err(Fault::UnknownSyscall {
                 number,
@@ -1188,17 +1182,14 @@ impl Machine {
 
     /// Executes `instr`, `len` bytes long at `self.ip`, through the
     /// executor core and moves `ip` to where control goes next.
+    #[inline]
     fn exec(&mut self, instr: Instr, len: usize) -> Result<Flow, Fault> {
         let next_ip = self.ip.wrapping_add(len as u32);
         let flow = self.exec_instr(instr, self.ip, next_ip, None, &mut Checked)?;
-        match flow {
-            Flow::Seq => self.advance(len),
-            Flow::Jump(target) | Flow::Call(target) | Flow::Ret(target) => {
-                self.transfer(target, flow.kind());
-            }
-            // A halted machine stays put; a blocked read retries the
-            // same instruction on the next step.
-            Flow::Halt(_) | Flow::Blocked(_) => {}
+        // A halted machine stays put; a blocked read retries the same
+        // instruction on the next step.
+        if let Flow::Next(to, kind) = flow {
+            self.transfer(to, kind);
         }
         Ok(flow)
     }
@@ -1223,88 +1214,89 @@ impl Machine {
         call_slot: Option<u16>,
         data: &mut D,
     ) -> Result<Flow, Fault> {
+        let seq = Flow::Next(next_ip, TransferKind::Sequential);
         Ok(match instr {
-            Instr::Nop => Flow::Seq,
+            Instr::Nop => seq,
             Instr::Halt => Flow::Halt(0),
             Instr::MovI { dst, imm } => {
                 self.set_reg(dst, imm);
-                Flow::Seq
+                seq
             }
             Instr::Mov { dst, src } => {
                 self.set_reg(dst, self.reg(src));
-                Flow::Seq
+                seq
             }
             Instr::Load { dst, base, disp } => {
                 let addr = self.addr(base, disp);
                 let v = data.load_u32(self, addr)?;
                 self.set_reg(dst, v);
-                Flow::Seq
+                seq
             }
             Instr::Store { base, disp, src } => {
                 let (addr, v) = (self.addr(base, disp), self.reg(src));
                 data.store_u32(self, addr, v)?;
-                Flow::Seq
+                seq
             }
             Instr::LoadB { dst, base, disp } => {
                 let addr = self.addr(base, disp);
                 let v = data.load_u8(self, addr)?;
                 self.set_reg(dst, u32::from(v));
-                Flow::Seq
+                seq
             }
             Instr::StoreB { base, disp, src } => {
                 let (addr, v) = (self.addr(base, disp), self.reg(src) as u8);
                 data.store_u8(self, addr, v)?;
-                Flow::Seq
+                seq
             }
             Instr::Push(r) => {
                 self.push(data, self.reg(r))?;
-                Flow::Seq
+                seq
             }
             Instr::Pop(r) => {
                 let v = self.pop(data)?;
                 self.set_reg(r, v);
-                Flow::Seq
+                seq
             }
             Instr::PushI(imm) => {
                 self.push(data, imm)?;
-                Flow::Seq
+                seq
             }
             Instr::Alu { op, dst, src } => {
                 self.alu(op, dst, src, ip)?;
-                Flow::Seq
+                seq
             }
             Instr::AddI { dst, imm } => {
                 self.set_reg(dst, self.reg(dst).wrapping_add(imm));
-                Flow::Seq
+                seq
             }
             Instr::Cmp { a, b } => {
                 self.set_cmp_flags(self.reg(a), self.reg(b));
-                Flow::Seq
+                seq
             }
             Instr::CmpI { a, imm } => {
                 self.set_cmp_flags(self.reg(a), imm);
-                Flow::Seq
+                seq
             }
             Instr::Lea { dst, base, disp } => {
                 self.set_reg(dst, self.addr(base, disp));
-                Flow::Seq
+                seq
             }
-            Instr::Jmp(target) => Flow::Jump(target),
+            Instr::Jmp(target) => Flow::Next(target, TransferKind::Jump),
             Instr::JCond { cond, target } => {
                 if self.flags.test(cond) {
-                    Flow::Jump(target)
+                    Flow::Next(target, TransferKind::Jump)
                 } else {
-                    Flow::Seq
+                    seq
                 }
             }
             Instr::Call(target) => {
                 self.call(data, ControlKind::Call, ip, next_ip, target, call_slot)?;
-                Flow::Call(target)
+                Flow::Next(target, TransferKind::Call)
             }
             Instr::CallR(r) => {
                 let target = self.reg(r);
                 self.call(data, ControlKind::CallIndirect, ip, next_ip, target, None)?;
-                Flow::Call(target)
+                Flow::Next(target, TransferKind::Call)
             }
             Instr::Ret => {
                 let target = self.pop(data)?;
@@ -1322,28 +1314,28 @@ impl Machine {
                 }
                 self.stats.rets += 1;
                 self.note_transfer(ControlKind::Ret, ip, target, None);
-                Flow::Ret(target)
+                Flow::Next(target, TransferKind::Ret)
             }
             Instr::JmpR(r) => {
                 let target = self.reg(r);
                 self.note_transfer(ControlKind::JmpIndirect, ip, target, None);
-                Flow::Jump(target)
+                Flow::Next(target, TransferKind::Jump)
             }
             Instr::Enter(frame) => {
                 self.push(data, self.reg(Reg::Bp))?;
                 let sp = self.reg(Reg::Sp);
                 self.set_reg(Reg::Bp, sp);
                 self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
-                Flow::Seq
+                seq
             }
             Instr::Leave => {
                 self.set_reg(Reg::Sp, self.reg(Reg::Bp));
                 let saved = self.pop(data)?;
                 self.set_reg(Reg::Bp, saved);
-                Flow::Seq
+                seq
             }
             Instr::Sys(number) => {
-                let flow = self.syscall(number)?;
+                let flow = self.syscall(number, next_ip)?;
                 // A blocked read retries the same instruction; emit its
                 // event only when the call actually completes.
                 if !matches!(flow, Flow::Blocked(_)) && self.sink_mask.contains(EventMask::SYSCALL)
@@ -1357,7 +1349,7 @@ impl Machine {
     }
 
     /// `base + disp`, the effective address of a memory operand.
-    #[inline]
+    #[inline(always)]
     fn addr(&self, base: Reg, disp: i16) -> u32 {
         self.reg(base).wrapping_add(disp as i32 as u32)
     }
@@ -1365,7 +1357,7 @@ impl Machine {
     /// The push, shadow-stack record, count and report of a call from
     /// `ip` to `target` returning to `ret` (see
     /// [`note_transfer`](Machine::note_transfer) for `slot`).
-    #[inline]
+    #[inline(always)]
     fn call<D: DataPath>(
         &mut self,
         data: &mut D,
@@ -1389,7 +1381,7 @@ impl Machine {
     /// place (`slot`, when the caller pre-resolved it) instead of
     /// receiving a `ControlTransfer` event: same slot, same count, no
     /// event construction or dynamic dispatch.
-    #[inline]
+    #[inline(always)]
     fn note_transfer(&self, kind: ControlKind, from: u32, to: u32, slot: Option<u16>) {
         if !self.sink_mask.contains(EventMask::CONTROL) {
             return;
@@ -1685,7 +1677,7 @@ impl Machine {
             let mut stall = false;
 
             'blk: loop {
-                let op = ops[i];
+                let op = &ops[i];
                 if executed + u64::from(op.n) > budget {
                     // Stop exactly where stepping would have: at this op,
                     // unexecuted. The dispatcher guarantees op 0 fits, so
@@ -1694,11 +1686,14 @@ impl Machine {
                     break 'blk;
                 }
                 executed += u64::from(op.n);
-                let flow = match op.kind {
+                let (to, kind) = match op.kind {
                     MicroOp::Instr(instr) => {
                         let slot = Some(op.cov_slot);
                         match self.exec_instr(instr, op.ip, op.next_ip, slot, line) {
-                            Ok(flow) => flow,
+                            Ok(Flow::Next(to, kind)) => (to, kind),
+                            Ok(Flow::Halt(_) | Flow::Blocked(_)) => {
+                                unreachable!("halt and syscalls never compile into blocks")
+                            }
                             Err(f) => {
                                 self.ip = op.ip;
                                 fault = Some(f);
@@ -1717,9 +1712,9 @@ impl Machine {
                         self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
                         self.set_cmp_flags(self.reg(a), cmp_imm);
                         if !self.flags.test(cond) {
-                            Flow::Seq
+                            (op.next_ip, TransferKind::Sequential)
                         } else if target != start_ip || ops.len() > 1 || a != dst {
-                            Flow::Jump(target)
+                            (target, TransferKind::Jump)
                         } else {
                             // The whole block is this one superinstruction
                             // branching to itself: iterate in place.
@@ -1776,7 +1771,7 @@ impl Machine {
                                     }
                                 }
                             }
-                            Flow::Seq
+                            (op.next_ip, TransferKind::Sequential)
                         }
                     }
                     MicroOp::FusedCmpIJ {
@@ -1787,27 +1782,27 @@ impl Machine {
                     } => {
                         self.set_cmp_flags(self.reg(a), imm);
                         if self.flags.test(cond) {
-                            Flow::Jump(target)
+                            (target, TransferKind::Jump)
                         } else {
-                            Flow::Seq
+                            (op.next_ip, TransferKind::Sequential)
                         }
                     }
                     MicroOp::FusedCmpJ { a, b, cond, target } => {
                         self.set_cmp_flags(self.reg(a), self.reg(b));
                         if self.flags.test(cond) {
-                            Flow::Jump(target)
+                            (target, TransferKind::Jump)
                         } else {
-                            Flow::Seq
+                            (op.next_ip, TransferKind::Sequential)
                         }
                     }
                 };
-                match flow {
-                    Flow::Seq => {}
+                match kind {
+                    TransferKind::Sequential => {}
                     // A direct jump back to the block's own head loops
                     // without leaving the block (the loop-top fuel check
                     // bounds it); a dynamic terminator (one with an
                     // inline cache) always exits.
-                    Flow::Jump(target) if target == start_ip && op.ic == IC_NONE => {
+                    TransferKind::Jump if to == start_ip && op.ic == IC_NONE => {
                         backedge_from = Some(op.last_ip);
                         i = 0;
                         continue 'blk;
@@ -1815,28 +1810,25 @@ impl Machine {
                     // Linked call: the next op is the callee's first
                     // instruction, so fall through (the SMC check below
                     // still guards the pushed return address).
-                    Flow::Call(_) if op.linked() => {}
+                    TransferKind::Call if op.linked() => {}
                     // Linked return: the popped target is the matching
                     // in-block call's return site, the next op, so keep
                     // running in-block. A return address the program (or
                     // an attacker) rewrote exits below with the actual
                     // target pending, exactly like stepping.
-                    Flow::Ret(target) if op.linked() && target == op.cont_ip => {}
+                    TransferKind::Ret if op.linked() && to == op.cont_ip => {}
                     // Every other transfer exits. A dynamic terminator
                     // reports its inline cache, keyed downstream on the
                     // runtime target (for `ret`, the popped,
                     // shadow-stack-verified return address); static
                     // transfers and the linked-ret mismatch carry
                     // IC_NONE and exit unpredicted.
-                    Flow::Jump(target) | Flow::Call(target) | Flow::Ret(target) => {
+                    TransferKind::Jump | TransferKind::Call | TransferKind::Ret => {
                         exit_prev = op.last_ip;
-                        exit_ip = target;
-                        exit_kind = flow.kind();
+                        exit_ip = to;
+                        exit_kind = kind;
                         exit_ic = op.ic;
                         break 'blk;
-                    }
-                    Flow::Halt(_) | Flow::Blocked(_) => {
-                        unreachable!("halt and syscalls never compile into blocks")
                     }
                 }
                 // Completion of op `i` without an exit. A memory-writing op
@@ -2107,30 +2099,14 @@ pub(crate) fn decode_at(mem: &Memory, addr: u32) -> Result<(Instr, usize), Fault
 /// Where control goes after the executor core ran an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flow {
-    /// On to the sequential successor.
-    Seq,
-    /// A jump, direct or indirect, taken to the target.
-    Jump(u32),
-    /// A call to the target; the return address is pushed.
-    Call(u32),
-    /// A return to the popped (and shadow-stack-checked) target.
-    Ret(u32),
+    /// On to `ip` with `kind` pending for the next fetch: the
+    /// sequential successor (`Sequential`), or the target of a jump, a
+    /// call or a return (the popped, shadow-stack-checked address).
+    Next(u32, TransferKind),
     /// The machine halts with this exit code.
     Halt(u32),
     /// A read blocks on this empty descriptor; the instruction retries.
     Blocked(u32),
-}
-
-impl Flow {
-    /// The transfer kind this flow leaves pending for the next fetch.
-    fn kind(self) -> TransferKind {
-        match self {
-            Flow::Jump(_) => TransferKind::Jump,
-            Flow::Call(_) => TransferKind::Call,
-            Flow::Ret(_) => TransferKind::Ret,
-            Flow::Seq | Flow::Halt(_) | Flow::Blocked(_) => TransferKind::Sequential,
-        }
-    }
 }
 
 /// How the executor core reaches data memory. The core is generic over

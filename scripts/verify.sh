@@ -84,8 +84,33 @@
 #      tests/, examples/ or suite/ may gate code on `cfg(feature …)` or
 #      mention `proptest`: every test builds offline and runs in the
 #      default suite, where steps 2 and 3 test and lint it.
+#  20. one-semantics guard: each instruction has one implementation,
+#      the executor core (Machine::exec_instr in crates/vm/src/cpu.rs)
+#      that tier 1 and tier-2 blocks both run. Outside isa.rs (opcodes
+#      and mnemonics) and `#[cfg(test)]` items, crates/vm/src must have
+#      exactly one `AluOp::Sar =>` arm and construct
+#      `Fault::ShadowStackMismatch` exactly once (DESIGN.md §12).
 set -eu
 cd "$(dirname "$0")/.."
+
+# Prints every non-comment line outside `#[cfg(test)]` items of the
+# .rs files `find` lists under its arguments, as FILE:LINE: text; a
+# test item is skipped through its closing brace.
+non_test_lines() {
+    find "$@" -name '*.rs' | sort | xargs awk '
+        FNR == 1 { skip = 0 }
+        skip == 0 && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        skip == 1 {
+            for (i = 1; i <= length($0); i++) {
+                c = substr($0, i, 1)
+                if (c == "{") { depth++; opened = 1 } else if (c == "}") depth--
+            }
+            if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+            next
+        }
+        $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+    '
+}
 
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
@@ -350,21 +375,9 @@ if grep -rn '\.render(' crates/minc/src | grep -v '^crates/minc/src/codegen/list
 fi
 
 echo "==> thread-spawn guard"
-# Every non-test line of crates/core/src that starts a thread; items
-# under #[cfg(test)] are skipped through their closing brace.
-SPAWNS=$(find crates/core/src -name '*.rs' | sort | xargs awk '
-    FNR == 1 { skip = 0 }
-    skip == 0 && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
-    skip == 1 {
-        for (i = 1; i <= length($0); i++) {
-            c = substr($0, i, 1)
-            if (c == "{") { depth++; opened = 1 } else if (c == "}") depth--
-        }
-        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
-        next
-    }
-    $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
-' | grep -E 'thread::(spawn|scope)|Builder::|\.spawn(_scoped|_unchecked)?\(' || true)
+# Every non-test line of crates/core/src that starts a thread.
+SPAWNS=$(non_test_lines crates/core/src \
+    | grep -E 'thread::(spawn|scope)|Builder::|\.spawn(_scoped|_unchecked)?\(' || true)
 if [ "$(printf '%s\n' "$SPAWNS" | grep -c .)" -ne 1 ] \
     || ! printf '%s\n' "$SPAWNS" | grep -q '^crates/core/src/campaign.rs:.*std::thread::Builder::new().name(name).spawn(work)'; then
     printf '%s\n' "$SPAWNS" >&2
@@ -403,6 +416,18 @@ fi
 if grep -rnE 'cfg(_attr)?\((.*[^A-Za-z0-9_])?feature *=|proptest' \
     crates tests examples suite --include='*.rs'; then
     echo "verify: feature-gated or proptest code is back; write seeded swsec-rng cases" >&2
+    exit 1
+fi
+
+echo "==> one-semantics guard"
+# A construction is an occurrence that is not a match pattern (`… } =>`).
+VM_LINES=$(non_test_lines crates/vm/src ! -name isa.rs)
+SAR_ARMS=$(printf '%s\n' "$VM_LINES" | grep -c 'AluOp::Sar =>' || true)
+MISMATCHES=$(printf '%s\n' "$VM_LINES" | grep 'Fault::ShadowStackMismatch {' \
+    | grep -vc '}[[:space:]]*=>' || true)
+if [ "$SAR_ARMS" -ne 1 ] || [ "$MISMATCHES" -ne 1 ]; then
+    printf '%s\n' "$VM_LINES" | grep -E 'AluOp::Sar =>|Fault::ShadowStackMismatch \{' >&2
+    echo "verify: crates/vm/src has $SAR_ARMS AluOp::Sar arms and $MISMATCHES ShadowStackMismatch constructions; each instruction runs through the one executor core" >&2
     exit 1
 fi
 
