@@ -1686,113 +1686,121 @@ impl Machine {
                     break 'blk;
                 }
                 executed += u64::from(op.n);
-                let (to, kind) = match op.kind {
-                    MicroOp::Instr(instr) => {
-                        let slot = Some(op.cov_slot);
-                        match self.exec_instr(instr, op.ip, op.next_ip, slot, line) {
-                            Ok(Flow::Next(to, kind)) => (to, kind),
-                            Ok(Flow::Halt(_) | Flow::Blocked(_)) => {
-                                unreachable!("halt and syscalls never compile into blocks")
-                            }
-                            Err(f) => {
-                                self.ip = op.ip;
-                                fault = Some(f);
-                                break 'blk;
-                            }
+                // A one-instruction op is a decoded instruction. Testing
+                // the count before the variant leaves the core's match
+                // as the only jump table on the common path.
+                let (to, kind) = if op.n == 1 {
+                    let MicroOp::Instr(instr) = op.kind else {
+                        unreachable!("fused ops retire two or three instructions")
+                    };
+                    let slot = Some(op.cov_slot);
+                    match self.exec_instr(instr, op.ip, op.next_ip, slot, line) {
+                        Ok(Flow::Next(to, kind)) => (to, kind),
+                        Ok(Flow::Halt(_) | Flow::Blocked(_)) => {
+                            unreachable!("halt and syscalls never compile into blocks")
+                        }
+                        Err(f) => {
+                            self.ip = op.ip;
+                            fault = Some(f);
+                            break 'blk;
                         }
                     }
-                    MicroOp::FusedLoopI {
-                        dst,
-                        add_imm,
-                        a,
-                        cmp_imm,
-                        cond,
-                        target,
-                    } => {
-                        self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
-                        self.set_cmp_flags(self.reg(a), cmp_imm);
-                        if !self.flags.test(cond) {
-                            (op.next_ip, TransferKind::Sequential)
-                        } else if target != start_ip || ops.len() > 1 || a != dst {
-                            (target, TransferKind::Jump)
-                        } else {
-                            // The whole block is this one superinstruction
-                            // branching to itself: iterate in place.
-                            // Intermediate register/flag states are
-                            // unobservable (no faults, no events, no
-                            // memory), so only the per-pass fuel
-                            // accounting and the final state need to be
-                            // architectural.
-                            let n = u64::from(op.n);
-                            let v1 = self.reg(dst);
-                            if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
-                                // Counted ±1 loop: the remaining trip
-                                // count is closed-form. v1 != cmp_imm here
-                                // (the branch was taken), so `left` is in
-                                // [1, 2^32-1].
-                                let left = u64::from(if add_imm == 1 {
-                                    cmp_imm.wrapping_sub(v1)
-                                } else {
-                                    v1.wrapping_sub(cmp_imm)
-                                });
-                                let by_fuel = (budget - executed) / n;
-                                if left > by_fuel {
-                                    let k = by_fuel as u32;
-                                    let v = if add_imm == 1 {
-                                        v1.wrapping_add(k)
-                                    } else {
-                                        v1.wrapping_sub(k)
-                                    };
-                                    executed += by_fuel * n;
-                                    self.set_reg(dst, v);
-                                    self.set_cmp_flags(v, cmp_imm);
-                                    backedge_from = Some(op.last_ip);
-                                    i = 0;
-                                    stall = true;
-                                    break 'blk;
-                                }
-                                executed += left * n;
-                                self.set_reg(dst, cmp_imm);
-                                self.set_cmp_flags(cmp_imm, cmp_imm);
+                } else {
+                    match op.kind {
+                        MicroOp::Instr(_) => unreachable!("a decoded instruction retires one"),
+                        MicroOp::FusedLoopI {
+                            dst,
+                            add_imm,
+                            a,
+                            cmp_imm,
+                            cond,
+                            target,
+                        } => {
+                            self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
+                            self.set_cmp_flags(self.reg(a), cmp_imm);
+                            if !self.flags.test(cond) {
+                                (op.next_ip, TransferKind::Sequential)
+                            } else if target != start_ip || ops.len() > 1 || a != dst {
+                                (target, TransferKind::Jump)
                             } else {
-                                loop {
-                                    if executed + n > budget {
+                                // The whole block is this one superinstruction
+                                // branching to itself: iterate in place.
+                                // Intermediate register/flag states are
+                                // unobservable (no faults, no events, no
+                                // memory), so only the per-pass fuel
+                                // accounting and the final state need to be
+                                // architectural.
+                                let n = u64::from(op.n);
+                                let v1 = self.reg(dst);
+                                if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
+                                    // Counted ±1 loop: the remaining trip
+                                    // count is closed-form. v1 != cmp_imm here
+                                    // (the branch was taken), so `left` is in
+                                    // [1, 2^32-1].
+                                    let left = u64::from(if add_imm == 1 {
+                                        cmp_imm.wrapping_sub(v1)
+                                    } else {
+                                        v1.wrapping_sub(cmp_imm)
+                                    });
+                                    let by_fuel = (budget - executed) / n;
+                                    if left > by_fuel {
+                                        let k = by_fuel as u32;
+                                        let v = if add_imm == 1 {
+                                            v1.wrapping_add(k)
+                                        } else {
+                                            v1.wrapping_sub(k)
+                                        };
+                                        executed += by_fuel * n;
+                                        self.set_reg(dst, v);
+                                        self.set_cmp_flags(v, cmp_imm);
                                         backedge_from = Some(op.last_ip);
                                         i = 0;
                                         stall = true;
                                         break 'blk;
                                     }
-                                    executed += n;
-                                    let v = self.reg(dst).wrapping_add(add_imm);
-                                    self.set_reg(dst, v);
-                                    self.set_cmp_flags(v, cmp_imm);
-                                    if !self.flags.test(cond) {
-                                        break;
+                                    executed += left * n;
+                                    self.set_reg(dst, cmp_imm);
+                                    self.set_cmp_flags(cmp_imm, cmp_imm);
+                                } else {
+                                    loop {
+                                        if executed + n > budget {
+                                            backedge_from = Some(op.last_ip);
+                                            i = 0;
+                                            stall = true;
+                                            break 'blk;
+                                        }
+                                        executed += n;
+                                        let v = self.reg(dst).wrapping_add(add_imm);
+                                        self.set_reg(dst, v);
+                                        self.set_cmp_flags(v, cmp_imm);
+                                        if !self.flags.test(cond) {
+                                            break;
+                                        }
                                     }
                                 }
+                                (op.next_ip, TransferKind::Sequential)
                             }
-                            (op.next_ip, TransferKind::Sequential)
                         }
-                    }
-                    MicroOp::FusedCmpIJ {
-                        a,
-                        imm,
-                        cond,
-                        target,
-                    } => {
-                        self.set_cmp_flags(self.reg(a), imm);
-                        if self.flags.test(cond) {
-                            (target, TransferKind::Jump)
-                        } else {
-                            (op.next_ip, TransferKind::Sequential)
+                        MicroOp::FusedCmpIJ {
+                            a,
+                            imm,
+                            cond,
+                            target,
+                        } => {
+                            self.set_cmp_flags(self.reg(a), imm);
+                            if self.flags.test(cond) {
+                                (target, TransferKind::Jump)
+                            } else {
+                                (op.next_ip, TransferKind::Sequential)
+                            }
                         }
-                    }
-                    MicroOp::FusedCmpJ { a, b, cond, target } => {
-                        self.set_cmp_flags(self.reg(a), self.reg(b));
-                        if self.flags.test(cond) {
-                            (target, TransferKind::Jump)
-                        } else {
-                            (op.next_ip, TransferKind::Sequential)
+                        MicroOp::FusedCmpJ { a, b, cond, target } => {
+                            self.set_cmp_flags(self.reg(a), self.reg(b));
+                            if self.flags.test(cond) {
+                                (target, TransferKind::Jump)
+                            } else {
+                                (op.next_ip, TransferKind::Sequential)
+                            }
                         }
                     }
                 };
@@ -1837,7 +1845,7 @@ impl Machine {
                 // past it. The continuation fields make this exact even
                 // after a linked call (exit lands at the callee with the
                 // call pending).
-                if op.kind.writes_memory() && !self.mem.page_gens_valid(pages) {
+                if op.writes && !self.mem.page_gens_valid(pages) {
                     exit_prev = op.last_ip;
                     exit_ip = op.cont_ip;
                     exit_kind = op.cont_kind;

@@ -167,26 +167,21 @@ pub(crate) enum MicroOp {
     },
 }
 
-impl MicroOp {
-    /// Whether executing this op can write memory — after such an op
-    /// the block re-validates its own code pages (SMC side exit).
-    /// An unlinked `call`/`callr` pushes but ends the block, so nothing
-    /// decoded from the block runs after it anyway.
-    #[inline]
-    pub(crate) fn writes_memory(self) -> bool {
-        matches!(
-            self,
-            MicroOp::Instr(
-                Instr::Store { .. }
-                    | Instr::StoreB { .. }
-                    | Instr::Push(_)
-                    | Instr::PushI(_)
-                    | Instr::Enter(_)
-                    | Instr::Call(_)
-                    | Instr::CallR(_)
-            )
-        )
-    }
+/// Whether executing `instr` can write memory — after such an op the
+/// block re-validates its own code pages (SMC side exit). An unlinked
+/// `call`/`callr` pushes but ends the block, so nothing decoded from
+/// the block runs after it anyway.
+fn writes_memory(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Store { .. }
+            | Instr::StoreB { .. }
+            | Instr::Push(_)
+            | Instr::PushI(_)
+            | Instr::Enter(_)
+            | Instr::Call(_)
+            | Instr::CallR(_)
+    )
 }
 
 /// Whether `instr` ends its block unconditionally (the transfer kinds
@@ -221,6 +216,9 @@ pub(crate) struct Op {
     pub cont_ip: u32,
     pub cont_kind: TransferKind,
     pub n: u8,
+    /// Whether the op can write memory (see [`writes_memory`]); fused
+    /// ops never do.
+    pub writes: bool,
     /// Index into the block's [`InlineCache`] table for dynamic
     /// transfer terminators (`callr`, `jmpr`, unlinked `ret`);
     /// [`IC_NONE`] for every other op.
@@ -550,6 +548,7 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
                     cont_ip: ops[j + 2].cont_ip,
                     cont_kind: ops[j + 2].cont_kind,
                     n: 3,
+                    writes: false,
                     ic: IC_NONE,
                     cov_slot: 0,
                     kind: MicroOp::FusedLoopI {
@@ -590,6 +589,7 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
                     cont_ip: ops[j + 1].cont_ip,
                     cont_kind: ops[j + 1].cont_kind,
                     n: 2,
+                    writes: false,
                     ic: IC_NONE,
                     cov_slot: 0,
                     kind,
@@ -707,6 +707,7 @@ pub(crate) fn compile(mem: &Memory, start_ip: u32) -> Option<Block> {
             cont_ip,
             cont_kind,
             n: 1,
+            writes: writes_memory(instr),
             ic,
             cov_slot,
             kind: MicroOp::Instr(instr),
