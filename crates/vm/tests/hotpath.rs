@@ -13,6 +13,7 @@ use swsec_obs::CoverageSink;
 use swsec_vm::cpu::{Fault, Machine, RunOutcome, StepResult};
 use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::{Access, MemErrorKind, Perm, PAGE_SIZE};
+use swsec_vm::trace::ExecStats;
 
 const TEXT: u32 = 0x1000;
 const STACK_TOP: u32 = 0xbfff_f000;
@@ -526,18 +527,13 @@ fn addr_at(instrs: &[Instr], i: usize) -> u32 {
     TEXT + assemble(&instrs[..i]).len() as u32
 }
 
-#[test]
-fn linked_call_and_return_collapse_the_loop_into_one_block() {
-    use swsec_vm::isa::Cond;
-    // The call-heavy shape: a counted loop whose body is a static call.
-    // The block engine links the call into the callee and the callee's
-    // return back to the call site, so the whole loop body becomes one
-    // block with an in-block backedge — after warmup the loop must run
-    // without re-entering the dispatcher every iteration.
+/// The call-heavy shape: `trips` passes of a counted loop whose body
+/// is a static call into a callee that builds a frame, pushes and pops.
+fn linked_call_prog(trips: u32) -> Vec<Instr> {
     let mut prog = vec![
         Instr::MovI {
             dst: Reg::R0,
-            imm: 2_000,
+            imm: trips,
         },
         Instr::Call(0), // 1: loop head, patched below
         Instr::AddI {
@@ -561,6 +557,17 @@ fn linked_call_and_return_collapse_the_loop_into_one_block() {
         cond: Cond::Nz,
         target: addr_at(&prog, 1),
     };
+    prog
+}
+
+#[test]
+fn linked_call_and_return_collapse_the_loop_into_one_block() {
+    // The call-heavy shape: a counted loop whose body is a static call.
+    // The block engine links the call into the callee and the callee's
+    // return back to the call site, so the whole loop body becomes one
+    // block with an in-block backedge — after warmup the loop must run
+    // without re-entering the dispatcher every iteration.
+    let prog = linked_call_prog(2_000);
     let tiered = assert_three_way_identical(&prog, 100_000);
     let stats = tiered.stats();
     assert!(stats.tier2_compiled >= 1, "loop never compiled: {stats:?}");
@@ -641,6 +648,15 @@ const TABLE: u32 = STACK_TOP - 0x2000;
 /// Every dynamic transfer in the loop goes through a tier-2 inline
 /// cache once the loop is hot.
 fn dispatch_prog(iters: u32) -> (Vec<Instr>, Vec<u8>) {
+    dispatch_prog_with(iters, 4)
+}
+
+/// [`dispatch_prog`] with `callees` (a power of two) table entries and
+/// callees; the epilogue sits at instruction `14 + 2 * callees`. With
+/// more than [`swsec_vm::tier::IC_WAYS`] callees the `callr` site's
+/// inline cache goes megamorphic.
+fn dispatch_prog_with(iters: u32, callees: u32) -> (Vec<Instr>, Vec<u8>) {
+    assert!(callees.is_power_of_two());
     let mut prog = vec![
         Instr::MovI {
             dst: Reg::R0,
@@ -652,7 +668,7 @@ fn dispatch_prog(iters: u32) -> (Vec<Instr>, Vec<u8>) {
         },
         Instr::MovI {
             dst: Reg::R6,
-            imm: 3,
+            imm: callees - 1,
         },
         Instr::MovI {
             dst: Reg::R7,
@@ -693,9 +709,9 @@ fn dispatch_prog(iters: u32) -> (Vec<Instr>, Vec<u8>) {
             target: 0,
         }, // patched below
         Instr::Jmp(0), // 13: to the epilogue, patched below
-                       // 14..: four callees, `addi r3, k+1; ret` each.
+                       // 14..: the callees, `addi r3, k+1; ret` each.
     ];
-    for k in 0..4u32 {
+    for k in 0..callees {
         prog.push(Instr::AddI {
             dst: Reg::R3,
             imm: k + 1,
@@ -709,12 +725,13 @@ fn dispatch_prog(iters: u32) -> (Vec<Instr>, Vec<u8>) {
     // The epilogue lives past the callees so tests can swap it for a
     // multi-instruction driver without moving any code the table (or a
     // compiled block) already points at.
-    prog[13] = Instr::Jmp(addr_at(&prog, 22));
+    let epilogue = 14 + 2 * callees as usize;
+    prog[13] = Instr::Jmp(addr_at(&prog, epilogue));
     let mut table = Vec::new();
-    for k in 0..4usize {
+    for k in 0..callees as usize {
         table.extend_from_slice(&addr_at(&prog, 14 + 2 * k).to_le_bytes());
     }
-    prog.push(Instr::Sys(sys::EXIT)); // 22: default epilogue
+    prog.push(Instr::Sys(sys::EXIT)); // default epilogue
     (prog, table)
 }
 
@@ -973,4 +990,287 @@ fn coverage_fingerprints_are_tier_invariant_through_inline_caches() {
     assert_eq!(tiered_fp, fast_fp, "coverage diverges between tiers");
     assert!(tiered_ic > 0, "the tiered run never hit an inline cache");
     assert_eq!(fast_ic, 0, "the tier-1 run counted inline-cache hits");
+}
+
+/// Runs `instrs` to completion through the three-way check, then once
+/// more at every fuel value from 1 to the instruction count the full
+/// run retired, so every block, chain and stall boundary is cut once.
+/// Returns the tiered machine's whole stats at full fuel.
+fn sweep_fuel(instrs: &[Instr], cfg: &dyn Fn(&mut Machine)) -> ExecStats {
+    let (outcome, tiered) = assert_three_way_identical_cfg(instrs, 100_000, cfg);
+    assert!(
+        matches!(outcome, RunOutcome::Halted(_) | RunOutcome::Fault(_)),
+        "{outcome:?}"
+    );
+    let stats = tiered.stats();
+    for fuel in 1..=stats.instructions {
+        assert_three_way_identical_cfg(instrs, fuel, cfg);
+    }
+    stats
+}
+
+#[test]
+fn tier2_counters_are_pinned_across_dispatch_paths() {
+    // Each program drives one way a block hands control back to the
+    // dispatcher: inline-cache hits, misses and promotions on a
+    // polymorphic and a megamorphic `callr` site, in-block linked
+    // calls and returns, a self-modifying side exit with a call still
+    // pending, a fused op stalling after an in-block backedge, and
+    // predictions made stale by a snapshot restore. Architectural
+    // state must agree with stepping at every fuel cut; the tier-2
+    // counters are pinned so a change to how blocks are dispatched
+    // cannot silently change what the `vm.tier2.*` metrics report.
+    let poke_table = |table: Vec<u8>| {
+        move |m: &mut Machine| {
+            m.mem_mut().poke_bytes(TABLE, &table).unwrap();
+        }
+    };
+
+    let (prog, table) = dispatch_prog(96);
+    let poly = sweep_fuel(&prog, &poke_table(table));
+
+    // Every callee turns hot after 16 calls, 128 trips in.
+    let (prog, table) = dispatch_prog_with(160, 8);
+    let mega = sweep_fuel(&prog, &poke_table(table));
+
+    let linked = sweep_fuel(&linked_call_prog(48), &|_| {});
+
+    // The stack lives in the (RWX) code page, so the linked call's own
+    // push is a store into the block's page: the block side-exits at
+    // the callee with the call pending, and every re-entry finds the
+    // block stale.
+    let smc = sweep_fuel(&linked_call_prog(48), &|m| {
+        m.set_reg(Reg::Sp, TEXT + 0x1000);
+    });
+
+    // `cmpi r2, 1; jz` fuses into op 0 and the countdown into the last
+    // op, whose taken branch is an in-block backedge to op 0: fuel cuts
+    // land on op 0 right after the backedge.
+    let mut prog = vec![
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 48,
+        },
+        Instr::CmpI { a: Reg::R2, imm: 1 }, // 1: loop head
+        Instr::JCond {
+            cond: Cond::Z,
+            target: 0,
+        }, // patched below
+        Instr::Push(Reg::R0),
+        Instr::Pop(Reg::R4),
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: (-1i32) as u32,
+        },
+        Instr::CmpI { a: Reg::R0, imm: 0 },
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: 0,
+        }, // patched below
+        Instr::Mov {
+            dst: Reg::R0,
+            src: Reg::R4,
+        }, // 8
+        Instr::Sys(sys::EXIT),
+    ];
+    prog[2] = Instr::JCond {
+        cond: Cond::Z,
+        target: addr_at(&prog, 8),
+    };
+    prog[7] = Instr::JCond {
+        cond: Cond::Nz,
+        target: addr_at(&prog, 1),
+    };
+    let fused = sweep_fuel(&prog, &|_| {});
+
+    // Fork-server shape: run the dispatch loop hot, restore the boot
+    // snapshot, patch callee 0 through the loader; the measured run
+    // starts with every inline cache predicting the first attempt. The
+    // table points at copies of the callees on a page of their own, so
+    // the patch leaves the loop's blocks valid while the `callr` cache
+    // still predicts callee 0's stale block.
+    let (prog, _) = dispatch_prog(96);
+    let page = TEXT + 0x1000;
+    // Clear of the loop's block-cache slots.
+    let at = page + 0x100;
+    let callees: Vec<Instr> = (0..4)
+        .flat_map(|k| {
+            [
+                Instr::AddI {
+                    dst: Reg::R3,
+                    imm: k + 1,
+                },
+                Instr::Ret,
+            ]
+        })
+        .collect();
+    let table: Vec<u8> = (0..4)
+        .flat_map(|k| (at + assemble(&callees[..2 * k]).len() as u32).to_le_bytes())
+        .collect();
+    let restored = sweep_fuel(&prog, &move |m| {
+        m.mem_mut().map(page, 0x1000, Perm::RWX).unwrap();
+        m.mem_mut().poke_bytes(at, &assemble(&callees)).unwrap();
+        m.mem_mut().poke_bytes(TABLE, &table).unwrap();
+        let snap = m.snapshot();
+        assert!(matches!(m.run(100_000), RunOutcome::Halted(_)));
+        m.restore_from(&snap);
+        m.mem_mut().poke_bytes(at + 2, &[9]).unwrap(); // callee-0 AddI imm low byte
+    });
+
+    assert_eq!(
+        poly,
+        ExecStats {
+            instructions: 1062,
+            calls: 96,
+            rets: 96,
+            mem_reads: 192,
+            mem_writes: 96,
+            syscalls: 1,
+            icache_hits: 1040,
+            icache_misses: 22,
+            tlb_hits: 245,
+            tlb_misses: 3,
+            tier2_compiled: 6,
+            tier2_hits: 221,
+            tier2_instructions: 844,
+            tier2_side_exits: 0,
+            tier2_invalidations: 0,
+            tier2_ic_hits: 108,
+            tier2_ic_misses: 32,
+            tier2_ic_installs: 8,
+            tier2_ic_megamorphic: 0,
+            ..ExecStats::default()
+        },
+        "poly"
+    );
+    assert_eq!(
+        mega,
+        ExecStats {
+            instructions: 1766,
+            calls: 160,
+            rets: 160,
+            mem_reads: 320,
+            mem_writes: 160,
+            syscalls: 1,
+            icache_hits: 1736,
+            icache_misses: 30,
+            tlb_hits: 385,
+            tlb_misses: 3,
+            tier2_compiled: 10,
+            tier2_hits: 385,
+            tier2_instructions: 1492,
+            tier2_side_exits: 0,
+            tier2_invalidations: 0,
+            tier2_ic_hits: 88,
+            tier2_ic_misses: 69,
+            tier2_ic_installs: 12,
+            tier2_ic_megamorphic: 1,
+            ..ExecStats::default()
+        },
+        "mega"
+    );
+    assert_eq!(
+        linked,
+        ExecStats {
+            instructions: 434,
+            calls: 48,
+            rets: 48,
+            mem_reads: 144,
+            mem_writes: 144,
+            syscalls: 1,
+            icache_hits: 423,
+            icache_misses: 11,
+            tlb_hits: 189,
+            tlb_misses: 2,
+            tier2_compiled: 3,
+            tier2_hits: 3,
+            tier2_instructions: 296,
+            tier2_side_exits: 0,
+            tier2_invalidations: 0,
+            tier2_ic_hits: 0,
+            tier2_ic_misses: 1,
+            tier2_ic_installs: 1,
+            tier2_ic_megamorphic: 0,
+            ..ExecStats::default()
+        },
+        "linked"
+    );
+    assert_eq!(
+        smc,
+        ExecStats {
+            instructions: 434,
+            calls: 48,
+            rets: 48,
+            mem_reads: 144,
+            mem_writes: 144,
+            syscalls: 1,
+            icache_hits: 11,
+            icache_misses: 423,
+            tlb_hits: 1613,
+            tlb_misses: 2,
+            tier2_compiled: 7,
+            tier2_hits: 7,
+            tier2_instructions: 11,
+            tier2_side_exits: 5,
+            tier2_invalidations: 6,
+            tier2_ic_hits: 0,
+            tier2_ic_misses: 0,
+            tier2_ic_installs: 0,
+            tier2_ic_megamorphic: 0,
+            ..ExecStats::default()
+        },
+        "smc"
+    );
+    assert_eq!(
+        fused,
+        ExecStats {
+            instructions: 339,
+            calls: 0,
+            rets: 0,
+            mem_reads: 48,
+            mem_writes: 48,
+            syscalls: 1,
+            icache_hits: 330,
+            icache_misses: 9,
+            tlb_hits: 92,
+            tlb_misses: 2,
+            tier2_compiled: 1,
+            tier2_hits: 1,
+            tier2_instructions: 225,
+            tier2_side_exits: 0,
+            tier2_invalidations: 0,
+            tier2_ic_hits: 0,
+            tier2_ic_misses: 0,
+            tier2_ic_installs: 0,
+            tier2_ic_megamorphic: 0,
+            ..ExecStats::default()
+        },
+        "fused"
+    );
+    assert_eq!(
+        restored,
+        ExecStats {
+            instructions: 1062,
+            calls: 96,
+            rets: 96,
+            mem_reads: 192,
+            mem_writes: 96,
+            syscalls: 1,
+            icache_hits: 1054,
+            icache_misses: 8,
+            tlb_hits: 148,
+            tlb_misses: 0,
+            tier2_compiled: 4,
+            tier2_hits: 255,
+            tier2_instructions: 987,
+            tier2_side_exits: 0,
+            tier2_invalidations: 4,
+            tier2_ic_hits: 123,
+            tier2_ic_misses: 36,
+            tier2_ic_installs: 7,
+            tier2_ic_megamorphic: 0,
+            ..ExecStats::default()
+        },
+        "restored"
+    );
 }
