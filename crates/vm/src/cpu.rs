@@ -347,6 +347,12 @@ pub struct Machine {
     /// sits on a different page than the access base (a straddling
     /// access); consumed by fault-event classification.
     straddle_hint: bool,
+    /// Tier 2's two data translations, reset at each dispatch: block
+    /// loads and stores cluster on at most a couple of pages (the stack
+    /// plus a data buffer or dispatch table), and nothing a block can
+    /// do invalidates a resolved page. Kept most-recently-used-first;
+    /// see [`Machine::load_u32`].
+    lines: [DataLine; 2],
 }
 
 impl fmt::Debug for Machine {
@@ -412,6 +418,7 @@ impl Machine {
             prof,
             prof_countdown,
             straddle_hint: false,
+            lines: [DataLine::INVALID; 2],
         }
     }
 
@@ -664,39 +671,113 @@ impl Machine {
         Fault::Mem(e)
     }
 
-    fn load_u32(&mut self, addr: u32) -> Result<u32, Fault> {
+    /// Loads the word at `addr`: through the PMA check and the
+    /// TLB-backed page lookup, or, with `LINES` (tier-2 blocks only),
+    /// from one of the dispatch's two data lines, refilling a line after
+    /// a miss. Two lines, not one, for the same reason the tier-1 data
+    /// TLB has two entries: dispatcher-shaped code alternates every
+    /// iteration between a data page (a jump table, a buffer) and the
+    /// stack page (call/ret traffic), and a single line would refill
+    /// through the page-table map twice per trip. A hit on the second
+    /// line swaps it forward, a refill displaces the older line. Tier-2
+    /// eligibility guarantees no PMA policy is attached, so a line hit
+    /// skips only a no-op check. The four accessors take `LINES` as a
+    /// const generic, so each tier gets its own copy, chosen at compile
+    /// time.
+    #[inline]
+    fn load_u32<const LINES: bool>(&mut self, addr: u32) -> Result<u32, Fault> {
+        if LINES {
+            if let Some(line) = line_hit(&mut self.lines, |l| l.serves_word(addr, false)) {
+                self.stats.mem_reads += 1;
+                return Ok(self.mem.line_read_u32(line, addr));
+            }
+        }
         self.check_pma_data(addr)?;
         self.stats.mem_reads += 1;
         match self.mem.read_u32(addr, Access::Read) {
-            Ok(v) => Ok(v),
+            Ok(v) => {
+                self.fill_line::<LINES>(addr);
+                Ok(v)
+            }
             Err(e) => Err(self.note_data_fault(addr, e)),
         }
     }
 
-    fn load_u8(&mut self, addr: u32) -> Result<u8, Fault> {
+    /// Loads the byte at `addr` (see [`load_u32`](Machine::load_u32)).
+    #[inline]
+    fn load_u8<const LINES: bool>(&mut self, addr: u32) -> Result<u8, Fault> {
+        if LINES {
+            if let Some(line) = line_hit(&mut self.lines, |l| l.serves_byte(addr, false)) {
+                self.stats.mem_reads += 1;
+                return Ok(self.mem.line_read_u8(line, addr));
+            }
+        }
         self.check_pma_data(addr)?;
         self.stats.mem_reads += 1;
         match self.mem.read_u8(addr, Access::Read) {
-            Ok(v) => Ok(v),
+            Ok(v) => {
+                self.fill_line::<LINES>(addr);
+                Ok(v)
+            }
             Err(e) => Err(self.note_data_fault(addr, e)),
         }
     }
 
-    fn store_u32(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
+    /// Stores the word `value` at `addr` (see
+    /// [`load_u32`](Machine::load_u32)). A write through a line bumps
+    /// the page's write generation and dirty flag exactly like a
+    /// checked write, keeping SMC detection and snapshot dirty tracking
+    /// intact.
+    #[inline]
+    fn store_u32<const LINES: bool>(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
+        if LINES {
+            if let Some(line) = line_hit(&mut self.lines, |l| l.serves_word(addr, true)) {
+                self.stats.mem_writes += 1;
+                self.mem.line_write_u32(line, addr, value);
+                return Ok(());
+            }
+        }
         self.check_pma_data(addr)?;
         self.stats.mem_writes += 1;
         match self.mem.write_u32(addr, value, Access::Write) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.fill_line::<LINES>(addr);
+                Ok(())
+            }
             Err(e) => Err(self.note_data_fault(addr, e)),
         }
     }
 
-    fn store_u8(&mut self, addr: u32, value: u8) -> Result<(), Fault> {
+    /// Stores the byte `value` at `addr` (see
+    /// [`store_u32`](Machine::store_u32)).
+    #[inline]
+    fn store_u8<const LINES: bool>(&mut self, addr: u32, value: u8) -> Result<(), Fault> {
+        if LINES {
+            if let Some(line) = line_hit(&mut self.lines, |l| l.serves_byte(addr, true)) {
+                self.stats.mem_writes += 1;
+                self.mem.line_write_u8(line, addr, value);
+                return Ok(());
+            }
+        }
         self.check_pma_data(addr)?;
         self.stats.mem_writes += 1;
         match self.mem.write_u8(addr, value, Access::Write) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.fill_line::<LINES>(addr);
+                Ok(())
+            }
             Err(e) => Err(self.note_data_fault(addr, e)),
+        }
+    }
+
+    /// After a checked access at `addr`, installs its page's line at
+    /// the front of the pair, displacing the older line (`LINES` only).
+    #[inline(always)]
+    fn fill_line<const LINES: bool>(&mut self, addr: u32) {
+        if LINES {
+            if let Some(line) = self.mem.data_line(addr) {
+                self.lines = [line, self.lines[0]];
+            }
         }
     }
 
@@ -742,7 +823,7 @@ impl Machine {
             return self.copy_out(addr, buf);
         }
         for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.load_u8(addr.wrapping_add(i as u32))?;
+            *b = self.load_u8::<false>(addr.wrapping_add(i as u32))?;
         }
         Ok(())
     }
@@ -849,19 +930,19 @@ impl Machine {
         }
     }
 
-    /// `sp -= 4; mem32[sp] <- value`, through the data path `data`.
+    /// `sp -= 4; mem32[sp] <- value`.
     #[inline(always)]
-    fn push<D: DataPath>(&mut self, data: &mut D, value: u32) -> Result<(), Fault> {
+    fn push<const LINES: bool>(&mut self, value: u32) -> Result<(), Fault> {
         let sp = self.reg(Reg::Sp).wrapping_sub(4);
         self.set_reg(Reg::Sp, sp);
-        data.store_u32(self, sp, value)
+        self.store_u32::<LINES>(sp, value)
     }
 
-    /// `value <- mem32[sp]; sp += 4`, through the data path `data`.
+    /// `value <- mem32[sp]; sp += 4`.
     #[inline(always)]
-    fn pop<D: DataPath>(&mut self, data: &mut D) -> Result<u32, Fault> {
+    fn pop<const LINES: bool>(&mut self) -> Result<u32, Fault> {
         let sp = self.reg(Reg::Sp);
-        let value = data.load_u32(self, sp)?;
+        let value = self.load_u32::<LINES>(sp)?;
         self.set_reg(Reg::Sp, sp.wrapping_add(4));
         Ok(value)
     }
@@ -988,7 +1069,7 @@ impl Machine {
                     // PMA policy is per-access: each byte must be
                     // checked against the instruction's module.
                     for (i, &b) in tmp[..n].iter().enumerate() {
-                        self.store_u8(buf.wrapping_add(i as u32), b)?;
+                        self.store_u8::<false>(buf.wrapping_add(i as u32), b)?;
                     }
                 }
                 self.set_reg(Reg::R0, n as u32);
@@ -1185,7 +1266,7 @@ impl Machine {
     #[inline]
     fn exec(&mut self, instr: Instr, len: usize) -> Result<Flow, Fault> {
         let next_ip = self.ip.wrapping_add(len as u32);
-        let flow = self.exec_instr(instr, self.ip, next_ip, None, &mut Checked)?;
+        let flow = self.exec_instr::<false>(instr, self.ip, next_ip, None)?;
         // A halted machine stays put; a blocked read retries the same
         // instruction on the next step.
         if let Flow::Next(to, kind) = flow {
@@ -1198,21 +1279,23 @@ impl Machine {
     /// semantics, shared by tier 1 ([`exec`](Machine::exec)) and tier-2
     /// blocks ([`exec_block`](Machine::exec_block)). Runs `instr`,
     /// located at `ip` with its sequential successor at `next_ip`,
-    /// against the registers, flags and, through `data`, memory, and
-    /// returns where control goes next; moving `ip` is the caller's
-    /// job. Fault payloads and events name `ip`, never `self.ip`, which
-    /// a block leaves at its entry while it runs.
+    /// against the registers, flags and memory, and returns where
+    /// control goes next; moving `ip` is the caller's job. Fault
+    /// payloads and events name `ip`, never `self.ip`, which a block
+    /// leaves at its entry while it runs.
     ///
-    /// `call_slot` is a static call's coverage-map slot when a block
-    /// pre-resolved it at compile time, `None` otherwise.
+    /// `LINES` selects the data accessors' tier-2 copy, which serves
+    /// repeat accesses from the dispatch's data lines (see
+    /// [`load_u32`](Machine::load_u32)). `call_slot` is a static call's
+    /// coverage-map slot when a block pre-resolved it at compile time,
+    /// `None` otherwise.
     #[inline(always)]
-    fn exec_instr<D: DataPath>(
+    fn exec_instr<const LINES: bool>(
         &mut self,
         instr: Instr,
         ip: u32,
         next_ip: u32,
         call_slot: Option<u16>,
-        data: &mut D,
     ) -> Result<Flow, Fault> {
         let seq = Flow::Next(next_ip, TransferKind::Sequential);
         Ok(match instr {
@@ -1228,37 +1311,37 @@ impl Machine {
             }
             Instr::Load { dst, base, disp } => {
                 let addr = self.addr(base, disp);
-                let v = data.load_u32(self, addr)?;
+                let v = self.load_u32::<LINES>(addr)?;
                 self.set_reg(dst, v);
                 seq
             }
             Instr::Store { base, disp, src } => {
                 let (addr, v) = (self.addr(base, disp), self.reg(src));
-                data.store_u32(self, addr, v)?;
+                self.store_u32::<LINES>(addr, v)?;
                 seq
             }
             Instr::LoadB { dst, base, disp } => {
                 let addr = self.addr(base, disp);
-                let v = data.load_u8(self, addr)?;
+                let v = self.load_u8::<LINES>(addr)?;
                 self.set_reg(dst, u32::from(v));
                 seq
             }
             Instr::StoreB { base, disp, src } => {
                 let (addr, v) = (self.addr(base, disp), self.reg(src) as u8);
-                data.store_u8(self, addr, v)?;
+                self.store_u8::<LINES>(addr, v)?;
                 seq
             }
             Instr::Push(r) => {
-                self.push(data, self.reg(r))?;
+                self.push::<LINES>(self.reg(r))?;
                 seq
             }
             Instr::Pop(r) => {
-                let v = self.pop(data)?;
+                let v = self.pop::<LINES>()?;
                 self.set_reg(r, v);
                 seq
             }
             Instr::PushI(imm) => {
-                self.push(data, imm)?;
+                self.push::<LINES>(imm)?;
                 seq
             }
             Instr::Alu { op, dst, src } => {
@@ -1290,16 +1373,16 @@ impl Machine {
                 }
             }
             Instr::Call(target) => {
-                self.call(data, ControlKind::Call, ip, next_ip, target, call_slot)?;
+                self.call::<LINES>(ControlKind::Call, ip, next_ip, target, call_slot)?;
                 Flow::Next(target, TransferKind::Call)
             }
             Instr::CallR(r) => {
                 let target = self.reg(r);
-                self.call(data, ControlKind::CallIndirect, ip, next_ip, target, None)?;
+                self.call::<LINES>(ControlKind::CallIndirect, ip, next_ip, target, None)?;
                 Flow::Next(target, TransferKind::Call)
             }
             Instr::Ret => {
-                let target = self.pop(data)?;
+                let target = self.pop::<LINES>()?;
                 if let Some(shadow) = &mut self.shadow_stack {
                     match shadow.pop() {
                         None => return Err(Fault::ShadowStackUnderflow { ip }),
@@ -1322,7 +1405,7 @@ impl Machine {
                 Flow::Next(target, TransferKind::Jump)
             }
             Instr::Enter(frame) => {
-                self.push(data, self.reg(Reg::Bp))?;
+                self.push::<LINES>(self.reg(Reg::Bp))?;
                 let sp = self.reg(Reg::Sp);
                 self.set_reg(Reg::Bp, sp);
                 self.set_reg(Reg::Sp, sp.wrapping_sub(frame));
@@ -1330,7 +1413,7 @@ impl Machine {
             }
             Instr::Leave => {
                 self.set_reg(Reg::Sp, self.reg(Reg::Bp));
-                let saved = self.pop(data)?;
+                let saved = self.pop::<LINES>()?;
                 self.set_reg(Reg::Bp, saved);
                 seq
             }
@@ -1358,16 +1441,15 @@ impl Machine {
     /// `ip` to `target` returning to `ret` (see
     /// [`note_transfer`](Machine::note_transfer) for `slot`).
     #[inline(always)]
-    fn call<D: DataPath>(
+    fn call<const LINES: bool>(
         &mut self,
-        data: &mut D,
         kind: ControlKind,
         ip: u32,
         ret: u32,
         target: u32,
         slot: Option<u16>,
     ) -> Result<(), Fault> {
-        self.push(data, ret)?;
+        self.push::<LINES>(ret)?;
         if let Some(shadow) = &mut self.shadow_stack {
             shadow.push(ret);
         }
@@ -1491,26 +1573,23 @@ impl Machine {
         result
     }
 
+    /// The tier-2 dispatch loop, the one place blocks chain: as long as
+    /// each block ends in a transfer whose target is itself compiled
+    /// and still valid, run blocks back-to-back without surfacing to the
+    /// run loop. Every hop re-validates its block against the current
+    /// write generations (a store in block A must stop a stale block B
+    /// from running) and re-checks fuel, so a chain is observably
+    /// identical to dispatching each block alone.
     fn tier2_dispatch(
         &mut self,
         engine: &mut TierEngine,
         budget: u64,
     ) -> Option<(u64, Option<Fault>)> {
         let mut total: u64 = 0;
-        let mut chain_fault: Option<Fault> = None;
-        // Two data translations shared by the whole chain: block loads
-        // and stores cluster on at most a couple of pages (the stack
-        // plus a data buffer or dispatch table), and nothing a micro-op
-        // can do invalidates a resolved page.
-        let mut line = [DataLine::INVALID; 2];
-        // Block chaining: as long as each block ends in a transfer
-        // whose target is itself compiled and still valid, keep
-        // executing blocks back-to-back without surfacing to the run
-        // loop. Every chained entry re-validates its block against the
-        // current write generations (a store in block A must stop a
-        // stale block B from running) and re-checks fuel, so the chain
-        // is observably identical to dispatching each block alone.
-        //
+        let mut fault: Option<Fault> = None;
+        // Nothing a block can do invalidates a resolved page, but the
+        // run loop can between dispatches.
+        self.lines = [DataLine::INVALID; 2];
         // When the previous block exited through a dynamic-transfer
         // terminator, its inline cache predicts the next block: a hit
         // skips the lookup and hotness bookkeeping entirely (the
@@ -1581,11 +1660,10 @@ impl Machine {
                 break;
             }
             self.stats.tier2_hits += 1;
-            let (retired, fault, exit_ic, end_slot) =
-                self.exec_block(engine, slot, budget - total, &mut line);
-            total += retired;
-            if fault.is_some() {
-                chain_fault = fault;
+            let exit = self.exec_block(engine, slot, budget - total);
+            total += exit.retired;
+            if exit.fault.is_some() {
+                fault = exit.fault;
                 break;
             }
             // A sequential pending transfer means the block side-exited
@@ -1594,8 +1672,8 @@ impl Machine {
             if total == budget || self.pending_transfer == TransferKind::Sequential {
                 break;
             }
-            if exit_ic != IC_NONE {
-                pending_ic = Some((end_slot, engine.block(end_slot).start_ip, exit_ic));
+            if exit.ic != IC_NONE {
+                pending_ic = Some((slot, ip, exit.ic));
             }
         }
         if total == 0 {
@@ -1607,332 +1685,276 @@ impl Machine {
         self.stats.instructions += total;
         self.stats.icache_hits += total;
         self.stats.tier2_instructions += total;
-        Some((total, chain_fault))
+        Some((total, fault))
     }
 
-    /// Executes the validated block in `slot`, chaining through
-    /// inline-cache hits. Returns `(instructions retired, fault,
-    /// exit ic, end slot)`; `retired` never exceeds `budget` (which is
-    /// ≥ 1), and `exit ic` is the inline-cache index of the dynamic
-    /// transfer terminator the *last* block (`end slot`) exited
-    /// through ([`IC_NONE`] on every other exit path), so the
-    /// dispatcher can probe and promote that cache against the
-    /// runtime-resolved target now in `self.ip`.
-    ///
-    /// When a dynamic terminator's inline cache predicts the observed
-    /// target, execution switches straight into the successor block —
-    /// no dispatcher round trip — after re-validating the successor
-    /// against the current write generations and remaining fuel, so
-    /// the hand-off is observably identical to a dispatch. A miss (or
-    /// a failed re-validation) exits normally and lets the dispatcher
-    /// count, promote or invalidate.
+    /// Executes the validated block in `slot`, retiring at most
+    /// `budget` (≥ its first op's count) instructions. Returns what it
+    /// retired, the fault that stopped it, and the inline cache of the
+    /// dynamic transfer terminator it exited through, which the
+    /// dispatcher probes and promotes against the runtime-resolved
+    /// target now in `self.ip`.
     ///
     /// Each decoded instruction runs through the executor core
     /// ([`exec_instr`](Machine::exec_instr)), the code `step` runs, with
-    /// the chain's data lines as its data path; this loop adds only what
-    /// is specific to blocks: fuel, backedges, the linked call/return
-    /// prediction, the SMC side exit, inline-cache exits, chaining and
+    /// the dispatch's data lines as its data path; this loop adds only
+    /// what is specific to blocks: fuel, backedges, the linked
+    /// call/return prediction, the SMC side exit, inline-cache exits and
     /// the three fused compare-and-branch ops. The contract is exact
-    /// equivalence with the `step` loop: on any exit —
-    /// natural end, taken jump, exhausted budget, self-modifying
-    /// store, fault — `ip`, `prev_ip` and `pending_transfer` hold
-    /// precisely what stepping would have left, so the next `step` or
-    /// block entry continues indistinguishably.
-    fn exec_block(
-        &mut self,
-        engine: &TierEngine,
-        mut slot: usize,
-        budget: u64,
-        line: &mut [DataLine; 2],
-    ) -> (u64, Option<Fault>, u16, usize) {
+    /// equivalence with the `step` loop: on any exit — natural end,
+    /// taken jump, exhausted budget, self-modifying store, fault — `ip`,
+    /// `prev_ip` and `pending_transfer` hold precisely what stepping
+    /// would have left, so the next `step` or block entry continues
+    /// indistinguishably.
+    #[inline(always)]
+    fn exec_block(&mut self, engine: &TierEngine, slot: usize, budget: u64) -> BlockExit {
         debug_assert_eq!(self.ip, engine.block(slot).start_ip);
         debug_assert!(u64::from(engine.block(slot).ops[0].n) <= budget);
         debug_assert!(self.pma.is_none());
         let mut executed: u64 = 0;
         let mut fault: Option<Fault> = None;
-        #[allow(unused_assignments)] // re-initialized at each chain entry
-        let mut exit_ic: u16 = IC_NONE;
-        'chain: loop {
-            let block = engine.block(slot);
-            let ops = &block.ops[..];
-            let start_ip = block.start_ip;
-            let pages = &block.pages[..usize::from(block.npages)];
-            let mut i = 0usize;
-            // How op 0 was most recently entered: `None` means the
-            // machine's own (prev_ip, pending_transfer) still describe it;
-            // `Some(ip)` means an in-block backedge jumped from `ip`.
-            let mut backedge_from: Option<u32> = None;
-            // Exit state for the terminal/natural exits, installed after
-            // the loop (the initial values are never read: every such
-            // break assigns all three).
-            let mut exit_prev: u32 = 0;
-            let mut exit_ip: u32 = 0;
-            let mut exit_kind = TransferKind::Sequential;
-            // Inline-cache index of the dynamic terminator the block exits
-            // through; IC_NONE on stall/fault/side-exit and static exits.
-            exit_ic = IC_NONE;
-            let mut side_exit = false;
-            // Fuel ran out at op `i` *before* executing it (a fused op may
-            // retire more instructions than the budget has left).
-            let mut stall = false;
+        let block = engine.block(slot);
+        let ops = &block.ops[..];
+        let start_ip = block.start_ip;
+        let pages = &block.pages[..usize::from(block.npages)];
+        let mut i = 0usize;
+        // How op 0 was most recently entered: `None` means the
+        // machine's own (prev_ip, pending_transfer) still describe it;
+        // `Some(ip)` means an in-block backedge jumped from `ip`.
+        let mut backedge_from: Option<u32> = None;
+        // Exit state for the terminal/natural exits, installed after
+        // the loop (the initial values are never read: every such
+        // break assigns all three).
+        let mut exit_prev: u32 = 0;
+        let mut exit_ip: u32 = 0;
+        let mut exit_kind = TransferKind::Sequential;
+        // Inline-cache index of the dynamic terminator the block exits
+        // through; IC_NONE on stall/fault/side-exit and static exits.
+        let mut exit_ic = IC_NONE;
+        let mut side_exit = false;
+        // Fuel ran out at op `i` *before* executing it (a fused op may
+        // retire more instructions than the budget has left).
+        let mut stall = false;
 
-            'blk: loop {
-                let op = &ops[i];
-                if executed + u64::from(op.n) > budget {
-                    // Stop exactly where stepping would have: at this op,
-                    // unexecuted. The dispatcher guarantees op 0 fits, so
-                    // a stall always has history to reconstruct from.
-                    stall = true;
-                    break 'blk;
-                }
-                executed += u64::from(op.n);
-                // A one-instruction op is a decoded instruction. Testing
-                // the count before the variant leaves the core's match
-                // as the only jump table on the common path.
-                let (to, kind) = if op.n == 1 {
-                    let MicroOp::Instr(instr) = op.kind else {
-                        unreachable!("fused ops retire two or three instructions")
-                    };
-                    let slot = Some(op.cov_slot);
-                    match self.exec_instr(instr, op.ip, op.next_ip, slot, line) {
-                        Ok(Flow::Next(to, kind)) => (to, kind),
-                        Ok(Flow::Halt(_) | Flow::Blocked(_)) => {
-                            unreachable!("halt and syscalls never compile into blocks")
-                        }
-                        Err(f) => {
-                            self.ip = op.ip;
-                            fault = Some(f);
-                            break 'blk;
-                        }
+        'blk: loop {
+            let op = &ops[i];
+            if executed + u64::from(op.n) > budget {
+                // Stop exactly where stepping would have: at this op,
+                // unexecuted. The dispatcher guarantees op 0 fits, so
+                // a stall always has history to reconstruct from.
+                stall = true;
+                break 'blk;
+            }
+            executed += u64::from(op.n);
+            // A one-instruction op is a decoded instruction. Testing
+            // the count before the variant leaves the core's match
+            // as the only jump table on the common path.
+            let (to, kind) = if op.n == 1 {
+                let MicroOp::Instr(instr) = op.kind else {
+                    unreachable!("fused ops retire two or three instructions")
+                };
+                let slot = Some(op.cov_slot);
+                match self.exec_instr::<true>(instr, op.ip, op.next_ip, slot) {
+                    Ok(Flow::Next(to, kind)) => (to, kind),
+                    Ok(Flow::Halt(_) | Flow::Blocked(_)) => {
+                        unreachable!("halt and syscalls never compile into blocks")
                     }
-                } else {
-                    match op.kind {
-                        MicroOp::Instr(_) => unreachable!("a decoded instruction retires one"),
-                        MicroOp::FusedLoopI {
-                            dst,
-                            add_imm,
-                            a,
-                            cmp_imm,
-                            cond,
-                            target,
-                        } => {
-                            self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
-                            self.set_cmp_flags(self.reg(a), cmp_imm);
-                            if !self.flags.test(cond) {
-                                (op.next_ip, TransferKind::Sequential)
-                            } else if target != start_ip || ops.len() > 1 || a != dst {
-                                (target, TransferKind::Jump)
-                            } else {
-                                // The whole block is this one superinstruction
-                                // branching to itself: iterate in place.
-                                // Intermediate register/flag states are
-                                // unobservable (no faults, no events, no
-                                // memory), so only the per-pass fuel
-                                // accounting and the final state need to be
-                                // architectural.
-                                let n = u64::from(op.n);
-                                let v1 = self.reg(dst);
-                                if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
-                                    // Counted ±1 loop: the remaining trip
-                                    // count is closed-form. v1 != cmp_imm here
-                                    // (the branch was taken), so `left` is in
-                                    // [1, 2^32-1].
-                                    let left = u64::from(if add_imm == 1 {
-                                        cmp_imm.wrapping_sub(v1)
+                    Err(f) => {
+                        self.ip = op.ip;
+                        fault = Some(f);
+                        break 'blk;
+                    }
+                }
+            } else {
+                match op.kind {
+                    MicroOp::Instr(_) => unreachable!("a decoded instruction retires one"),
+                    MicroOp::FusedLoopI {
+                        dst,
+                        add_imm,
+                        a,
+                        cmp_imm,
+                        cond,
+                        target,
+                    } => {
+                        self.set_reg(dst, self.reg(dst).wrapping_add(add_imm));
+                        self.set_cmp_flags(self.reg(a), cmp_imm);
+                        if !self.flags.test(cond) {
+                            (op.next_ip, TransferKind::Sequential)
+                        } else if target != start_ip || ops.len() > 1 || a != dst {
+                            (target, TransferKind::Jump)
+                        } else {
+                            // The whole block is this one superinstruction
+                            // branching to itself: iterate in place.
+                            // Intermediate register/flag states are
+                            // unobservable (no faults, no events, no
+                            // memory), so only the per-pass fuel
+                            // accounting and the final state need to be
+                            // architectural.
+                            let n = u64::from(op.n);
+                            let v1 = self.reg(dst);
+                            if cond == Cond::Nz && (add_imm == 1 || add_imm == u32::MAX) {
+                                // Counted ±1 loop: the remaining trip
+                                // count is closed-form. v1 != cmp_imm here
+                                // (the branch was taken), so `left` is in
+                                // [1, 2^32-1].
+                                let left = u64::from(if add_imm == 1 {
+                                    cmp_imm.wrapping_sub(v1)
+                                } else {
+                                    v1.wrapping_sub(cmp_imm)
+                                });
+                                let by_fuel = (budget - executed) / n;
+                                if left > by_fuel {
+                                    let k = by_fuel as u32;
+                                    let v = if add_imm == 1 {
+                                        v1.wrapping_add(k)
                                     } else {
-                                        v1.wrapping_sub(cmp_imm)
-                                    });
-                                    let by_fuel = (budget - executed) / n;
-                                    if left > by_fuel {
-                                        let k = by_fuel as u32;
-                                        let v = if add_imm == 1 {
-                                            v1.wrapping_add(k)
-                                        } else {
-                                            v1.wrapping_sub(k)
-                                        };
-                                        executed += by_fuel * n;
-                                        self.set_reg(dst, v);
-                                        self.set_cmp_flags(v, cmp_imm);
+                                        v1.wrapping_sub(k)
+                                    };
+                                    executed += by_fuel * n;
+                                    self.set_reg(dst, v);
+                                    self.set_cmp_flags(v, cmp_imm);
+                                    backedge_from = Some(op.last_ip);
+                                    i = 0;
+                                    stall = true;
+                                    break 'blk;
+                                }
+                                executed += left * n;
+                                self.set_reg(dst, cmp_imm);
+                                self.set_cmp_flags(cmp_imm, cmp_imm);
+                            } else {
+                                loop {
+                                    if executed + n > budget {
                                         backedge_from = Some(op.last_ip);
                                         i = 0;
                                         stall = true;
                                         break 'blk;
                                     }
-                                    executed += left * n;
-                                    self.set_reg(dst, cmp_imm);
-                                    self.set_cmp_flags(cmp_imm, cmp_imm);
-                                } else {
-                                    loop {
-                                        if executed + n > budget {
-                                            backedge_from = Some(op.last_ip);
-                                            i = 0;
-                                            stall = true;
-                                            break 'blk;
-                                        }
-                                        executed += n;
-                                        let v = self.reg(dst).wrapping_add(add_imm);
-                                        self.set_reg(dst, v);
-                                        self.set_cmp_flags(v, cmp_imm);
-                                        if !self.flags.test(cond) {
-                                            break;
-                                        }
+                                    executed += n;
+                                    let v = self.reg(dst).wrapping_add(add_imm);
+                                    self.set_reg(dst, v);
+                                    self.set_cmp_flags(v, cmp_imm);
+                                    if !self.flags.test(cond) {
+                                        break;
                                     }
                                 }
-                                (op.next_ip, TransferKind::Sequential)
                             }
-                        }
-                        MicroOp::FusedCmpIJ {
-                            a,
-                            imm,
-                            cond,
-                            target,
-                        } => {
-                            self.set_cmp_flags(self.reg(a), imm);
-                            if self.flags.test(cond) {
-                                (target, TransferKind::Jump)
-                            } else {
-                                (op.next_ip, TransferKind::Sequential)
-                            }
-                        }
-                        MicroOp::FusedCmpJ { a, b, cond, target } => {
-                            self.set_cmp_flags(self.reg(a), self.reg(b));
-                            if self.flags.test(cond) {
-                                (target, TransferKind::Jump)
-                            } else {
-                                (op.next_ip, TransferKind::Sequential)
-                            }
+                            (op.next_ip, TransferKind::Sequential)
                         }
                     }
-                };
-                match kind {
-                    TransferKind::Sequential => {}
-                    // A direct jump back to the block's own head loops
-                    // without leaving the block (the loop-top fuel check
-                    // bounds it); a dynamic terminator (one with an
-                    // inline cache) always exits.
-                    TransferKind::Jump if to == start_ip && op.ic == IC_NONE => {
-                        backedge_from = Some(op.last_ip);
-                        i = 0;
-                        continue 'blk;
+                    MicroOp::FusedCmpIJ {
+                        a,
+                        imm,
+                        cond,
+                        target,
+                    } => {
+                        self.set_cmp_flags(self.reg(a), imm);
+                        if self.flags.test(cond) {
+                            (target, TransferKind::Jump)
+                        } else {
+                            (op.next_ip, TransferKind::Sequential)
+                        }
                     }
-                    // Linked call: the next op is the callee's first
-                    // instruction, so fall through (the SMC check below
-                    // still guards the pushed return address).
-                    TransferKind::Call if op.linked() => {}
-                    // Linked return: the popped target is the matching
-                    // in-block call's return site, the next op, so keep
-                    // running in-block. A return address the program (or
-                    // an attacker) rewrote exits below with the actual
-                    // target pending, exactly like stepping.
-                    TransferKind::Ret if op.linked() && to == op.cont_ip => {}
-                    // Every other transfer exits. A dynamic terminator
-                    // reports its inline cache, keyed downstream on the
-                    // runtime target (for `ret`, the popped,
-                    // shadow-stack-verified return address); static
-                    // transfers and the linked-ret mismatch carry
-                    // IC_NONE and exit unpredicted.
-                    TransferKind::Jump | TransferKind::Call | TransferKind::Ret => {
-                        exit_prev = op.last_ip;
-                        exit_ip = to;
-                        exit_kind = kind;
-                        exit_ic = op.ic;
-                        break 'blk;
+                    MicroOp::FusedCmpJ { a, b, cond, target } => {
+                        self.set_cmp_flags(self.reg(a), self.reg(b));
+                        if self.flags.test(cond) {
+                            (target, TransferKind::Jump)
+                        } else {
+                            (op.next_ip, TransferKind::Sequential)
+                        }
                     }
                 }
-                // Completion of op `i` without an exit. A memory-writing op
-                // may have patched the block's own encodings (self-
-                // modifying code); nothing decoded from these pages may run
-                // past it. The continuation fields make this exact even
-                // after a linked call (exit lands at the callee with the
-                // call pending).
-                if op.writes && !self.mem.page_gens_valid(pages) {
-                    exit_prev = op.last_ip;
-                    exit_ip = op.cont_ip;
-                    exit_kind = op.cont_kind;
-                    side_exit = true;
-                    break 'blk;
-                }
-                i += 1;
-                if i == ops.len() {
-                    exit_prev = op.last_ip;
-                    exit_ip = op.cont_ip;
-                    exit_kind = op.cont_kind;
-                    break 'blk;
-                }
-            }
-
-            if fault.is_some() || stall {
-                // A fault arm already pointed `self.ip` at the faulting
-                // instruction; a stall stops *at* op `i`, unexecuted.
-                // Either way, restore the (prev_ip, pending_transfer) the
-                // op's tier-1 step would have seen on entry.
-                if stall {
-                    self.ip = ops[i].ip;
-                }
-                if i > 0 {
-                    self.prev_ip = ops[i - 1].last_ip;
-                    self.pending_transfer = ops[i - 1].cont_kind;
-                } else if let Some(from) = backedge_from {
-                    self.prev_ip = from;
-                    self.pending_transfer = TransferKind::Jump;
-                }
-                // First entry to op 0: the machine's own state already
-                // describes it — leave it untouched.
-                side_exit = true;
-            } else {
-                self.prev_ip = exit_prev;
-                self.ip = exit_ip;
-                self.pending_transfer = exit_kind;
-            }
-            // Instruction counters are folded once per dispatch chain (see
-            // `tier2_dispatch`); only the rare side-exit counter is
-            // per-block.
-            if side_exit {
-                self.stats.tier2_side_exits += 1;
-            }
-            if fault.is_some() || stall {
-                break 'chain;
-            }
-            // Chain straight into the successor block when the exit names
-            // one — no dispatcher round trip. A dynamic terminator chains
-            // through its inline cache (a hit is the prediction paying
-            // off); a clean static transfer chains through a plain block-
-            // cache lookup. Either way the exit state above is already
-            // installed, and the successor is re-validated against the
-            // current write generations and the remaining fuel exactly as
-            // the dispatcher would, so the hand-off is observably a
-            // dispatch. Anything else — an IC miss (the dispatcher must
-            // count and promote it), a side exit, a stale or missing
-            // successor — falls through to a normal exit and the
-            // dispatcher's slow path.
-            let next = if side_exit || exit_kind == TransferKind::Sequential {
-                None
-            } else if exit_ic != IC_NONE {
-                match engine.ic_probe(slot, start_ip, exit_ic, self.ip) {
-                    IcProbe::Hit(n) => Some((n, true)),
-                    IcProbe::Mega => engine.lookup_slot(self.ip).map(|n| (n, false)),
-                    IcProbe::Miss => None,
-                }
-            } else {
-                engine.lookup_slot(self.ip).map(|n| (n, false))
             };
-            if let Some((next, predicted)) = next {
-                let nb = engine.block(next);
-                if nb.gen == self.mem.code_generation()
-                    && nb.pages_valid(&self.mem)
-                    && u64::from(nb.ops[0].n) <= budget - executed
-                {
-                    if predicted {
-                        self.stats.tier2_ic_hits += 1;
-                    }
-                    self.stats.tier2_hits += 1;
-                    slot = next;
-                    continue 'chain;
+            match kind {
+                TransferKind::Sequential => {}
+                // A direct jump back to the block's own head loops
+                // without leaving the block (the loop-top fuel check
+                // bounds it); a dynamic terminator (one with an
+                // inline cache) always exits.
+                TransferKind::Jump if to == start_ip && op.ic == IC_NONE => {
+                    backedge_from = Some(op.last_ip);
+                    i = 0;
+                    continue 'blk;
+                }
+                // Linked call: the next op is the callee's first
+                // instruction, so fall through (the SMC check below
+                // still guards the pushed return address).
+                TransferKind::Call if op.linked() => {}
+                // Linked return: the popped target is the matching
+                // in-block call's return site, the next op, so keep
+                // running in-block. A return address the program (or
+                // an attacker) rewrote exits below with the actual
+                // target pending, exactly like stepping.
+                TransferKind::Ret if op.linked() && to == op.cont_ip => {}
+                // Every other transfer exits. A dynamic terminator
+                // reports its inline cache, keyed downstream on the
+                // runtime target (for `ret`, the popped,
+                // shadow-stack-verified return address); static
+                // transfers and the linked-ret mismatch carry
+                // IC_NONE and exit unpredicted.
+                TransferKind::Jump | TransferKind::Call | TransferKind::Ret => {
+                    exit_prev = op.last_ip;
+                    exit_ip = to;
+                    exit_kind = kind;
+                    exit_ic = op.ic;
+                    break 'blk;
                 }
             }
-            break 'chain;
+            // Completion of op `i` without an exit. A memory-writing op
+            // may have patched the block's own encodings (self-
+            // modifying code); nothing decoded from these pages may run
+            // past it. The continuation fields make this exact even
+            // after a linked call (exit lands at the callee with the
+            // call pending).
+            if op.writes && !self.mem.page_gens_valid(pages) {
+                exit_prev = op.last_ip;
+                exit_ip = op.cont_ip;
+                exit_kind = op.cont_kind;
+                side_exit = true;
+                break 'blk;
+            }
+            i += 1;
+            if i == ops.len() {
+                exit_prev = op.last_ip;
+                exit_ip = op.cont_ip;
+                exit_kind = op.cont_kind;
+                break 'blk;
+            }
         }
-        (executed, fault, exit_ic, slot)
+
+        if fault.is_some() || stall {
+            // A fault arm already pointed `self.ip` at the faulting
+            // instruction; a stall stops *at* op `i`, unexecuted.
+            // Either way, restore the (prev_ip, pending_transfer) the
+            // op's tier-1 step would have seen on entry.
+            if stall {
+                self.ip = ops[i].ip;
+            }
+            if i > 0 {
+                self.prev_ip = ops[i - 1].last_ip;
+                self.pending_transfer = ops[i - 1].cont_kind;
+            } else if let Some(from) = backedge_from {
+                self.prev_ip = from;
+                self.pending_transfer = TransferKind::Jump;
+            }
+            // First entry to op 0: the machine's own state already
+            // describes it — leave it untouched.
+            side_exit = true;
+        } else {
+            self.prev_ip = exit_prev;
+            self.ip = exit_ip;
+            self.pending_transfer = exit_kind;
+        }
+        // Instruction counters are folded once per dispatch (see
+        // `tier2_dispatch`); only the rare side-exit counter is
+        // per-block.
+        if side_exit {
+            self.stats.tier2_side_exits += 1;
+        }
+        BlockExit {
+            retired: executed,
+            fault,
+            ic: exit_ic,
+        }
     }
 
     /// Captures the complete architectural state of the machine —
@@ -2104,6 +2126,15 @@ pub(crate) fn decode_at(mem: &Memory, addr: u32) -> Result<(Instr, usize), Fault
     Instr::decode(&buf[..len]).map_err(|err| Fault::Decode { addr, err })
 }
 
+/// What one tier-2 block did: the instructions it retired, the fault
+/// that stopped it, if any, and the inline-cache index of the dynamic
+/// terminator it exited through ([`IC_NONE`] on every other exit).
+struct BlockExit {
+    retired: u64,
+    fault: Option<Fault>,
+    ic: u16,
+}
+
 /// Where control goes after the executor core ran an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flow {
@@ -2117,104 +2148,6 @@ enum Flow {
     Blocked(u32),
 }
 
-/// How the executor core reaches data memory. The core is generic over
-/// it, so each tier gets its own monomorphized copy of one source.
-trait DataPath {
-    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault>;
-    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault>;
-    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault>;
-    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault>;
-}
-
-/// Tier 1's data path: every access through the PMA check and the
-/// TLB-backed page lookup.
-struct Checked;
-
-impl DataPath for Checked {
-    #[inline]
-    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault> {
-        m.load_u32(addr)
-    }
-
-    #[inline]
-    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault> {
-        m.load_u8(addr)
-    }
-
-    #[inline]
-    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault> {
-        m.store_u32(addr, value)
-    }
-
-    #[inline]
-    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault> {
-        m.store_u8(addr, value)
-    }
-}
-
-/// Tier 2's data path: a dispatch chain's pair of [`DataLine`]s, which
-/// serve repeat accesses without the TLB probe and fall back to the
-/// checked accessors, refilling a line, on a miss. Two lines, not one,
-/// for the same reason the tier-1 data TLB has two entries:
-/// dispatcher-shaped code alternates every iteration between a data
-/// page (a jump table, a buffer) and the stack page (call/ret
-/// traffic), and a single line would refill through the page-table map
-/// twice per trip. The pair is kept most-recently-used-first; a hit on
-/// the second line swaps it forward, a refill displaces the older line.
-/// Only blocks use it: tier-2 eligibility guarantees no PMA policy is
-/// attached (so the skipped `check_pma_data` would be a no-op), and
-/// blocks cannot remap, reprotect or restore memory, so a filled line
-/// stays valid for the whole chain. Line writes bump the page's write
-/// generation and dirty flag exactly like `store_u32`, keeping SMC
-/// detection and snapshot dirty tracking intact.
-impl DataPath for [DataLine; 2] {
-    #[inline]
-    fn load_u32(&mut self, m: &mut Machine, addr: u32) -> Result<u32, Fault> {
-        if let Some(line) = line_hit(self, |l| l.serves_word(addr, false)) {
-            m.stats.mem_reads += 1;
-            return Ok(m.mem.line_read_u32(line, addr));
-        }
-        let v = m.load_u32(addr)?;
-        line_fill(self, &m.mem, addr);
-        Ok(v)
-    }
-
-    #[inline]
-    fn load_u8(&mut self, m: &mut Machine, addr: u32) -> Result<u8, Fault> {
-        if let Some(line) = line_hit(self, |l| l.serves_byte(addr, false)) {
-            m.stats.mem_reads += 1;
-            return Ok(m.mem.line_read_u8(line, addr));
-        }
-        let v = m.load_u8(addr)?;
-        line_fill(self, &m.mem, addr);
-        Ok(v)
-    }
-
-    #[inline]
-    fn store_u32(&mut self, m: &mut Machine, addr: u32, value: u32) -> Result<(), Fault> {
-        if let Some(line) = line_hit(self, |l| l.serves_word(addr, true)) {
-            m.stats.mem_writes += 1;
-            m.mem.line_write_u32(line, addr, value);
-            return Ok(());
-        }
-        m.store_u32(addr, value)?;
-        line_fill(self, &m.mem, addr);
-        Ok(())
-    }
-
-    #[inline]
-    fn store_u8(&mut self, m: &mut Machine, addr: u32, value: u8) -> Result<(), Fault> {
-        if let Some(line) = line_hit(self, |l| l.serves_byte(addr, true)) {
-            m.stats.mem_writes += 1;
-            m.mem.line_write_u8(line, addr, value);
-            return Ok(());
-        }
-        m.store_u8(addr, value)?;
-        line_fill(self, &m.mem, addr);
-        Ok(())
-    }
-}
-
 /// The line of the pair that `serves` the access, swapped to the front.
 #[inline]
 fn line_hit(pair: &mut [DataLine; 2], serves: impl Fn(DataLine) -> bool) -> Option<DataLine> {
@@ -2226,16 +2159,6 @@ fn line_hit(pair: &mut [DataLine; 2], serves: impl Fn(DataLine) -> bool) -> Opti
         return Some(pair[0]);
     }
     None
-}
-
-/// After a checked access at `addr`, installs its page's line at the
-/// front of the pair, displacing the older line.
-#[inline]
-fn line_fill(pair: &mut [DataLine; 2], mem: &Memory, addr: u32) {
-    if let Some(line) = mem.data_line(addr) {
-        pair[1] = pair[0];
-        pair[0] = line;
-    }
 }
 
 #[cfg(test)]
