@@ -565,7 +565,6 @@ fn measure_service(fork: bool, tenants: usize, jobs_per: u32, attempts: u32) -> 
         workers: 0,
         queue_capacity: tenants * jobs_per as usize,
         fork_server: fork,
-        cache_capacity: Some(64),
         ..ServeConfig::default()
     });
     let ids: Vec<_> = (0..tenants)

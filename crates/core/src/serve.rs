@@ -74,6 +74,10 @@ use crate::report::Table;
 /// set [`ServeConfig::fork_server`] to `false` instead.
 pub const POOL_CAPACITY: usize = 16;
 
+/// Most compiled programs the service's compile cache keeps
+/// ([`ProgramCache::bounded`]).
+pub const CACHE_CAPACITY: usize = 256;
+
 /// Service-wide policy knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -97,9 +101,6 @@ pub struct ServeConfig {
     pub fork_server: bool,
     /// Fuel budget per attempt.
     pub fuel: u64,
-    /// Compile-cache capacity ([`ProgramCache::bounded`]); `None` is
-    /// unbounded — only sensible for short-lived test services.
-    pub cache_capacity: Option<usize>,
     /// How the service's machines execute and where their security
     /// events go: installed as the VM context of every job attempt and re-armed
     /// on every leased server. The sink also receives a
@@ -116,7 +117,6 @@ impl Default for ServeConfig {
             job_retries: 1,
             fork_server: true,
             fuel: DEFAULT_FUEL,
-            cache_capacity: Some(256),
             vm: VmConfig::default(),
         }
     }
@@ -578,10 +578,7 @@ impl std::fmt::Debug for CampaignService {
 impl CampaignService {
     /// An empty service under `cfg`.
     pub fn new(cfg: ServeConfig) -> CampaignService {
-        let cache = Arc::new(match cfg.cache_capacity {
-            Some(cap) => ProgramCache::bounded(cap),
-            None => ProgramCache::new(),
-        });
+        let cache = Arc::new(ProgramCache::bounded(CACHE_CAPACITY));
         let pool = Arc::new(ForkPool::default());
         CampaignService {
             cfg,
