@@ -90,6 +90,13 @@
 #      and mnemonics) and `#[cfg(test)]` items, crates/vm/src must have
 #      exactly one `AluOp::Sar =>` arm and construct
 #      `Fault::ShadowStackMismatch` exactly once (DESIGN.md §12).
+#  21. one-dispatch-loop guard: tier-2 blocks chain in one place, the
+#      dispatch loop (Machine::tier2_dispatch), which probes a block's
+#      inline cache once per hop; exec_block runs exactly one block.
+#      Outside `#[cfg(test)]` items, crates/vm/src/cpu.rs must call
+#      `.ic_probe(` exactly once, and crates/vm/src may not declare a
+#      `trait DataPath` (the data accessors are chosen by a const
+#      generic, DESIGN.md §12).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -428,6 +435,18 @@ MISMATCHES=$(printf '%s\n' "$VM_LINES" | grep 'Fault::ShadowStackMismatch {' \
 if [ "$SAR_ARMS" -ne 1 ] || [ "$MISMATCHES" -ne 1 ]; then
     printf '%s\n' "$VM_LINES" | grep -E 'AluOp::Sar =>|Fault::ShadowStackMismatch \{' >&2
     echo "verify: crates/vm/src has $SAR_ARMS AluOp::Sar arms and $MISMATCHES ShadowStackMismatch constructions; each instruction runs through the one executor core" >&2
+    exit 1
+fi
+
+echo "==> one-dispatch-loop guard"
+PROBES=$(non_test_lines crates/vm/src/cpu.rs | grep -c '\.ic_probe(' || true)
+if [ "$PROBES" -ne 1 ]; then
+    non_test_lines crates/vm/src/cpu.rs | grep '\.ic_probe(' >&2
+    echo "verify: crates/vm/src/cpu.rs has $PROBES inline-cache probes; blocks chain only in the dispatch loop" >&2
+    exit 1
+fi
+if grep -rn 'trait DataPath' crates/vm/src; then
+    echo "verify: the DataPath trait is back; select the data accessors with a const generic" >&2
     exit 1
 fi
 
