@@ -1,9 +1,10 @@
 //! Liveness of the worker pool behind the campaign runner and the
 //! campaign service.
 //!
-//! Both run their tasks through one runner: workers take attempts from
-//! a single shared queue (a `Mutex<VecDeque>`) and sleep on a `Condvar`
-//! while it is empty, and the calling thread closes the queue and wakes
+//! Both run their tasks through one runner. There is no work stealing
+//! despite the file's name: workers take attempts from a single shared
+//! queue (a `Mutex<VecDeque>`) and sleep on a `Condvar` while it is
+//! empty, and the calling thread closes the queue and wakes
 //! them once every task has resolved. Runs of many instant tasks end
 //! with every worker finding the queue empty at the same moment, which
 //! is where a lost wake-up or a missed close would leave a worker (or
@@ -35,7 +36,7 @@ fn within_deadline(what: &str, work: impl FnOnce() + Send + 'static) {
         let _ = done.send(());
     });
     if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(DEADLINE) {
-        panic!("{what} did not finish within {DEADLINE:?}: the work-stealing pool deadlocked");
+        panic!("{what} did not finish within {DEADLINE:?}: the runner's worker pool deadlocked");
     }
     if let Err(panic) = handle.join() {
         std::panic::resume_unwind(panic);
