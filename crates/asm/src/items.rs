@@ -14,7 +14,7 @@
 //!
 //! [`assemble`]: crate::assemble
 
-use swsec_vm::isa::{Instr, Reg};
+use swsec_vm::isa::{Instr, Reg, MAX_INSTR_LEN};
 
 use crate::asm::{AsmError, AsmErrorKind};
 
@@ -349,7 +349,9 @@ impl Assembly {
             pc = pc.wrapping_add(len);
         }
 
-        let mut bytes = Vec::with_capacity(pc.wrapping_sub(base) as usize);
+        // `Instr::encode` copies a whole `MAX_INSTR_LEN` buffer before
+        // it truncates to the instruction: room for that past the end.
+        let mut bytes = Vec::with_capacity(pc.wrapping_sub(base) as usize + MAX_INSTR_LEN);
         for (item, it) in self.items.iter().enumerate() {
             let resolve = |l: Label| {
                 let kind = LinkErrorKind::UndefinedLabel(l);

@@ -12,7 +12,7 @@
 //! per case from a second stream.
 
 use swsec_rng::{stream, Rng};
-use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS};
+use swsec_vm::isa::{AluOp, Cond, Instr, Reg, ALL_REGS, MAX_INSTR_LEN};
 
 const CASES: u64 = 2_000;
 const SEED: u64 = 0xA55E_4B1E;
@@ -168,7 +168,10 @@ fn display_form_reassembles_to_identical_bytes() {
             };
             drawn += 1;
             let i = instr(&mut rng, variant);
-            i.encode(&mut expected);
+            let mut buf = [0; MAX_INSTR_LEN];
+            let len = i.encode_into(&mut buf);
+            assert_eq!(len, i.len(), "seed {SEED:#x} case {case}: {i}");
+            expected.extend_from_slice(&buf[..len]);
             source.push_str(&i.to_string());
             source.push('\n');
             instrs.push(i);

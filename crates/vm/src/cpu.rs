@@ -90,18 +90,23 @@ const ICACHE_SETS: usize = ICACHE_SLOTS / 2;
 /// generation, so self-modifying code (the classic code-corruption
 /// attack) always sees its new bytes on the very next fetch while a
 /// stack push leaves decodes from other pages valid.
+///
+/// The all-zero line is the empty line: `gen == 0` never hits (code
+/// generations start at 1). `#[repr(C)]` pins the 48-byte layout that
+/// [`empty_icache`] relies on.
 #[derive(Clone, Copy)]
+#[repr(C)]
 struct ICacheEntry {
-    ip: u32,
     gen: u64,
-    /// Slot index of the page `ip` lies in, at decode time.
-    slot: u32,
-    /// Slot index of the second page, for straddling encodings.
-    slot2: u32,
     /// Write generation of the page `ip` lies in, at decode time.
     pgen: u64,
     /// Write generation of the second page, for straddling encodings.
     pgen2: u64,
+    ip: u32,
+    /// Slot index of the page `ip` lies in, at decode time.
+    slot: u32,
+    /// Slot index of the second page, for straddling encodings.
+    slot2: u32,
     instr: Instr,
     len: u8,
     /// Whether the encoding crosses a page boundary (the second page's
@@ -109,18 +114,15 @@ struct ICacheEntry {
     straddles: bool,
 }
 
-/// A line that can never hit (code generations start at 1).
-const ICACHE_EMPTY: ICacheEntry = ICacheEntry {
-    ip: 0,
-    gen: 0,
-    slot: 0,
-    slot2: 0,
-    pgen: 0,
-    pgen2: 0,
-    instr: Instr::Nop,
-    len: 1,
-    straddles: false,
-};
+/// A decoded-instruction cache of [`ICACHE_SLOTS`] empty lines, from one
+/// zeroed allocation rather than a loop writing each line.
+fn empty_icache() -> Box<[ICacheEntry]> {
+    // SAFETY: all-zero bytes are a valid `ICacheEntry`: its integer
+    // fields may hold any bits, a zero `bool` is `false`, and a zero
+    // `Instr` is `Instr::Nop`, whose `#[repr(u8)]` tag is 0 and which
+    // has no fields (`zeroed_icache_lines_are_empty` checks the tag).
+    unsafe { Box::new_zeroed_slice(ICACHE_SLOTS).assume_init() }
+}
 
 /// Comparison flags set by `cmp`/`cmpi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -483,13 +485,13 @@ impl Machine {
     /// switching it off forces every fetch to decode from memory and
     /// every access through the page-table lookup. Program-visible behaviour is
     /// bit-for-bit identical either way — the switch exists for
-    /// benchmark baselines and determinism audits. The switch flushes
-    /// the decoded-instruction cache; a cache that was never allocated
-    /// (no fast-path fetch yet) stays unallocated.
+    /// benchmark baselines and determinism audits. The switch drops
+    /// the decoded-instruction cache; the next fast-path fetch
+    /// allocates it empty again.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
         self.mem.set_fast_path(on);
-        self.icache.fill(ICACHE_EMPTY);
+        self.icache = Box::default();
     }
 
     /// Whether the interpreter fast path is on.
@@ -968,7 +970,7 @@ impl Machine {
         let gen = self.mem.code_generation();
         let way0 = ((self.ip as usize) & (ICACHE_SETS - 1)) * 2;
         let Some(set) = self.icache.get_mut(way0..way0 + 2) else {
-            self.icache = vec![ICACHE_EMPTY; ICACHE_SLOTS].into_boxed_slice();
+            self.icache = empty_icache();
             return self.fetch_fill(gen, way0);
         };
         // `gen` must match before the slot indices may be trusted: a
@@ -3557,6 +3559,24 @@ mod tests {
             },
             Instr::Sys(sys::EXIT),
         ]
+    }
+
+    #[test]
+    fn zeroed_icache_lines_are_empty() {
+        // `empty_icache` reads a zero `Instr` as `Nop`: its tag byte is 0.
+        let nop = Instr::Nop;
+        // SAFETY: `Instr` is `#[repr(u8)]`, so its first byte is the tag.
+        let tag = unsafe { *(&nop as *const Instr).cast::<u8>() };
+        assert_eq!(tag, 0);
+        assert_eq!(std::mem::size_of::<ICacheEntry>(), 48);
+        let cache = empty_icache();
+        assert_eq!(cache.len(), ICACHE_SLOTS);
+        for e in cache.iter() {
+            assert_eq!(
+                (e.gen, e.ip, e.instr, e.straddles),
+                (0, 0, Instr::Nop, false)
+            );
+        }
     }
 
     #[test]

@@ -377,7 +377,12 @@ pub fn instr_len(op: u8) -> Option<usize> {
 ///
 /// The variants map one-to-one onto opcodes; see [`opcode`] for the
 /// encodings and [`Instr::encode`]/[`Instr::decode`] for serialization.
+///
+/// `#[repr(u8)]` pins the tag to the first byte, and `Nop` comes first,
+/// so an all-zero `Instr` is `Nop`: the decoded-instruction cache is
+/// allocated zeroed on that basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 #[allow(missing_docs)] // field meanings are given in each variant's doc
 pub enum Instr {
     /// Does nothing.
@@ -485,111 +490,64 @@ fn read_i16(bytes: &[u8]) -> i16 {
 }
 
 impl Instr {
-    /// Appends the little-endian encoding of this instruction to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// Writes the little-endian encoding of this instruction to the
+    /// front of `buf` and returns its length ([`len`](Instr::len));
+    /// the bytes past it are zero.
+    pub fn encode_into(&self, buf: &mut [u8; MAX_INSTR_LEN]) -> usize {
         use opcode::*;
-        match *self {
-            Instr::Nop => out.push(NOP),
-            Instr::Halt => out.push(HALT),
-            Instr::MovI { dst, imm } => {
-                out.push(MOVI);
-                out.push(dst as u8);
-                out.extend_from_slice(&imm.to_le_bytes());
-            }
-            Instr::Mov { dst, src } => {
-                out.push(MOV);
-                out.push(reg_pair(dst, src));
-            }
-            Instr::Load { dst, base, disp } => {
-                out.push(LOAD);
-                out.push(reg_pair(dst, base));
-                out.extend_from_slice(&disp.to_le_bytes());
-            }
-            Instr::Store { base, disp, src } => {
-                out.push(STORE);
-                out.push(reg_pair(base, src));
-                out.extend_from_slice(&disp.to_le_bytes());
-            }
-            Instr::LoadB { dst, base, disp } => {
-                out.push(LOADB);
-                out.push(reg_pair(dst, base));
-                out.extend_from_slice(&disp.to_le_bytes());
-            }
-            Instr::StoreB { base, disp, src } => {
-                out.push(STOREB);
-                out.push(reg_pair(base, src));
-                out.extend_from_slice(&disp.to_le_bytes());
-            }
-            Instr::Push(r) => {
-                out.push(PUSH);
-                out.push(r as u8);
-            }
-            Instr::Pop(r) => {
-                out.push(POP);
-                out.push(r as u8);
-            }
-            Instr::PushI(imm) => {
-                out.push(PUSHI);
-                out.extend_from_slice(&imm.to_le_bytes());
-            }
-            Instr::Alu { op, dst, src } => {
-                out.push(op.opcode());
-                out.push(reg_pair(dst, src));
-            }
-            Instr::AddI { dst, imm } => {
-                out.push(ADDI);
-                out.push(dst as u8);
-                out.extend_from_slice(&imm.to_le_bytes());
-            }
-            Instr::Cmp { a, b } => {
-                out.push(CMP);
-                out.push(reg_pair(a, b));
-            }
-            Instr::CmpI { a, imm } => {
-                out.push(CMPI);
-                out.push(a as u8);
-                out.extend_from_slice(&imm.to_le_bytes());
-            }
-            Instr::Jmp(t) => {
-                out.push(JMP);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            Instr::JCond { cond, target } => {
-                out.push(cond.opcode());
-                out.extend_from_slice(&target.to_le_bytes());
-            }
-            Instr::Call(t) => {
-                out.push(CALL);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            Instr::CallR(r) => {
-                out.push(CALLR);
-                out.push(r as u8);
-            }
-            Instr::Ret => out.push(RET),
-            Instr::JmpR(r) => {
-                out.push(JMPR);
-                out.push(r as u8);
-            }
-            Instr::Enter(frame) => {
-                out.push(ENTER);
-                out.extend_from_slice(&frame.to_le_bytes());
-            }
-            Instr::Leave => out.push(LEAVE),
-            Instr::Sys(n) => {
-                out.push(SYS);
-                out.push(n);
-            }
-            Instr::Trap(n) => {
-                out.push(TRAP);
-                out.push(n);
-            }
-            Instr::Lea { dst, base, disp } => {
-                out.push(LEA);
-                out.push(reg_pair(dst, base));
-                out.extend_from_slice(&disp.to_le_bytes());
-            }
-        }
+        // The encoding as one little-endian word: the opcode, then a
+        // register byte and/or an immediate or displacement.
+        let op = |op: u8| (u64::from(op), 1);
+        let reg = |op: u8, b: u8| (u64::from(op) | u64::from(b) << 8, 2);
+        let imm = |op: u8, v: u32| (u64::from(op) | u64::from(v) << 8, 5);
+        let reg_imm =
+            |op: u8, b: u8, v: u32| (u64::from(op) | u64::from(b) << 8 | u64::from(v) << 16, 6);
+        let reg_disp = |op: u8, b: u8, d: i16| {
+            (
+                u64::from(op) | u64::from(b) << 8 | u64::from(d as u16) << 16,
+                4,
+            )
+        };
+        let (word, len) = match *self {
+            Instr::Nop => op(NOP),
+            Instr::Halt => op(HALT),
+            Instr::MovI { dst, imm: v } => reg_imm(MOVI, dst as u8, v),
+            Instr::Mov { dst, src } => reg(MOV, reg_pair(dst, src)),
+            Instr::Load { dst, base, disp } => reg_disp(LOAD, reg_pair(dst, base), disp),
+            Instr::Store { base, disp, src } => reg_disp(STORE, reg_pair(base, src), disp),
+            Instr::LoadB { dst, base, disp } => reg_disp(LOADB, reg_pair(dst, base), disp),
+            Instr::StoreB { base, disp, src } => reg_disp(STOREB, reg_pair(base, src), disp),
+            Instr::Push(r) => reg(PUSH, r as u8),
+            Instr::Pop(r) => reg(POP, r as u8),
+            Instr::PushI(v) => imm(PUSHI, v),
+            Instr::Alu { op: alu, dst, src } => reg(alu.opcode(), reg_pair(dst, src)),
+            Instr::AddI { dst, imm: v } => reg_imm(ADDI, dst as u8, v),
+            Instr::Cmp { a, b } => reg(CMP, reg_pair(a, b)),
+            Instr::CmpI { a, imm: v } => reg_imm(CMPI, a as u8, v),
+            Instr::Jmp(t) => imm(JMP, t),
+            Instr::JCond { cond, target } => imm(cond.opcode(), target),
+            Instr::Call(t) => imm(CALL, t),
+            Instr::CallR(r) => reg(CALLR, r as u8),
+            Instr::Ret => op(RET),
+            Instr::JmpR(r) => reg(JMPR, r as u8),
+            Instr::Enter(frame) => imm(ENTER, frame),
+            Instr::Leave => op(LEAVE),
+            Instr::Sys(n) => reg(SYS, n),
+            Instr::Trap(n) => reg(TRAP, n),
+            Instr::Lea { dst, base, disp } => reg_disp(LEA, reg_pair(dst, base), disp),
+        };
+        buf.copy_from_slice(&word.to_le_bytes()[..MAX_INSTR_LEN]);
+        len
+    }
+
+    /// Appends the little-endian encoding of this instruction to `out`
+    /// (through [`encode_into`](Instr::encode_into)).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let mut buf = [0; MAX_INSTR_LEN];
+        let end = out.len() + self.encode_into(&mut buf);
+        // A fixed-length copy and a truncate beat a variable-length copy.
+        out.extend_from_slice(&buf);
+        out.truncate(end);
     }
 
     /// The encoded length of this instruction in bytes.

@@ -11,8 +11,12 @@
 //!
 //! # Performance model
 //!
-//! Pages live in a flat slot vector; a `BTreeMap` maps page bases to
-//! slots only on the *slow* path. A page holds storage only from its
+//! Pages live in a flat slot vector. The page table, consulted only on
+//! the *slow* path, holds one entry per mapped region — a run of pages
+//! with one permission in contiguous slots — sorted by address, so
+//! mapping a region costs one table entry however many pages it spans,
+//! and [`unmap`](Memory::unmap) or [`set_perm`](Memory::set_perm) over
+//! part of a region splits it. A page holds storage only from its
 //! first write on: until then it reads as one shared zero image, so a
 //! large mapping that a program barely touches costs little to map,
 //! snapshot or keep (see [`resident_pages`](Memory::resident_pages)).
@@ -45,13 +49,16 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Size of one page in bytes.
 pub const PAGE_SIZE: u32 = 4096;
+
+/// Number of pages in the 32-bit address space: page numbers (an
+/// address divided by [`PAGE_SIZE`]) are below it.
+const PAGE_COUNT: u32 = 1 << 20;
 
 /// A permission set for a page: some combination of read, write and
 /// execute rights.
@@ -221,7 +228,6 @@ struct Page {
     /// it was mapped: reads then see [`ZERO_PAGE`], and the first write
     /// (through [`Memory::touch`]) materialises it.
     bytes: Option<Box<PageImage>>,
-    perm: Perm,
     /// Whether the page's bytes may differ from the most recent
     /// [`Memory::snapshot`]. Cleared when a snapshot is taken (the page
     /// then provably matches its captured image) and set by every write
@@ -230,7 +236,7 @@ struct Page {
     /// since.
     dirty: bool,
     /// Index of this page's image in the most recent snapshot (the
-    /// page's rank in the page table when it was taken).
+    /// page's rank by address when it was taken).
     snap_index: u32,
     /// Write generation: bumped by every mutation of this page's bytes
     /// (program stores, loader pokes, snapshot restores). Decoded
@@ -242,10 +248,9 @@ struct Page {
 }
 
 impl Page {
-    fn new(perm: Perm) -> Page {
+    fn new() -> Page {
         Page {
             bytes: None,
-            perm,
             // A fresh page has no snapshot to match.
             dirty: true,
             snap_index: 0,
@@ -257,6 +262,39 @@ impl Page {
     #[inline]
     fn bytes(&self) -> &PageImage {
         self.bytes.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+}
+
+/// One page-table entry: `pages` mapped pages from page number `first`
+/// on, all with permission `perm`, stored in the contiguous slots
+/// `slot..slot + pages`.
+#[derive(Clone, Copy, Debug)]
+struct Region {
+    first: u32,
+    pages: u32,
+    slot: u32,
+    perm: Perm,
+}
+
+impl Region {
+    /// The page number one past the region (at most [`PAGE_COUNT`]).
+    #[inline]
+    fn end(self) -> u32 {
+        self.first + self.pages
+    }
+}
+
+/// The page-number runs `[start, end)` that cover `[base, base + len)`
+/// (`len > 0`), in address order from `base`: one run, or two when the
+/// range wraps past the top of the address space (the second is then
+/// non-empty).
+fn page_runs(base: u32, len: u32) -> [Range<u32>; 2] {
+    let first = base / PAGE_SIZE;
+    let last = base.wrapping_add(len - 1) / PAGE_SIZE;
+    if first <= last {
+        [first..last + 1, 0..0]
+    } else {
+        [first..PAGE_COUNT, 0..last + 1]
     }
 }
 
@@ -397,8 +435,8 @@ pub struct TlbStats {
 /// has no image of its own: it shares the zero image.
 #[derive(Clone)]
 pub struct MemorySnapshot {
-    /// `(page base, image, perm)`, sorted by base (page-table order);
-    /// `None` is the zero image.
+    /// `(page base, image, perm)`, sorted by base; `None` is the zero
+    /// image.
     pages: Vec<(u32, Option<Arc<PageImage>>, Perm)>,
     enforce: bool,
 }
@@ -437,11 +475,14 @@ pub struct RestoreStats {
 /// [`Memory::set_enforce`] models the flat pre-DEP memory in which any
 /// mapped byte is readable, writable and executable.
 pub struct Memory {
-    /// Page base → slot index. Touched only on TLB misses.
-    table: BTreeMap<u32, u32>,
-    /// Page storage; slots are recycled through `free` on unmap.
+    /// The page table: the mapped regions, sorted by `first` and
+    /// disjoint. Touched only on TLB misses.
+    table: Vec<Region>,
+    /// Page storage; a region's pages sit in consecutive slots.
     slots: Vec<Page>,
-    free: Vec<u32>,
+    /// Runs of slots released by [`unmap`](Memory::unmap), sorted and
+    /// coalesced, reused first-fit by later mappings.
+    free: Vec<Range<u32>>,
     enforce: bool,
     /// When off, every access takes the page-table path (the
     /// benchmark baseline); behaviour is identical either way.
@@ -475,7 +516,7 @@ impl Default for Memory {
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Memory")
-            .field("pages", &self.table.len())
+            .field("pages", &self.page_count())
             .field("enforce", &self.enforce)
             .field("code_gen", &self.code_gen)
             .finish()
@@ -486,7 +527,7 @@ impl Memory {
     /// Creates an empty address space with permission enforcement on.
     pub fn new() -> Memory {
         Memory {
-            table: BTreeMap::new(),
+            table: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             enforce: true,
@@ -592,15 +633,11 @@ impl Memory {
     /// reprotects or restores memory).
     #[inline]
     pub(crate) fn data_line(&self, addr: u32) -> Option<DataLine> {
-        let base = Self::page_base(addr);
-        self.table.get(&base).map(|&slot| {
-            let perm = self.slots[slot as usize].perm;
-            DataLine {
-                base,
-                slot,
-                read_ok: !self.enforce || perm.allows(Perm::R),
-                write_ok: !self.enforce || perm.allows(Perm::W),
-            }
+        self.lookup(addr).map(|(slot, perm)| DataLine {
+            base: Self::page_base(addr),
+            slot,
+            read_ok: !self.enforce || perm.allows(Perm::R),
+            write_ok: !self.enforce || perm.allows(Perm::W),
         })
     }
 
@@ -651,6 +688,87 @@ impl Memory {
         addr & !(PAGE_SIZE - 1)
     }
 
+    /// The page-table lookup: the slot and permission of the page
+    /// containing `addr`, if mapped. A scan over the regions, which
+    /// are few (four for a loaded program): at that size it beats a
+    /// binary search, which made the baseline engine a quarter slower.
+    #[inline]
+    fn lookup(&self, addr: u32) -> Option<(u32, Perm)> {
+        let vpn = addr / PAGE_SIZE;
+        let r = self
+            .table
+            .iter()
+            .find(|r| vpn.wrapping_sub(r.first) < r.pages)?;
+        Some((r.slot + (vpn - r.first), r.perm))
+    }
+
+    /// Number of mapped pages.
+    fn page_count(&self) -> usize {
+        self.table.iter().map(|r| r.pages as usize).sum()
+    }
+
+    /// The first mapped page number in `run`, if any.
+    fn first_mapped(&self, run: &Range<u32>) -> Option<u32> {
+        let i = self.table.partition_point(|r| r.end() <= run.start);
+        let r = self.table.get(i)?;
+        (r.first < run.end).then(|| r.first.max(run.start))
+    }
+
+    /// Takes `n` consecutive slots that look freshly mapped — never
+    /// written, no storage — first-fit from the free runs, else from
+    /// the end of the slot vector; returns the first.
+    fn alloc_slots(&mut self, n: u32) -> u32 {
+        let Some(i) = self.free.iter().position(|f| f.len() >= n as usize) else {
+            let first = self.slots.len();
+            self.slots.resize_with(first + n as usize, Page::new);
+            return first as u32;
+        };
+        let first = self.free[i].start;
+        self.free[i].start += n;
+        if self.free[i].is_empty() {
+            self.free.remove(i);
+        }
+        for p in &mut self.slots[first as usize..(first + n) as usize] {
+            // The write generation moves on so no decode of the old
+            // page can match.
+            *p = Page {
+                gen: p.gen.wrapping_add(1),
+                ..Page::new()
+            };
+        }
+        first
+    }
+
+    /// Splits the region holding page `vpn` so that a region starts at
+    /// `vpn`; a no-op if `vpn` is unmapped or already starts one.
+    fn split_at(&mut self, vpn: u32) {
+        let i = self.table.partition_point(|r| r.first < vpn);
+        let Some(r) = i.checked_sub(1).map(|j| &mut self.table[j]) else {
+            return;
+        };
+        if vpn < r.end() {
+            let head = vpn - r.first;
+            let tail = Region {
+                first: vpn,
+                pages: r.pages - head,
+                slot: r.slot + head,
+                perm: r.perm,
+            };
+            r.pages = head;
+            self.table.insert(i, tail);
+        }
+    }
+
+    /// Splits the regions at both ends of `run` and returns the table
+    /// indices of the regions that now lie inside it.
+    fn carve(&mut self, run: Range<u32>) -> Range<usize> {
+        self.split_at(run.start);
+        self.split_at(run.end);
+        let lo = self.table.partition_point(|r| r.first < run.start);
+        let hi = self.table.partition_point(|r| r.first < run.end);
+        lo..hi
+    }
+
     /// Marks a page's bytes as mutated and returns them: decode-stale
     /// (its write generation is bumped) and snapshot-dirty, queued on
     /// the dirty list the first time since the last snapshot or restore.
@@ -699,14 +817,13 @@ impl Memory {
             }
             self.tlb_misses.set(self.tlb_misses.get() + 1);
         }
-        match self.table.get(&base) {
+        match self.lookup(addr) {
             None => Err(MemError {
                 addr,
                 access,
                 kind: MemErrorKind::Unmapped,
             }),
-            Some(&slot) => {
-                let perm = self.slots[slot as usize].perm;
+            Some((slot, perm)) => {
                 if self.fast_path {
                     tlb.fill(TlbEntry {
                         base,
@@ -731,13 +848,13 @@ impl Memory {
     /// Resolves ignoring permissions (but not mappedness) — the
     /// platform-level path used by peek/poke.
     fn resolve_raw(&self, addr: u32, access: Access) -> Result<usize, MemError> {
-        match self.table.get(&Self::page_base(addr)) {
+        match self.lookup(addr) {
             None => Err(MemError {
                 addr,
                 access,
                 kind: MemErrorKind::Unmapped,
             }),
-            Some(&slot) => Ok(slot as usize),
+            Some((slot, _)) => Ok(slot as usize),
         }
     }
 
@@ -760,43 +877,27 @@ impl Memory {
         if len == 0 {
             return Ok(());
         }
-        let first = Self::page_base(base);
-        let last = Self::page_base(base.wrapping_add(len - 1));
-        let mut page = first;
-        loop {
-            if self.table.contains_key(&page) {
-                return Err(MapError { page_base: page });
+        let runs = page_runs(base, len);
+        for run in &runs {
+            if let Some(vpn) = self.first_mapped(run) {
+                return Err(MapError {
+                    page_base: vpn * PAGE_SIZE,
+                });
             }
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
         }
-        let mut page = first;
-        loop {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    // Recycled slots must look freshly mapped: never
-                    // written, their storage released. The write
-                    // generation moves on so no decode of the old page
-                    // can match.
-                    let p = &mut self.slots[slot as usize];
-                    *p = Page {
-                        gen: p.gen.wrapping_add(1),
-                        ..Page::new(perm)
-                    };
-                    slot
-                }
-                None => {
-                    self.slots.push(Page::new(perm));
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.table.insert(page, slot);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
+        for run in runs.into_iter().filter(|run| !run.is_empty()) {
+            let pages = run.end - run.start;
+            let slot = self.alloc_slots(pages);
+            let i = self.table.partition_point(|r| r.first < run.start);
+            self.table.insert(
+                i,
+                Region {
+                    first: run.start,
+                    pages,
+                    slot,
+                    perm,
+                },
+            );
         }
         self.invalidate_layout();
         Ok(())
@@ -810,18 +911,20 @@ impl Memory {
         if len == 0 {
             return;
         }
-        let first = Self::page_base(base);
-        let last = Self::page_base(base.wrapping_add(len - 1));
-        let mut page = first;
-        loop {
-            if let Some(slot) = self.table.remove(&page) {
-                self.free.push(slot);
+        for run in page_runs(base, len) {
+            let inside = self.carve(run);
+            for r in self.table.drain(inside) {
+                self.free.push(r.slot..r.slot + r.pages);
             }
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
         }
+        self.free.sort_unstable_by_key(|f| f.start);
+        self.free.dedup_by(|next, prev| {
+            let adjacent = prev.end == next.start;
+            if adjacent {
+                prev.end = next.end;
+            }
+            adjacent
+        });
         self.invalidate_layout();
     }
 
@@ -831,17 +934,11 @@ impl Memory {
         if len == 0 {
             return;
         }
-        let first = Self::page_base(base);
-        let last = Self::page_base(base.wrapping_add(len - 1));
-        let mut page = first;
-        loop {
-            if let Some(&slot) = self.table.get(&page) {
-                self.slots[slot as usize].perm = perm;
+        for run in page_runs(base, len) {
+            let inside = self.carve(run);
+            for r in &mut self.table[inside] {
+                r.perm = perm;
             }
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
         }
         self.invalidate_layout();
     }
@@ -852,21 +949,20 @@ impl Memory {
     /// image.
     pub fn resident_pages(&self) -> usize {
         self.table
-            .values()
-            .filter(|&&slot| self.slots[slot as usize].bytes.is_some())
+            .iter()
+            .flat_map(|r| &self.slots[r.slot as usize..(r.slot + r.pages) as usize])
+            .filter(|page| page.bytes.is_some())
             .count()
     }
 
     /// Whether `addr` lies in a mapped page.
     pub fn is_mapped(&self, addr: u32) -> bool {
-        self.table.contains_key(&Self::page_base(addr))
+        self.lookup(addr).is_some()
     }
 
     /// The permission of the page containing `addr`, if mapped.
     pub fn perm_at(&self, addr: u32) -> Option<Perm> {
-        self.table
-            .get(&Self::page_base(addr))
-            .map(|&slot| self.slots[slot as usize].perm)
+        self.lookup(addr).map(|(_, perm)| perm)
     }
 
     /// Iterates over the mapped regions as `(range, perm)` pairs, merging
@@ -874,13 +970,13 @@ impl Memory {
     /// attacks and by diagnostics.
     pub fn regions(&self) -> Vec<(Range<u32>, Perm)> {
         let mut out: Vec<(Range<u32>, Perm)> = Vec::new();
-        for (&base, &slot) in &self.table {
-            let perm = self.slots[slot as usize].perm;
+        for r in &self.table {
+            let base = r.first * PAGE_SIZE;
+            // The region ending at the top of the address space ends at 0.
+            let end = r.end().wrapping_mul(PAGE_SIZE);
             match out.last_mut() {
-                Some((range, p)) if range.end == base && *p == perm => {
-                    range.end = base.wrapping_add(PAGE_SIZE);
-                }
-                _ => out.push((base..base.wrapping_add(PAGE_SIZE), perm)),
+                Some((range, p)) if range.end == base && *p == r.perm => range.end = end,
+                _ => out.push((base..end, r.perm)),
             }
         }
         out
@@ -1095,13 +1191,15 @@ impl Memory {
     /// Takes `&mut self` because arming the tracking mutates the dirty
     /// bits; the visible memory state is unchanged.
     pub fn snapshot(&mut self) -> MemorySnapshot {
-        let mut pages = Vec::with_capacity(self.table.len());
-        let slots = &mut self.slots;
-        for (&base, &slot) in &self.table {
-            let page = &mut slots[slot as usize];
-            page.dirty = false;
-            page.snap_index = pages.len() as u32;
-            pages.push((base, page.bytes.as_deref().map(|b| Arc::new(*b)), page.perm));
+        let mut pages = Vec::with_capacity(self.page_count());
+        for r in &self.table {
+            for i in 0..r.pages {
+                let page = &mut self.slots[(r.slot + i) as usize];
+                page.dirty = false;
+                page.snap_index = pages.len() as u32;
+                let image = page.bytes.as_deref().map(|b| Arc::new(*b));
+                pages.push(((r.first + i) * PAGE_SIZE, image, r.perm));
+            }
         }
         self.dirty.clear();
         self.layout_dirty = false;
@@ -1146,13 +1244,24 @@ impl Memory {
             self.slots.clear();
             self.free.clear();
             self.dirty.clear();
-            for (base, image, perm) in &snap.pages {
-                let mut page = Page::new(*perm);
-                page.bytes = image.as_deref().map(|image| Box::new(*image));
-                page.dirty = false;
-                page.snap_index = self.slots.len() as u32;
-                self.slots.push(page);
-                self.table.insert(*base, (self.slots.len() - 1) as u32);
+            for &(base, ref image, perm) in &snap.pages {
+                let vpn = base / PAGE_SIZE;
+                let slot = self.slots.len() as u32;
+                match self.table.last_mut() {
+                    Some(r) if r.end() == vpn && r.perm == perm => r.pages += 1,
+                    _ => self.table.push(Region {
+                        first: vpn,
+                        pages: 1,
+                        slot,
+                        perm,
+                    }),
+                }
+                self.slots.push(Page {
+                    bytes: image.as_deref().map(|image| Box::new(*image)),
+                    dirty: false,
+                    snap_index: slot,
+                    ..Page::new()
+                });
                 stats.dirty_pages += 1;
                 stats.bytes_copied += u64::from(PAGE_SIZE);
             }
@@ -1161,18 +1270,21 @@ impl Memory {
             self.layout_dirty = false;
         } else {
             debug_assert_eq!(
-                self.table.len(),
+                self.page_count(),
                 snap.pages.len(),
                 "clean-layout restore requires the snapshot's page set"
             );
             debug_assert_eq!(self.enforce, snap.enforce);
-            for slot in self.dirty.drain(..) {
-                let page = &mut self.slots[slot as usize];
-                let (_, image, sperm) = &snap.pages[page.snap_index as usize];
+            let mut dirty = std::mem::take(&mut self.dirty);
+            for slot in dirty.drain(..) {
+                let (base, image, sperm) =
+                    &snap.pages[self.slots[slot as usize].snap_index as usize];
                 debug_assert_eq!(
-                    page.perm, *sperm,
+                    self.lookup(*base),
+                    Some((slot, *sperm)),
                     "page layout diverged without layout_dirty"
                 );
+                let page = &mut self.slots[slot as usize];
                 match image {
                     Some(image) => **page.bytes.get_or_insert_with(zeroed_image) = **image,
                     // Zero at snapshot time: refill in place, keeping the

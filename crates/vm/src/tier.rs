@@ -321,7 +321,7 @@ impl Block {
 
 /// One hotness counter: transfers seen to `ip` since the way was
 /// last claimed. `count == 0` marks an empty way.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct HotSlot {
     ip: u32,
     count: u32,
@@ -348,10 +348,17 @@ fn mix(ip: u32) -> usize {
 }
 
 impl TierEngine {
+    /// Empty tables, each from one zeroed allocation rather than a loop
+    /// writing each entry.
     pub(crate) fn new() -> TierEngine {
-        TierEngine {
-            blocks: (0..BLOCK_SLOTS).map(|_| None).collect(),
-            hot: vec![[HotSlot::default(); HOT_WAYS]; HOT_SLOTS].into_boxed_slice(),
+        // SAFETY: all-zero bytes are `None` for an `Option<Box<_>>` (the
+        // null-pointer optimisation guarantees it) and an empty way for
+        // a `HotSlot`, which holds two integers (`count == 0` is empty).
+        unsafe {
+            TierEngine {
+                blocks: Box::new_zeroed_slice(BLOCK_SLOTS).assume_init(),
+                hot: Box::new_zeroed_slice(HOT_SLOTS).assume_init(),
+            }
         }
     }
 
@@ -759,6 +766,18 @@ mod tests {
         mem.map(base, 0x2000, Perm::RX).unwrap();
         mem.poke_bytes(base, &assemble(instrs)).unwrap();
         mem
+    }
+
+    #[test]
+    fn fresh_tables_are_empty() {
+        let mut t = TierEngine::new();
+        assert_eq!((t.blocks.len(), t.hot.len()), (BLOCK_SLOTS, HOT_SLOTS));
+        assert!(t.blocks.iter().all(Option::is_none));
+        assert!(t.hot.iter().flatten().all(|way| way.count == 0));
+        assert_eq!(t.lookup_slot(0), None);
+        // An empty way holding ip 0 must not count toward ip 0's heat.
+        assert!((1..HOT_THRESHOLD).all(|_| !t.note_hot(0)));
+        assert!(t.note_hot(0));
     }
 
     #[test]

@@ -97,6 +97,9 @@
 #      `.ic_probe(` exactly once, and crates/vm/src may not declare a
 #      `trait DataPath` (the data accessors are chosen by a const
 #      generic, DESIGN.md §12).
+#  22. one-page-table guard: the page table holds one entry per mapped
+#      region (a sorted Vec, DESIGN.md §7), so crates/vm/src/mem.rs may
+#      not hold a per-page map, a `BTreeMap<u32` or `HashMap<u32`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -447,6 +450,12 @@ if [ "$PROBES" -ne 1 ]; then
 fi
 if grep -rn 'trait DataPath' crates/vm/src; then
     echo "verify: the DataPath trait is back; select the data accessors with a const generic" >&2
+    exit 1
+fi
+
+echo "==> one-page-table guard"
+if grep -nE '(BTreeMap|HashMap)<u32' crates/vm/src/mem.rs; then
+    echo "verify: crates/vm/src/mem.rs holds a per-page map; the page table has one entry per region" >&2
     exit 1
 fi
 
