@@ -18,7 +18,8 @@
 //!
 //! Because `arm_session` is the *same function* the loader runs on a
 //! fresh launch, and a restored machine is architecturally equivalent
-//! to a freshly built one (`crates/vm/tests/snapshot.rs`), an attempt
+//! to a freshly built one (the same [`ArchState`](swsec_vm::arch::ArchState),
+//! `crates/vm/tests/snapshot.rs`), an attempt
 //! served from the snapshot behaves byte-for-byte like
 //! [`ServeMode::Rebuild`] — which rebuilds the machine from the
 //! compiled image every attempt and exists precisely so that
@@ -437,6 +438,7 @@ impl AttackTarget for ForkServer {
 mod tests {
     use super::*;
     use crate::attacker::VICTIM_SMASH;
+    use swsec_vm::arch::ArchState;
 
     fn canary_config() -> DefenseConfig {
         let mut cfg = DefenseConfig::none();
@@ -446,25 +448,23 @@ mod tests {
 
     #[test]
     fn fork_and_rebuild_attempts_are_bit_identical() {
+        // A fork attempt leaves its machine in the server, less the I/O
+        // bus it hands back. A rebuild attempt boots a machine through
+        // `loader::boot_machine`, runs it and drops it, so the test
+        // boots and runs that machine itself.
         let cache = ProgramCache::new();
         let mut fork = ForkServer::boot(&cache, VICTIM_SMASH, canary_config(), 7).unwrap();
-        let mut rebuild = ForkServer::boot(&cache, VICTIM_SMASH, canary_config(), 7)
-            .unwrap()
-            .with_mode(ServeMode::Rebuild);
         for seed in [7u64, 8, 9, 7] {
             let input = vec![b'A'; 60]; // smashes past the canary
-            let a = fork.execute(seed, &input).unwrap();
-            let b = rebuild.execute(seed, &input).unwrap();
-            assert_eq!(a.outcome, b.outcome, "seed {seed}");
-            assert_eq!(a.canary_value, b.canary_value, "seed {seed}");
-            assert_eq!(a.io.observable(), b.io.observable(), "seed {seed}");
-            // Cache counters may differ (fork attempts keep warm
-            // caches); the architectural projection must not.
-            assert_eq!(
-                a.stats.architectural(),
-                b.stats.architectural(),
-                "seed {seed}"
-            );
+            let attempt = fork.execute(seed, &input).unwrap();
+            *fork.machine.io_mut() = attempt.io;
+            let (mut rebuilt, canary_value) =
+                loader::boot_machine(&fork.program, &fork.config, seed).unwrap();
+            rebuilt.io_mut().feed_input(0, &input);
+            assert_eq!(rebuilt.run(fork.fuel), attempt.outcome, "seed {seed}");
+            assert_eq!(canary_value, attempt.canary_value, "seed {seed}");
+            let diff = ArchState::of(&fork.machine).diff(ArchState::of(&rebuilt));
+            assert_eq!(diff, None, "seed {seed}");
         }
     }
 

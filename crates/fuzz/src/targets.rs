@@ -17,8 +17,7 @@
 //!   finding;
 //! * [`DiffTarget`] — the same input runs on three fresh machines, one
 //!   per engine: tier 2, the tier-1 fast path and the baseline; any
-//!   divergence in outcome, observable I/O or architectural stats is a
-//!   crash-class finding.
+//!   divergence in outcome or [`ArchState`] is a crash-class finding.
 
 use std::sync::Arc;
 
@@ -31,7 +30,8 @@ use swsec_defenses::DefenseConfig;
 use swsec_minc::interp::{self, InterpOutcome};
 use swsec_minc::{parse, CompileError, CompiledProgram};
 use swsec_obs::CoverageSink;
-use swsec_vm::cpu::{Fault, RunOutcome};
+use swsec_vm::arch::ArchState;
+use swsec_vm::cpu::{Fault, Machine, RunOutcome};
 use swsec_vm::io::IoBus;
 use swsec_vm::trace::ExecStats;
 
@@ -314,9 +314,10 @@ impl FuzzTarget for CompilerTarget {
 
 /// Differential execution: the same victim and input on a tier-2
 /// machine, a fast-path (tier 1 only) machine and an uncached
-/// baseline machine. The three must agree on outcome, observable I/O
-/// and architectural statistics; a divergence is a crash-class
-/// finding in the VM itself.
+/// baseline machine. The three must agree on outcome and on their full
+/// architectural state ([`ArchState`]: registers, flags, memory, I/O
+/// and the rest); a divergence is a crash-class finding in the VM
+/// itself, named by the first differing field.
 pub struct DiffTarget {
     program: Arc<CompiledProgram>,
     config: DefenseConfig,
@@ -345,14 +346,15 @@ impl DiffTarget {
 
 impl DiffTarget {
     /// Runs `input` on one fresh machine with the given engine
-    /// switches; the tier-2 leg also feeds the coverage sink.
+    /// switches and returns the machine, its outcome and its canary;
+    /// the tier-2 leg also feeds the coverage sink.
     fn run_leg(
         &self,
         seed: u64,
         input: &[u8],
         fast_path: bool,
         tier2: bool,
-    ) -> Result<AttemptOutcome, CompileError> {
+    ) -> Result<(Machine, RunOutcome, Option<u32>), CompileError> {
         let (mut machine, canary_value) = loader::boot_machine(&self.program, &self.config, seed)?;
         machine.set_fast_path(fast_path);
         machine.set_tier2(tier2);
@@ -361,45 +363,34 @@ impl DiffTarget {
         }
         machine.io_mut().feed_input(0, input);
         let outcome = machine.run(TARGET_FUEL);
-        Ok(AttemptOutcome {
-            outcome,
-            canary_value,
-            io: std::mem::take(machine.io_mut()),
-            stats: machine.stats(),
-        })
+        Ok((machine, outcome, canary_value))
     }
 }
 
 impl AttackTarget for DiffTarget {
     fn execute(&mut self, seed: u64, input: &[u8]) -> Result<AttemptOutcome, CompileError> {
         self.last_finding = None;
-        let tiered = self.run_leg(seed, input, true, true)?;
-        let fast = self.run_leg(seed, input, true, false)?;
-        let base = self.run_leg(seed, input, false, false)?;
-        let [tiered_io, fast_io, base_io] = [&tiered, &fast, &base].map(|leg| leg.io.observable());
-        let [tiered_stats, fast_stats, base_stats] =
-            [&tiered, &fast, &base].map(|leg| leg.stats.architectural());
-        let pairs_agree = tiered.outcome == fast.outcome
-            && fast.outcome == base.outcome
-            && tiered_io == fast_io
-            && fast_io == base_io
-            && tiered_stats == fast_stats
-            && fast_stats == base_stats;
-        if !pairs_agree {
+        let (mut tiered, outcome, canary_value) = self.run_leg(seed, input, true, true)?;
+        let (fast, fast_outcome, _) = self.run_leg(seed, input, true, false)?;
+        let (base, base_outcome, _) = self.run_leg(seed, input, false, false)?;
+        let state = ArchState::of(&tiered);
+        let diff = [("fast-path", &fast), ("baseline", &base)]
+            .into_iter()
+            .find_map(|(leg, m)| state.diff(ArchState::of(m)).map(|d| (leg, d)));
+        if outcome != fast_outcome || outcome != base_outcome || diff.is_some() {
             self.divergences += 1;
+            let first = diff.map_or(String::new(), |(leg, d)| format!(" (tier-2 vs {leg}: {d})"));
             self.last_finding = Some(format!(
-                "divergence: tier-2 {:?} vs fast-path {:?} vs baseline {:?} \
-                 (io equal: {}/{}, stats equal: {}/{})",
-                tiered.outcome,
-                fast.outcome,
-                base.outcome,
-                tiered_io == fast_io,
-                fast_io == base_io,
-                tiered_stats == fast_stats,
-                fast_stats == base_stats,
+                "divergence: tier-2 {outcome:?} vs fast-path {fast_outcome:?} \
+                 vs baseline {base_outcome:?}{first}"
             ));
         }
-        Ok(tiered)
+        Ok(AttemptOutcome {
+            outcome,
+            canary_value,
+            io: std::mem::take(tiered.io_mut()),
+            stats: tiered.stats(),
+        })
     }
 }
 
@@ -561,35 +552,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn diff_target_sees_no_divergence_even_on_smashing_inputs() {
-        let cache = ProgramCache::new();
-        let mut target = DiffTarget::new(&cache, 5);
-        let grant = target.program.function_addr("grant").unwrap();
-        let mut smash = vec![b'A'; 56];
-        smash.extend_from_slice(&grant.to_le_bytes());
-        for input in [b"hello".to_vec(), vec![0xff; 96], smash] {
-            let out = target.execute(5, &input).unwrap();
-            assert_eq!(target.classify(&out), None);
-        }
-        assert_eq!(target.divergences(), 0);
-    }
-
-    #[test]
     fn diff_target_legs_match_fresh_launches_on_each_engine() {
-        // Every leg of the differential must behave exactly like an
-        // ordinary `launch_compiled` session pinned to the same engine.
-        // With zero divergences all three legs equal the tier-2 leg the
-        // target returns, so checking that one against each engine's
-        // fresh launch covers every leg.
+        // On benign, smashing and random inputs the target finds no
+        // divergence, and each of its legs ends in exactly the
+        // architectural state of an ordinary `launch_compiled` session
+        // pinned to the same engine.
         use swsec_rng::Rng;
         let seed = 13;
         let cache = ProgramCache::new();
         let mut target = DiffTarget::new(&cache, seed);
         let grant = target.program.function_addr("grant").unwrap();
-        let mut smash = vec![b'A'; 52];
-        smash.extend_from_slice(&0xbfff_0000u32.to_le_bytes());
+        let mut smash = vec![b'A'; 56];
         smash.extend_from_slice(&grant.to_le_bytes());
-        let mut inputs = vec![b"hello".to_vec(), vec![b'A'; 96], smash];
+        let mut smash_bp = vec![b'A'; 52];
+        smash_bp.extend_from_slice(&0xbfff_0000u32.to_le_bytes());
+        smash_bp.extend_from_slice(&grant.to_le_bytes());
+        let mut inputs = vec![b"hello".to_vec(), vec![0xff; 96], smash, smash_bp];
         let mut rng = swsec_rng::stream(0xD1FF_1E65, &[]);
         for _ in 0..24 {
             let mut input = vec![0u8; rng.gen_range(97) as usize];
@@ -600,25 +578,17 @@ pub(crate) mod tests {
             let out = target.execute(seed, input).unwrap();
             assert_eq!(target.classify(&out), None, "input {input:02x?}");
             for (fast_path, tier2) in [(true, true), (true, false), (false, false)] {
+                let (leg, outcome, canary) = target.run_leg(seed, input, fast_path, tier2).unwrap();
                 let mut session = loader::launch_compiled(&target.program, target.config, seed)
                     .expect("victim boots");
                 session.machine.set_fast_path(fast_path);
                 session.machine.set_tier2(tier2);
                 session.machine.io_mut().feed_input(0, input);
-                let outcome = session.run(TARGET_FUEL);
-                let engine = (fast_path, tier2);
-                assert_eq!(out.outcome, outcome, "{engine:?} {input:02x?}");
-                assert_eq!(
-                    out.io.observable(),
-                    session.machine.io().observable(),
-                    "{engine:?} {input:02x?}"
-                );
-                assert_eq!(
-                    out.stats.architectural(),
-                    session.machine.stats().architectural(),
-                    "{engine:?} {input:02x?}"
-                );
-                assert_eq!(out.canary_value, session.canary_value);
+                let at = format!("{:?} {input:02x?}", (fast_path, tier2));
+                assert_eq!(session.run(TARGET_FUEL), outcome, "{at}");
+                assert_eq!(session.canary_value, canary, "{at}");
+                let diff = ArchState::of(&leg).diff(ArchState::of(&session.machine));
+                assert_eq!(diff, None, "{at}");
             }
         }
         assert_eq!(target.divergences(), 0);

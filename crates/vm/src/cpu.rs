@@ -304,22 +304,24 @@ impl fmt::Display for RunOutcome {
 /// The virtual machine: registers, memory, I/O and optional platform
 /// protections.
 pub struct Machine {
-    regs: [u32; NUM_REGS],
-    ip: u32,
-    flags: Flags,
-    mem: Memory,
-    io: IoBus,
-    pma: Option<ProtectionMap>,
-    shadow_stack: Option<Vec<u32>>,
-    halted: Option<u32>,
-    stats: ExecStats,
+    // The architectural state, which `ArchState` compares and
+    // `MachineSnapshot` captures, comes first.
+    pub(crate) regs: [u32; NUM_REGS],
+    pub(crate) ip: u32,
+    pub(crate) flags: Flags,
+    pub(crate) mem: Memory,
+    pub(crate) io: IoBus,
+    pub(crate) pma: Option<ProtectionMap>,
+    pub(crate) shadow_stack: Option<Vec<u32>>,
+    pub(crate) halted: Option<u32>,
+    pub(crate) stats: ExecStats,
+    pub(crate) rng_state: u64,
+    pub(crate) prev_ip: u32,
+    pub(crate) pending_transfer: TransferKind,
+    pub(crate) blocking_reads: bool,
     /// The part of `stats` already added to a scope's tally.
     counted: ExecStats,
-    rng_state: u64,
-    prev_ip: u32,
-    pending_transfer: TransferKind,
     trace: Option<TraceRing>,
-    blocking_reads: bool,
     /// The decoded-instruction cache: empty (no allocation) until the
     /// first fast-path fetch, so a baseline machine never pays for it.
     icache: Box<[ICacheEntry]>,
@@ -1959,10 +1961,11 @@ impl Machine {
         }
     }
 
-    /// Captures the complete architectural state of the machine —
-    /// registers, flags, memory (refcounted page images), I/O queues
-    /// and logs, platform protections (PMA map, shadow stack), RNG
-    /// state and run status — into a [`MachineSnapshot`] that
+    /// Captures the machine's [`ArchState`](crate::arch::ArchState),
+    /// less its statistics — registers, flags, memory (refcounted page
+    /// images), I/O queues and logs, platform protections (PMA map,
+    /// shadow stack), RNG state and run status — into a
+    /// [`MachineSnapshot`] that
     /// [`restore_from`](Machine::restore_from) can rewind to in
     /// O(dirty pages).
     ///
@@ -1976,8 +1979,8 @@ impl Machine {
     /// setting
     /// in place and resets the per-run stats, so a restored run is
     /// *architecturally* indistinguishable from a freshly built machine
-    /// in the same configuration — same outcomes, registers, memory,
-    /// I/O and instruction-level counters. The cache counters are the
+    /// in the same configuration — same outcome, same `ArchState`.
+    /// The cache counters are the
     /// deliberate exception: decodes and translations for pages the
     /// restore did not have to copy stay warm, so a restored run is
     /// faster than a fresh build. (Cache counters are excluded from
@@ -2063,8 +2066,10 @@ impl Machine {
     }
 }
 
-/// The complete architectural state of a [`Machine`], captured by
-/// [`Machine::snapshot`] and rewound to by [`Machine::restore_from`].
+/// The architectural state of a [`Machine`] (its
+/// [`ArchState`](crate::arch::ArchState) less the statistics, which a
+/// restore resets), captured by [`Machine::snapshot`] and rewound to
+/// by [`Machine::restore_from`].
 ///
 /// Memory pages are refcounted images shared with every clone of the
 /// snapshot; restoring re-materializes only pages dirtied since the
@@ -2166,6 +2171,7 @@ fn line_hit(pair: &mut [DataLine; 2], serves: impl Fn(DataLine) -> bool) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchState;
     use crate::isa::{sys, trap};
     use crate::mem::{MemErrorKind, Perm};
     use crate::policy::{ProtectedRegion, ReentryPolicy};
@@ -2191,6 +2197,29 @@ mod tests {
         m.set_reg(Reg::Sp, STACK_TOP);
         m.set_ip(TEXT);
         m
+    }
+
+    /// `instrs` on a tier-2, a fast-path and a baseline machine.
+    fn on_three_engines(instrs: &[Instr]) -> [Machine; 3] {
+        [(true, true), (false, true), (false, false)].map(|(tier2, fast)| {
+            let mut m = machine_with(instrs);
+            m.set_tier2(tier2);
+            m.set_fast_path(fast);
+            m
+        })
+    }
+
+    /// Runs every machine for `fuel` and asserts that all stop with
+    /// the first one's outcome in the first one's architectural state.
+    fn run_alike(machines: &mut [Machine], fuel: u64) -> RunOutcome {
+        let outcome = machines[0].run(fuel);
+        let (first, rest) = machines.split_first_mut().unwrap();
+        for m in rest {
+            assert_eq!(m.run(fuel), outcome, "fuel {fuel}");
+            let diff = ArchState::of(m).diff(ArchState::of(first));
+            assert_eq!(diff, None, "fuel {fuel}");
+        }
+        outcome
     }
 
     fn exit_with(r: Reg) -> Vec<Instr> {
@@ -2857,12 +2886,10 @@ mod tests {
             },
             Instr::Sys(sys::EXIT),
         ];
-        let mut fast = machine_with(&prog);
-        let mut slow = machine_with(&prog);
-        slow.set_fast_path(false);
-        assert_eq!(fast.run(1000), slow.run(1000));
-        let (f, s) = (fast.stats(), slow.stats());
-        assert_eq!(f.instructions, s.instructions);
+        let mut machines = [machine_with(&prog), machine_with(&prog)];
+        machines[1].set_fast_path(false);
+        run_alike(&mut machines, 1000);
+        let s = machines[1].stats();
         assert_eq!(s.icache_hits + s.icache_misses, 0);
         assert_eq!(s.tlb_hits + s.tlb_misses, 0);
     }
@@ -3171,11 +3198,9 @@ mod tests {
             Instr::Ret,
         ];
         let counter = std::sync::Arc::new(CountingSink::new());
-        let mut with_sink = machine_with(&prog);
-        with_sink.set_event_sink(Some(counter.clone()));
-        let mut without = machine_with(&prog);
-        assert_eq!(with_sink.run(100), without.run(100));
-        assert_eq!(with_sink.stats().instructions, without.stats().instructions);
+        let mut machines = [machine_with(&prog), machine_with(&prog)];
+        machines[0].set_event_sink(Some(counter.clone()));
+        run_alike(&mut machines, 100);
         // Detaching stops the flow entirely.
         let mut detached = machine_with(&prog);
         detached.set_event_sink(Some(counter.clone()));
@@ -3262,29 +3287,20 @@ mod tests {
     }
 
     #[test]
-    fn tier2_tight_loop_matches_both_baselines_bit_for_bit() {
-        let prog = hot_countdown(100);
-        let mut tiered = machine_with(&prog);
-        tiered.set_tier2(true);
-        let mut fast = machine_with(&prog);
-        fast.set_tier2(false);
-        let mut base = machine_with(&prog);
-        base.set_tier2(false);
-        base.set_fast_path(false);
-
-        let outcome = tiered.run(100_000);
-        assert_eq!(outcome, fast.run(100_000));
-        assert_eq!(outcome, base.run(100_000));
-        assert_eq!(outcome, RunOutcome::Halted(0));
-        for r in [Reg::R0, Reg::R1, Reg::Sp, Reg::Bp] {
-            assert_eq!(tiered.reg(r), fast.reg(r));
-            assert_eq!(tiered.reg(r), base.reg(r));
+    fn tier2_fuel_accounting_is_exact_mid_block() {
+        // Stop the run inside the hot loop, or let it finish: the
+        // tiered machine must retire exactly `fuel` instructions and
+        // park in the stepping machines' state, and resuming after the
+        // pause converges to the same exit.
+        for fuel in [1, 17, 50, 63, 64, 65, 200] {
+            let mut machines = on_three_engines(&hot_countdown(100));
+            run_alike(&mut machines, fuel);
+            assert_eq!(run_alike(&mut machines, 100_000), RunOutcome::Halted(0));
         }
-        assert_eq!(tiered.ip(), fast.ip());
-        assert_eq!(tiered.flags(), fast.flags());
-        assert_eq!(tiered.stats().architectural(), fast.stats().architectural());
-        assert_eq!(tiered.stats().architectural(), base.stats().architectural());
+        let mut machines = on_three_engines(&hot_countdown(100));
+        assert_eq!(run_alike(&mut machines, 100_000), RunOutcome::Halted(0));
         // And the tier actually engaged.
+        let [tiered, fast, _] = &machines;
         let stats = tiered.stats();
         assert!(stats.tier2_compiled >= 1, "no block compiled");
         assert!(stats.tier2_hits >= 1, "no block entered");
@@ -3295,82 +3311,6 @@ mod tests {
             stats.instructions
         );
         assert_eq!(fast.stats().tier2_hits, 0);
-    }
-
-    #[test]
-    fn tier2_fuel_accounting_is_exact_mid_block() {
-        // Stop the run inside the hot loop: the tiered machine must
-        // retire exactly `fuel` instructions and park on the same
-        // instruction as the stepping machine.
-        for fuel in [1, 17, 50, 63, 64, 65, 200] {
-            let prog = hot_countdown(100);
-            let mut tiered = machine_with(&prog);
-            tiered.set_tier2(true);
-            let mut fast = machine_with(&prog);
-            fast.set_tier2(false);
-            assert_eq!(tiered.run(fuel), fast.run(fuel), "fuel {fuel}");
-            assert_eq!(tiered.ip(), fast.ip(), "fuel {fuel}");
-            assert_eq!(tiered.flags(), fast.flags(), "fuel {fuel}");
-            assert_eq!(tiered.reg(Reg::R1), fast.reg(Reg::R1), "fuel {fuel}");
-            assert_eq!(
-                tiered.stats().instructions,
-                fast.stats().instructions,
-                "fuel {fuel}"
-            );
-            // Resuming after the pause converges to the same exit.
-            assert_eq!(tiered.run(100_000), fast.run(100_000));
-            assert_eq!(tiered.stats().instructions, fast.stats().instructions);
-        }
-    }
-
-    #[test]
-    fn tier2_fault_mid_block_is_identical_to_stepping() {
-        // An ascending store loop that runs off the top of the stack
-        // mapping: hot enough to run as a block, and the 65th trip
-        // faults on an unmapped store *mid-block*.
-        let prog = vec![
-            Instr::MovI {
-                dst: Reg::R1,
-                imm: STACK_TOP - 0x100,
-            },
-            Instr::MovI {
-                dst: Reg::R2,
-                imm: 0x5a5a_5a5a,
-            },
-            // TEXT + 12: loop head.
-            Instr::Store {
-                base: Reg::R1,
-                disp: 0,
-                src: Reg::R2,
-            },
-            Instr::AddI {
-                dst: Reg::R1,
-                imm: 4,
-            },
-            Instr::Jmp(TEXT + 12),
-        ];
-        let mut tiered = machine_with(&prog);
-        tiered.set_tier2(true);
-        let mut fast = machine_with(&prog);
-        fast.set_tier2(false);
-        let mut base = machine_with(&prog);
-        base.set_tier2(false);
-        base.set_fast_path(false);
-
-        let outcome = tiered.run(100_000);
-        assert_eq!(outcome, fast.run(100_000));
-        assert_eq!(outcome, base.run(100_000));
-        let fault = outcome.fault().expect("store must fault");
-        match fault {
-            Fault::Mem(e) => assert_eq!(e.addr, STACK_TOP),
-            other => panic!("unexpected fault {other:?}"),
-        }
-        // The machine parks on the faulting instruction either way.
-        assert_eq!(tiered.ip(), fast.ip());
-        assert_eq!(tiered.ip(), TEXT + 12);
-        assert_eq!(tiered.reg(Reg::R1), fast.reg(Reg::R1));
-        assert_eq!(tiered.stats().architectural(), fast.stats().architectural());
-        assert!(tiered.stats().tier2_instructions > 0);
     }
 
     #[test]
@@ -3616,13 +3556,13 @@ mod tests {
         switched.restore_from(&snap);
         switched.set_fast_path(true);
         switched.set_tier2(true);
-        let mut fresh = machine_with(&hot_writer());
+        let fresh = machine_with(&hot_writer());
         assert!(fresh.fast_path() && fresh.tier2());
-        assert_eq!(switched.run(10_000), fresh.run(10_000));
-        assert_eq!(switched.io().observable(), fresh.io().observable());
+        let mut machines = [switched, fresh];
+        run_alike(&mut machines, 10_000);
+        let [switched, fresh] = &machines;
         assert_eq!(fresh.io().output(1), [0u8; 40]);
         let (s, f) = (switched.stats(), fresh.stats());
-        assert_eq!(s.architectural(), f.architectural());
         assert_eq!(
             (s.icache_hits, s.icache_misses),
             (f.icache_hits, f.icache_misses)

@@ -108,6 +108,16 @@ impl IoBus {
             .collect()
     }
 
+    /// The channels holding pending input or output, in fd order, as
+    /// `(fd, pending input, output)`: the bus's architectural state.
+    /// A channel with neither is indistinguishable from an absent one.
+    pub(crate) fn channels(&self) -> impl Iterator<Item = (u32, &[u8], &[u8])> + '_ {
+        self.channels
+            .iter()
+            .map(|(&fd, c)| (fd, &c.input[c.read_pos..], c.output.as_slice()))
+            .filter(|(_, input, output)| !input.is_empty() || !output.is_empty())
+    }
+
     /// Clears all queued input and recorded output.
     pub fn reset(&mut self) {
         self.channels.clear();

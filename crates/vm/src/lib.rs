@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arch;
 pub mod context;
 pub mod cpu;
 pub mod io;
@@ -55,6 +56,7 @@ pub use context::{Engine, VmConfig};
 
 /// The names almost every user of this crate needs.
 pub mod prelude {
+    pub use crate::arch::{ArchDiff, ArchState};
     pub use crate::cpu::{Fault, Machine, MachineSnapshot, RunOutcome, StepResult};
     pub use crate::io::IoBus;
     pub use crate::isa::{Instr, Reg};

@@ -53,6 +53,8 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::arch::ArchDiff;
+
 /// Size of one page in bytes.
 pub const PAGE_SIZE: u32 = 4096;
 
@@ -953,6 +955,58 @@ impl Memory {
             .flat_map(|r| &self.slots[r.slot as usize..(r.slot + r.pages) as usize])
             .filter(|page| page.bytes.is_some())
             .count()
+    }
+
+    /// The first difference between `self` (left) and `other` (right)
+    /// in the [`ArchState`](crate::arch::ArchState) sense: the
+    /// enforcement flag, then, in address order, the first page mapped
+    /// on one side only or with different permissions, or holding
+    /// different bytes. Walks both page tables together, a run of pages
+    /// at a time; a page neither side ever wrote reads as zeros on both
+    /// and is not compared.
+    pub(crate) fn diff(&self, other: &Memory) -> Option<ArchDiff> {
+        if self.enforce != other.enforce {
+            return Some(ArchDiff::Enforce(self.enforce, other.enforce));
+        }
+        // The region and page offset each walk is at.
+        let (mut a, mut b) = ((0, 0), (0, 0));
+        loop {
+            let here = |t: &[Region], (i, off): (usize, u32)| t.get(i).map(|&r| (r, r.first + off));
+            let (ra, rb, vpn) = match (here(&self.table, a), here(&other.table, b)) {
+                (None, None) => return None,
+                (Some((ra, va)), Some((rb, vb))) if va == vb && ra.perm == rb.perm => (ra, rb, va),
+                (x, y) => {
+                    // The lower of two differing pages, or a page on
+                    // one side only.
+                    let page = x.iter().chain(&y).map(|&(_, vpn)| vpn).min()?;
+                    let perm = |p: Option<(Region, u32)>| {
+                        p.filter(|&(_, vpn)| vpn == page).map(|(r, _)| r.perm)
+                    };
+                    return Some(ArchDiff::Layout(page * PAGE_SIZE, perm(x), perm(y)));
+                }
+            };
+            let n = (ra.end() - vpn).min(rb.end() - vpn);
+            let pages_a = &self.slots[(ra.slot + a.1) as usize..][..n as usize];
+            let pages_b = &other.slots[(rb.slot + b.1) as usize..][..n as usize];
+            for (vpn, (p, q)) in (vpn..).zip(pages_a.iter().zip(pages_b)) {
+                let (x, y) = (p.bytes(), q.bytes());
+                if (p.bytes.is_some() || q.bytes.is_some()) && x != y {
+                    let offset = x.iter().zip(y).position(|(l, r)| l != r)?;
+                    return Some(ArchDiff::Memory(
+                        vpn * PAGE_SIZE,
+                        offset as u32,
+                        x[offset],
+                        y[offset],
+                    ));
+                }
+            }
+            for (walk, r) in [(&mut a, ra), (&mut b, rb)] {
+                walk.1 += n;
+                if walk.1 == r.pages {
+                    *walk = (walk.0 + 1, 0);
+                }
+            }
+        }
     }
 
     /// Whether `addr` lies in a mapped page.

@@ -175,7 +175,7 @@ impl std::error::Error for PmaViolation {}
 
 /// The machine-wide protection map: every loaded protected module plus
 /// the re-entry policy.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtectionMap {
     regions: Vec<ProtectedRegion>,
     reentry: ReentryPolicy,

@@ -91,23 +91,21 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// The architectural projection: these stats with the cache and
-    /// run-level counters zeroed. Two runs are *semantically*
-    /// equivalent iff their architectural stats (plus outcome,
-    /// registers, memory and I/O) agree; the cache counters
-    /// legitimately differ between a fresh build and a
-    /// snapshot-restored attempt, or between fast-path settings.
-    /// Equivalence tests compare this projection.
-    pub fn architectural(self) -> ExecStats {
-        ExecStats {
-            instructions: self.instructions,
-            calls: self.calls,
-            rets: self.rets,
-            mem_reads: self.mem_reads,
-            mem_writes: self.mem_writes,
-            syscalls: self.syscalls,
-            ..ExecStats::default()
-        }
+    /// The architectural projection: the counters, by name, that a
+    /// program's execution determines whatever engine ran it. The cache
+    /// counters legitimately differ between a fresh build and a
+    /// snapshot-restored attempt, or between engines, and the run-level
+    /// counters belong to a scope, so both are left out. Part of a
+    /// machine's [`ArchState`](crate::arch::ArchState).
+    pub fn architectural(&self) -> [(&'static str, u64); 6] {
+        [
+            ("instructions", self.instructions),
+            ("calls", self.calls),
+            ("rets", self.rets),
+            ("mem_reads", self.mem_reads),
+            ("mem_writes", self.mem_writes),
+            ("syscalls", self.syscalls),
+        ]
     }
 
     /// What these stats gained since `earlier`, field by field,

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use swsec_obs::CoverageSink;
+use swsec_vm::arch::ArchState;
 use swsec_vm::cpu::{Fault, Machine, RunOutcome, StepResult};
 use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::{Access, MemErrorKind, Perm, PAGE_SIZE};
@@ -253,9 +254,9 @@ fn instruction_straddling_pages_respects_second_page_permissions() {
 }
 
 /// Runs `instrs` on three machines — tier 2 on, tier 2 off (fast
-/// path only), and everything off — and asserts outcome, registers
-/// and architectural stats agree bit-for-bit. Returns the tiered
-/// machine for tier-specific assertions.
+/// path only), and everything off — and asserts that outcome and
+/// architectural state agree. Returns the tiered machine for
+/// tier-specific assertions.
 fn assert_three_way_identical(instrs: &[Instr], fuel: u64) -> Machine {
     assert_three_way_identical_cfg(instrs, fuel, &|_| {}).1
 }
@@ -280,27 +281,12 @@ fn assert_three_way_identical_cfg(
     let mut fast = build(false, true);
     let mut base = build(false, false);
     let outcome = tiered.run(fuel);
-    assert_eq!(outcome, fast.run(fuel));
-    assert_eq!(outcome, base.run(fuel));
-    assert_eq!(tiered.ip(), fast.ip());
-    assert_eq!(tiered.ip(), base.ip());
-    for r in [
-        Reg::R0,
-        Reg::R1,
-        Reg::R2,
-        Reg::R3,
-        Reg::R4,
-        Reg::R5,
-        Reg::R6,
-        Reg::R7,
-        Reg::Sp,
-        Reg::Bp,
-    ] {
-        assert_eq!(tiered.reg(r), fast.reg(r), "{r:?}");
-        assert_eq!(tiered.reg(r), base.reg(r), "{r:?}");
+    assert_eq!(outcome, fast.run(fuel), "fuel {fuel}");
+    assert_eq!(outcome, base.run(fuel), "fuel {fuel}");
+    for (other, name) in [(&fast, "fast path"), (&base, "baseline")] {
+        let diff = ArchState::of(&tiered).diff(ArchState::of(other));
+        assert_eq!(diff, None, "tier 2 vs {name} at fuel {fuel}");
     }
-    assert_eq!(tiered.stats().architectural(), fast.stats().architectural());
-    assert_eq!(tiered.stats().architectural(), base.stats().architectural());
     (outcome, tiered)
 }
 
@@ -435,9 +421,9 @@ fn tier2_recompiles_patched_code_byte_identically() {
 
 #[test]
 fn fast_and_slow_machines_agree_on_a_busy_program() {
-    // A program exercising calls, straddling data, byte ops and a DEP
-    // fault at the end: both machines must produce identical outcomes,
-    // identical architectural stats and identical memory.
+    // A program exercising calls, unaligned word and byte accesses:
+    // every engine must end in the same outcome and architectural
+    // state.
     let scratch = STACK_TOP - 0x2000;
     let prog = vec![
         Instr::MovI {
@@ -488,38 +474,11 @@ fn fast_and_slow_machines_agree_on_a_busy_program() {
         Instr::Ret,
     ];
     // Verify the hand-computed offsets: call site loop head and f.
-    let bytes = assemble(&prog);
     let f_off: usize = prog[..9].iter().map(|i| assemble(&[*i]).len()).sum();
     assert_eq!(f_off, 44, "layout drifted: f at {f_off}");
     let loop_off: usize = prog[..3].iter().map(|i| assemble(&[*i]).len()).sum();
     assert_eq!(loop_off, 18, "layout drifted: loop at {loop_off}");
-
-    let run = |fast: bool| {
-        let mut m = Machine::new();
-        m.set_fast_path(fast);
-        m.mem_mut().map(TEXT, 0x1000, Perm::RX).unwrap();
-        m.mem_mut()
-            .map(STACK_TOP - 0x4000, 0x4000, Perm::RW)
-            .unwrap();
-        m.mem_mut().poke_bytes(TEXT, &bytes).unwrap();
-        m.set_reg(Reg::Sp, STACK_TOP);
-        m.set_ip(TEXT);
-        let outcome = m.run(1000);
-        let stats = m.stats();
-        let snapshot = m.mem().peek_bytes(scratch, 16).unwrap();
-        (
-            outcome,
-            stats.instructions,
-            stats.calls,
-            stats.rets,
-            stats.mem_reads,
-            stats.mem_writes,
-            snapshot,
-            m.reg(Reg::R4),
-            m.reg(Reg::R5),
-        )
-    };
-    assert_eq!(run(true), run(false));
+    assert_three_way_identical(&prog, 1000);
 }
 
 /// Byte offset of instruction `i` in `instrs`, relative to TEXT.
@@ -959,7 +918,7 @@ fn restore_from_drops_stale_inline_cache_predictions() {
     fresh.mem_mut().poke_bytes(imm_byte, &[9]).unwrap();
     let reference = fresh.run(100_000);
     assert_eq!(second, reference);
-    assert_eq!(m.reg(Reg::R3), fresh.reg(Reg::R3));
+    assert_eq!(ArchState::of(&m).diff(ArchState::of(&fresh)), None);
     assert_eq!(m.reg(Reg::R3), 432, "patched callee 0 adds 9, not 1");
 }
 
@@ -1082,6 +1041,38 @@ fn tier2_counters_are_pinned_across_dispatch_paths() {
         target: addr_at(&prog, 1),
     };
     let fused = sweep_fuel(&prog, &|_| {});
+
+    // A counted loop that fuses whole into one `FusedLoopI` branching
+    // to itself: tier 2 runs its remaining trips in closed form, and
+    // must leave the flags and `r0` of the final compare exactly where
+    // stepping does, at exit and at every fuel cut inside the loop.
+    let prog = [
+        Instr::MovI {
+            dst: Reg::R0,
+            imm: 0,
+        },
+        Instr::AddI {
+            dst: Reg::R0,
+            imm: 1,
+        }, // TEXT+6: loop head
+        Instr::CmpI {
+            a: Reg::R0,
+            imm: 1000,
+        },
+        Instr::JCond {
+            cond: Cond::Nz,
+            target: TEXT + 6,
+        },
+        Instr::Sys(sys::EXIT),
+    ];
+    let closed_form = sweep_fuel(&prog, &|_| {});
+    // Tier 2 enters the block once, when the loop turns hot, and
+    // retires every remaining trip in that one entry.
+    assert_eq!(
+        (closed_form.instructions, closed_form.tier2_instructions),
+        (3002, 2952),
+        "closed form"
+    );
 
     // Fork-server shape: run the dispatch loop hot, restore the boot
     // snapshot, patch callee 0 through the loader; the measured run

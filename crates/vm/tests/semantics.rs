@@ -12,11 +12,11 @@
 //! interpreter fallback. The `hot_` properties run the same cases
 //! inside a counted loop that crosses `HOT_THRESHOLD`, so tier 2
 //! executes them in a compiled block, and compare every engine's final
-//! machine state against the baseline's.
+//! architectural state against the baseline's.
 
 use swsec_rng::{stream, Rng};
 use swsec_vm::context::scope;
-use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg, ALL_REGS};
+use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::Perm;
 use swsec_vm::prelude::*;
 use swsec_vm::tier::HOT_THRESHOLD;
@@ -411,23 +411,18 @@ fn hot_loop(setup: &[Instr], body: &[Instr], placement: Placement) -> Vec<Instr>
 
 /// Runs `body` in a hot loop at both placements under every engine and
 /// checks that the fast and tier-2 engines leave exactly the baseline's
-/// outcome, registers, `ip`, flags, stack-page memory and architectural
-/// stats, and that tier 2 really served the case from a block.
+/// outcome and architectural state, and that tier 2 really served the
+/// case from a block.
 fn check_hot(what: &str, setup: &[Instr], body: &[Instr]) {
     for placement in [Placement::AfterLoop, Placement::InLoop] {
         let prog = hot_loop(setup, body, placement);
         let mut runs = run_on_every_engine(&prog);
         let (_, want, base) = runs.next().expect("baseline run");
-        let state = |m: &Machine| {
-            let regs = ALL_REGS.map(|r| m.reg(r));
-            let page = m.mem().peek_bytes(STACK_TOP - 0x1000, 0x1000).unwrap();
-            (regs, m.ip(), m.flags(), page, m.stats().architectural())
-        };
-        let want_state = state(&base);
         for (engine, outcome, m) in runs {
             let at = format!("{what} ({placement:?}) on {engine:?}");
             assert_eq!(outcome, want, "{at}: outcome");
-            assert!(state(&m) == want_state, "{at}: machine state differs");
+            let diff = ArchState::of(&m).diff(ArchState::of(&base));
+            assert_eq!(diff, None, "{at}");
             // An in-loop body that faults on its first trip never gets hot.
             let first_trip_fault = placement == Placement::InLoop && want.fault().is_some();
             if engine == Engine::Tier2 && !first_trip_fault {

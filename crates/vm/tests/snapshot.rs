@@ -1,9 +1,8 @@
 //! Differential audit of `Machine::snapshot` / `restore_from`.
 //!
 //! The fork-server contract is that a restored machine is
-//! *architecturally* indistinguishable from a freshly built one: same
-//! outcomes, same registers, same memory, same I/O, and the same
-//! [`ExecStats::architectural`] projection, with the fast path on or
+//! *architecturally* indistinguishable from a freshly built one: the
+//! same outcome and the same [`ArchState`], with the fast path on or
 //! off. The cache counters are the deliberate exception — a restore
 //! keeps the icache and TLBs warm (that is where its speed comes
 //! from), and rendered reports already exclude them.
@@ -13,12 +12,12 @@
 //! `RestoreStats` and in the scope tally behind the `vm.snapshot.*`
 //! counters.
 
+use swsec_vm::arch::ArchState;
 use swsec_vm::context::scope;
 use swsec_vm::cpu::{Machine, RunOutcome};
-use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg, ALL_REGS};
+use swsec_vm::isa::{sys, AluOp, Cond, Instr, Reg};
 use swsec_vm::mem::{Perm, RestoreStats, PAGE_SIZE};
 use swsec_vm::policy::{ProtectedRegion, ProtectionMap};
-use swsec_vm::trace::ExecStats;
 
 const TEXT: u32 = 0x1000;
 const DATA: u32 = 0x0020_0000;
@@ -63,37 +62,27 @@ fn machine_with(text_perm: Perm, code: &[u8]) -> Machine {
     m
 }
 
-/// Everything architecturally observable about a finished run:
-/// outcome, every register, the architectural `ExecStats` projection
-/// (cache counters excluded — restores keep caches warm), the I/O
-/// bus, and every byte of every mapped region.
-type Fingerprint = (
-    RunOutcome,
-    Vec<u32>,
-    ExecStats,
-    Vec<(u32, Vec<u8>)>,
-    Vec<Vec<u8>>,
-);
+/// Asserts that `got` finished like `want`: same outcome, same
+/// architectural state.
+fn assert_same_run(got: (&Machine, RunOutcome), want: (&Machine, RunOutcome), what: &str) {
+    assert_eq!(got.1, want.1, "{what}: outcome");
+    let diff = ArchState::of(got.0).diff(ArchState::of(want.0));
+    assert_eq!(diff, None, "{what}");
+}
 
-fn fingerprint(m: &Machine, outcome: RunOutcome) -> Fingerprint {
-    let regs = ALL_REGS.iter().map(|&r| m.reg(r)).collect();
-    let mem = m
-        .mem()
-        .regions()
-        .into_iter()
-        .map(|(range, _)| {
-            m.mem()
-                .peek_bytes(range.start, range.end - range.start)
-                .expect("mapped region is peekable")
-        })
-        .collect();
-    (
-        outcome,
-        regs,
-        m.stats().architectural(),
-        m.io().observable(),
-        mem,
-    )
+/// Runs a fresh machine from `build`, and a second one that snapshots
+/// at boot, runs, restores and runs again; asserts that the replay
+/// finishes like the fresh run. Returns the fresh run.
+fn assert_restore_replays(build: &dyn Fn() -> Machine, fuel: u64) -> (Machine, RunOutcome) {
+    let mut fresh = build();
+    let first = fresh.run(fuel);
+    let mut m = build();
+    let snap = m.snapshot();
+    m.run(fuel);
+    m.restore_from(&snap);
+    let second = m.run(fuel);
+    assert_same_run((&m, second), (&fresh, first), "replay");
+    (fresh, first)
 }
 
 /// Reads 8 bytes from fd 0, byte-sums them through a loop, round-trips
@@ -194,7 +183,6 @@ fn restored_run_matches_fresh_run_bit_for_bit() {
         fresh.io_mut().feed_input(0, INPUT);
         let outcome = fresh.run(10_000);
         assert_eq!(outcome, RunOutcome::Halted(36), "fast={fast}");
-        let reference = fingerprint(&fresh, outcome);
 
         // Candidate: snapshot at boot, then serve two attempts from it.
         let mut m = machine_with(Perm::RX, &busy_program());
@@ -205,12 +193,9 @@ fn restored_run_matches_fresh_run_bit_for_bit() {
                 m.restore_from(&snap);
             }
             m.io_mut().feed_input(0, INPUT);
-            let outcome = m.run(10_000);
-            assert_eq!(
-                fingerprint(&m, outcome),
-                reference,
-                "fast={fast} attempt={attempt}"
-            );
+            let got = m.run(10_000);
+            let what = format!("fast={fast} attempt={attempt}");
+            assert_same_run((&m, got), (&fresh, outcome), &what);
         }
     }
 }
@@ -250,12 +235,16 @@ fn self_modifying_code_replays_identically_after_restore() {
             Instr::Sys(sys::EXIT),
         ]
     });
-    let mut m = machine_with(Perm::RWX, &code);
     // Two steps in: both movi executed, the store not yet. R1 holds
     // the patch target the assembler resolved.
-    for _ in 0..2 {
-        m.step();
-    }
+    let two_steps_in = || {
+        let mut m = machine_with(Perm::RWX, &code);
+        for _ in 0..2 {
+            m.step();
+        }
+        m
+    };
+    let mut m = two_steps_in();
     let patch_addr = m.reg(Reg::R1);
     assert!(
         patch_addr > TEXT && patch_addr < TEXT + 0x100,
@@ -280,21 +269,20 @@ fn self_modifying_code_replays_identically_after_restore() {
     );
     let second = m.run(100);
     assert_eq!(second, first);
-    let second_stats = m.stats();
 
     // The first continuation ran with state warmed by the two
     // pre-snapshot steps; restored attempts all start from the same
     // steady state, so it is the restored attempts that are
-    // counter-exact with *each other* — architecturally and, once the
-    // cache warmth has converged, even on the cache counters.
-    m.restore_from(&snap);
-    let third = m.run(100);
-    assert_eq!(third, first);
-    assert_eq!(
-        m.stats().architectural(),
-        second_stats.architectural(),
-        "restored replays are counter-exact"
-    );
+    // counter-exact with *each other*: a twin machine's third attempt
+    // ends in this machine's second attempt's state.
+    let mut twin = two_steps_in();
+    let snap = twin.snapshot();
+    twin.run(100);
+    twin.restore_from(&snap);
+    twin.run(100);
+    twin.restore_from(&snap);
+    let third = twin.run(100);
+    assert_same_run((&twin, third), (&m, second), "restored replays");
 }
 
 #[test]
@@ -321,18 +309,16 @@ fn dep_fault_reproduces_identically_after_restore() {
         ]
     });
     for fast in [true, false] {
-        let mut m = machine_with(Perm::RX, &code);
-        m.set_fast_path(fast);
-        let snap = m.snapshot();
-        let first = m.run(100);
+        let build = || {
+            let mut m = machine_with(Perm::RX, &code);
+            m.set_fast_path(fast);
+            m
+        };
+        let (_, first) = assert_restore_replays(&build, 100);
         assert!(
             matches!(first, RunOutcome::Fault(_)),
             "store to RX text faults, got {first:?}"
         );
-        let reference = fingerprint(&m, first);
-        m.restore_from(&snap);
-        let second = m.run(100);
-        assert_eq!(fingerprint(&m, second), reference, "fast={fast}");
     }
 }
 
@@ -385,31 +371,29 @@ fn pma_crossing_program_restores_cleanly() {
         ]
     });
     for fast in [true, false] {
-        let mut m = machine_with(Perm::RX, &main_code);
-        m.set_fast_path(fast);
-        m.mem_mut()
-            .map(MODULE, 0x1000, Perm::RX)
-            .expect("map module");
-        m.mem_mut().map(MDATA, 0x1000, Perm::RW).expect("map mdata");
-        m.mem_mut()
-            .poke_bytes(MODULE, &module_code)
-            .expect("load module");
-        m.set_protection(Some(ProtectionMap::new(vec![ProtectedRegion::new(
-            MODULE..MODULE + 0x1000,
-            MDATA..MDATA + 0x1000,
-            vec![MODULE],
-        )])));
-        let snap = m.snapshot();
-
-        let first = m.run(10_000);
+        let build = || {
+            let mut m = machine_with(Perm::RX, &main_code);
+            m.set_fast_path(fast);
+            m.mem_mut()
+                .map(MODULE, 0x1000, Perm::RX)
+                .expect("map module");
+            m.mem_mut().map(MDATA, 0x1000, Perm::RW).expect("map mdata");
+            m.mem_mut()
+                .poke_bytes(MODULE, &module_code)
+                .expect("load module");
+            m.set_protection(Some(ProtectionMap::new(vec![ProtectedRegion::new(
+                MODULE..MODULE + 0x1000,
+                MDATA..MDATA + 0x1000,
+                vec![MODULE],
+            )])));
+            m
+        };
+        // The replay ends with the counter at 40, not 80: the restore
+        // rewound the module's data.
+        let (fresh, first) = assert_restore_replays(&build, 10_000);
         assert_eq!(first, RunOutcome::Halted(0), "fast={fast}");
-        assert_eq!(m.mem().peek_u32(MDATA).unwrap(), 40, "module counter ran");
-        let reference = fingerprint(&m, first);
-
-        m.restore_from(&snap);
-        assert_eq!(m.mem().peek_u32(MDATA).unwrap(), 0, "module data rewound");
-        let second = m.run(10_000);
-        assert_eq!(fingerprint(&m, second), reference, "fast={fast}");
+        let counter = fresh.mem().peek_u32(MDATA).unwrap();
+        assert_eq!(counter, 40, "module counter ran");
     }
 }
 
@@ -507,12 +491,12 @@ fn restore_never_executes_stale_tier2_blocks() {
             r.mem_mut().poke_bytes(step_byte, &[0xfe]).expect("patch");
         }
         let outcome = r.run(10_000);
-        fingerprint(&r, outcome)
+        (r, outcome)
     };
-    let ref_orig = reference(false);
-    let ref_patched = reference(true);
-    assert_eq!(ref_orig.0, RunOutcome::Halted(32));
-    assert_eq!(ref_patched.0, RunOutcome::Halted(16));
+    let (orig, orig_outcome) = reference(false);
+    let (patched, patched_outcome) = reference(true);
+    assert_eq!(orig_outcome, RunOutcome::Halted(32));
+    assert_eq!(patched_outcome, RunOutcome::Halted(16));
 
     let mut m = machine_with(Perm::RWX, &code);
     m.set_tier2(true);
@@ -520,7 +504,7 @@ fn restore_never_executes_stale_tier2_blocks() {
 
     // Run 1: original code, block compiled and hot.
     let outcome = m.run(10_000);
-    assert_eq!(fingerprint(&m, outcome), ref_orig);
+    assert_same_run((&m, outcome), (&orig, orig_outcome), "run 1");
     assert!(m.stats().tier2_compiled >= 1, "{:?}", m.stats());
 
     // Loader patches the step to -2 mid-campaign: the warm block is
@@ -528,7 +512,7 @@ fn restore_never_executes_stale_tier2_blocks() {
     m.restore_from(&snap);
     m.mem_mut().poke_bytes(step_byte, &[0xfe]).expect("patch");
     let outcome = m.run(10_000);
-    assert_eq!(fingerprint(&m, outcome), ref_patched);
+    assert_same_run((&m, outcome), (&patched, patched_outcome), "patched");
     assert!(
         m.stats().tier2_invalidations >= 1,
         "patched code must invalidate the warm block: {:?}",
@@ -539,7 +523,7 @@ fn restore_never_executes_stale_tier2_blocks() {
     // bytes is stale in turn.
     m.restore_from(&snap);
     let outcome = m.run(10_000);
-    assert_eq!(fingerprint(&m, outcome), ref_orig);
+    assert_same_run((&m, outcome), (&orig, orig_outcome), "rewound");
 }
 
 #[test]

@@ -100,6 +100,13 @@
 #  22. one-page-table guard: the page table holds one entry per mapped
 #      region (a sorted Vec, DESIGN.md §7), so crates/vm/src/mem.rs may
 #      not hold a per-page map, a `BTreeMap<u32` or `HashMap<u32`.
+#  23. one-state guard: two machines are compared through
+#      swsec_vm::arch::ArchState, the one definition of architectural
+#      state (DESIGN.md §10). Outside crates/vm/src/arch.rs and
+#      crates/vm/src/trace.rs (which defines the stats projection), no
+#      source under crates/, tests/, examples/ or suite/ may call
+#      `.architectural()`, read the register file through `ALL_REGS`,
+#      or compare one register across two machines.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -456,6 +463,14 @@ fi
 echo "==> one-page-table guard"
 if grep -nE '(BTreeMap|HashMap)<u32' crates/vm/src/mem.rs; then
     echo "verify: crates/vm/src/mem.rs holds a per-page map; the page table has one entry per region" >&2
+    exit 1
+fi
+
+echo "==> one-state guard"
+if grep -rnE '\.architectural\(\)|ALL_REGS[^;]*\.reg\(|\.reg\(([A-Za-z0-9_:]+)\).*\.reg\(\1\)' \
+    crates tests examples suite --include='*.rs' \
+    | grep -vE '^crates/vm/src/(arch|trace)\.rs:'; then
+    echo "verify: a hand-picked machine-state comparison is back; compare through swsec_vm::arch::ArchState" >&2
     exit 1
 fi
 
